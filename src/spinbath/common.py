@@ -30,7 +30,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bath import BathDistribution
-from .spinops import qubit_pair_ops, spin_matrices
+from .spinops import (
+    mixed_env_eigen_state,
+    pair_overlaps,
+    qubit_pair_ops,
+    reduced_trajectory,
+    spin_matrices,
+)
 from .states import (
     InvalidStateError,
     TwoQubitState,
@@ -434,8 +440,8 @@ def evolve_symmetric(system: CommonBathSystem, state: TwoQubitState, t: float) -
 class SectorExactEvolver:
     """Dense sector-by-sector evolution; exact for any couplings and state.
 
-    Each sector is diagonalized once; evaluation at each time costs two
-    dense matrix products of the sector dimension 4(2I+1).
+    Each sector is diagonalized once; a whole time grid then costs one
+    phase-weighted contraction per sector (``spinops.reduced_trajectory``).
     """
 
     def __init__(self, system: CommonBathSystem):
@@ -454,12 +460,9 @@ class SectorExactEvolver:
         acc = np.zeros((times.size, 4, 4), dtype=complex)
         for _, w, vals, vecs in self._sectors:
             d = vals.size // 4
-            rho0 = np.kron(rho_ab, np.eye(d) / d)
-            rho_eig = vecs.T @ rho0 @ vecs
-            for k, t in enumerate(times):
-                u = np.exp(-1j * vals * t)
-                rho_t = vecs @ (rho_eig * np.outer(u, u.conj())) @ vecs.T
-                acc[k] += w * np.trace(rho_t.reshape(4, d, 4, d), axis1=1, axis2=3)
+            overlaps = pair_overlaps(vecs, d)
+            rho_eig = mixed_env_eigen_state(rho_ab, overlaps, d)
+            acc += w * reduced_trajectory(vals, overlaps, rho_eig, times)
         return [density_to_state(acc[k]) for k in range(times.size)]
 
 

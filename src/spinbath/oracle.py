@@ -13,7 +13,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .optimize import InhomogeneousCouplings
-from .spinops import SPIN_HALF, collective_spin, pad_site_op
+from .spinops import (
+    SPIN_HALF,
+    collective_spin,
+    mixed_env_eigen_state,
+    pad_site_op,
+    pair_overlaps,
+    reduced_trajectory,
+)
 from .states import TwoQubitState, density_to_state, state_to_density
 
 MAX_BATH_SPINS = 12
@@ -57,15 +64,7 @@ class FullSystem:
         """
         if self._pair_blocks is None:
             _, vecs = self.eigensystem()
-            dim_b = 2**self.n_bath
-            rows = [vecs[a * dim_b : (a + 1) * dim_b, :] for a in range(4)]
-            overlaps = [[None] * 4 for _ in range(4)]
-            for a in range(4):
-                for b in range(a, 4):
-                    overlaps[b][a] = rows[b].T @ rows[a]
-                    if a != b:
-                        overlaps[a][b] = overlaps[b][a].T
-            self._pair_blocks = overlaps
+            self._pair_blocks = pair_overlaps(vecs, 2**self.n_bath)
         return self._pair_blocks
 
 
@@ -159,18 +158,25 @@ def evolve_reduced(
     ``bath_state`` is "fully_mixed" (identity / 2^n) or ("sector", i) for the
     normalized projector onto the total-bath-spin-i subspace. The system is
     diagonalized once; each reduced matrix element is then a phase-weighted
-    contraction, so adding time samples is cheap.
+    contraction, so adding time samples is cheap. Up to dimension 2048 the
+    whole grid is evaluated in one pass over the cached overlap blocks;
+    beyond it those blocks would not fit in memory and each time sample is
+    propagated densely.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     vals, vecs = system.eigensystem()
     dim_b = 2**system.n_bath
     rho_ab = state_to_density(state)
+    overlaps = system.pair_overlaps() if system.dim <= 2048 else None
 
     if bath_state == "fully_mixed":
-        # rho0 = rho_ab (x) 1/2^n without forming it: contract the pair index
-        v_blocks = vecs.reshape(4, dim_b, system.dim)
-        rho0_v = np.einsum("ac,cnj->anj", rho_ab, v_blocks).reshape(system.dim, system.dim)
-        rho_eig = vecs.T @ rho0_v / dim_b
+        if overlaps is not None:
+            rho_eig = mixed_env_eigen_state(rho_ab, overlaps, dim_b)
+        else:
+            # rho0 = rho_ab (x) 1/2^n without forming it: contract the pair index
+            v_blocks = vecs.reshape(4, dim_b, system.dim)
+            rho0_v = np.einsum("ac,cnj->anj", rho_ab, v_blocks).reshape(system.dim, system.dim)
+            rho_eig = vecs.T @ rho0_v / dim_b
     else:
         kind, i = bath_state
         if kind != "sector":
@@ -180,20 +186,11 @@ def evolve_reduced(
         rho0 = np.kron(rho_ab, rho_e)
         rho_eig = vecs.T @ rho0 @ vecs
 
-    phases = np.exp(-1j * np.outer(times, vals))  # (T, D)
-    if system.dim <= 2048:
-        # reduced element (a, b) at time t is
-        #   sum_jk rho_eig[j, k] e^{-i(E_j - E_k) t} [W_b^T W_a][k, j]
-        overlaps = system.pair_overlaps()
-        red = np.empty((times.size, 4, 4), dtype=complex)
-        for a in range(4):
-            for b in range(4):
-                weighted = rho_eig * overlaps[b][a].T
-                red[:, a, b] = np.einsum(
-                    "tj,jk,tk->t", phases, weighted, phases.conj(), optimize=True
-                )
-        return [density_to_state(red[k]) for k in range(times.size)]
+    if overlaps is not None:
+        red = reduced_trajectory(vals, overlaps, rho_eig, times)
+        return [density_to_state(r) for r in red]
 
+    phases = np.exp(-1j * np.outer(times, vals))  # (T, D)
     out = []
     for k in range(times.size):
         u = phases[k]

@@ -91,14 +91,25 @@ def decay_factors(system: SeparateBathSystem, t) -> DecayFactors:
     return DecayFactors(vector_a=g_a, vector_b=g_b, tensor=g_a * g_b)
 
 
-def evolve(system: SeparateBathSystem, state: TwoQubitState, t: float) -> TwoQubitState:
-    """Reduced state at time t: componentwise scaling of the polarizations."""
-    g = decay_factors(system, float(t))
-    return TwoQubitState(
-        p_a=float(g.vector_a) * state.p_a,
-        p_b=float(g.vector_b) * state.p_b,
-        pi=float(g.tensor) * state.pi,
-    )
+def evolve(
+    system: SeparateBathSystem, state: TwoQubitState, t
+) -> TwoQubitState | list[TwoQubitState]:
+    """Reduced state at time t: componentwise scaling of the polarizations.
+
+    A scalar t gives one state; a time grid gives a list with one state per
+    sample, from a single evaluation of the decay factors.
+    """
+    g = decay_factors(system, t)
+    if g.tensor.ndim == 0:
+        return TwoQubitState(
+            p_a=float(g.vector_a) * state.p_a,
+            p_b=float(g.vector_b) * state.p_b,
+            pi=float(g.tensor) * state.pi,
+        )
+    return [
+        TwoQubitState(p_a=ga * state.p_a, p_b=gb * state.p_b, pi=g2 * state.pi)
+        for ga, gb, g2 in zip(g.vector_a.tolist(), g.vector_b.tolist(), g.tensor.tolist())
+    ]
 
 
 def decoherence_series(

@@ -52,3 +52,65 @@ def collective_spin(n_sites: int, component: int) -> np.ndarray:
     for site in range(n_sites):
         total += pad_site_op(SPIN_HALF[component], site, n_sites)
     return total
+
+
+# ---------------------------------------------------------------------------
+# reduced pair dynamics from an eigendecomposition
+# ---------------------------------------------------------------------------
+#
+# The dense paths (the oracle and the per-sector evolver) order their basis as
+# |pair index a> (x) |environment index n>, so the eigenvector matrix splits
+# into four row blocks W_a of shape (dim_env, D).
+
+_PHASE_CHUNK = 1 << 20
+
+
+def pair_overlaps(vecs: np.ndarray, dim_env: int) -> list[list[np.ndarray]]:
+    """Eigenbasis overlap blocks: ``out[b][a] = W_b^T W_a`` for real eigenvectors."""
+    rows = [vecs[a * dim_env : (a + 1) * dim_env, :] for a in range(4)]
+    out = [[None] * 4 for _ in range(4)]
+    for a in range(4):
+        for b in range(a, 4):
+            out[b][a] = rows[b].T @ rows[a]
+            if a != b:
+                out[a][b] = out[b][a].T
+    return out
+
+
+def mixed_env_eigen_state(
+    rho_ab: np.ndarray, overlaps: list[list[np.ndarray]], dim_env: int
+) -> np.ndarray:
+    """rho_ab (x) 1/dim_env in the eigenbasis: sum_ab rho_ab[a, b] O_ab / dim_env."""
+    out = np.zeros(overlaps[0][0].shape, dtype=complex)
+    for a in range(4):
+        for b in range(4):
+            if rho_ab[a, b] != 0:  # named states leave most pair elements zero
+                out += rho_ab[a, b] * overlaps[a][b]
+    return out / dim_env
+
+
+def reduced_trajectory(
+    vals: np.ndarray, overlaps: list[list[np.ndarray]], rho_eig: np.ndarray, times: np.ndarray
+) -> np.ndarray:
+    """Reduced pair density (T, 4, 4) at every time in one pass.
+
+        red[t, a, b] = sum_jk rho_eig[j, k] e^{-i(E_j - E_k) t} O_ba[k, j]
+
+    with ``overlaps[b][a] = O_ba``. ``rho_eig`` must be Hermitian: only the
+    lower triangle b >= a is contracted, against the blocks ``pair_overlaps``
+    stores contiguously, and the upper one is its conjugate.
+    """
+    red = np.empty((times.size, 4, 4), dtype=complex)
+    # bound the (samples x D) phase and product arrays to ~16 MB each
+    step = max(1, _PHASE_CHUNK // vals.size)
+    for lo in range(0, times.size, step):
+        phases = np.exp(-1j * np.outer(times[lo : lo + step], vals))
+        block = red[lo : lo + step]
+        for a in range(4):
+            for b in range(a, 4):
+                # red[t, b, a] = sum_jk rho_eig[j, k] e^{-i(E_j - E_k) t} O_ba[j, k]
+                weighted = rho_eig * overlaps[b][a]
+                block[:, b, a] = np.einsum("tk,tk->t", phases @ weighted, phases.conj())
+                if a != b:
+                    block[:, a, b] = block[:, b, a].conj()
+    return red

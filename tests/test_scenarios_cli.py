@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from spinbath import scenarios
 from spinbath.cli import main
 from spinbath.scenarios import (
     ConfigError,
@@ -8,10 +11,11 @@ from spinbath.scenarios import (
     parse_config_file,
     parse_state_spec,
     run,
+    _run_oracle_compare,
     validate,
     worker_count,
 )
-from spinbath.states import InvalidStateError
+from spinbath.states import InvalidStateError, TwoQubitState
 from spinbath.timeseries import TimeSeries, TimeSeriesError, read_csv
 
 
@@ -92,6 +96,12 @@ class TestValidation:
     def test_run_refuses_invalid(self):
         with pytest.raises(ConfigError):
             run(ScenarioConfig.for_kind("separate", j=3.0))
+
+    @pytest.mark.parametrize("key", ["k_a", "k_b", "j", "t_max"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_rejected(self, key, value):
+        report = validate(ScenarioConfig.for_kind("oracle-compare", **{key: value}))
+        assert any(err.startswith(f"{key}: must be finite") for err in report.errors)
 
 
 class TestRunners:
@@ -228,3 +238,35 @@ class TestCLI:
 
     def test_run_missing_file(self):
         assert main(["run", "/nonexistent/conf"]) == 1
+
+    @pytest.mark.parametrize("line", ["k_a = inf", "t_max = nan"])
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_non_finite_field_exit_code(self, tmp_path, capsys, command, line):
+        out = tmp_path / "oc.csv"
+        path = write_config(
+            tmp_path, f"scenario = oracle-compare\nn_bath = 4\n{line}\noutput = {out}\n"
+        )
+        assert main([command, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert "must be finite" in captured.out + captured.err
+        assert not out.exists()
+
+    def test_nan_oracle_deviation_exit_code(self, tmp_path, monkeypatch):
+        # validation rejects t_max = nan, so drive the runner past it: the
+        # oracle's states are all NaN and the deviation gate must still fail
+        out = tmp_path / "oc.csv"
+        config = ScenarioConfig.for_kind(
+            "oracle-compare", n_bath=4, samples=5, t_max=math.nan, output=str(out)
+        )
+        assert _run_oracle_compare(config).numerical_failure
+
+        def nan_oracle(full, state, bath_state, times):
+            nan = np.full(3, math.nan)
+            return [TwoQubitState(nan, nan, np.full((3, 3), math.nan)) for _ in times]
+
+        monkeypatch.setattr(scenarios, "evolve_reduced", nan_oracle)
+        path = write_config(
+            tmp_path, f"scenario = oracle-compare\nn_bath = 4\nsamples = 5\noutput = {out}\n"
+        )
+        assert main(["run", str(path)]) == 2
+        assert "# within_tolerance = false" in out.read_text()
