@@ -11,11 +11,13 @@ which removes an unobservable global phase.
 Three evolution paths are provided and cross-checked:
 
 - ``SymmetricEvolver``: closed-form polarization map for K_A = K_B, built
-  from bath-averaged Clebsch-Gordan moment tensors. Cost per time sample is
-  O(#sectors), so it handles baths of hundreds of spins.
+  from bath-averaged Clebsch-Gordan moment tensors. An O(2I+1) set-up per
+  sector, then O(#sectors) per time sample.
 - ``bell_mix_evolution``: closed-form Bell-basis matrix elements for initial
   states in the span of the singlet and the m=0 triplet, valid for any
-  couplings and exchange. Same cost scaling.
+  couplings and exchange. Each sector has four levels, so the output is a
+  line spectrum: an O(2I+1) set-up per sector, then O(16 * #sectors) per
+  time sample. Baths of thousands of spins are in reach.
 - ``SectorExactEvolver``: dense per-sector propagation for arbitrary initial
   states and couplings; exact but O(dim^3) per sector, intended for small and
   moderate baths and for oracle-grade checks.
@@ -44,9 +46,6 @@ from .states import (
     density_to_state,
     state_to_density,
 )
-
-_MU_VALUES = np.array([1.0, 0.0, -1.0])
-
 
 class AssumptionError(ValueError):
     """Raised when a closed-form path is used outside its assumptions."""
@@ -252,60 +251,39 @@ class _CGTables:
     m_tot: np.ndarray
 
 
-_CG_CACHE: dict[int, _CGTables] = {}
-
-
 def _cg_tables(i: float) -> _CGTables:
+    """Closed-form <1 mu; I m-mu | F m> for F = I+1, I, I-1, vectorised over m.
+
+    The coefficients are the textbook ones for coupling spin I to spin 1
+    (Edmonds, *Angular Momentum in Quantum Mechanics*, Table 2), with the
+    spin-1 factor written first: the swap factor (-1)^(I+1-F) negates the F = I
+    row. Condon-Shortley signs, O(I) per table; entries outside
+    |m - mu| <= I, |m| <= F are zero.
+    """
     two_i = int(round(2 * i))
-    if two_i in _CG_CACHE:
-        return _CG_CACHE[two_i]
     if two_i == 0:
         raise AssumptionError("no triplet coupling tables for a spin-0 sector")
-    d = two_i + 1
-    s1 = spin_matrices(1.0)
-    sb = spin_matrices(i)
-    jm = np.kron(s1[0] - 1j * s1[1], np.eye(d)) + np.kron(np.eye(3), sb[0] - 1j * sb[1])
-
-    def top_state(f: float) -> np.ndarray:
-        # highest-weight state of the F family, Condon-Shortley sign fixed by
-        # a positive coefficient on the mu = +1 component
-        v = np.zeros(3 * d, dtype=complex)
-        if f == i + 1.0:
-            v[0] = 1.0
-        elif f == i:
-            a = 1.0 / math.sqrt(1.0 + i)
-            v[0 * d + 1] = a  # (mu=+1, mI=I-1)
-            v[1 * d + 0] = -a * math.sqrt(i)  # (mu=0, mI=I)
-        else:  # f == i - 1
-            g1 = 1.0 / math.sqrt(i * (2.0 * i + 1.0))
-            v[0 * d + 2] = g1
-            v[1 * d + 1] = -g1 * math.sqrt(2.0 * i - 1.0)
-            v[2 * d + 0] = g1 * math.sqrt(i * (2.0 * i - 1.0))
-        return v
-
-    fs = [i + 1.0, i] + ([i - 1.0] if i >= 1.0 else [])
+    i = 0.5 * two_i
     m_tot = (i + 1.0) - np.arange(two_i + 3)
-    c = np.zeros((3, 3, m_tot.size))
-    for f_row, f in enumerate(fs):
-        v = top_state(f)
-        m = f
-        while True:
-            k = int(round((i + 1.0) - m))
-            for mu_row, mu in enumerate(_MU_VALUES):
-                m_i = m - mu
-                if abs(m_i) <= i + 1e-9:
-                    col = int(round(i - m_i))
-                    c[f_row, mu_row, k] = v[mu_row * d + col].real
-            if m < -f + 1e-9:
-                break
-            norm = math.sqrt(f * (f + 1.0) - m * (m - 1.0))
-            if norm < 1e-12:
-                break
-            v = jm @ v / norm
-            m -= 1.0
-    tables = _CGTables(two_i=two_i, c=c, m_tot=m_tot)
-    _CG_CACHE[two_i] = tables
-    return tables
+    a, b = i + m_tot, i - m_tot
+
+    def root(num, den):
+        return np.sqrt(np.maximum(num, 0.0) / den)
+
+    up = 2.0 * (i + 1.0) * (2.0 * i + 1.0)
+    mid = 2.0 * i * (i + 1.0)
+    low = 2.0 * i * (2.0 * i + 1.0)
+    c = np.array(
+        [
+            [root(a * (a + 1.0), up), root(2.0 * (a + 1.0) * (b + 1.0), up), root(b * (b + 1.0), up)],
+            [root(a * (b + 1.0), mid), -m_tot * math.sqrt(2.0 / mid), -root(b * (a + 1.0), mid)],
+            [root(b * (b + 1.0), low), -root(2.0 * a * b, low), root(a * (a + 1.0), low)],
+        ]
+    )
+    f = np.array([i + 1.0, i, i - 1.0])[:, None, None]
+    m_bath = m_tot[None, None, :] - np.array([1.0, 0.0, -1.0])[None, :, None]
+    c *= (np.abs(m_tot) <= f) & (np.abs(m_bath) <= i)
+    return _CGTables(two_i=two_i, c=c, m_tot=m_tot)
 
 
 def _triplet_levels(system: CommonBathSystem, i: float) -> np.ndarray:
@@ -523,11 +501,18 @@ class BellBasisEvolution:
         return density_to_state(self.density(k))
 
 
-def _mix_block(system: CommonBathSystem, i: float, times: np.ndarray):
-    """2x2 propagator of the F = I singlet-triplet block, true levels.
+# the phase block of one evaluation pass holds at most this many complex
+# numbers (4 MB): lines x time samples
+_PHASE_BLOCK = 1 << 18
 
-    Returns (b_tt, b_ss, b_ts) sampled over times; basis {triplet, singlet},
-    off-diagonal element of H equal to k_half_diff * y with
+
+def _bell_mix_lines(system: CommonBathSystem, i: float, alpha: float, beta: float):
+    """Line amplitudes of one sector: (5, 4, 4) array A and (4,) levels E.
+
+    The outputs (c1, c2, c3, pp, pm) of the sector are
+    sum_{l,l'} A[:, l, l'] exp(-i (E_l - E_l') t). The levels are F = I+1,
+    F = I-1 and the two eigenvalues mean +- gap of the F = I block, whose basis
+    is {triplet, singlet} with off-diagonal element k_half_diff * y,
     y = -sqrt(I(I+1)) in the ladder-consistent triplet basis.
     """
     h_tt = -system.k_mean + system.j / 4.0
@@ -535,77 +520,69 @@ def _mix_block(system: CommonBathSystem, i: float, times: np.ndarray):
     off = system.k_half_diff * (-math.sqrt(i * (i + 1.0)))
     mean = 0.5 * (h_tt + h_ss)
     gap = 0.5 * math.sqrt((h_tt - h_ss) ** 2 + 4.0 * off**2)
-    phase = np.exp(-1j * mean * times)
-    if gap < 1e-300:
-        one = np.ones_like(times)
-        return phase * one, phase * one, np.zeros_like(phase)
-    c, s = np.cos(gap * times), np.sin(gap * times)
-    m_tt = (h_tt - mean) / gap
-    m_off = off / gap
-    b_tt = phase * (c - 1j * s * m_tt)
-    b_ss = phase * (c + 1j * s * m_tt)
-    b_ts = phase * (-1j * s * m_off)
-    return b_tt, b_ss, b_ts
+    m_tt, m_off = (1.0, 0.0) if gap < 1e-300 else ((h_tt - mean) / gap, off / gap)
+    levels = np.array(
+        [system.k_mean * i + system.j / 4.0, -system.k_mean * (i + 1.0) + system.j / 4.0,
+         mean + gap, mean - gap]
+    )
+    if i == 0.0:
+        # the only triplet is F = 1, whose m = 0 state is the bare T0
+        g = np.zeros((3, 3, 1))
+        g[0, 1, 0] = 1.0
+    else:
+        g = _cg_tables(i).c[:, :, 1:-1]  # (F, mu, bath m from I down to -I)
+    g_p, g_0, g_m = g[:, 0], g[:, 1], g[:, 2]
+    p_up, p_dn, q = 0.5 * (1.0 + m_tt), 0.5 * (1.0 - m_tt), 0.5 * m_off
+    # per bath m: the triplet-channel amplitude on each level (levels 0, 1
+    # and 2-3 live in the F rows I+1, I-1 and I), its mu = 0, +1, -1
+    # projections, and the singlet amplitude, which only the F = I block reaches
+    trip = np.array(
+        [beta * g_0[0], beta * g_0[2], beta * g_0[1] * p_up + alpha * q,
+         beta * g_0[1] * p_dn - alpha * q]
+    )
+    rows = [0, 2, 1, 1]
+    zero = np.zeros_like(g_0[1])
+    amp_s = np.array(
+        [zero, zero, alpha * p_dn + beta * g_0[1] * q, alpha * p_up - beta * g_0[1] * q]
+    )
+    amp_0, amp_p, amp_m = (gx[rows] * trip for gx in (g_0, g_p, g_m))
+    left = np.array([amp_s, amp_0, amp_0, amp_p, amp_m])
+    right = np.array([amp_s, amp_0, amp_s, amp_p, amp_m])
+    return np.einsum("xld,xkd->xlk", left, right) / g_0.shape[1], levels
 
 
-def bell_mix_evolution(
-    system: CommonBathSystem, r: float, times, chunk: int = 8192
-) -> BellBasisEvolution:
+def bell_mix_evolution(system: CommonBathSystem, r: float, times) -> BellBasisEvolution:
     """Evolve [(1+r)|S0> + (1-r)|T0>] (normalized) in the Bell basis.
 
-    Exact for any couplings and exchange; cost O(#sectors * bath-dim) per
-    time sample. r = 1 is the singlet, r = -1 the m=0 triplet.
+    Exact for any couplings and exchange. r = 1 is the singlet, r = -1 the
+    m=0 triplet. Each sector has four levels, so every output is a line
+    spectrum: an O(2I+1) set-up per sector forms 16 line amplitudes, then each
+    time sample costs O(16 * #sectors).
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     norm = math.sqrt(2.0 * (1.0 + r * r))
     alpha = (1.0 + r) / norm
     beta = (1.0 - r) / norm
-    c1 = np.zeros(times.size)
-    c2 = np.zeros(times.size)
-    c3 = np.zeros(times.size, dtype=complex)
-    pp = np.zeros(times.size)
-    pm = np.zeros(times.size)
+    amps, omegas = [], []
     for i, w in zip(system.bath.spins, system.bath.weights):
-        if i == 0.0:
-            c1 += w * alpha**2
-            c2 += w * beta**2
-            c3 += w * alpha * beta * np.exp(-1j * system.j * times)
-            continue
-        tables = _cg_tables(i)
-        d = int(round(2 * i)) + 1
-        m_grid = i - np.arange(d)
-        idx = np.round((i + 1.0) - m_grid).astype(int)
-        g0 = tables.c[:, 1, idx]  # (3F, M)
-        gp = tables.c[:, 0, idx]
-        gm = tables.c[:, 2, idx]
-        lam_true = np.array(
-            [system.k_mean * i + system.j / 4.0, 0.0, -system.k_mean * (i + 1.0) + system.j / 4.0]
-        )
-        for lo in range(0, times.size, chunk):
-            sl = slice(lo, min(lo + chunk, times.size))
-            t_sl = times[sl]
-            b_tt, b_ss, b_ts = _mix_block(system, i, t_sl)
-            u = np.exp(-1j * np.outer(lam_true, t_sl))  # rows F=I+1, (unused), F=I-1
-            amp = np.empty((3, d, t_sl.size), dtype=complex)
-            amp[0] = beta * g0[0][:, None] * u[0][None, :]
-            amp[1] = beta * g0[1][:, None] * b_tt[None, :] + alpha * b_ts[None, :]
-            amp[2] = beta * g0[2][:, None] * u[2][None, :]
-            amp_s = alpha * b_ss[None, :] + beta * g0[1][:, None] * b_ts[None, :]
-            c1[sl] += w * (np.abs(amp_s) ** 2).sum(axis=0) / (2.0 * i + 1.0)
-            amp0 = np.einsum("fm,fmt->mt", g0, amp)
-            c2[sl] += w * (np.abs(amp0) ** 2).sum(axis=0) / (2.0 * i + 1.0)
-            c3[sl] += w * (amp0 * amp_s.conj()).sum(axis=0) / (2.0 * i + 1.0)
-            amp_p = np.einsum("fm,fmt->mt", gp, amp)
-            amp_m = np.einsum("fm,fmt->mt", gm, amp)
-            pp[sl] += w * (np.abs(amp_p) ** 2).sum(axis=0) / (2.0 * i + 1.0)
-            pm[sl] += w * (np.abs(amp_m) ** 2).sum(axis=0) / (2.0 * i + 1.0)
+        a, levels = _bell_mix_lines(system, i, alpha, beta)
+        amps.append(w * a.reshape(5, 16))
+        omegas.append((levels[:, None] - levels[None, :]).ravel())
+    amp = np.concatenate(amps, axis=1).astype(complex)
+    omega = np.concatenate(omegas)
+    out = np.empty((5, times.size), dtype=complex)
+    step = max(1, _PHASE_BLOCK // omega.size)
+    for lo in range(0, times.size, step):
+        t_sl = times[lo : lo + step]
+        out[:, lo : lo + step] = amp @ np.exp(-1j * np.outer(omega, t_sl))
+    c1, c2, c3, pp, pm = out
     return BellBasisEvolution(
         times=times,
-        singlet_pop=c1,
-        triplet0_pop=c2,
+        singlet_pop=c1.real,
+        triplet0_pop=c2.real,
         st_coherence=c3,
-        t1t2_pop=0.5 * (pp + pm),
-        t1t2_coherence=(0.5 * (pp - pm)).astype(complex),
+        t1t2_pop=0.5 * (pp.real + pm.real),
+        t1t2_coherence=(0.5 * (pp.real - pm.real)).astype(complex),
     )
 
 

@@ -8,8 +8,6 @@ runs of the same config produce byte-identical CSV files.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -24,7 +22,13 @@ from .common import (
     bell_mix_evolution,
     short_time_decoherence_time,
 )
-from .optimize import coupling_overlap, decoherence_rate_pure, optimal_gamma, PureStateParam
+from .optimize import (
+    CouplingError,
+    PureStateParam,
+    coupling_overlap,
+    decoherence_rate_pure,
+    optimal_gamma,
+)
 from .oracle import MAX_BATH_SPINS, CouplingParams, build, evolve_reduced
 from .separate import SeparateBathSystem, decay_factors, evolve as evolve_separate
 from .states import (
@@ -197,20 +201,6 @@ def parse_state_spec(spec: str) -> TwoQubitState:
     return make_named_state(name)
 
 
-def worker_count() -> int:
-    """Thread count for the independent curves of fig5; SPINBATH_THREADS wins."""
-    env = os.environ.get("SPINBATH_THREADS")
-    if env:
-        try:
-            n = int(env)
-        except ValueError as exc:
-            raise ConfigError(f"SPINBATH_THREADS must be an integer, got {env!r}") from exc
-        if n < 1:
-            raise ConfigError("SPINBATH_THREADS must be >= 1")
-        return n
-    return os.cpu_count() or 1
-
-
 def validate(config: ScenarioConfig) -> ValidationReport:
     """Field-level checks plus a preview of derived quantities."""
     report = ValidationReport()
@@ -227,6 +217,13 @@ def validate(config: ScenarioConfig) -> ValidationReport:
         report.errors.append("samples: need at least 2 samples")
     if config.t_max <= 0 and config.kind not in ("optimize", "fig6"):
         report.errors.append("t_max: must be positive")
+    # the coupling overlap 2 k_a k_b / (k_a^2 + k_b^2) drives optimize and fig6
+    try:
+        overlap = coupling_overlap(config.k_a, config.k_b)
+    except (CouplingError, OverflowError):
+        overlap = math.nan
+    if not math.isfinite(overlap) and config.kind in ("optimize", "fig6"):
+        report.errors.append("k_a, k_b: k_a^2 + k_b^2 must be nonzero and finite")
 
     needs_bath = config.kind not in ("optimize", "fig6")
     bath = None
@@ -277,22 +274,15 @@ def validate(config: ScenarioConfig) -> ValidationReport:
 
     if bath is not None:
         report.derived["casimir_moment"] = format(bath.casimir_moment(), ".6g")
-    if config.kind not in ("separate", "fig1", "optimize", "fig6"):
-        try:
-            report.derived["coupling_overlap"] = format(
-                coupling_overlap(config.k_a, config.k_b), ".6g"
-            )
-        except Exception:
-            pass
+    if math.isfinite(overlap) and config.kind not in ("separate", "fig1", "optimize", "fig6"):
+        report.derived["coupling_overlap"] = format(overlap, ".6g")
     if bath is not None and state is not None and abs(decoherence_measure(state)) < 1e-10:
         # the short-time rate does not involve the exchange strength
         system = CommonBathSystem(config.k_a, config.k_b, config.j or 0.0, bath)
         tau = short_time_decoherence_time(state, system)
         report.derived["predicted_decoherence_time"] = format(tau, ".6g")
-    if config.kind in ("optimize", "fig6"):
-        report.derived["optimal_gamma"] = format(
-            optimal_gamma(coupling_overlap(config.k_a, config.k_b)), ".6g"
-        )
+    if math.isfinite(overlap) and config.kind in ("optimize", "fig6"):
+        report.derived["optimal_gamma"] = format(optimal_gamma(overlap), ".6g")
     return report
 
 
@@ -598,13 +588,10 @@ def _run_fig5(config: ScenarioConfig) -> RunResult:
     cases = [("d_rp05_j0", 0.5, 0.0), ("d_rp05_jhi", 0.5, config.j),
              ("d_rm05_j0", -0.5, 0.0), ("d_rm05_jhi", -0.5, config.j)]
 
-    def one(case):
-        _, r, j = case
-        system = CommonBathSystem(config.k_a, config.k_b, j, bath)
-        return bell_mix_evolution(system, r, times).mixedness()
-
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        curves = list(pool.map(one, cases))
+    curves = [
+        bell_mix_evolution(CommonBathSystem(config.k_a, config.k_b, j, bath), r, times).mixedness()
+        for _, r, j in cases
+    ]
     series = TimeSeries(
         columns=["t"] + [c[0] for c in cases],
         data=np.column_stack([times] + curves),

@@ -1,0 +1,101 @@
+"""The line-spectrum Bell-mix kernel against the per-m amplitude sum."""
+
+import math
+
+import numpy as np
+import pytest
+
+from spinbath import common
+from spinbath.bath import gaussian_approx, unpolarized_exact
+from spinbath.common import CommonBathSystem, _cg_tables, bell_mix_evolution
+
+TIMES = np.linspace(0.0, 10.0, 41)
+
+BATHS = {
+    "gaussian-narrow-100": gaussian_approx(100, "narrow"),
+    "gaussian-narrow-200": gaussian_approx(200, "narrow"),
+    "exact-9": unpolarized_exact(9),
+}
+
+COUPLINGS = {
+    "unequal": (1.2, 0.8, 20.0),
+    "no-exchange": (1.0, 0.4, 0.0),
+    "negative": (-0.9, 0.5, 3.0),
+    "gap-zero": (0.7, 0.7, 0.7),  # F = I block degenerate: k_a = k_b = j
+}
+
+
+def mix_block(system, i, times):
+    """2x2 propagator (b_tt, b_ss, b_ts) of the F = I singlet-triplet block."""
+    h_tt = -system.k_mean + system.j / 4.0
+    h_ss = -0.75 * system.j
+    off = system.k_half_diff * (-math.sqrt(i * (i + 1.0)))
+    mean = 0.5 * (h_tt + h_ss)
+    gap = 0.5 * math.sqrt((h_tt - h_ss) ** 2 + 4.0 * off**2)
+    phase = np.exp(-1j * mean * times)
+    if gap < 1e-300:
+        return phase, phase, np.zeros_like(phase)
+    c, s = np.cos(gap * times), np.sin(gap * times)
+    m_tt = (h_tt - mean) / gap
+    return phase * (c - 1j * s * m_tt), phase * (c + 1j * s * m_tt), phase * (-1j * s * off / gap)
+
+
+def per_m_bell_mix(system, r, times):
+    """Reference: evolve the amplitude of every bath m at every time, then sum
+    the Bell-basis moments over m. Returns (c1, c2, c3, pp, pm)."""
+    norm = math.sqrt(2.0 * (1.0 + r * r))
+    alpha, beta = (1.0 + r) / norm, (1.0 - r) / norm
+    c1, c2, pp, pm = (np.zeros(times.size) for _ in range(4))
+    c3 = np.zeros(times.size, dtype=complex)
+    for i, w in zip(system.bath.spins, system.bath.weights):
+        if i == 0.0:
+            c1 += w * alpha**2
+            c2 += w * beta**2
+            c3 += w * alpha * beta * np.exp(-1j * system.j * times)
+            continue
+        c = _cg_tables(i).c[:, :, 1:-1]
+        gp, g0, gm = c[:, 0], c[:, 1], c[:, 2]
+        d = g0.shape[1]
+        b_tt, b_ss, b_ts = mix_block(system, i, times)
+        lam = np.array([system.k_mean * i, -system.k_mean * (i + 1.0)]) + system.j / 4.0
+        u = np.exp(-1j * np.outer(lam, times))
+        amp = np.empty((3, d, times.size), dtype=complex)
+        amp[0] = beta * g0[0][:, None] * u[0]
+        amp[1] = beta * g0[1][:, None] * b_tt + alpha * b_ts
+        amp[2] = beta * g0[2][:, None] * u[1]
+        amp_s = alpha * b_ss + beta * g0[1][:, None] * b_ts
+        amp_0 = np.einsum("fm,fmt->mt", g0, amp)
+        amp_p = np.einsum("fm,fmt->mt", gp, amp)
+        amp_m = np.einsum("fm,fmt->mt", gm, amp)
+        c1 += w * (np.abs(amp_s) ** 2).sum(axis=0) / d
+        c2 += w * (np.abs(amp_0) ** 2).sum(axis=0) / d
+        c3 += w * (amp_0 * amp_s.conj()).sum(axis=0) / d
+        pp += w * (np.abs(amp_p) ** 2).sum(axis=0) / d
+        pm += w * (np.abs(amp_m) ** 2).sum(axis=0) / d
+    return c1, c2, c3, pp, pm
+
+
+@pytest.mark.parametrize("r", [1.0, 0.5, -0.5, -1.0])
+@pytest.mark.parametrize("couplings", list(COUPLINGS))
+@pytest.mark.parametrize("bath", list(BATHS))
+def test_matches_per_m_reference(bath, couplings, r, monkeypatch):
+    system = CommonBathSystem(*COUPLINGS[couplings], BATHS[bath])
+    c1, c2, c3, pp, pm = per_m_bell_mix(system, r, TIMES)
+    expected = np.array([c1, c2, c3, 0.5 * (pp + pm), 0.5 * (pp - pm)])
+    got = [bell_mix_evolution(system, r, TIMES)]
+    # chunked: 3 time samples per pass over the lines
+    monkeypatch.setattr(common, "_PHASE_BLOCK", 3 * 16 * system.bath.spins.size)
+    got.append(bell_mix_evolution(system, r, TIMES))
+    for bell in got:
+        out = np.array([bell.singlet_pop, bell.triplet0_pop, bell.st_coherence,
+                        bell.t1t2_pop, bell.t1t2_coherence])
+        assert np.abs(out - expected).max() < 1e-12
+
+
+def test_large_bath_stays_physical():
+    system = CommonBathSystem(1.2, 0.8, 20.0, gaussian_approx(1000, "narrow"))
+    bell = bell_mix_evolution(system, 0.5, np.linspace(0.0, 10.0, 50))
+    total = bell.singlet_pop + bell.triplet0_pop + 2.0 * bell.t1t2_pop
+    assert np.abs(total - 1.0).max() < 1e-12
+    d = bell.mixedness()
+    assert d.min() >= -1e-12 and d.max() <= 0.75 + 1e-12

@@ -35,6 +35,7 @@ from spinbath.states import (
     state_to_density,
     validate_state,
 )
+from spinbath.spinops import spin_matrices
 
 
 def system(k_a=1.0, k_b=1.0, j=0.0, n=4) -> CommonBathSystem:
@@ -175,6 +176,76 @@ class TestCGTables:
             val = triplet.conj() @ (y_op @ singlet)
             assert val.real == pytest.approx(-math.sqrt(i * (i + 1)), abs=1e-10)
             assert abs(val.imag) < 1e-12
+
+
+def ladder_cg_tables(i):
+    """Reference (c, m_tot) in the _cg_tables layout: each F family climbed
+    down from its highest-weight state with the dense spin-1 x spin-I lowering
+    operator, O(I^3)."""
+    d = int(round(2 * i)) + 1
+    s1 = spin_matrices(1.0)
+    sb = spin_matrices(i)
+    jm = np.kron(s1[0] - 1j * s1[1], np.eye(d)) + np.kron(np.eye(3), sb[0] - 1j * sb[1])
+
+    def top_state(f):
+        # Condon-Shortley sign: positive coefficient on the mu = +1 component
+        v = np.zeros(3 * d, dtype=complex)
+        if f == i + 1.0:
+            v[0] = 1.0
+        elif f == i:
+            a = 1.0 / math.sqrt(1.0 + i)
+            v[0 * d + 1] = a
+            v[1 * d + 0] = -a * math.sqrt(i)
+        else:
+            g1 = 1.0 / math.sqrt(i * (2.0 * i + 1.0))
+            v[0 * d + 2] = g1
+            v[1 * d + 1] = -g1 * math.sqrt(2.0 * i - 1.0)
+            v[2 * d + 0] = g1 * math.sqrt(i * (2.0 * i - 1.0))
+        return v
+
+    fs = [i + 1.0, i] + ([i - 1.0] if i >= 1.0 else [])
+    m_tot = (i + 1.0) - np.arange(d + 2)
+    c = np.zeros((3, 3, m_tot.size))
+    for f_row, f in enumerate(fs):
+        v = top_state(f)
+        m = f
+        while True:
+            k = int(round((i + 1.0) - m))
+            for mu_row, mu in enumerate((1.0, 0.0, -1.0)):
+                m_i = m - mu
+                if abs(m_i) <= i + 1e-9:
+                    c[f_row, mu_row, k] = v[mu_row * d + int(round(i - m_i))].real
+            if m < -f + 1e-9:
+                break
+            norm = math.sqrt(f * (f + 1.0) - m * (m - 1.0))
+            if norm < 1e-12:
+                break
+            v = jm @ v / norm
+            m -= 1.0
+    return c, m_tot
+
+
+class TestCGClosedForm:
+    def test_matches_ladder(self):
+        for two_i in range(1, 41):
+            c, m_tot = ladder_cg_tables(two_i / 2)
+            tables = _cg_tables(two_i / 2)
+            assert tables.two_i == two_i
+            assert np.array_equal(tables.m_tot, m_tot)
+            assert np.abs(tables.c - c).max() < 1e-12, two_i
+
+    @pytest.mark.parametrize("i", [0.5, 50.5, 100.0, 500.0])
+    def test_columns_orthonormal(self, i):
+        # at each m_tot the valid F rows, as vectors over mu, are orthonormal
+        tables = _cg_tables(i)
+        gram = np.einsum("fak,gak->kfg", tables.c, tables.c)
+        valid = np.abs(tables.m_tot)[:, None] <= np.array([i + 1.0, i, i - 1.0])[None, :]
+        expect = np.einsum("kf,fg->kfg", valid.astype(float), np.eye(3))
+        assert np.abs(gram - expect).max() < 1e-14
+
+    def test_spin_zero_rejected(self):
+        with pytest.raises(AssumptionError):
+            _cg_tables(0.0)
 
 
 class TestSymmetricEvolution:

@@ -13,7 +13,6 @@ from spinbath.scenarios import (
     run,
     _run_oracle_compare,
     validate,
-    worker_count,
 )
 from spinbath.states import InvalidStateError, TwoQubitState
 from spinbath.timeseries import TimeSeries, TimeSeriesError, read_csv
@@ -102,6 +101,20 @@ class TestValidation:
     def test_non_finite_rejected(self, key, value):
         report = validate(ScenarioConfig.for_kind("oracle-compare", **{key: value}))
         assert any(err.startswith(f"{key}: must be finite") for err in report.errors)
+
+    @pytest.mark.parametrize("couplings", [(0.0, 0.0), (1e-200, -1e-200), (1e200, 1e200)])
+    @pytest.mark.parametrize("kind", ["optimize", "fig6"])
+    def test_undefined_coupling_overlap_rejected(self, kind, couplings):
+        k_a, k_b = couplings
+        report = validate(ScenarioConfig.for_kind(kind, k_a=k_a, k_b=k_b))
+        assert report.errors == ["k_a, k_b: k_a^2 + k_b^2 must be nonzero and finite"]
+        assert "optimal_gamma" not in report.derived
+
+    def test_zero_couplings_allowed_without_overlap(self):
+        # a common-bath run has no use for the overlap; it is just not reported
+        report = validate(ScenarioConfig.for_kind("common-symmetric", k_a=0.0, k_b=0.0, j=1.0))
+        assert report.ok
+        assert "coupling_overlap" not in report.derived
 
 
 class TestRunners:
@@ -195,21 +208,6 @@ class TestTimeSeries:
         assert np.allclose(back.data, ts.data)
 
 
-class TestWorkerCount:
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("SPINBATH_THREADS", "3")
-        assert worker_count() == 3
-
-    def test_env_invalid(self, monkeypatch):
-        monkeypatch.setenv("SPINBATH_THREADS", "many")
-        with pytest.raises(ConfigError):
-            worker_count()
-
-    def test_default_positive(self, monkeypatch):
-        monkeypatch.delenv("SPINBATH_THREADS", raising=False)
-        assert worker_count() >= 1
-
-
 class TestCLI:
     def test_list_scenarios(self, capsys):
         assert main(["list-scenarios"]) == 0
@@ -249,6 +247,17 @@ class TestCLI:
         assert main([command, str(path)]) == 1
         captured = capsys.readouterr()
         assert "must be finite" in captured.out + captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["optimize", "fig6"])
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_zero_couplings_exit_code(self, tmp_path, capsys, command, kind):
+        out = tmp_path / f"{kind}.csv"
+        path = write_config(tmp_path, f"scenario = {kind}\nk_a = 0\nk_b = 0\noutput = {out}\n")
+        assert main([command, str(path)]) == 1
+        captured = capsys.readouterr()
+        errors = [line for line in (captured.out + captured.err).splitlines() if line.startswith("  - ")]
+        assert errors == ["  - k_a, k_b: k_a^2 + k_b^2 must be nonzero and finite"]
         assert not out.exists()
 
     def test_nan_oracle_deviation_exit_code(self, tmp_path, monkeypatch):
