@@ -27,15 +27,12 @@ from .common import (
     SymmetricMapCoefficients,
     bell_mix_evolution,
     decoherence_rate_sq,
-    evolve_asymmetric,
-    evolve_symmetric,
     sector_a_coefficients,
     sector_spectrum,
     short_time_decoherence_time,
     singlet_mixedness,
     singlet_survival,
     singlet_survival_large_j,
-    symmetric_map_coefficients,
     tensor_invariant_r,
     transverse_longitudinal_rates,
 )

@@ -40,6 +40,10 @@ from .spinops import (
     spin_matrices,
 )
 from .states import (
+    KET_SINGLET,
+    KET_T1,
+    KET_T2,
+    KET_TRIPLET0,
     InvalidStateError,
     TwoQubitState,
     decoherence_measure,
@@ -380,34 +384,24 @@ class SymmetricEvolver:
             tensor_from_vec=-0.5 * hi,
         )
 
-    def evolve(self, state: TwoQubitState, times) -> list[TwoQubitState]:
-        coeffs = self.map_coefficients(times)
-        return [apply_polarization_map(state, coeffs, k) for k in range(coeffs.times.size)]
-
-
-def apply_polarization_map(
-    state: TwoQubitState, coeffs: SymmetricMapCoefficients, k: int
-) -> TwoQubitState:
-    axial = 0.5 * np.einsum("kmn,mn->k", _EPS, state.pi)
-    f1, f2, f3 = coeffs.vec_direct[k], coeffs.vec_exchange[k], coeffs.vec_from_tensor[k]
-    p_a = f1 * state.p_a + f2 * state.p_b + 2.0 * f3 * axial
-    p_b = f1 * state.p_b + f2 * state.p_a - 2.0 * f3 * axial
-    pi = (
-        coeffs.tensor_direct[k] * state.pi
-        + coeffs.tensor_transpose[k] * state.pi.T
-        + coeffs.tensor_trace[k] * np.trace(state.pi) * np.eye(3)
-        + coeffs.tensor_from_vec[k] * np.einsum("mnk,k->mn", _EPS, state.p_a - state.p_b)
-    )
-    return TwoQubitState(p_a, p_b, pi)
-
-
-def symmetric_map_coefficients(system: CommonBathSystem, times) -> SymmetricMapCoefficients:
-    """Polarization-map coefficients for equal couplings on a time grid."""
-    return SymmetricEvolver(system).map_coefficients(times)
-
-
-def evolve_symmetric(system: CommonBathSystem, state: TwoQubitState, t: float) -> TwoQubitState:
-    return SymmetricEvolver(system).evolve(state, [float(t)])[0]
+    def evolve(self, state: TwoQubitState, times) -> TwoQubitState:
+        """Apply the map to the initial ``state`` on the whole time grid."""
+        c = self.map_coefficients(times)
+        f1, f2, f3 = (x[:, None] for x in (c.vec_direct, c.vec_exchange, c.vec_from_tensor))
+        axial = 0.5 * np.einsum("kmn,mn->k", _EPS, state.pi)
+        p_a = f1 * state.p_a + f2 * state.p_b + 2.0 * f3 * axial
+        p_b = f1 * state.p_b + f2 * state.p_a - 2.0 * f3 * axial
+        g1, g2, g3, g4 = (
+            x[:, None, None]
+            for x in (c.tensor_direct, c.tensor_transpose, c.tensor_trace, c.tensor_from_vec)
+        )
+        pi = (
+            g1 * state.pi
+            + g2 * state.pi.T
+            + g3 * np.trace(state.pi) * np.eye(3)
+            + g4 * np.einsum("mnk,k->mn", _EPS, state.p_a - state.p_b)
+        )
+        return TwoQubitState(p_a, p_b, pi)
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +426,7 @@ class SectorExactEvolver:
             vals, vecs = np.linalg.eigh(h.real)
             self._sectors.append((float(i), float(w), vals, vecs))
 
-    def evolve(self, state: TwoQubitState, times) -> list[TwoQubitState]:
+    def evolve(self, state: TwoQubitState, times) -> TwoQubitState:
         times = np.atleast_1d(np.asarray(times, dtype=float))
         rho_ab = state_to_density(state)
         acc = np.zeros((times.size, 4, 4), dtype=complex)
@@ -441,11 +435,7 @@ class SectorExactEvolver:
             overlaps = pair_overlaps(vecs, d)
             rho_eig = mixed_env_eigen_state(rho_ab, overlaps, d)
             acc += w * reduced_trajectory(vals, overlaps, rho_eig, times)
-        return [density_to_state(acc[k]) for k in range(times.size)]
-
-
-def evolve_asymmetric(system: CommonBathSystem, state: TwoQubitState, t: float) -> TwoQubitState:
-    return SectorExactEvolver(system).evolve(state, [float(t)])[0]
+        return density_to_state(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -483,22 +473,24 @@ class BellBasisEvolution:
             + 2.0 * np.abs(self.t1t2_coherence) ** 2
         )
 
-    def density(self, k: int) -> np.ndarray:
-        from .states import KET_SINGLET, KET_T1, KET_T2, KET_TRIPLET0
-
-        rho = self.singlet_pop[k] * np.outer(KET_SINGLET, KET_SINGLET.conj())
-        rho += self.triplet0_pop[k] * np.outer(KET_TRIPLET0, KET_TRIPLET0.conj())
-        cross = self.st_coherence[k] * np.outer(KET_TRIPLET0, KET_SINGLET.conj())
-        rho += cross + cross.conj().T
-        rho += self.t1t2_pop[k] * (
-            np.outer(KET_T1, KET_T1.conj()) + np.outer(KET_T2, KET_T2.conj())
+    def density(self) -> np.ndarray:
+        """The density matrices on the time grid, shape (T, 4, 4)."""
+        c1, c2, c3, pp, coh = (
+            x[:, None, None]
+            for x in (self.singlet_pop, self.triplet0_pop, self.st_coherence,
+                      self.t1t2_pop, self.t1t2_coherence)
         )
-        cross = self.t1t2_coherence[k] * np.outer(KET_T1, KET_T2.conj())
-        rho += cross + cross.conj().T
+        rho = c1 * np.outer(KET_SINGLET, KET_SINGLET.conj())
+        rho += c2 * np.outer(KET_TRIPLET0, KET_TRIPLET0.conj())
+        cross = c3 * np.outer(KET_TRIPLET0, KET_SINGLET.conj())
+        rho += cross + cross.conj().swapaxes(1, 2)
+        rho += pp * (np.outer(KET_T1, KET_T1.conj()) + np.outer(KET_T2, KET_T2.conj()))
+        cross = coh * np.outer(KET_T1, KET_T2.conj())
+        rho += cross + cross.conj().swapaxes(1, 2)
         return rho
 
-    def state(self, k: int) -> TwoQubitState:
-        return density_to_state(self.density(k))
+    def state(self) -> TwoQubitState:
+        return density_to_state(self.density())
 
 
 # the phase block of one evaluation pass holds at most this many complex

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .common import CommonBathSystem, decoherence_rate_sq as _rate_from_state
+from .common import CommonBathSystem
 from .states import InvalidStateError, TwoQubitState, decoherence_measure
 
 
@@ -86,10 +86,6 @@ def decoherence_rate_general(state: TwoQubitState, system: CommonBathSystem) -> 
         float(np.trace(state.pi)) - float(state.p_a @ state.p_b)
     )
     return (2.0 / 3.0) * m2 * var
-
-
-# keep the polarization form importable from here for cross-checks
-decoherence_rate_polarization = _rate_from_state
 
 
 def coupling_overlap(k_a: float, k_b: float) -> float:

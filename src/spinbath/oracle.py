@@ -25,6 +25,10 @@ from .states import TwoQubitState, density_to_state, state_to_density
 
 MAX_BATH_SPINS = 12
 
+# above this full dimension the pair-overlap blocks of evolve_reduced would
+# not fit in memory, and each time sample is propagated densely instead
+_OVERLAP_DIM_LIMIT = 2048
+
 
 class DimensionCapError(ValueError):
     pass
@@ -150,24 +154,21 @@ def bath_spin_projector(n_bath: int, i: float) -> np.ndarray:
     return v @ v.T
 
 
-def evolve_reduced(
-    system: FullSystem, state: TwoQubitState, bath_state, times
-) -> list[TwoQubitState]:
-    """Reduced pair states at the requested times.
+def evolve_reduced(system: FullSystem, state: TwoQubitState, bath_state, times) -> TwoQubitState:
+    """Reduced pair states at the requested times, one batch over the grid.
 
     ``bath_state`` is "fully_mixed" (identity / 2^n) or ("sector", i) for the
     normalized projector onto the total-bath-spin-i subspace. The system is
     diagonalized once; each reduced matrix element is then a phase-weighted
-    contraction, so adding time samples is cheap. Up to dimension 2048 the
-    whole grid is evaluated in one pass over the cached overlap blocks;
-    beyond it those blocks would not fit in memory and each time sample is
-    propagated densely.
+    contraction, so adding time samples is cheap. Up to dimension
+    ``_OVERLAP_DIM_LIMIT`` the whole grid is evaluated in one pass over the
+    cached overlap blocks; beyond it each time sample is propagated densely.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     vals, vecs = system.eigensystem()
     dim_b = 2**system.n_bath
     rho_ab = state_to_density(state)
-    overlaps = system.pair_overlaps() if system.dim <= 2048 else None
+    overlaps = system.pair_overlaps() if system.dim <= _OVERLAP_DIM_LIMIT else None
 
     if bath_state == "fully_mixed":
         if overlaps is not None:
@@ -188,16 +189,13 @@ def evolve_reduced(
 
     if overlaps is not None:
         red = reduced_trajectory(vals, overlaps, rho_eig, times)
-        return [density_to_state(r) for r in red]
-
-    phases = np.exp(-1j * np.outer(times, vals))  # (T, D)
-    out = []
-    for k in range(times.size):
-        u = phases[k]
-        rho_t = vecs @ (rho_eig * np.outer(u, u.conj())) @ vecs.T
-        red_k = np.trace(rho_t.reshape(4, dim_b, 4, dim_b), axis1=1, axis2=3)
-        out.append(density_to_state(red_k))
-    return out
+    else:
+        red = np.empty((times.size, 4, 4), dtype=complex)
+        for k, t in enumerate(times):
+            u = np.exp(-1j * (t * vals))
+            rho_t = vecs @ (rho_eig * np.outer(u, u.conj())) @ vecs.T
+            red[k] = np.trace(rho_t.reshape(4, dim_b, 4, dim_b), axis1=1, axis2=3)
+    return density_to_state(red)
 
 
 def bath_spin_spectrum(n_bath: int) -> list[tuple[float, int]]:

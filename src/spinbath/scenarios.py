@@ -32,15 +32,24 @@ from .optimize import (
 from .oracle import MAX_BATH_SPINS, CouplingParams, build, evolve_reduced
 from .separate import SeparateBathSystem, decay_factors, evolve as evolve_separate
 from .states import (
+    KET_SINGLET,
+    KET_T1,
+    KET_T2,
+    KET_TRIPLET0,
     InvalidStateError,
     TwoQubitState,
+    concurrence,
     concurrence_state,
     decoherence_measure,
     make_named_state,
+    state_to_density,
 )
 from .timeseries import TimeSeries
 
 ORACLE_TOLERANCE = 1e-10
+
+# every time grid is held in memory several times over; this caps it
+MAX_SAMPLES = 10**6
 
 SCENARIO_KINDS = (
     "separate",
@@ -215,6 +224,8 @@ def validate(config: ScenarioConfig) -> ValidationReport:
         return report
     if config.samples < 2:
         report.errors.append("samples: need at least 2 samples")
+    if config.samples > MAX_SAMPLES:
+        report.errors.append(f"samples: at most {MAX_SAMPLES} samples, got {config.samples}")
     if config.t_max <= 0 and config.kind not in ("optimize", "fig6"):
         report.errors.append("t_max: must be positive")
     # the coupling overlap 2 k_a k_b / (k_a^2 + k_b^2) drives optimize and fig6
@@ -237,6 +248,8 @@ def validate(config: ScenarioConfig) -> ValidationReport:
         report.errors.append("j: separate baths assume zero exchange; set j = 0")
     if config.kind in ("common-symmetric", "fig2", "fig3", "fig4") and config.k_a != config.k_b:
         report.errors.append("k_b: this scenario requires equal couplings")
+    if config.kind == "fig2" and config.k_a == 0.0:
+        report.errors.append("k_a: fig2 needs k_a != 0 for its revival time 2 pi / k_a")
     if config.kind in ("common-symmetric", "common-asymmetric", "fig2", "fig3", "fig4", "fig5"):
         if config.j is None:
             report.errors.append("j: required for common-bath scenarios")
@@ -349,8 +362,7 @@ def _run_separate(config: ScenarioConfig) -> RunResult:
     times = _times(config)
     g = decay_factors(system, times)
     states = evolve_separate(system, state, times)
-    d = np.array([decoherence_measure(s) for s in states])
-    c = np.array([concurrence_state(s) for s in states])
+    d, c = decoherence_measure(states), concurrence_state(states)
     series = TimeSeries(
         columns=["t", "d", "concurrence", "vector_decay", "tensor_decay"],
         data=np.column_stack([times, d, c, g.vector_a, g.tensor]),
@@ -368,16 +380,13 @@ def _symmetric_trajectory(config: ScenarioConfig, state: TwoQubitState, times: n
 def _run_common_symmetric(config: ScenarioConfig) -> RunResult:
     state = parse_state_spec(config.state)
     times = _times(config)
-    states = _symmetric_trajectory(config, state, times)
-    rows = np.array(
-        [
-            [s.p_a[2], s.pi[0, 0], s.pi[2, 2], s.pi[0, 1], decoherence_measure(s), concurrence_state(s)]
-            for s in states
-        ]
-    )
+    s = _symmetric_trajectory(config, state, times)
     series = TimeSeries(
         columns=["t", "p_z_a", "pi_xx", "pi_zz", "pi_xy", "d", "concurrence"],
-        data=np.column_stack([times, rows]),
+        data=np.column_stack(
+            [times, s.p_a[:, 2], s.pi[:, 0, 0], s.pi[:, 2, 2], s.pi[:, 0, 1],
+             decoherence_measure(s), concurrence_state(s)]
+        ),
         metadata={**_base_metadata(config), "state": config.state},
     )
     return RunResult(series, Path(config.output), {"rows": str(times.size)})
@@ -391,38 +400,20 @@ def _run_common_asymmetric(config: ScenarioConfig) -> RunResult:
     if name in ("singlet", "triplet0", "r_state"):
         r = {"singlet": 1.0, "triplet0": -1.0}.get(name, float(arg) if arg else 0.0)
         bell = bell_mix_evolution(system, r, times)
-        d = bell.mixedness()
-        rows = np.column_stack(
-            [
-                bell.singlet_pop,
-                bell.triplet0_pop,
-                bell.t1t2_pop,
-                d,
-                [concurrence_state(bell.state(k)) for k in range(times.size)],
-            ]
-        )
+        rows = [bell.singlet_pop, bell.triplet0_pop, bell.t1t2_pop, bell.mixedness(),
+                concurrence_state(bell.state())]
         path_meta = "bell-basis closed form"
     else:
-        state = parse_state_spec(config.state)
-        states = SectorExactEvolver(system).evolve(state, times)
-        from .states import KET_SINGLET, KET_T1, KET_T2, KET_TRIPLET0, state_to_density
-
-        rows = np.empty((times.size, 5))
-        for k, s in enumerate(states):
-            rho = state_to_density(s)
-            t1 = (KET_T1.conj() @ rho @ KET_T1).real
-            t2 = (KET_T2.conj() @ rho @ KET_T2).real
-            rows[k] = [
-                (KET_SINGLET.conj() @ rho @ KET_SINGLET).real,
-                (KET_TRIPLET0.conj() @ rho @ KET_TRIPLET0).real,
-                0.5 * (t1 + t2),
-                decoherence_measure(s),
-                concurrence_state(s),
-            ]
+        states = SectorExactEvolver(system).evolve(parse_state_spec(config.state), times)
+        rho = state_to_density(states)
+        kets = np.array([KET_SINGLET, KET_TRIPLET0, KET_T1, KET_T2])
+        pops = np.einsum("bi,tij,bj->tb", kets.conj(), rho, kets).real
+        rows = [pops[:, 0], pops[:, 1], 0.5 * (pops[:, 2] + pops[:, 3]),
+                decoherence_measure(states), concurrence(rho)]
         path_meta = "dense sector evolution"
     series = TimeSeries(
         columns=["t", "singlet_pop", "triplet0_pop", "t1t2_pop", "d", "concurrence"],
-        data=np.column_stack([times, rows]),
+        data=np.column_stack([times] + rows),
         metadata={**_base_metadata(config), "state": config.state, "method": path_meta},
     )
     return RunResult(series, Path(config.output), {"rows": str(times.size)})
@@ -469,16 +460,11 @@ def _run_oracle_compare(config: ScenarioConfig) -> RunResult:
         analytic = SectorExactEvolver(system).evolve(state, times)
     full = build(config.mode, config.n_bath, CouplingParams(config.k_a, config.k_b, config.j))
     reference = evolve_reduced(full, state, "fully_mixed", times)
-    devs = np.array(
-        [
-            max(
-                float(np.abs(a.p_a - ref.p_a).max()),
-                float(np.abs(a.p_b - ref.p_b).max()),
-                float(np.abs(a.pi - ref.pi).max()),
-            )
-            for a, ref in zip(analytic, reference)
-        ]
-    )
+
+    def flat(s: TwoQubitState) -> np.ndarray:
+        return np.concatenate([s.p_a, s.p_b, s.pi.reshape(-1, 9)], axis=1)
+
+    devs = np.abs(flat(analytic) - flat(reference)).max(axis=1)
     max_dev = float(devs.max())
     # a NaN deviation compares false against any tolerance: it must fail
     failed = not (max_dev <= ORACLE_TOLERANCE)
@@ -531,13 +517,7 @@ def _run_fig1(config: ScenarioConfig) -> RunResult:
 
 def _run_fig2(config: ScenarioConfig) -> RunResult:
     times = _times(config)
-    states = _symmetric_trajectory(config, make_named_state("up_down"), times)
-    rows = np.array(
-        [
-            [s.p_a[2], s.pi[0, 0], s.pi[2, 2], s.pi[0, 1], concurrence_state(s)]
-            for s in states
-        ]
-    )
+    s = _symmetric_trajectory(config, make_named_state("up_down"), times)
     meta = {
         **_base_metadata(config),
         "state": "up_down",
@@ -546,7 +526,9 @@ def _run_fig2(config: ScenarioConfig) -> RunResult:
     }
     series = TimeSeries(
         columns=["t", "p_z_a", "pi_xx", "pi_zz", "pi_xy", "concurrence"],
-        data=np.column_stack([times, rows]),
+        data=np.column_stack(
+            [times, s.p_a[:, 2], s.pi[:, 0, 0], s.pi[:, 2, 2], s.pi[:, 0, 1], concurrence_state(s)]
+        ),
         metadata=meta,
     )
     return RunResult(series, Path(config.output), {"rows": str(times.size)})
@@ -554,12 +536,11 @@ def _run_fig2(config: ScenarioConfig) -> RunResult:
 
 def _run_fig3(config: ScenarioConfig) -> RunResult:
     times = _times(config)
-    states = _symmetric_trajectory(config, make_named_state("up_down"), times)
-    d_pair = np.array([decoherence_measure(s) for s in states])
-    d_single = np.array([0.5 * (1.0 - float(s.p_a @ s.p_a)) for s in states])
+    s = _symmetric_trajectory(config, make_named_state("up_down"), times)
+    p_a_sq = (s.p_a[:, None, :] @ s.p_a[:, :, None])[:, 0, 0]
     series = TimeSeries(
         columns=["t", "d_pair", "d_single"],
-        data=np.column_stack([times, d_pair, d_single]),
+        data=np.column_stack([times, decoherence_measure(s), 0.5 * (1.0 - p_a_sq)]),
         metadata={**_base_metadata(config), "state": "up_down"},
     )
     return RunResult(series, Path(config.output), {"rows": str(times.size)})
@@ -567,16 +548,12 @@ def _run_fig3(config: ScenarioConfig) -> RunResult:
 
 def _run_fig4(config: ScenarioConfig) -> RunResult:
     times = _times(config)
-    states = _symmetric_trajectory(config, make_named_state("triplet0"), times)
-    rows = np.array(
-        [
-            [s.pi[0, 0], s.pi[2, 2], concurrence_state(s), decoherence_measure(s)]
-            for s in states
-        ]
-    )
+    s = _symmetric_trajectory(config, make_named_state("triplet0"), times)
     series = TimeSeries(
         columns=["t", "pi_xx", "pi_zz", "concurrence", "d"],
-        data=np.column_stack([times, rows]),
+        data=np.column_stack(
+            [times, s.pi[:, 0, 0], s.pi[:, 2, 2], concurrence_state(s), decoherence_measure(s)]
+        ),
         metadata={**_base_metadata(config), "state": "triplet0"},
     )
     return RunResult(series, Path(config.output), {"rows": str(times.size)})

@@ -23,12 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bath import BathDistribution
+from .common import AssumptionError
 from .states import InvalidStateError, TwoQubitState, decoherence_measure
 from .timeseries import TimeSeries
-
-
-class AssumptionError(ValueError):
-    """Raised when a closed-form shortcut is used outside its assumptions."""
 
 
 @dataclass(frozen=True)
@@ -91,25 +88,18 @@ def decay_factors(system: SeparateBathSystem, t) -> DecayFactors:
     return DecayFactors(vector_a=g_a, vector_b=g_b, tensor=g_a * g_b)
 
 
-def evolve(
-    system: SeparateBathSystem, state: TwoQubitState, t
-) -> TwoQubitState | list[TwoQubitState]:
-    """Reduced state at time t: componentwise scaling of the polarizations.
+def evolve(system: SeparateBathSystem, state: TwoQubitState, t) -> TwoQubitState:
+    """Reduced state at time(s) t: componentwise scaling of the polarizations.
 
-    A scalar t gives one state; a time grid gives a list with one state per
-    sample, from a single evaluation of the decay factors.
+    The batch axes of the result are those of t: a time grid gives one
+    state per sample, a scalar t an unbatched state.
     """
     g = decay_factors(system, t)
-    if g.tensor.ndim == 0:
-        return TwoQubitState(
-            p_a=float(g.vector_a) * state.p_a,
-            p_b=float(g.vector_b) * state.p_b,
-            pi=float(g.tensor) * state.pi,
-        )
-    return [
-        TwoQubitState(p_a=ga * state.p_a, p_b=gb * state.p_b, pi=g2 * state.pi)
-        for ga, gb, g2 in zip(g.vector_a.tolist(), g.vector_b.tolist(), g.tensor.tolist())
-    ]
+    return TwoQubitState(
+        p_a=g.vector_a[..., None] * state.p_a,
+        p_b=g.vector_b[..., None] * state.p_b,
+        pi=g.tensor[..., None, None] * state.pi,
+    )
 
 
 def decoherence_series(

@@ -8,6 +8,10 @@ of spin components (tensor polarization ``pi``):
 
 with S = sigma/2. The inverse map is p = 2 Tr[rho S] and
 pi[m,n] = 4 Tr[rho S_A^m S_B^n].
+
+A ``TwoQubitState`` holds one state or a batch of them: leading axes of
+``p_a``, ``p_b`` and ``pi`` index samples (a time grid), and the conversions
+and measures below broadcast over those axes.
 """
 
 from __future__ import annotations
@@ -20,7 +24,11 @@ import numpy as np
 from .spinops import PAULI_Y, qubit_pair_ops
 
 _S_A, _S_B = qubit_pair_ops()
+_S_AB = [[_S_A[m] @ _S_B[n] for n in range(3)] for m in range(3)]
 _YY = np.kron(PAULI_Y, PAULI_Y)
+
+# matrices per stacked eigh/svd pass of :func:`concurrence`
+_CONCURRENCE_BLOCK = 4096
 
 # computational-basis kets, ordering {uu, ud, du, dd}
 KET_SINGLET = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / np.sqrt(2.0)
@@ -35,7 +43,12 @@ class InvalidStateError(ValueError):
 
 @dataclass(frozen=True)
 class TwoQubitState:
-    """Polarization representation of a two-qubit density matrix."""
+    """Polarization representation of a two-qubit density matrix.
+
+    ``p_a`` and ``p_b`` have shape (..., 3) and ``pi`` shape (..., 3, 3); the
+    leading axes, which must agree, index a batch of samples and
+    ``states[k]`` is sample k. An unbatched state has no leading axes.
+    """
 
     p_a: np.ndarray
     p_b: np.ndarray
@@ -45,12 +58,25 @@ class TwoQubitState:
         object.__setattr__(self, "p_a", _frozen(self.p_a, (3,)))
         object.__setattr__(self, "p_b", _frozen(self.p_b, (3,)))
         object.__setattr__(self, "pi", _frozen(self.pi, (3, 3)))
+        if not self.p_a.shape[:-1] == self.p_b.shape[:-1] == self.pi.shape[:-2]:
+            raise InvalidStateError(
+                f"batch axes disagree: p_a {self.p_a.shape}, p_b {self.p_b.shape}, "
+                f"pi {self.pi.shape}"
+            )
 
-    def polarization_norm_sq(self) -> float:
+    def __len__(self) -> int:
+        if self.pi.ndim == 2:
+            raise TypeError("len() of an unbatched TwoQubitState")
+        return self.pi.shape[0]
+
+    def __getitem__(self, k) -> "TwoQubitState":
+        if self.pi.ndim == 2:
+            raise TypeError("an unbatched TwoQubitState cannot be indexed")
+        return TwoQubitState(self.p_a[k], self.p_b[k], self.pi[k])
+
+    def polarization_norm_sq(self):
         """P_A^2 + P_B^2 + sum (pi^mn)^2; equals 3 for pure states."""
-        return float(
-            self.p_a @ self.p_a + self.p_b @ self.p_b + np.sum(self.pi**2)
-        )
+        return _out(_norm_sq(self.p_a) + _norm_sq(self.p_b) + np.sum(self.pi**2, axis=(-2, -1)))
 
 
 @dataclass(frozen=True)
@@ -65,47 +91,62 @@ class StateValidation:
 
 def _frozen(arr, shape) -> np.ndarray:
     out = np.array(arr, dtype=float)
-    if out.shape != shape:
-        raise InvalidStateError(f"expected shape {shape}, got {out.shape}")
+    if out.shape[out.ndim - len(shape):] != shape:
+        raise InvalidStateError(f"expected shape {shape} after the batch axes, got {out.shape}")
     out.setflags(write=False)
     return out
 
 
+def _norm_sq(v: np.ndarray) -> np.ndarray:
+    # a stacked (1x3)(3x1) product rounds like the 1-D v @ v
+    return (v[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+
+def _out(x):
+    """A 0-d result as a float, a batch as an array."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def _trace(m: np.ndarray) -> np.ndarray:
+    return np.trace(m, axis1=-2, axis2=-1)
+
+
 def state_to_density(state: TwoQubitState) -> np.ndarray:
-    """Reconstruct the 4x4 density matrix from polarizations.
+    """Reconstruct the 4x4 density matrix from polarizations, (..., 4, 4).
 
     Hermitian with unit trace by construction for any real polarization
     triple; positivity is a property of the input and can be checked with
     :func:`validate_state`.
     """
-    rho = np.eye(4, dtype=complex) / 4.0
+    p_a, p_b, pi = state.p_a, state.p_b, state.pi
+    rho = np.broadcast_to(np.eye(4, dtype=complex) / 4.0, pi.shape[:-2] + (4, 4)).copy()
     for m in range(3):
-        rho += 0.5 * state.p_a[m] * _S_A[m] + 0.5 * state.p_b[m] * _S_B[m]
+        rho += 0.5 * p_a[..., m, None, None] * _S_A[m] + 0.5 * p_b[..., m, None, None] * _S_B[m]
         for n in range(3):
-            rho += state.pi[m, n] * (_S_A[m] @ _S_B[n])
+            rho += pi[..., m, n, None, None] * _S_AB[m][n]
     return rho
 
 
 def density_to_state(rho: np.ndarray, atol: float = 1e-10) -> TwoQubitState:
-    """Extract polarizations from a density matrix.
+    """Extract polarizations from density matrices of shape (..., 4, 4).
 
     Exact inverse of :func:`state_to_density`. Raises InvalidStateError if
-    the input is not Hermitian with unit trace within ``atol``.
+    any matrix of the batch is not Hermitian with unit trace within ``atol``.
     """
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise InvalidStateError(f"expected a 4x4 matrix, got shape {rho.shape}")
-    herm = float(np.abs(rho - rho.conj().T).max())
+    if rho.shape[-2:] != (4, 4):
+        raise InvalidStateError(f"expected 4x4 matrices, got shape {rho.shape}")
+    herm = float(np.abs(rho - rho.conj().swapaxes(-1, -2)).max(initial=0.0))
     if herm > atol:
         raise InvalidStateError(f"matrix not Hermitian (deviation {herm:.2e})")
-    tr_err = abs(complex(np.trace(rho)) - 1.0)
+    tr_err = float(np.abs(_trace(rho) - 1.0).max(initial=0.0))
     if tr_err > atol:
         raise InvalidStateError(f"trace differs from 1 by {tr_err:.2e}")
-    p_a = np.array([2.0 * np.trace(rho @ _S_A[m]).real for m in range(3)])
-    p_b = np.array([2.0 * np.trace(rho @ _S_B[m]).real for m in range(3)])
-    pi = np.array(
-        [[4.0 * np.trace(rho @ _S_A[m] @ _S_B[n]).real for n in range(3)] for m in range(3)]
-    )
+    p_a = np.stack([2.0 * _trace(rho @ _S_A[m]).real for m in range(3)], axis=-1)
+    p_b = np.stack([2.0 * _trace(rho @ _S_B[m]).real for m in range(3)], axis=-1)
+    pi = np.stack(
+        [4.0 * _trace(rho @ _S_A[m] @ _S_B[n]).real for m in range(3) for n in range(3)], axis=-1
+    ).reshape(rho.shape[:-2] + (3, 3))
     return TwoQubitState(p_a, p_b, pi)
 
 
@@ -127,11 +168,11 @@ def validate_state(state: TwoQubitState, tol: float = 1e-12) -> StateValidation:
     )
 
 
-def purity(state: TwoQubitState) -> float:
+def purity(state: TwoQubitState):
     return 1.0 - decoherence_measure(state)
 
 
-def decoherence_measure(state: TwoQubitState) -> float:
+def decoherence_measure(state: TwoQubitState):
     """Mixedness D = 1 - Tr rho^2 = (1/4)[3 - P_A^2 - P_B^2 - sum pi^2].
 
     Zero for pure states, 3/4 for the maximally mixed state.
@@ -139,25 +180,34 @@ def decoherence_measure(state: TwoQubitState) -> float:
     return 0.25 * (3.0 - state.polarization_norm_sq())
 
 
-def concurrence(rho: np.ndarray) -> float:
-    """Wootters concurrence of a two-qubit density matrix.
+def concurrence(rho: np.ndarray):
+    """Wootters concurrence of two-qubit density matrices, shape (..., 4, 4).
 
     C = max(0, sqrt(mu1) - sqrt(mu2) - sqrt(mu3) - sqrt(mu4)) with mu_i the
     descending eigenvalues of rho (sy x sy) rho* (sy x sy). Evaluated through
     the similar Hermitian matrix sqrt(rho) (sy x sy) rho* (sy x sy) sqrt(rho),
     which keeps full accuracy where the product is defective (pure states).
+    A batch is decomposed in blocks of ``_CONCURRENCE_BLOCK`` matrices, which
+    bounds the workspace of the stacked eigh and svd.
     """
     rho = np.asarray(rho, dtype=complex)
-    vals, vecs = np.linalg.eigh(rho)
-    vals = np.where((vals < 0.0) & (vals > -1e-12), 0.0, vals)
-    root_rho = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
-    # sqrt(mu_i) are the singular values of sqrt(rho) YY sqrt(rho)*, which
-    # SVD delivers with absolute precision (no sqrt of eigenvalue noise)
-    root = np.linalg.svd(root_rho @ _YY @ root_rho.conj(), compute_uv=False)
-    return float(max(0.0, root[0] - root[1] - root[2] - root[3]))
+    flat = rho.reshape(-1, 4, 4)
+    out = np.empty(flat.shape[0])
+    for lo in range(0, flat.shape[0], _CONCURRENCE_BLOCK):
+        block = flat[lo : lo + _CONCURRENCE_BLOCK]
+        vals, vecs = np.linalg.eigh(block)
+        vals = np.where((vals < 0.0) & (vals > -1e-12), 0.0, vals)
+        root_vals = np.sqrt(np.clip(vals, 0.0, None))[:, None, :]
+        root_rho = (vecs * root_vals) @ vecs.conj().swapaxes(1, 2)
+        # sqrt(mu_i) are the singular values of sqrt(rho) YY sqrt(rho)*, which
+        # SVD delivers with absolute precision (no sqrt of eigenvalue noise)
+        root = np.linalg.svd(root_rho @ _YY @ root_rho.conj(), compute_uv=False)
+        c = root[:, 0] - root[:, 1] - root[:, 2] - root[:, 3]
+        out[lo : lo + _CONCURRENCE_BLOCK] = np.where(c > 0.0, c, 0.0)
+    return _out(out.reshape(rho.shape[:-2]))
 
 
-def concurrence_state(state: TwoQubitState) -> float:
+def concurrence_state(state: TwoQubitState):
     return concurrence(state_to_density(state))
 
 

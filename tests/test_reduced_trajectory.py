@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from spinbath import spinops
+from spinbath import oracle, spinops
 from spinbath.bath import unpolarized_exact
 from spinbath.common import CommonBathSystem, SectorExactEvolver, sector_hamiltonian
 from spinbath.oracle import CouplingParams, bath_spin_projector, build, evolve_reduced
@@ -60,6 +60,22 @@ def test_evolve_reduced(bath_state, chunked, monkeypatch):
     expected = per_time_reduced(vals, vecs, rho_eig, TIMES, 2**n)
     got = densities(evolve_reduced(full, s0, bath_state, TIMES))
     assert np.abs(got - expected).max() < 1e-12
+
+
+@pytest.mark.parametrize("bath_state", ["fully_mixed", ("sector", 1.0)])
+def test_evolve_reduced_dense_fallback(bath_state, monkeypatch):
+    full = build("common", 4, CouplingParams(1.0, 0.4, 1.5))
+    s0 = make_named_state("r_state", r=0.3)
+    batched = evolve_reduced(full, s0, bath_state, TIMES)
+
+    def no_batched_kernel(*args):
+        raise AssertionError("the fallback must not use the batched kernel")
+
+    monkeypatch.setattr(oracle, "_OVERLAP_DIM_LIMIT", full.dim - 1)
+    monkeypatch.setattr(oracle, "reduced_trajectory", no_batched_kernel)
+    fallback = evolve_reduced(full, s0, bath_state, TIMES)
+    assert len(fallback) == TIMES.size
+    assert np.abs(state_to_density(fallback) - state_to_density(batched)).max() < 1e-12
 
 
 def test_oracle_compare_diagonalizes_once(monkeypatch, tmp_path):

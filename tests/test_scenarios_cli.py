@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -260,6 +261,31 @@ class TestCLI:
         assert errors == ["  - k_a, k_b: k_a^2 + k_b^2 must be nonzero and finite"]
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("scenario = fig2\nk_a = 0.0\nk_b = 0.0\n",
+             "k_a: fig2 needs k_a != 0 for its revival time 2 pi / k_a"),
+            (f"scenario = separate\nsamples = {scenarios.MAX_SAMPLES + 1}\n",
+             f"samples: at most {scenarios.MAX_SAMPLES} samples, got {scenarios.MAX_SAMPLES + 1}"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_out_of_range_exit_code(self, tmp_path, capsys, command, body, message):
+        out = tmp_path / "out.csv"
+        path = write_config(tmp_path, f"{body}output = {out}\n")
+        tracemalloc.start()
+        try:
+            assert main([command, str(path)]) == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20  # rejected before any time grid exists
+        captured = capsys.readouterr()
+        errors = [line for line in (captured.out + captured.err).splitlines() if line.startswith("  - ")]
+        assert errors == [f"  - {message}"]
+        assert not out.exists()
+
     def test_nan_oracle_deviation_exit_code(self, tmp_path, monkeypatch):
         # validation rejects t_max = nan, so drive the runner past it: the
         # oracle's states are all NaN and the deviation gate must still fail
@@ -270,8 +296,8 @@ class TestCLI:
         assert _run_oracle_compare(config).numerical_failure
 
         def nan_oracle(full, state, bath_state, times):
-            nan = np.full(3, math.nan)
-            return [TwoQubitState(nan, nan, np.full((3, 3), math.nan)) for _ in times]
+            nan = np.full((len(times), 3), math.nan)
+            return TwoQubitState(nan, nan, np.full((len(times), 3, 3), math.nan))
 
         monkeypatch.setattr(scenarios, "evolve_reduced", nan_oracle)
         path = write_config(

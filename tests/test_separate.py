@@ -94,6 +94,19 @@ class TestEvolve:
         s = evolve(symmetric_system(4), s0, 0.0)
         assert np.allclose(s.pi, s0.pi) and np.allclose(s.p_a, s0.p_a)
 
+    def test_grid_is_one_batch(self):
+        system = symmetric_system(4)
+        s0 = make_named_state("r_state", r=0.5)
+        times = np.linspace(0.0, 4.0, 9)
+        batch = evolve(system, s0, times)
+        assert batch.pi.shape == (9, 3, 3)
+        for t, s in zip(times, batch):
+            one = evolve(system, s0, t)
+            assert one.pi.shape == (3, 3)
+            # array and scalar sin/cos may round differently by an ulp
+            assert np.abs(s.pi - one.pi).max() < 1e-14
+            assert np.abs(s.p_b - one.p_b).max() < 1e-14
+
     def test_product_state_stays_product(self):
         system = symmetric_system(4)
         s0 = make_named_state("up_down")
@@ -216,6 +229,11 @@ class TestShortTimeTimescales:
             short_time_decoherence_time(
                 SeparateBathSystem(1.0, 1.0, bath, unpolarized_exact(6)), 0.5
             )
+
+    def test_one_assumption_error_for_both_bath_models(self):
+        from spinbath import common
+
+        assert AssumptionError is common.AssumptionError
 
     def test_gaussian_fit_recovers_decoherence_time(self):
         # fit of -log(1 - D) over the early window against the formula

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from spinbath import states
 from spinbath.states import (
     InvalidStateError,
     TwoQubitState,
@@ -94,6 +95,61 @@ class TestDensityConversion:
         assert report.min_eigenvalue < -1e-12
         # physical state passes
         assert validate_state(make_named_state("singlet")).physical
+
+
+class TestBatchedState:
+    def batch(self, n=7):
+        return density_to_state(np.array([random_density(seed) for seed in range(n)]))
+
+    def test_shapes_and_indexing(self):
+        batch = self.batch()
+        assert batch.p_a.shape == (7, 3) and batch.pi.shape == (7, 3, 3)
+        assert len(batch) == 7
+        assert np.array_equal(batch[2].pi, density_to_state(random_density(2)).pi)
+        assert len(batch[1:4]) == 3
+        assert [s.p_a.shape for s in batch] == [(3,)] * 7
+        assert len(density_to_state(np.zeros((0, 4, 4)))) == 0
+
+    def test_unbatched_has_no_len(self):
+        s = make_named_state("singlet")
+        with pytest.raises(TypeError):
+            len(s)
+        with pytest.raises(TypeError):
+            s[0]
+
+    def test_rejects_disagreeing_batch_axes(self):
+        with pytest.raises(InvalidStateError, match="batch axes"):
+            TwoQubitState(np.zeros((4, 3)), np.zeros((5, 3)), np.zeros((4, 3, 3)))
+        with pytest.raises(InvalidStateError, match="expected shape"):
+            TwoQubitState(np.zeros((4, 2)), np.zeros((4, 2)), np.zeros((4, 3, 3)))
+
+    def test_measures_match_per_sample(self):
+        batch = self.batch()
+        rho = state_to_density(batch)
+        assert rho.shape == (7, 4, 4)
+        for k, s in enumerate(batch):
+            assert np.array_equal(rho[k], state_to_density(s))
+            assert decoherence_measure(batch)[k] == decoherence_measure(s)
+            assert purity(batch)[k] == purity(s)
+            assert concurrence_state(batch)[k] == concurrence_state(s)
+        assert isinstance(decoherence_measure(batch[0]), float)
+        assert isinstance(concurrence_state(batch[0]), float)
+
+    def test_concurrence_blocks(self, monkeypatch):
+        rho = np.array([random_density(seed) for seed in range(10)])
+        whole = concurrence(rho.reshape(2, 5, 4, 4))
+        monkeypatch.setattr(states, "_CONCURRENCE_BLOCK", 3)
+        assert np.array_equal(concurrence(rho), whole.ravel())
+
+    def test_density_to_state_checks_every_matrix(self):
+        rho = np.array([np.eye(4) / 4] * 3, dtype=complex)
+        rho[1, 0, 1] = 0.1
+        with pytest.raises(InvalidStateError, match="Hermitian"):
+            density_to_state(rho)
+        rho[1, 0, 1] = 0.0
+        rho[2] *= 2.0
+        with pytest.raises(InvalidStateError, match="trace"):
+            density_to_state(rho)
 
 
 class TestDecoherenceMeasure:
