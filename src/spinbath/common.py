@@ -32,13 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bath import BathDistribution
-from .spinops import (
-    mixed_env_eigen_state,
-    pair_overlaps,
-    qubit_pair_ops,
-    reduced_trajectory,
-    spin_matrices,
-)
+from .spinops import EigenBlock, qubit_pair_ops, reduced_trajectory, spin_matrices
 from .states import (
     KET_SINGLET,
     KET_T1,
@@ -412,30 +406,30 @@ class SymmetricEvolver:
 class SectorExactEvolver:
     """Dense sector-by-sector evolution; exact for any couplings and state.
 
-    Each sector is diagonalized once; a whole time grid then costs one
-    phase-weighted contraction per sector (``spinops.reduced_trajectory``).
+    Each sector is diagonalized once and is one eigen-block, weighted by its
+    bath probability; a whole time grid then costs one phase-weighted
+    contraction per sector (``spinops.reduced_trajectory``).
     """
 
     def __init__(self, system: CommonBathSystem):
         self.system = system
-        self._sectors = []
-        for i, w in zip(system.bath.spins, system.bath.weights):
+        self._blocks, self._env = [], {}
+        for p, (i, w) in enumerate(zip(system.bath.spins, system.bath.weights)):
             h = sector_hamiltonian(system, i)
             herm = np.abs(h - h.conj().T).max()
             assert herm < 1e-12
             vals, vecs = np.linalg.eigh(h.real)
-            self._sectors.append((float(i), float(w), vals, vecs))
+            d = vals.size // 4
+            # basis |pair a> (x) |I, m>: the sector is its own environment group
+            rows = tuple((a * d, (a + 1) * d, p) for a in range(4))
+            self._blocks.append(EigenBlock(vals, vecs, rows))
+            self._env[p] = float(w) / d
 
     def evolve(self, state: TwoQubitState, times) -> TwoQubitState:
         times = np.atleast_1d(np.asarray(times, dtype=float))
-        rho_ab = state_to_density(state)
-        acc = np.zeros((times.size, 4, 4), dtype=complex)
-        for _, w, vals, vecs in self._sectors:
-            d = vals.size // 4
-            overlaps = pair_overlaps(vecs, d)
-            rho_eig = mixed_env_eigen_state(rho_ab, overlaps, d)
-            acc += w * reduced_trajectory(vals, overlaps, rho_eig, times)
-        return density_to_state(acc)
+        return density_to_state(
+            reduced_trajectory(self._blocks, state_to_density(state), self._env, times)
+        )
 
 
 # ---------------------------------------------------------------------------

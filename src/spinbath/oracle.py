@@ -1,9 +1,13 @@
 """Brute-force full-Hilbert-space evolution for small baths.
 
-Ground truth for the analytic dynamics: the complete qubit-pair + bath
-Hamiltonian is assembled densely, diagonalized once, and the reduced pair
-state is obtained by exact partial trace at any time. No time stepping, so
-there is no integrator error to disentangle from formula errors.
+Ground truth for the analytic dynamics. Every mode's Hamiltonian is a sum of
+isotropic pair terms c S_i . S_j over the two qubits and the n bath spins, so
+it conserves the total F_z: it is assembled as real blocks, one per number of
+down spins, straight from bit operations on the (n + 2)-bit basis index (no
+Kronecker products, no complex 4 * 2^n square array). Each block is
+diagonalised once, and the reduced pair state at any time is an exact partial
+trace evaluated block pair by block pair. No time stepping, so there is no
+integrator error to disentangle from formula errors.
 """
 
 from __future__ import annotations
@@ -13,21 +17,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .optimize import InhomogeneousCouplings
-from .spinops import (
-    SPIN_HALF,
-    collective_spin,
-    mixed_env_eigen_state,
-    pad_site_op,
-    pair_overlaps,
-    reduced_trajectory,
-)
+from .spinops import EigenBlock, reduced_trajectory
 from .states import TwoQubitState, density_to_state, state_to_density
 
 MAX_BATH_SPINS = 12
-
-# above this full dimension the pair-overlap blocks of evolve_reduced would
-# not fit in memory, and each time sample is propagated densely instead
-_OVERLAP_DIM_LIMIT = 2048
 
 
 class DimensionCapError(ValueError):
@@ -43,172 +36,173 @@ class CouplingParams:
 
 @dataclass
 class FullSystem:
-    """Dense qubit-pair + bath Hamiltonian with cached eigendecomposition."""
+    """Qubit-pair + bath Hamiltonian as real total-F_z blocks.
+
+    Basis index bits from the top: qubit A, qubit B, bath spins 0 .. n-1
+    (1 = down), i.e. |pair index a> (x) |bath index>. ``blocks[k]`` is the
+    ascending indices with k down spins and the real Hamiltonian on them.
+    """
 
     mode: str
     n_bath: int
     couplings: CouplingParams | InhomogeneousCouplings
-    hamiltonian: np.ndarray
-    _eig: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
-    _pair_blocks: list[np.ndarray] | None = field(default=None, repr=False)
+    blocks: list[tuple[np.ndarray, np.ndarray]]
+    _eig: list[EigenBlock] | None = field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
-        return self.hamiltonian.shape[0]
+        return 4 << self.n_bath
 
-    def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
+    @property
+    def hamiltonian(self) -> np.ndarray:
+        """The dense real Hamiltonian, assembled from the blocks on each call."""
+        h = np.zeros((self.dim, self.dim))
+        for idx, block in self.blocks:
+            h[np.ix_(idx, idx)] = block
+        return h
+
+    def eigensystem(self) -> list[EigenBlock]:
+        """Every block diagonalised once, with its pair-index row segments.
+
+        Block k's rows for pair index a are that pair state times the bath
+        states with k - popcount(a) down spins, the segment's group.
+        """
         if self._eig is None:
-            vals, vecs = np.linalg.eigh(self.hamiltonian)
-            self._eig = (vals, vecs)
+            self._eig = []
+            for k, (idx, block) in enumerate(self.blocks):
+                ends = np.searchsorted(idx, np.arange(5) << self.n_bath)
+                rows = tuple((lo, hi, k - bin(a).count("1")) if hi > lo else None
+                             for a, (lo, hi) in enumerate(zip(ends[:-1], ends[1:])))
+                self._eig.append(EigenBlock(*np.linalg.eigh(block), rows))
         return self._eig
 
-    def pair_overlaps(self) -> list[list[np.ndarray]]:
-        """Cached eigenbasis overlap blocks W_b^T W_a for the 16 pair-index
-        combinations, where W_a holds the eigenvector rows with pair index a.
-        """
-        if self._pair_blocks is None:
-            _, vecs = self.eigensystem()
-            self._pair_blocks = pair_overlaps(vecs, 2**self.n_bath)
-        return self._pair_blocks
 
-
-def _bath_identity(n: int) -> np.ndarray:
-    return np.eye(2**n, dtype=complex)
-
-
-def build(mode: str, n_bath: int, couplings) -> FullSystem:
-    """Assemble the dense Hamiltonian.
-
-    ``mode`` is "separate" (bath split in half, one half per qubit, no
-    exchange), "common" (all bath spins coupled to both qubits plus
-    exchange), or "inhomogeneous" (per-nucleus couplings plus exchange).
-    """
+def _check_cap(n_bath: int) -> None:
     if n_bath > MAX_BATH_SPINS:
         raise DimensionCapError(
             f"n_bath = {n_bath} exceeds the dense-oracle cap of {MAX_BATH_SPINS}"
         )
+
+
+def _down_count(index: np.ndarray, n_sites: int) -> np.ndarray:
+    return sum((index >> bit) & 1 for bit in range(n_sites))
+
+
+def _heisenberg_blocks(n_sites: int, terms) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Real blocks of sum c S_i . S_j over ``terms`` of (i, j, c), by down-spin count.
+
+    Site s is bit n_sites - 1 - s of the basis index. A term adds c/4 to the
+    diagonal where the two bits agree and -c/4 where they differ, and c/2
+    between the two states that swap differing bits.
+    """
+    index = np.arange(1 << n_sites)
+    downs = _down_count(index, n_sites)
+    out = []
+    for k in range(n_sites + 1):
+        idx = index[downs == k]
+        diag = np.zeros(idx.size)
+        h = np.zeros((idx.size, idx.size))
+        for i, j, c in terms:
+            bit_i, bit_j = n_sites - 1 - i, n_sites - 1 - j
+            differ = ((idx >> bit_i) ^ (idx >> bit_j)) & 1
+            diag += np.where(differ, -0.25 * c, 0.25 * c)
+            rows = np.flatnonzero(differ)
+            h[rows, np.searchsorted(idx, idx[rows] ^ ((1 << bit_i) | (1 << bit_j)))] += 0.5 * c
+        h[np.diag_indices(idx.size)] = diag
+        out.append((idx, h))
+    return out
+
+
+def build(mode: str, n_bath: int, couplings) -> FullSystem:
+    """Assemble the Hamiltonian blocks.
+
+    ``mode`` is "separate" (bath split in half, one half per qubit, no
+    exchange), "common" (all bath spins coupled to both qubits plus
+    exchange), or "inhomogeneous" (per-nucleus couplings plus exchange).
+    Sites are qubit A (0), qubit B (1) and bath spin s (s + 2).
+    """
+    _check_cap(n_bath)
     if n_bath < 1:
         raise DimensionCapError("need at least one bath spin")
-    dim_b = 2**n_bath
-    eye2 = np.eye(2, dtype=complex)
-    h = np.zeros((4 * dim_b, 4 * dim_b), dtype=complex)
-
     if mode == "separate":
         if couplings.j != 0.0:
             raise DimensionCapError("separate baths assume zero exchange")
-        n_a = n_bath // 2
-        n_b = n_bath - n_a
-        for m in range(3):
-            coll_a = np.kron(collective_spin(n_a, m), np.eye(2**n_b))
-            coll_b = np.kron(np.eye(2**n_a), collective_spin(n_b, m))
-            h += couplings.k_a * np.kron(np.kron(SPIN_HALF[m], eye2), coll_a)
-            h += couplings.k_b * np.kron(np.kron(eye2, SPIN_HALF[m]), coll_b)
+        half = np.arange(n_bath) < n_bath // 2
+        k_a, k_b, j = np.where(half, couplings.k_a, 0.0), np.where(half, 0.0, couplings.k_b), 0.0
     elif mode == "common":
-        for m in range(3):
-            coll = collective_spin(n_bath, m)
-            h += couplings.k_a * np.kron(np.kron(SPIN_HALF[m], eye2), coll)
-            h += couplings.k_b * np.kron(np.kron(eye2, SPIN_HALF[m]), coll)
-            pair = np.kron(SPIN_HALF[m], SPIN_HALF[m])
-            h += couplings.j * np.kron(pair, _bath_identity(n_bath))
+        k_a, k_b, j = [couplings.k_a] * n_bath, [couplings.k_b] * n_bath, couplings.j
     elif mode == "inhomogeneous":
         if couplings.k_a_i.size != n_bath:
             raise DimensionCapError(
                 f"need {n_bath} per-nucleus couplings, got {couplings.k_a_i.size}"
             )
-        j = getattr(couplings, "j", 0.0)
-        for m in range(3):
-            for site in range(n_bath):
-                site_op = pad_site_op(SPIN_HALF[m], site, n_bath)
-                h += couplings.k_a_i[site] * np.kron(np.kron(SPIN_HALF[m], eye2), site_op)
-                h += couplings.k_b_i[site] * np.kron(np.kron(eye2, SPIN_HALF[m]), site_op)
-            if j:
-                h += j * np.kron(np.kron(SPIN_HALF[m], SPIN_HALF[m]), _bath_identity(n_bath))
+        k_a, k_b, j = couplings.k_a_i, couplings.k_b_i, getattr(couplings, "j", 0.0)
     else:
         raise DimensionCapError(f"unknown mode {mode!r}")
-
-    assert np.abs(h.imag).max() < 1e-12  # real symmetric in the product basis
-    return FullSystem(mode=mode, n_bath=n_bath, couplings=couplings, hamiltonian=h.real)
+    pair_terms = [(q, s + 2, k[s]) for q, k in enumerate((k_a, k_b)) for s in range(n_bath)]
+    terms = [t for t in [(0, 1, j)] + pair_terms if t[2] != 0.0]
+    return FullSystem(mode, n_bath, couplings, _heisenberg_blocks(n_bath + 2, terms))
 
 
 def total_fz(n_bath: int) -> np.ndarray:
     """z component of the total (pair + bath) angular momentum."""
-    eye2 = np.eye(2, dtype=complex)
-    fz = np.kron(np.kron(SPIN_HALF[2], eye2), _bath_identity(n_bath))
-    fz += np.kron(np.kron(eye2, SPIN_HALF[2]), _bath_identity(n_bath))
-    fz += np.kron(np.eye(4, dtype=complex), collective_spin(n_bath, 2))
-    return fz
+    return np.diag(0.5 * (n_bath + 2) - _down_count(np.arange(4 << n_bath), n_bath + 2))
+
+
+def _bath_casimir(n_bath: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Bath I^2 = 3n/4 + 2 sum_{i<j} S_i . S_j as (indices, block) by down-spin count."""
+    _check_cap(n_bath)
+    pairs = [(i, j, 2.0) for i in range(n_bath) for j in range(i + 1, n_bath)]
+    blocks = _heisenberg_blocks(n_bath, pairs)
+    return [(idx, h + 0.75 * n_bath * np.eye(idx.size)) for idx, h in blocks]
+
+
+def _sector_projectors(n_bath: int, i: float) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Projector onto total bath spin i, one (indices, block) per down-spin count."""
+    out = []
+    for idx, casimir in _bath_casimir(n_bath):
+        vals, vecs = np.linalg.eigh(casimir)
+        v = vecs[:, np.abs(vals - i * (i + 1.0)) < 1e-8]
+        out.append((idx, v @ v.T))
+    if sum(np.trace(block) for _, block in out) < 0.5:
+        raise DimensionCapError(f"no bath sector with spin {i} for {n_bath} spins")
+    return out
 
 
 def bath_spin_projector(n_bath: int, i: float) -> np.ndarray:
     """Projector onto the total-bath-spin-i subspace of the bath alone."""
-    i_sq = np.zeros((2**n_bath, 2**n_bath), dtype=complex)
-    for m in range(3):
-        coll = collective_spin(n_bath, m)
-        i_sq += coll @ coll
-    vals, vecs = np.linalg.eigh(i_sq.real)
-    target = i * (i + 1.0)
-    sel = np.abs(vals - target) < 1e-8
-    if not np.any(sel):
-        raise DimensionCapError(f"no bath sector with spin {i} for {n_bath} spins")
-    v = vecs[:, sel]
-    return v @ v.T
+    proj = np.zeros((1 << n_bath, 1 << n_bath))
+    for idx, block in _sector_projectors(n_bath, i):
+        proj[np.ix_(idx, idx)] = block
+    return proj
 
 
 def evolve_reduced(system: FullSystem, state: TwoQubitState, bath_state, times) -> TwoQubitState:
     """Reduced pair states at the requested times, one batch over the grid.
 
     ``bath_state`` is "fully_mixed" (identity / 2^n) or ("sector", i) for the
-    normalized projector onto the total-bath-spin-i subspace. The system is
-    diagonalized once; each reduced matrix element is then a phase-weighted
-    contraction, so adding time samples is cheap. Up to dimension
-    ``_OVERLAP_DIM_LIMIT`` the whole grid is evaluated in one pass over the
-    cached overlap blocks; beyond it each time sample is propagated densely.
+    normalized projector onto the total-bath-spin-i subspace. Both commute
+    with the bath I_z, so the initial state couples block p to block q only
+    where p - q = popcount(a) - popcount(b) for some rho_ab[a, b] != 0; the
+    kernel forms just those block pairs, exactly, whatever the state.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    vals, vecs = system.eigensystem()
-    dim_b = 2**system.n_bath
-    rho_ab = state_to_density(state)
-    overlaps = system.pair_overlaps() if system.dim <= _OVERLAP_DIM_LIMIT else None
-
     if bath_state == "fully_mixed":
-        if overlaps is not None:
-            rho_eig = mixed_env_eigen_state(rho_ab, overlaps, dim_b)
-        else:
-            # rho0 = rho_ab (x) 1/2^n without forming it: contract the pair index
-            v_blocks = vecs.reshape(4, dim_b, system.dim)
-            rho0_v = np.einsum("ac,cnj->anj", rho_ab, v_blocks).reshape(system.dim, system.dim)
-            rho_eig = vecs.T @ rho0_v / dim_b
+        env = dict.fromkeys(range(system.n_bath + 1), 0.5**system.n_bath)
     else:
         kind, i = bath_state
         if kind != "sector":
             raise DimensionCapError(f"unknown bath state {bath_state!r}")
-        proj = bath_spin_projector(system.n_bath, i)
-        rho_e = proj / np.trace(proj).real
-        rho0 = np.kron(rho_ab, rho_e)
-        rho_eig = vecs.T @ rho0 @ vecs
-
-    if overlaps is not None:
-        red = reduced_trajectory(vals, overlaps, rho_eig, times)
-    else:
-        red = np.empty((times.size, 4, 4), dtype=complex)
-        for k, t in enumerate(times):
-            u = np.exp(-1j * (t * vals))
-            rho_t = vecs @ (rho_eig * np.outer(u, u.conj())) @ vecs.T
-            red[k] = np.trace(rho_t.reshape(4, dim_b, 4, dim_b), axis1=1, axis2=3)
+        blocks = [block for _, block in _sector_projectors(system.n_bath, i)]
+        total = sum(np.trace(block) for block in blocks)
+        env = {m: block / total for m, block in enumerate(blocks)}
+    red = reduced_trajectory(system.eigensystem(), state_to_density(state), env, times)
     return density_to_state(red)
 
 
 def bath_spin_spectrum(n_bath: int) -> list[tuple[float, int]]:
     """(total spin, eigenvalue count) pairs of the bath Casimir operator."""
-    if n_bath > MAX_BATH_SPINS:
-        raise DimensionCapError(
-            f"n_bath = {n_bath} exceeds the dense-oracle cap of {MAX_BATH_SPINS}"
-        )
-    i_sq = np.zeros((2**n_bath, 2**n_bath), dtype=complex)
-    for m in range(3):
-        coll = collective_spin(n_bath, m)
-        i_sq += coll @ coll
-    vals = np.linalg.eigvalsh(i_sq.real)
+    vals = np.concatenate([np.linalg.eigvalsh(casimir) for _, casimir in _bath_casimir(n_bath)])
     out: list[tuple[float, int]] = []
     for i_val in np.arange(0.5 * (n_bath % 2), n_bath / 2.0 + 0.25, 1.0):
         count = int(np.sum(np.abs(vals - i_val * (i_val + 1.0)) < 1e-8))

@@ -501,11 +501,7 @@ def _run_fig1(config: ScenarioConfig) -> RunResult:
     }
     cols = {"t": times}
     for label, s0 in states.items():
-        pa2 = float(s0.p_a @ s0.p_a)
-        pb2 = float(s0.p_b @ s0.p_b)
-        pi2 = float(np.sum(s0.pi**2))
-        d = 0.25 * (3.0 - g.vector_a**2 * pa2 - g.vector_b**2 * pb2 - g.tensor**2 * pi2)
-        cols[label] = 1.0 - d
+        cols[label] = 1.0 - decoherence_measure(evolve_separate(system, s0, times))
     cols["concurrence_c1"] = np.maximum(0.0, (3.0 * g.tensor - 1.0) / 2.0)
     series = TimeSeries(
         columns=list(cols),

@@ -115,11 +115,9 @@ def decoherence_series(
     whether the closed-form assumptions were met.
     """
     times = np.asarray(times, dtype=float)
-    g = decay_factors(system, times)
+    d = decoherence_measure(evolve(system, state, times))
     pa2 = float(state.p_a @ state.p_a)
     pb2 = float(state.p_b @ state.p_b)
-    pi2 = float(np.sum(state.pi**2))
-    d = 0.25 * (3.0 - g.vector_a**2 * pa2 - g.vector_b**2 * pb2 - g.tensor**2 * pi2)
     pure = abs(decoherence_measure(state)) <= 1e-10
     symmetric = (
         system.k_a == system.k_b

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import functools
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,10 +26,6 @@ def spin_matrices(j: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return (jp + jm) / 2.0, (jp - jm) / 2.0j, jz
 
 
-def kron_all(*mats: np.ndarray) -> np.ndarray:
-    return functools.reduce(np.kron, mats)
-
-
 def qubit_pair_ops() -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Cartesian spin components (S_A, S_B) on the 4-dim pair space |q_A q_B>."""
     eye = np.eye(2, dtype=complex)
@@ -38,79 +34,95 @@ def qubit_pair_ops() -> tuple[list[np.ndarray], list[np.ndarray]]:
     return s_a, s_b
 
 
-def pad_site_op(op: np.ndarray, site: int, n_sites: int) -> np.ndarray:
-    """Embed a single-site operator at `site` in a chain of n_sites spin-1/2."""
-    left = np.eye(2**site, dtype=complex)
-    right = np.eye(2 ** (n_sites - site - 1), dtype=complex)
-    return kron_all(left, op, right)
-
-
-def collective_spin(n_sites: int, component: int) -> np.ndarray:
-    """Sum of one cartesian spin component over a chain of spin-1/2 sites."""
-    dim = 2**n_sites
-    total = np.zeros((dim, dim), dtype=complex)
-    for site in range(n_sites):
-        total += pad_site_op(SPIN_HALF[component], site, n_sites)
-    return total
-
-
 # ---------------------------------------------------------------------------
-# reduced pair dynamics from an eigendecomposition
+# reduced pair dynamics from eigen-blocks
 # ---------------------------------------------------------------------------
 #
-# The dense paths (the oracle and the per-sector evolver) order their basis as
-# |pair index a> (x) |environment index n>, so the eigenvector matrix splits
-# into four row blocks W_a of shape (dim_env, D).
+# The dense paths (the oracle and the per-sector evolver) diagonalise their
+# Hamiltonian block by block. A block's rows with pair index a are one segment
+# |a> (x) |environment states of group m>; two segments meet in the partial
+# trace, or through the environment state, only when their groups agree.
 
 _PHASE_CHUNK = 1 << 20
 
 
-def pair_overlaps(vecs: np.ndarray, dim_env: int) -> list[list[np.ndarray]]:
-    """Eigenbasis overlap blocks: ``out[b][a] = W_b^T W_a`` for real eigenvectors."""
-    rows = [vecs[a * dim_env : (a + 1) * dim_env, :] for a in range(4)]
-    out = [[None] * 4 for _ in range(4)]
-    for a in range(4):
-        for b in range(a, 4):
-            out[b][a] = rows[b].T @ rows[a]
-            if a != b:
-                out[a][b] = out[b][a].T
-    return out
+class EigenBlock(NamedTuple):
+    """Eigenvalues and real eigenvectors of one Hamiltonian block.
 
+    ``rows[a]`` is ``(lo, hi, m)``: eigenvector rows ``lo:hi`` are pair index
+    a times the environment states of group m, in that group's order; it is
+    None when pair index a has no rows in the block.
+    """
 
-def mixed_env_eigen_state(
-    rho_ab: np.ndarray, overlaps: list[list[np.ndarray]], dim_env: int
-) -> np.ndarray:
-    """rho_ab (x) 1/dim_env in the eigenbasis: sum_ab rho_ab[a, b] O_ab / dim_env."""
-    out = np.zeros(overlaps[0][0].shape, dtype=complex)
-    for a in range(4):
-        for b in range(4):
-            if rho_ab[a, b] != 0:  # named states leave most pair elements zero
-                out += rho_ab[a, b] * overlaps[a][b]
-    return out / dim_env
+    vals: np.ndarray
+    vecs: np.ndarray
+    rows: tuple
 
 
 def reduced_trajectory(
-    vals: np.ndarray, overlaps: list[list[np.ndarray]], rho_eig: np.ndarray, times: np.ndarray
+    blocks: list[EigenBlock], rho_ab: np.ndarray, env: dict, times: np.ndarray
 ) -> np.ndarray:
-    """Reduced pair density (T, 4, 4) at every time in one pass.
+    """Reduced pair density (T, 4, 4) of rho_ab (x) env, evolved to every time.
 
-        red[t, a, b] = sum_jk rho_eig[j, k] e^{-i(E_j - E_k) t} O_ba[k, j]
+    ``env[m]`` is the environment state on group m: a number for that multiple
+    of the identity, else a real matrix. With W_pa the segment of block p for
+    pair index a, R_pq = sum_ab rho_ab[a, b] W_pa^T env[m] W_qb (segments of one
+    group m) is the initial state in the eigenbases of blocks p and q, and
 
-    with ``overlaps[b][a] = O_ba``. ``rho_eig`` must be Hermitian: only the
-    lower triangle b >= a is contracted, against the blocks ``pair_overlaps``
-    stores contiguously, and the upper one is its conjugate.
+        red[t, b, a] = sum_pq sum_jk R_pq[j, k] e^{-i(E_pj - E_qk) t} (W_pb^T W_qa)[j, k]
+
+    Only block pairs that rho_ab couples are formed, only the lower triangle
+    b >= a is contracted (the upper one is its conjugate), and time chunks
+    bound the phase and product arrays to ~16 MB each.
     """
-    red = np.empty((times.size, 4, 4), dtype=complex)
-    # bound the (samples x D) phase and product arrays to ~16 MB each
-    step = max(1, _PHASE_CHUNK // vals.size)
-    for lo in range(0, times.size, step):
-        phases = np.exp(-1j * np.outer(times[lo : lo + step], vals))
-        block = red[lo : lo + step]
-        for a in range(4):
-            for b in range(a, 4):
-                # red[t, b, a] = sum_jk rho_eig[j, k] e^{-i(E_j - E_k) t} O_ba[j, k]
-                weighted = rho_eig * overlaps[b][a]
-                block[:, b, a] = np.einsum("tk,tk->t", phases @ weighted, phases.conj())
-                if a != b:
-                    block[:, a, b] = block[:, b, a].conj()
+    red = np.zeros((times.size, 4, 4), dtype=complex)
+    rho_ab = rho_ab if rho_ab.imag.any() else rho_ab.real  # real states stay real below
+    coupled = list(zip(*np.nonzero(rho_ab)))  # named states leave most elements zero
+    for bp in blocks:
+        for bq in blocks:
+            # pair indices (a, b) whose segments in blocks p and q share a group
+            shared = {(a, b): ra[2] for a, ra in enumerate(bp.rows) for b, rb in enumerate(bq.rows)
+                      if ra and rb and ra[2] == rb[2]}
+            sources = [ab for ab in coupled if ab in shared]
+            targets = [ab for ab in shared if ab[0] >= ab[1]]
+            if not sources or not targets:
+                continue
+            w_p = [r and bp.vecs[r[0] : r[1]] for r in bp.rows]
+            w_q = [r and bq.vecs[r[0] : r[1]] for r in bq.rows]
+            cache = {}
+
+            def overlap(a, b):  # W_pa^T W_qb
+                if (a, b) not in cache:
+                    mirror = bp is bq and (b, a) in cache
+                    cache[a, b] = cache[b, a].T if mirror else w_p[a].T @ w_q[b]
+                return cache[a, b]
+
+            rho_eig = np.zeros((bp.vals.size, bq.vals.size), dtype=rho_ab.dtype)
+            weighted = np.empty_like(rho_eig)
+            for a, b in sources:
+                e = env[shared[a, b]]
+                if np.isscalar(e):
+                    rho_eig += np.multiply(overlap(a, b), rho_ab[a, b] * e, out=weighted)
+                else:
+                    rho_eig += rho_ab[a, b] * (w_p[a].T @ (e @ w_q[b]))
+            step = max(1, _PHASE_CHUNK // max(bp.vals.size, bq.vals.size))
+            for lo in range(0, times.size, step):
+                chunk = times[lo : lo + step]
+                phases_p = np.exp(-1j * np.outer(chunk, bp.vals))
+                phases_q = phases_p if bq is bp else np.exp(-1j * np.outer(chunk, bq.vals))
+                for b, a in targets:
+                    np.multiply(rho_eig, overlap(b, a), out=weighted)
+                    red[lo : lo + step, b, a] += np.einsum(
+                        "tk,tk->t", _phase_product(phases_p, weighted), phases_q.conj()
+                    )
+    upper = np.triu_indices(4, 1)
+    red[:, upper[0], upper[1]] = red[:, upper[1], upper[0]].conj()
     return red
+
+
+def _phase_product(phases: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``phases @ w`` without a complex copy of a real ``w``."""
+    if np.iscomplexobj(w):
+        return phases @ w
+    both = np.concatenate([phases.real, phases.imag]) @ w
+    return both[: phases.shape[0]] + 1j * both[phases.shape[0] :]

@@ -16,7 +16,6 @@ and measures below broadcast over those axes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,15 +150,16 @@ def density_to_state(rho: np.ndarray, atol: float = 1e-10) -> TwoQubitState:
 
 
 def validate_state(state: TwoQubitState, tol: float = 1e-12) -> StateValidation:
-    """Check that the reconstructed matrix is a physical density matrix.
+    """Check that the reconstructed matrices are physical density matrices.
 
+    A batch reports its worst sample: the smallest eigenvalue and the largest
+    trace and Hermiticity errors, physical only if every sample is.
     Non-physical inputs are reported, not repaired.
     """
     rho = state_to_density(state)
-    eigs = np.linalg.eigvalsh(rho)
-    min_eig = float(eigs.min())
-    tr_err = abs(complex(np.trace(rho)) - 1.0)
-    herm = float(np.abs(rho - rho.conj().T).max())
+    min_eig = float(np.linalg.eigvalsh(rho).min(initial=np.inf))
+    tr_err = float(np.abs(_trace(rho) - 1.0).max(initial=0.0))
+    herm = float(np.abs(rho - rho.conj().swapaxes(-1, -2)).max(initial=0.0))
     return StateValidation(
         min_eigenvalue=min_eig,
         trace_error=tr_err,
@@ -211,8 +211,8 @@ def concurrence_state(state: TwoQubitState):
     return concurrence(state_to_density(state))
 
 
-def concurrence_sz_block(state: TwoQubitState, atol: float = 1e-10) -> float:
-    """Concurrence of a state commuting with the total S^z.
+def concurrence_sz_block(state: TwoQubitState, atol: float = 1e-10):
+    """Concurrence of states commuting with the total S^z, one per sample.
 
     For block-diagonal states (no coherence between total-S^z sectors):
 
@@ -221,24 +221,28 @@ def concurrence_sz_block(state: TwoQubitState, atol: float = 1e-10) -> float:
 
     The first radical is 4 |rho_ud,du| and the second 4 sqrt(rho_uu rho_dd),
     so this is the exact two-qubit concurrence of such states. Raises
-    InvalidStateError if the density matrix has matrix elements between
-    different S^z sectors, naming the offending block.
+    InvalidStateError if any density matrix has matrix elements between
+    different S^z sectors, naming the sample and the offending block.
     """
     rho = state_to_density(state)
     # basis {uu, ud, du, dd}: S^z sectors {uu}, {ud, du}, {dd}
-    sectors = {0: "m=+1", 1: "m=0", 2: "m=0", 3: "m=-1"}
-    for i in range(4):
-        for j in range(4):
-            if sectors[i] != sectors[j] and abs(rho[i, j]) > atol:
-                raise InvalidStateError(
-                    f"state mixes S^z sectors {sectors[i]} and {sectors[j]} "
-                    f"(|rho[{i},{j}]| = {abs(rho[i, j]):.2e})"
-                )
+    sector = np.array([1, 0, 0, -1])
+    names = {1: "m=+1", 0: "m=0", -1: "m=-1"}
+    flat = rho.reshape(-1, 4, 4)
+    mixing = (np.abs(flat) > atol) & (sector[:, None] != sector[None, :])
+    if mixing.any():
+        k, i, j = np.argwhere(mixing)[0]
+        sample = ", ".join(map(str, np.unravel_index(k, rho.shape[:-2])))
+        raise InvalidStateError(
+            (f"sample {sample}: " if sample else "")
+            + f"state mixes S^z sectors {names[sector[i]]} and {names[sector[j]]} "
+            f"(|rho[{i},{j}]| = {abs(flat[k, i, j]):.2e})"
+        )
     pi = state.pi
-    term1 = np.hypot(pi[0, 0] + pi[1, 1], pi[0, 1] - pi[1, 0])
-    z_sum = (1.0 + pi[2, 2]) ** 2 - (state.p_a[2] + state.p_b[2]) ** 2
-    term2 = math.sqrt(max(0.0, z_sum))
-    return float(max(0.0, 0.5 * (term1 - term2)))
+    term1 = np.hypot(pi[..., 0, 0] + pi[..., 1, 1], pi[..., 0, 1] - pi[..., 1, 0])
+    z_sum = (1.0 + pi[..., 2, 2]) ** 2 - (state.p_a[..., 2] + state.p_b[..., 2]) ** 2
+    term2 = np.sqrt(np.maximum(0.0, z_sum))
+    return _out(np.maximum(0.0, 0.5 * (term1 - term2)))
 
 
 def state_from_vector(psi: np.ndarray) -> TwoQubitState:

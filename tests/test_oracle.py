@@ -1,3 +1,6 @@
+import functools
+import math
+
 import numpy as np
 import pytest
 
@@ -12,12 +15,143 @@ from spinbath.oracle import (
     evolve_reduced,
     total_fz,
 )
-from spinbath.optimize import InhomogeneousCouplings
+from spinbath.optimize import (
+    InhomogeneousCouplings,
+    PureStateParam,
+    decoherence_rate_inhomogeneous,
+)
+from spinbath.spinops import SPIN_HALF
 from spinbath.states import (
     decoherence_measure,
     make_named_state,
     state_to_density,
 )
+
+
+# ---------------------------------------------------------------------------
+# dense Kronecker-product reference: the oracle's former builder
+# ---------------------------------------------------------------------------
+
+
+def pad_site_op(op, site, n_sites):
+    """Embed a single-site operator at ``site`` in a chain of n_sites spin-1/2."""
+    left = np.eye(2**site, dtype=complex)
+    right = np.eye(2 ** (n_sites - site - 1), dtype=complex)
+    return functools.reduce(np.kron, (left, op, right))
+
+
+def collective_spin(n_sites, component):
+    return sum(pad_site_op(SPIN_HALF[component], site, n_sites) for site in range(n_sites))
+
+
+def kron_hamiltonian(mode, n_bath, couplings):
+    """Complex 4 * 2^n Hamiltonian from Kronecker products of spin matrices."""
+    eye2, eye_bath = np.eye(2, dtype=complex), np.eye(2**n_bath)
+    n_a = n_bath // 2
+    h = np.zeros((4 * 2**n_bath, 4 * 2**n_bath), dtype=complex)
+    for m in range(3):
+        s_a, s_b = np.kron(SPIN_HALF[m], eye2), np.kron(eye2, SPIN_HALF[m])
+        if mode == "separate":
+            coll_a = np.kron(collective_spin(n_a, m), np.eye(2 ** (n_bath - n_a)))
+            coll_b = np.kron(np.eye(2**n_a), collective_spin(n_bath - n_a, m))
+            h += couplings.k_a * np.kron(s_a, coll_a) + couplings.k_b * np.kron(s_b, coll_b)
+        elif mode == "common":
+            coll = collective_spin(n_bath, m)
+            h += couplings.k_a * np.kron(s_a, coll) + couplings.k_b * np.kron(s_b, coll)
+        else:
+            for site in range(n_bath):
+                site_op = pad_site_op(SPIN_HALF[m], site, n_bath)
+                h += couplings.k_a_i[site] * np.kron(s_a, site_op)
+                h += couplings.k_b_i[site] * np.kron(s_b, site_op)
+        pair = np.kron(SPIN_HALF[m], SPIN_HALF[m])
+        h += getattr(couplings, "j", 0.0) * np.kron(pair, eye_bath)
+    return h
+
+
+def kron_total_fz(n_bath):
+    eye2 = np.eye(2, dtype=complex)
+    return (
+        np.kron(np.kron(SPIN_HALF[2], eye2), np.eye(2**n_bath))
+        + np.kron(np.kron(eye2, SPIN_HALF[2]), np.eye(2**n_bath))
+        + np.kron(np.eye(4), collective_spin(n_bath, 2))
+    )
+
+
+def kron_projector(n_bath, i):
+    """Projector onto bath spin i from the eigenvectors of the dense Casimir."""
+    i_sq = sum(collective_spin(n_bath, m) @ collective_spin(n_bath, m) for m in range(3)).real
+    vals, vecs = np.linalg.eigh(i_sq)
+    v = vecs[:, np.abs(vals - i * (i + 1)) < 1e-8]
+    return v @ v.T
+
+
+def random_couplings(n, seed=7):
+    rng = np.random.default_rng(seed)
+    return InhomogeneousCouplings(rng.uniform(0.2, 1.5, n), rng.uniform(-0.4, 1.2, n))
+
+
+MODES = [
+    ("separate", CouplingParams(1.0, 0.7, 0.0)),
+    ("common", CouplingParams(1.0, 0.4, 2.0)),
+    ("inhomogeneous", None),
+]
+
+
+class TestKronReference:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 6])
+    @pytest.mark.parametrize("mode,coup", MODES)
+    def test_blocks_equal_kron_hamiltonian(self, mode, coup, n):
+        coup = coup or random_couplings(n)
+        ref = kron_hamiltonian(mode, n, coup)
+        assert np.abs(ref.imag).max() < 1e-15
+        h = build(mode, n, coup).hamiltonian
+        assert h.dtype == np.float64
+        assert np.abs(h - ref.real).max() < 1e-14
+
+    @pytest.mark.parametrize("mode,coup", MODES)
+    def test_kron_hamiltonian_conserves_total_fz(self, mode, coup):
+        # the physics behind the block structure, checked on the reference
+        n = 4
+        ref = kron_hamiltonian(mode, n, coup or random_couplings(n))
+        fz = kron_total_fz(n)
+        assert np.abs(ref @ fz - fz @ ref).max() < 1e-12
+        assert np.abs(total_fz(n) - fz).max() == 0.0
+
+    def test_block_sizes(self):
+        full = build("common", 6, CouplingParams(1.0, 0.4, 2.0))
+        sizes = [idx.size for idx, _ in full.blocks]
+        assert sizes == [math.comb(8, k) for k in range(9)]
+        assert sum(sizes) == full.dim == 256
+
+    @pytest.mark.parametrize("n,bath_state", [
+        (3, "fully_mixed"), (3, ("sector", 0.5)), (3, ("sector", 1.5)),
+        (6, "fully_mixed"), (6, ("sector", 1.0)), (6, ("sector", 3.0)),
+    ])
+    @pytest.mark.parametrize("mode,coup", MODES)
+    @pytest.mark.parametrize("name", ["r_state", "bell_t1", "general_pure"])
+    def test_evolve_reduced_equals_kron_reference(self, mode, coup, n, bath_state, name):
+        coup = coup or random_couplings(n)
+        s0 = make_named_state(name, r=0.3, gamma=0.4 - 0.2j, theta=0.7, phi=1.3)
+        times = np.array([0.0, 0.35, 1.1, 2.4, 6.2])
+        if bath_state == "fully_mixed":
+            rho_env = np.eye(2**n) / 2**n
+        else:
+            proj = kron_projector(n, bath_state[1])
+            rho_env = proj / np.trace(proj)
+        vals, vecs = np.linalg.eigh(kron_hamiltonian(mode, n, coup))
+        rho0 = np.kron(state_to_density(s0), rho_env)
+        expected = []
+        for t in times:
+            u = (vecs * np.exp(-1j * vals * t)) @ vecs.conj().T
+            rho_t = (u @ rho0 @ u.conj().T).reshape(4, 2**n, 4, 2**n)
+            expected.append(np.trace(rho_t, axis1=1, axis2=3))
+        got = state_to_density(evolve_reduced(build(mode, n, coup), s0, bath_state, times))
+        assert np.abs(got - np.array(expected)).max() < 1e-12
+
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_bath_projector_equals_kron_casimir(self, n):
+        for i in np.arange(n % 2 / 2, n / 2 + 0.25):
+            assert np.abs(bath_spin_projector(n, i) - kron_projector(n, i)).max() < 1e-12
 
 
 class TestBuild:
@@ -90,7 +224,6 @@ class TestEvolveReduced:
     def test_full_state_conservation_laws(self):
         # propagating the complete system conserves energy, purity, and F^z
         sys = build("common", 3, CouplingParams(1.0, 0.4, 1.3))
-        vals, vecs = sys.eigensystem()
         rho_ab = state_to_density(make_named_state("triplet0"))
         rho0 = np.kron(rho_ab, np.eye(8) / 8)
         fz = total_fz(3)
@@ -101,7 +234,10 @@ class TestEvolveReduced:
             np.trace(rho0 @ rho0).real,
         )
         for t in (0.7, 2.9):
-            u = (vecs * np.exp(-1j * vals * t)) @ vecs.conj().T
+            # the propagator assembled from the diagonalised F_z blocks
+            u = np.zeros((sys.dim, sys.dim), dtype=complex)
+            for (idx, _), block in zip(sys.blocks, sys.eigensystem()):
+                u[np.ix_(idx, idx)] = (block.vecs * np.exp(-1j * block.vals * t)) @ block.vecs.T
             rho_t = u @ rho0 @ u.conj().T
             assert np.trace(rho_t @ h).real == pytest.approx(ref[0], abs=1e-12)
             assert np.trace(rho_t @ fz).real == pytest.approx(ref[1], abs=1e-12)
@@ -126,6 +262,30 @@ class TestEvolveReduced:
         sys = build("common", 2, CouplingParams(1.0, 0.5, 0.7))
         with pytest.raises(DimensionCapError):
             evolve_reduced(sys, make_named_state("singlet"), ("thermal", 0.1), [0.1])
+
+
+class TestInhomogeneousRate:
+    """The oracle at n = 10 with unequal per-site couplings against the
+    short-time rate, with acceptance criterion 4's Gaussian fit and tolerance."""
+
+    @pytest.fixture(scope="class")
+    def system(self):
+        n = 10
+        couplings = random_couplings(n, seed=11)
+        return build("inhomogeneous", n, couplings), couplings
+
+    @pytest.mark.parametrize("gamma", [0.0, 1.0, -1.0, 0.5, 0.3 + 0.4j])
+    def test_gaussian_fit_matches_rate(self, system, gamma):
+        full, couplings = system
+        moment = unpolarized_exact(full.n_bath).casimir_moment()
+        rate = decoherence_rate_inhomogeneous(PureStateParam(gamma=gamma), couplings, moment)
+        tau = 1.0 / math.sqrt(rate)
+        ts = np.linspace(0.0, 0.1 * tau, 25)[1:]
+        s0 = make_named_state("general_pure", gamma=gamma)
+        d = decoherence_measure(evolve_reduced(full, s0, "fully_mixed", ts))
+        x, y = ts**2, -np.log1p(-d)
+        fit = 1.0 / math.sqrt(float(x @ y) / float(x @ x))
+        assert abs(fit - tau) / tau <= 0.02
 
 
 class TestBathSpinSpectrum:

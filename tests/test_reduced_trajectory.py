@@ -1,9 +1,12 @@
 """The time-batched reduced-evolution kernel against the per-time contraction."""
 
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from spinbath import oracle, spinops
+from spinbath import spinops
 from spinbath.bath import unpolarized_exact
 from spinbath.common import CommonBathSystem, SectorExactEvolver, sector_hamiltonian
 from spinbath.oracle import CouplingParams, bath_spin_projector, build, evolve_reduced
@@ -46,8 +49,8 @@ def test_sector_evolver_unequal_couplings():
 @pytest.mark.parametrize("bath_state", ["fully_mixed", ("sector", 1.0)])
 def test_evolve_reduced(bath_state, chunked, monkeypatch):
     n = 4
-    if chunked:  # two samples per pass over the eigenbasis
-        monkeypatch.setattr(spinops, "_PHASE_CHUNK", 2 * 4 * 2**n)
+    if chunked:  # two samples per pass over the largest F_z block
+        monkeypatch.setattr(spinops, "_PHASE_CHUNK", 2 * math.comb(n + 2, n // 2 + 1))
     full = build("common", n, CouplingParams(1.0, 0.4, 1.5))
     s0 = make_named_state("r_state", r=0.3)
     if bath_state == "fully_mixed":
@@ -60,22 +63,6 @@ def test_evolve_reduced(bath_state, chunked, monkeypatch):
     expected = per_time_reduced(vals, vecs, rho_eig, TIMES, 2**n)
     got = densities(evolve_reduced(full, s0, bath_state, TIMES))
     assert np.abs(got - expected).max() < 1e-12
-
-
-@pytest.mark.parametrize("bath_state", ["fully_mixed", ("sector", 1.0)])
-def test_evolve_reduced_dense_fallback(bath_state, monkeypatch):
-    full = build("common", 4, CouplingParams(1.0, 0.4, 1.5))
-    s0 = make_named_state("r_state", r=0.3)
-    batched = evolve_reduced(full, s0, bath_state, TIMES)
-
-    def no_batched_kernel(*args):
-        raise AssertionError("the fallback must not use the batched kernel")
-
-    monkeypatch.setattr(oracle, "_OVERLAP_DIM_LIMIT", full.dim - 1)
-    monkeypatch.setattr(oracle, "reduced_trajectory", no_batched_kernel)
-    fallback = evolve_reduced(full, s0, bath_state, TIMES)
-    assert len(fallback) == TIMES.size
-    assert np.abs(state_to_density(fallback) - state_to_density(batched)).max() < 1e-12
 
 
 def test_oracle_compare_diagonalizes_once(monkeypatch, tmp_path):
@@ -93,4 +80,9 @@ def test_oracle_compare_diagonalizes_once(monkeypatch, tmp_path):
     )
     result = _run_oracle_compare(config)
     assert not result.numerical_failure
-    assert calls.count(4 * 2**n) == 1
+    # one eigh per F_z block (k down spins of n + 2) and one per bath sector of
+    # the analytic side, dimension 4 (2I + 1); none at the full dimension
+    blocks = Counter(math.comb(n + 2, k) for k in range(n + 3))
+    sectors = Counter(4 * int(2 * i + 1) for i in unpolarized_exact(n).spins)
+    assert Counter(calls) == blocks + sectors
+    assert 4 * 2**n not in calls

@@ -238,6 +238,24 @@ class TestCLI:
     def test_run_missing_file(self):
         assert main(["run", "/nonexistent/conf"]) == 1
 
+    @pytest.mark.parametrize("mode,j,state", [
+        ("common", 1.3, "r_state:0.35"),
+        ("separate", 0.0, "bell_t1"),
+    ])
+    def test_oracle_compare_n10(self, tmp_path, mode, j, state):
+        # dimension 4096 is reached through the total-F_z blocks
+        out = tmp_path / "oc.csv"
+        path = write_config(
+            tmp_path,
+            f"scenario = oracle-compare\nmode = {mode}\nn_bath = 10\nbath = exact\n"
+            f"k_a = 1.1\nk_b = 0.45\nj = {j}\nstate = {state}\nt_max = 5.0\n"
+            f"samples = 20\noutput = {out}\n",
+        )
+        assert main(["run", str(path)]) == 0
+        series = read_csv(out)
+        assert series.metadata["within_tolerance"] == "true"
+        assert series.column("max_abs_dev").max() <= 1e-10
+
     @pytest.mark.parametrize("line", ["k_a = inf", "t_max = nan"])
     @pytest.mark.parametrize("command", ["run", "validate"])
     def test_non_finite_field_exit_code(self, tmp_path, capsys, command, line):

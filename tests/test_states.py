@@ -241,6 +241,46 @@ class TestSzBlockConcurrence:
         assert concurrence_sz_block(s) == pytest.approx(concurrence(rho), abs=1e-10)
 
 
+class TestBatchedValidation:
+    """validate_state and concurrence_sz_block on a batched oracle trajectory."""
+
+    @staticmethod
+    def trajectory(name):
+        from spinbath.oracle import CouplingParams, build, evolve_reduced
+
+        full = build("common", 4, CouplingParams(1.0, 0.4, 1.5))
+        s0 = make_named_state(name, r=0.3)
+        return evolve_reduced(full, s0, "fully_mixed", np.linspace(0.0, 6.0, 25))
+
+    @pytest.mark.parametrize("name", ["singlet", "r_state"])
+    def test_sz_block_concurrence_equals_wootters(self, name):
+        traj = self.trajectory(name)
+        c = concurrence_sz_block(traj)
+        assert c.shape == (25,)
+        assert np.abs(c - concurrence_state(traj)).max() < 1e-12
+        assert isinstance(concurrence_sz_block(traj[3]), float)
+
+    def test_sz_block_names_the_mixing_sample(self):
+        rho = np.array([np.eye(4) / 4] * 3 + [np.outer([1, 1, 0, 0], [1, 1, 0, 0]) / 2])
+        with pytest.raises(InvalidStateError, match=r"sample 3: .*sectors m=\+1 and m=0"):
+            concurrence_sz_block(density_to_state(rho))
+
+    def test_worst_sample_reported(self):
+        traj = self.trajectory("r_state")
+        report = validate_state(traj, tol=1e-10)
+        assert report.physical
+        assert report.min_eigenvalue >= -1e-10
+        assert isinstance(report.trace_error, float)
+        # one unphysical sample among physical ones fails the whole batch
+        p_a = np.zeros((5, 3))
+        p_a[2, 2] = 2.0
+        bad = TwoQubitState(p_a, np.zeros((5, 3)), np.zeros((5, 3, 3)))
+        report = validate_state(bad)
+        assert not report.physical
+        assert report.min_eigenvalue == pytest.approx(validate_state(bad[2]).min_eigenvalue)
+        assert validate_state(bad[0]).physical
+
+
 class TestNamedStates:
     def test_r_state_limits(self):
         singlet = make_named_state("singlet")
