@@ -22,6 +22,9 @@ from typing import Callable
 
 import numpy as np
 
+# closed forms skip lighter sectors; the skipped weight bounds their error
+SECTOR_WEIGHT_CUT = 1e-16
+
 
 class BathSpecError(ValueError):
     """Raised for invalid bath-distribution parameters."""
@@ -51,6 +54,11 @@ class BathDistribution:
         weights.setflags(write=False)
         object.__setattr__(self, "spins", spins)
         object.__setattr__(self, "weights", weights)
+
+    def significant_sectors(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """The (spins, weights) of weight >= SECTOR_WEIGHT_CUT, and the weight dropped."""
+        keep = self.weights >= SECTOR_WEIGHT_CUT
+        return self.spins[keep], self.weights[keep], float(self.weights[~keep].sum())
 
     def moment(self, kind: str | Callable[[np.ndarray], np.ndarray]) -> float:
         """Weighted moment sum_I lambda_I f(I).

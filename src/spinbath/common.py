@@ -12,12 +12,13 @@ Three evolution paths are provided and cross-checked:
 
 - ``SymmetricEvolver``: closed-form polarization map for K_A = K_B, built
   from bath-averaged Clebsch-Gordan moment tensors. An O(2I+1) set-up per
-  sector, then O(#sectors) per time sample.
+  sector, then O(#comb lines) per time sample: all sectors share one comb.
 - ``bell_mix_evolution``: closed-form Bell-basis matrix elements for initial
   states in the span of the singlet and the m=0 triplet, valid for any
   couplings and exchange. Each sector has four levels, so the output is a
-  line spectrum: an O(2I+1) set-up per sector, then O(16 * #sectors) per
-  time sample. Baths of thousands of spins are in reach.
+  line spectrum: an O(2I+1) set-up per sector, then O(6 * #sectors) per
+  time sample. Both sum their lines in ``evaluate_lines`` and skip sectors
+  below ``bath.SECTOR_WEIGHT_CUT``: baths of 10^4 spins are in reach.
 - ``SectorExactEvolver``: dense per-sector propagation for arbitrary initial
   states and couplings; exact but O(dim^3) per sector, intended for small and
   moderate baths and for oracle-grade checks.
@@ -284,10 +285,28 @@ def _cg_tables(i: float) -> _CGTables:
     return _CGTables(two_i=two_i, c=c, m_tot=m_tot)
 
 
-def _triplet_levels(system: CommonBathSystem, i: float) -> np.ndarray:
-    """Triplet levels (F = I+1, I, I-1) relative to the singlet, K_A = K_B."""
-    k = system.k_mean
-    return np.array([system.j + k * i, system.j - k, system.j - k * (i + 1.0)])
+# one evaluation pass holds at most this many phases: lines x time samples
+_PHASE_BLOCK = 1 << 18
+
+
+def evaluate_lines(amp_plus, amp_minus, omega, times) -> np.ndarray:
+    """sum_l amp_plus[:, l] exp(-i omega_l t) + amp_minus[:, l] exp(+i omega_l t).
+
+    Each conjugate pair of lines is passed once: one omega, two amplitude
+    columns. Returns a complex array of shape (n_obs,) + times.shape, so a
+    0-d ``times`` is accepted; time is chunked by ``_PHASE_BLOCK``.
+    """
+    t = np.asarray(times, dtype=float).ravel()
+    n_obs = amp_plus.shape[0]
+    # = (a+ + a-) cos(wt) - i (a+ - a-) sin(wt), in real products
+    even, odd = (np.vstack([a.real, a.imag]) for a in (amp_plus + amp_minus, amp_plus - amp_minus))
+    out = np.empty((n_obs, t.size), dtype=complex)
+    step = max(1, _PHASE_BLOCK // omega.size)
+    for lo in range(0, t.size, step):
+        phase = np.outer(omega, t[lo : lo + step])
+        c, s = even @ np.cos(phase), odd @ np.sin(phase)
+        out[:, lo : lo + step] = (c[:n_obs] + s[n_obs:]) + 1j * (c[n_obs:] - s[:n_obs])
+    return out.reshape((n_obs,) + np.shape(times))
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +330,7 @@ class SymmetricMapCoefficients:
     asymmetric pieces derive: vec_direct - vec_exchange = Re(st_coherence),
     vec_from_tensor = Im(st_coherence)/2 = -tensor_from_vec, and the trace
     identity tensor_direct + tensor_transpose + 3 tensor_trace = 1 holds at
-    every sample.
+    every sample, up to the weight of the dropped sectors.
     """
 
     times: np.ndarray
@@ -332,7 +351,12 @@ for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
 
 
 class SymmetricEvolver:
-    """Closed-form evolution for equal couplings; O(#sectors) per sample."""
+    """Closed-form evolution for equal couplings on one frequency comb.
+
+    Sector I's triplet levels are J + k I, J - k and J - k(I+1) above the
+    singlet: the map is a cosine comb at k n / 2 and the coherence one at
+    J + k n / 2, n an integer, so all sectors share integer bins.
+    """
 
     def __init__(self, system: CommonBathSystem):
         if system.k_a != system.k_b:
@@ -343,28 +367,31 @@ class SymmetricEvolver:
 
     def map_coefficients(self, times) -> SymmetricMapCoefficients:
         times = np.atleast_1d(np.asarray(times, dtype=float))
-        n_t = times.size
-        eta = np.zeros(n_t)
-        phi_q = np.zeros(n_t)
-        coh = np.zeros(n_t, dtype=complex)
-        for i, w in zip(self.system.bath.spins, self.system.bath.weights):
-            if i == 0.0:
-                eta += w
-                phi_q += w
-                coh += w * np.exp(-1j * self.system.j * times)
+        spins, weights, _ = self.system.bath.significant_sectors()
+        # column n: the line exp(-i k n t / 2). Rows: cosine amplitudes of eta
+        # and of phi_q (-1/8 per sector), st_coherence exp(iJt) on +n and on -n
+        amp = np.zeros((4, int(round(4 * spins.max())) + 3))
+        for i, w in zip(spins, weights):
+            two_i = int(round(2 * i))
+            if two_i == 0:
+                amp[:3, 0] += w
                 continue
-            tables = _cg_tables(i)
-            u = np.exp(-1j * np.outer(_triplet_levels(self.system, i), times))
-            c = tables.c
-            norm = 2.0 * i + 1.0
-            moments = np.einsum("fbk,fak,gbk,gak->abfg", c, c, c, c) / norm
-            r = np.einsum("ft,gt,abfg->abt", u, u.conj(), moments).real
-            eta += w * 0.5 * (r[0, 0] - r[0, 2] - r[2, 0] + r[2, 2])
-            d_nu = 0.25 * (r[:, 0, :] + r[:, 2, :] - r[:, 1, :])
-            out_zz = d_nu[0] + d_nu[2] - d_nu[1] + 0.25
-            phi_q += w * 0.5 * (3.0 * out_zz - 1.0)
-            c0_sq = np.einsum("fk,fk->f", c[:, 1, :], c[:, 1, :]) / norm
-            coh += w * np.einsum("f,ft->t", c0_sq, u)
+            c, norm = _cg_tables(i).c, 2.0 * i + 1.0
+            cc = c[:, None] * c[None, :]  # (F, F', mu, m); the moment tensor is cc cc
+            a = np.array([0.5 * (cc[:, :, 0] - cc[:, :, 2]) ** 2,
+                          0.375 * (cc[:, :, 0] - cc[:, :, 1] + cc[:, :, 2]) ** 2]).sum(-1) / norm
+            amp[:2, 0] += w * (a.trace(axis1=1, axis2=2) - [0.0, 0.125])
+            # level pairs (I, I-1), (I+1, I), (I+1, I-1) beat at these bins
+            amp[:2, [two_i, two_i + 2, 2 * two_i + 2]] += 2.0 * w * a[:, [1, 0, 0], [2, 1, 2]]
+            amp[[2, 3, 3], [two_i, 2, two_i + 2]] += w * (c[:, 1] ** 2).sum(-1) / norm
+        lines = np.flatnonzero(amp.any(axis=0))
+        half = 0.5 * amp[:2, lines]
+        eta, phi_q, coh = evaluate_lines(
+            np.vstack([half, amp[2, lines]]), np.vstack([half, amp[3, lines]]),
+            0.5 * self.system.k_mean * lines, times,
+        )
+        eta, phi_q = eta.real, phi_q.real
+        coh = coh * np.exp(-1j * self.system.j * times)
         hr, hi = coh.real, coh.imag
         return SymmetricMapCoefficients(
             times=times,
@@ -374,7 +401,7 @@ class SymmetricEvolver:
             vec_from_tensor=0.5 * hi,
             tensor_direct=0.5 * (phi_q + hr),
             tensor_transpose=0.5 * (phi_q - hr),
-            tensor_trace=(1.0 - phi_q) / 3.0,
+            tensor_trace=(weights.sum() - phi_q) / 3.0,
             tensor_from_vec=-0.5 * hi,
         )
 
@@ -487,11 +514,6 @@ class BellBasisEvolution:
         return density_to_state(self.density())
 
 
-# the phase block of one evaluation pass holds at most this many complex
-# numbers (4 MB): lines x time samples
-_PHASE_BLOCK = 1 << 18
-
-
 def _bell_mix_lines(system: CommonBathSystem, i: float, alpha: float, beta: float):
     """Line amplitudes of one sector: (5, 4, 4) array A and (4,) levels E.
 
@@ -542,26 +564,26 @@ def bell_mix_evolution(system: CommonBathSystem, r: float, times) -> BellBasisEv
 
     Exact for any couplings and exchange. r = 1 is the singlet, r = -1 the
     m=0 triplet. Each sector has four levels, so every output is a line
-    spectrum: an O(2I+1) set-up per sector forms 16 line amplitudes, then each
-    time sample costs O(16 * #sectors).
+    spectrum: an O(2I+1) set-up per kept sector forms 16 line amplitudes.
+    The four diagonal ones are constants, summed over sectors into one; the
+    twelve others are six conjugate pairs (omega_ll' = -omega_l'l), so each
+    time sample costs six lines per sector.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     norm = math.sqrt(2.0 * (1.0 + r * r))
-    alpha = (1.0 + r) / norm
-    beta = (1.0 - r) / norm
-    amps, omegas = [], []
-    for i, w in zip(system.bath.spins, system.bath.weights):
-        a, levels = _bell_mix_lines(system, i, alpha, beta)
-        amps.append(w * a.reshape(5, 16))
-        omegas.append((levels[:, None] - levels[None, :]).ravel())
-    amp = np.concatenate(amps, axis=1).astype(complex)
-    omega = np.concatenate(omegas)
-    out = np.empty((5, times.size), dtype=complex)
-    step = max(1, _PHASE_BLOCK // omega.size)
-    for lo in range(0, times.size, step):
-        t_sl = times[lo : lo + step]
-        out[:, lo : lo + step] = amp @ np.exp(-1j * np.outer(omega, t_sl))
-    c1, c2, c3, pp, pm = out
+    alpha, beta = (1.0 + r) / norm, (1.0 - r) / norm
+    spins, weights, _ = system.bath.significant_sectors()
+    lines = [_bell_mix_lines(system, i, alpha, beta) for i in spins]
+    amp = np.stack([a for a, _ in lines], axis=-1) * weights  # (5, 4, 4, sectors)
+    levels = np.stack([e for _, e in lines], axis=-1)
+    up, lo = np.triu_indices(4, 1)
+    const = np.einsum("xlls->x", amp)[:, None]
+    c1, c2, c3, pp, pm = evaluate_lines(
+        np.hstack([const, amp[:, up, lo].reshape(5, -1)]),
+        np.hstack([np.zeros_like(const), amp[:, lo, up].reshape(5, -1)]),
+        np.append(0.0, (levels[up] - levels[lo]).ravel()),
+        times,
+    )
     return BellBasisEvolution(
         times=times,
         singlet_pop=c1.real,
@@ -580,15 +602,17 @@ def bell_mix_evolution(system: CommonBathSystem, r: float, times) -> BellBasisEv
 def singlet_survival(system: CommonBathSystem, times) -> np.ndarray:
     """Singlet population of an initially singlet pair:
 
-        c1(t) = sum_I lambda_I [cos^2(gap t) + cos_mix^2 sin^2(gap t)].
+        c1(t) = sum_I lambda_I [cos^2(gap t) + cos_mix^2 sin^2(gap t)],
+
+    one cosine line at 2 gap per sector.
     """
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    out = np.zeros(times.size)
-    for i, w in zip(system.bath.spins, system.bath.weights):
-        spec = sector_spectrum(system, i)
-        s2 = np.sin(spec.phase_gap * times) ** 2
-        out += w * (1.0 - s2 + spec.mixing_cos**2 * s2)
-    return out
+    spins, weights, _ = system.bath.significant_sectors()
+    diag_sq = (system.j - system.k_mean) ** 2
+    mix = spins * (spins + 1.0) * (system.k_a - system.k_b) ** 2
+    sin_sq = np.divide(mix, diag_sq + mix, out=np.zeros_like(mix), where=mix > 0.0)
+    half = np.append(0.5 * (weights * (1.0 - 0.5 * sin_sq)).sum(), 0.25 * weights * sin_sq)
+    omega = np.append(0.0, np.sqrt(diag_sq + mix))
+    return evaluate_lines(half[None], half[None], omega, np.atleast_1d(times))[0].real
 
 
 def singlet_survival_large_j(system: CommonBathSystem, times) -> np.ndarray:

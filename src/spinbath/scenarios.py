@@ -40,6 +40,7 @@ from .states import (
     TwoQubitState,
     concurrence,
     concurrence_state,
+    concurrence_sz_block,
     decoherence_measure,
     make_named_state,
     state_to_density,
@@ -312,6 +313,7 @@ def _base_metadata(config: ScenarioConfig) -> dict[str, str]:
         )
         bath = bath_from_config(config.bath, config.n_bath)
         meta["casimir_moment"] = format(bath.casimir_moment(), ".12g")
+        meta["dropped_sector_weight"] = format(bath.significant_sectors()[2], ".3e")
     else:
         meta.update(k_a=format(config.k_a, ".12g"), k_b=format(config.k_b, ".12g"))
     return meta
@@ -523,7 +525,7 @@ def _run_fig2(config: ScenarioConfig) -> RunResult:
     series = TimeSeries(
         columns=["t", "p_z_a", "pi_xx", "pi_zz", "pi_xy", "concurrence"],
         data=np.column_stack(
-            [times, s.p_a[:, 2], s.pi[:, 0, 0], s.pi[:, 2, 2], s.pi[:, 0, 1], concurrence_state(s)]
+            [times, s.p_a[:, 2], s.pi[:, 0, 0], s.pi[:, 2, 2], s.pi[:, 0, 1], concurrence_sz_block(s)]
         ),
         metadata=meta,
     )
@@ -548,7 +550,7 @@ def _run_fig4(config: ScenarioConfig) -> RunResult:
     series = TimeSeries(
         columns=["t", "pi_xx", "pi_zz", "concurrence", "d"],
         data=np.column_stack(
-            [times, s.pi[:, 0, 0], s.pi[:, 2, 2], concurrence_state(s), decoherence_measure(s)]
+            [times, s.pi[:, 0, 0], s.pi[:, 2, 2], concurrence_sz_block(s), decoherence_measure(s)]
         ),
         metadata={**_base_metadata(config), "state": "triplet0"},
     )
@@ -560,11 +562,8 @@ def _run_fig5(config: ScenarioConfig) -> RunResult:
     times = _times(config)
     cases = [("d_rp05_j0", 0.5, 0.0), ("d_rp05_jhi", 0.5, config.j),
              ("d_rm05_j0", -0.5, 0.0), ("d_rm05_jhi", -0.5, config.j)]
-
-    curves = [
-        bell_mix_evolution(CommonBathSystem(config.k_a, config.k_b, j, bath), r, times).mixedness()
-        for _, r, j in cases
-    ]
+    curves = [bell_mix_evolution(CommonBathSystem(config.k_a, config.k_b, j, bath), r, times).mixedness()
+              for _, r, j in cases]
     series = TimeSeries(
         columns=["t"] + [c[0] for c in cases],
         data=np.column_stack([times] + curves),

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bath import BathDistribution
-from .common import AssumptionError
+from .common import AssumptionError, evaluate_lines
 from .states import InvalidStateError, TwoQubitState, decoherence_measure
 from .timeseries import TimeSeries
 
@@ -65,24 +65,18 @@ def sector_propagator_coeffs(k: float, i: float, t: float) -> tuple[complex, com
 
 
 def _vector_decay(k: float, bath: BathDistribution, t: np.ndarray) -> np.ndarray:
-    """Bath-averaged Bloch-vector decay factor for one qubit."""
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    for i, w in zip(bath.spins, bath.weights):
-        if k == 0.0 or i == 0.0:
-            out += w
-            continue
-        lam = k * (i + 0.5) / 2.0
-        s2 = np.sin(lam * t) ** 2
-        p2 = np.cos(lam * t) ** 2 + (k / (4.0 * lam)) ** 2 * s2
-        q2 = (k / lam) ** 2 * s2
-        out += w * (p2 - i * (i + 1.0) * q2 / 12.0)
-    return out
+    """Bath-averaged Bloch-vector decay factor for one qubit: per sector
+    g_I = 1 - (1 - b) sin^2(Lambda t), b = (1 - 4 I(I+1)/3) / (2I+1)^2,
+    one cosine line at 2 Lambda = k (2I+1) / 2."""
+    spins, weights, _ = bath.significant_sectors()
+    b = (1.0 - 4.0 * spins * (spins + 1.0) / 3.0) / (2.0 * spins + 1.0) ** 2
+    half = 0.25 * np.append((weights * (1.0 + b)).sum(), weights * (1.0 - b))
+    omega = np.append(0.0, 0.5 * k * (2.0 * spins + 1.0))
+    return evaluate_lines(half[None], half[None], omega, t)[0].real
 
 
 def decay_factors(system: SeparateBathSystem, t) -> DecayFactors:
     """Decay factors at time(s) t; scalars in, 0-d arrays out."""
-    t = np.asarray(t, dtype=float)
     g_a = _vector_decay(system.k_a, system.bath_a, t)
     g_b = _vector_decay(system.k_b, system.bath_b, t)
     return DecayFactors(vector_a=g_a, vector_b=g_b, tensor=g_a * g_b)

@@ -43,8 +43,8 @@ class TimeSeries:
         path.parent.mkdir(parents=True, exist_ok=True)
         lines = [f"# {key} = {value}" for key, value in self.metadata.items()]
         lines.append(",".join(self.columns))
-        for row in self.data:
-            lines.append(",".join(format(v, ".12e") for v in row))
+        row_format = ",".join(["%.12e"] * len(self.columns))
+        lines.extend(row_format % tuple(row) for row in self.data.tolist())
         path.write_text("\n".join(lines) + "\n")
 
 

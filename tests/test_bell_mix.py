@@ -1,4 +1,5 @@
-"""The line-spectrum Bell-mix kernel against the per-m amplitude sum."""
+"""The paired line-spectrum Bell-mix kernel against the per-m amplitude sum
+and against the 16-lines-per-sector evaluation it replaced."""
 
 import math
 
@@ -7,7 +8,7 @@ import pytest
 
 from spinbath import common
 from spinbath.bath import gaussian_approx, unpolarized_exact
-from spinbath.common import CommonBathSystem, _cg_tables, bell_mix_evolution
+from spinbath.common import CommonBathSystem, _bell_mix_lines, _cg_tables, bell_mix_evolution
 
 TIMES = np.linspace(0.0, 10.0, 41)
 
@@ -38,6 +39,33 @@ def mix_block(system, i, times):
     c, s = np.cos(gap * times), np.sin(gap * times)
     m_tt = (h_tt - mean) / gap
     return phase * (c - 1j * s * m_tt), phase * (c + 1j * s * m_tt), phase * (-1j * s * off / gap)
+
+
+def lines_per_pass_block(system, samples):
+    """A _PHASE_BLOCK that gives `samples` time samples per pass: the kernel
+    evaluates one constant plus six paired lines per kept sector."""
+    return samples * (6 * system.bath.significant_sectors()[0].size + 1)
+
+
+def sixteen_line_bell_mix(system, r, times):
+    """Reference: every sector of the bath (no weight cut), all 16 lines
+    exp(-i (E_l - E_l') t) of each evaluated separately, in one product."""
+    norm = math.sqrt(2.0 * (1.0 + r * r))
+    alpha, beta = (1.0 + r) / norm, (1.0 - r) / norm
+    amps, omegas = [], []
+    for i, w in zip(system.bath.spins, system.bath.weights):
+        a, levels = _bell_mix_lines(system, i, alpha, beta)
+        amps.append(w * a.reshape(5, 16))
+        omegas.append((levels[:, None] - levels[None, :]).ravel())
+    amp = np.concatenate(amps, axis=1).astype(complex)
+    omega = np.concatenate(omegas)
+    c1, c2, c3, pp, pm = amp @ np.exp(-1j * np.outer(omega, times))
+    return np.array([c1, c2, c3, 0.5 * (pp + pm), 0.5 * (pp - pm)])
+
+
+def bell_outputs(bell):
+    return np.array([bell.singlet_pop, bell.triplet0_pop, bell.st_coherence,
+                     bell.t1t2_pop, bell.t1t2_coherence])
 
 
 def per_m_bell_mix(system, r, times):
@@ -84,12 +112,39 @@ def test_matches_per_m_reference(bath, couplings, r, monkeypatch):
     expected = np.array([c1, c2, c3, 0.5 * (pp + pm), 0.5 * (pp - pm)])
     got = [bell_mix_evolution(system, r, TIMES)]
     # chunked: 3 time samples per pass over the lines
-    monkeypatch.setattr(common, "_PHASE_BLOCK", 3 * 16 * system.bath.spins.size)
+    monkeypatch.setattr(common, "_PHASE_BLOCK", lines_per_pass_block(system, 3))
     got.append(bell_mix_evolution(system, r, TIMES))
     for bell in got:
-        out = np.array([bell.singlet_pop, bell.triplet0_pop, bell.st_coherence,
-                        bell.t1t2_pop, bell.t1t2_coherence])
-        assert np.abs(out - expected).max() < 1e-12
+        assert np.abs(bell_outputs(bell) - expected).max() < 1e-12
+
+
+SIXTEEN_LINE_BATHS = {
+    "gaussian-narrow-100": gaussian_approx(100, "narrow"),
+    "gaussian-narrow-200": gaussian_approx(200, "narrow"),
+    "gaussian-narrow-300": gaussian_approx(300, "narrow"),
+    "exact-9": unpolarized_exact(9),
+    "exact-10": unpolarized_exact(10),
+}
+
+SIXTEEN_LINE_COUPLINGS = {
+    **COUPLINGS,
+    "zero-couplings": (0.0, 0.0, 3.0),
+    "one-zero-coupling": (0.0, 0.9, 1.5),
+}
+
+
+@pytest.mark.parametrize("r", [1.0, 0.5, -1.0])
+@pytest.mark.parametrize("couplings", list(SIXTEEN_LINE_COUPLINGS))
+@pytest.mark.parametrize("bath", list(SIXTEEN_LINE_BATHS))
+def test_paired_lines_match_sixteen_lines(bath, couplings, r, monkeypatch):
+    system = CommonBathSystem(*SIXTEEN_LINE_COUPLINGS[couplings], SIXTEEN_LINE_BATHS[bath])
+    expected = sixteen_line_bell_mix(system, r, TIMES)
+    got = [bell_mix_evolution(system, r, TIMES)]
+    # chunked: 4 samples per pass, 11 passes over the 41 samples, the last one short
+    monkeypatch.setattr(common, "_PHASE_BLOCK", lines_per_pass_block(system, 4))
+    got.append(bell_mix_evolution(system, r, TIMES))
+    for bell in got:
+        assert np.abs(bell_outputs(bell) - expected).max() < 1e-12
 
 
 def test_large_bath_stays_physical():

@@ -1,0 +1,253 @@
+"""Line spectra: the one evaluator, the comb map, the closed forms moved onto
+it, and the sector-weight cut, each against the per-sector path it replaced."""
+
+import numpy as np
+import pytest
+
+from spinbath import bath as bath_module
+from spinbath import common
+from spinbath.bath import gaussian_approx, unpolarized_exact
+from spinbath.cli import main
+from spinbath.common import (
+    CommonBathSystem,
+    SymmetricEvolver,
+    _cg_tables,
+    bell_mix_evolution,
+    evaluate_lines,
+    sector_spectrum,
+    singlet_survival,
+)
+from spinbath.separate import SeparateBathSystem, decay_factors, evolve
+from spinbath.states import make_named_state
+from spinbath.timeseries import read_csv
+
+TIMES = np.linspace(0.0, 6.0, 37)
+
+BATHS = {
+    "gaussian-narrow-100": gaussian_approx(100, "narrow"),
+    "gaussian-narrow-200": gaussian_approx(200, "narrow"),
+    "gaussian-narrow-300": gaussian_approx(300, "narrow"),
+    "exact-9": unpolarized_exact(9),
+    "exact-10": unpolarized_exact(10),
+}
+
+# equal couplings (k, j): fig2's strong exchange, k = 0, j = 0, a negative k
+SYMMETRIC = {"fig2": (1.0, 200.0), "k-zero": (0.0, 3.0), "j-zero": (1.3, 0.0),
+             "k-negative": (-0.7, 2.5)}
+
+
+def per_sector_map(system, times):
+    """Reference: the map evaluated sector by sector over every sector (no
+    weight cut), 9 level-pair exponentials per sector and sample. Returns
+    (eta, phi_q, st_coherence)."""
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    eta, phi_q = np.zeros(times.size), np.zeros(times.size)
+    coh = np.zeros(times.size, dtype=complex)
+    k, j = system.k_mean, system.j
+    for i, w in zip(system.bath.spins, system.bath.weights):
+        if i == 0.0:
+            eta += w
+            phi_q += w
+            coh += w * np.exp(-1j * j * times)
+            continue
+        levels = np.array([j + k * i, j - k, j - k * (i + 1.0)])
+        u = np.exp(-1j * np.outer(levels, times))
+        c = _cg_tables(i).c
+        norm = 2.0 * i + 1.0
+        moments = np.einsum("fbk,fak,gbk,gak->abfg", c, c, c, c) / norm
+        r = np.einsum("ft,gt,abfg->abt", u, u.conj(), moments).real
+        eta += w * 0.5 * (r[0, 0] - r[0, 2] - r[2, 0] + r[2, 2])
+        d_nu = 0.25 * (r[:, 0, :] + r[:, 2, :] - r[:, 1, :])
+        out_zz = d_nu[0] + d_nu[2] - d_nu[1] + 0.25
+        phi_q += w * 0.5 * (3.0 * out_zz - 1.0)
+        c0_sq = np.einsum("fk,fk->f", c[:, 1, :], c[:, 1, :]) / norm
+        coh += w * np.einsum("f,ft->t", c0_sq, u)
+    return eta, phi_q, coh
+
+
+def per_sector_survival(system, times):
+    """Reference: the singlet survival summed sector by sector."""
+    out = np.zeros(times.size)
+    for i, w in zip(system.bath.spins, system.bath.weights):
+        spec = sector_spectrum(system, i)
+        s2 = np.sin(spec.phase_gap * times) ** 2
+        out += w * (1.0 - s2 + spec.mixing_cos**2 * s2)
+    return out
+
+
+def per_sector_vector_decay(k, bath, t):
+    """Reference: the one-qubit Bloch-vector decay summed sector by sector."""
+    out = np.zeros_like(t)
+    for i, w in zip(bath.spins, bath.weights):
+        if k == 0.0 or i == 0.0:
+            out += w
+            continue
+        lam = k * (i + 0.5) / 2.0
+        s2 = np.sin(lam * t) ** 2
+        p2 = np.cos(lam * t) ** 2 + (k / (4.0 * lam)) ** 2 * s2
+        q2 = (k / lam) ** 2 * s2
+        out += w * (p2 - i * (i + 1.0) * q2 / 12.0)
+    return out
+
+
+def direct_line_sum(amp_plus, amp_minus, omega, times):
+    phase = np.exp(-1j * np.multiply.outer(omega, times))
+    return np.tensordot(amp_plus, phase, 1) + np.tensordot(amp_minus, phase.conj(), 1)
+
+
+class TestEvaluateLines:
+    rng = np.random.default_rng(7)
+    omega = np.concatenate([[0.0, -2.5], rng.uniform(-40.0, 40.0, 23)])
+    amp_plus = rng.normal(size=(3, 25)) + 1j * rng.normal(size=(3, 25))
+    amp_minus = rng.normal(size=(3, 25)) + 1j * rng.normal(size=(3, 25))
+
+    @pytest.mark.parametrize("block", [None, 1, 25, 7 * 25])
+    def test_matches_direct_sum(self, block, monkeypatch):
+        if block is not None:
+            monkeypatch.setattr(common, "_PHASE_BLOCK", block)
+        got = evaluate_lines(self.amp_plus, self.amp_minus, self.omega, TIMES)
+        want = direct_line_sum(self.amp_plus, self.amp_minus, self.omega, TIMES)
+        assert got.shape == (3, TIMES.size)
+        assert np.abs(got - want).max() < 1e-12
+
+    def test_real_cosine_pairs_are_real(self):
+        a = self.amp_plus.real
+        got = evaluate_lines(a, a, self.omega, TIMES)
+        assert np.array_equal(got.imag, np.zeros_like(got.imag))
+        assert np.abs(got.real - 2.0 * a @ np.cos(np.outer(self.omega, TIMES))).max() < 1e-12
+
+    def test_zero_d_and_nd_times(self):
+        scalar = evaluate_lines(self.amp_plus, self.amp_minus, self.omega, 1.7)
+        assert scalar.shape == (3,)
+        want = direct_line_sum(self.amp_plus, self.amp_minus, self.omega, 1.7)
+        assert np.abs(scalar - want).max() < 1e-12
+        grid = TIMES[:36].reshape(4, 9)
+        got = evaluate_lines(self.amp_plus, self.amp_minus, self.omega, grid)
+        assert got.shape == (3, 4, 9)
+        assert np.abs(got.reshape(3, -1) - evaluate_lines(
+            self.amp_plus, self.amp_minus, self.omega, TIMES[:36])).max() == 0.0
+
+
+class TestCombMap:
+    @pytest.mark.parametrize("chunked", [False, True])
+    @pytest.mark.parametrize("couplings", list(SYMMETRIC))
+    @pytest.mark.parametrize("bath", list(BATHS))
+    def test_matches_per_sector_map(self, bath, couplings, chunked, monkeypatch):
+        k, j = SYMMETRIC[couplings]
+        system = CommonBathSystem(k, k, j, BATHS[bath])
+        if chunked:
+            # at most 4I + 3 comb lines, at least a quarter of them occupied:
+            # between 3 and 12 samples per pass, so the 37 samples take >= 4
+            spins = system.bath.significant_sectors()[0]
+            monkeypatch.setattr(common, "_PHASE_BLOCK", 3 * (int(4 * spins.max()) + 3))
+        got = SymmetricEvolver(system).map_coefficients(TIMES)
+        eta, phi_q, coh = per_sector_map(system, TIMES)
+        assert np.abs(got.st_coherence - coh).max() < 1e-12
+        assert np.abs(got.vec_direct + got.vec_exchange - eta).max() < 1e-12
+        assert np.abs(got.tensor_direct + got.tensor_transpose - phi_q).max() < 1e-12
+        assert np.abs(got.tensor_trace - (1.0 - phi_q) / 3.0).max() < 1e-12
+        assert np.abs(got.vec_from_tensor - 0.5 * coh.imag).max() < 1e-12
+
+
+class TestClosedFormsOnLines:
+    @pytest.mark.parametrize("couplings", [(1.2, 0.8, 20.0), (1.0, 1.0, 5.0), (0.0, 0.0, 2.0),
+                                           (-0.9, 0.5, 3.0), (0.7, 0.3, 0.0)])
+    @pytest.mark.parametrize("bath", list(BATHS))
+    def test_singlet_survival(self, bath, couplings):
+        system = CommonBathSystem(*couplings, BATHS[bath])
+        got = singlet_survival(system, TIMES)
+        assert np.abs(got - per_sector_survival(system, TIMES)).max() < 1e-12
+
+    @pytest.mark.parametrize("k", [1.0, 0.0, -1.3, 2.7])
+    @pytest.mark.parametrize("bath", list(BATHS) + ["gaussian-narrow-1000"])
+    def test_vector_decay(self, bath, k):
+        b = BATHS.get(bath) or gaussian_approx(1000, "narrow")
+        system = SeparateBathSystem(k, 0.5 * k, b, b)
+        want = per_sector_vector_decay(k, b, TIMES)
+        got = decay_factors(system, TIMES)
+        assert np.abs(got.vector_a - want).max() < 1e-12
+        scalar = decay_factors(system, TIMES[5])
+        assert scalar.vector_a.shape == ()
+        assert abs(float(scalar.vector_a) - want[5]) < 1e-12
+
+
+class TestWeightCut:
+    @pytest.mark.parametrize("n", [100, 1000, 10000])
+    def test_dropped_weight_is_the_light_tail(self, n):
+        b = gaussian_approx(n, "narrow")
+        spins, weights, dropped = b.significant_sectors()
+        light = b.weights < 1e-16
+        assert bath_module.SECTOR_WEIGHT_CUT == 1e-16
+        assert dropped == pytest.approx(b.weights[light].sum(), rel=1e-12, abs=0.0)
+        assert np.array_equal(spins, b.spins[~light])
+        assert np.array_equal(weights, b.weights[~light])
+        assert light.any()
+
+    @pytest.mark.parametrize("n", range(1, 25))
+    def test_exact_baths_drop_nothing(self, n):
+        b = unpolarized_exact(n)
+        spins, weights, dropped = b.significant_sectors()
+        assert dropped == 0.0
+        assert np.array_equal(spins, b.spins) and np.array_equal(weights, b.weights)
+
+    @staticmethod
+    def outputs(b):
+        """Every closed form on bath b, as outputs whose per-sector terms lie in [-1, 1]."""
+        out = []
+        sym = SymmetricEvolver(CommonBathSystem(0.9, 0.9, 4.0, b))
+        for name in ("up_down", "triplet0", "bell_t1"):
+            s = sym.evolve(make_named_state(name), TIMES)
+            out += [s.p_a.ravel(), s.p_b.ravel(), s.pi.ravel()]
+        bell = bell_mix_evolution(CommonBathSystem(1.2, 0.8, 20.0, b), 0.5, TIMES)
+        out += [bell.singlet_pop, bell.triplet0_pop, bell.st_coherence.real,
+                bell.st_coherence.imag, bell.t1t2_pop, bell.t1t2_coherence.real]
+        out.append(singlet_survival(CommonBathSystem(1.2, 0.8, 3.0, b), TIMES))
+        sep = SeparateBathSystem(1.1, 0.6, b, b)
+        out += [decay_factors(sep, TIMES).vector_a, decay_factors(sep, TIMES).vector_b]
+        out.append(evolve(sep, make_named_state("r_state", r=0.4), TIMES).p_a.ravel())
+        return np.concatenate(out)
+
+    @pytest.mark.parametrize("cut", [1e-16, 1e-8, 1e-3])
+    def test_cut_error_bounded_by_dropped_weight(self, cut, monkeypatch):
+        b = gaussian_approx(200, "narrow")
+        monkeypatch.setattr(bath_module, "SECTOR_WEIGHT_CUT", 0.0)
+        uncut = self.outputs(b)
+        monkeypatch.setattr(bath_module, "SECTOR_WEIGHT_CUT", cut)
+        dropped = b.significant_sectors()[2]
+        if cut > 1e-16:
+            assert dropped > 1e-9  # a tail heavy enough for the bound to show
+        diff = np.abs(self.outputs(b) - uncut).max()
+        assert diff <= dropped + 1e-13
+
+
+@pytest.mark.parametrize("scenario, extra", [
+    ("common-symmetric", "k_a = 1.0\nk_b = 1.0\nj = 5.0\nstate = up_down\n"),
+    ("common-asymmetric", "k_a = 1.2\nk_b = 0.8\nj = 20.0\nstate = r_state:0.5\n"),
+], ids=["common-symmetric", "common-asymmetric"])
+def test_ten_thousand_spins_through_cli(tmp_path, scenario, extra):
+    out = tmp_path / "out.csv"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"scenario = {scenario}\nn_bath = 10000\nbath = gaussian-narrow\n"
+                   f"samples = 800\nt_max = 10.0\n{extra}output = {out}\n")
+    assert main(["run", str(cfg)]) == 0
+    series = read_csv(out)
+    b = gaussian_approx(10000, "narrow")
+    assert series.metadata["dropped_sector_weight"] == format(b.significant_sectors()[2], ".3e")
+    d = series.column("d")
+    assert d.min() >= -1e-12 and d.max() <= 0.75 + 1e-12
+    if scenario == "common-asymmetric":
+        total = (series.column("singlet_pop") + series.column("triplet0_pop")
+                 + 2.0 * series.column("t1t2_pop"))
+    else:
+        c = SymmetricEvolver(CommonBathSystem(1.0, 1.0, 5.0, b)).map_coefficients(series.column("t"))
+        total = c.tensor_direct + c.tensor_transpose + 3.0 * c.tensor_trace
+    assert np.abs(total - 1.0).max() < 1e-12
+
+
+def test_dense_and_exact_scenarios_record_no_dropped_weight(tmp_path):
+    out = tmp_path / "dense.csv"
+    cfg = tmp_path / "dense.cfg"
+    cfg.write_text(f"scenario = common-asymmetric\nn_bath = 8\nbath = exact\nk_a = 1.0\n"
+                   f"k_b = 0.5\nj = 2.0\nstate = bell_t1\nsamples = 5\noutput = {out}\n")
+    assert main(["run", str(cfg)]) == 0
+    assert read_csv(out).metadata["dropped_sector_weight"] == "0.000e+00"

@@ -15,7 +15,7 @@ from spinbath.scenarios import (
     _run_oracle_compare,
     validate,
 )
-from spinbath.states import InvalidStateError, TwoQubitState
+from spinbath.states import InvalidStateError, TwoQubitState, concurrence_state, make_named_state
 from spinbath.timeseries import TimeSeries, TimeSeriesError, read_csv
 
 
@@ -176,6 +176,25 @@ class TestRunners:
         run(ScenarioConfig.for_kind("fig5", n_bath=20, samples=40, output=str(out2)))
         assert out1.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize("kind, state", [("fig2", "up_down"), ("fig4", "triplet0")])
+    def test_sz_block_concurrence_matches_general(self, tmp_path, kind, state):
+        config = ScenarioConfig.for_kind(kind, samples=400, output=str(tmp_path / "f.csv"))
+        run(config)
+        times = np.linspace(0.0, config.t_max, config.samples)
+        traj = scenarios._symmetric_trajectory(config, make_named_state(state), times)
+        got = read_csv(tmp_path / "f.csv").column("concurrence")
+        assert np.abs(got - concurrence_state(traj)).max() < 1e-12
+
+    @pytest.mark.parametrize("kind", ["fig2", "fig4"])
+    def test_sz_mixing_state_raises_without_csv(self, tmp_path, kind, monkeypatch):
+        # the S^z-block concurrence must refuse a state it does not apply to
+        monkeypatch.setattr(scenarios, "make_named_state",
+                            lambda name: make_named_state("general_pure", gamma=0.5, theta=1.0))
+        out = tmp_path / "f.csv"
+        with pytest.raises(InvalidStateError, match="mixes S\\^z sectors"):
+            run(ScenarioConfig.for_kind(kind, samples=50, output=str(out)))
+        assert not out.exists()
+
     @pytest.mark.parametrize("kind", ["fig1", "fig2", "fig3", "fig4", "fig5", "fig6"])
     def test_fig_scenarios_complete_quickly_at_defaults(self, tmp_path, kind):
         import time
@@ -207,6 +226,16 @@ class TestTimeSeries:
         assert back.columns == ts.columns
         assert back.metadata["scenario"] == "demo"
         assert np.allclose(back.data, ts.data)
+
+    def test_csv_rows_match_per_value_format(self, tmp_path):
+        rng = np.random.default_rng(3)
+        data = rng.normal(size=(2000, 4)) * 10.0 ** rng.integers(-300, 300, size=(2000, 4))
+        data[:, 0] = np.arange(2000.0)
+        data[:3, 1:] = [[np.nan, np.inf, -np.inf], [-0.0, 5e-324, -1e308], [0.0, 1.0, -1.0]]
+        path = tmp_path / "rows.csv"
+        TimeSeries(columns=["t", "a", "b", "c"], data=data).write_csv(path)
+        rows = path.read_text().splitlines()[1:]
+        assert rows == [",".join(format(v, ".12e") for v in row) for row in data]
 
 
 class TestCLI:
