@@ -27,7 +27,6 @@ from .common import (
     SymmetricMapCoefficients,
     bell_mix_evolution,
     decoherence_rate_sq,
-    sector_a_coefficients,
     sector_spectrum,
     short_time_decoherence_time,
     singlet_mixedness,

@@ -9,14 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .scenarios import (
-    SCENARIO_KINDS,
-    SCENARIO_SUMMARIES,
-    ConfigError,
-    parse_config_file,
-    run,
-    validate,
-)
+from .scenarios import KINDS, ConfigError, parse_config_file, run, validate
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -34,9 +27,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "list-scenarios":
-        width = max(len(k) for k in SCENARIO_KINDS)
-        for kind in SCENARIO_KINDS:
-            print(f"{kind:<{width}}  {SCENARIO_SUMMARIES[kind]}")
+        width = max(map(len, KINDS))
+        for name, kind in KINDS.items():
+            print(f"{name:<{width}}  {kind.summary}")
         return 0
 
     try:

@@ -67,7 +67,7 @@ class CommonBathSystem:
 
 
 # ---------------------------------------------------------------------------
-# sector spectrum and propagator coefficients
+# sector spectrum and dense sector Hamiltonian
 # ---------------------------------------------------------------------------
 
 
@@ -80,18 +80,6 @@ class SectorCoefficients:
     F = I singlet-triplet block. ``phase_mean`` and ``phase_gap`` are half the
     sum and half the difference of the mixed levels, and (``mixing_cos``,
     ``mixing_sin``) parametrize the block rotation with cos^2 + sin^2 = 1.
-
-    The propagator coefficients (filled by :func:`sector_a_coefficients`)
-    expand U = exp(-i(H - E_singlet)t) as
-
-        (amp_singlet + mix_from_singlet * Y) P_singlet
-        + (trip_const + trip_linear * X + trip_quadratic * X^2
-           + mix_from_triplet * Y + cross_from_triplet * Z) P_triplet
-
-    with X = (S_A+S_B).I, Y = (S_A-S_B).I, Z = (S_A x S_B).I. The Y carried
-    by ``mix_from_triplet`` already saturates the triplet-to-singlet
-    transition (Z is redundant for it), so ``cross_from_triplet`` is zero in
-    this decomposition.
     """
 
     sector_spin: float
@@ -103,13 +91,6 @@ class SectorCoefficients:
     phase_gap: float
     mixing_cos: float
     mixing_sin: float
-    amp_singlet: complex | None = None
-    mix_from_singlet: complex | None = None
-    trip_const: complex | None = None
-    trip_linear: complex | None = None
-    trip_quadratic: complex | None = None
-    mix_from_triplet: complex | None = None
-    cross_from_triplet: complex | None = None
 
 
 def sector_spectrum(system: CommonBathSystem, i: float) -> SectorCoefficients:
@@ -143,97 +124,16 @@ def sector_spectrum(system: CommonBathSystem, i: float) -> SectorCoefficients:
     )
 
 
-def sector_a_coefficients(system: CommonBathSystem, i: float, t: float) -> SectorCoefficients:
-    """Propagator coefficients of one sector at time t (see SectorCoefficients)."""
-    spec = sector_spectrum(system, i)
-    if i == 0.0:
-        # no triplet of total spin F = I exists: pure phases, no mixing
-        return _with_a(spec, 1.0 + 0j, 0j, np.exp(-1j * system.j * t), 0j, 0j, 0j, 0j)
-    lp, lm = spec.phase_mean, spec.phase_gap
-    c, s = math.cos(lm * t), math.sin(lm * t)
-    phase = np.exp(-1j * lp * t)
-    a1 = phase * (c + 1j * spec.mixing_cos * s)
-    b_tt = phase * (c - 1j * spec.mixing_cos * s)
-    # transition coefficient: multiplies Y, whose singlet-triplet matrix
-    # element is -sqrt(I(I+1)) in the ladder-consistent basis used here
-    sin_over = t * np.sinc(lm * t / np.pi)
-    a2 = -1j * phase * system.k_half_diff * sin_over
-    u1 = np.exp(-1j * spec.level_f_plus * t)
-    u2 = np.exp(-1j * spec.level_f_minus * t)
-    # quadratic in X through the triplet nodes X = {i, -1, -(i+1)}
-    nodes = np.array([i, -1.0, -(i + 1.0)])
-    vals = np.array([u1, b_tt, u2])
-    a3, a4, a5 = np.linalg.solve(np.vander(nodes, 3, increasing=True), vals)
-    return _with_a(spec, a1, a2, a3, a4, a5, a2, 0j)
-
-
-def _with_a(spec: SectorCoefficients, a1, a2, a3, a4, a5, a6, a7) -> SectorCoefficients:
-    return SectorCoefficients(
-        sector_spin=spec.sector_spin,
-        level_f_plus=spec.level_f_plus,
-        level_f_minus=spec.level_f_minus,
-        level_mix_upper=spec.level_mix_upper,
-        level_mix_lower=spec.level_mix_lower,
-        phase_mean=spec.phase_mean,
-        phase_gap=spec.phase_gap,
-        mixing_cos=spec.mixing_cos,
-        mixing_sin=spec.mixing_sin,
-        amp_singlet=complex(a1),
-        mix_from_singlet=complex(a2),
-        trip_const=complex(a3),
-        trip_linear=complex(a4),
-        trip_quadratic=complex(a5),
-        mix_from_triplet=complex(a6),
-        cross_from_triplet=complex(a7),
-    )
-
-
-def sector_operators(i: float) -> dict[str, np.ndarray]:
-    """Dense operators on the (4 * (2i+1))-dim sector: qubit pair x spin-i."""
+def sector_hamiltonian(system: CommonBathSystem, i: float) -> np.ndarray:
+    """Dense H on the (4 (2i+1))-dim sector, basis |pair> (x) |i, m>."""
     s_a, s_b = qubit_pair_ops()
     ib = spin_matrices(i) if i > 0 else (np.zeros((1, 1), complex),) * 3
-    d = ib[0].shape[0]
-    eye_b = np.eye(d, dtype=complex)
-    sa = [np.kron(m, eye_b) for m in s_a]
-    sb = [np.kron(m, eye_b) for m in s_b]
-    iops = [np.kron(np.eye(4, dtype=complex), m) for m in ib]
-    x = sum((sa[m] + sb[m]) @ iops[m] for m in range(3))
-    y = sum((sa[m] - sb[m]) @ iops[m] for m in range(3))
-    z = np.zeros_like(x)
-    for m, n, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        z += (sa[m] @ sb[n] - sa[n] @ sb[m]) @ iops[k]
-    s_tot_sq = np.zeros_like(x)
-    for m in range(3):
-        tot = sa[m] + sb[m]
-        s_tot_sq += tot @ tot
-    return {"s_a": sa, "s_b": sb, "i": iops, "x": x, "y": y, "z": z, "s_sq": s_tot_sq, "dim_bath": d}
-
-
-def sector_hamiltonian(system: CommonBathSystem, i: float) -> np.ndarray:
-    ops = sector_operators(i)
-    h = np.zeros_like(ops["x"])
-    for m in range(3):
-        h += (system.k_a * ops["s_a"][m] + system.k_b * ops["s_b"][m]) @ ops["i"][m]
-        h += system.j * ops["s_a"][m] @ ops["s_b"][m]
+    eye_b = np.eye(ib[0].shape[0], dtype=complex)
+    h = np.zeros((4 * eye_b.shape[0],) * 2, dtype=complex)
+    for a, b, m in zip(s_a, s_b, ib):
+        h += np.kron(system.k_a * a + system.k_b * b, m)
+        h += np.kron(system.j * a @ b, eye_b)
     return h
-
-
-def rebuild_sector_propagator(system: CommonBathSystem, i: float, t: float) -> np.ndarray:
-    """Assemble U = exp(-i(H - E_singlet)t) from the sector coefficients."""
-    coeffs = sector_a_coefficients(system, i, t)
-    ops = sector_operators(i)
-    dim = ops["x"].shape[0]
-    p_t = ops["s_sq"] / 2.0
-    p_s = np.eye(dim, dtype=complex) - p_t
-    u = (coeffs.amp_singlet * np.eye(dim) + coeffs.mix_from_singlet * ops["y"]) @ p_s
-    u += (
-        coeffs.trip_const * np.eye(dim)
-        + coeffs.trip_linear * ops["x"]
-        + coeffs.trip_quadratic * (ops["x"] @ ops["x"])
-        + coeffs.mix_from_triplet * ops["y"]
-        + coeffs.cross_from_triplet * ops["z"]
-    ) @ p_t
-    return u
 
 
 # ---------------------------------------------------------------------------

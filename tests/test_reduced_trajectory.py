@@ -10,7 +10,7 @@ from spinbath import spinops
 from spinbath.bath import unpolarized_exact
 from spinbath.common import CommonBathSystem, SectorExactEvolver, sector_hamiltonian
 from spinbath.oracle import CouplingParams, bath_spin_projector, build, evolve_reduced
-from spinbath.scenarios import ScenarioConfig, _run_oracle_compare
+from spinbath.scenarios import ScenarioConfig, _run_oracle_compare, validate
 from spinbath.states import make_named_state, state_to_density
 
 TIMES = np.array([0.0, 0.35, 1.1, 2.4, 3.7, 6.2])
@@ -78,7 +78,8 @@ def test_oracle_compare_diagonalizes_once(monkeypatch, tmp_path):
     config = ScenarioConfig.for_kind(
         "oracle-compare", n_bath=n, samples=8, t_max=3.0, output=str(tmp_path / "oc.csv")
     )
-    result = _run_oracle_compare(config)
+    report = validate(config)
+    result = _run_oracle_compare(config, report.bath, report.state)
     assert not result.numerical_failure
     # one eigh per F_z block (k down spins of n + 2) and one per bath sector of
     # the analytic side, dimension 4 (2I + 1); none at the full dimension

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from spinbath import scenarios
+from spinbath.bath import unpolarized_exact
 from spinbath.cli import main
 from spinbath.scenarios import (
     ConfigError,
@@ -71,6 +72,9 @@ class TestConfigParsing:
         parse_state_spec("general_pure:0.3,0.5,1.0")
         with pytest.raises(InvalidStateError):
             parse_state_spec("singlet:0.3")
+        for spec in ("r_state:nan", "r_state:inf", "werner:-inf", "general_pure:0.5,nan"):
+            with pytest.raises(InvalidStateError, match="needs finite parameters"):
+                parse_state_spec(spec)
 
 
 class TestValidation:
@@ -181,7 +185,8 @@ class TestRunners:
         config = ScenarioConfig.for_kind(kind, samples=400, output=str(tmp_path / "f.csv"))
         run(config)
         times = np.linspace(0.0, config.t_max, config.samples)
-        traj = scenarios._symmetric_trajectory(config, make_named_state(state), times)
+        bath = validate(config).bath
+        traj = scenarios._symmetric_trajectory(config, bath, make_named_state(state), times)
         got = read_csv(tmp_path / "f.csv").column("concurrence")
         assert np.abs(got - concurrence_state(traj)).max() < 1e-12
 
@@ -315,6 +320,28 @@ class TestCLI:
              "k_a: fig2 needs k_a != 0 for its revival time 2 pi / k_a"),
             (f"scenario = separate\nsamples = {scenarios.MAX_SAMPLES + 1}\n",
              f"samples: at most {scenarios.MAX_SAMPLES} samples, got {scenarios.MAX_SAMPLES + 1}"),
+            # a state parameter that is not a number, or not finite
+            ("scenario = common-asymmetric\nn_bath = 30\nj = 1.0\nstate = r_state:abc\n",
+             "state: could not convert string to float: 'abc'"),
+            ("scenario = separate\nstate = r_state:nan\n",
+             "state: state 'r_state' needs finite parameters, got 'nan'"),
+            ("scenario = separate\nstate = r_state:inf\n",
+             "state: state 'r_state' needs finite parameters, got 'inf'"),
+            ("scenario = common-asymmetric\nj = 1.0\nstate = r_state:nan\n",
+             "state: state 'r_state' needs finite parameters, got 'nan'"),
+            ("scenario = oracle-compare\nn_bath = 4\nstate = general_pure:nan\n",
+             "state: state 'general_pure' needs finite parameters, got 'nan'"),
+            # couplings whose squares, or line phases, overflow
+            ("scenario = separate\nk_a = 1e200\nk_b = 1e200\n",
+             "k_a, k_b: k_a^2 + k_b^2 must be finite"),
+            ("scenario = common-symmetric\nj = 1.0\nk_a = 1e200\nk_b = 1e200\n",
+             "k_a, k_b: k_a^2 + k_b^2 must be finite"),
+            ("scenario = oracle-compare\nn_bath = 4\nk_a = 1e200\nk_b = 1e200\n",
+             "k_a, k_b: k_a^2 + k_b^2 must be finite"),
+            ("scenario = separate\nt_max = 1e308\n",
+             "t_max: t_max * (|j| + (|k_a| + |k_b|) (n_bath + 2)) must be finite"),
+            ("scenario = common-symmetric\nj = 1e308\n",
+             "t_max: t_max * (|j| + (|k_a| + |k_b|) (n_bath + 2)) must be finite"),
         ],
     )
     @pytest.mark.parametrize("command", ["run", "validate"])
@@ -340,7 +367,8 @@ class TestCLI:
         config = ScenarioConfig.for_kind(
             "oracle-compare", n_bath=4, samples=5, t_max=math.nan, output=str(out)
         )
-        assert _run_oracle_compare(config).numerical_failure
+        state = parse_state_spec(config.state)
+        assert _run_oracle_compare(config, unpolarized_exact(4), state).numerical_failure
 
         def nan_oracle(full, state, bath_state, times):
             nan = np.full((len(times), 3), math.nan)
