@@ -24,6 +24,8 @@ import numpy as np
 
 # closed forms skip lighter sectors; the skipped weight bounds their error
 SECTOR_WEIGHT_CUT = 1e-16
+# N spins give N/2 + 1 sectors, each held in several arrays; validation caps N
+MAX_SPINS = 10**6
 
 
 class BathSpecError(ValueError):

@@ -19,9 +19,9 @@ Three evolution paths are provided and cross-checked:
   line spectrum: an O(2I+1) set-up per sector, then O(6 * #sectors) per
   time sample. Both sum their lines in ``evaluate_lines`` and skip sectors
   below ``bath.SECTOR_WEIGHT_CUT``: baths of 10^4 spins are in reach.
-- ``SectorExactEvolver``: dense per-sector propagation for arbitrary initial
-  states and couplings; exact but O(dim^3) per sector, intended for small and
-  moderate baths and for oracle-grade checks.
+- ``SectorExactEvolver``: any initial state and couplings on small exact
+  baths. One O(dim^3) ``eigh`` per sector, every sector kept; then, like the
+  Bell mix, O(6 * #sectors) per time sample in ``evaluate_lines``.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bath import BathDistribution
-from .spinops import EigenBlock, qubit_pair_ops, reduced_trajectory, spin_matrices
+from .spinops import qubit_pair_ops, spin_matrices
 from .states import (
     KET_SINGLET,
     KET_T1,
@@ -209,6 +209,18 @@ def evaluate_lines(amp_plus, amp_minus, omega, times) -> np.ndarray:
     return out.reshape((n_obs,) + np.shape(times))
 
 
+def _level_pair_lines(amp, levels, times) -> np.ndarray:
+    """sum_{l,l',s} amp[:, l, l', s] exp(-i (levels[l, s] - levels[l', s]) t), 6 pairs per s."""
+    up, lo = np.triu_indices(4, 1)
+    const = np.einsum("xlls->x", amp)[:, None]
+    return evaluate_lines(
+        np.hstack([const, amp[:, up, lo].reshape(amp.shape[0], -1)]),
+        np.hstack([np.zeros_like(const), amp[:, lo, up].reshape(amp.shape[0], -1)]),
+        np.append(0.0, (levels[up] - levels[lo]).ravel()),
+        times,
+    )
+
+
 # ---------------------------------------------------------------------------
 # symmetric couplings: closed-form polarization map
 # ---------------------------------------------------------------------------
@@ -333,30 +345,40 @@ class SymmetricEvolver:
 class SectorExactEvolver:
     """Dense sector-by-sector evolution; exact for any couplings and state.
 
-    Each sector is diagonalized once and is one eigen-block, weighted by its
-    bath probability; a whole time grid then costs one phase-weighted
-    contraction per sector (``spinops.reduced_trajectory``).
+    One ``eigh`` per sector, whose eigenvalues must match the four levels of
+    ``sector_spectrum``, gives the level projectors P_l; the line amplitudes
+    (w/(2I+1)) Tr_bath[P_l (rho (x) 1) P_l'] are linear in rho, and every time
+    sample costs one constant plus six lines per sector. No sector is dropped.
     """
 
     def __init__(self, system: CommonBathSystem):
         self.system = system
-        self._blocks, self._env = [], {}
-        for p, (i, w) in enumerate(zip(system.bath.spins, system.bath.weights)):
+        maps, levels = [], []
+        for i, w in zip(system.bath.spins, system.bath.weights):
             h = sector_hamiltonian(system, i)
-            herm = np.abs(h - h.conj().T).max()
-            assert herm < 1e-12
+            assert np.abs(h - h.conj().T).max() < 1e-12
             vals, vecs = np.linalg.eigh(h.real)
+            s = sector_spectrum(system, i)
+            # absolute energies: sector_spectrum counts from the singlet, -3j/4
+            level = np.array([s.level_f_plus, s.level_f_minus, s.level_mix_upper,
+                              s.level_mix_lower]) - 0.75 * system.j
+            label = np.abs(vals[:, None] - level).argmin(axis=1)
+            assert np.abs(vals - level[label]).max() <= 1e-9 * (1.0 + np.abs(vals).max())
             d = vals.size // 4
-            # basis |pair a> (x) |I, m>: the sector is its own environment group
-            rows = tuple((a * d, (a + 1) * d, p) for a in range(4))
-            self._blocks.append(EigenBlock(vals, vecs, rows))
-            self._env[p] = float(w) / d
+            # p[l, a, m, b, n]: P_l on |pair a> (x) |I, m>. sum_mn p[l, c, m, a, n]
+            # p[l', b, n, e, m] takes rho[a, b] to the (c, e) element of (l, l')
+            p = np.stack([v @ v.T for v in (vecs[:, label == l] for l in range(4))])
+            p = p.reshape(4, 4, d, 4, d)
+            pair = np.tensordot(p, p, axes=([2, 4], [4, 2])).transpose(1, 5, 0, 3, 2, 4)
+            maps.append(pair.reshape(4, 4, 4, 4, 16) * (float(w) / d))
+            levels.append(level)
+        self._map = np.stack(maps, axis=-2)  # (c, e, l, l', sector, (a, b))
+        self._levels = np.array(levels).T
 
     def evolve(self, state: TwoQubitState, times) -> TwoQubitState:
-        times = np.atleast_1d(np.asarray(times, dtype=float))
-        return density_to_state(
-            reduced_trajectory(self._blocks, state_to_density(state), self._env, times)
-        )
+        amp = (self._map @ state_to_density(state).ravel()).reshape((16,) + self._map.shape[2:-1])
+        red = _level_pair_lines(amp, self._levels, times)
+        return density_to_state(red.reshape(4, 4, -1).transpose(2, 0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -476,14 +498,7 @@ def bell_mix_evolution(system: CommonBathSystem, r: float, times) -> BellBasisEv
     lines = [_bell_mix_lines(system, i, alpha, beta) for i in spins]
     amp = np.stack([a for a, _ in lines], axis=-1) * weights  # (5, 4, 4, sectors)
     levels = np.stack([e for _, e in lines], axis=-1)
-    up, lo = np.triu_indices(4, 1)
-    const = np.einsum("xlls->x", amp)[:, None]
-    c1, c2, c3, pp, pm = evaluate_lines(
-        np.hstack([const, amp[:, up, lo].reshape(5, -1)]),
-        np.hstack([np.zeros_like(const), amp[:, lo, up].reshape(5, -1)]),
-        np.append(0.0, (levels[up] - levels[lo]).ravel()),
-        times,
-    )
+    c1, c2, c3, pp, pm = _level_pair_lines(amp, levels, times)
     return BellBasisEvolution(
         times=times,
         singlet_pop=c1.real,

@@ -39,14 +39,14 @@ class FullSystem:
     """Qubit-pair + bath Hamiltonian as real total-F_z blocks.
 
     Basis index bits from the top: qubit A, qubit B, bath spins 0 .. n-1
-    (1 = down), i.e. |pair index a> (x) |bath index>. ``blocks[k]`` is the
-    ascending indices with k down spins and the real Hamiltonian on them.
+    (1 = down), i.e. |pair index a> (x) |bath index>. The blocks are built
+    from the pair ``terms`` (site, site, c) when read and are not kept.
     """
 
     mode: str
     n_bath: int
     couplings: CouplingParams | InhomogeneousCouplings
-    blocks: list[tuple[np.ndarray, np.ndarray]]
+    terms: list[tuple[int, int, float]]
     _eig: list[EigenBlock] | None = field(default=None, repr=False)
 
     @property
@@ -54,8 +54,13 @@ class FullSystem:
         return 4 << self.n_bath
 
     @property
+    def blocks(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """``blocks[k]``: the ascending indices with k down spins and the real H on them."""
+        return list(_heisenberg_blocks(self.n_bath + 2, self.terms))
+
+    @property
     def hamiltonian(self) -> np.ndarray:
-        """The dense real Hamiltonian, assembled from the blocks on each call."""
+        """The dense real Hamiltonian, assembled from the term list on each call."""
         h = np.zeros((self.dim, self.dim))
         for idx, block in self.blocks:
             h[np.ix_(idx, idx)] = block
@@ -69,7 +74,7 @@ class FullSystem:
         """
         if self._eig is None:
             self._eig = []
-            for k, (idx, block) in enumerate(self.blocks):
+            for k, (idx, block) in enumerate(_heisenberg_blocks(self.n_bath + 2, self.terms)):
                 ends = np.searchsorted(idx, np.arange(5) << self.n_bath)
                 rows = tuple((lo, hi, k - bin(a).count("1")) if hi > lo else None
                              for a, (lo, hi) in enumerate(zip(ends[:-1], ends[1:])))
@@ -88,8 +93,8 @@ def _down_count(index: np.ndarray, n_sites: int) -> np.ndarray:
     return sum((index >> bit) & 1 for bit in range(n_sites))
 
 
-def _heisenberg_blocks(n_sites: int, terms) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Real blocks of sum c S_i . S_j over ``terms`` of (i, j, c), by down-spin count.
+def _heisenberg_blocks(n_sites: int, terms):
+    """Yields (indices, real block) of sum c S_i . S_j over ``terms`` (i, j, c) by down spins.
 
     Site s is bit n_sites - 1 - s of the basis index. A term adds c/4 to the
     diagonal where the two bits agree and -c/4 where they differ, and c/2
@@ -97,7 +102,6 @@ def _heisenberg_blocks(n_sites: int, terms) -> list[tuple[np.ndarray, np.ndarray
     """
     index = np.arange(1 << n_sites)
     downs = _down_count(index, n_sites)
-    out = []
     for k in range(n_sites + 1):
         idx = index[downs == k]
         diag = np.zeros(idx.size)
@@ -109,12 +113,11 @@ def _heisenberg_blocks(n_sites: int, terms) -> list[tuple[np.ndarray, np.ndarray
             rows = np.flatnonzero(differ)
             h[rows, np.searchsorted(idx, idx[rows] ^ ((1 << bit_i) | (1 << bit_j)))] += 0.5 * c
         h[np.diag_indices(idx.size)] = diag
-        out.append((idx, h))
-    return out
+        yield idx, h
 
 
 def build(mode: str, n_bath: int, couplings) -> FullSystem:
-    """Assemble the Hamiltonian blocks.
+    """The system's Heisenberg pair terms, from which its blocks are built.
 
     ``mode`` is "separate" (bath split in half, one half per qubit, no
     exchange), "common" (all bath spins coupled to both qubits plus
@@ -141,7 +144,7 @@ def build(mode: str, n_bath: int, couplings) -> FullSystem:
         raise DimensionCapError(f"unknown mode {mode!r}")
     pair_terms = [(q, s + 2, k[s]) for q, k in enumerate((k_a, k_b)) for s in range(n_bath)]
     terms = [t for t in [(0, 1, j)] + pair_terms if t[2] != 0.0]
-    return FullSystem(mode, n_bath, couplings, _heisenberg_blocks(n_bath + 2, terms))
+    return FullSystem(mode, n_bath, couplings, terms)
 
 
 def total_fz(n_bath: int) -> np.ndarray:

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .bath import BathDistribution, BathSpecError, bath_from_config, unpolarized_exact
+from .bath import MAX_SPINS, BathDistribution, BathSpecError, bath_from_config, unpolarized_exact
 from .common import (
     CommonBathSystem,
     SectorExactEvolver,
@@ -214,7 +214,9 @@ def validate(config: ScenarioConfig) -> ValidationReport:
         report.errors.append("k_a, k_b: k_a^2 + k_b^2 must be nonzero and finite")
 
     couplings_finite = math.isfinite(config.k_a * config.k_a + config.k_b * config.k_b)
-    if kind.needs_bath:
+    if kind.needs_bath and config.n_bath > MAX_SPINS:
+        report.errors.append(f"n_bath: at most {MAX_SPINS} bath spins, got {config.n_bath}")
+    elif kind.needs_bath:
         try:
             report.bath = bath_from_config(config.bath, config.n_bath)
         except BathSpecError as exc:
@@ -228,6 +230,8 @@ def validate(config: ScenarioConfig) -> ValidationReport:
             report.errors.append(
                 "t_max: t_max * (|j| + (|k_a| + |k_b|) (n_bath + 2)) must be finite"
             )
+        elif couplings_finite and not math.isfinite(scale * scale):  # squared splittings
+            report.errors.append("j: (|j| + (|k_a| + |k_b|) (n_bath + 2))^2 must be finite")
 
     if config.kind == "oracle-compare":
         if config.mode not in ("separate", "common"):

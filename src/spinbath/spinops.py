@@ -38,8 +38,8 @@ def qubit_pair_ops() -> tuple[list[np.ndarray], list[np.ndarray]]:
 # reduced pair dynamics from eigen-blocks
 # ---------------------------------------------------------------------------
 #
-# The dense paths (the oracle and the per-sector evolver) diagonalise their
-# Hamiltonian block by block. A block's rows with pair index a are one segment
+# The oracle diagonalises its Hamiltonian block by block (the analytic side
+# never calls this kernel). A block's rows with pair index a are one segment
 # |a> (x) |environment states of group m>; two segments meet in the partial
 # trace, or through the environment state, only when their groups agree.
 

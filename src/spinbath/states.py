@@ -246,9 +246,14 @@ def concurrence_sz_block(state: TwoQubitState, atol: float = 1e-10):
 
 
 def state_from_vector(psi: np.ndarray) -> TwoQubitState:
-    """Polarizations of the pure state |psi> (normalized internally)."""
+    """Polarizations of the pure state |psi> (normalized internally); an
+    overflowed or zero norm raises InvalidStateError instead of giving NaN."""
     psi = np.asarray(psi, dtype=complex)
-    psi = psi / np.linalg.norm(psi)
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(psi)
+    if not 0.0 < norm < np.inf:
+        raise InvalidStateError(f"state vector of norm {norm:.3g} cannot be normalized")
+    psi = psi / norm
     return density_to_state(np.outer(psi, psi.conj()))
 
 
@@ -263,7 +268,8 @@ def general_pure_vector(gamma: complex, theta: float = 0.0, phi: float = 0.0) ->
     up_z = np.array([1.0, 0.0])
     down_z = np.array([0.0, 1.0])
     psi = np.kron(up_z, down_n) - gamma * np.kron(down_z, up_n)
-    return psi / np.linalg.norm(psi)
+    with np.errstate(over="ignore"):  # an overflowed norm leaves zeros, refused when normalized
+        return psi / np.linalg.norm(psi)
 
 
 def make_named_state(name: str, **params) -> TwoQubitState:

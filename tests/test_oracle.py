@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -201,6 +202,22 @@ class TestBuild:
     def test_dimension_cap(self):
         with pytest.raises(DimensionCapError):
             build("common", 13, CouplingParams(1.0, 1.0, 0.0))
+
+    def test_blocks_released_after_eigensystem(self):
+        # the block Hamiltonians are as large as the eigenvectors; only the
+        # eigensystem may stay alive, and the dense H is rebuilt on demand
+        tracemalloc.start()
+        try:
+            sys = build("common", 8, CouplingParams(1.0, 0.4, 1.5))
+            eig = sys.eigensystem()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        eig_bytes = sum(b.vals.nbytes + b.vecs.nbytes for b in eig)
+        assert held < 1.25 * eig_bytes
+        h = sys.hamiltonian
+        for (idx, _), block in zip(sys.blocks, eig):
+            assert np.allclose(h[np.ix_(idx, idx)] @ block.vecs, block.vecs * block.vals, atol=1e-12)
 
     def test_separate_rejects_exchange(self):
         with pytest.raises(DimensionCapError):

@@ -1,12 +1,13 @@
 """The time-batched reduced-evolution kernel against the per-time contraction."""
 
 import math
+import sys
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from spinbath import spinops
+from spinbath import common, oracle, spinops
 from spinbath.bath import unpolarized_exact
 from spinbath.common import CommonBathSystem, SectorExactEvolver, sector_hamiltonian
 from spinbath.oracle import CouplingParams, bath_spin_projector, build, evolve_reduced
@@ -31,18 +32,52 @@ def densities(states):
     return np.array([state_to_density(s) for s in states])
 
 
-def test_sector_evolver_unequal_couplings():
-    system = CommonBathSystem(1.1, 0.45, 0.8, unpolarized_exact(5))
-    s0 = make_named_state("general_pure", gamma=0.4, theta=0.7, phi=1.3)
+def per_time_sectors(system, s0, times):
+    """Reference for SectorExactEvolver: every sector propagated at each time."""
     rho_ab = state_to_density(s0)
-    expected = np.zeros((TIMES.size, 4, 4), dtype=complex)
+    expected = np.zeros((times.size, 4, 4), dtype=complex)
     for i, w in zip(system.bath.spins, system.bath.weights):
         vals, vecs = np.linalg.eigh(sector_hamiltonian(system, i).real)
         d = vals.size // 4
         rho_eig = vecs.T @ np.kron(rho_ab, np.eye(d) / d) @ vecs
-        expected += w * per_time_reduced(vals, vecs, rho_eig, TIMES, d)
+        expected += w * per_time_reduced(vals, vecs, rho_eig, times, d)
+    return expected
+
+
+SECTOR_CASES = {
+    "unequal": (1.1, 0.45, 0.8, 5),
+    "equal": (1.0, 1.0, 2.0, 6),
+    "zero_mixing_gap": (0.7, 0.7, 0.7, 4),  # k_a = k_b, j = k_mean
+    "opposite": (1.0, -1.0, 0.3, 7),  # k_a = -k_b: F = I +- 1 levels coincide
+    "spin_zero_sector": (0.9, 0.2, 1.7, 2),  # exact bath of 2 holds I = 0
+}
+SECTOR_STATES = {
+    "r_state": ("r_state", dict(r=0.3)),
+    "general_pure": ("general_pure", dict(gamma=0.4, theta=0.7, phi=1.3)),
+    "general_pure_complex": ("general_pure", dict(gamma=0.3 + 0.4j, theta=1.1, phi=2.3)),
+    "werner": ("werner", dict(p=0.6)),
+}
+
+
+@pytest.mark.parametrize("state", SECTOR_STATES)
+@pytest.mark.parametrize("case", SECTOR_CASES)
+def test_sector_evolver(case, state):
+    k_a, k_b, j, n = SECTOR_CASES[case]
+    system = CommonBathSystem(k_a, k_b, j, unpolarized_exact(n))
+    name, params = SECTOR_STATES[state]
+    s0 = make_named_state(name, **params)
     got = densities(SectorExactEvolver(system).evolve(s0, TIMES))
-    assert np.abs(got - expected).max() < 1e-12
+    assert np.abs(got - per_time_sectors(system, s0, TIMES)).max() < 1e-12
+
+
+@pytest.mark.parametrize("times", [np.array([2.4]), np.float64(2.4), 2.4])
+def test_sector_evolver_one_sample(times):
+    # a single sample and a 0-d time both give a batch of one state
+    system = CommonBathSystem(1.1, 0.45, 0.8, unpolarized_exact(4))
+    s0 = make_named_state("general_pure", gamma=0.3 + 0.4j, theta=0.7, phi=1.3)
+    got = densities(SectorExactEvolver(system).evolve(s0, times))
+    assert got.shape == (1, 4, 4)
+    assert np.abs(got - per_time_sectors(system, s0, np.array([2.4]))).max() < 1e-12
 
 
 @pytest.mark.parametrize("chunked", [False, True])
@@ -87,3 +122,25 @@ def test_oracle_compare_diagonalizes_once(monkeypatch, tmp_path):
     sectors = Counter(4 * int(2 * i + 1) for i in unpolarized_exact(n).spins)
     assert Counter(calls) == blocks + sectors
     assert 4 * 2**n not in calls
+
+
+def test_oracle_compare_kernel_on_oracle_side_only(monkeypatch, tmp_path):
+    # the analytic side must not share the oracle's kernel, or the comparison
+    # would check that kernel against itself
+    callers = []
+    kernel = spinops.reduced_trajectory
+
+    def recording_kernel(*args, **kwargs):
+        callers.append(sys._getframe(1).f_globals["__name__"])
+        return kernel(*args, **kwargs)
+
+    for module in (spinops, oracle, common):
+        if hasattr(module, "reduced_trajectory"):
+            monkeypatch.setattr(module, "reduced_trajectory", recording_kernel)
+    config = ScenarioConfig.for_kind(
+        "oracle-compare", mode="common", n_bath=4, samples=8, t_max=3.0,
+        output=str(tmp_path / "oc.csv"),
+    )
+    report = validate(config)
+    assert not _run_oracle_compare(config, report.bath, report.state).numerical_failure
+    assert callers == ["spinbath.oracle"]

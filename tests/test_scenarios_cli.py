@@ -75,6 +75,9 @@ class TestConfigParsing:
         for spec in ("r_state:nan", "r_state:inf", "werner:-inf", "general_pure:0.5,nan"):
             with pytest.raises(InvalidStateError, match="needs finite parameters"):
                 parse_state_spec(spec)
+        for spec in ("general_pure:1e308", "general_pure:1e300,1e300,1e300", "updown_mix:1e308"):
+            with pytest.raises(InvalidStateError, match="cannot be normalized"):
+                parse_state_spec(spec)
 
 
 class TestValidation:
@@ -342,6 +345,22 @@ class TestCLI:
              "t_max: t_max * (|j| + (|k_a| + |k_b|) (n_bath + 2)) must be finite"),
             ("scenario = common-symmetric\nj = 1e308\n",
              "t_max: t_max * (|j| + (|k_a| + |k_b|) (n_bath + 2)) must be finite"),
+            # line phases that stay finite while the squared splittings overflow
+            ("scenario = fig5\nj = 1e200\nt_max = 1e-200\n",
+             "j: (|j| + (|k_a| + |k_b|) (n_bath + 2))^2 must be finite"),
+            ("scenario = common-asymmetric\nj = 1e200\nt_max = 1e-200\n",
+             "j: (|j| + (|k_a| + |k_b|) (n_bath + 2))^2 must be finite"),
+            # finite state parameters whose state vector overflows
+            ("scenario = separate\nstate = general_pure:1e308\n",
+             "state: state vector of norm 0 cannot be normalized"),
+            ("scenario = common-asymmetric\nn_bath = 10\nj = 1.0\n"
+             "state = general_pure:1e300,1e300,1e300\n",
+             "state: state vector of norm 0 cannot be normalized"),
+            ("scenario = separate\nstate = r_state:1e308\n",
+             "state: state vector of norm inf cannot be normalized"),
+            # a bath too large to hold its sectors
+            ("scenario = separate\nn_bath = 1000000000000000\n",
+             "n_bath: at most 1000000 bath spins, got 1000000000000000"),
         ],
     )
     @pytest.mark.parametrize("command", ["run", "validate"])
