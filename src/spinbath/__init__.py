@@ -56,7 +56,6 @@ from .separate import (
     decay_factors,
     decoherence_series,
     evolve,
-    sector_propagator_coeffs,
     short_time_concurrence_time,
     short_time_decoherence_time as separate_decoherence_time,
     sudden_death_time,

@@ -8,20 +8,20 @@ if and only if K_A != K_B. The evolution convention throughout is
 U = exp(-iHt); sector phases are reported relative to the singlet level,
 which removes an unobservable global phase.
 
-Three evolution paths are provided and cross-checked:
+Three evolution paths are provided and cross-checked, each a line spectrum:
 
 - ``SymmetricEvolver``: closed-form polarization map for K_A = K_B, built
-  from bath-averaged Clebsch-Gordan moment tensors. An O(2I+1) set-up per
-  sector, then O(#comb lines) per time sample: all sectors share one comb.
+  from bath-averaged Clebsch-Gordan moment tensors; all sectors share one comb.
 - ``bell_mix_evolution``: closed-form Bell-basis matrix elements for initial
-  states in the span of the singlet and the m=0 triplet, valid for any
-  couplings and exchange. Each sector has four levels, so the output is a
-  line spectrum: an O(2I+1) set-up per sector, then O(6 * #sectors) per
-  time sample. Both sum their lines in ``evaluate_lines`` and skip sectors
-  below ``bath.SECTOR_WEIGHT_CUT``: baths of 10^4 spins are in reach.
+  states in the span of the singlet and the m=0 triplet, any couplings and
+  exchange; each sector has four levels, so six lines per sector.
 - ``SectorExactEvolver``: any initial state and couplings on small exact
-  baths. One O(dim^3) ``eigh`` per sector, every sector kept; then, like the
-  Bell mix, O(6 * #sectors) per time sample in ``evaluate_lines``.
+  baths; one O(dim^3) ``eigh`` per sector, every sector kept, six lines each.
+
+The first two skip sectors below ``bath.SECTOR_WEIGHT_CUT`` (baths of 10^4
+spins are in reach); all three sum their lines in ``evaluate_lines``, which
+on an affine grid of T samples (every scenario's) uses cos w(b+o) = cos wb
+cos wo - sin wb sin wo for ~4 sqrt(T) cos/sin calls per line, not 2 T.
 """
 
 from __future__ import annotations
@@ -45,6 +45,8 @@ from .states import (
     density_to_state,
     state_to_density,
 )
+
+_S_A, _S_B = qubit_pair_ops()
 
 class AssumptionError(ValueError):
     """Raised when a closed-form path is used outside its assumptions."""
@@ -126,13 +128,10 @@ def sector_spectrum(system: CommonBathSystem, i: float) -> SectorCoefficients:
 
 def sector_hamiltonian(system: CommonBathSystem, i: float) -> np.ndarray:
     """Dense H on the (4 (2i+1))-dim sector, basis |pair> (x) |i, m>."""
-    s_a, s_b = qubit_pair_ops()
     ib = spin_matrices(i) if i > 0 else (np.zeros((1, 1), complex),) * 3
-    eye_b = np.eye(ib[0].shape[0], dtype=complex)
-    h = np.zeros((4 * eye_b.shape[0],) * 2, dtype=complex)
-    for a, b, m in zip(s_a, s_b, ib):
+    h = np.kron(system.j * sum(a @ b for a, b in zip(_S_A, _S_B)), np.eye(ib[0].shape[0]))
+    for a, b, m in zip(_S_A, _S_B, ib):
         h += np.kron(system.k_a * a + system.k_b * b, m)
-        h += np.kron(system.j * a @ b, eye_b)
     return h
 
 
@@ -185,8 +184,18 @@ def _cg_tables(i: float) -> _CGTables:
     return _CGTables(two_i=two_i, c=c, m_tot=m_tot)
 
 
-# one evaluation pass holds at most this many phases: lines x time samples
+# a pass holds at most this many phases (lines x offsets) or folded amplitudes
 _PHASE_BLOCK = 1 << 18
+
+
+def _grid_split(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(base, off) with t[q B + r] ~ base[q] + off[r]: B = isqrt(T) for a grid of
+    T >= 16 samples within 4 ulp of max|t| of an affine one, else one block."""
+    if t.size >= 16:
+        b, step = math.isqrt(t.size), (t[-1] - t[0]) / (t.size - 1)
+        if np.abs(t - (t[0] + np.arange(t.size) * step)).max() <= 4.0 * np.spacing(np.abs(t).max()):
+            return t[::b], t[:b] - t[0]
+    return np.zeros(1), t
 
 
 def evaluate_lines(amp_plus, amp_minus, omega, times) -> np.ndarray:
@@ -194,19 +203,29 @@ def evaluate_lines(amp_plus, amp_minus, omega, times) -> np.ndarray:
 
     Each conjugate pair of lines is passed once: one omega, two amplitude
     columns. Returns a complex array of shape (n_obs,) + times.shape, so a
-    0-d ``times`` is accepted; time is chunked by ``_PHASE_BLOCK``.
+    0-d ``times`` is accepted. In real rows the sum is E cos wt + F sin wt,
+    E = a+ + a-, F = -i (a+ - a-). With t = b_q + o_r from ``_grid_split``,
+    block q's base phases fold into M_q = [E cos wb_q + F sin wb_q | F cos wb_q
+    - E sin wb_q]; one real GEMM with [cos wo; sin wo] gives every sample, for
+    2 L (Q + B) cos/sin calls on L lines. Each pass holds at most ``_PHASE_BLOCK``
+    offset phases and as many M_q entries.
     """
     t = np.asarray(times, dtype=float).ravel()
-    n_obs = amp_plus.shape[0]
-    # = (a+ + a-) cos(wt) - i (a+ - a-) sin(wt), in real products
-    even, odd = (np.vstack([a.real, a.imag]) for a in (amp_plus + amp_minus, amp_plus - amp_minus))
-    out = np.empty((n_obs, t.size), dtype=complex)
-    step = max(1, _PHASE_BLOCK // omega.size)
-    for lo in range(0, t.size, step):
-        phase = np.outer(omega, t[lo : lo + step])
-        c, s = even @ np.cos(phase), odd @ np.sin(phase)
-        out[:, lo : lo + step] = (c[:n_obs] + s[n_obs:]) + 1j * (c[n_obs:] - s[:n_obs])
-    return out.reshape((n_obs,) + np.shape(times))
+    n_obs, n_lines = amp_plus.shape
+    fold = np.vstack([amp_plus + amp_minus.conj(), -1j * (amp_plus - amp_minus.conj())])  # E + i F
+    base, off = _grid_split(t)
+    out = np.empty((n_obs, base.size, off.size), dtype=complex)
+    r_step, q_step = (max(1, _PHASE_BLOCK // k) for k in (n_lines, 4 * n_obs * n_lines))
+    for r in range(0, off.size, r_step):
+        phase = np.outer(omega, off[r : r + r_step])
+        w = np.stack([np.cos(phase), np.sin(phase)], axis=1).reshape(2 * n_lines, -1)
+        for q in range(0, base.size, q_step):
+            # M_q = (E + i F) e^{-i w b_q}, its real and imaginary parts interleaved like w
+            z = np.multiply(fold, np.exp(-1j * np.outer(base[q : q + q_step], omega))[:, None], order="C")
+            part = (z.view(float).reshape(-1, 2 * n_lines) @ w).reshape(-1, 2 * n_obs, w.shape[1])
+            out.real[:, q : q + q_step, r : r + r_step] = part[:, :n_obs].swapaxes(0, 1)
+            out.imag[:, q : q + q_step, r : r + r_step] = part[:, n_obs:].swapaxes(0, 1)
+    return out.reshape(n_obs, base.size * off.size)[:, : t.size].reshape((n_obs,) + np.shape(times))
 
 
 def _level_pair_lines(amp, levels, times) -> np.ndarray:

@@ -240,6 +240,8 @@ def validate(config: ScenarioConfig) -> ValidationReport:
             report.errors.append(
                 f"n_bath: {config.n_bath} exceeds the dense-oracle cap of {MAX_BATH_SPINS}"
             )
+        elif config.mode == "separate" and config.n_bath < 2 and report.bath is not None:
+            report.errors.append(f"n_bath: separate baths need one spin per qubit, got {config.n_bath}")
         if config.bath != "exact":
             report.errors.append("bath: oracle comparisons use the exact unpolarized bath")
     exchange = kind.exchange

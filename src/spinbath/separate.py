@@ -50,20 +50,6 @@ class DecayFactors:
     tensor: np.ndarray
 
 
-def sector_propagator_coeffs(k: float, i: float, t: float) -> tuple[complex, complex]:
-    """Coefficients (p, q) of the one-qubit sector propagator U = p + q S.I.
-
-    A sector-global phase has been dropped; it cancels in the reduced
-    dynamics. For k = 0 or i = 0 the propagator is the identity, (1, 0).
-    """
-    if k == 0.0 or i == 0.0:
-        return 1.0 + 0.0j, 0.0j
-    lam = k * (i + 0.5) / 2.0
-    p = np.cos(lam * t) + 1j * k * np.sin(lam * t) / (4.0 * lam)
-    q = 1j * k * np.sin(lam * t) / lam
-    return complex(p), complex(q)
-
-
 def _vector_decay(k: float, bath: BathDistribution, t: np.ndarray) -> np.ndarray:
     """Bath-averaged Bloch-vector decay factor for one qubit: per sector
     g_I = 1 - (1 - b) sin^2(Lambda t), b = (1 - 4 I(I+1)/3) / (2I+1)^2,

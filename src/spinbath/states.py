@@ -26,6 +26,15 @@ _S_A, _S_B = qubit_pair_ops()
 _S_AB = [[_S_A[m] @ _S_B[n] for n in range(3)] for m in range(3)]
 _YY = np.kron(PAULI_Y, PAULI_Y)
 
+# O_k per m: S_A^m, S_B^m, S_A^m S_B^n; x_k = (p_a^m, p_b^m, pi[m, n]) = 4 w_k Tr(rho O_k),
+# rho = 1/4 + sum_k w_k x_k O_k. O_k touches the four flat elements _TOUCH[k]
+_OPS = np.array([o for m in range(3) for o in (_S_A[m], _S_B[m], *_S_AB[m])]).reshape(15, 16)
+_TOUCH = np.array([np.flatnonzero(o) for o in _OPS])
+_WEIGHT = np.tile([0.5, 0.5, 1.0, 1.0, 1.0], 3)
+_TO_X = np.take_along_axis(_OPS, _TOUCH, axis=1).conj() * (4.0 * _WEIGHT[:, None])
+# the (k, w_k O_k[e]) that reach element e, in order of k
+_BY_ELEMENT = [[(k, _WEIGHT[k] * _OPS[k, e]) for k in np.flatnonzero(_OPS[:, e])] for e in range(16)]
+
 # matrices per stacked eigh/svd pass of :func:`concurrence`
 _CONCURRENCE_BLOCK = 4096
 
@@ -117,13 +126,10 @@ def state_to_density(state: TwoQubitState) -> np.ndarray:
     triple; positivity is a property of the input and can be checked with
     :func:`validate_state`.
     """
-    p_a, p_b, pi = state.p_a, state.p_b, state.pi
-    rho = np.broadcast_to(np.eye(4, dtype=complex) / 4.0, pi.shape[:-2] + (4, 4)).copy()
-    for m in range(3):
-        rho += 0.5 * p_a[..., m, None, None] * _S_A[m] + 0.5 * p_b[..., m, None, None] * _S_B[m]
-        for n in range(3):
-            rho += pi[..., m, n, None, None] * _S_AB[m][n]
-    return rho
+    x = np.concatenate([state.p_a[..., None], state.p_b[..., None], state.pi], axis=-1)
+    rho = np.stack([sum((x[..., k // 5, k % 5] * c for k, c in terms), 0.25 * (e % 5 == 0))
+                    for e, terms in enumerate(_BY_ELEMENT)], axis=-1)
+    return rho.reshape(x.shape[:-2] + (4, 4))
 
 
 def density_to_state(rho: np.ndarray, atol: float = 1e-10) -> TwoQubitState:
@@ -141,12 +147,10 @@ def density_to_state(rho: np.ndarray, atol: float = 1e-10) -> TwoQubitState:
     tr_err = float(np.abs(_trace(rho) - 1.0).max(initial=0.0))
     if tr_err > atol:
         raise InvalidStateError(f"trace differs from 1 by {tr_err:.2e}")
-    p_a = np.stack([2.0 * _trace(rho @ _S_A[m]).real for m in range(3)], axis=-1)
-    p_b = np.stack([2.0 * _trace(rho @ _S_B[m]).real for m in range(3)], axis=-1)
-    pi = np.stack(
-        [4.0 * _trace(rho @ _S_A[m] @ _S_B[n]).real for m in range(3) for n in range(3)], axis=-1
-    ).reshape(rho.shape[:-2] + (3, 3))
-    return TwoQubitState(p_a, p_b, pi)
+    # Tr(rho O_k) over the four elements O_k touches, summed pairwise like np.trace
+    t = (rho.reshape(rho.shape[:-2] + (16,))[..., _TOUCH] * _TO_X).real
+    x = ((t[..., 0] + t[..., 1]) + (t[..., 2] + t[..., 3])).reshape(rho.shape[:-2] + (3, 5))
+    return TwoQubitState(x[..., 0], x[..., 1], x[..., 2:])
 
 
 def validate_state(state: TwoQubitState, tol: float = 1e-12) -> StateValidation:

@@ -116,6 +116,57 @@ class TestEvaluateLines:
         assert np.array_equal(got.imag, np.zeros_like(got.imag))
         assert np.abs(got.real - 2.0 * a @ np.cos(np.outer(self.omega, TIMES))).max() < 1e-12
 
+    def assert_matches(self, t, tol=1e-12):
+        got = evaluate_lines(self.amp_plus, self.amp_minus, self.omega, t)
+        want = direct_line_sum(self.amp_plus, self.amp_minus, self.omega, t)
+        assert got.shape == (3, t.size)
+        assert np.abs(got - want).max() < tol
+
+    _draws = np.random.default_rng(3).uniform(0.0, 6.0, 50)
+    NON_AFFINE = {"sorted-random": np.sort(_draws), "decreasing-random": np.sort(_draws)[::-1],
+                  "repeated": np.repeat(np.linspace(0.0, 6.0, 20), 2)}
+
+    @pytest.mark.parametrize("grid", list(NON_AFFINE))
+    def test_non_affine_grid_is_one_block(self, grid):
+        t = self.NON_AFFINE[grid]
+        base, off = common._grid_split(t)
+        assert np.array_equal(base, [0.0]) and np.array_equal(off, t)
+        self.assert_matches(t)
+
+    # below 16 samples one block; 97 is prime, so its last block is partial
+    @pytest.mark.parametrize("n, blocks", [(15, 1), (16, 4), (17, 5), (97, 11)])
+    def test_affine_grid_blocks(self, n, blocks):
+        t = np.linspace(0.0, 6.0, n)
+        base, off = common._grid_split(t)
+        assert base.size == blocks and base.size * off.size >= n
+        self.assert_matches(t)
+        self.assert_matches(t[::-1].copy())
+
+    def test_large_start_time(self):
+        # the phases w t reach 4e5 and carry rounding of ~ulp(w t) = 6e-11 in
+        # the direct sum itself, so the bound is the conditioning of the sum:
+        # |w| times a few ulp of t, weighted by the line amplitudes
+        t = np.linspace(1e4, 1e4 + 6.0, 37)
+        assert common._grid_split(t)[0].size == 7
+        weight = (np.abs(self.amp_plus) + np.abs(self.amp_minus)) @ np.abs(self.omega)
+        self.assert_matches(t, tol=4.0 * np.spacing(t.max()) * weight.max())
+
+    def test_long_grid_in_small_passes(self, monkeypatch):
+        # 111 blocks of 109 offsets, the last block partial; a pass takes 40
+        # offsets of 25 lines and 3 blocks of 3 x 2 x 2 x 25 folded amplitudes
+        monkeypatch.setattr(common, "_PHASE_BLOCK", 40 * 25)
+        t = np.linspace(0.0, 6.0, 12000)
+        assert [a.size for a in common._grid_split(t)] == [111, 109]
+        self.assert_matches(t)
+
+    def test_any_amplitude_layout(self):
+        # column-major amplitudes, as fancy indexing hands them over, and strided ones
+        want = direct_line_sum(self.amp_plus, self.amp_minus, self.omega, TIMES)
+        for plus, minus in [(np.asfortranarray(self.amp_plus), np.asfortranarray(self.amp_minus)),
+                            (self.amp_plus, np.repeat(self.amp_minus, 2, axis=1)[:, ::2])]:
+            got = evaluate_lines(plus, minus, self.omega, TIMES)
+            assert np.abs(got - want).max() < 1e-12
+
     def test_zero_d_and_nd_times(self):
         scalar = evaluate_lines(self.amp_plus, self.amp_minus, self.omega, 1.7)
         assert scalar.shape == (3,)

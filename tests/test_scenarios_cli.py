@@ -361,6 +361,9 @@ class TestCLI:
             # a bath too large to hold its sectors
             ("scenario = separate\nn_bath = 1000000000000000\n",
              "n_bath: at most 1000000 bath spins, got 1000000000000000"),
+            # separate oracle baths split n_bath between the qubits
+            ("scenario = oracle-compare\nmode = separate\nj = 0\nn_bath = 1\n",
+             "n_bath: separate baths need one spin per qubit, got 1"),
         ],
     )
     @pytest.mark.parametrize("command", ["run", "validate"])

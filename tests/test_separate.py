@@ -11,7 +11,6 @@ from spinbath.separate import (
     decay_factors,
     decoherence_series,
     evolve,
-    sector_propagator_coeffs,
     short_time_concurrence_time,
     short_time_decoherence_time,
     sudden_death_time,
@@ -28,6 +27,17 @@ from spinbath.states import (
 def symmetric_system(n: int, k: float = 1.0) -> SeparateBathSystem:
     bath = unpolarized_exact(n)
     return SeparateBathSystem(k, k, bath, bath)
+
+
+def sector_propagator_coeffs(k: float, i: float, t: float) -> tuple[complex, complex]:
+    """Coefficients (p, q) of the one-qubit sector propagator U = p + q S.I, the
+    per-sector form of the decay lines; a sector-global phase is dropped."""
+    if k == 0.0 or i == 0.0:
+        return 1.0 + 0.0j, 0.0j
+    lam = k * (i + 0.5) / 2.0
+    p = np.cos(lam * t) + 1j * k * np.sin(lam * t) / (4.0 * lam)
+    q = 1j * k * np.sin(lam * t) / lam
+    return complex(p), complex(q)
 
 
 class TestSectorPropagator:

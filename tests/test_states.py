@@ -88,6 +88,27 @@ class TestDensityConversion:
         back = state_to_density(density_to_state(rho))
         assert np.abs(back - rho).max() < 1e-14
 
+    def test_tables_match_pauli_products(self):
+        # reference: the 15 stacked matrix products the element tables replace
+        rho = np.array([random_density(seed) for seed in range(50)])
+        s_a, s_b = states._S_A, states._S_B
+
+        def tr(m):
+            return np.trace(m, axis1=-2, axis2=-1).real
+
+        p_a = np.stack([2.0 * tr(rho @ s_a[m]) for m in range(3)], axis=-1)
+        pi = np.stack([4.0 * tr(rho @ s_a[m] @ s_b[n]) for m in range(3) for n in range(3)],
+                      axis=-1).reshape(-1, 3, 3)
+        p_b = np.stack([2.0 * tr(rho @ s_b[m]) for m in range(3)], axis=-1)
+        got = density_to_state(rho)
+        for x, want in ((got.p_a, p_a), (got.p_b, p_b), (got.pi, pi)):
+            assert np.abs(x - want).max() < 1e-15
+        want = np.eye(4) / 4 + sum(
+            0.5 * got.p_a[:, m, None, None] * s_a[m] + 0.5 * got.p_b[:, m, None, None] * s_b[m]
+            + sum(got.pi[:, m, n, None, None] * (s_a[m] @ s_b[n]) for n in range(3))
+            for m in range(3))
+        assert np.abs(state_to_density(got) - want).max() < 1e-15
+
     def test_nonphysical_input_reported_not_rejected(self):
         s = TwoQubitState(np.array([0, 0, 2.0]), ZERO3, ZERO33)
         report = validate_state(s)
