@@ -19,13 +19,11 @@ from .bath import (
     unpolarized_exact,
 )
 from .common import (
-    BellBasisEvolution,
     CommonBathSystem,
     SectorCoefficients,
     SectorExactEvolver,
     SymmetricEvolver,
     SymmetricMapCoefficients,
-    bell_mix_evolution,
     decoherence_rate_sq,
     sector_spectrum,
     short_time_decoherence_time,

@@ -8,20 +8,19 @@ if and only if K_A != K_B. The evolution convention throughout is
 U = exp(-iHt); sector phases are reported relative to the singlet level,
 which removes an unobservable global phase.
 
-Three evolution paths are provided and cross-checked, each a line spectrum:
+Two evolution paths are provided and cross-checked, each a line spectrum
+read off one Clebsch-Gordan table (``_cg_tables``) over all kept sectors:
 
 - ``SymmetricEvolver``: closed-form polarization map for K_A = K_B, built
   from bath-averaged Clebsch-Gordan moment tensors; all sectors share one comb.
-- ``bell_mix_evolution``: closed-form Bell-basis matrix elements for initial
-  states in the span of the singlet and the m=0 triplet, any couplings and
-  exchange; each sector has four levels, so six lines per sector.
-- ``SectorExactEvolver``: any initial state and couplings on small exact
-  baths; one O(dim^3) ``eigh`` per sector, every sector kept, six lines each.
+- ``SectorExactEvolver``: any initial state, couplings and exchange. Each
+  sector has four levels whose projectors are rank one in every total-m
+  block, so the state costs six lines per sector and an O(2I+1) set-up.
 
-The first two skip sectors below ``bath.SECTOR_WEIGHT_CUT`` (baths of 10^4
-spins are in reach); all three sum their lines in ``evaluate_lines``, which
-on an affine grid of T samples (every scenario's) uses cos w(b+o) = cos wb
-cos wo - sin wb sin wo for ~4 sqrt(T) cos/sin calls per line, not 2 T.
+Both skip sectors below ``bath.SECTOR_WEIGHT_CUT`` (baths of 10^6 spins are
+in reach) and sum their lines in ``evaluate_lines``, which on an affine grid
+of T samples (every scenario's) uses cos w(b+o) = cos wb cos wo - sin wb sin wo
+for ~4 sqrt(T) cos/sin calls per line, not 2 T.
 """
 
 from __future__ import annotations
@@ -33,11 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bath import BathDistribution
-from .spinops import qubit_pair_ops, spin_matrices
 from .states import (
     KET_SINGLET,
-    KET_T1,
-    KET_T2,
     KET_TRIPLET0,
     InvalidStateError,
     TwoQubitState,
@@ -46,7 +42,6 @@ from .states import (
     state_to_density,
 )
 
-_S_A, _S_B = qubit_pair_ops()
 
 class AssumptionError(ValueError):
     """Raised when a closed-form path is used outside its assumptions."""
@@ -69,7 +64,7 @@ class CommonBathSystem:
 
 
 # ---------------------------------------------------------------------------
-# sector spectrum and dense sector Hamiltonian
+# sector spectrum
 # ---------------------------------------------------------------------------
 
 
@@ -95,44 +90,31 @@ class SectorCoefficients:
     mixing_sin: float
 
 
+def _sector_levels(system: CommonBathSystem, spins):
+    """The four levels of the sectors ``spins``, relative to the singlet, and
+    the off-diagonal element of their F = I blocks.
+
+    Level rows: F = I+1, F = I-1, then the upper and lower eigenvalue of the
+    F = I block [[J - K, off], [off, 0]] on {|F=I, m>_T, |S>|m>}, the triplet
+    state built from the ``_cg_tables`` rows, K the mean coupling and
+    off = -(K_A - K_B) sqrt(I(I+1)) / 2.
+    """
+    spins = np.asarray(spins, dtype=float)
+    kbar, j = system.k_mean, system.j
+    half = 0.5 * (j - kbar)
+    off = -system.k_half_diff * np.sqrt(spins * (spins + 1.0))
+    gap = np.hypot(half, off)
+    return np.array([j + spins * kbar, j - (spins + 1.0) * kbar, half + gap, half - gap]), off
+
+
 def sector_spectrum(system: CommonBathSystem, i: float) -> SectorCoefficients:
     """Eigenvalues and mixing parameters of the bath sector with spin i."""
     if i < 0:
         raise AssumptionError(f"sector spin must be >= 0, got {i}")
-    kbar, j = system.k_mean, system.j
-    lam1 = j + i * kbar
-    lam2 = j - (i + 1.0) * kbar
-    diag = j - kbar
-    disc = math.sqrt(diag**2 + i * (i + 1.0) * (system.k_a - system.k_b) ** 2)
-    zeta_p = 0.5 * (diag + disc)
-    zeta_m = 0.5 * (diag - disc)
-    lam_plus = 0.5 * (zeta_p + zeta_m)
-    lam_minus = 0.5 * (zeta_p - zeta_m)
-    if lam_minus < 1e-300:
-        p, q = 1.0, 0.0
-    else:
-        p = lam_plus / lam_minus
-        q = math.sqrt(max(0.0, 1.0 - p * p))
-    return SectorCoefficients(
-        sector_spin=float(i),
-        level_f_plus=lam1,
-        level_f_minus=lam2,
-        level_mix_upper=zeta_p,
-        level_mix_lower=zeta_m,
-        phase_mean=lam_plus,
-        phase_gap=lam_minus,
-        mixing_cos=p,
-        mixing_sin=q,
-    )
-
-
-def sector_hamiltonian(system: CommonBathSystem, i: float) -> np.ndarray:
-    """Dense H on the (4 (2i+1))-dim sector, basis |pair> (x) |i, m>."""
-    ib = spin_matrices(i) if i > 0 else (np.zeros((1, 1), complex),) * 3
-    h = np.kron(system.j * sum(a @ b for a, b in zip(_S_A, _S_B)), np.eye(ib[0].shape[0]))
-    for a, b, m in zip(_S_A, _S_B, ib):
-        h += np.kron(system.k_a * a + system.k_b * b, m)
-    return h
+    (lam1, lam2, zeta_p, zeta_m), off = _sector_levels(system, i)
+    mean, gap = 0.5 * (zeta_p + zeta_m), 0.5 * (zeta_p - zeta_m)
+    p, q = (1.0, 0.0) if gap < 1e-300 else (mean / gap, abs(off) / gap)
+    return SectorCoefficients(float(i), *(float(x) for x in (lam1, lam2, zeta_p, zeta_m, mean, gap, p, q)))
 
 
 # ---------------------------------------------------------------------------
@@ -142,49 +124,66 @@ def sector_hamiltonian(system: CommonBathSystem, i: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _CGTables:
-    two_i: int
-    # c[f, mu_row, k]: <mu, m_tot - mu | F, m_tot>, F rows (I+1, I, I-1),
-    # mu rows (+1, 0, -1), m_tot grid descending from I+1 to -(I+1)
+    """The tables of the consecutive sectors ``spins``, from index ``lo`` on.
+
+    c[f, mu, s, k] = <mu, m - mu | F, m> of sector s: F rows (I+1, I, I-1),
+    mu rows (+1, 0, -1), m = m_tot[s, k] = I + 1 - k. Every sector has the
+    columns of the widest one; entries outside |m - mu| <= I, |m| <= F and
+    the triangle F >= |I - 1| are zero.
+    """
+
+    lo: int
+    spins: np.ndarray
     c: np.ndarray
     m_tot: np.ndarray
 
 
-def _cg_tables(i: float) -> _CGTables:
-    """Closed-form <1 mu; I m-mu | F m> for F = I+1, I, I-1, vectorised over m.
+def _cg_tables(spins):
+    """Closed-form <1 mu; I m-mu | F m> for F = I+1, I, I-1 over the ascending
+    sectors ``spins``, vectorised over sectors and m, yielded in chunks of at
+    most ``_PHASE_BLOCK // 8`` entries (one sector at least): a general
+    state's Gram rows, nine times the table, then fit in about one pass.
 
     The coefficients are the textbook ones for coupling spin I to spin 1
     (Edmonds, *Angular Momentum in Quantum Mechanics*, Table 2), with the
     spin-1 factor written first: the swap factor (-1)^(I+1-F) negates the F = I
-    row. Condon-Shortley signs, O(I) per table; entries outside
-    |m - mu| <= I, |m| <= F are zero.
+    row. Condon-Shortley signs; a spin-0 sector has only its F = 1 row.
     """
-    two_i = int(round(2 * i))
-    if two_i == 0:
-        raise AssumptionError("no triplet coupling tables for a spin-0 sector")
-    i = 0.5 * two_i
-    m_tot = (i + 1.0) - np.arange(two_i + 3)
-    a, b = i + m_tot, i - m_tot
-
-    def root(num, den):
-        return np.sqrt(np.maximum(num, 0.0) / den)
-
-    up = 2.0 * (i + 1.0) * (2.0 * i + 1.0)
-    mid = 2.0 * i * (i + 1.0)
-    low = 2.0 * i * (2.0 * i + 1.0)
-    c = np.array(
-        [
-            [root(a * (a + 1.0), up), root(2.0 * (a + 1.0) * (b + 1.0), up), root(b * (b + 1.0), up)],
-            [root(a * (b + 1.0), mid), -m_tot * math.sqrt(2.0 / mid), -root(b * (a + 1.0), mid)],
-            [root(b * (b + 1.0), low), -root(2.0 * a * b, low), root(a * (a + 1.0), low)],
-        ]
-    )
-    f = np.array([i + 1.0, i, i - 1.0])[:, None, None]
-    m_bath = m_tot[None, None, :] - np.array([1.0, 0.0, -1.0])[None, :, None]
-    c *= (np.abs(m_tot) <= f) & (np.abs(m_bath) <= i)
-    return _CGTables(two_i=two_i, c=c, m_tot=m_tot)
+    two_i, lo, limit = np.rint(2.0 * np.asarray(spins, dtype=float)).astype(int), 0, _PHASE_BLOCK // 8
+    while lo < two_i.size:
+        width = two_i[lo : lo + max(1, limit // (9 * (two_i[lo] + 3)))] + 3
+        n = max(1, int(np.searchsorted(9 * np.arange(1, width.size + 1) * width, limit, "right")))
+        yield _cg_chunk(lo, 0.5 * two_i[lo : lo + n, None], width[n - 1])
+        lo += n
 
 
-# a pass holds at most this many phases (lines x offsets) or folded amplitudes
+def _cg_chunk(lo: int, i: np.ndarray, width: int) -> _CGTables:
+    """The tables of the sectors i, shape (S, 1), on ``width`` m columns."""
+    m_tot = (i + 1.0) - np.arange(width)
+    a, b, a1, b1 = i + m_tot, i - m_tot, i + m_tot + 1.0, i - m_tot + 1.0
+    # radicands first; they vanish or turn negative wherever a coefficient
+    # must be zero, except past m = -(I+1) (padding) and on the edges of
+    # F = I, I-1, which the masks below zero
+    c = np.empty((3, 3) + m_tot.shape)
+    for (f, mu), x, y in (((0, 0), a, a1), ((0, 1), a1, b1), ((0, 2), b, b1),
+                          ((1, 0), a, b1), ((1, 2), b, a1), ((2, 1), a, b)):
+        np.multiply(x, y, out=c[f, mu])
+    c[::2, 1] *= 2.0
+    c[1, 1], c[2, 0], c[2, 2] = 2.0, c[0, 2], c[0, 0]
+    np.sqrt(np.maximum(c, 0.0, out=c), out=c)
+    # F = I+1, I, I-1 normalizations; a spin-0 sector's F = I and F = I-1
+    # rows divide by 1 here, they vanish anyway
+    c /= np.sqrt(np.maximum([2.0 * (i + 1.0) * (2.0 * i + 1.0), 2.0 * i * (i + 1.0),
+                             2.0 * i * (2.0 * i + 1.0)], 1.0))[:, None]
+    c[1, 1] *= -m_tot * (np.abs(m_tot) <= i)
+    c[[1, 2], [2, 1]] *= -1.0
+    c[0, ::2] *= m_tot >= -(i + 1.0)
+    c[2, ::2] *= np.abs(m_tot) <= i - 1.0
+    return _CGTables(lo=lo, spins=i[:, 0], c=c, m_tot=m_tot)
+
+
+# a pass holds at most this many phases (lines x offsets), folded amplitudes
+# or Clebsch-Gordan table entries
 _PHASE_BLOCK = 1 << 18
 
 
@@ -299,22 +298,26 @@ class SymmetricEvolver:
     def map_coefficients(self, times) -> SymmetricMapCoefficients:
         times = np.atleast_1d(np.asarray(times, dtype=float))
         spins, weights, _ = self.system.bath.significant_sectors()
+        two_i = np.rint(2.0 * spins).astype(int)
         # column n: the line exp(-i k n t / 2). Rows: cosine amplitudes of eta
         # and of phi_q (-1/8 per sector), st_coherence exp(iJt) on +n and on -n
-        amp = np.zeros((4, int(round(4 * spins.max())) + 3))
-        for i, w in zip(spins, weights):
-            two_i = int(round(2 * i))
-            if two_i == 0:
-                amp[:3, 0] += w
-                continue
-            c, norm = _cg_tables(i).c, 2.0 * i + 1.0
-            cc = c[:, None] * c[None, :]  # (F, F', mu, m); the moment tensor is cc cc
-            a = np.array([0.5 * (cc[:, :, 0] - cc[:, :, 2]) ** 2,
-                          0.375 * (cc[:, :, 0] - cc[:, :, 1] + cc[:, :, 2]) ** 2]).sum(-1) / norm
-            amp[:2, 0] += w * (a.trace(axis1=1, axis2=2) - [0.0, 0.125])
+        amp = np.zeros((4, 2 * two_i.max() + 3))
+        amp[1, 0] = -0.125 * weights.sum()
+        for t in _cg_tables(spins):
+            part = slice(t.lo, t.lo + t.spins.size)
+            w, n = weights[part] / (2.0 * t.spins + 1.0), two_i[part]
+            # the moment tensors sum_m (p_F q_F)(p_G q_G) over the mu rows p, q = x, y, z
+            x, y, z = (np.moveaxis(t.c[:, mu], 0, 1) for mu in range(3))  # (sector, F, m)
+            pqs = (p * q for p, q in ((x, x), (y, y), (z, z), (x, y), (x, z), (y, z)))  # one at a time
+            xx, yy, zz, xy, xz, yz = (pq @ pq.swapaxes(1, 2) for pq in pqs)
+            a = w[:, None, None] * np.array([0.5 * (xx - 2.0 * xz + zz),
+                                             0.375 * (xx + yy + zz - 2.0 * xy + 2.0 * xz - 2.0 * yz)])
+            amp[:2, 0] += a.trace(axis1=2, axis2=3).sum(-1)
             # level pairs (I, I-1), (I+1, I), (I+1, I-1) beat at these bins
-            amp[:2, [two_i, two_i + 2, 2 * two_i + 2]] += 2.0 * w * a[:, [1, 0, 0], [2, 1, 2]]
-            amp[[2, 3, 3], [two_i, 2, two_i + 2]] += w * (c[:, 1] ** 2).sum(-1) / norm
+            np.add.at(amp[:2], (slice(None), np.array([n, n + 2, 2 * n + 2])),
+                      2.0 * a[:, :, [1, 0, 0], [2, 1, 2]].swapaxes(1, 2))
+            np.add.at(amp, ([[2], [3], [3]], np.array([n, np.full_like(n, 2), n + 2])),
+                      w * (t.c[:, 1] ** 2).sum(-1))
         lines = np.flatnonzero(amp.any(axis=0))
         half = 0.5 * amp[:2, lines]
         eta, phi_q, coh = evaluate_lines(
@@ -357,175 +360,118 @@ class SymmetricEvolver:
 
 
 # ---------------------------------------------------------------------------
-# arbitrary couplings: dense per-sector propagation
+# arbitrary couplings and states: rank-one level projectors
 # ---------------------------------------------------------------------------
 
 
-class SectorExactEvolver:
-    """Dense sector-by-sector evolution; exact for any couplings and state.
+# rows: the pair states T+, T0, T-, S over the basis {uu, ud, du, dd}, and their m;
+# T_mu is row 1 - mu, as on the mu axis of the _cg_tables
+_TS = np.array([[1.0, 0.0, 0.0, 0.0], KET_TRIPLET0.real, [0.0, 0.0, 0.0, 1.0], KET_SINGLET.real])
+_M_TS = np.array([1, 0, -1, 0])
+# the _cg_tables F row of each level: F = I+1, F = I-1, and F = I twice
+_F_ROW = np.array([0, 2, 1, 1])
 
-    One ``eigh`` per sector, whose eigenvalues must match the four levels of
-    ``sector_spectrum``, gives the level projectors P_l; the line amplitudes
-    (w/(2I+1)) Tr_bath[P_l (rho (x) 1) P_l'] are linear in rho, and every time
-    sample costs one constant plus six lines per sector. No sector is dropped.
+
+def _rank_one_terms(rho):
+    """rho = sum_k w_k v_k v_k^H to 4 ulp of max|rho| per element, by pivoted
+    LDL^H: one term per nonzero eigenvalue of a density matrix, each v_k a
+    column of the remainder, so it keeps rho's zero rows. A remainder with a
+    vanishing diagonal (left only by an indefinite rho) first gets a pivot
+    s = max|r| on the row of its largest element, and the term -s e_p e_p^H."""
+    r, terms = rho.copy(), []
+    tol = 4.0 * np.finfo(float).eps * np.abs(rho).max()
+    while np.abs(r).max() > tol:
+        p = np.abs(r.diagonal()).argmax()
+        if abs(r[p, p]) <= tol:
+            p, s = np.abs(r).max(axis=1).argmax(), np.abs(r).max()
+            terms.append((-s, np.eye(4, dtype=r.dtype)[p]))
+            r[p, p] += s
+        terms.append((r[p, p].real, r[:, p] / r[p, p].real))
+        r -= terms[-1][0] * np.outer(terms[-1][1], terms[-1][1].conj())
+    return terms
+
+
+class SectorExactEvolver:
+    """Closed-form sector-by-sector evolution; exact for any couplings and state.
+
+    In sector I and total-m block m each level projector has rank one,
+    P_l(m) = e_l e_l^T over {T+, T0, T-, S} (x) bath m: F = I+1 and F = I-1
+    are the ``_cg_tables`` rows, and the F = I pair rotates {|F=I,m>_T,
+    |S>|m>} by the eigenvector angle phi of that block (``_sector_levels``).
+    The line amplitudes are (w/(2I+1)) sum_m P_l(m) rho_s P_l'(m+s), with
+    rho_s the part of rho that shifts the pair m by s. With rho = sum_k w_k
+    |k><k| (``_rank_one_terms``) and Y_d[(beta, l), m_b] = <beta, m_b + d|
+    P_l |k, m_b>, that sum is w_k sum_d Y_d Y_d^H: one batched GEMM per shift
+    d over the bath m, rows only where |k> has weight. Every sample then costs
+    one constant plus six lines per kept sector.
     """
 
     def __init__(self, system: CommonBathSystem):
         self.system = system
-        maps, levels = [], []
-        for i, w in zip(system.bath.spins, system.bath.weights):
-            h = sector_hamiltonian(system, i)
-            assert np.abs(h - h.conj().T).max() < 1e-12
-            vals, vecs = np.linalg.eigh(h.real)
-            s = sector_spectrum(system, i)
-            # absolute energies: sector_spectrum counts from the singlet, -3j/4
-            level = np.array([s.level_f_plus, s.level_f_minus, s.level_mix_upper,
-                              s.level_mix_lower]) - 0.75 * system.j
-            label = np.abs(vals[:, None] - level).argmin(axis=1)
-            assert np.abs(vals - level[label]).max() <= 1e-9 * (1.0 + np.abs(vals).max())
-            d = vals.size // 4
-            # p[l, a, m, b, n]: P_l on |pair a> (x) |I, m>. sum_mn p[l, c, m, a, n]
-            # p[l', b, n, e, m] takes rho[a, b] to the (c, e) element of (l, l')
-            p = np.stack([v @ v.T for v in (vecs[:, label == l] for l in range(4))])
-            p = p.reshape(4, 4, d, 4, d)
-            pair = np.tensordot(p, p, axes=([2, 4], [4, 2])).transpose(1, 5, 0, 3, 2, 4)
-            maps.append(pair.reshape(4, 4, 4, 4, 16) * (float(w) / d))
-            levels.append(level)
-        self._map = np.stack(maps, axis=-2)  # (c, e, l, l', sector, (a, b))
-        self._levels = np.array(levels).T
+        self._spins, self._weights, _ = system.bath.significant_sectors()
+        self._levels, off = _sector_levels(system, self._spins)
+        phi = 0.5 * np.arctan2(off, 0.5 * (system.j - system.k_mean))
+        self._rot = np.cos(phi)[:, None], np.sin(phi)[:, None]
 
     def evolve(self, state: TwoQubitState, times) -> TwoQubitState:
-        amp = (self._map @ state_to_density(state).ravel()).reshape((16,) + self._map.shape[2:-1])
+        times = np.atleast_1d(np.asarray(times, dtype=float))
+        rho = _TS @ state_to_density(state) @ _TS.T
+        # entries within 4 ulp of the unit trace are rounding noise of the conversion
+        rho[np.abs(rho) <= 4.0 * np.finfo(float).eps] = 0.0
+        amp, obs = self._amplitudes(rho.real if not rho.imag.any() else rho)
         red = _level_pair_lines(amp, self._levels, times)
-        return density_to_state(red.reshape(4, 4, -1).transpose(2, 0, 1))
+        out = np.zeros((times.size, 4, 4), dtype=complex)
+        out[(slice(None),) + tuple(np.array(obs).T)] = red.T
+        out += np.triu(out, 1).conj().swapaxes(1, 2)
+        return density_to_state(_TS.T @ out @ _TS)
 
-
-# ---------------------------------------------------------------------------
-# Bell-basis evolution of singlet/triplet0 superpositions (any couplings)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BellBasisEvolution:
-    """Bell-basis matrix elements of the evolved state on a time grid.
-
-    The density matrix is
-
-        singlet_pop |S0><S0| + triplet0_pop |T0><T0|
-        + (st_coherence |T0><S0| + h.c.)
-        + t1t2_pop (|T1><T1| + |T2><T2|) + (t1t2_coherence |T1><T2| + h.c.)
-
-    Populations are real; the trace identity
-    singlet_pop + triplet0_pop + 2 t1t2_pop = 1 holds at every sample.
-    """
-
-    times: np.ndarray
-    singlet_pop: np.ndarray
-    triplet0_pop: np.ndarray
-    st_coherence: np.ndarray
-    t1t2_pop: np.ndarray
-    t1t2_coherence: np.ndarray
-
-    def mixedness(self) -> np.ndarray:
-        return 1.0 - (
-            self.singlet_pop**2
-            + self.triplet0_pop**2
-            + 2.0 * np.abs(self.st_coherence) ** 2
-            + 2.0 * self.t1t2_pop**2
-            + 2.0 * np.abs(self.t1t2_coherence) ** 2
-        )
-
-    def density(self) -> np.ndarray:
-        """The density matrices on the time grid, shape (T, 4, 4)."""
-        c1, c2, c3, pp, coh = (
-            x[:, None, None]
-            for x in (self.singlet_pop, self.triplet0_pop, self.st_coherence,
-                      self.t1t2_pop, self.t1t2_coherence)
-        )
-        rho = c1 * np.outer(KET_SINGLET, KET_SINGLET.conj())
-        rho += c2 * np.outer(KET_TRIPLET0, KET_TRIPLET0.conj())
-        cross = c3 * np.outer(KET_TRIPLET0, KET_SINGLET.conj())
-        rho += cross + cross.conj().swapaxes(1, 2)
-        rho += pp * (np.outer(KET_T1, KET_T1.conj()) + np.outer(KET_T2, KET_T2.conj()))
-        cross = coh * np.outer(KET_T1, KET_T2.conj())
-        rho += cross + cross.conj().swapaxes(1, 2)
-        return rho
-
-    def state(self) -> TwoQubitState:
-        return density_to_state(self.density())
-
-
-def _bell_mix_lines(system: CommonBathSystem, i: float, alpha: float, beta: float):
-    """Line amplitudes of one sector: (5, 4, 4) array A and (4,) levels E.
-
-    The outputs (c1, c2, c3, pp, pm) of the sector are
-    sum_{l,l'} A[:, l, l'] exp(-i (E_l - E_l') t). The levels are F = I+1,
-    F = I-1 and the two eigenvalues mean +- gap of the F = I block, whose basis
-    is {triplet, singlet} with off-diagonal element k_half_diff * y,
-    y = -sqrt(I(I+1)) in the ladder-consistent triplet basis.
-    """
-    h_tt = -system.k_mean + system.j / 4.0
-    h_ss = -0.75 * system.j
-    off = system.k_half_diff * (-math.sqrt(i * (i + 1.0)))
-    mean = 0.5 * (h_tt + h_ss)
-    gap = 0.5 * math.sqrt((h_tt - h_ss) ** 2 + 4.0 * off**2)
-    m_tt, m_off = (1.0, 0.0) if gap < 1e-300 else ((h_tt - mean) / gap, off / gap)
-    levels = np.array(
-        [system.k_mean * i + system.j / 4.0, -system.k_mean * (i + 1.0) + system.j / 4.0,
-         mean + gap, mean - gap]
-    )
-    if i == 0.0:
-        # the only triplet is F = 1, whose m = 0 state is the bare T0
-        g = np.zeros((3, 3, 1))
-        g[0, 1, 0] = 1.0
-    else:
-        g = _cg_tables(i).c[:, :, 1:-1]  # (F, mu, bath m from I down to -I)
-    g_p, g_0, g_m = g[:, 0], g[:, 1], g[:, 2]
-    p_up, p_dn, q = 0.5 * (1.0 + m_tt), 0.5 * (1.0 - m_tt), 0.5 * m_off
-    # per bath m: the triplet-channel amplitude on each level (levels 0, 1
-    # and 2-3 live in the F rows I+1, I-1 and I), its mu = 0, +1, -1
-    # projections, and the singlet amplitude, which only the F = I block reaches
-    trip = np.array(
-        [beta * g_0[0], beta * g_0[2], beta * g_0[1] * p_up + alpha * q,
-         beta * g_0[1] * p_dn - alpha * q]
-    )
-    rows = [0, 2, 1, 1]
-    zero = np.zeros_like(g_0[1])
-    amp_s = np.array(
-        [zero, zero, alpha * p_dn + beta * g_0[1] * q, alpha * p_up - beta * g_0[1] * q]
-    )
-    amp_0, amp_p, amp_m = (gx[rows] * trip for gx in (g_0, g_p, g_m))
-    left = np.array([amp_s, amp_0, amp_0, amp_p, amp_m])
-    right = np.array([amp_s, amp_0, amp_s, amp_p, amp_m])
-    return np.einsum("xld,xkd->xlk", left, right) / g_0.shape[1], levels
-
-
-def bell_mix_evolution(system: CommonBathSystem, r: float, times) -> BellBasisEvolution:
-    """Evolve [(1+r)|S0> + (1-r)|T0>] (normalized) in the Bell basis.
-
-    Exact for any couplings and exchange. r = 1 is the singlet, r = -1 the
-    m=0 triplet. Each sector has four levels, so every output is a line
-    spectrum: an O(2I+1) set-up per kept sector forms 16 line amplitudes.
-    The four diagonal ones are constants, summed over sectors into one; the
-    twelve others are six conjugate pairs (omega_ll' = -omega_l'l), so each
-    time sample costs six lines per sector.
-    """
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    norm = math.sqrt(2.0 * (1.0 + r * r))
-    alpha, beta = (1.0 + r) / norm, (1.0 - r) / norm
-    spins, weights, _ = system.bath.significant_sectors()
-    lines = [_bell_mix_lines(system, i, alpha, beta) for i in spins]
-    amp = np.stack([a for a, _ in lines], axis=-1) * weights  # (5, 4, 4, sectors)
-    levels = np.stack([e for _, e in lines], axis=-1)
-    c1, c2, c3, pp, pm = _level_pair_lines(amp, levels, times)
-    return BellBasisEvolution(
-        times=times,
-        singlet_pop=c1.real,
-        triplet0_pop=c2.real,
-        st_coherence=c3,
-        t1t2_pop=0.5 * (pp.real + pm.real),
-        t1t2_coherence=(0.5 * (pp.real - pm.real)).astype(complex),
-    )
+    def _amplitudes(self, rho):
+        """amp[x, l, l', sector] of the elements obs[x] = (beta, gamma), beta <= gamma,
+        of the state rho over {T+, T0, T-, S}; only the elements whose pair-m
+        shift rho carries, and only the kets' pair-m parts mu that rho holds."""
+        shift = _M_TS[None, :] - _M_TS[:, None]
+        obs = [(b, g) for b in range(4) for g in range(b, 4) if rho[shift == shift[b, g]].any()]
+        slot = np.full((4, 4), -1)
+        slot[tuple(np.array(obs).T)] = np.arange(len(obs))
+        mus = [mu for mu in (1, 0, -1) if rho[_M_TS == mu].any()]
+        terms = _rank_one_terms(rho)
+        # Y_d rows (beta, l, mu = d + m_beta): T states reach every level, S the
+        # F = I pair; of each Gram only the (beta, gamma) output elements are kept
+        grams = []
+        for d in range(-2, 3):
+            rows = [(b, l, d + _M_TS[b]) for b in range(4) if d + _M_TS[b] in mus
+                    for l in (range(4) if b < 3 else (2, 3))]
+            if rows:
+                b, l, _ = np.array(rows).T
+                o = slot[b[:, None], b[None, :]]
+                r1, r2 = np.nonzero(o >= 0)
+                grams.append((rows, r1, r2, o[r1, r2], l[r1], l[r2], np.where(b < 3, l, 4 + l)))
+        amp = np.zeros((len(obs), 4, 4, self._spins.size), dtype=rho.dtype)
+        for t in _cg_tables(self._spins):
+            part = slice(t.lo, t.lo + t.spins.size)
+            cos, sin = (x[part] for x in self._rot)
+            zero, one = np.zeros_like(cos), np.ones_like(cos)
+            # e_l(m) = scale[l] c[_F_ROW[l]] on T+, T0, T-, and scale[4 + l] on S (x) |m>
+            scale = np.array([one, one, cos, -sin, zero, zero, sin, cos])
+            singlet = np.abs(t.m_tot) <= t.spins[:, None]
+            k = t.m_tot.shape[1] - 2
+            for weight, ket in terms:
+                # z[mu][l] = e_l(m) . |ket, m - mu>; column j + 1 - mu of block m holds bath m_b = I - j
+                z = {mu: t.c[_F_ROW, 1 - mu] * (scale[:4] * ket[1 - mu]) for mu in mus}
+                if 0 in mus:
+                    z[0] += singlet * (scale[4:] * ket[3])
+                for rows, r1, r2, o, l1, l2, row_scale in grams:
+                    y = np.empty((t.spins.size, len(rows), k), dtype=rho.dtype)
+                    for r, (b, l, mu) in enumerate(rows):
+                        zl = z[mu][l, :, 1 - mu : 1 - mu + k]
+                        if b < 3:  # the scale of e_l moves onto the Gram
+                            np.multiply(t.c[_F_ROW[l], b, :, 1 - mu : 1 - mu + k], zl, out=y[:, r])
+                        else:
+                            y[:, r] = zl
+                    g = weight * (y @ y.conj().swapaxes(1, 2))
+                    sc = scale[row_scale, :, 0].T
+                    amp[o, l1, l2, part] += (g[:, r1, r2] * sc[:, r1] * sc[:, r2]).T
+        return amp * (self._weights / (2.0 * self._spins + 1.0)), obs
 
 
 # ---------------------------------------------------------------------------

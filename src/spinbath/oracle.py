@@ -121,7 +121,8 @@ def build(mode: str, n_bath: int, couplings) -> FullSystem:
 
     ``mode`` is "separate" (bath split in half, one half per qubit, no
     exchange), "common" (all bath spins coupled to both qubits plus
-    exchange), or "inhomogeneous" (per-nucleus couplings plus exchange).
+    exchange), or "inhomogeneous" (per-nucleus couplings, no exchange:
+    ``InhomogeneousCouplings`` carries none).
     Sites are qubit A (0), qubit B (1) and bath spin s (s + 2).
     """
     _check_cap(n_bath)
@@ -139,7 +140,7 @@ def build(mode: str, n_bath: int, couplings) -> FullSystem:
             raise DimensionCapError(
                 f"need {n_bath} per-nucleus couplings, got {couplings.k_a_i.size}"
             )
-        k_a, k_b, j = couplings.k_a_i, couplings.k_b_i, getattr(couplings, "j", 0.0)
+        k_a, k_b, j = couplings.k_a_i, couplings.k_b_i, 0.0
     else:
         raise DimensionCapError(f"unknown mode {mode!r}")
     pair_terms = [(q, s + 2, k[s]) for q, k in enumerate((k_a, k_b)) for s in range(n_bath)]

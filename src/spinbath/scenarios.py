@@ -20,7 +20,6 @@ from .common import (
     CommonBathSystem,
     SectorExactEvolver,
     SymmetricEvolver,
-    bell_mix_evolution,
     short_time_decoherence_time,
 )
 from .optimize import (
@@ -52,14 +51,6 @@ ORACLE_TOLERANCE = 1e-10
 
 # every time grid is held in memory several times over; this caps it
 MAX_SAMPLES = 10**6
-
-# dense per-sector evolution is cubic in the sector dimension; beyond this
-# many bath spins the closed-form paths must be used instead
-_DENSE_BATH_LIMIT = 24
-
-# the states bell_mix_evolution takes in closed form at any bath size, by
-# their r; r_state gives its r after the colon
-_BELL_MIX_R = {"singlet": 1.0, "triplet0": -1.0, "r_state": None}
 
 
 class ConfigError(ValueError):
@@ -261,13 +252,6 @@ def validate(config: ScenarioConfig) -> ValidationReport:
             report.state = parse_state_spec(config.state)
         except (ValueError, LookupError) as exc:
             report.errors.append(f"state: {exc}")
-    name = config.state.partition(":")[0]
-    if (config.kind == "common-asymmetric" and config.n_bath > _DENSE_BATH_LIMIT
-            and report.state is not None and name not in _BELL_MIX_R):
-        report.errors.append(
-            f"state: {name!r} needs dense evolution, limited to n_bath <= {_DENSE_BATH_LIMIT}; "
-            "singlet/triplet0/r_state use the closed-form path at any size"
-        )
 
     bath, state = report.bath, report.state
     if bath is not None:
@@ -362,25 +346,15 @@ def _run_common_symmetric(config: ScenarioConfig, bath, state) -> RunResult:
 def _run_common_asymmetric(config: ScenarioConfig, bath, state) -> RunResult:
     system = CommonBathSystem(config.k_a, config.k_b, config.j, bath)
     times = _times(config)
-    name, _, arg = config.state.partition(":")
-    if name in _BELL_MIX_R:
-        r = float(arg) if arg else _BELL_MIX_R[name]
-        bell = bell_mix_evolution(system, r, times)
-        rows = [bell.singlet_pop, bell.triplet0_pop, bell.t1t2_pop, bell.mixedness(),
-                concurrence_state(bell.state())]
-        path_meta = "bell-basis closed form"
-    else:
-        states = SectorExactEvolver(system).evolve(state, times)
-        rho = state_to_density(states)
-        kets = np.array([KET_SINGLET, KET_TRIPLET0, KET_T1, KET_T2])
-        pops = np.einsum("bi,tij,bj->tb", kets.conj(), rho, kets).real
-        rows = [pops[:, 0], pops[:, 1], 0.5 * (pops[:, 2] + pops[:, 3]),
-                decoherence_measure(states), concurrence(rho)]
-        path_meta = "dense sector evolution"
+    states = SectorExactEvolver(system).evolve(state, times)
+    rho = state_to_density(states)
+    kets = np.array([KET_SINGLET, KET_TRIPLET0, KET_T1, KET_T2])
+    pops = np.einsum("bi,tij,bj->tb", kets.conj(), rho, kets).real
     series = TimeSeries(
         columns=["t", "singlet_pop", "triplet0_pop", "t1t2_pop", "d", "concurrence"],
-        data=np.column_stack([times] + rows),
-        metadata={**_base_metadata(config, bath), "state": config.state, "method": path_meta},
+        data=np.column_stack([times, pops[:, 0], pops[:, 1], 0.5 * (pops[:, 2] + pops[:, 3]),
+                              decoherence_measure(states), concurrence(rho)]),
+        metadata={**_base_metadata(config, bath), "state": config.state},
     )
     return RunResult(series, Path(config.output), {"rows": str(times.size)})
 
@@ -522,7 +496,8 @@ def _run_fig5(config: ScenarioConfig, bath, state) -> RunResult:
     times = _times(config)
     cases = [("d_rp05_j0", 0.5, 0.0), ("d_rp05_jhi", 0.5, config.j),
              ("d_rm05_j0", -0.5, 0.0), ("d_rm05_jhi", -0.5, config.j)]
-    curves = [bell_mix_evolution(CommonBathSystem(config.k_a, config.k_b, j, bath), r, times).mixedness()
+    curves = [decoherence_measure(SectorExactEvolver(CommonBathSystem(config.k_a, config.k_b, j, bath))
+                                  .evolve(make_named_state("r_state", r=r), times))
               for _, r, j in cases]
     series = TimeSeries(
         columns=["t"] + [c[0] for c in cases],

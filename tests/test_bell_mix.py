@@ -1,5 +1,7 @@
-"""The paired line-spectrum Bell-mix kernel against the per-m amplitude sum
-and against the 16-lines-per-sector evaluation it replaced."""
+"""Singlet/T0 mixtures (r_state) through SectorExactEvolver, against the per-m
+amplitude sum and against the Bell-basis closed form that used to evolve them:
+its per-sector line amplitudes, each of its 16 lines per sector evaluated
+separately."""
 
 import math
 
@@ -7,8 +9,9 @@ import numpy as np
 import pytest
 
 from spinbath import common
-from spinbath.bath import gaussian_approx, unpolarized_exact
-from spinbath.common import CommonBathSystem, _bell_mix_lines, _cg_tables, bell_mix_evolution
+from spinbath.bath import BathDistribution, gaussian_approx, unpolarized_exact
+from spinbath.common import CommonBathSystem, SectorExactEvolver, _cg_tables
+from spinbath.states import KET_SINGLET, KET_T1, KET_T2, KET_TRIPLET0, make_named_state, state_to_density
 
 TIMES = np.linspace(0.0, 10.0, 41)
 
@@ -41,6 +44,68 @@ def mix_block(system, i, times):
     return phase * (c - 1j * s * m_tt), phase * (c + 1j * s * m_tt), phase * (-1j * s * off / gap)
 
 
+def sector_table(i):
+    """c[f, mu, m] of the single sector i, m from I+1 down to -(I+1)."""
+    return next(_cg_tables([i])).c[:, :, 0]
+
+
+def _bell_mix_lines(system, i, alpha, beta):
+    """Line amplitudes of one sector: (5, 4, 4) array A and (4,) levels E.
+
+    The outputs (c1, c2, c3, pp, pm) of the sector are
+    sum_{l,l'} A[:, l, l'] exp(-i (E_l - E_l') t). The levels are F = I+1,
+    F = I-1 and the two eigenvalues mean +- gap of the F = I block, whose basis
+    is {triplet, singlet} with off-diagonal element k_half_diff * y,
+    y = -sqrt(I(I+1)) in the ladder-consistent triplet basis.
+    """
+    h_tt = -system.k_mean + system.j / 4.0
+    h_ss = -0.75 * system.j
+    off = system.k_half_diff * (-math.sqrt(i * (i + 1.0)))
+    mean = 0.5 * (h_tt + h_ss)
+    gap = 0.5 * math.sqrt((h_tt - h_ss) ** 2 + 4.0 * off**2)
+    m_tt, m_off = (1.0, 0.0) if gap < 1e-300 else ((h_tt - mean) / gap, off / gap)
+    levels = np.array(
+        [system.k_mean * i + system.j / 4.0, -system.k_mean * (i + 1.0) + system.j / 4.0,
+         mean + gap, mean - gap]
+    )
+    if i == 0.0:
+        # the only triplet is F = 1, whose m = 0 state is the bare T0
+        g = np.zeros((3, 3, 1))
+        g[0, 1, 0] = 1.0
+    else:
+        g = sector_table(i)[:, :, 1:-1]  # (F, mu, bath m from I down to -I)
+    g_p, g_0, g_m = g[:, 0], g[:, 1], g[:, 2]
+    p_up, p_dn, q = 0.5 * (1.0 + m_tt), 0.5 * (1.0 - m_tt), 0.5 * m_off
+    # per bath m: the triplet-channel amplitude on each level (levels 0, 1
+    # and 2-3 live in the F rows I+1, I-1 and I), its mu = 0, +1, -1
+    # projections, and the singlet amplitude, which only the F = I block reaches
+    trip = np.array(
+        [beta * g_0[0], beta * g_0[2], beta * g_0[1] * p_up + alpha * q,
+         beta * g_0[1] * p_dn - alpha * q]
+    )
+    rows = [0, 2, 1, 1]
+    zero = np.zeros_like(g_0[1])
+    amp_s = np.array(
+        [zero, zero, alpha * p_dn + beta * g_0[1] * q, alpha * p_up - beta * g_0[1] * q]
+    )
+    amp_0, amp_p, amp_m = (gx[rows] * trip for gx in (g_0, g_p, g_m))
+    left = np.array([amp_s, amp_0, amp_0, amp_p, amp_m])
+    right = np.array([amp_s, amp_0, amp_s, amp_p, amp_m])
+    return np.einsum("xld,xkd->xlk", left, right) / g_0.shape[1], levels
+
+
+def sector_bell_mix(system, r, times):
+    """The sector evolver's r_state evolution as the Bell-basis outputs
+    (singlet_pop, triplet0_pop, st_coherence, t1t2_pop, t1t2_coherence)."""
+    rho = state_to_density(SectorExactEvolver(system).evolve(make_named_state("r_state", r=r), times))
+
+    def element(bra, ket):
+        return np.einsum("i,tij,j->t", bra.conj(), rho, ket)
+
+    return np.array([element(KET_SINGLET, KET_SINGLET), element(KET_TRIPLET0, KET_TRIPLET0),
+                     element(KET_TRIPLET0, KET_SINGLET), element(KET_T1, KET_T1), element(KET_T1, KET_T2)])
+
+
 def lines_per_pass_block(system, samples):
     """A _PHASE_BLOCK that gives `samples` time samples per pass: the kernel
     evaluates one constant plus six paired lines per kept sector."""
@@ -63,11 +128,6 @@ def sixteen_line_bell_mix(system, r, times):
     return np.array([c1, c2, c3, 0.5 * (pp + pm), 0.5 * (pp - pm)])
 
 
-def bell_outputs(bell):
-    return np.array([bell.singlet_pop, bell.triplet0_pop, bell.st_coherence,
-                     bell.t1t2_pop, bell.t1t2_coherence])
-
-
 def per_m_bell_mix(system, r, times):
     """Reference: evolve the amplitude of every bath m at every time, then sum
     the Bell-basis moments over m. Returns (c1, c2, c3, pp, pm)."""
@@ -81,7 +141,7 @@ def per_m_bell_mix(system, r, times):
             c2 += w * beta**2
             c3 += w * alpha * beta * np.exp(-1j * system.j * times)
             continue
-        c = _cg_tables(i).c[:, :, 1:-1]
+        c = sector_table(i)[:, :, 1:-1]
         gp, g0, gm = c[:, 0], c[:, 1], c[:, 2]
         d = g0.shape[1]
         b_tt, b_ss, b_ts = mix_block(system, i, times)
@@ -110,12 +170,12 @@ def test_matches_per_m_reference(bath, couplings, r, monkeypatch):
     system = CommonBathSystem(*COUPLINGS[couplings], BATHS[bath])
     c1, c2, c3, pp, pm = per_m_bell_mix(system, r, TIMES)
     expected = np.array([c1, c2, c3, 0.5 * (pp + pm), 0.5 * (pp - pm)])
-    got = [bell_mix_evolution(system, r, TIMES)]
+    got = [sector_bell_mix(system, r, TIMES)]
     # chunked: 3 time samples per pass over the lines
     monkeypatch.setattr(common, "_PHASE_BLOCK", lines_per_pass_block(system, 3))
-    got.append(bell_mix_evolution(system, r, TIMES))
+    got.append(sector_bell_mix(system, r, TIMES))
     for bell in got:
-        assert np.abs(bell_outputs(bell) - expected).max() < 1e-12
+        assert np.abs(bell - expected).max() < 1e-12
 
 
 SIXTEEN_LINE_BATHS = {
@@ -139,18 +199,30 @@ SIXTEEN_LINE_COUPLINGS = {
 def test_paired_lines_match_sixteen_lines(bath, couplings, r, monkeypatch):
     system = CommonBathSystem(*SIXTEEN_LINE_COUPLINGS[couplings], SIXTEEN_LINE_BATHS[bath])
     expected = sixteen_line_bell_mix(system, r, TIMES)
-    got = [bell_mix_evolution(system, r, TIMES)]
+    got = [sector_bell_mix(system, r, TIMES)]
     # chunked: 4 samples per pass, 11 passes over the 41 samples, the last one short
     monkeypatch.setattr(common, "_PHASE_BLOCK", lines_per_pass_block(system, 4))
-    got.append(bell_mix_evolution(system, r, TIMES))
+    got.append(sector_bell_mix(system, r, TIMES))
     for bell in got:
-        assert np.abs(bell_outputs(bell) - expected).max() < 1e-12
+        assert np.abs(bell - expected).max() < 1e-12
 
 
 def test_large_bath_stays_physical():
     system = CommonBathSystem(1.2, 0.8, 20.0, gaussian_approx(1000, "narrow"))
-    bell = bell_mix_evolution(system, 0.5, np.linspace(0.0, 10.0, 50))
-    total = bell.singlet_pop + bell.triplet0_pop + 2.0 * bell.t1t2_pop
+    c1, c2, c3, pp, pm = sector_bell_mix(system, 0.5, np.linspace(0.0, 10.0, 50))
+    total = c1 + c2 + 2.0 * pp
     assert np.abs(total - 1.0).max() < 1e-12
-    d = bell.mixedness()
+    d = 1.0 - (np.abs(c1) ** 2 + np.abs(c2) ** 2 + 2.0 * np.abs(c3) ** 2 + 2.0 * np.abs(pp) ** 2
+               + 2.0 * np.abs(pm) ** 2)
     assert d.min() >= -1e-12 and d.max() <= 0.75 + 1e-12
+
+
+@pytest.mark.parametrize("n", [100, 1000, 10000])
+@pytest.mark.parametrize("r", [0.5, -0.5])
+def test_large_baths_match_sixteen_lines(n, r):
+    # the r_state reference from N = 100 to 10^4, on the kept sectors only:
+    # the reference sums every sector of its bath in a Python loop
+    spins, weights, _ = gaussian_approx(n, "narrow").significant_sectors()
+    system = CommonBathSystem(1.2, 0.8, 20.0, BathDistribution(spins, weights / weights.sum(), n))
+    expected = sixteen_line_bell_mix(system, r, TIMES)
+    assert np.abs(sector_bell_mix(system, r, TIMES) - expected).max() < 1e-12

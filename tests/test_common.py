@@ -4,6 +4,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from spinbath import common
 from spinbath.bath import delta_distribution, gaussian_approx, unpolarized_exact
 from spinbath.common import (
     AssumptionError,
@@ -11,9 +12,8 @@ from spinbath.common import (
     SectorExactEvolver,
     SymmetricEvolver,
     _cg_tables,
-    bell_mix_evolution,
+    _level_pair_lines,
     decoherence_rate_sq,
-    sector_hamiltonian,
     sector_spectrum,
     short_time_decoherence_time,
     singlet_mixedness,
@@ -25,7 +25,11 @@ from spinbath.common import (
 from spinbath.states import (
     InvalidStateError,
     KET_SINGLET,
+    KET_T1,
+    KET_TRIPLET0,
+    TwoQubitState,
     decoherence_measure,
+    density_to_state,
     make_named_state,
     state_from_vector,
     state_to_density,
@@ -33,9 +37,81 @@ from spinbath.states import (
 )
 from spinbath.spinops import qubit_pair_ops, spin_matrices
 
+_S_A, _S_B = qubit_pair_ops()
+
 
 def system(k_a=1.0, k_b=1.0, j=0.0, n=4) -> CommonBathSystem:
     return CommonBathSystem(k_a, k_b, j, unpolarized_exact(n))
+
+
+def sector_hamiltonian(system: CommonBathSystem, i: float) -> np.ndarray:
+    """Dense H on the (4 (2i+1))-dim sector, basis |pair> (x) |i, m>."""
+    ib = spin_matrices(i) if i > 0 else (np.zeros((1, 1), complex),) * 3
+    h = np.kron(system.j * sum(a @ b for a, b in zip(_S_A, _S_B)), np.eye(ib[0].shape[0]))
+    for a, b, m in zip(_S_A, _S_B, ib):
+        h += np.kron(system.k_a * a + system.k_b * b, m)
+    return h
+
+
+class DenseSectorEvolver:
+    """Reference: dense sector-by-sector evolution, every sector of the bath.
+
+    One ``eigh`` per sector, whose eigenvalues must match the four levels of
+    ``sector_spectrum``, gives the level projectors P_l; the line amplitudes
+    (w/(2I+1)) Tr_bath[P_l (rho (x) 1) P_l'] are linear in rho.
+    """
+
+    def __init__(self, system: CommonBathSystem):
+        maps, levels = [], []
+        for i, w in zip(system.bath.spins, system.bath.weights):
+            h = sector_hamiltonian(system, i)
+            assert np.abs(h - h.conj().T).max() < 1e-12
+            vals, vecs = np.linalg.eigh(h.real)
+            s = sector_spectrum(system, i)
+            # absolute energies: sector_spectrum counts from the singlet, -3j/4
+            level = np.array([s.level_f_plus, s.level_f_minus, s.level_mix_upper,
+                              s.level_mix_lower]) - 0.75 * system.j
+            label = np.abs(vals[:, None] - level).argmin(axis=1)
+            assert np.abs(vals - level[label]).max() <= 1e-9 * (1.0 + np.abs(vals).max())
+            d = vals.size // 4
+            # p[l, a, m, b, n]: P_l on |pair a> (x) |I, m>. sum_mn p[l, c, m, a, n]
+            # p[l', b, n, e, m] takes rho[a, b] to the (c, e) element of (l, l')
+            p = np.stack([v @ v.T for v in (vecs[:, label == l] for l in range(4))])
+            p = p.reshape(4, 4, d, 4, d)
+            pair = np.tensordot(p, p, axes=([2, 4], [4, 2])).transpose(1, 5, 0, 3, 2, 4)
+            maps.append(pair.reshape(4, 4, 4, 4, 16) * (float(w) / d))
+            levels.append(level)
+        self._map = np.stack(maps, axis=-2)  # (c, e, l, l', sector, (a, b))
+        self._levels = np.array(levels).T
+
+    def evolve(self, state, times):
+        amp = (self._map @ state_to_density(state).ravel()).reshape((16,) + self._map.shape[2:-1])
+        red = _level_pair_lines(amp, self._levels, np.atleast_1d(times))
+        return density_to_state(red.reshape(4, 4, -1).transpose(2, 0, 1))
+
+
+def random_state(rng, rank):
+    """A random complex density matrix of the given rank, as a state."""
+    psi = rng.normal(size=(rank, 4)) + 1j * rng.normal(size=(rank, 4))
+    rho = np.einsum("ka,kb->ab", psi, psi.conj())
+    return density_to_state(rho / np.trace(rho).real)
+
+
+def bell_elements(states):
+    """(singlet_pop, triplet0_pop, st_coherence, t1t2_pop) of a batch."""
+    rho = state_to_density(states)
+
+    def element(bra, ket):
+        return np.einsum("i,tij,j->t", bra.conj(), rho, ket)
+
+    return (element(KET_SINGLET, KET_SINGLET).real, element(KET_TRIPLET0, KET_TRIPLET0).real,
+            element(KET_TRIPLET0, KET_SINGLET), element(KET_T1, KET_T1).real)
+
+
+def sector_table(i):
+    """(c[f, mu, m], m) of the single sector i, m from I+1 down to -(I+1)."""
+    t = next(_cg_tables([i]))
+    return t.c[:, :, 0], t.m_tot[0]
 
 
 class TestSectorSpectrum:
@@ -202,13 +278,13 @@ class TestSectorPropagatorCoefficients:
 class TestCGTables:
     @pytest.mark.parametrize("i", [0.5, 1.0, 2.5, 7.0])
     def test_completeness(self, i):
-        tables = _cg_tables(i)
+        c, m_tot = sector_table(i)
         # for each (mu, m_tot) with a valid bath projection the F-sum of
         # squared coefficients is 1
         for mu_row, mu in enumerate((1.0, 0.0, -1.0)):
-            for k, mt in enumerate(tables.m_tot):
+            for k, mt in enumerate(m_tot):
                 if abs(mt - mu) <= i + 1e-9:
-                    total = float(np.sum(tables.c[:, mu_row, k] ** 2))
+                    total = float(np.sum(c[:, mu_row, k] ** 2))
                     assert total == pytest.approx(1.0, abs=1e-10)
 
     @pytest.mark.parametrize("i", [0.5, 1.0, 3.5])
@@ -216,7 +292,7 @@ class TestCGTables:
         # <T, F=I, m|(S_A - S_B).I|singlet, m> = -sqrt(I(I+1)) for every m in
         # the ladder-consistent basis; the closed forms rely on it
         ops = sector_operators(i)
-        tables = _cg_tables(i)
+        c, _ = sector_table(i)
         d = int(round(2 * i)) + 1
         y_op = ops["y"]
         for m in (i, 0.5 * (int(2 * i) % 2), -i + 1 if i >= 1 else i):
@@ -231,7 +307,7 @@ class TestCGTables:
                 mi = m - mu
                 if abs(mi) > i + 1e-9:
                     continue
-                coeff = tables.c[1, mu_row, k]
+                coeff = c[1, mu_row, k]
                 bcol = int(round(i - mi))
                 if mu == 1.0:
                     triplet[0 * d + bcol] += coeff
@@ -246,7 +322,7 @@ class TestCGTables:
 
 
 def ladder_cg_tables(i):
-    """Reference (c, m_tot) in the _cg_tables layout: each F family climbed
+    """Reference (c, m_tot) in the sector_table layout: each F family climbed
     down from its highest-weight state with the dense spin-1 x spin-I lowering
     operator, O(I^3)."""
     d = int(round(2 * i)) + 1
@@ -296,23 +372,53 @@ class TestCGClosedForm:
     def test_matches_ladder(self):
         for two_i in range(1, 41):
             c, m_tot = ladder_cg_tables(two_i / 2)
-            tables = _cg_tables(two_i / 2)
-            assert tables.two_i == two_i
-            assert np.array_equal(tables.m_tot, m_tot)
-            assert np.abs(tables.c - c).max() < 1e-12, two_i
+            got, got_m = sector_table(two_i / 2)
+            assert got.shape == c.shape
+            assert np.array_equal(got_m, m_tot)
+            assert np.abs(got - c).max() < 1e-12, two_i
 
     @pytest.mark.parametrize("i", [0.5, 50.5, 100.0, 500.0])
     def test_columns_orthonormal(self, i):
         # at each m_tot the valid F rows, as vectors over mu, are orthonormal
-        tables = _cg_tables(i)
-        gram = np.einsum("fak,gak->kfg", tables.c, tables.c)
-        valid = np.abs(tables.m_tot)[:, None] <= np.array([i + 1.0, i, i - 1.0])[None, :]
+        c, m_tot = sector_table(i)
+        gram = np.einsum("fak,gak->kfg", c, c)
+        valid = np.abs(m_tot)[:, None] <= np.array([i + 1.0, i, i - 1.0])[None, :]
         expect = np.einsum("kf,fg->kfg", valid.astype(float), np.eye(3))
         assert np.abs(gram - expect).max() < 1e-14
 
-    def test_spin_zero_rejected(self):
-        with pytest.raises(AssumptionError):
-            _cg_tables(0.0)
+    def test_spin_zero_is_bare_triplet(self):
+        # spin 1 (x) spin 0 is F = 1 alone, |1, m> = |mu = m> (x) |0, 0>
+        c, m_tot = sector_table(0.0)
+        assert np.array_equal(m_tot, [1.0, 0.0, -1.0])
+        assert np.array_equal(c[0], np.eye(3))
+        assert not c[1:].any()
+
+    @pytest.mark.parametrize("block", [8 * 9 * 5, 8 * 9 * 40, 8 * 2000, None])
+    def test_chunks_match_single_sectors(self, block, monkeypatch):
+        # chunks cover the sectors in order within _PHASE_BLOCK // 8 entries (a
+        # lone sector may exceed it); every sector equals its own table, zero-padded
+        if block is not None:
+            monkeypatch.setattr(common, "_PHASE_BLOCK", block)
+        spins = np.concatenate([[0.0], unpolarized_exact(40).spins[1:], [57.0, 57.5]])
+        seen = []
+        for t in _cg_tables(spins):
+            assert t.c.size <= common._PHASE_BLOCK // 8 or t.spins.size == 1
+            assert np.array_equal(t.spins, spins[t.lo : t.lo + t.spins.size])
+            seen.extend(t.spins)
+            for s, i in enumerate(t.spins):
+                c, m_tot = sector_table(i) if block is not None else ladder_or_zero(i)
+                width = m_tot.size
+                assert np.array_equal(t.m_tot[s, :width], m_tot)
+                assert np.abs(t.c[:, :, s, :width] - c).max() < 1e-12
+                assert not t.c[:, :, s, width:].any()
+        assert seen == list(spins)
+
+
+def ladder_or_zero(i):
+    """ladder_cg_tables, with the spin-0 sector as the bare triplet."""
+    if i == 0.0:
+        return np.concatenate([np.eye(3)[None], np.zeros((2, 3, 3))]), np.array([1.0, 0.0, -1.0])
+    return ladder_cg_tables(i)
 
 
 class TestSymmetricEvolution:
@@ -442,32 +548,32 @@ class TestAsymmetricEvolution:
 
 
 class TestBellMixEvolution:
+    """Singlet/T0 mixtures [(1+r)|S0> + (1-r)|T0>] through the sector evolver."""
+
+    @staticmethod
+    def evolve(sys, r, times):
+        return SectorExactEvolver(sys).evolve(make_named_state("r_state", r=r), times)
+
     def test_initial_coefficients(self):
         for r in (1.0, 0.5, -0.7):
-            bell = bell_mix_evolution(system(1.0, 0.4, 2.0, n=3), r, [0.0])
+            c1, c2, c3, pp = bell_elements(self.evolve(system(1.0, 0.4, 2.0, n=3), r, [0.0]))
             norm = 2 * (1 + r**2)
-            assert bell.singlet_pop[0] == pytest.approx((1 + r) ** 2 / norm, abs=1e-12)
-            assert bell.triplet0_pop[0] == pytest.approx((1 - r) ** 2 / norm, abs=1e-12)
-            assert bell.st_coherence[0] == pytest.approx(
-                (1 + r) * (1 - r) / norm, abs=1e-12
-            )
-            assert bell.t1t2_pop[0] == pytest.approx(0.0, abs=1e-14)
+            assert c1[0] == pytest.approx((1 + r) ** 2 / norm, abs=1e-12)
+            assert c2[0] == pytest.approx((1 - r) ** 2 / norm, abs=1e-12)
+            assert c3[0] == pytest.approx((1 + r) * (1 - r) / norm, abs=1e-12)
+            assert pp[0] == pytest.approx(0.0, abs=1e-14)
 
     def test_trace_identity(self):
-        bell = bell_mix_evolution(
-            system(1.3, 0.5, 4.0, n=5), 0.35, np.linspace(0, 5, 60)
-        )
-        total = bell.singlet_pop + bell.triplet0_pop + 2 * bell.t1t2_pop
-        assert np.allclose(total, 1.0, atol=1e-12)
+        c1, c2, _, pp = bell_elements(self.evolve(system(1.3, 0.5, 4.0, n=5), 0.35, np.linspace(0, 5, 60)))
+        assert np.allclose(c1 + c2 + 2 * pp, 1.0, atol=1e-12)
 
     @pytest.mark.parametrize("r", [1.0, 0.5, -0.5])
     @pytest.mark.parametrize("j", [0.0, 2.0])
     def test_matches_dense_evolution(self, r, j):
         sys = system(1.0, 0.4, j, n=4)
         times = np.linspace(0, 3, 7)
-        bell = bell_mix_evolution(sys, r, times)
-        ref = SectorExactEvolver(sys).evolve(make_named_state("r_state", r=r), times)
-        s = bell.state()
+        s = self.evolve(sys, r, times)
+        ref = DenseSectorEvolver(sys).evolve(make_named_state("r_state", r=r), times)
         assert np.abs(s.p_a - ref.p_a).max() < 1e-12
         assert np.abs(s.p_b - ref.p_b).max() < 1e-12
         assert np.abs(s.pi - ref.pi).max() < 1e-12
@@ -479,11 +585,103 @@ class TestBellMixEvolution:
         for r in (0.5, -0.5):
             for j in (0.0, 20.0):
                 sys = CommonBathSystem(1.2, 0.8, j, bath)
-                d[(r, j)] = bell_mix_evolution(sys, r, times).mixedness().max()
+                d[(r, j)] = decoherence_measure(self.evolve(sys, r, times)).max()
         # the near-singlet state is strongly protected by large exchange,
         # the near-triplet state is not
         assert d[(0.5, 20.0)] < 0.5 * d[(0.5, 0.0)]
         assert abs(d[(-0.5, 20.0)] - d[(-0.5, 0.0)]) < 0.4 * d[(-0.5, 0.0)]
+
+
+DENSE_COUPLINGS = {
+    "unequal": (1.0, 0.4, 1.5),
+    "no-exchange": (1.0, 0.4, 0.0),
+    "negative-kb": (0.9, -0.5, 1.2),
+    "opposite": (1.0, -1.0, 0.3),  # F = I +- 1 levels coincide
+    "gap-zero": (0.7, 0.7, 0.7),  # F = I block degenerate: k_a = k_b = j
+}
+
+
+class TestSectorExactAgainstDense:
+    """The rank-one projector evolver against one dense eigh per sector."""
+
+    @pytest.mark.parametrize("couplings", list(DENSE_COUPLINGS))
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_random_states(self, n, couplings):
+        rng = np.random.default_rng(100 * n + len(couplings))
+        sys = CommonBathSystem(*DENSE_COUPLINGS[couplings], unpolarized_exact(n))
+        times = np.linspace(0.0, 5.0, 13)
+        ours, dense = SectorExactEvolver(sys), DenseSectorEvolver(sys)
+        for rank in (1, 2, 4):
+            s0 = random_state(rng, rank)
+            got = state_to_density(ours.evolve(s0, times))
+            want = state_to_density(dense.evolve(s0, times))
+            assert np.abs(got - want).max() < 1e-12
+
+    @pytest.mark.parametrize("name, params", [
+        ("bell_t1", {}), ("up_down", {}), ("werner", dict(p=0.3)), ("singlet", {}),
+        ("general_pure", dict(gamma=0.3 + 0.4j, theta=1.1, phi=2.3)),
+    ])
+    def test_named_states(self, name, params):
+        sys = CommonBathSystem(1.2, 0.45, 2.0, unpolarized_exact(7))
+        s0 = make_named_state(name, **params)
+        times = np.linspace(0.0, 4.0, 9)
+        got = state_to_density(SectorExactEvolver(sys).evolve(s0, times))
+        want = state_to_density(DenseSectorEvolver(sys).evolve(s0, times))
+        assert np.abs(got - want).max() < 1e-12
+
+    @pytest.mark.parametrize("block", [1, 8 * 9 * 7, 8 * 4000])
+    def test_chunked_tables(self, block, monkeypatch):
+        # one sector or a few per table chunk give the same amplitudes
+        sys = CommonBathSystem(1.1, 0.3, 0.8, unpolarized_exact(11))
+        s0 = random_state(np.random.default_rng(5), 2)
+        times = np.linspace(0.0, 3.0, 7)
+        want = state_to_density(DenseSectorEvolver(sys).evolve(s0, times))
+        monkeypatch.setattr(common, "_PHASE_BLOCK", block)
+        got = state_to_density(SectorExactEvolver(sys).evolve(s0, times))
+        assert np.abs(got - want).max() < 1e-12
+
+
+class TestRankOneTerms:
+    @pytest.mark.parametrize("rho, count", [
+        (np.outer([0.6, 0.0, 0.0, 0.8], [0.6, 0.0, 0.0, 0.8]), 1),
+        (np.diag([0.1, 0.2, 0.3, 0.4]), 4),
+        # indefinite with a vanishing diagonal: split into element pairs
+        (np.array([[0, 1j, 0, 0], [-1j, 0, 2, 0], [0, 2, 0, 3], [0, 0, 3, 0]]), 6),
+    ])
+    def test_reconstructs(self, rho, count):
+        terms = common._rank_one_terms(rho)
+        assert len(terms) == count
+        back = sum(w * np.outer(v, v.conj()) for w, v in terms)
+        assert np.abs(back - rho).max() < 1e-15
+        # each vector keeps the zero rows of rho
+        for _, v in terms:
+            assert not v[~rho.any(axis=1)].any()
+
+    def test_indefinite_state_matches_dense(self):
+        # the evolution is linear in rho: an unphysical state evolves like the reference
+        s0 = TwoQubitState(np.array([0.9, 0.0, 0.3]), np.array([0.0, 0.9, 0.0]), 0.9 * np.eye(3))
+        assert validate_state(s0).min_eigenvalue < -0.1
+        sys = CommonBathSystem(1.0, 0.4, 1.5, unpolarized_exact(6))
+        times = np.linspace(0.0, 3.0, 7)
+        got = state_to_density(SectorExactEvolver(sys).evolve(s0, times))
+        want = state_to_density(DenseSectorEvolver(sys).evolve(s0, times))
+        assert np.abs(got - want).max() < 1e-12
+
+
+class TestSectorExactSymmetricLimit:
+    """k_a = k_b: the sector evolver against the comb of SymmetricEvolver."""
+
+    @pytest.mark.parametrize("n, k, j, samples", [(100, 1.0, 200.0, 12000), (10000, 0.9, 3.0, 400)])
+    def test_random_states(self, n, k, j, samples):
+        sys = CommonBathSystem(k, k, j, gaussian_approx(n, "narrow"))
+        times = np.linspace(0.0, 6.0, samples)
+        rng = np.random.default_rng(n)
+        for rank in (1, 3):
+            s0 = random_state(rng, rank)
+            a = SymmetricEvolver(sys).evolve(s0, times)
+            b = SectorExactEvolver(sys).evolve(s0, times)
+            for x, y in ((a.p_a, b.p_a), (a.p_b, b.p_b), (a.pi, b.pi)):
+                assert np.abs(x - y).max() < 1e-12
 
 
 class TestSingletSurvival:
@@ -612,18 +810,32 @@ class TestTransverseLongitudinalRates:
         assert fit_zz == pytest.approx(rate_zz, rel=0.01)
 
 
+ORACLE_COUPLINGS = {
+    "unequal": (1.0, 0.4, 1.5),
+    "no-exchange": (1.1, 0.6, 0.0),
+    "negative-kb": (0.9, -0.5, 1.2),
+}
+
+
 class TestSectorAgainstOracle:
-    def test_single_sector_matches_projected_oracle(self):
+    @pytest.mark.parametrize("couplings", list(ORACLE_COUPLINGS))
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_single_sector_matches_projected_oracle(self, n, couplings):
         # a delta distribution on one sector equals the oracle started in the
-        # corresponding projected bath state
+        # corresponding projected bath state, for every sector of n spins
+        from spinbath.bath import spin_grid
         from spinbath.oracle import CouplingParams, build, evolve_reduced
 
-        sys = CommonBathSystem(1.0, 0.4, 1.5, delta_distribution(1.0))
-        full = build("common", 4, CouplingParams(1.0, 0.4, 1.5))
-        s0 = make_named_state("r_state", r=0.5)
-        evolver = SectorExactEvolver(sys)
-        for t in (0.6, 1.9):
-            a = evolver.evolve(s0, [t])[0]
-            b = evolve_reduced(full, s0, ("sector", 1.0), [t])[0]
-            assert np.abs(a.pi - b.pi).max() < 1e-10
-            assert np.abs(a.p_a - b.p_a).max() < 1e-10
+        k_a, k_b, j = ORACLE_COUPLINGS[couplings]
+        full = build("common", n, CouplingParams(k_a, k_b, j))
+        states = [make_named_state("r_state", r=0.5), make_named_state("bell_t1"),
+                  make_named_state("werner", p=0.3),
+                  make_named_state("general_pure", gamma=0.3 + 0.4j, theta=1.1, phi=2.3)]
+        times = [0.6, 1.9]
+        for i in spin_grid(n):
+            evolver = SectorExactEvolver(CommonBathSystem(k_a, k_b, j, delta_distribution(i)))
+            for s0 in states:
+                a = evolver.evolve(s0, times)
+                b = evolve_reduced(full, s0, ("sector", i), times)
+                for x, y in ((a.p_a, b.p_a), (a.p_b, b.p_b), (a.pi, b.pi)):
+                    assert np.abs(x - y).max() < 1e-10

@@ -1,6 +1,8 @@
 """Line spectra: the one evaluator, the comb map, the closed forms moved onto
 it, and the sector-weight cut, each against the per-sector path it replaced."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -10,9 +12,9 @@ from spinbath.bath import gaussian_approx, unpolarized_exact
 from spinbath.cli import main
 from spinbath.common import (
     CommonBathSystem,
+    SectorExactEvolver,
     SymmetricEvolver,
     _cg_tables,
-    bell_mix_evolution,
     evaluate_lines,
     sector_spectrum,
     singlet_survival,
@@ -52,7 +54,7 @@ def per_sector_map(system, times):
             continue
         levels = np.array([j + k * i, j - k, j - k * (i + 1.0)])
         u = np.exp(-1j * np.outer(levels, times))
-        c = _cg_tables(i).c
+        c = next(_cg_tables([i])).c[:, :, 0]
         norm = 2.0 * i + 1.0
         moments = np.einsum("fbk,fak,gbk,gak->abfg", c, c, c, c) / norm
         r = np.einsum("ft,gt,abfg->abt", u, u.conj(), moments).real
@@ -249,9 +251,14 @@ class TestWeightCut:
         for name in ("up_down", "triplet0", "bell_t1"):
             s = sym.evolve(make_named_state(name), TIMES)
             out += [s.p_a.ravel(), s.p_b.ravel(), s.pi.ravel()]
-        bell = bell_mix_evolution(CommonBathSystem(1.2, 0.8, 20.0, b), 0.5, TIMES)
-        out += [bell.singlet_pop, bell.triplet0_pop, bell.st_coherence.real,
-                bell.st_coherence.imag, bell.t1t2_pop, bell.t1t2_coherence.real]
+        # the raw density matrices: a heavy cut leaves their trace below 1,
+        # which the conversion to polarizations refuses
+        with mock.patch.object(common, "density_to_state", lambda rho: rho):
+            for name, params in (("r_state", dict(r=0.5)),
+                                 ("general_pure", dict(gamma=0.3 + 0.4j, theta=1.1, phi=2.3))):
+                rho = SectorExactEvolver(CommonBathSystem(1.2, 0.8, 20.0, b)).evolve(
+                    make_named_state(name, **params), TIMES)
+                out += [rho.real.ravel(), rho.imag.ravel()]
         out.append(singlet_survival(CommonBathSystem(1.2, 0.8, 3.0, b), TIMES))
         sep = SeparateBathSystem(1.1, 0.6, b, b)
         out += [decay_factors(sep, TIMES).vector_a, decay_factors(sep, TIMES).vector_b]

@@ -175,6 +175,11 @@ class TestBuild:
         sys_common = build("common", 3, CouplingParams(0.8, 0.3, 0.0))
         assert np.abs(sys_eq.hamiltonian - sys_common.hamiltonian).max() < 1e-12
 
+    def test_inhomogeneous_mode_has_no_exchange(self):
+        # InhomogeneousCouplings carries no exchange: no qubit-qubit term
+        coup = InhomogeneousCouplings(np.array([1.0, 0.5, 0.2]), np.array([0.2, 0.5, 1.0]))
+        assert all(t[:2] != (0, 1) for t in build("inhomogeneous", 3, coup).terms)
+
     def test_common_conserves_total_fz(self):
         sys = build("common", 4, CouplingParams(1.0, 0.3, 1.5))
         fz = total_fz(4)

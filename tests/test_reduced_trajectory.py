@@ -9,10 +9,11 @@ import pytest
 
 from spinbath import common, oracle, spinops
 from spinbath.bath import unpolarized_exact
-from spinbath.common import CommonBathSystem, SectorExactEvolver, sector_hamiltonian
+from spinbath.common import CommonBathSystem, SectorExactEvolver
 from spinbath.oracle import CouplingParams, bath_spin_projector, build, evolve_reduced
 from spinbath.scenarios import ScenarioConfig, _run_oracle_compare, validate
 from spinbath.states import make_named_state, state_to_density
+from test_common import sector_hamiltonian
 
 TIMES = np.array([0.0, 0.35, 1.1, 2.4, 3.7, 6.2])
 
@@ -116,11 +117,10 @@ def test_oracle_compare_diagonalizes_once(monkeypatch, tmp_path):
     report = validate(config)
     result = _run_oracle_compare(config, report.bath, report.state)
     assert not result.numerical_failure
-    # one eigh per F_z block (k down spins of n + 2) and one per bath sector of
-    # the analytic side, dimension 4 (2I + 1); none at the full dimension
+    # one eigh per F_z block (k down spins of n + 2); none on the analytic
+    # side, whose sector levels are closed forms, and none at the full dimension
     blocks = Counter(math.comb(n + 2, k) for k in range(n + 3))
-    sectors = Counter(4 * int(2 * i + 1) for i in unpolarized_exact(n).spins)
-    assert Counter(calls) == blocks + sectors
+    assert Counter(calls) == blocks
     assert 4 * 2**n not in calls
 
 

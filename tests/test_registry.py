@@ -54,9 +54,8 @@ COMBINED = [
       "state: unknown state name 'nope'"]),
     ("fig2", dict(k_a=0.0, k_b=1.0, j=None),
      [EQUAL, "k_a: fig2 needs k_a != 0 for its revival time 2 pi / k_a", J_REQUIRED]),
-    ("common-asymmetric", dict(n_bath=40, state="bell_t1", j=None),
-     [J_REQUIRED, "state: 'bell_t1' needs dense evolution, limited to n_bath <= 24; "
-      "singlet/triplet0/r_state use the closed-form path at any size"]),
+    # any state evolves in closed form at any bath size
+    ("common-asymmetric", dict(n_bath=40, state="bell_t1", j=None), [J_REQUIRED]),
     ("optimize", dict(k_a=0.0, k_b=0.0, samples=1),
      ["samples: need at least 2 samples", "k_a, k_b: k_a^2 + k_b^2 must be nonzero and finite"]),
 ]

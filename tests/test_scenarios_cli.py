@@ -167,15 +167,19 @@ class TestRunners:
             )
         )
         ts = read_csv(out)
-        assert ts.metadata["method"] == "dense sector evolution"
+        assert "method" not in ts.metadata
         total = ts.column("singlet_pop") + ts.column("triplet0_pop") + 2 * ts.column("t1t2_pop")
         assert np.allclose(total, 1.0, atol=1e-10)
 
-    def test_dense_state_rejected_for_large_bath(self):
-        report = validate(
-            ScenarioConfig.for_kind("common-asymmetric", n_bath=40, j=2.0, state="bell_t1")
-        )
-        assert any("dense evolution" in err for err in report.errors)
+    @pytest.mark.parametrize("state", ["bell_t1", "general_pure:0.5,0.3,1.0", "werner:0.3"])
+    def test_any_state_runs_for_large_bath(self, tmp_path, state):
+        config = ScenarioConfig.for_kind("common-asymmetric", n_bath=1000, j=2.0, state=state,
+                                         samples=20, output=str(tmp_path / "ca.csv"))
+        assert validate(config).ok
+        run(config)
+        ts = read_csv(tmp_path / "ca.csv")
+        total = ts.column("singlet_pop") + ts.column("triplet0_pop") + 2 * ts.column("t1t2_pop")
+        assert np.abs(total - 1.0).max() < 1e-12
 
     def test_byte_identical_reruns(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
