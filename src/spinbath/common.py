@@ -8,14 +8,18 @@ if and only if K_A != K_B. The evolution convention throughout is
 U = exp(-iHt); sector phases are reported relative to the singlet level,
 which removes an unobservable global phase.
 
-Two evolution paths are provided and cross-checked, each a line spectrum
-read off one Clebsch-Gordan table (``_cg_tables``) over all kept sectors:
+The Hamiltonian is rotation invariant and every sector starts proportional to
+the identity, so the reduced map commutes with rotations of the pair; it is
+real (time-reversal invariant) too. Both evolvers apply that one channel
+(``_apply_channel``), fixed by eight real functions of t: one for S_A . S_B,
+one for the rank-2 part of the spin correlations, and six for the vectors
+S_A, S_B and S_A x S_B. Each function is a constant plus the six level-pair
+lines of every kept sector, with amplitudes from closed-form 6j symbols
+(``_level_pair_amps``), O(1) per sector:
 
-- ``SymmetricEvolver``: closed-form polarization map for K_A = K_B, built
-  from bath-averaged Clebsch-Gordan moment tensors; all sectors share one comb.
-- ``SectorExactEvolver``: any initial state, couplings and exchange. Each
-  sector has four levels whose projectors are rank one in every total-m
-  block, so the state costs six lines per sector and an O(2I+1) set-up.
+- ``SectorExactEvolver``: any initial state, couplings and exchange.
+- ``SymmetricEvolver``: K_A = K_B, read out as the paper's polarization map;
+  every line then falls on one integer comb shared by all sectors.
 
 Both skip sectors below ``bath.SECTOR_WEIGHT_CUT`` (baths of 10^6 spins are
 in reach) and sum their lines in ``evaluate_lines``, which on an affine grid
@@ -32,15 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bath import BathDistribution
-from .states import (
-    KET_SINGLET,
-    KET_TRIPLET0,
-    InvalidStateError,
-    TwoQubitState,
-    decoherence_measure,
-    density_to_state,
-    state_to_density,
-)
+from .states import InvalidStateError, TwoQubitState, decoherence_measure
 
 
 class AssumptionError(ValueError):
@@ -92,98 +88,43 @@ class SectorCoefficients:
 
 def _sector_levels(system: CommonBathSystem, spins):
     """The four levels of the sectors ``spins``, relative to the singlet, and
-    the off-diagonal element of their F = I blocks.
+    the angle phi of their F = I blocks.
 
-    Level rows: F = I+1, F = I-1, then the upper and lower eigenvalue of the
-    F = I block [[J - K, off], [off, 0]] on {|F=I, m>_T, |S>|m>}, the triplet
-    state built from the ``_cg_tables`` rows, K the mean coupling and
-    off = -(K_A - K_B) sqrt(I(I+1)) / 2.
+    Level rows: F = I+1, F = I-1, then the eigenvalues h +- g of the F = I
+    block [[2h, off], [off, 0]] on {|F=I, m>_T, |S>|m>}, with 2h = J - K, K
+    the mean coupling and off = -(K_A - K_B) sqrt(I(I+1)) / 2. Level 3 is
+    cos(phi) |T> + sin(phi) |S> and level 4 is -sin(phi) |T> + cos(phi) |S>,
+    with tan 2 phi = off / h and |phi| <= pi / 4, so g carries the sign of h:
+    for K_A = K_B, phi = 0 and levels 3 and 4 are the triplet and the singlet.
     """
     spins = np.asarray(spins, dtype=float)
     kbar, j = system.k_mean, system.j
     half = 0.5 * (j - kbar)
     off = -system.k_half_diff * np.sqrt(spins * (spins + 1.0))
-    gap = np.hypot(half, off)
-    return np.array([j + spins * kbar, j - (spins + 1.0) * kbar, half + gap, half - gap]), off
+    sign = -1.0 if half < 0.0 else 1.0
+    gap = sign * np.hypot(half, off)
+    phi = 0.5 * np.arctan2(sign * off, abs(half))
+    return np.array([j + spins * kbar, j - (spins + 1.0) * kbar, half + gap, half - gap]), phi
 
 
 def sector_spectrum(system: CommonBathSystem, i: float) -> SectorCoefficients:
     """Eigenvalues and mixing parameters of the bath sector with spin i."""
     if i < 0:
         raise AssumptionError(f"sector spin must be >= 0, got {i}")
-    (lam1, lam2, zeta_p, zeta_m), off = _sector_levels(system, i)
-    mean, gap = 0.5 * (zeta_p + zeta_m), 0.5 * (zeta_p - zeta_m)
-    p, q = (1.0, 0.0) if gap < 1e-300 else (mean / gap, abs(off) / gap)
-    return SectorCoefficients(float(i), *(float(x) for x in (lam1, lam2, zeta_p, zeta_m, mean, gap, p, q)))
+    (lam1, lam2, mix3, mix4), phi = _sector_levels(system, i)
+    # mixing_cos = h / |g| and mixing_sin = |off| / |g|: the angle 2 phi, measured from the upper level
+    flip = -1.0 if mix3 < mix4 else 1.0
+    return SectorCoefficients(float(i), *(float(x) for x in (
+        lam1, lam2, max(mix3, mix4), min(mix3, mix4), 0.5 * (mix3 + mix4), 0.5 * abs(mix3 - mix4),
+        flip * np.cos(2.0 * phi), abs(np.sin(2.0 * phi)))))
 
 
 # ---------------------------------------------------------------------------
-# Clebsch-Gordan tables for the triplet (spin-1) x spin-I coupling
+# line spectra
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _CGTables:
-    """The tables of the consecutive sectors ``spins``, from index ``lo`` on.
-
-    c[f, mu, s, k] = <mu, m - mu | F, m> of sector s: F rows (I+1, I, I-1),
-    mu rows (+1, 0, -1), m = m_tot[s, k] = I + 1 - k. Every sector has the
-    columns of the widest one; entries outside |m - mu| <= I, |m| <= F and
-    the triangle F >= |I - 1| are zero.
-    """
-
-    lo: int
-    spins: np.ndarray
-    c: np.ndarray
-    m_tot: np.ndarray
-
-
-def _cg_tables(spins):
-    """Closed-form <1 mu; I m-mu | F m> for F = I+1, I, I-1 over the ascending
-    sectors ``spins``, vectorised over sectors and m, yielded in chunks of at
-    most ``_PHASE_BLOCK // 8`` entries (one sector at least): a general
-    state's Gram rows, nine times the table, then fit in about one pass.
-
-    The coefficients are the textbook ones for coupling spin I to spin 1
-    (Edmonds, *Angular Momentum in Quantum Mechanics*, Table 2), with the
-    spin-1 factor written first: the swap factor (-1)^(I+1-F) negates the F = I
-    row. Condon-Shortley signs; a spin-0 sector has only its F = 1 row.
-    """
-    two_i, lo, limit = np.rint(2.0 * np.asarray(spins, dtype=float)).astype(int), 0, _PHASE_BLOCK // 8
-    while lo < two_i.size:
-        width = two_i[lo : lo + max(1, limit // (9 * (two_i[lo] + 3)))] + 3
-        n = max(1, int(np.searchsorted(9 * np.arange(1, width.size + 1) * width, limit, "right")))
-        yield _cg_chunk(lo, 0.5 * two_i[lo : lo + n, None], width[n - 1])
-        lo += n
-
-
-def _cg_chunk(lo: int, i: np.ndarray, width: int) -> _CGTables:
-    """The tables of the sectors i, shape (S, 1), on ``width`` m columns."""
-    m_tot = (i + 1.0) - np.arange(width)
-    a, b, a1, b1 = i + m_tot, i - m_tot, i + m_tot + 1.0, i - m_tot + 1.0
-    # radicands first; they vanish or turn negative wherever a coefficient
-    # must be zero, except past m = -(I+1) (padding) and on the edges of
-    # F = I, I-1, which the masks below zero
-    c = np.empty((3, 3) + m_tot.shape)
-    for (f, mu), x, y in (((0, 0), a, a1), ((0, 1), a1, b1), ((0, 2), b, b1),
-                          ((1, 0), a, b1), ((1, 2), b, a1), ((2, 1), a, b)):
-        np.multiply(x, y, out=c[f, mu])
-    c[::2, 1] *= 2.0
-    c[1, 1], c[2, 0], c[2, 2] = 2.0, c[0, 2], c[0, 0]
-    np.sqrt(np.maximum(c, 0.0, out=c), out=c)
-    # F = I+1, I, I-1 normalizations; a spin-0 sector's F = I and F = I-1
-    # rows divide by 1 here, they vanish anyway
-    c /= np.sqrt(np.maximum([2.0 * (i + 1.0) * (2.0 * i + 1.0), 2.0 * i * (i + 1.0),
-                             2.0 * i * (2.0 * i + 1.0)], 1.0))[:, None]
-    c[1, 1] *= -m_tot * (np.abs(m_tot) <= i)
-    c[[1, 2], [2, 1]] *= -1.0
-    c[0, ::2] *= m_tot >= -(i + 1.0)
-    c[2, ::2] *= np.abs(m_tot) <= i - 1.0
-    return _CGTables(lo=lo, spins=i[:, 0], c=c, m_tot=m_tot)
-
-
-# a pass holds at most this many phases (lines x offsets), folded amplitudes
-# or Clebsch-Gordan table entries
+# a pass holds at most this many phases (lines x offsets) or folded amplitudes
 _PHASE_BLOCK = 1 << 18
 
 
@@ -227,20 +168,145 @@ def evaluate_lines(amp_plus, amp_minus, omega, times) -> np.ndarray:
     return out.reshape(n_obs, base.size * off.size)[:, : t.size].reshape((n_obs,) + np.shape(times))
 
 
-def _level_pair_lines(amp, levels, times) -> np.ndarray:
-    """sum_{l,l',s} amp[:, l, l', s] exp(-i (levels[l, s] - levels[l', s]) t), 6 pairs per s."""
-    up, lo = np.triu_indices(4, 1)
-    const = np.einsum("xlls->x", amp)[:, None]
-    return evaluate_lines(
-        np.hstack([const, amp[:, up, lo].reshape(amp.shape[0], -1)]),
-        np.hstack([np.zeros_like(const), amp[:, lo, up].reshape(amp.shape[0], -1)]),
-        np.append(0.0, (levels[up] - levels[lo]).ravel()),
-        times,
-    )
+# ---------------------------------------------------------------------------
+# the shared-bath channel
+# ---------------------------------------------------------------------------
+
+
+# sqrt((2F+1)(2F'+1)/(2I+1)) {1 1 k; F' F I} (-1)^(2I) for F = I+a, F' = I+b, a <= b: the
+# sign and constant c, and the offsets o of the factors (2I + o) in the numerator and the
+# denominator of its square (from the closed forms of Edmonds, *Angular Momentum in
+# Quantum Mechanics*, Table 5). Symmetric in a, b; zero for k = 0, a != b and k = 1, |a - b| = 2
+_SIX_J = {
+    (0, -1, -1): (1 / 3, (-1,), (1,)),
+    (0, 0, 0): (-1 / 3, (), ()),
+    (0, 1, 1): (1 / 3, (3,), (1,)),
+    (1, -1, -1): (1 / 6, (-1, -2), (0, 1)),
+    (1, -1, 0): (-1 / 6, (-1, 2), (0, 1)),
+    (1, 0, 0): (2 / 3, (), (0, 2)),
+    (1, 0, 1): (1 / 6, (0, 3), (1, 2)),
+    (1, 1, 1): (-1 / 6, (3, 4), (1, 2)),
+    (2, -1, -1): (1 / 30, (-1, -2, -3), (0, 1, 1)),
+    (2, -1, 0): (-1 / 10, (-1, -2), (0, 1)),
+    (2, -1, 1): (1 / 5, (-1, 3), (1, 1)),
+    (2, 0, 0): (2 / 15, (-1, 3), (0, 2)),
+    (2, 0, 1): (-1 / 10, (3, 4), (1, 2)),
+    (2, 1, 1): (1 / 30, (3, 4, 5), (1, 1, 2)),
+}
+# F - I of each level, and which levels the comb counts as triplets (K_A = K_B)
+_F_OFFSET = np.array([1, -1, 0, 0])
+_TRIPLET = np.array([1, 1, 1, 0])
+
+
+def _six_j(two_i: np.ndarray) -> np.ndarray:
+    """t[k, a + 1, b + 1, sector] of ``_SIX_J``; 0 where F = I - 1 does not exist
+    (a radicand that vanishes or turns negative, or a zero denominator)."""
+    t = np.zeros((3, 3, 3) + two_i.shape)
+    for (k, a, b), (c, num, den) in _SIX_J.items():
+        num, den = (np.prod(np.add.outer(np.array(o, dtype=float), two_i), axis=0) for o in (num, den))
+        sq = np.divide(abs(c) * num, den, out=np.zeros_like(two_i), where=den != 0.0)
+        t[k, a + 1, b + 1] = t[k, b + 1, a + 1] = math.copysign(1.0, c) * np.sqrt(np.maximum(sq, 0.0))
+    return t
+
+
+def _level_pair_amps(spins: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """amp[x, l, l', sector] of the line exp(-i (E_l - E_l') t), packed two
+    functions per row x: (a + ib, c + id, e + ig, f0 + i f2), see ``_apply_channel``.
+
+    Over the pair tensors T^k(S, S') (S, S' the pair spins, k <= 2) the (l, l')
+    line maps rank k as (-1)^(S1+S3) G(S3, S4) G(S1, S2) with
+    G(S, S') = u_lS u_l'S' sqrt((2F+1)(2F'+1)/(2I+1)) {S S' k; F' F I}: u_lS the
+    triplet (S = 1) and singlet (S = 0) weights of level l (``_sector_levels``).
+    The symbols with a singlet reduce to the diagonal of the k = 0 table, and
+    {0 0 0; I I I} (-1)^(2I) = 1 / sqrt(2I + 1).
+    """
+    two_i = 2.0 * spins
+    t = _six_j(two_i)[:, _F_OFFSET[:, None] + 1, _F_OFFSET[None, :] + 1]  # (k, l, l', sector)
+    cos, sin, one = np.cos(phi), np.sin(phi), np.ones_like(two_i)
+    has = two_i > 0.0  # spin 0 has no F = I triplet
+    trip = np.array([one, one, cos * has, -sin * has])
+    sing = np.array([0.0 * one, 0.0 * one, sin, cos])
+    tt, st = trip[:, None] * trip[None, :], sing[:, None] * trip[None, :]
+    diag = t[0, np.arange(4), np.arange(4)]
+    # rank 1 over (T^1(1,1), T^1(0,1), T^1(1,0)): with alpha = sqrt2 G11, beta and gamma the
+    # vectors (P_A, P_B, x) map on each line as (p, q, i gamma)^T (p, q, -2 i gamma) / 4
+    g2, g3 = st * diag[None], -st.swapaxes(0, 1) * diag[:, None]
+    alpha, beta, gamma = -math.sqrt(2.0) * tt * t[1], g3 - g2, g3 + g2
+    p, q = alpha + beta, alpha - beta
+    f0 = 0.25 * (math.sqrt(3.0) * sing[:, None] * sing[None, :] + tt * t[0]) ** 2
+    return np.array([0.25 * (p * p + 1j * q * q), 0.25 * p * q + 0.5 * p * gamma,
+                     0.5j * (gamma - q) * gamma, f0 + 1j * (tt * t[2]) ** 2])
+
+
+def _channel_lines(system: CommonBathSystem):
+    """(amp_plus, amp_minus, omega, shift) of the channel's packed rows over its kept sectors.
+
+    amp_* has shape (D, 4, lines); its part d carries the phase exp(-i shift[d] t)
+    on top of its lines (``_channel_functions``). Unequal couplings: one part
+    with a constant plus six conjugate-paired lines per sector. K_A = K_B: every
+    level is J t_l + K n_l / 2 (t_l = ``_TRIPLET``, n_l integer), so the lines
+    merge into integer bins of n, one part per singlet-triplet step of J.
+    """
+    spins, weights, _ = system.bath.significant_sectors()
+    levels, phi = _sector_levels(system, spins)
+    amp = _level_pair_amps(spins, phi) * weights
+    if system.k_a != system.k_b:
+        up, lo = np.triu_indices(4, 1)
+        const = np.einsum("xlls->x", amp)[:, None]
+        return (np.hstack([const, amp[:, up, lo].reshape(4, -1)])[None],
+                np.hstack([np.zeros_like(const), amp[:, lo, up].reshape(4, -1)])[None],
+                np.append(0.0, (levels[up] - levels[lo]).ravel()), np.zeros(1))
+    two_i = np.rint(2.0 * spins).astype(int)
+    n = np.array([two_i, -two_i - 2, np.full_like(two_i, -2), np.zeros_like(two_i)])
+    dn = n[:, None] - n[None, :]
+    dt = np.broadcast_to((_TRIPLET[:, None] - _TRIPLET[None, :])[..., None], dn.shape)
+    width = 2 * two_i.max() + 2
+    bins = np.zeros((3, 4, 2 * width + 1), dtype=complex)
+    np.add.at(bins, (dt + 1, slice(None), dn + width), np.moveaxis(amp, 0, -1))
+    # bin n >= 0 and its mirror -n are one conjugate pair of lines at K n / 2
+    plus, minus = bins[:, :, width:], bins[:, :, width::-1].copy()
+    minus[:, :, 0] = 0.0
+    lines = np.flatnonzero(plus.any(axis=(0, 1)) | minus.any(axis=(0, 1)))
+    return plus[..., lines], minus[..., lines], 0.5 * system.k_mean * lines, system.j * np.arange(-1.0, 2.0)
+
+
+def _channel_functions(lines, times) -> np.ndarray:
+    """The eight real functions (a, b, c, d, e, g, f0, f2) on the grid ``times``, (8, T)."""
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    plus, minus, omega, shift = lines
+    z = sum(evaluate_lines(p, m, omega, times) * np.exp(-1j * d * times) for p, m, d in zip(plus, minus, shift))
+    return np.stack([z.real, z.imag], axis=1).reshape(8, -1)
+
+
+_EPS = np.cross(np.eye(3)[:, None], np.eye(3))  # eps[i, j, k] = (e_i x e_j)_k
+
+
+def _apply_channel(f: np.ndarray, state: TwoQubitState) -> TwoQubitState:
+    """The channel (a, b, c, d, e, g, f0, f2) = f[:, t] applied to ``state``:
+
+        P_A(t) = a P_A + c P_B + d x
+        P_B(t) = c P_A + b P_B + e x
+        x(t)   = g x - (d P_A + e P_B) / 2
+        pi(t)  = f0 Tr(pi) delta / 3 + f2 [pi]_2 + eps . x(t)
+
+    with x the axial vector of the antisymmetric part of pi and [pi]_2 its
+    symmetric traceless part. Rotations act on each of the three vectors
+    alike, so any channel of this form commutes with them; time reversal makes
+    the vector block symmetric up to the factor -1/2 of x.
+    """
+    a, b, c, d, e, g, f0, f2 = f
+    x = 0.5 * np.einsum("kmn,mn->k", _EPS, state.pi)
+    v = np.array([state.p_a, state.p_b, x])
+    p_a, p_b, x_t = (np.column_stack(row) @ v for row in ((a, c, d), (c, b, e), (-0.5 * d, -0.5 * e, g)))
+    # pi(t) from its parts: the rank-2 part, the trace, and eps . e_k for each x_k(t)
+    iso = np.trace(state.pi) / 3.0 * np.eye(3)
+    parts = np.array([0.5 * (state.pi + state.pi.T) - iso, iso, *_EPS.transpose(2, 0, 1)])
+    pi = (np.column_stack([f2, f0, x_t]) @ parts.reshape(5, 9)).reshape(-1, 3, 3)
+    return TwoQubitState(p_a, p_b, pi)
 
 
 # ---------------------------------------------------------------------------
-# symmetric couplings: closed-form polarization map
+# symmetric couplings: the polarization map
 # ---------------------------------------------------------------------------
 
 
@@ -274,12 +340,6 @@ class SymmetricMapCoefficients:
     tensor_from_vec: np.ndarray
 
 
-_EPS = np.zeros((3, 3, 3))
-for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-    _EPS[_i, _j, _k] = 1.0
-    _EPS[_j, _i, _k] = -1.0
-
-
 class SymmetricEvolver:
     """Closed-form evolution for equal couplings on one frequency comb.
 
@@ -297,181 +357,44 @@ class SymmetricEvolver:
 
     def map_coefficients(self, times) -> SymmetricMapCoefficients:
         times = np.atleast_1d(np.asarray(times, dtype=float))
-        spins, weights, _ = self.system.bath.significant_sectors()
-        two_i = np.rint(2.0 * spins).astype(int)
-        # column n: the line exp(-i k n t / 2). Rows: cosine amplitudes of eta
-        # and of phi_q (-1/8 per sector), st_coherence exp(iJt) on +n and on -n
-        amp = np.zeros((4, 2 * two_i.max() + 3))
-        amp[1, 0] = -0.125 * weights.sum()
-        for t in _cg_tables(spins):
-            part = slice(t.lo, t.lo + t.spins.size)
-            w, n = weights[part] / (2.0 * t.spins + 1.0), two_i[part]
-            # the moment tensors sum_m (p_F q_F)(p_G q_G) over the mu rows p, q = x, y, z
-            x, y, z = (np.moveaxis(t.c[:, mu], 0, 1) for mu in range(3))  # (sector, F, m)
-            pqs = (p * q for p, q in ((x, x), (y, y), (z, z), (x, y), (x, z), (y, z)))  # one at a time
-            xx, yy, zz, xy, xz, yz = (pq @ pq.swapaxes(1, 2) for pq in pqs)
-            a = w[:, None, None] * np.array([0.5 * (xx - 2.0 * xz + zz),
-                                             0.375 * (xx + yy + zz - 2.0 * xy + 2.0 * xz - 2.0 * yz)])
-            amp[:2, 0] += a.trace(axis1=2, axis2=3).sum(-1)
-            # level pairs (I, I-1), (I+1, I), (I+1, I-1) beat at these bins
-            np.add.at(amp[:2], (slice(None), np.array([n, n + 2, 2 * n + 2])),
-                      2.0 * a[:, :, [1, 0, 0], [2, 1, 2]].swapaxes(1, 2))
-            np.add.at(amp, ([[2], [3], [3]], np.array([n, np.full_like(n, 2), n + 2])),
-                      w * (t.c[:, 1] ** 2).sum(-1))
-        lines = np.flatnonzero(amp.any(axis=0))
-        half = 0.5 * amp[:2, lines]
-        eta, phi_q, coh = evaluate_lines(
-            np.vstack([half, amp[2, lines]]), np.vstack([half, amp[3, lines]]),
-            0.5 * self.system.k_mean * lines, times,
-        )
-        eta, phi_q = eta.real, phi_q.real
-        coh = coh * np.exp(-1j * self.system.j * times)
-        hr, hi = coh.real, coh.imag
+        # with K_A = K_B, a = b and e = -d; S_A . S_B is conserved, so f0 is the kept weight
+        a, _, c, d, _, g, f0, f2 = _channel_functions(_channel_lines(self.system), times)
         return SymmetricMapCoefficients(
             times=times,
-            st_coherence=coh,
-            vec_direct=0.5 * (eta + hr),
-            vec_exchange=0.5 * (eta - hr),
-            vec_from_tensor=0.5 * hi,
-            tensor_direct=0.5 * (phi_q + hr),
-            tensor_transpose=0.5 * (phi_q - hr),
-            tensor_trace=(weights.sum() - phi_q) / 3.0,
-            tensor_from_vec=-0.5 * hi,
+            st_coherence=(a - c) + 1j * d,
+            vec_direct=a,
+            vec_exchange=c,
+            vec_from_tensor=0.5 * d,
+            tensor_direct=0.5 * (f2 + g),
+            tensor_transpose=0.5 * (f2 - g),
+            tensor_trace=(f0 - f2) / 3.0,
+            tensor_from_vec=-0.5 * d,
         )
 
     def evolve(self, state: TwoQubitState, times) -> TwoQubitState:
         """Apply the map to the initial ``state`` on the whole time grid."""
-        c = self.map_coefficients(times)
-        f1, f2, f3 = (x[:, None] for x in (c.vec_direct, c.vec_exchange, c.vec_from_tensor))
-        axial = 0.5 * np.einsum("kmn,mn->k", _EPS, state.pi)
-        p_a = f1 * state.p_a + f2 * state.p_b + 2.0 * f3 * axial
-        p_b = f1 * state.p_b + f2 * state.p_a - 2.0 * f3 * axial
-        g1, g2, g3, g4 = (
-            x[:, None, None]
-            for x in (c.tensor_direct, c.tensor_transpose, c.tensor_trace, c.tensor_from_vec)
-        )
-        pi = (
-            g1 * state.pi
-            + g2 * state.pi.T
-            + g3 * np.trace(state.pi) * np.eye(3)
-            + g4 * np.einsum("mnk,k->mn", _EPS, state.p_a - state.p_b)
-        )
-        return TwoQubitState(p_a, p_b, pi)
+        return _apply_channel(_channel_functions(_channel_lines(self.system), times), state)
 
 
 # ---------------------------------------------------------------------------
-# arbitrary couplings and states: rank-one level projectors
+# arbitrary couplings and states
 # ---------------------------------------------------------------------------
-
-
-# rows: the pair states T+, T0, T-, S over the basis {uu, ud, du, dd}, and their m;
-# T_mu is row 1 - mu, as on the mu axis of the _cg_tables
-_TS = np.array([[1.0, 0.0, 0.0, 0.0], KET_TRIPLET0.real, [0.0, 0.0, 0.0, 1.0], KET_SINGLET.real])
-_M_TS = np.array([1, 0, -1, 0])
-# the _cg_tables F row of each level: F = I+1, F = I-1, and F = I twice
-_F_ROW = np.array([0, 2, 1, 1])
-
-
-def _rank_one_terms(rho):
-    """rho = sum_k w_k v_k v_k^H to 4 ulp of max|rho| per element, by pivoted
-    LDL^H: one term per nonzero eigenvalue of a density matrix, each v_k a
-    column of the remainder, so it keeps rho's zero rows. A remainder with a
-    vanishing diagonal (left only by an indefinite rho) first gets a pivot
-    s = max|r| on the row of its largest element, and the term -s e_p e_p^H."""
-    r, terms = rho.copy(), []
-    tol = 4.0 * np.finfo(float).eps * np.abs(rho).max()
-    while np.abs(r).max() > tol:
-        p = np.abs(r.diagonal()).argmax()
-        if abs(r[p, p]) <= tol:
-            p, s = np.abs(r).max(axis=1).argmax(), np.abs(r).max()
-            terms.append((-s, np.eye(4, dtype=r.dtype)[p]))
-            r[p, p] += s
-        terms.append((r[p, p].real, r[:, p] / r[p, p].real))
-        r -= terms[-1][0] * np.outer(terms[-1][1], terms[-1][1].conj())
-    return terms
 
 
 class SectorExactEvolver:
     """Closed-form sector-by-sector evolution; exact for any couplings and state.
 
-    In sector I and total-m block m each level projector has rank one,
-    P_l(m) = e_l e_l^T over {T+, T0, T-, S} (x) bath m: F = I+1 and F = I-1
-    are the ``_cg_tables`` rows, and the F = I pair rotates {|F=I,m>_T,
-    |S>|m>} by the eigenvector angle phi of that block (``_sector_levels``).
-    The line amplitudes are (w/(2I+1)) sum_m P_l(m) rho_s P_l'(m+s), with
-    rho_s the part of rho that shifts the pair m by s. With rho = sum_k w_k
-    |k><k| (``_rank_one_terms``) and Y_d[(beta, l), m_b] = <beta, m_b + d|
-    P_l |k, m_b>, that sum is w_k sum_d Y_d Y_d^H: one batched GEMM per shift
-    d over the bath m, rows only where |k> has weight. Every sample then costs
-    one constant plus six lines per kept sector.
+    The set-up forms the channel's line amplitudes, O(1) per kept sector; every
+    state then costs one sum of four packed rows over a constant plus six
+    lines per sector (one comb for K_A = K_B) and the map ``_apply_channel``.
     """
 
     def __init__(self, system: CommonBathSystem):
         self.system = system
-        self._spins, self._weights, _ = system.bath.significant_sectors()
-        self._levels, off = _sector_levels(system, self._spins)
-        phi = 0.5 * np.arctan2(off, 0.5 * (system.j - system.k_mean))
-        self._rot = np.cos(phi)[:, None], np.sin(phi)[:, None]
+        self._lines = _channel_lines(system)
 
     def evolve(self, state: TwoQubitState, times) -> TwoQubitState:
-        times = np.atleast_1d(np.asarray(times, dtype=float))
-        rho = _TS @ state_to_density(state) @ _TS.T
-        # entries within 4 ulp of the unit trace are rounding noise of the conversion
-        rho[np.abs(rho) <= 4.0 * np.finfo(float).eps] = 0.0
-        amp, obs = self._amplitudes(rho.real if not rho.imag.any() else rho)
-        red = _level_pair_lines(amp, self._levels, times)
-        out = np.zeros((times.size, 4, 4), dtype=complex)
-        out[(slice(None),) + tuple(np.array(obs).T)] = red.T
-        out += np.triu(out, 1).conj().swapaxes(1, 2)
-        return density_to_state(_TS.T @ out @ _TS)
-
-    def _amplitudes(self, rho):
-        """amp[x, l, l', sector] of the elements obs[x] = (beta, gamma), beta <= gamma,
-        of the state rho over {T+, T0, T-, S}; only the elements whose pair-m
-        shift rho carries, and only the kets' pair-m parts mu that rho holds."""
-        shift = _M_TS[None, :] - _M_TS[:, None]
-        obs = [(b, g) for b in range(4) for g in range(b, 4) if rho[shift == shift[b, g]].any()]
-        slot = np.full((4, 4), -1)
-        slot[tuple(np.array(obs).T)] = np.arange(len(obs))
-        mus = [mu for mu in (1, 0, -1) if rho[_M_TS == mu].any()]
-        terms = _rank_one_terms(rho)
-        # Y_d rows (beta, l, mu = d + m_beta): T states reach every level, S the
-        # F = I pair; of each Gram only the (beta, gamma) output elements are kept
-        grams = []
-        for d in range(-2, 3):
-            rows = [(b, l, d + _M_TS[b]) for b in range(4) if d + _M_TS[b] in mus
-                    for l in (range(4) if b < 3 else (2, 3))]
-            if rows:
-                b, l, _ = np.array(rows).T
-                o = slot[b[:, None], b[None, :]]
-                r1, r2 = np.nonzero(o >= 0)
-                grams.append((rows, r1, r2, o[r1, r2], l[r1], l[r2], np.where(b < 3, l, 4 + l)))
-        amp = np.zeros((len(obs), 4, 4, self._spins.size), dtype=rho.dtype)
-        for t in _cg_tables(self._spins):
-            part = slice(t.lo, t.lo + t.spins.size)
-            cos, sin = (x[part] for x in self._rot)
-            zero, one = np.zeros_like(cos), np.ones_like(cos)
-            # e_l(m) = scale[l] c[_F_ROW[l]] on T+, T0, T-, and scale[4 + l] on S (x) |m>
-            scale = np.array([one, one, cos, -sin, zero, zero, sin, cos])
-            singlet = np.abs(t.m_tot) <= t.spins[:, None]
-            k = t.m_tot.shape[1] - 2
-            for weight, ket in terms:
-                # z[mu][l] = e_l(m) . |ket, m - mu>; column j + 1 - mu of block m holds bath m_b = I - j
-                z = {mu: t.c[_F_ROW, 1 - mu] * (scale[:4] * ket[1 - mu]) for mu in mus}
-                if 0 in mus:
-                    z[0] += singlet * (scale[4:] * ket[3])
-                for rows, r1, r2, o, l1, l2, row_scale in grams:
-                    y = np.empty((t.spins.size, len(rows), k), dtype=rho.dtype)
-                    for r, (b, l, mu) in enumerate(rows):
-                        zl = z[mu][l, :, 1 - mu : 1 - mu + k]
-                        if b < 3:  # the scale of e_l moves onto the Gram
-                            np.multiply(t.c[_F_ROW[l], b, :, 1 - mu : 1 - mu + k], zl, out=y[:, r])
-                        else:
-                            y[:, r] = zl
-                    g = weight * (y @ y.conj().swapaxes(1, 2))
-                    sc = scale[row_scale, :, 0].T
-                    amp[o, l1, l2, part] += (g[:, r1, r2] * sc[:, r1] * sc[:, r2]).T
-        return amp * (self._weights / (2.0 * self._spins + 1.0)), obs
+        return _apply_channel(_channel_functions(self._lines, times), state)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ integrator error to disentangle from formula errors.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -153,21 +154,27 @@ def total_fz(n_bath: int) -> np.ndarray:
     return np.diag(0.5 * (n_bath + 2) - _down_count(np.arange(4 << n_bath), n_bath + 2))
 
 
-def _bath_casimir(n_bath: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Bath I^2 = 3n/4 + 2 sum_{i<j} S_i . S_j as (indices, block) by down-spin count."""
+@cache
+def _casimir_eigen(n_bath: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """Bath I^2 = 3n/4 + 2 sum_{i<j} S_i . S_j diagonalised once per ``n_bath`` and kept (21 MB
+    at n = 12): read-only (indices, eigenvalues, eigenvectors), one per down-spin count."""
     _check_cap(n_bath)
     pairs = [(i, j, 2.0) for i in range(n_bath) for j in range(i + 1, n_bath)]
-    blocks = _heisenberg_blocks(n_bath, pairs)
-    return [(idx, h + 0.75 * n_bath * np.eye(idx.size)) for idx, h in blocks]
+    out = tuple((idx, *np.linalg.eigh(h + 0.75 * n_bath * np.eye(idx.size)))
+                for idx, h in _heisenberg_blocks(n_bath, pairs))
+    for a in (a for arrays in out for a in arrays):
+        a.setflags(write=False)
+    return out
 
 
 def _sector_projectors(n_bath: int, i: float) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Projector onto total bath spin i, one (indices, block) per down-spin count."""
+    """Projector onto total bath spin i, one read-only (indices, block) per down-spin count."""
     out = []
-    for idx, casimir in _bath_casimir(n_bath):
-        vals, vecs = np.linalg.eigh(casimir)
+    for idx, vals, vecs in _casimir_eigen(n_bath):
         v = vecs[:, np.abs(vals - i * (i + 1.0)) < 1e-8]
-        out.append((idx, v @ v.T))
+        block = v @ v.T
+        block.setflags(write=False)
+        out.append((idx, block))
     if sum(np.trace(block) for _, block in out) < 0.5:
         raise DimensionCapError(f"no bath sector with spin {i} for {n_bath} spins")
     return out
@@ -206,7 +213,7 @@ def evolve_reduced(system: FullSystem, state: TwoQubitState, bath_state, times) 
 
 def bath_spin_spectrum(n_bath: int) -> list[tuple[float, int]]:
     """(total spin, eigenvalue count) pairs of the bath Casimir operator."""
-    vals = np.concatenate([np.linalg.eigvalsh(casimir) for _, casimir in _bath_casimir(n_bath)])
+    vals = np.concatenate([vals for _, vals, _ in _casimir_eigen(n_bath)])
     out: list[tuple[float, int]] = []
     for i_val in np.arange(0.5 * (n_bath % 2), n_bath / 2.0 + 0.25, 1.0):
         count = int(np.sum(np.abs(vals - i_val * (i_val + 1.0)) < 1e-8))

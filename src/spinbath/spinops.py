@@ -1,4 +1,4 @@
-"""Spin operator construction helpers shared by the dynamics and oracle modules."""
+"""Spin-1/2 operators for the state layer, and the oracle's reduced-dynamics kernel."""
 
 from __future__ import annotations
 

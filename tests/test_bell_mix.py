@@ -10,8 +10,10 @@ import pytest
 
 from spinbath import common
 from spinbath.bath import BathDistribution, gaussian_approx, unpolarized_exact
-from spinbath.common import CommonBathSystem, SectorExactEvolver, _cg_tables
+from spinbath.common import CommonBathSystem, SectorExactEvolver
 from spinbath.states import KET_SINGLET, KET_T1, KET_T2, KET_TRIPLET0, make_named_state, state_to_density
+
+from sector_reference import cg_tables
 
 TIMES = np.linspace(0.0, 10.0, 41)
 
@@ -46,7 +48,7 @@ def mix_block(system, i, times):
 
 def sector_table(i):
     """c[f, mu, m] of the single sector i, m from I+1 down to -(I+1)."""
-    return next(_cg_tables([i])).c[:, :, 0]
+    return next(cg_tables([i])).c[:, :, 0]
 
 
 def _bell_mix_lines(system, i, alpha, beta):

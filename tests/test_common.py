@@ -11,8 +11,6 @@ from spinbath.common import (
     CommonBathSystem,
     SectorExactEvolver,
     SymmetricEvolver,
-    _cg_tables,
-    _level_pair_lines,
     decoherence_rate_sq,
     sector_spectrum,
     short_time_decoherence_time,
@@ -36,6 +34,8 @@ from spinbath.states import (
     validate_state,
 )
 from spinbath.spinops import qubit_pair_ops, spin_matrices
+
+from sector_reference import RankOneSectorEvolver, cg_tables, level_pair_lines, rank_one_terms
 
 _S_A, _S_B = qubit_pair_ops()
 
@@ -86,7 +86,7 @@ class DenseSectorEvolver:
 
     def evolve(self, state, times):
         amp = (self._map @ state_to_density(state).ravel()).reshape((16,) + self._map.shape[2:-1])
-        red = _level_pair_lines(amp, self._levels, np.atleast_1d(times))
+        red = level_pair_lines(amp, self._levels, np.atleast_1d(times))
         return density_to_state(red.reshape(4, 4, -1).transpose(2, 0, 1))
 
 
@@ -110,7 +110,7 @@ def bell_elements(states):
 
 def sector_table(i):
     """(c[f, mu, m], m) of the single sector i, m from I+1 down to -(I+1)."""
-    t = next(_cg_tables([i]))
+    t = next(cg_tables([i]))
     return t.c[:, :, 0], t.m_tot[0]
 
 
@@ -401,7 +401,7 @@ class TestCGClosedForm:
             monkeypatch.setattr(common, "_PHASE_BLOCK", block)
         spins = np.concatenate([[0.0], unpolarized_exact(40).spins[1:], [57.0, 57.5]])
         seen = []
-        for t in _cg_tables(spins):
+        for t in cg_tables(spins):
             assert t.c.size <= common._PHASE_BLOCK // 8 or t.spins.size == 1
             assert np.array_equal(t.spins, spins[t.lo : t.lo + t.spins.size])
             seen.extend(t.spins)
@@ -602,7 +602,7 @@ DENSE_COUPLINGS = {
 
 
 class TestSectorExactAgainstDense:
-    """The rank-one projector evolver against one dense eigh per sector."""
+    """The 6j channel against one dense eigh per sector."""
 
     @pytest.mark.parametrize("couplings", list(DENSE_COUPLINGS))
     @pytest.mark.parametrize("n", range(1, 13))
@@ -631,7 +631,7 @@ class TestSectorExactAgainstDense:
 
     @pytest.mark.parametrize("block", [1, 8 * 9 * 7, 8 * 4000])
     def test_chunked_tables(self, block, monkeypatch):
-        # one sector or a few per table chunk give the same amplitudes
+        # one sample or a few per pass of the line sum give the same states
         sys = CommonBathSystem(1.1, 0.3, 0.8, unpolarized_exact(11))
         s0 = random_state(np.random.default_rng(5), 2)
         times = np.linspace(0.0, 3.0, 7)
@@ -649,7 +649,7 @@ class TestRankOneTerms:
         (np.array([[0, 1j, 0, 0], [-1j, 0, 2, 0], [0, 2, 0, 3], [0, 0, 3, 0]]), 6),
     ])
     def test_reconstructs(self, rho, count):
-        terms = common._rank_one_terms(rho)
+        terms = rank_one_terms(rho)
         assert len(terms) == count
         back = sum(w * np.outer(v, v.conj()) for w, v in terms)
         assert np.abs(back - rho).max() < 1e-15
@@ -682,6 +682,106 @@ class TestSectorExactSymmetricLimit:
             b = SectorExactEvolver(sys).evolve(s0, times)
             for x, y in ((a.p_a, b.p_a), (a.p_b, b.p_b), (a.pi, b.pi)):
                 assert np.abs(x - y).max() < 1e-12
+
+
+# sectors I = 0 .. 50 in half steps, each alone
+HALF_STEPS = np.arange(0.0, 50.25, 0.5)
+
+
+class TestChannelAgainstReferences:
+    """The channel sector by sector: against the dense eigh for I <= 50, and
+    against the rank-one projector evolver up to I = 10^5."""
+
+    @pytest.mark.parametrize("couplings", ["no-exchange", "negative-kb", "gap-zero"])
+    def test_every_sector_to_fifty_against_dense(self, couplings):
+        rng = np.random.default_rng(len(couplings))
+        times = np.linspace(0.0, 5.0, 7)
+        for k, i in enumerate(HALF_STEPS):
+            sys = CommonBathSystem(*DENSE_COUPLINGS[couplings], delta_distribution(i))
+            s0 = random_state(rng, 1 + k % 4)
+            got = state_to_density(SectorExactEvolver(sys).evolve(s0, times))
+            want = state_to_density(DenseSectorEvolver(sys).evolve(s0, times))
+            assert np.abs(got - want).max() < 1e-12, i
+
+    @pytest.mark.parametrize("couplings", ["unequal", "negative-kb", "gap-zero"])
+    @pytest.mark.parametrize("i", [10.5, 333.0, 4567.5, 1e5])
+    def test_large_sectors_against_rank_one(self, i, couplings):
+        sys = CommonBathSystem(*DENSE_COUPLINGS[couplings], delta_distribution(i))
+        rng = np.random.default_rng(int(2 * i))
+        times = np.linspace(0.0, 0.05, 9)  # the lines reach |K| (2I+1) t ~ 10^4
+        ours, ref = SectorExactEvolver(sys), RankOneSectorEvolver(sys)
+        for rank in (1, 4):
+            s0 = random_state(rng, rank)
+            got = state_to_density(ours.evolve(s0, times))
+            want = state_to_density(ref.evolve(s0, times))
+            assert np.abs(got - want).max() < 1e-12
+
+
+def channel_superoperator(evolver, times):
+    """L[t, a, b, c, d] = Lambda_t(|c><d|)[a, b], from the evolution of 16
+    unit-trace states 1/4 + X - Tr(X)/4 for the Hermitian parts X of |c><d|."""
+    out = np.zeros((np.size(times), 4, 4, 4, 4), dtype=complex)
+    for c in range(4):
+        for d in range(4):
+            e = np.zeros((4, 4))
+            e[c, d] = 1.0
+            for x, factor in ((0.5 * (e + e.T), 1.0), (0.5j * (e.T - e), 1j)):
+                shift = (1.0 - np.trace(x)) / 4.0
+                if np.abs(x).max() > 0.0:
+                    rho = state_to_density(evolver.evolve(density_to_state(x + shift * np.eye(4)), times))
+                    out[:, :, :, c, d] += factor * (rho - shift * np.eye(4))
+    return out
+
+
+def random_rotation(rng):
+    """r (x) r for a random SU(2) r."""
+    q = rng.normal(size=4)
+    a, b, c, d = q / np.linalg.norm(q)
+    r = np.array([[a + 1j * b, c + 1j * d], [-c + 1j * d, a - 1j * b]])
+    return np.kron(r, r)
+
+
+class TestChannelAtAMillionSpins:
+    """No reference reaches N = 10^6 (4161 kept sectors, I = 1 .. 4161): the
+    channel's own identities, each to 1e-12."""
+
+    TIMES = np.linspace(0.0, 10.0, 9)
+
+    @pytest.fixture(scope="class", params=[(1.2, 0.8, 20.0), (0.9, -0.5, 1.2), (1.0, 1.0, 5.0)],
+                    ids=["unequal", "negative-kb", "equal"])
+    def evolver(self, request):
+        return SectorExactEvolver(CommonBathSystem(*request.param, gaussian_approx(10**6, "narrow")))
+
+    def test_identity_at_time_zero(self, evolver):
+        kept = 1.0 - evolver.system.bath.significant_sectors()[2]
+        s0 = random_state(np.random.default_rng(1), 3)
+        s = evolver.evolve(s0, [0.0])[0]
+        for x, y in ((s.p_a, s0.p_a), (s.p_b, s0.p_b), (s.pi, s0.pi)):
+            assert np.abs(x - kept * y).max() < 1e-12
+
+    @pytest.fixture(scope="class")
+    def big(self, evolver):
+        return channel_superoperator(evolver, self.TIMES)
+
+    def test_unital_and_trace_preserving(self, big):
+        unit = np.einsum("tabcc->tab", big)  # Lambda(1)
+        assert np.abs(unit - np.eye(4)).max() < 1e-12
+        trace = np.einsum("taacd->tcd", big)  # Tr Lambda(|c><d|)
+        assert np.abs(trace - np.eye(4)).max() < 1e-12
+
+    def test_completely_positive(self, big):
+        choi = big.transpose(0, 3, 1, 4, 2).reshape(-1, 16, 16)  # [(c, a), (d, b)]
+        assert np.abs(choi - choi.conj().swapaxes(1, 2)).max() < 1e-12
+        assert np.linalg.eigvalsh(choi).min() > -1e-12
+
+    def test_rotation_covariant(self, evolver):
+        rng = np.random.default_rng(2)
+        for rank in (1, 2, 4):
+            rot = random_rotation(rng)
+            rho = state_to_density(random_state(rng, rank))
+            turned = state_to_density(evolver.evolve(density_to_state(rot @ rho @ rot.conj().T), self.TIMES))
+            after = rot @ state_to_density(evolver.evolve(density_to_state(rho), self.TIMES)) @ rot.conj().T
+            assert np.abs(turned - after).max() < 1e-12
 
 
 class TestSingletSurvival:

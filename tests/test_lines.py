@@ -1,8 +1,6 @@
 """Line spectra: the one evaluator, the comb map, the closed forms moved onto
 it, and the sector-weight cut, each against the per-sector path it replaced."""
 
-from unittest import mock
-
 import numpy as np
 import pytest
 
@@ -14,7 +12,7 @@ from spinbath.common import (
     CommonBathSystem,
     SectorExactEvolver,
     SymmetricEvolver,
-    _cg_tables,
+    SymmetricMapCoefficients,
     evaluate_lines,
     sector_spectrum,
     singlet_survival,
@@ -22,6 +20,8 @@ from spinbath.common import (
 from spinbath.separate import SeparateBathSystem, decay_factors, evolve
 from spinbath.states import make_named_state
 from spinbath.timeseries import read_csv
+
+from sector_reference import cg_tables, moment_map
 
 TIMES = np.linspace(0.0, 6.0, 37)
 
@@ -54,7 +54,7 @@ def per_sector_map(system, times):
             continue
         levels = np.array([j + k * i, j - k, j - k * (i + 1.0)])
         u = np.exp(-1j * np.outer(levels, times))
-        c = next(_cg_tables([i])).c[:, :, 0]
+        c = next(cg_tables([i])).c[:, :, 0]
         norm = 2.0 * i + 1.0
         moments = np.einsum("fbk,fak,gbk,gak->abfg", c, c, c, c) / norm
         r = np.einsum("ft,gt,abfg->abt", u, u.conj(), moments).real
@@ -202,6 +202,30 @@ class TestCombMap:
         assert np.abs(got.vec_from_tensor - 0.5 * coh.imag).max() < 1e-12
 
 
+    @pytest.mark.parametrize("couplings", list(SYMMETRIC))
+    @pytest.mark.parametrize("bath", list(BATHS))
+    def test_matches_moment_map(self, bath, couplings):
+        # against the Clebsch-Gordan moment tensors, every field
+        k, j = SYMMETRIC[couplings]
+        system = CommonBathSystem(k, k, j, BATHS[bath])
+        got, want = SymmetricEvolver(system).map_coefficients(TIMES), moment_map(system, TIMES)
+        for name in SymmetricMapCoefficients.__dataclass_fields__:
+            assert np.abs(getattr(got, name) - getattr(want, name)).max() < 1e-12, name
+
+    def test_fig2_merges_onto_its_comb(self, monkeypatch):
+        # fig2's defaults: 44 kept sectors, every line on one of 68 integer bins
+        system = CommonBathSystem(1.0, 1.0, 200.0, gaussian_approx(100, "narrow"))
+        seen = []
+
+        def spy(amp_plus, amp_minus, omega, times):
+            seen.append(omega.size)
+            return evaluate_lines(amp_plus, amp_minus, omega, times)
+
+        monkeypatch.setattr(common, "evaluate_lines", spy)
+        SymmetricEvolver(system).map_coefficients(np.linspace(0.0, 6.0, 12000))
+        assert seen == [68] * 3  # one line sum per singlet-triplet step of J
+
+
 class TestClosedFormsOnLines:
     @pytest.mark.parametrize("couplings", [(1.2, 0.8, 20.0), (1.0, 1.0, 5.0), (0.0, 0.0, 2.0),
                                            (-0.9, 0.5, 3.0), (0.7, 0.3, 0.0)])
@@ -251,14 +275,11 @@ class TestWeightCut:
         for name in ("up_down", "triplet0", "bell_t1"):
             s = sym.evolve(make_named_state(name), TIMES)
             out += [s.p_a.ravel(), s.p_b.ravel(), s.pi.ravel()]
-        # the raw density matrices: a heavy cut leaves their trace below 1,
-        # which the conversion to polarizations refuses
-        with mock.patch.object(common, "density_to_state", lambda rho: rho):
-            for name, params in (("r_state", dict(r=0.5)),
-                                 ("general_pure", dict(gamma=0.3 + 0.4j, theta=1.1, phi=2.3))):
-                rho = SectorExactEvolver(CommonBathSystem(1.2, 0.8, 20.0, b)).evolve(
-                    make_named_state(name, **params), TIMES)
-                out += [rho.real.ravel(), rho.imag.ravel()]
+        for name, params in (("r_state", dict(r=0.5)),
+                             ("general_pure", dict(gamma=0.3 + 0.4j, theta=1.1, phi=2.3))):
+            s = SectorExactEvolver(CommonBathSystem(1.2, 0.8, 20.0, b)).evolve(
+                make_named_state(name, **params), TIMES)
+            out += [s.p_a.ravel(), s.p_b.ravel(), s.pi.ravel()]
         out.append(singlet_survival(CommonBathSystem(1.2, 0.8, 3.0, b), TIMES))
         sep = SeparateBathSystem(1.1, 0.6, b, b)
         out += [decay_factors(sep, TIMES).vector_a, decay_factors(sep, TIMES).vector_b]

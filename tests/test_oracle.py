@@ -10,6 +10,8 @@ from spinbath.bath import unpolarized_exact
 from spinbath.oracle import (
     CouplingParams,
     DimensionCapError,
+    _casimir_eigen,
+    _sector_projectors,
     bath_spin_projector,
     bath_spin_spectrum,
     build,
@@ -24,6 +26,7 @@ from spinbath.optimize import (
 from spinbath.spinops import SPIN_HALF
 from spinbath.states import (
     decoherence_measure,
+    density_to_state,
     make_named_state,
     state_to_density,
 )
@@ -284,6 +287,52 @@ class TestEvolveReduced:
         sys = build("common", 2, CouplingParams(1.0, 0.5, 0.7))
         with pytest.raises(DimensionCapError):
             evolve_reduced(sys, make_named_state("singlet"), ("thermal", 0.1), [0.1])
+
+
+class TestRotationCovariance:
+    """The premise of the shared-bath channel, on the oracle alone: every
+    Hamiltonian is a sum of S_i . S_j and the bath states commute with global
+    rotations, so the reduced map commutes with R = r (x) r."""
+
+    @pytest.fixture(scope="class", params=["common", "inhomogeneous"])
+    def full(self, request):
+        coup = CouplingParams(1.3, -0.45, 0.7) if request.param == "common" else random_couplings(8, seed=3)
+        return build(request.param, 8, coup)
+
+    @pytest.mark.parametrize("bath_state", ["fully_mixed", ("sector", 1.0), ("sector", 4.0)],
+                             ids=["fully-mixed", "sector-1", "sector-4"])
+    def test_reduced_map_commutes_with_rotations(self, full, bath_state):
+        rng = np.random.default_rng(5)
+        times = np.array([0.4, 1.7, 5.3])
+        for _ in range(2):
+            q = rng.normal(size=4)
+            a, b, c, d = q / np.linalg.norm(q)
+            r = np.array([[a + 1j * b, c + 1j * d], [-c + 1j * d, a - 1j * b]])
+            rot = np.kron(r, r)
+            psi = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
+            rho = np.einsum("ka,kb->ab", psi, psi.conj())
+            rho /= np.trace(rho).real
+            turned = evolve_reduced(full, density_to_state(rot @ rho @ rot.conj().T), bath_state, times)
+            after = rot @ state_to_density(evolve_reduced(full, density_to_state(rho), bath_state, times))
+            assert np.abs(state_to_density(turned) - after @ rot.conj().T).max() < 1e-12
+
+
+class TestCasimirCache:
+    def test_second_call_reuses_the_eigendecomposition(self):
+        first = _sector_projectors(6, 1.0)
+        assert _casimir_eigen(6) is _casimir_eigen(6)
+        second = _sector_projectors(6, 1.0)
+        for (idx, block), (idx2, block2) in zip(first, second):
+            assert np.array_equal(idx, idx2) and np.array_equal(block, block2)
+
+    def test_arrays_are_read_only(self):
+        for idx, vals, vecs in _casimir_eigen(5):
+            for a in (idx, vals, vecs):
+                with pytest.raises(ValueError):
+                    a[0] = 0
+        for _, block in _sector_projectors(5, 1.5):
+            with pytest.raises(ValueError):
+                block[0, 0] = 1.0
 
 
 class TestInhomogeneousRate:
