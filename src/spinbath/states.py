@@ -126,10 +126,16 @@ def state_to_density(state: TwoQubitState) -> np.ndarray:
     triple; positivity is a property of the input and can be checked with
     :func:`validate_state`.
     """
-    x = np.concatenate([state.p_a[..., None], state.p_b[..., None], state.pi], axis=-1)
-    rho = np.stack([sum((x[..., k // 5, k % 5] * c for k, c in terms), 0.25 * (e % 5 == 0))
-                    for e, terms in enumerate(_BY_ELEMENT)], axis=-1)
-    return rho.reshape(x.shape[:-2] + (4, 4))
+    return _elements(state, range(16)).reshape(state.pi.shape[:-2] + (4, 4))
+
+
+def _elements(state: TwoQubitState, flat) -> np.ndarray:
+    """The density-matrix elements of flat indices 4 i + j, (..., len(flat))."""
+    x = (state.p_a, state.p_b) + tuple(np.moveaxis(state.pi, -1, 0))  # x[k % 5][..., k // 5]
+    out = np.empty(state.pi.shape[:-2] + (len(flat),), dtype=complex)
+    for i, e in enumerate(flat):
+        out[..., i] = sum((x[k % 5][..., k // 5] * c for k, c in _BY_ELEMENT[e]), 0.25 * (e % 5 == 0))
+    return out
 
 
 def density_to_state(rho: np.ndarray, atol: float = 1e-10) -> TwoQubitState:
@@ -228,19 +234,19 @@ def concurrence_sz_block(state: TwoQubitState, atol: float = 1e-10):
     InvalidStateError if any density matrix has matrix elements between
     different S^z sectors, naming the sample and the offending block.
     """
-    rho = state_to_density(state)
-    # basis {uu, ud, du, dd}: S^z sectors {uu}, {ud, du}, {dd}
-    sector = np.array([1, 0, 0, -1])
-    names = {1: "m=+1", 0: "m=0", -1: "m=-1"}
-    flat = rho.reshape(-1, 4, 4)
-    mixing = (np.abs(flat) > atol) & (sector[:, None] != sector[None, :])
+    # basis {uu, ud, du, dd}: S^z sectors {uu}, {ud, du}, {dd}; rho is Hermitian, so
+    # the upper triangle names the first mixing element in row-major order
+    pairs = [(0, 1), (0, 2), (0, 3), (1, 3), (2, 3)]
+    names = ["m=+1", "m=0", "m=0", "m=-1"]
+    off = _elements(state, [4 * i + j for i, j in pairs]).reshape(-1, len(pairs))
+    mixing = np.abs(off) > atol
     if mixing.any():
-        k, i, j = np.argwhere(mixing)[0]
-        sample = ", ".join(map(str, np.unravel_index(k, rho.shape[:-2])))
+        k, p = np.argwhere(mixing)[0]
+        (i, j), sample = pairs[p], ", ".join(map(str, np.unravel_index(k, state.pi.shape[:-2])))
         raise InvalidStateError(
             (f"sample {sample}: " if sample else "")
-            + f"state mixes S^z sectors {names[sector[i]]} and {names[sector[j]]} "
-            f"(|rho[{i},{j}]| = {abs(flat[k, i, j]):.2e})"
+            + f"state mixes S^z sectors {names[i]} and {names[j]} "
+            f"(|rho[{i},{j}]| = {abs(off[k, p]):.2e})"
         )
     pi = state.pi
     term1 = np.hypot(pi[..., 0, 0] + pi[..., 1, 1], pi[..., 0, 1] - pi[..., 1, 0])

@@ -1,10 +1,12 @@
 import math
 import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from spinbath import scenarios
+from spinbath import scenarios, timeseries
 from spinbath.bath import unpolarized_exact
 from spinbath.cli import main
 from spinbath.scenarios import (
@@ -18,6 +20,22 @@ from spinbath.scenarios import (
 )
 from spinbath.states import InvalidStateError, TwoQubitState, concurrence_state, make_named_state
 from spinbath.timeseries import TimeSeries, TimeSeriesError, read_csv
+
+
+def per_row_csv(series: TimeSeries) -> str:
+    """The per-row '%' writer that TimeSeries.write_csv replaced: the byte reference."""
+    lines = [f"# {key} = {value}" for key, value in series.metadata.items()]
+    lines.append(",".join(series.columns))
+    row_format = ",".join(["%.12e"] * len(series.columns))
+    lines.extend(row_format % tuple(row) for row in series.data.tolist())
+    return "\n".join(lines) + "\n"
+
+
+def assert_same_bytes(series: TimeSeries, tmp_path):
+    new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+    series.write_csv(new)
+    ref.write_text(per_row_csv(series))
+    assert new.read_bytes() == ref.read_bytes()
 
 
 def write_config(tmp_path, text, name="scenario.cfg"):
@@ -248,6 +266,144 @@ class TestTimeSeries:
         TimeSeries(columns=["t", "a", "b", "c"], data=data).write_csv(path)
         rows = path.read_text().splitlines()[1:]
         assert rows == [",".join(format(v, ".12e") for v in row) for row in data]
+
+
+def _signed(x, seed=0):
+    x = np.asarray(x, dtype=float)
+    return x * np.random.default_rng(seed).choice([-1.0, 1.0], size=x.shape)
+
+
+_DECADES = np.array([float(10**k) for k in range(37)] + [10.0 ** -k for k in range(1, 13)])
+_RNG = np.random.default_rng(12)
+# values the fast path must match or hand to '%.12e': exact and decimal ties at 13
+# digits, powers of ten and 9.9999999999995 10^e with their neighbours, the ends
+# e = -10 and 34 of the scaled range, subnormals, signed zeros and non-finite values
+CSV_CASES = {
+    "decimal_ties": _signed([float(f"{d}5e{p}") for d, p in zip(
+        _RNG.integers(10**12, 10**13, 400), _RNG.integers(-40, 40, 400))]),
+    "binary_ties": _signed((_RNG.integers(10**12, 10**13, 400) + 0.5)
+                           * np.repeat([1.0, 0.5, 0.25, 10.0, 100.0], 80)),
+    "decades_ulp": _signed(np.concatenate([_DECADES, np.nextafter(_DECADES, 0.0),
+                                           np.nextafter(_DECADES, np.inf)])),
+    "carry": _signed(np.concatenate([f(9.9999999999995 * _DECADES) for f in (
+        lambda x: x, lambda x: np.nextafter(x, 0.0), lambda x: np.nextafter(x, np.inf))])),
+    "scaled_ends": _signed(_RNG.uniform(1.0, 10.0, 600) * np.repeat(
+        [1e-12, 1e-11, 1e-10, 1e-9, 1e33, 1e34, 1e35, 1e36], 75)),
+    "extremes": np.array([5e-324, -5e-324, 2.5e-320, -1e-310, 2.2250738585072014e-308,
+                          -1.7976931348623157e308, 1e300, -1e-300, 1e-100, -1e99, 0.0, -0.0,
+                          np.nan, np.inf, -np.inf, 1e-5, -123.456]),
+}
+
+
+class TestCsvWriter:
+    """write_csv against the per-row '%' writer, byte for byte."""
+
+    @pytest.mark.parametrize("case", sorted(CSV_CASES))
+    @pytest.mark.parametrize("width", [2, 3, 7])
+    def test_values_match_reference(self, tmp_path, case, width):
+        values = CSV_CASES[case]
+        rows = -(-values.size // (width - 1))
+        data = np.zeros((rows, width))
+        data[:, 0] = np.arange(rows)
+        data[:, 1:].flat[: values.size] = values
+        assert_same_bytes(TimeSeries([f"c{i}" for i in range(width)], data, {"case": case}),
+                          tmp_path)
+
+    def test_one_column_one_row_and_no_rows(self, tmp_path):
+        axis = np.sort(np.concatenate([_DECADES, 9.9999999999995 * _DECADES, -_DECADES, [0.0]]))
+        for series in (TimeSeries(["t"], axis[:, None]),
+                       TimeSeries(["t", "x", "y"], [[-0.0, np.nan, 1e-300]], {"a": "b"}),
+                       TimeSeries(["t", "x"], np.empty((0, 2)), {"a": "b"}),
+                       TimeSeries(["t"], np.empty((0, 1)))):
+            assert_same_bytes(series, tmp_path)
+
+    @pytest.mark.parametrize("size", [None, 7])
+    def test_rows_straddle_passes(self, tmp_path, monkeypatch, size):
+        # with three columns every pass of 2^k values ends inside a row
+        if size is not None:
+            monkeypatch.setattr(timeseries, "_CSV_PASS", size)
+        rows = 3 * timeseries._CSV_PASS + 5
+        data = _signed(np.random.default_rng(5).normal(size=(rows, 3)) * 1e-3, seed=6)
+        data[:, 0] = np.arange(rows)
+        extremes, ties = CSV_CASES["extremes"], CSV_CASES["binary_ties"]
+        data[1::7, 1] = extremes[np.arange(data[1::7].shape[0]) % extremes.size]
+        data[2::5, 2] = ties[np.arange(data[2::5].shape[0]) % ties.size]
+        assert_same_bytes(TimeSeries(["t", "x", "y"], data), tmp_path)
+
+    def test_only_uncertain_values_fall_back(self, tmp_path, monkeypatch):
+        # '%.12e' gets every non-finite value, every value it writes with an exponent
+        # outside [-10, 34] and every exact tie; beyond those, at most the values with
+        # e = floor(log10|x|) outside [-10, 34] or whose scaled value S = |x| 10^(12 - e)
+        # lies within one ulp of a half-integer, within one of 10^13 or of 10^12
+        seen = []
+        real = timeseries._reference
+
+        def reference(values):
+            seen.extend(values.tolist())
+            return real(values)
+
+        monkeypatch.setattr(timeseries, "_reference", reference)
+        rng = np.random.default_rng(8)
+        ordinary = rng.normal(size=3000) * 10.0 ** rng.integers(-10, 34, 3000)
+        values = np.concatenate([ordinary] + [CSV_CASES[case] for case in sorted(CSV_CASES)])
+        TimeSeries(["t", "x"], np.column_stack([np.arange(values.size), values])).write_csv(
+            tmp_path / "x.csv")
+        must, may = [], []
+        for x in values.tolist():
+            if not math.isfinite(x) or x == 0.0:
+                must.append(not math.isfinite(x))
+                may.append(must[-1])
+                continue
+            e = Decimal(abs(x)).adjusted()
+            scaled = Fraction(abs(x)) * Fraction(10) ** (12 - e)
+            half = abs(scaled - math.floor(scaled) - Fraction(1, 2))
+            ulp = Fraction(float(np.spacing(float(scaled))))
+            written = int(format(x, ".12e").partition("e")[2])
+            must.append(not -10 <= written <= 34 or half == 0)
+            may.append(must[-1] or not -10 <= e <= 34 or half <= ulp
+                       or scaled >= 10**13 - 1 or scaled < 10**12 + 1)
+        must, may = np.array(must), np.array(may)
+        assert must.sum() > 800 and may.sum() < 1400
+        fell_back = {repr(x) for x in seen}
+        assert {repr(x) for x in values[must].tolist()} <= fell_back
+        assert fell_back <= {repr(x) for x in values[may].tolist()}
+
+    @pytest.mark.parametrize("shift", [-0.999, 0.999])
+    def test_log10_off_by_one_falls_back(self, tmp_path, monkeypatch, shift):
+        log10 = np.log10
+        monkeypatch.setattr(timeseries.np, "log10", lambda a: log10(a) + shift)
+        values = np.concatenate([CSV_CASES[case] for case in sorted(CSV_CASES)])
+        assert_same_bytes(TimeSeries(["t", "x"], np.column_stack([np.arange(values.size), values])),
+                          tmp_path)
+
+    @pytest.mark.parametrize("kind", sorted(scenarios.KINDS))
+    def test_every_scenario_at_defaults(self, tmp_path, kind):
+        overrides = {} if "j" in scenarios.KINDS[kind].defaults else {"j": 2.0}
+        result = run(ScenarioConfig.for_kind(kind, output=str(tmp_path / "run.csv"), **overrides))
+        ref = tmp_path / "ref.csv"
+        ref.write_text(per_row_csv(result.series))
+        assert result.path.read_bytes() == ref.read_bytes()
+
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    @pytest.mark.parametrize("previous", [True, False])
+    def test_failed_write_leaves_previous_file(self, tmp_path, monkeypatch, error, previous):
+        path = tmp_path / "series.csv"
+        if previous:
+            path.write_text("previous\n")
+        real = timeseries._format_values
+
+        def failing(values, width):
+            passes = real(values, width)
+            yield next(passes)
+            raise error("formatter failed")
+
+        monkeypatch.setattr(timeseries, "_format_values", failing)
+        data = np.column_stack([np.arange(3 * timeseries._CSV_PASS), np.ones(3 * timeseries._CSV_PASS)])
+        with pytest.raises(error, match="formatter failed"):
+            TimeSeries(["t", "x"], data).write_csv(path)
+        assert [p.name for p in tmp_path.iterdir()] == (["series.csv"] if previous else [])
+        if previous:
+            assert path.read_text() == "previous\n"
 
 
 class TestCLI:

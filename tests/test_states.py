@@ -30,6 +30,40 @@ def random_density(seed: int) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
+def sz_block_reference(state, atol=1e-10):
+    """concurrence_sz_block as it was, checking the sectors on the full density matrices."""
+    rho = state_to_density(state)
+    sector = np.array([1, 0, 0, -1])
+    names = {1: "m=+1", 0: "m=0", -1: "m=-1"}
+    flat = rho.reshape(-1, 4, 4)
+    mixing = (np.abs(flat) > atol) & (sector[:, None] != sector[None, :])
+    if mixing.any():
+        k, i, j = np.argwhere(mixing)[0]
+        sample = ", ".join(map(str, np.unravel_index(k, rho.shape[:-2])))
+        raise InvalidStateError(
+            (f"sample {sample}: " if sample else "")
+            + f"state mixes S^z sectors {names[sector[i]]} and {names[sector[j]]} "
+            f"(|rho[{i},{j}]| = {abs(flat[k, i, j]):.2e})"
+        )
+    pi = state.pi
+    term1 = np.hypot(pi[..., 0, 0] + pi[..., 1, 1], pi[..., 0, 1] - pi[..., 1, 0])
+    z_sum = (1.0 + pi[..., 2, 2]) ** 2 - (state.p_a[..., 2] + state.p_b[..., 2]) ** 2
+    term2 = np.sqrt(np.maximum(0.0, z_sum))
+    c = np.maximum(0.0, 0.5 * (term1 - term2))
+    return float(c) if np.ndim(c) == 0 else c
+
+
+def random_block_batch(seed: int, shape) -> np.ndarray:
+    """Density matrices with no coherence between total-S^z sectors."""
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=shape + (2, 2)) + 1j * rng.normal(size=shape + (2, 2))
+    middle = m @ m.conj().swapaxes(-1, -2)
+    rho = np.zeros(shape + (4, 4), dtype=complex)
+    rho[..., 1:3, 1:3] = middle
+    rho[..., 0, 0], rho[..., 3, 3] = rng.uniform(0.0, 2.0, shape), rng.uniform(0.0, 2.0, shape)
+    return rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
+
+
 def random_pure(seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     psi = rng.normal(size=4) + 1j * rng.normal(size=4)
@@ -260,6 +294,48 @@ class TestSzBlockConcurrence:
         )
         s = density_to_state(rho)
         assert concurrence_sz_block(s) == pytest.approx(concurrence(rho), abs=1e-10)
+
+
+class TestSzBlockAgainstReference:
+    """concurrence_sz_block reads five off-sector elements instead of the full matrices."""
+
+    @pytest.mark.parametrize("shape", [(), (1,), (300,), (7, 11)])
+    def test_block_batches_match(self, shape):
+        for seed in range(5):
+            state = density_to_state(random_block_batch(seed, shape))
+            got, ref = concurrence_sz_block(state), sz_block_reference(state)
+            assert type(got) is type(ref)
+            assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("i, j", [(0, 1), (0, 2), (0, 3), (1, 3), (2, 3)])
+    @pytest.mark.parametrize("shape, where", [((), ()), ((4,), (2,)), ((3, 5), (1, 4))])
+    def test_error_names_sample_and_element(self, i, j, shape, where):
+        rho = random_block_batch(7, shape)
+        flat = rho.reshape((-1, 4, 4))
+        k = np.ravel_multi_index(where, shape) if shape else 0
+        # the first pair in row-major order is named: (i, j) and every pair after it
+        pairs = [(0, 1), (0, 2), (0, 3), (1, 3), (2, 3)]
+        for n, (a, b) in enumerate(pairs[pairs.index((i, j)):]):
+            flat[k, a, b] = 0.01 * (n + 1) + 0.002j * b
+            flat[k, b, a] = np.conj(flat[k, a, b])
+        # later samples that mix other sectors do not change which one is named
+        flat[k + 1 :, 0, 3] = flat[k + 1 :, 3, 0] = 0.003
+        state = density_to_state(rho)
+        with pytest.raises(InvalidStateError) as ref:
+            sz_block_reference(state)
+        with pytest.raises(InvalidStateError) as got:
+            concurrence_sz_block(state)
+        assert str(got.value) == str(ref.value)
+        assert "mixes S^z sectors" in str(got.value) and f"|rho[{i},{j}]|" in str(got.value)
+
+    def test_threshold_unchanged(self):
+        rho = random_block_batch(3, (6,))
+        rho[4, 1, 3] = rho[4, 3, 1] = 1e-10
+        rho[5, 0, 2] = rho[5, 2, 0] = 1.1e-10
+        state = density_to_state(rho)
+        with pytest.raises(InvalidStateError, match=r"^sample 5: .*m=\+1 and m=0 "):
+            concurrence_sz_block(state)
+        assert np.array_equal(concurrence_sz_block(state[:5]), sz_block_reference(state[:5]))
 
 
 class TestBatchedValidation:
