@@ -29,7 +29,7 @@ from .optimize import (
     decoherence_rate_pure,
     optimal_gamma,
 )
-from .oracle import MAX_BATH_SPINS, CouplingParams, build, evolve_reduced
+from .oracle import MAX_BATH_SPINS, CouplingParams, build, eigh_cost, evolve_reduced
 from .separate import SeparateBathSystem, decay_factors, evolve as evolve_separate
 from .states import (
     KET_SINGLET,
@@ -103,6 +103,7 @@ class ScenarioConfig:
 class ValidationReport:
     errors: list[str] = field(default_factory=list)
     derived: dict[str, str] = field(default_factory=dict)
+    cost: dict[str, str] = field(default_factory=dict)  # derived too, but kept out of the CSV
     bath: BathDistribution | None = None
     state: TwoQubitState | None = None
 
@@ -117,9 +118,9 @@ class ValidationReport:
             lines.extend(f"  - {e}" for e in self.errors)
         else:
             lines.append("config valid")
-        if self.derived:
+        if self.derived or self.cost:
             lines.append("derived quantities:")
-            lines.extend(f"  {k} = {v}" for k, v in self.derived.items())
+            lines.extend(f"  {k} = {v}" for k, v in {**self.derived, **self.cost}.items())
         return "\n".join(lines)
 
 
@@ -233,6 +234,9 @@ def validate(config: ScenarioConfig) -> ValidationReport:
             )
         elif config.mode == "separate" and config.n_bath < 2 and report.bath is not None:
             report.errors.append(f"n_bath: separate baths need one spin per qubit, got {config.n_bath}")
+        if 0 < config.n_bath <= MAX_BATH_SPINS:
+            largest, nbytes = eigh_cost(config.n_bath)
+            report.cost.update(oracle_largest_eigh=str(largest), oracle_eigenvector_mb=f"{nbytes / 1e6:.1f}")
         if config.bath != "exact":
             report.errors.append("bath: oracle comparisons use the exact unpolarized bath")
     exchange = kind.exchange
@@ -310,18 +314,20 @@ def _times(config: ScenarioConfig) -> np.ndarray:
     return np.linspace(0.0, config.t_max, config.samples)
 
 
+def _rows(config: ScenarioConfig, columns: list[str], data: list, metadata: dict) -> RunResult:
+    """The run's CSV, one column per entry of ``data``, summarised by its row count."""
+    series = TimeSeries(columns=columns, data=np.column_stack(data), metadata=metadata)
+    return RunResult(series, Path(config.output), {"rows": str(series.data.shape[0])})
+
+
 def _run_separate(config: ScenarioConfig, bath, state) -> RunResult:
     system = SeparateBathSystem(config.k_a, config.k_b, bath, bath)
     times = _times(config)
     g = decay_factors(system, times)
     states = evolve_separate(system, state, times)
     d, c = decoherence_measure(states), concurrence_state(states)
-    series = TimeSeries(
-        columns=["t", "d", "concurrence", "vector_decay", "tensor_decay"],
-        data=np.column_stack([times, d, c, g.vector_a, g.tensor]),
-        metadata={**_base_metadata(config, bath), "state": config.state},
-    )
-    return RunResult(series, Path(config.output), {"rows": str(times.size)})
+    return _rows(config, ["t", "d", "concurrence", "vector_decay", "tensor_decay"],
+                 [times, d, c, g.vector_a, g.tensor], {**_base_metadata(config, bath), "state": config.state})
 
 
 def _symmetric_trajectory(config: ScenarioConfig, bath, state: TwoQubitState, times: np.ndarray):
@@ -332,15 +338,10 @@ def _symmetric_trajectory(config: ScenarioConfig, bath, state: TwoQubitState, ti
 def _run_common_symmetric(config: ScenarioConfig, bath, state) -> RunResult:
     times = _times(config)
     s = _symmetric_trajectory(config, bath, state, times)
-    series = TimeSeries(
-        columns=["t", "p_z_a", "pi_xx", "pi_zz", "pi_xy", "d", "concurrence"],
-        data=np.column_stack(
-            [times, s.p_a[:, 2], s.pi[:, 0, 0], s.pi[:, 2, 2], s.pi[:, 0, 1],
-             decoherence_measure(s), concurrence_state(s)]
-        ),
-        metadata={**_base_metadata(config, bath), "state": config.state},
-    )
-    return RunResult(series, Path(config.output), {"rows": str(times.size)})
+    return _rows(config, ["t", "p_z_a", "pi_xx", "pi_zz", "pi_xy", "d", "concurrence"],
+                 [times, s.p_a[:, 2], s.pi[:, 0, 0], s.pi[:, 2, 2], s.pi[:, 0, 1],
+                  decoherence_measure(s), concurrence_state(s)],
+                 {**_base_metadata(config, bath), "state": config.state})
 
 
 def _run_common_asymmetric(config: ScenarioConfig, bath, state) -> RunResult:
@@ -350,13 +351,10 @@ def _run_common_asymmetric(config: ScenarioConfig, bath, state) -> RunResult:
     rho = state_to_density(states)
     kets = np.array([KET_SINGLET, KET_TRIPLET0, KET_T1, KET_T2])
     pops = np.einsum("bi,tij,bj->tb", kets.conj(), rho, kets).real
-    series = TimeSeries(
-        columns=["t", "singlet_pop", "triplet0_pop", "t1t2_pop", "d", "concurrence"],
-        data=np.column_stack([times, pops[:, 0], pops[:, 1], 0.5 * (pops[:, 2] + pops[:, 3]),
-                              decoherence_measure(states), concurrence(rho)]),
-        metadata={**_base_metadata(config, bath), "state": config.state},
-    )
-    return RunResult(series, Path(config.output), {"rows": str(times.size)})
+    return _rows(config, ["t", "singlet_pop", "triplet0_pop", "t1t2_pop", "d", "concurrence"],
+                 [times, pops[:, 0], pops[:, 1], 0.5 * (pops[:, 2] + pops[:, 3]),
+                  decoherence_measure(states), concurrence(rho)],
+                 {**_base_metadata(config, bath), "state": config.state})
 
 
 def _run_optimize(config: ScenarioConfig, bath, state) -> RunResult:
@@ -440,12 +438,7 @@ def _run_fig1(config: ScenarioConfig, bath, state) -> RunResult:
     for label, s0 in states.items():
         cols[label] = 1.0 - decoherence_measure(evolve_separate(system, s0, times))
     cols["concurrence_c1"] = np.maximum(0.0, (3.0 * g.tensor - 1.0) / 2.0)
-    series = TimeSeries(
-        columns=list(cols),
-        data=np.column_stack(list(cols.values())),
-        metadata=_base_metadata(config, bath),
-    )
-    return RunResult(series, Path(config.output), {"rows": str(times.size)})
+    return _rows(config, list(cols), list(cols.values()), _base_metadata(config, bath))
 
 
 def _run_fig2(config: ScenarioConfig, bath, state) -> RunResult:
@@ -457,39 +450,25 @@ def _run_fig2(config: ScenarioConfig, bath, state) -> RunResult:
         "revival_time": format(2.0 * math.pi / config.k_a, ".12g"),
         "late_window": f"{0.33 * config.t_max:.6g}..{0.97 * config.t_max:.6g}",
     }
-    series = TimeSeries(
-        columns=["t", "p_z_a", "pi_xx", "pi_zz", "pi_xy", "concurrence"],
-        data=np.column_stack(
-            [times, s.p_a[:, 2], s.pi[:, 0, 0], s.pi[:, 2, 2], s.pi[:, 0, 1], concurrence_sz_block(s)]
-        ),
-        metadata=meta,
-    )
-    return RunResult(series, Path(config.output), {"rows": str(times.size)})
+    return _rows(config, ["t", "p_z_a", "pi_xx", "pi_zz", "pi_xy", "concurrence"],
+                 [times, s.p_a[:, 2], s.pi[:, 0, 0], s.pi[:, 2, 2], s.pi[:, 0, 1], concurrence_sz_block(s)],
+                 meta)
 
 
 def _run_fig3(config: ScenarioConfig, bath, state) -> RunResult:
     times = _times(config)
     s = _symmetric_trajectory(config, bath, make_named_state("up_down"), times)
     p_a_sq = (s.p_a[:, None, :] @ s.p_a[:, :, None])[:, 0, 0]
-    series = TimeSeries(
-        columns=["t", "d_pair", "d_single"],
-        data=np.column_stack([times, decoherence_measure(s), 0.5 * (1.0 - p_a_sq)]),
-        metadata={**_base_metadata(config, bath), "state": "up_down"},
-    )
-    return RunResult(series, Path(config.output), {"rows": str(times.size)})
+    return _rows(config, ["t", "d_pair", "d_single"], [times, decoherence_measure(s), 0.5 * (1.0 - p_a_sq)],
+                 {**_base_metadata(config, bath), "state": "up_down"})
 
 
 def _run_fig4(config: ScenarioConfig, bath, state) -> RunResult:
     times = _times(config)
     s = _symmetric_trajectory(config, bath, make_named_state("triplet0"), times)
-    series = TimeSeries(
-        columns=["t", "pi_xx", "pi_zz", "concurrence", "d"],
-        data=np.column_stack(
-            [times, s.pi[:, 0, 0], s.pi[:, 2, 2], concurrence_sz_block(s), decoherence_measure(s)]
-        ),
-        metadata={**_base_metadata(config, bath), "state": "triplet0"},
-    )
-    return RunResult(series, Path(config.output), {"rows": str(times.size)})
+    return _rows(config, ["t", "pi_xx", "pi_zz", "concurrence", "d"],
+                 [times, s.pi[:, 0, 0], s.pi[:, 2, 2], concurrence_sz_block(s), decoherence_measure(s)],
+                 {**_base_metadata(config, bath), "state": "triplet0"})
 
 
 def _run_fig5(config: ScenarioConfig, bath, state) -> RunResult:
@@ -499,12 +478,8 @@ def _run_fig5(config: ScenarioConfig, bath, state) -> RunResult:
     curves = [decoherence_measure(SectorExactEvolver(CommonBathSystem(config.k_a, config.k_b, j, bath))
                                   .evolve(make_named_state("r_state", r=r), times))
               for _, r, j in cases]
-    series = TimeSeries(
-        columns=["t"] + [c[0] for c in cases],
-        data=np.column_stack([times] + curves),
-        metadata={**_base_metadata(config, bath), "j_high": format(config.j, ".12g")},
-    )
-    return RunResult(series, Path(config.output), {"rows": str(times.size)})
+    return _rows(config, ["t"] + [c[0] for c in cases], [times] + curves,
+                 {**_base_metadata(config, bath), "j_high": format(config.j, ".12g")})
 
 
 def _run_fig6(config: ScenarioConfig, bath, state) -> RunResult:
@@ -516,13 +491,9 @@ def _run_fig6(config: ScenarioConfig, bath, state) -> RunResult:
     opt = np.array(
         [decoherence_rate_pure(PureStateParam(gamma=complex(g)), d, 1.0) for g, d in zip(gam, deltas)]
     )
-    series = TimeSeries(
-        columns=["delta", "rate_separable", "rate_singlet", "rate_triplet", "rate_optimal", "gamma_opt"],
-        data=np.column_stack([deltas, sep, sing, trip, opt, gam]),
-        metadata={"scenario": "fig6", "spinbath_version": __version__,
-                  "rate_units": "separable-state rate"},
-    )
-    return RunResult(series, Path(config.output), {"rows": str(deltas.size)})
+    columns = ["delta", "rate_separable", "rate_singlet", "rate_triplet", "rate_optimal", "gamma_opt"]
+    return _rows(config, columns, [deltas, sep, sing, trip, opt, gam],
+                 {"scenario": "fig6", "spinbath_version": __version__, "rate_units": "separable-state rate"})
 
 
 _BATH = dict(n_bath=100, bath="gaussian-narrow")

@@ -20,9 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spinops import PAULI_Y, qubit_pair_ops
-
-_S_A, _S_B = qubit_pair_ops()
+PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+# spin-1/2 operators S = sigma / 2 (hbar = 1); S_A = S (x) 1 and S_B = 1 (x) S on |q_A q_B>
+SPIN_HALF = (np.array([[0, 0.5], [0.5, 0]], complex), PAULI_Y / 2.0, np.diag([0.5 + 0j, -0.5]))
+_S_A, _S_B = [np.kron(s, np.eye(2)) for s in SPIN_HALF], [np.kron(np.eye(2), s) for s in SPIN_HALF]
 _S_AB = [[_S_A[m] @ _S_B[n] for n in range(3)] for m in range(3)]
 _YY = np.kron(PAULI_Y, PAULI_Y)
 

@@ -21,6 +21,7 @@ from spinbath.common import (
     transverse_longitudinal_rates,
 )
 from spinbath.states import (
+    SPIN_HALF,
     InvalidStateError,
     KET_SINGLET,
     KET_T1,
@@ -33,11 +34,29 @@ from spinbath.states import (
     state_to_density,
     validate_state,
 )
-from spinbath.spinops import qubit_pair_ops, spin_matrices
 
 from sector_reference import RankOneSectorEvolver, cg_tables, level_pair_lines, rank_one_terms
 
+
+def qubit_pair_ops() -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Cartesian spin components (S_A, S_B) on the 4-dim pair space |q_A q_B>."""
+    eye = np.eye(2, dtype=complex)
+    return [np.kron(s, eye) for s in SPIN_HALF], [np.kron(eye, s) for s in SPIN_HALF]
+
+
 _S_A, _S_B = qubit_pair_ops()
+
+
+def spin_matrices(j: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(Jx, Jy, Jz) in the standard |j, m> basis with m descending from +j."""
+    dim = int(round(2 * j)) + 1
+    m = j - np.arange(dim)
+    jz = np.diag(m).astype(complex)
+    jp = np.zeros((dim, dim), dtype=complex)
+    for k in range(1, dim):
+        jp[k - 1, k] = np.sqrt(j * (j + 1) - m[k] * (m[k] + 1))
+    jm = jp.conj().T
+    return (jp + jm) / 2.0, (jp - jm) / 2.0j, jz
 
 
 def system(k_a=1.0, k_b=1.0, j=0.0, n=4) -> CommonBathSystem:

@@ -10,21 +10,21 @@ from spinbath.bath import unpolarized_exact
 from spinbath.oracle import (
     CouplingParams,
     DimensionCapError,
+    EigenBlock,
     _casimir_eigen,
     _sector_projectors,
-    bath_spin_projector,
     bath_spin_spectrum,
     build,
+    eigh_cost,
     evolve_reduced,
-    total_fz,
 )
 from spinbath.optimize import (
     InhomogeneousCouplings,
     PureStateParam,
     decoherence_rate_inhomogeneous,
 )
-from spinbath.spinops import SPIN_HALF
 from spinbath.states import (
+    SPIN_HALF,
     decoherence_measure,
     density_to_state,
     make_named_state,
@@ -87,6 +87,31 @@ def kron_projector(n_bath, i):
     vals, vecs = np.linalg.eigh(i_sq)
     v = vecs[:, np.abs(vals - i * (i + 1)) < 1e-8]
     return v @ v.T
+
+
+def total_fz(n_bath):
+    """z component of the total (pair + bath) angular momentum, from the bits of the index."""
+    downs = sum((np.arange(4 << n_bath) >> bit) & 1 for bit in range(n_bath + 2))
+    return np.diag(0.5 * (n_bath + 2) - downs)
+
+
+def bath_spin_projector(n_bath, i):
+    """Projector onto the total-bath-spin-i subspace of the bath alone, from the oracle's blocks."""
+    proj = np.zeros((1 << n_bath, 1 << n_bath))
+    for idx, block in _sector_projectors(n_bath, i):
+        proj[np.ix_(idx, idx)] = block
+    return proj
+
+
+def per_block_eigensystem(full):
+    """Reference for the flip-paired eigensystem: every F_z block diagonalised by its own eigh."""
+    out = []
+    for k, (idx, h) in enumerate(full.blocks):
+        ends = np.searchsorted(idx, np.arange(5) << full.n_bath)
+        rows = tuple((lo, hi, k - bin(a).count("1")) if hi > lo else None
+                     for a, (lo, hi) in enumerate(zip(ends[:-1], ends[1:])))
+        out.append(EigenBlock(*np.linalg.eigh(h), rows))
+    return out
 
 
 def random_couplings(n, seed=7):
@@ -158,6 +183,66 @@ class TestKronReference:
             assert np.abs(bath_spin_projector(n, i) - kron_projector(n, i)).max() < 1e-12
 
 
+class TestFlipPairing:
+    """The flip-paired eigensystem against one eigh per F_z block (odd n has no middle block)."""
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 5])
+    @pytest.mark.parametrize("mode,coup", MODES)
+    def test_hamiltonian_is_flip_invariant(self, mode, coup, n):
+        # complementing every bit of the index reverses its order: H[Ci, Cj] = H[i, j]
+        coup = coup or random_couplings(n)
+        h = build(mode, n, coup).hamiltonian
+        assert np.array_equal(h, h[::-1, ::-1])
+        ref = kron_hamiltonian(mode, n, coup).real  # the premise, on an independent build
+        assert np.abs(ref - ref[::-1, ::-1]).max() < 1e-15
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize("mode,coup", MODES)
+    def test_eigensystem_equals_per_block_eigh(self, mode, coup, n):
+        full = build(mode, n, coup or random_couplings(n))
+        paired, ref = full.eigensystem(), per_block_eigensystem(full)
+        assert len(paired) == len(ref) == n + 3
+        for (idx, h), got, want in zip(full.blocks, paired, ref):
+            assert got.rows == want.rows
+            assert np.abs(np.sort(got.vals) - want.vals).max() < 1e-12
+            assert np.abs(h @ got.vecs - got.vecs * got.vals).max() < 1e-12
+            assert np.abs(got.vecs.T @ got.vecs - np.eye(idx.size)).max() < 1e-12
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize("mode,coup", MODES)
+    @pytest.mark.parametrize("bath_state", ["fully_mixed", "sector"])
+    def test_evolve_reduced_equals_per_block_path(self, mode, coup, n, bath_state, monkeypatch):
+        full = build(mode, n, coup or random_couplings(n))
+        bath_state = bath_state if bath_state == "fully_mixed" else ("sector", n / 2 - 1)
+        times = np.array([0.0, 0.4, 1.3, 3.1])
+        states = [make_named_state("r_state", r=0.3), make_named_state("bell_t1"),
+                  make_named_state("general_pure", gamma=0.4 - 0.7j, theta=0.9, phi=2.1)]
+        got = [state_to_density(evolve_reduced(full, s0, bath_state, times)) for s0 in states]
+        monkeypatch.setattr(full, "eigensystem", lambda: per_block_eigensystem(full))
+        for s0, g in zip(states, got):
+            want = state_to_density(evolve_reduced(full, s0, bath_state, times))
+            assert np.abs(g - want).max() < 1e-12
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    def test_eigh_cost_counts_the_paired_eigh(self, n, monkeypatch):
+        sizes, eigh = [], np.linalg.eigh
+
+        def counting_eigh(a):
+            sizes.append(len(a))
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        eig = build("common", n, CouplingParams(1.0, 0.4, 1.5)).eigensystem()
+        roots = {id(root): root for root in map(_root, (b.vecs for b in eig))}
+        assert eigh_cost(n) == (max(sizes), sum(r.nbytes for r in roots.values()))
+
+
+def _root(a):
+    while a.base is not None:
+        a = a.base
+    return a
+
+
 class TestBuild:
     @pytest.mark.parametrize("mode,coup", [
         ("separate", CouplingParams(1.0, 0.7, 0.0)),
@@ -221,7 +306,10 @@ class TestBuild:
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        eig_bytes = sum(b.vals.nbytes + b.vecs.nbytes for b in eig)
+        # a mirror block's eigensystem views its partner's: count each array once
+        arrays = {id(a): a for b in eig for a in map(_root, (b.vals, b.vecs))}
+        eig_bytes = sum(a.nbytes for a in arrays.values())
+        assert len(arrays) < 2 * len(eig)
         assert held < 1.25 * eig_bytes
         h = sys.hamiltonian
         for (idx, _), block in zip(sys.blocks, eig):

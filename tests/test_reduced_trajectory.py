@@ -7,13 +7,14 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from spinbath import common, oracle, spinops
+from spinbath import common, oracle
 from spinbath.bath import unpolarized_exact
 from spinbath.common import CommonBathSystem, SectorExactEvolver
-from spinbath.oracle import CouplingParams, bath_spin_projector, build, evolve_reduced
+from spinbath.oracle import CouplingParams, build, evolve_reduced
 from spinbath.scenarios import ScenarioConfig, _run_oracle_compare, validate
 from spinbath.states import make_named_state, state_to_density
 from test_common import sector_hamiltonian
+from test_oracle import bath_spin_projector
 
 TIMES = np.array([0.0, 0.35, 1.1, 2.4, 3.7, 6.2])
 
@@ -86,7 +87,7 @@ def test_sector_evolver_one_sample(times):
 def test_evolve_reduced(bath_state, chunked, monkeypatch):
     n = 4
     if chunked:  # two samples per pass over the largest F_z block
-        monkeypatch.setattr(spinops, "_PHASE_CHUNK", 2 * math.comb(n + 2, n // 2 + 1))
+        monkeypatch.setattr(oracle, "_PHASE_CHUNK", 2 * math.comb(n + 2, n // 2 + 1))
     full = build("common", n, CouplingParams(1.0, 0.4, 1.5))
     s0 = make_named_state("r_state", r=0.3)
     if bath_state == "fully_mixed":
@@ -99,6 +100,13 @@ def test_evolve_reduced(bath_state, chunked, monkeypatch):
     expected = per_time_reduced(vals, vecs, rho_eig, TIMES, 2**n)
     got = densities(evolve_reduced(full, s0, bath_state, TIMES))
     assert np.abs(got - expected).max() < 1e-12
+
+
+@pytest.mark.parametrize("bath_state", ["fully_mixed", ("sector", 1.0)])
+def test_evolve_reduced_column_slices(bath_state, monkeypatch):
+    # blocks of 6, 15 and 20 eigenvectors cut into slices of at most 4, some uneven
+    monkeypatch.setattr(oracle, "_MAX_COLUMNS", 4)
+    test_evolve_reduced(bath_state, False, monkeypatch)
 
 
 def test_oracle_compare_diagonalizes_once(monkeypatch, tmp_path):
@@ -117,10 +125,11 @@ def test_oracle_compare_diagonalizes_once(monkeypatch, tmp_path):
     report = validate(config)
     result = _run_oracle_compare(config, report.bath, report.state)
     assert not result.numerical_failure
-    # one eigh per F_z block (k down spins of n + 2); none on the analytic
-    # side, whose sector levels are closed forms, and none at the full dimension
-    blocks = Counter(math.comb(n + 2, k) for k in range(n + 3))
-    assert Counter(calls) == blocks
+    # one eigh per mirror pair of F_z blocks (k and n + 2 - k down spins of
+    # n + 2, sizes 1, 6, 15) and one per flip-parity half of the middle block
+    # (20 = 10 + 10); none on the analytic side, whose sector levels are
+    # closed forms, and none at the full dimension
+    assert Counter(calls) == Counter([1, 6, 15, 10, 10])
     assert 4 * 2**n not in calls
 
 
@@ -128,13 +137,13 @@ def test_oracle_compare_kernel_on_oracle_side_only(monkeypatch, tmp_path):
     # the analytic side must not share the oracle's kernel, or the comparison
     # would check that kernel against itself
     callers = []
-    kernel = spinops.reduced_trajectory
+    kernel = oracle.reduced_trajectory
 
     def recording_kernel(*args, **kwargs):
         callers.append(sys._getframe(1).f_globals["__name__"])
         return kernel(*args, **kwargs)
 
-    for module in (spinops, oracle, common):
+    for module in (oracle, common):
         if hasattr(module, "reduced_trajectory"):
             monkeypatch.setattr(module, "reduced_trajectory", recording_kernel)
     config = ScenarioConfig.for_kind(

@@ -118,6 +118,20 @@ class TestValidation:
         assert "coupling_overlap" in report.derived
         assert "predicted_decoherence_time" in report.derived
 
+    @pytest.mark.parametrize("n,largest,mb", [(12, "3003", "207.6"), (10, "792", "14.2"), (9, "462", "2.8")])
+    def test_oracle_cost_preview(self, n, largest, mb):
+        # after flip pairing: at n = 12 the largest eigh is C(14, 6), not C(14, 7) = 3432,
+        # and the eigenvectors hold 208 MB, not 321 MB
+        report = validate(ScenarioConfig.for_kind("oracle-compare", n_bath=n))
+        assert report.ok
+        assert report.cost == {"oracle_largest_eigh": largest, "oracle_eigenvector_mb": mb}
+        assert f"oracle_largest_eigh = {largest}" in report.render()
+
+    def test_oracle_cost_preview_stays_out_of_the_csv(self, tmp_path):
+        out = tmp_path / "oc.csv"
+        run(ScenarioConfig.for_kind("oracle-compare", n_bath=4, samples=4, output=str(out)))
+        assert not any(key.startswith("oracle_") for key in read_csv(out).metadata)
+
     def test_run_refuses_invalid(self):
         with pytest.raises(ConfigError):
             run(ScenarioConfig.for_kind("separate", j=3.0))
