@@ -47,7 +47,7 @@ def main(argv: list[str] | None = None) -> int:
         print(report.render(), file=sys.stderr)
         return 1
     try:
-        result = run(config)
+        result = run(config, report)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

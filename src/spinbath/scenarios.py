@@ -32,18 +32,12 @@ from .optimize import (
 from .oracle import MAX_BATH_SPINS, CouplingParams, build, eigh_cost, evolve_reduced
 from .separate import SeparateBathSystem, decay_factors, evolve as evolve_separate
 from .states import (
-    KET_SINGLET,
-    KET_T1,
-    KET_T2,
-    KET_TRIPLET0,
     InvalidStateError,
     TwoQubitState,
-    concurrence,
     concurrence_state,
     concurrence_sz_block,
     decoherence_measure,
     make_named_state,
-    state_to_density,
 )
 from .timeseries import TimeSeries
 
@@ -297,10 +291,10 @@ class RunResult:
     numerical_failure: bool = False
 
 
-def run(config: ScenarioConfig) -> RunResult:
+def run(config: ScenarioConfig, report: ValidationReport | None = None) -> RunResult:
     """Execute the scenario and write its CSV; raises ConfigError on an
-    invalid config."""
-    report = validate(config)
+    invalid config. A caller that holds ``validate(config)`` passes it as ``report``."""
+    report = validate(config) if report is None else report
     if not report.ok:
         raise ConfigError("; ".join(report.errors))
     result = KINDS[config.kind].runner(config, report.bath, report.state)
@@ -348,12 +342,11 @@ def _run_common_asymmetric(config: ScenarioConfig, bath, state) -> RunResult:
     system = CommonBathSystem(config.k_a, config.k_b, config.j, bath)
     times = _times(config)
     states = SectorExactEvolver(system).evolve(state, times)
-    rho = state_to_density(states)
-    kets = np.array([KET_SINGLET, KET_TRIPLET0, KET_T1, KET_T2])
-    pops = np.einsum("bi,tij,bj->tb", kets.conj(), rho, kets).real
+    # Bell populations <B|rho|B> = (1 + sum_m <B|sigma_m sigma_m|B> pi_mm) / 4
+    pi_xx, pi_yy, pi_zz = np.moveaxis(np.diagonal(states.pi, axis1=-2, axis2=-1), -1, 0)
     return _rows(config, ["t", "singlet_pop", "triplet0_pop", "t1t2_pop", "d", "concurrence"],
-                 [times, pops[:, 0], pops[:, 1], 0.5 * (pops[:, 2] + pops[:, 3]),
-                  decoherence_measure(states), concurrence(rho)],
+                 [times, 0.25 * (1.0 - pi_xx - pi_yy - pi_zz), 0.25 * (1.0 + pi_xx + pi_yy - pi_zz),
+                  0.25 * (1.0 + pi_zz), decoherence_measure(states), concurrence_state(states)],
                  {**_base_metadata(config, bath), "state": config.state})
 
 
@@ -473,11 +466,13 @@ def _run_fig4(config: ScenarioConfig, bath, state) -> RunResult:
 
 def _run_fig5(config: ScenarioConfig, bath, state) -> RunResult:
     times = _times(config)
-    cases = [("d_rp05_j0", 0.5, 0.0), ("d_rp05_jhi", 0.5, config.j),
-             ("d_rm05_j0", -0.5, 0.0), ("d_rm05_jhi", -0.5, config.j)]
-    curves = [decoherence_measure(SectorExactEvolver(CommonBathSystem(config.k_a, config.k_b, j, bath))
-                                  .evolve(make_named_state("r_state", r=r), times))
-              for _, r, j in cases]
+    # one channel set-up per exchange value, shared by both r-states
+    low, high = (SectorExactEvolver(CommonBathSystem(config.k_a, config.k_b, j, bath))
+                 for j in (0.0, config.j))
+    cases = [("d_rp05_j0", 0.5, low), ("d_rp05_jhi", 0.5, high),
+             ("d_rm05_j0", -0.5, low), ("d_rm05_jhi", -0.5, high)]
+    curves = [decoherence_measure(evolver.evolve(make_named_state("r_state", r=r), times))
+              for _, r, evolver in cases]
     return _rows(config, ["t"] + [c[0] for c in cases], [times] + curves,
                  {**_base_metadata(config, bath), "j_high": format(config.j, ".12g")})
 

@@ -12,6 +12,11 @@ pi[m,n] = 4 Tr[rho S_A^m S_B^n].
 A ``TwoQubitState`` holds one state or a batch of them: leading axes of
 ``p_a``, ``p_b`` and ``pi`` index samples (a time grid), and the conversions
 and measures below broadcast over those axes.
+
+Concurrence: :func:`concurrence` runs Wootters' eigh/svd evaluation on any
+density matrices. :func:`concurrence_state` takes the X-state closed form for
+samples whose eight off-X polarizations are exactly zero (every named state but
+a tilted ``general_pure``, under every evolver) and ``concurrence`` for the rest.
 """
 
 from __future__ import annotations
@@ -199,7 +204,8 @@ def concurrence(rho: np.ndarray):
     the similar Hermitian matrix sqrt(rho) (sy x sy) rho* (sy x sy) sqrt(rho),
     which keeps full accuracy where the product is defective (pure states).
     A batch is decomposed in blocks of ``_CONCURRENCE_BLOCK`` matrices, which
-    bounds the workspace of the stacked eigh and svd.
+    bounds the workspace of the stacked eigh and svd. The general path:
+    :func:`concurrence_state` calls it only for samples that are not X states.
     """
     rho = np.asarray(rho, dtype=complex)
     flat = rho.reshape(-1, 4, 4)
@@ -219,21 +225,38 @@ def concurrence(rho: np.ndarray):
 
 
 def concurrence_state(state: TwoQubitState):
-    return concurrence(state_to_density(state))
+    """Concurrence per sample, chosen sample by sample: :func:`_x_concurrence` where the eight
+    off-X polarizations (p^x, p^y of both qubits, pi_xz, pi_yz, pi_zx, pi_zy) are exactly
+    zero, ``concurrence(state_to_density(...))`` elsewhere."""
+    c = _x_concurrence(state)
+    general = (np.concatenate([state.p_a[..., :2], state.p_b[..., :2], state.pi[..., :2, 2],
+                               state.pi[..., 2, :2]], axis=-1) != 0.0).any(axis=-1)
+    if general.ndim == 0:
+        return concurrence(state_to_density(state)) if general else _out(c)
+    if general.any():
+        c[general] = concurrence(state_to_density(state[general]))
+    return _out(c)
+
+
+def _x_concurrence(state: TwoQubitState) -> np.ndarray:
+    """C = 2 max(0, |rho_ud,du| - sqrt(rho_uu rho_dd), |rho_uu,dd| - sqrt(rho_ud rho_du)) from
+    the polarizations, exact for X states (Yu & Eberly, Quantum Inf. Comput. 7, 459 (2007))."""
+    pi, z_a, z_b = state.pi, state.p_a[..., 2], state.p_b[..., 2]
+    term1 = np.hypot(pi[..., 0, 0] + pi[..., 1, 1], pi[..., 0, 1] - pi[..., 1, 0])  # 4 |rho_ud,du|
+    term2 = np.sqrt(np.maximum(0.0, (1.0 + pi[..., 2, 2]) ** 2 - (z_a + z_b) ** 2))
+    term3 = np.hypot(pi[..., 0, 0] - pi[..., 1, 1], pi[..., 0, 1] + pi[..., 1, 0])  # 4 |rho_uu,dd|
+    term4 = np.sqrt(np.maximum(0.0, (1.0 - pi[..., 2, 2]) ** 2 - (z_a - z_b) ** 2))
+    # 0.0 first: a branch that is -0.0 still gives +0.0
+    return np.maximum(0.0, np.maximum(0.5 * (term1 - term2), 0.5 * (term3 - term4)))
 
 
 def concurrence_sz_block(state: TwoQubitState, atol: float = 1e-10):
     """Concurrence of states commuting with the total S^z, one per sample.
 
-    For block-diagonal states (no coherence between total-S^z sectors):
-
-        C = (1/2) max{ sqrt((pi_xx+pi_yy)^2 + (pi_xy-pi_yx)^2)
-                       - sqrt((1+pi_zz)^2 - (p_a^z+p_b^z)^2), 0 }
-
-    The first radical is 4 |rho_ud,du| and the second 4 sqrt(rho_uu rho_dd),
-    so this is the exact two-qubit concurrence of such states. Raises
-    InvalidStateError if any density matrix has matrix elements between
-    different S^z sectors, naming the sample and the offending block.
+    States without coherence between total-S^z sectors are X states with
+    rho_uu,dd = 0, so this is :func:`_x_concurrence`. Raises InvalidStateError
+    if any density matrix has elements between different S^z sectors beyond
+    ``atol``, naming the sample and the offending block.
     """
     # basis {uu, ud, du, dd}: S^z sectors {uu}, {ud, du}, {dd}; rho is Hermitian, so
     # the upper triangle names the first mixing element in row-major order
@@ -249,11 +272,7 @@ def concurrence_sz_block(state: TwoQubitState, atol: float = 1e-10):
             + f"state mixes S^z sectors {names[i]} and {names[j]} "
             f"(|rho[{i},{j}]| = {abs(off[k, p]):.2e})"
         )
-    pi = state.pi
-    term1 = np.hypot(pi[..., 0, 0] + pi[..., 1, 1], pi[..., 0, 1] - pi[..., 1, 0])
-    z_sum = (1.0 + pi[..., 2, 2]) ** 2 - (state.p_a[..., 2] + state.p_b[..., 2]) ** 2
-    term2 = np.sqrt(np.maximum(0.0, z_sum))
-    return _out(np.maximum(0.0, 0.5 * (term1 - term2)))
+    return _out(_x_concurrence(state))
 
 
 def state_from_vector(psi: np.ndarray) -> TwoQubitState:

@@ -8,6 +8,7 @@ import pytest
 
 from spinbath import scenarios, timeseries
 from spinbath.bath import unpolarized_exact
+from spinbath.common import CommonBathSystem, SectorExactEvolver
 from spinbath.cli import main
 from spinbath.scenarios import (
     ConfigError,
@@ -18,7 +19,17 @@ from spinbath.scenarios import (
     _run_oracle_compare,
     validate,
 )
-from spinbath.states import InvalidStateError, TwoQubitState, concurrence_state, make_named_state
+from spinbath.states import (
+    KET_SINGLET,
+    KET_T1,
+    KET_T2,
+    KET_TRIPLET0,
+    InvalidStateError,
+    TwoQubitState,
+    concurrence_state,
+    make_named_state,
+    state_to_density,
+)
 from spinbath.timeseries import TimeSeries, TimeSeriesError, read_csv
 
 
@@ -212,6 +223,40 @@ class TestRunners:
         ts = read_csv(tmp_path / "ca.csv")
         total = ts.column("singlet_pop") + ts.column("triplet0_pop") + 2 * ts.column("t1t2_pop")
         assert np.abs(total - 1.0).max() < 1e-12
+
+    @pytest.mark.parametrize("state", ["r_state:0.5", "bell_t1", "werner:0.3", "general_pure:0.5,0.3,1.0"])
+    def test_bell_populations_from_pi(self, tmp_path, monkeypatch, state):
+        # the runner reads the populations off the diagonal of pi; the reference
+        # projects the density matrices on the Bell kets
+        rows = []
+        monkeypatch.setattr(scenarios, "_rows", lambda config, columns, data, meta: rows.append(data))
+        config = ScenarioConfig.for_kind("common-asymmetric", n_bath=40, j=3.0, state=state,
+                                         samples=60, output=str(tmp_path / "ca.csv"))
+        report = validate(config)
+        scenarios._run_common_asymmetric(config, report.bath, report.state)
+        system = CommonBathSystem(config.k_a, config.k_b, config.j, report.bath)
+        times = np.linspace(0.0, config.t_max, config.samples)
+        traj = SectorExactEvolver(system).evolve(report.state, times)
+        rho = state_to_density(traj)
+        kets = np.array([KET_SINGLET, KET_TRIPLET0, KET_T1, KET_T2])
+        pops = np.einsum("bi,tij,bj->tb", kets.conj(), rho, kets).real
+        _, singlet, triplet0, t1t2, _, c = rows[0]
+        assert np.abs(singlet - pops[:, 0]).max() <= 1e-15
+        assert np.abs(triplet0 - pops[:, 1]).max() <= 1e-15
+        assert np.abs(t1t2 - 0.5 * (pops[:, 2] + pops[:, 3])).max() <= 1e-15
+        assert np.array_equal(c, concurrence_state(traj))
+
+    def test_fig5_one_channel_per_exchange(self, tmp_path, monkeypatch):
+        built = []
+
+        class Counted(SectorExactEvolver):
+            def __init__(self, system):
+                built.append(system.j)
+                super().__init__(system)
+
+        monkeypatch.setattr(scenarios, "SectorExactEvolver", Counted)
+        run(ScenarioConfig.for_kind("fig5", n_bath=20, samples=40, output=str(tmp_path / "f.csv")))
+        assert built == [0.0, 20.0]
 
     def test_byte_identical_reruns(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -448,6 +493,24 @@ class TestCLI:
 
     def test_run_missing_file(self):
         assert main(["run", "/nonexistent/conf"]) == 1
+
+    @pytest.mark.parametrize("kind", ["separate", "common-asymmetric", "fig5"])
+    def test_run_builds_the_bath_once(self, tmp_path, monkeypatch, kind):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return unpolarized_exact(8)
+
+        monkeypatch.setattr(scenarios, "bath_from_config", counted)
+        out = tmp_path / "out.csv"
+        path = write_config(tmp_path, f"scenario = {kind}\nj = {0 if kind == 'separate' else 2}\n"
+                                      f"samples = 20\noutput = {out}\n")
+        assert main(["run", str(path)]) == 0
+        assert len(calls) == 1 and out.exists()
+        # a bare run() still validates for itself
+        run(parse_config_file(path))
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("mode,j,state", [
         ("common", 1.3, "r_state:0.35"),

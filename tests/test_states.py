@@ -415,3 +415,160 @@ class TestNamedStates:
     def test_unknown_name(self):
         with pytest.raises(InvalidStateError, match="unknown"):
             make_named_state("ghz")
+
+
+# ---------------------------------------------------------------------------
+# the X-state closed form of concurrence_state
+# ---------------------------------------------------------------------------
+
+def off_x(state) -> np.ndarray:
+    """The eight polarizations that vanish on X states, (..., 8):
+    p_a^x, p_a^y, p_b^x, p_b^y, pi_xz, pi_yz, pi_zx, pi_zy."""
+    pi = state.pi
+    return np.stack([state.p_a[..., 0], state.p_a[..., 1], state.p_b[..., 0], state.p_b[..., 1],
+                     pi[..., 0, 2], pi[..., 1, 2], pi[..., 2, 0], pi[..., 2, 1]], axis=-1)
+
+
+def x_piece(rng) -> np.ndarray:
+    """A normalized ket in span{uu, dd} or span{ud, du}, with generic amplitudes."""
+    v = np.zeros(4, dtype=complex)
+    v[[0, 3] if rng.random() < 0.5 else [1, 2]] = rng.normal(size=2) + 1j * rng.normal(size=2)
+    return v / np.linalg.norm(v)
+
+
+def x_ensemble(kind: str, seed: int) -> np.ndarray:
+    """Sub-normalized kets v_i (columns) of an X state rho = sum_i |v_i><v_i|."""
+    rng = np.random.default_rng(seed)
+    basis = np.eye(4)
+    if kind == "werner":
+        p = rng.uniform(0.0, 1.0)
+        return np.column_stack([np.sqrt(p) * states.KET_SINGLET] + [np.sqrt((1 - p) / 4) * e for e in basis])
+    if kind == "boundary":
+        # a|uu> + b|dd> plus |a b| |ud><ud| + |a b| |du><du|: C = 2 max(0, |ab| - |ab|) = 0
+        v = x_piece(rng)
+        other = [1, 2] if v[0] != 0 else [0, 3]
+        w = abs(np.prod(v[v != 0]))
+        pieces = [v, np.sqrt(w) * basis[other[0]], np.sqrt(w) * basis[other[1]]]
+        return np.column_stack(pieces) / np.sqrt(1 + 2 * w)
+    pieces = {"pure": 1, "rank2": 2, "rank3": 3, "full": 5}[kind]
+    weights = rng.dirichlet(np.ones(pieces))
+    v = np.column_stack([np.sqrt(w) * x_piece(rng) for w in weights])
+    if kind == "full":
+        eps = rng.uniform(0.05, 1.0)
+        v = np.column_stack([np.sqrt(1 - eps) * v] + [np.sqrt(eps / 4) * e for e in basis])
+    return v
+
+
+def ensemble_concurrence(v: np.ndarray) -> float:
+    """Wootters' concurrence from an ensemble rho = V V^dagger: the singular values of
+    the symmetric r x r matrix V^T (sy x sy) V are the sqrt(mu_i), to full accuracy at any rank."""
+    root = np.linalg.svd(v.T @ states._YY @ v, compute_uv=False)
+    root = np.concatenate([root, np.zeros(4)])
+    return max(0.0, root[0] - root[1] - root[2] - root[3])
+
+
+class TestXStateConcurrence:
+    @given(st.sampled_from(["pure", "rank2", "rank3", "full", "werner", "boundary"]),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, derandomize=True)
+    def test_closed_form_matches_wootters(self, kind, seed):
+        v = x_ensemble(kind, seed)
+        rho = v @ v.conj().T
+        s = density_to_state(rho)
+        assert np.array_equal(off_x(s), np.zeros(8))
+        c = concurrence_state(s)
+        assert c == states._x_concurrence(s)
+        assert c == pytest.approx(concurrence(rho), abs=1e-12)
+        assert c == pytest.approx(ensemble_concurrence(v), abs=1e-12)
+        if kind == "boundary":
+            assert c < 1e-12
+
+    def test_named_x_states(self):
+        for name, params, c in [("singlet", {}, 1.0), ("bell_t1", {}, 1.0), ("bell_t2", {}, 1.0),
+                                ("up_down", {}, 0.0), ("updown_mix", {"r": 0.5}, 0.8),
+                                ("werner", {"p": 0.6}, 0.4), ("werner", {"p": 1 / 3}, 0.0)]:
+            s = make_named_state(name, **params)
+            assert np.array_equal(off_x(s), np.zeros(8))
+            assert concurrence_state(s) == pytest.approx(c, abs=1e-15)
+
+    def test_vanishing_diagonal_is_square_root_sensitive(self):
+        # 0.1 |ud><ud| + 0.9 |phi><phi| with phi = sqrt(0.1)|uu> + i sqrt(0.9)|dd> has rho_du = 0,
+        # and C = 2 (|rho_uu,dd| - sqrt(rho_ud rho_du)) moves by ~sqrt(rho_ud delta) when rho_du
+        # moves by delta. The polarizations hold rho_du only to ~1e-17, so on them the closed form
+        # and Wootters on state_to_density both give C only to ~5e-9 here
+        v = np.column_stack([np.sqrt(0.1) * np.array([0, 1, 0, 0]),
+                             np.sqrt(0.9) * np.array([np.sqrt(0.1), 0, 0, np.sqrt(0.9) * 1j])])
+        s = density_to_state(v @ v.conj().T)
+        exact = 2 * 0.9 * np.sqrt(0.09)
+        assert ensemble_concurrence(v) == pytest.approx(exact, abs=1e-15)
+        assert concurrence_state(s) == pytest.approx(exact, abs=1e-7)
+        assert concurrence_state(s) == pytest.approx(concurrence(state_to_density(s)), abs=1e-7)
+
+    @pytest.mark.parametrize("shape", [(12,), (3, 4)])
+    def test_mixed_batch(self, shape, monkeypatch):
+        # X samples interleaved with general ones, one of which breaks the X pattern
+        # in a single component by a subnormal amount
+        kinds = ["pure", "rank2", "full", "werner", "boundary", "rank3"]
+        vs = [x_ensemble(kind, seed) for seed, kind in enumerate(kinds)]
+        xs = [density_to_state(v @ v.conj().T) for v in vs]
+        general = [density_to_state(random_density(seed)) for seed in range(5)]
+        tiny = xs[2].pi.copy()
+        tiny[2, 0] = 5e-324
+        general.append(TwoQubitState(xs[2].p_a, xs[2].p_b, tiny))
+        samples = [s for pair in zip(xs, general) for s in pair]
+        batch = TwoQubitState(*(np.array([getattr(s, f) for s in samples]).reshape(shape + a.shape)
+                                for f, a in (("p_a", ZERO3), ("p_b", ZERO3), ("pi", ZERO33))))
+        got = concurrence_state(batch)
+        assert got.shape == shape
+        flat = got.ravel()
+        for k, s in enumerate(samples):
+            assert flat[k] == concurrence_state(s)
+            if k % 2:
+                assert flat[k] == concurrence(state_to_density(s))
+            else:
+                assert flat[k] == states._x_concurrence(s)
+        # a batch of X states alone never builds a density matrix
+        calls = []
+        monkeypatch.setattr(states, "state_to_density", lambda s: calls.append(s))
+        monkeypatch.setattr(states, "concurrence", lambda rho: calls.append(rho))
+        x_batch = batch[::2] if len(shape) == 1 else batch[:, ::2]
+        assert np.array_equal(concurrence_state(x_batch), got[..., ::2])
+        assert calls == []
+
+    def test_sz_block_shares_the_closed_form(self):
+        s = density_to_state(random_block_batch(11, (40,)))
+        assert np.array_equal(concurrence_sz_block(s), concurrence_state(s))
+
+
+class TestXStatePremise:
+    """The evolvers keep every named state except a tilted general_pure an X state, exactly."""
+
+    NAMED = [("singlet", {}), ("triplet0", {}), ("bell_t1", {}), ("bell_t2", {}), ("up_down", {}),
+             ("r_state", {"r": 0.3}), ("updown_mix", {"r": -0.7}), ("werner", {"p": 0.6}),
+             ("general_pure", {"gamma": 0.5 - 0.4j, "phi": 1.0})]
+
+    @staticmethod
+    def trajectories(state):
+        from spinbath.bath import gaussian_approx, unpolarized_exact
+        from spinbath.common import CommonBathSystem, SectorExactEvolver, SymmetricEvolver
+        from spinbath.separate import SeparateBathSystem, evolve
+
+        times = np.linspace(0.0, 8.0, 97)
+        bath = gaussian_approx(60, "narrow")
+        yield SymmetricEvolver(CommonBathSystem(1.0, 1.0, 3.0, bath)).evolve(state, times)
+        for k_b, j in ((0.7, 5.0), (1.0, 2.0)):
+            yield SectorExactEvolver(CommonBathSystem(1.2, k_b, j, unpolarized_exact(9))).evolve(state, times)
+        yield evolve(SeparateBathSystem(1.0, 0.6, bath, unpolarized_exact(7)), state, times)
+
+    @pytest.mark.parametrize("name, params", NAMED)
+    def test_named_states_stay_x(self, name, params):
+        s0 = make_named_state(name, **params)
+        assert np.array_equal(off_x(s0), np.zeros(8))
+        for traj in self.trajectories(s0):
+            assert np.array_equal(off_x(traj), np.zeros((97, 8)))
+
+    def test_tilted_general_pure_is_not_x(self):
+        s0 = make_named_state("general_pure", gamma=0.5, theta=0.3, phi=1.0)
+        assert np.count_nonzero(off_x(s0)) > 0
+        for traj in self.trajectories(s0):
+            assert np.count_nonzero(off_x(traj)) > 0
