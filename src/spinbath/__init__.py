@@ -20,12 +20,8 @@ from .bath import (
 )
 from .common import (
     CommonBathSystem,
-    SectorCoefficients,
     SectorExactEvolver,
-    SymmetricEvolver,
-    SymmetricMapCoefficients,
     decoherence_rate_sq,
-    sector_spectrum,
     short_time_decoherence_time,
     singlet_mixedness,
     singlet_survival,

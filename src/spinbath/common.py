@@ -10,21 +10,20 @@ which removes an unobservable global phase.
 
 The Hamiltonian is rotation invariant and every sector starts proportional to
 the identity, so the reduced map commutes with rotations of the pair; it is
-real (time-reversal invariant) too. Both evolvers apply that one channel
-(``_apply_channel``), fixed by eight real functions of t: one for S_A . S_B,
-one for the rank-2 part of the spin correlations, and six for the vectors
-S_A, S_B and S_A x S_B. Each function is a constant plus the six level-pair
-lines of every kept sector, with amplitudes from closed-form 6j symbols
-(``_level_pair_amps``), O(1) per sector:
+real (time-reversal invariant) too. ``SectorExactEvolver`` applies that one
+channel (``_apply_channel``) for any initial state, couplings and exchange.
+Eight real functions of t fix it: one for S_A . S_B, one for the rank-2 part
+of the spin correlations, and six for the vectors S_A, S_B and S_A x S_B.
+Each function is a constant plus the six level-pair lines of every kept
+sector, with amplitudes from closed-form 6j symbols (``_level_pair_amps``),
+O(1) per sector. Equal couplings K_A = K_B are a special case: every line
+then falls on one integer comb shared by all sectors, and the channel reads
+out as the paper's polarization map.
 
-- ``SectorExactEvolver``: any initial state, couplings and exchange.
-- ``SymmetricEvolver``: K_A = K_B, read out as the paper's polarization map;
-  every line then falls on one integer comb shared by all sectors.
-
-Both skip sectors below ``bath.SECTOR_WEIGHT_CUT`` (baths of 10^6 spins are
-in reach) and sum their lines in ``evaluate_lines``, which on an affine grid
-of T samples (every scenario's) uses cos w(b+o) = cos wb cos wo - sin wb sin wo
-for ~4 sqrt(T) cos/sin calls per line, not 2 T.
+Sectors below ``bath.SECTOR_WEIGHT_CUT`` are skipped (baths of 10^6 spins are
+in reach) and the lines are summed in ``evaluate_lines``, which on an affine
+grid of T samples (every scenario's) uses cos w(b+o) = cos wb cos wo - sin wb
+sin wo for ~4 sqrt(T) cos/sin calls per line, not 2 T.
 """
 
 from __future__ import annotations
@@ -60,30 +59,8 @@ class CommonBathSystem:
 
 
 # ---------------------------------------------------------------------------
-# sector spectrum
+# sector levels
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SectorCoefficients:
-    """Spectral data of one bath sector, phases relative to the singlet level.
-
-    ``level_f_plus`` / ``level_f_minus`` are the F = I+1 and F = I-1 triplet
-    levels; ``level_mix_upper`` / ``level_mix_lower`` the two levels of the
-    F = I singlet-triplet block. ``phase_mean`` and ``phase_gap`` are half the
-    sum and half the difference of the mixed levels, and (``mixing_cos``,
-    ``mixing_sin``) parametrize the block rotation with cos^2 + sin^2 = 1.
-    """
-
-    sector_spin: float
-    level_f_plus: float
-    level_f_minus: float
-    level_mix_upper: float
-    level_mix_lower: float
-    phase_mean: float
-    phase_gap: float
-    mixing_cos: float
-    mixing_sin: float
 
 
 def _sector_levels(system: CommonBathSystem, spins):
@@ -105,18 +82,6 @@ def _sector_levels(system: CommonBathSystem, spins):
     gap = sign * np.hypot(half, off)
     phi = 0.5 * np.arctan2(sign * off, abs(half))
     return np.array([j + spins * kbar, j - (spins + 1.0) * kbar, half + gap, half - gap]), phi
-
-
-def sector_spectrum(system: CommonBathSystem, i: float) -> SectorCoefficients:
-    """Eigenvalues and mixing parameters of the bath sector with spin i."""
-    if i < 0:
-        raise AssumptionError(f"sector spin must be >= 0, got {i}")
-    (lam1, lam2, mix3, mix4), phi = _sector_levels(system, i)
-    # mixing_cos = h / |g| and mixing_sin = |off| / |g|: the angle 2 phi, measured from the upper level
-    flip = -1.0 if mix3 < mix4 else 1.0
-    return SectorCoefficients(float(i), *(float(x) for x in (
-        lam1, lam2, max(mix3, mix4), min(mix3, mix4), 0.5 * (mix3 + mix4), 0.5 * abs(mix3 - mix4),
-        flip * np.cos(2.0 * phi), abs(np.sin(2.0 * phi)))))
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +258,19 @@ def _apply_channel(f: np.ndarray, state: TwoQubitState) -> TwoQubitState:
     symmetric traceless part. Rotations act on each of the three vectors
     alike, so any channel of this form commutes with them; time reversal makes
     the vector block symmetric up to the factor -1/2 of x.
+
+    For K_A = K_B, b = a, e = -d, g = a - c (the singlet-triplet coherence is
+    (a - c) + i d), and f0 is the kept weight (S_A . S_B is conserved). The
+    channel is then the paper's polarization map
+
+        P_A(t) = vec_direct P_A + vec_exchange P_B + 2 vec_from_tensor x
+        P_B(t) = vec_direct P_B + vec_exchange P_A - 2 vec_from_tensor x
+        pi(t)  = tensor_direct pi + tensor_transpose pi^T
+                 + tensor_trace Tr(pi) delta + tensor_from_vec eps . (P_A - P_B)
+
+    with vec_direct = a, vec_exchange = c, vec_from_tensor = d / 2 =
+    -tensor_from_vec, tensor_direct = (f2 + g) / 2, tensor_transpose =
+    (f2 - g) / 2 and tensor_trace = (f0 - f2) / 3.
     """
     a, b, c, d, e, g, f0, f2 = f
     x = 0.5 * np.einsum("kmn,mn->k", _EPS, state.pi)
@@ -306,83 +284,12 @@ def _apply_channel(f: np.ndarray, state: TwoQubitState) -> TwoQubitState:
 
 
 # ---------------------------------------------------------------------------
-# symmetric couplings: the polarization map
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SymmetricMapCoefficients:
-    """Linear map of the polarizations for K_A = K_B, sampled on a time grid.
-
-    The map is
-
-        P_A(t) = vec_direct P_A + vec_exchange P_B + 2 vec_from_tensor a
-        P_B(t) = vec_direct P_B + vec_exchange P_A - 2 vec_from_tensor a
-        pi(t)  = tensor_direct pi + tensor_transpose pi^T
-                 + tensor_trace Tr(pi) delta + tensor_from_vec eps.(P_A - P_B)
-
-    where a is the axial vector of the antisymmetric part of pi. The complex
-    ``st_coherence`` is the singlet-triplet coherence factor from which the
-    asymmetric pieces derive: vec_direct - vec_exchange = Re(st_coherence),
-    vec_from_tensor = Im(st_coherence)/2 = -tensor_from_vec, and the trace
-    identity tensor_direct + tensor_transpose + 3 tensor_trace = 1 holds at
-    every sample, up to the weight of the dropped sectors.
-    """
-
-    times: np.ndarray
-    st_coherence: np.ndarray
-    vec_direct: np.ndarray
-    vec_exchange: np.ndarray
-    vec_from_tensor: np.ndarray
-    tensor_direct: np.ndarray
-    tensor_transpose: np.ndarray
-    tensor_trace: np.ndarray
-    tensor_from_vec: np.ndarray
-
-
-class SymmetricEvolver:
-    """Closed-form evolution for equal couplings on one frequency comb.
-
-    Sector I's triplet levels are J + k I, J - k and J - k(I+1) above the
-    singlet: the map is a cosine comb at k n / 2 and the coherence one at
-    J + k n / 2, n an integer, so all sectors share integer bins.
-    """
-
-    def __init__(self, system: CommonBathSystem):
-        if system.k_a != system.k_b:
-            raise AssumptionError(
-                "closed-form map requires equal couplings; use SectorExactEvolver"
-            )
-        self.system = system
-
-    def map_coefficients(self, times) -> SymmetricMapCoefficients:
-        times = np.atleast_1d(np.asarray(times, dtype=float))
-        # with K_A = K_B, a = b and e = -d; S_A . S_B is conserved, so f0 is the kept weight
-        a, _, c, d, _, g, f0, f2 = _channel_functions(_channel_lines(self.system), times)
-        return SymmetricMapCoefficients(
-            times=times,
-            st_coherence=(a - c) + 1j * d,
-            vec_direct=a,
-            vec_exchange=c,
-            vec_from_tensor=0.5 * d,
-            tensor_direct=0.5 * (f2 + g),
-            tensor_transpose=0.5 * (f2 - g),
-            tensor_trace=(f0 - f2) / 3.0,
-            tensor_from_vec=-0.5 * d,
-        )
-
-    def evolve(self, state: TwoQubitState, times) -> TwoQubitState:
-        """Apply the map to the initial ``state`` on the whole time grid."""
-        return _apply_channel(_channel_functions(_channel_lines(self.system), times), state)
-
-
-# ---------------------------------------------------------------------------
-# arbitrary couplings and states
+# the evolver
 # ---------------------------------------------------------------------------
 
 
 class SectorExactEvolver:
-    """Closed-form sector-by-sector evolution; exact for any couplings and state.
+    """Closed-form sector-by-sector evolution; exact for any couplings, exchange and state.
 
     The set-up forms the channel's line amplitudes, O(1) per kept sector; every
     state then costs one sum of four packed rows over a constant plus six

@@ -19,7 +19,6 @@ from .bath import MAX_SPINS, BathDistribution, BathSpecError, bath_from_config, 
 from .common import (
     CommonBathSystem,
     SectorExactEvolver,
-    SymmetricEvolver,
     short_time_decoherence_time,
 )
 from .optimize import (
@@ -208,6 +207,7 @@ def validate(config: ScenarioConfig) -> ValidationReport:
         except BathSpecError as exc:
             report.errors.append(f"bath: {exc}")
     if report.bath is not None:
+        report.cost["kept_sectors"] = str(report.bath.significant_sectors()[0].size)
         if not couplings_finite:
             report.errors.append("k_a, k_b: k_a^2 + k_b^2 must be finite")
         # bounds |omega| t for every line the evolvers sum
@@ -324,14 +324,10 @@ def _run_separate(config: ScenarioConfig, bath, state) -> RunResult:
                  [times, d, c, g.vector_a, g.tensor], {**_base_metadata(config, bath), "state": config.state})
 
 
-def _symmetric_trajectory(config: ScenarioConfig, bath, state: TwoQubitState, times: np.ndarray):
-    system = CommonBathSystem(config.k_a, config.k_b, config.j, bath)
-    return SymmetricEvolver(system).evolve(state, times)
-
-
 def _run_common_symmetric(config: ScenarioConfig, bath, state) -> RunResult:
+    system = CommonBathSystem(config.k_a, config.k_b, config.j, bath)
     times = _times(config)
-    s = _symmetric_trajectory(config, bath, state, times)
+    s = SectorExactEvolver(system).evolve(state, times)
     return _rows(config, ["t", "p_z_a", "pi_xx", "pi_zz", "pi_xy", "d", "concurrence"],
                  [times, s.p_a[:, 2], s.pi[:, 0, 0], s.pi[:, 2, 2], s.pi[:, 0, 1],
                   decoherence_measure(s), concurrence_state(s)],
@@ -435,8 +431,9 @@ def _run_fig1(config: ScenarioConfig, bath, state) -> RunResult:
 
 
 def _run_fig2(config: ScenarioConfig, bath, state) -> RunResult:
+    system = CommonBathSystem(config.k_a, config.k_b, config.j, bath)
     times = _times(config)
-    s = _symmetric_trajectory(config, bath, make_named_state("up_down"), times)
+    s = SectorExactEvolver(system).evolve(make_named_state("up_down"), times)
     meta = {
         **_base_metadata(config, bath),
         "state": "up_down",
@@ -449,16 +446,18 @@ def _run_fig2(config: ScenarioConfig, bath, state) -> RunResult:
 
 
 def _run_fig3(config: ScenarioConfig, bath, state) -> RunResult:
+    system = CommonBathSystem(config.k_a, config.k_b, config.j, bath)
     times = _times(config)
-    s = _symmetric_trajectory(config, bath, make_named_state("up_down"), times)
+    s = SectorExactEvolver(system).evolve(make_named_state("up_down"), times)
     p_a_sq = (s.p_a[:, None, :] @ s.p_a[:, :, None])[:, 0, 0]
     return _rows(config, ["t", "d_pair", "d_single"], [times, decoherence_measure(s), 0.5 * (1.0 - p_a_sq)],
                  {**_base_metadata(config, bath), "state": "up_down"})
 
 
 def _run_fig4(config: ScenarioConfig, bath, state) -> RunResult:
+    system = CommonBathSystem(config.k_a, config.k_b, config.j, bath)
     times = _times(config)
-    s = _symmetric_trajectory(config, bath, make_named_state("triplet0"), times)
+    s = SectorExactEvolver(system).evolve(make_named_state("triplet0"), times)
     return _rows(config, ["t", "pi_xx", "pi_zz", "concurrence", "d"],
                  [times, s.pi[:, 0, 0], s.pi[:, 2, 2], concurrence_sz_block(s), decoherence_measure(s)],
                  {**_base_metadata(config, bath), "state": "triplet0"})

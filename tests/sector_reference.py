@@ -6,7 +6,10 @@ Clebsch-Gordan coefficients, O(2I+1) per sector, instead of 6j symbols.
   and Gram matrices over the bath m; exact for any state, and cheap enough
   for single sectors up to I ~ 10^5, where no dense reference reaches.
 - ``moment_map``: the equal-coupling polarization map from Clebsch-Gordan
-  moment tensors on the integer comb.
+  moment tensors on the integer comb, and ``comb_map``, the same readout of
+  the channel functions under test.
+- ``sector_spectrum``: the four levels and the mixing of one sector, from
+  ``common._sector_levels``, in named fields.
 """
 
 from dataclasses import dataclass
@@ -14,8 +17,42 @@ from dataclasses import dataclass
 import numpy as np
 
 from spinbath import common
-from spinbath.common import SymmetricMapCoefficients, evaluate_lines
+from spinbath.common import AssumptionError, evaluate_lines
 from spinbath.states import KET_SINGLET, KET_TRIPLET0, density_to_state, state_to_density
+
+
+@dataclass(frozen=True)
+class SectorCoefficients:
+    """Spectral data of one bath sector, phases relative to the singlet level.
+
+    ``level_f_plus`` / ``level_f_minus`` are the F = I+1 and F = I-1 triplet
+    levels; ``level_mix_upper`` / ``level_mix_lower`` the two levels of the
+    F = I singlet-triplet block. ``phase_mean`` and ``phase_gap`` are half the
+    sum and half the difference of the mixed levels, and (``mixing_cos``,
+    ``mixing_sin``) parametrize the block rotation with cos^2 + sin^2 = 1.
+    """
+
+    sector_spin: float
+    level_f_plus: float
+    level_f_minus: float
+    level_mix_upper: float
+    level_mix_lower: float
+    phase_mean: float
+    phase_gap: float
+    mixing_cos: float
+    mixing_sin: float
+
+
+def sector_spectrum(system, i: float) -> SectorCoefficients:
+    """Eigenvalues and mixing parameters of the bath sector with spin i."""
+    if i < 0:
+        raise AssumptionError(f"sector spin must be >= 0, got {i}")
+    (lam1, lam2, mix3, mix4), phi = common._sector_levels(system, i)
+    # mixing_cos = h / |g| and mixing_sin = |off| / |g|: the angle 2 phi, measured from the upper level
+    flip = -1.0 if mix3 < mix4 else 1.0
+    return SectorCoefficients(float(i), *(float(x) for x in (
+        lam1, lam2, max(mix3, mix4), min(mix3, mix4), 0.5 * (mix3 + mix4), 0.5 * abs(mix3 - mix4),
+        flip * np.cos(2.0 * phi), abs(np.sin(2.0 * phi)))))
 
 
 @dataclass(frozen=True)
@@ -203,10 +240,22 @@ class RankOneSectorEvolver:
         return amp * (self._weights / (2.0 * self._spins + 1.0)), obs
 
 
+# the equal-coupling readout of the channel functions; the paper's map in
+# these terms is in the docstring of common._apply_channel
+MAP_FUNCTIONS = ("a", "c", "d", "g", "f0", "f2")
+
+
+def comb_map(system, times):
+    """{name: function} of ``MAP_FUNCTIONS`` from the channel under test."""
+    a, _, c, d, _, g, f0, f2 = common._channel_functions(common._channel_lines(system), times)
+    return dict(zip(MAP_FUNCTIONS, (a, c, d, g, f0, f2)))
+
+
 def moment_map(system, times):
     """The equal-coupling map from the per-sector Clebsch-Gordan moment tensors
     sum_m (p_F q_F)(p_G q_G), binned on the integer comb: column n is the line
-    exp(-i k n t / 2), the coherence rows carrying exp(-i J t) on top."""
+    exp(-i k n t / 2), the coherence rows carrying exp(-i J t) on top. Returns
+    ``MAP_FUNCTIONS`` as ``comb_map`` does."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
     spins, weights, _ = system.bath.significant_sectors()
     two_i = np.rint(2.0 * spins).astype(int)
@@ -233,9 +282,5 @@ def moment_map(system, times):
                                      0.5 * system.k_mean * lines, times)
     eta, phi_q = eta.real, phi_q.real
     coh = coh * np.exp(-1j * system.j * times)
-    hr, hi = coh.real, coh.imag
-    return SymmetricMapCoefficients(
-        times=times, st_coherence=coh, vec_direct=0.5 * (eta + hr), vec_exchange=0.5 * (eta - hr),
-        vec_from_tensor=0.5 * hi, tensor_direct=0.5 * (phi_q + hr), tensor_transpose=0.5 * (phi_q - hr),
-        tensor_trace=(weights.sum() - phi_q) / 3.0, tensor_from_vec=-0.5 * hi,
-    )
+    return dict(zip(MAP_FUNCTIONS, (0.5 * (eta + coh.real), 0.5 * (eta - coh.real), coh.imag, coh.real,
+                                    np.full_like(times, weights.sum()), phi_q)))

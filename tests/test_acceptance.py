@@ -14,7 +14,6 @@ import spinbath as sb
 from spinbath.common import (
     CommonBathSystem,
     SectorExactEvolver,
-    SymmetricEvolver,
     decoherence_rate_sq,
     singlet_survival,
     singlet_survival_large_j,
@@ -290,7 +289,7 @@ def test_criterion_7_structural_invariants(common_bath_runs):
     symmetric = CommonBathSystem(1.0, 1.0, 2.0, n4)
     rate_xx, rate_zz = transverse_longitudinal_rates(symmetric)
     ts = np.linspace(0.0, 0.02, 9)[1:]
-    evolved = SymmetricEvolver(symmetric).evolve(make_named_state("triplet0"), ts)
+    evolved = SectorExactEvolver(symmetric).evolve(make_named_state("triplet0"), ts)
     x = ts**2
     fit_xx = float(x @ (1 - np.array([s.pi[0, 0] for s in evolved]))) / float(x @ x)
     fit_zz = float(x @ (np.array([s.pi[2, 2] for s in evolved]) + 1)) / float(x @ x)
@@ -336,7 +335,7 @@ def test_criterion_8_polarization_relaxation_structure(tmp_path):
     # bath-induced entanglement from an unentangled start, including at J = 0
     bath = sb.gaussian_approx(100, "narrow")
     for j_check in (0.0, j):
-        evolver = SymmetricEvolver(CommonBathSystem(1.0, 1.0, j_check, bath))
+        evolver = SectorExactEvolver(CommonBathSystem(1.0, 1.0, j_check, bath))
         states = evolver.evolve(make_named_state("up_down"), np.linspace(0.2, 6.0, 150))
         c_max = max(sb.concurrence_state(s) for s in states)
         assert c_max > 0.01

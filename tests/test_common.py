@@ -10,9 +10,7 @@ from spinbath.common import (
     AssumptionError,
     CommonBathSystem,
     SectorExactEvolver,
-    SymmetricEvolver,
     decoherence_rate_sq,
-    sector_spectrum,
     short_time_decoherence_time,
     singlet_mixedness,
     singlet_survival,
@@ -30,12 +28,18 @@ from spinbath.states import (
     decoherence_measure,
     density_to_state,
     make_named_state,
-    state_from_vector,
     state_to_density,
     validate_state,
 )
 
-from sector_reference import RankOneSectorEvolver, cg_tables, level_pair_lines, rank_one_terms
+from sector_reference import (
+    RankOneSectorEvolver,
+    cg_tables,
+    comb_map,
+    level_pair_lines,
+    rank_one_terms,
+    sector_spectrum,
+)
 
 
 def qubit_pair_ops() -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -441,29 +445,32 @@ def ladder_or_zero(i):
 
 
 class TestSymmetricEvolution:
-    def test_map_coefficients_at_time_zero(self):
-        coeffs = SymmetricEvolver(system(j=2.0, n=4)).map_coefficients([0.0])
-        assert coeffs.vec_direct[0] == pytest.approx(1.0, abs=1e-12)
-        assert coeffs.tensor_direct[0] == pytest.approx(1.0, abs=1e-12)
-        for arr in (coeffs.vec_exchange, coeffs.vec_from_tensor,
-                    coeffs.tensor_transpose, coeffs.tensor_trace, coeffs.tensor_from_vec):
-            assert abs(arr[0]) < 1e-12
+    """k_a = k_b: the comb, read out as the paper's map (see ``common._apply_channel``)."""
+
+    def test_map_at_time_zero(self):
+        # vec_direct = a and tensor_direct = (f2 + g) / 2 are 1; vec_exchange = c,
+        # vec_from_tensor = d / 2, tensor_transpose = (f2 - g) / 2, tensor_trace = (f0 - f2) / 3 are 0
+        f = comb_map(system(j=2.0, n=4), [0.0])
+        for name in ("a", "g", "f0", "f2"):
+            assert f[name][0] == pytest.approx(1.0, abs=1e-12)
+        for name in ("c", "d"):
+            assert abs(f[name][0]) < 1e-12
 
     def test_structural_relations(self):
-        coeffs = SymmetricEvolver(system(j=3.0, n=5)).map_coefficients(np.linspace(0, 4, 50))
-        coh = coeffs.st_coherence
-        assert np.allclose(coeffs.vec_direct - coeffs.vec_exchange, coh.real, atol=1e-12)
-        assert np.allclose(coeffs.tensor_direct - coeffs.tensor_transpose, coh.real, atol=1e-12)
-        assert np.allclose(
-            coeffs.tensor_trace,
-            (1 - coeffs.tensor_direct - coeffs.tensor_transpose) / 3,
-            atol=1e-12,
-        )
-        assert np.allclose(coeffs.vec_from_tensor, coh.imag / 2, atol=1e-12)
-        assert np.allclose(coeffs.tensor_from_vec, -coh.imag / 2, atol=1e-12)
+        sys = system(j=3.0, n=5)
+        times = np.linspace(0, 4, 50)
+        a, b, c, d, e, g, f0, f2 = common._channel_functions(common._channel_lines(sys), times)
+        # the singlet-triplet coherence (a - c) + i d drives vec_direct - vec_exchange and
+        # tensor_direct - tensor_transpose alike; S_A . S_B is conserved, so the trace
+        # identity tensor_direct + tensor_transpose + 3 tensor_trace = f0 = 1 holds
+        assert np.allclose(g, a - c, atol=1e-12)
+        assert np.allclose(f0, 1.0, atol=1e-12)
+        # the swap symmetry of equal couplings
+        assert np.allclose(b, a, atol=1e-12)
+        assert np.allclose(e, -d, atol=1e-12)
 
     def test_singlet_is_stationary(self):
-        states = SymmetricEvolver(system(j=4.0, n=4)).evolve(
+        states = SectorExactEvolver(system(j=4.0, n=4)).evolve(
             make_named_state("singlet"), np.linspace(0, 5, 8)
         )
         for s in states:
@@ -471,41 +478,24 @@ class TestSymmetricEvolution:
             assert np.allclose(s.p_a, 0.0, atol=1e-12)
 
     def test_werner_is_stationary(self):
-        states = SymmetricEvolver(system(j=2.5, n=4)).evolve(
+        states = SectorExactEvolver(system(j=2.5, n=4)).evolve(
             make_named_state("werner", p=0.7), np.linspace(0, 5, 6)
         )
         for s in states:
             assert np.allclose(s.pi, -0.7 * np.eye(3), atol=1e-12)
 
     def test_product_state_structure(self):
-        # initial |ud>: P^z_A(t) = -P^z_B(t), pi_xy = -pi_yx = 2 * tensor_from_vec
+        # initial |ud>: P^z_A(t) = -P^z_B(t), pi_xy = -pi_yx = 2 * tensor_from_vec = -d
         sys = system(j=2.0, n=4)
         times = np.linspace(0.1, 3, 11)
-        coeffs = SymmetricEvolver(sys).map_coefficients(times)
-        states = SymmetricEvolver(sys).evolve(make_named_state("up_down"), times)
+        f = comb_map(sys, times)
+        states = SectorExactEvolver(sys).evolve(make_named_state("up_down"), times)
         for k, s in enumerate(states):
-            assert s.p_a[2] == pytest.approx(
-                coeffs.vec_direct[k] - coeffs.vec_exchange[k], abs=1e-12
-            )
+            assert s.p_a[2] == pytest.approx(f["a"][k] - f["c"][k], abs=1e-12)
             assert s.p_b[2] == pytest.approx(-s.p_a[2], abs=1e-12)
-            assert s.pi[0, 1] == pytest.approx(2 * coeffs.tensor_from_vec[k], abs=1e-12)
+            assert s.pi[0, 1] == pytest.approx(-f["d"][k], abs=1e-12)
             assert s.pi[1, 0] == pytest.approx(-s.pi[0, 1], abs=1e-12)
             assert s.pi[0, 0] == pytest.approx(s.pi[1, 1], abs=1e-12)
-
-    def test_matches_dense_on_random_states(self):
-        rng = np.random.default_rng(11)
-        sys = system(k_a=0.9, k_b=0.9, j=1.7, n=4)
-        closed = SymmetricEvolver(sys)
-        dense = SectorExactEvolver(sys)
-        for _ in range(4):
-            psi = rng.normal(size=4) + 1j * rng.normal(size=4)
-            s0 = state_from_vector(psi)
-            for t in (0.6, 2.9):
-                a = closed.evolve(s0, [t])[0]
-                b = dense.evolve(s0, [t])[0]
-                assert np.abs(a.p_a - b.p_a).max() < 1e-12
-                assert np.abs(a.p_b - b.p_b).max() < 1e-12
-                assert np.abs(a.pi - b.pi).max() < 1e-12
 
     def test_mixedness_is_exchange_independent_for_equal_couplings(self):
         # the exchange term commutes with the symmetric coupling, acting as a
@@ -514,18 +504,12 @@ class TestSymmetricEvolution:
         times = np.linspace(0, 4, 25)
         d_curves = []
         for j in (0.0, 7.0):
-            states = SymmetricEvolver(system(j=j, n=5)).evolve(s0, times)
+            states = SectorExactEvolver(system(j=j, n=5)).evolve(s0, times)
             d_curves.append([decoherence_measure(s) for s in states])
         assert np.allclose(d_curves[0], d_curves[1], atol=1e-12)
 
-    def test_rejects_asymmetric_couplings(self):
-        with pytest.raises(AssumptionError):
-            SymmetricEvolver(system(1.0, 0.5, 1.0))
-        with pytest.raises(AssumptionError):
-            SymmetricEvolver(system(1.0, 0.5, 1.0)).evolve(make_named_state("singlet"), 1.0)
-
     def test_outputs_stay_physical(self):
-        states = SymmetricEvolver(system(j=3.0, n=4)).evolve(
+        states = SectorExactEvolver(system(j=3.0, n=4)).evolve(
             make_named_state("triplet0"), np.linspace(0, 6, 13)
         )
         for s in states:
@@ -533,14 +517,6 @@ class TestSymmetricEvolution:
 
 
 class TestAsymmetricEvolution:
-    def test_reduces_to_symmetric(self):
-        sys = system(k_a=1.1, k_b=1.1, j=2.3, n=3)
-        s0 = make_named_state("r_state", r=0.3)
-        a = SymmetricEvolver(sys).evolve(s0, [0.5, 1.8])
-        b = SectorExactEvolver(sys).evolve(s0, [0.5, 1.8])
-        assert np.abs(a.pi - b.pi).max() < 1e-12
-        assert np.abs(a.p_a - b.p_a).max() < 1e-12
-
     @pytest.mark.parametrize("name", ["singlet", "triplet0", "bell_t1", "bell_t2"])
     def test_bell_states_stay_bell_diagonal(self, name):
         sys = system(k_a=1.0, k_b=0.4, j=1.5, n=4)
@@ -688,19 +664,21 @@ class TestRankOneTerms:
 
 
 class TestSectorExactSymmetricLimit:
-    """k_a = k_b: the sector evolver against the comb of SymmetricEvolver."""
+    """k_a = k_b: the integer comb on multi-sector baths against the dense sector reference."""
 
-    @pytest.mark.parametrize("n, k, j, samples", [(100, 1.0, 200.0, 12000), (10000, 0.9, 3.0, 400)])
-    def test_random_states(self, n, k, j, samples):
-        sys = CommonBathSystem(k, k, j, gaussian_approx(n, "narrow"))
-        times = np.linspace(0.0, 6.0, samples)
-        rng = np.random.default_rng(n)
+    @pytest.mark.parametrize("bath, k, j", [(gaussian_approx(100, "narrow"), 1.0, 200.0),
+                                            (unpolarized_exact(24), -0.7, 0.0)],
+                             ids=["gaussian-narrow-100", "exact-24"])
+    def test_random_states(self, bath, k, j):
+        sys = CommonBathSystem(k, k, j, bath)
+        times = np.linspace(0.0, 6.0, 600)
+        ours, dense = SectorExactEvolver(sys), DenseSectorEvolver(sys)
+        rng = np.random.default_rng(bath.spins.size)
         for rank in (1, 3):
             s0 = random_state(rng, rank)
-            a = SymmetricEvolver(sys).evolve(s0, times)
-            b = SectorExactEvolver(sys).evolve(s0, times)
-            for x, y in ((a.p_a, b.p_a), (a.p_b, b.p_b), (a.pi, b.pi)):
-                assert np.abs(x - y).max() < 1e-12
+            got = state_to_density(ours.evolve(s0, times))
+            want = state_to_density(dense.evolve(s0, times))
+            assert np.abs(got - want).max() < 1e-12
 
 
 # sectors I = 0 .. 50 in half steps, each alone
@@ -919,7 +897,7 @@ class TestTransverseLongitudinalRates:
         sys = system(1.0, 1.0, 2.0, n=4)
         rate_xx, rate_zz = transverse_longitudinal_rates(sys)
         times = np.linspace(0, 0.02, 9)[1:]
-        states = SymmetricEvolver(sys).evolve(make_named_state("triplet0"), times)
+        states = SectorExactEvolver(sys).evolve(make_named_state("triplet0"), times)
         pi_xx = np.array([s.pi[0, 0] for s in states])
         pi_zz = np.array([s.pi[2, 2] for s in states])
         x = times**2

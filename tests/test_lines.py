@@ -8,20 +8,12 @@ from spinbath import bath as bath_module
 from spinbath import common
 from spinbath.bath import gaussian_approx, unpolarized_exact
 from spinbath.cli import main
-from spinbath.common import (
-    CommonBathSystem,
-    SectorExactEvolver,
-    SymmetricEvolver,
-    SymmetricMapCoefficients,
-    evaluate_lines,
-    sector_spectrum,
-    singlet_survival,
-)
+from spinbath.common import CommonBathSystem, SectorExactEvolver, evaluate_lines, singlet_survival
 from spinbath.separate import SeparateBathSystem, decay_factors, evolve
 from spinbath.states import make_named_state
 from spinbath.timeseries import read_csv
 
-from sector_reference import cg_tables, moment_map
+from sector_reference import MAP_FUNCTIONS, cg_tables, comb_map, moment_map, sector_spectrum
 
 TIMES = np.linspace(0.0, 6.0, 37)
 
@@ -193,13 +185,15 @@ class TestCombMap:
             # between 3 and 12 samples per pass, so the 37 samples take >= 4
             spins = system.bath.significant_sectors()[0]
             monkeypatch.setattr(common, "_PHASE_BLOCK", 3 * (int(4 * spins.max()) + 3))
-        got = SymmetricEvolver(system).map_coefficients(TIMES)
+        got = comb_map(system, TIMES)
         eta, phi_q, coh = per_sector_map(system, TIMES)
-        assert np.abs(got.st_coherence - coh).max() < 1e-12
-        assert np.abs(got.vec_direct + got.vec_exchange - eta).max() < 1e-12
-        assert np.abs(got.tensor_direct + got.tensor_transpose - phi_q).max() < 1e-12
-        assert np.abs(got.tensor_trace - (1.0 - phi_q) / 3.0).max() < 1e-12
-        assert np.abs(got.vec_from_tensor - 0.5 * coh.imag).max() < 1e-12
+        # st_coherence = (a - c) + i d, vec_direct + vec_exchange = a + c, tensor_direct
+        # + tensor_transpose = f2, tensor_direct - tensor_transpose = g, tensor_trace = (f0 - f2) / 3
+        assert np.abs(got["a"] - got["c"] + 1j * got["d"] - coh).max() < 1e-12
+        assert np.abs(got["a"] + got["c"] - eta).max() < 1e-12
+        assert np.abs(got["f2"] - phi_q).max() < 1e-12
+        assert np.abs(got["g"] - coh.real).max() < 1e-12
+        assert np.abs((got["f0"] - got["f2"]) / 3.0 - (1.0 - phi_q) / 3.0).max() < 1e-12
 
 
     @pytest.mark.parametrize("couplings", list(SYMMETRIC))
@@ -208,9 +202,9 @@ class TestCombMap:
         # against the Clebsch-Gordan moment tensors, every field
         k, j = SYMMETRIC[couplings]
         system = CommonBathSystem(k, k, j, BATHS[bath])
-        got, want = SymmetricEvolver(system).map_coefficients(TIMES), moment_map(system, TIMES)
-        for name in SymmetricMapCoefficients.__dataclass_fields__:
-            assert np.abs(getattr(got, name) - getattr(want, name)).max() < 1e-12, name
+        got, want = comb_map(system, TIMES), moment_map(system, TIMES)
+        for name in MAP_FUNCTIONS:
+            assert np.abs(got[name] - want[name]).max() < 1e-12, name
 
     def test_fig2_merges_onto_its_comb(self, monkeypatch):
         # fig2's defaults: 44 kept sectors, every line on one of 68 integer bins
@@ -222,7 +216,7 @@ class TestCombMap:
             return evaluate_lines(amp_plus, amp_minus, omega, times)
 
         monkeypatch.setattr(common, "evaluate_lines", spy)
-        SymmetricEvolver(system).map_coefficients(np.linspace(0.0, 6.0, 12000))
+        SectorExactEvolver(system).evolve(make_named_state("up_down"), np.linspace(0.0, 6.0, 12000))
         assert seen == [68] * 3  # one line sum per singlet-triplet step of J
 
 
@@ -271,7 +265,7 @@ class TestWeightCut:
     def outputs(b):
         """Every closed form on bath b, as outputs whose per-sector terms lie in [-1, 1]."""
         out = []
-        sym = SymmetricEvolver(CommonBathSystem(0.9, 0.9, 4.0, b))
+        sym = SectorExactEvolver(CommonBathSystem(0.9, 0.9, 4.0, b))
         for name in ("up_down", "triplet0", "bell_t1"):
             s = sym.evolve(make_named_state(name), TIMES)
             out += [s.p_a.ravel(), s.p_b.ravel(), s.pi.ravel()]
@@ -318,8 +312,8 @@ def test_ten_thousand_spins_through_cli(tmp_path, scenario, extra):
         total = (series.column("singlet_pop") + series.column("triplet0_pop")
                  + 2.0 * series.column("t1t2_pop"))
     else:
-        c = SymmetricEvolver(CommonBathSystem(1.0, 1.0, 5.0, b)).map_coefficients(series.column("t"))
-        total = c.tensor_direct + c.tensor_transpose + 3.0 * c.tensor_trace
+        # tensor_direct + tensor_transpose + 3 tensor_trace = f0, the kept weight
+        total = comb_map(CommonBathSystem(1.0, 1.0, 5.0, b), series.column("t"))["f0"]
     assert np.abs(total - 1.0).max() < 1e-12
 
 

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from spinbath.common import CommonBathSystem, sector_spectrum
+from spinbath.common import CommonBathSystem
 from spinbath.bath import unpolarized_exact
 from spinbath.oracle import (
     CouplingParams,
@@ -30,6 +30,8 @@ from spinbath.states import (
     make_named_state,
     state_to_density,
 )
+
+from sector_reference import sector_spectrum
 
 
 # ---------------------------------------------------------------------------

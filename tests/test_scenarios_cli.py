@@ -135,8 +135,27 @@ class TestValidation:
         # and the eigenvectors hold 208 MB, not 321 MB
         report = validate(ScenarioConfig.for_kind("oracle-compare", n_bath=n))
         assert report.ok
-        assert report.cost == {"oracle_largest_eigh": largest, "oracle_eigenvector_mb": mb}
+        assert report.cost == {"kept_sectors": str(n // 2 + 1), "oracle_largest_eigh": largest,
+                               "oracle_eigenvector_mb": mb}
         assert f"oracle_largest_eigh = {largest}" in report.render()
+
+    @pytest.mark.parametrize("kind, n, kept", [("fig2", 100, 44), ("common-asymmetric", 200, 62),
+                                               ("common-symmetric", 1000000, 4161)])
+    def test_validate_prints_kept_sectors(self, tmp_path, capsys, kind, n, kept):
+        # the sectors of weight >= bath.SECTOR_WEIGHT_CUT that the closed forms sum over
+        path = write_config(tmp_path, f"scenario = {kind}\nn_bath = {n}\nj = 2.0\n")
+        assert main(["validate", str(path)]) == 0
+        assert f"  kept_sectors = {kept}\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("kind", ["fig2", "common-asymmetric", "separate", "oracle-compare"])
+    def test_cost_preview_leaves_the_csv_bytes_alone(self, tmp_path, kind):
+        config = ScenarioConfig.for_kind(kind, samples=20, output=str(tmp_path / "with.csv"), j=0.0)
+        run(config)
+        bare = validate(config)
+        bare.cost.clear()
+        run(ScenarioConfig.for_kind(kind, samples=20, output=str(tmp_path / "without.csv"), j=0.0), bare)
+        assert (tmp_path / "with.csv").read_bytes() == (tmp_path / "without.csv").read_bytes()
+        assert b"kept_sectors" not in (tmp_path / "with.csv").read_bytes()
 
     def test_oracle_cost_preview_stays_out_of_the_csv(self, tmp_path):
         out = tmp_path / "oc.csv"
@@ -270,7 +289,8 @@ class TestRunners:
         run(config)
         times = np.linspace(0.0, config.t_max, config.samples)
         bath = validate(config).bath
-        traj = scenarios._symmetric_trajectory(config, bath, make_named_state(state), times)
+        system = CommonBathSystem(config.k_a, config.k_b, config.j, bath)
+        traj = SectorExactEvolver(system).evolve(make_named_state(state), times)
         got = read_csv(tmp_path / "f.csv").column("concurrence")
         assert np.abs(got - concurrence_state(traj)).max() < 1e-12
 

@@ -550,12 +550,12 @@ class TestXStatePremise:
     @staticmethod
     def trajectories(state):
         from spinbath.bath import gaussian_approx, unpolarized_exact
-        from spinbath.common import CommonBathSystem, SectorExactEvolver, SymmetricEvolver
+        from spinbath.common import CommonBathSystem, SectorExactEvolver
         from spinbath.separate import SeparateBathSystem, evolve
 
         times = np.linspace(0.0, 8.0, 97)
         bath = gaussian_approx(60, "narrow")
-        yield SymmetricEvolver(CommonBathSystem(1.0, 1.0, 3.0, bath)).evolve(state, times)
+        yield SectorExactEvolver(CommonBathSystem(1.0, 1.0, 3.0, bath)).evolve(state, times)
         for k_b, j in ((0.7, 5.0), (1.0, 2.0)):
             yield SectorExactEvolver(CommonBathSystem(1.2, k_b, j, unpolarized_exact(9))).evolve(state, times)
         yield evolve(SeparateBathSystem(1.0, 0.6, bath, unpolarized_exact(7)), state, times)
