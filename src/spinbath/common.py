@@ -158,6 +158,11 @@ _SIX_J = {
     (2, 0, 1): (-1 / 10, (3, 4), (1, 2)),
     (2, 1, 1): (1 / 30, (3, 4, 5), (1, 1, 2)),
 }
+# the same as arrays: indices k, a + 1, b + 1, then c, then the offsets (numerator, denominator;
+# entry; factor) with NaN where a product has fewer than three factors
+_SIX_J_K, _SIX_J_A, _SIX_J_B = (np.array(list(_SIX_J)) + [0, 1, 1]).T
+_SIX_J_C = np.array([c for c, _, _ in _SIX_J.values()])
+_SIX_J_OFF = np.array([[v[i] + (np.nan,) * (3 - len(v[i])) for v in _SIX_J.values()] for i in (1, 2)])
 # F - I of each level, and which levels the comb counts as triplets (K_A = K_B)
 _F_OFFSET = np.array([1, -1, 0, 0])
 _TRIPLET = np.array([1, 1, 1, 0])
@@ -166,11 +171,13 @@ _TRIPLET = np.array([1, 1, 1, 0])
 def _six_j(two_i: np.ndarray) -> np.ndarray:
     """t[k, a + 1, b + 1, sector] of ``_SIX_J``; 0 where F = I - 1 does not exist
     (a radicand that vanishes or turns negative, or a zero denominator)."""
+    # a missing factor is an exact 1, so each product rounds as the bare product of its factors
+    f = np.where(np.isnan(_SIX_J_OFF)[..., None], 1.0, _SIX_J_OFF[..., None] + two_i)
+    num, den = f[:, :, 0] * f[:, :, 1] * f[:, :, 2]
+    sq = np.divide(np.abs(_SIX_J_C)[:, None] * num, den, out=np.zeros_like(num), where=den != 0.0)
     t = np.zeros((3, 3, 3) + two_i.shape)
-    for (k, a, b), (c, num, den) in _SIX_J.items():
-        num, den = (np.prod(np.add.outer(np.array(o, dtype=float), two_i), axis=0) for o in (num, den))
-        sq = np.divide(abs(c) * num, den, out=np.zeros_like(two_i), where=den != 0.0)
-        t[k, a + 1, b + 1] = t[k, b + 1, a + 1] = math.copysign(1.0, c) * np.sqrt(np.maximum(sq, 0.0))
+    t[_SIX_J_K, _SIX_J_A, _SIX_J_B] = t[_SIX_J_K, _SIX_J_B, _SIX_J_A] = (
+        np.copysign(1.0, _SIX_J_C)[:, None] * np.sqrt(np.maximum(sq, 0.0)))
     return t
 
 
@@ -235,19 +242,26 @@ def _channel_lines(system: CommonBathSystem):
     return plus[..., lines], minus[..., lines], 0.5 * system.k_mean * lines, system.j * np.arange(-1.0, 2.0)
 
 
-def _channel_functions(lines, times) -> np.ndarray:
-    """The eight real functions (a, b, c, d, e, g, f0, f2) on the grid ``times``, (8, T)."""
-    times = np.atleast_1d(np.asarray(times, dtype=float))
+def _channel_functions(lines, times) -> list[np.ndarray]:
+    """The eight real functions (a, b, c, d, e, g, f0, f2) on the grid ``times``: the real
+    and imaginary views of the four packed rows, accumulated part by part in one array."""
+    times = np.asarray(times, dtype=float).ravel()
+    z = np.zeros((4, times.size), dtype=complex)
     plus, minus, omega, shift = lines
-    z = sum(evaluate_lines(p, m, omega, times) * np.exp(-1j * d * times) for p, m, d in zip(plus, minus, shift))
-    return np.stack([z.real, z.imag], axis=1).reshape(8, -1)
+    for p, m, d in zip(plus, minus, shift):
+        part = evaluate_lines(p, m, omega, times)
+        part *= np.exp(-1j * d * times)
+        z += part
+        del part  # before the next part is evaluated
+    return [f for row in z for f in (row.real, row.imag)]
 
 
 _EPS = np.cross(np.eye(3)[:, None], np.eye(3))  # eps[i, j, k] = (e_i x e_j)_k
 
 
-def _apply_channel(f: np.ndarray, state: TwoQubitState) -> TwoQubitState:
-    """The channel (a, b, c, d, e, g, f0, f2) = f[:, t] applied to ``state``:
+def _apply_channel(f, state: TwoQubitState) -> TwoQubitState:
+    """The channel (a, b, c, d, e, g, f0, f2) = f[:, t] applied to ``state``; the batch
+    axes of a batch of states come first in the result, then the time axis:
 
         P_A(t) = a P_A + c P_B + d x
         P_B(t) = c P_A + b P_B + e x
@@ -272,6 +286,8 @@ def _apply_channel(f: np.ndarray, state: TwoQubitState) -> TwoQubitState:
     -tensor_from_vec, tensor_direct = (f2 + g) / 2, tensor_transpose =
     (f2 - g) / 2 and tensor_trace = (f0 - f2) / 3.
     """
+    if state.pi.ndim > 2:
+        return TwoQubitState.stack([_apply_channel(f, s) for s in state])
     a, b, c, d, e, g, f0, f2 = f
     x = 0.5 * np.einsum("kmn,mn->k", _EPS, state.pi)
     v = np.array([state.p_a, state.p_b, x])
@@ -280,6 +296,8 @@ def _apply_channel(f: np.ndarray, state: TwoQubitState) -> TwoQubitState:
     iso = np.trace(state.pi) / 3.0 * np.eye(3)
     parts = np.array([0.5 * (state.pi + state.pi.T) - iso, iso, *_EPS.transpose(2, 0, 1)])
     pi = (np.column_stack([f2, f0, x_t]) @ parts.reshape(5, 9)).reshape(-1, 3, 3)
+    for out in (p_a, p_b, pi):
+        out.setflags(write=False)  # the state takes them without a copy
     return TwoQubitState(p_a, p_b, pi)
 
 
@@ -292,8 +310,9 @@ class SectorExactEvolver:
     """Closed-form sector-by-sector evolution; exact for any couplings, exchange and state.
 
     The set-up forms the channel's line amplitudes, O(1) per kept sector; every
-    state then costs one sum of four packed rows over a constant plus six
-    lines per sector (one comb for K_A = K_B) and the map ``_apply_channel``.
+    call then costs one sum of four packed rows over a constant plus six
+    lines per sector (one comb for K_A = K_B), whatever the number of initial
+    states, and the map ``_apply_channel``.
     """
 
     def __init__(self, system: CommonBathSystem):
@@ -301,6 +320,8 @@ class SectorExactEvolver:
         self._lines = _channel_lines(system)
 
     def evolve(self, state: TwoQubitState, times) -> TwoQubitState:
+        """The initial state(s) ``state`` on the T times ``times``: one initial state gives
+        a batch of T states, a batch of initial states the state axes, then the time axis."""
         return _apply_channel(_channel_functions(self._lines, times), state)
 
 

@@ -32,18 +32,25 @@ class CouplingError(ValueError):
     pass
 
 
+def _check_range(x, lo: float, hi: float, error: type, message: str) -> None:
+    """Raise ``error`` if any element of x lies outside [lo, hi] (or is NaN), naming the first."""
+    arr = np.asarray(x)
+    inside = (lo <= arr) & (arr <= hi)
+    if not np.all(inside):
+        raise error(f"{message}, got {x if arr.ndim == 0 else arr[~inside][0]}")
+
+
 @dataclass(frozen=True)
 class PureStateParam:
     """Parameters of the general pure state: complex gamma, axis angles of
-    the second qubit (the first is fixed to z)."""
+    the second qubit (the first is fixed to z). Each may be an array; they broadcast."""
 
     gamma: complex
     theta: float = 0.0
     phi: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.theta <= math.pi:
-            raise InvalidStateError(f"theta must be in [0, pi], got {self.theta}")
+        _check_range(self.theta, 0.0, math.pi, InvalidStateError, "theta must be in [0, pi]")
 
 
 @dataclass(frozen=True)
@@ -109,37 +116,35 @@ def rate_scale(system: CommonBathSystem) -> float:
     return system.bath.casimir_moment() * (system.k_a**2 + system.k_b**2) / 3.0
 
 
-def decoherence_rate_pure(param: PureStateParam, delta: float, scale: float = 1.0):
-    """Closed-form 1/tau^2 of the gamma-family; phi does not enter."""
-    if not -1.0 <= delta <= 1.0:
-        raise CouplingError(f"coupling overlap must be in [-1, 1], got {delta}")
+def decoherence_rate_pure(param: PureStateParam, delta, scale: float = 1.0):
+    """Closed-form 1/tau^2 of the gamma-family; phi does not enter. The parameters
+    and delta broadcast: arrays in, an array out; scalars in, a float out."""
+    _check_range(delta, -1.0, 1.0, CouplingError, "coupling overlap must be in [-1, 1]")
     g = np.asarray(param.gamma, dtype=complex)
     mod_sq = np.abs(g) ** 2
-    bracket = (
-        1.0
-        + 2.0 * mod_sq * (1.0 - delta * np.cos(param.theta)) / (1.0 + mod_sq) ** 2
-        - 2.0 * delta * np.cos(param.theta / 2.0) ** 2 * g.real / (1.0 + mod_sq)
-    )
+    bracket = (1.0 + 2.0 * mod_sq * (1.0 - delta * np.cos(param.theta)) / (1.0 + mod_sq) ** 2
+               - 2.0 * delta * np.cos(param.theta / 2.0) ** 2 * g.real / (1.0 + mod_sq))
     out = scale * bracket
     return float(out) if out.ndim == 0 else out
 
 
-def optimal_gamma(delta: float) -> float:
-    """Real gamma minimizing the rate at theta = 0:
+def optimal_gamma(delta):
+    """Real gamma minimizing the rate at theta = 0, elementwise for an array delta
+    (a float for a scalar):
 
         [(1 - delta) - sqrt(1 - 2 delta)] / delta   for delta in [-1, 1/2],
         1                                            for delta in [1/2, 1],
 
-    with the removable limit 0 at delta = 0.
+    with the removable limit 0 at delta = 0, taken as the series delta / 2 +
+    O(delta^2) for |delta| < 1e-9.
     """
-    if not -1.0 <= delta <= 1.0:
-        raise CouplingError(f"coupling overlap must be in [-1, 1], got {delta}")
-    if delta >= 0.5:
-        return 1.0
-    if abs(delta) < 1e-9:
-        # series: gamma = delta/2 + O(delta^2)
-        return delta / 2.0
-    return ((1.0 - delta) - math.sqrt(1.0 - 2.0 * delta)) / delta
+    _check_range(delta, -1.0, 1.0, CouplingError, "coupling overlap must be in [-1, 1]")
+    d = np.asarray(delta, dtype=float)
+    closed = (np.abs(d) >= 1e-9) & (d < 0.5)
+    safe = np.where(closed, d, -1.0)  # the other elements' square roots and quotients stay finite
+    gamma = np.where(closed, ((1.0 - safe) - np.sqrt(1.0 - 2.0 * safe)) / safe, d / 2.0)
+    gamma = np.where(d >= 0.5, 1.0, gamma)
+    return float(gamma) if gamma.ndim == 0 else gamma
 
 
 def _golden_minimize(f, lo: float, hi: float, tol: float = 1e-12) -> float:
@@ -186,15 +191,8 @@ def scan_optimal_state(delta: float, coarse: int = 41, span: float = 2.0) -> Sca
     re = np.linspace(-span, span, coarse)
     im = np.linspace(-span, span, coarse)
     th = np.linspace(0.0, math.pi, coarse)
-    g = re[:, None, None] + 1j * im[None, :, None]
-    mod_sq = np.abs(g) ** 2
-    cos_t = np.cos(th)[None, None, :]
-    cos_half_sq = np.cos(th / 2.0)[None, None, :] ** 2
-    rate = (
-        1.0
-        + 2.0 * mod_sq * (1.0 - delta * cos_t) / (1.0 + mod_sq) ** 2
-        - 2.0 * delta * cos_half_sq * g.real / (1.0 + mod_sq)
-    )
+    grid = PureStateParam(gamma=re[:, None, None] + 1j * im[None, :, None], theta=th)
+    rate = decoherence_rate_pure(grid, delta)
     flat = int(np.argmin(rate))
     i, j, k = np.unravel_index(flat, rate.shape)
     g0 = complex(re[i], im[j])

@@ -27,6 +27,7 @@ from .optimize import (
     coupling_overlap,
     decoherence_rate_pure,
     optimal_gamma,
+    scan_optimal_state,
 )
 from .oracle import MAX_BATH_SPINS, CouplingParams, build, eigh_cost, evolve_reduced
 from .separate import SeparateBathSystem, decay_factors, evolve as evolve_separate
@@ -318,7 +319,7 @@ def _run_separate(config: ScenarioConfig, bath, state) -> RunResult:
     system = SeparateBathSystem(config.k_a, config.k_b, bath, bath)
     times = _times(config)
     g = decay_factors(system, times)
-    states = evolve_separate(system, state, times)
+    states = g.apply(state)
     d, c = decoherence_measure(states), concurrence_state(states)
     return _rows(config, ["t", "d", "concurrence", "vector_decay", "tensor_decay"],
                  [times, d, c, g.vector_a, g.tensor], {**_base_metadata(config, bath), "state": config.state})
@@ -347,13 +348,9 @@ def _run_common_asymmetric(config: ScenarioConfig, bath, state) -> RunResult:
 
 
 def _run_optimize(config: ScenarioConfig, bath, state) -> RunResult:
-    from .optimize import scan_optimal_state
-
     delta = coupling_overlap(config.k_a, config.k_b)
     gammas = np.linspace(-2.0, 2.0, config.samples)
-    rates = np.array(
-        [decoherence_rate_pure(PureStateParam(gamma=complex(g)), delta, 1.0) for g in gammas]
-    )
+    rates = decoherence_rate_pure(PureStateParam(gamma=gammas), delta, 1.0)
     scanned = scan_optimal_state(delta)
     meta = {
         **_base_metadata(config, bath),
@@ -363,11 +360,7 @@ def _run_optimize(config: ScenarioConfig, bath, state) -> RunResult:
         "optimal_theta_scanned": format(scanned.theta, ".12g"),
         "rate_units": "separable-state rate",
     }
-    series = TimeSeries(
-        columns=["gamma", "rate"],
-        data=np.column_stack([gammas, rates]),
-        metadata=meta,
-    )
+    series = TimeSeries(columns=["gamma", "rate"], data=np.column_stack([gammas, rates]), metadata=meta)
     return RunResult(series, Path(config.output), {"optimal_gamma": meta["optimal_gamma_analytic"]})
 
 
@@ -375,11 +368,8 @@ def _run_oracle_compare(config: ScenarioConfig, bath, state) -> RunResult:
     times = _times(config)
     if config.mode == "separate":
         n_a = config.n_bath // 2
-        n_b = config.n_bath - n_a
-        system = SeparateBathSystem(
-            config.k_a, config.k_b, unpolarized_exact(n_a), unpolarized_exact(n_b)
-        )
-        analytic = evolve_separate(system, state, times)
+        baths = unpolarized_exact(n_a), unpolarized_exact(config.n_bath - n_a)
+        analytic = evolve_separate(SeparateBathSystem(config.k_a, config.k_b, *baths), state, times)
     else:
         system = CommonBathSystem(config.k_a, config.k_b, config.j, bath)
         analytic = SectorExactEvolver(system).evolve(state, times)
@@ -405,29 +395,21 @@ def _run_oracle_compare(config: ScenarioConfig, bath, state) -> RunResult:
             "within_tolerance": str(not failed).lower(),
         },
     )
-    return RunResult(
-        series, Path(config.output),
-        {"max_abs_dev": format(max_dev, ".3e")},
-        numerical_failure=failed,
-    )
+    return RunResult(series, Path(config.output), {"max_abs_dev": format(max_dev, ".3e")},
+                     numerical_failure=failed)
 
 
 def _run_fig1(config: ScenarioConfig, bath, state) -> RunResult:
     system = SeparateBathSystem(config.k_a, config.k_b, bath, bath)
     times = _times(config)
     g = decay_factors(system, times)
-    # initial concurrences 0, 1/2, 1 within the S^z-eigenstate family
-    r_half = 2.0 - math.sqrt(3.0)
-    states = {
-        "purity_c0": make_named_state("up_down"),
-        "purity_c05": make_named_state("updown_mix", r=r_half),
-        "purity_c1": make_named_state("updown_mix", r=1.0),
-    }
-    cols = {"t": times}
-    for label, s0 in states.items():
-        cols[label] = 1.0 - decoherence_measure(evolve_separate(system, s0, times))
-    cols["concurrence_c1"] = np.maximum(0.0, (3.0 * g.tensor - 1.0) / 2.0)
-    return _rows(config, list(cols), list(cols.values()), _base_metadata(config, bath))
+    # initial concurrences 0, 1/2, 1 within the S^z-eigenstate family (r = 0 is up_down), as one batch
+    initial = TwoQubitState.stack([make_named_state("updown_mix", r=r)
+                                   for r in (0.0, 2.0 - math.sqrt(3.0), 1.0)])
+    purity = 1.0 - decoherence_measure(g.apply(initial))
+    return _rows(config, ["t", "purity_c0", "purity_c05", "purity_c1", "concurrence_c1"],
+                 [times, *purity, np.maximum(0.0, (3.0 * g.tensor - 1.0) / 2.0)],
+                 _base_metadata(config, bath))
 
 
 def _run_fig2(config: ScenarioConfig, bath, state) -> RunResult:
@@ -465,26 +447,20 @@ def _run_fig4(config: ScenarioConfig, bath, state) -> RunResult:
 
 def _run_fig5(config: ScenarioConfig, bath, state) -> RunResult:
     times = _times(config)
-    # one channel set-up per exchange value, shared by both r-states
-    low, high = (SectorExactEvolver(CommonBathSystem(config.k_a, config.k_b, j, bath))
-                 for j in (0.0, config.j))
-    cases = [("d_rp05_j0", 0.5, low), ("d_rp05_jhi", 0.5, high),
-             ("d_rm05_j0", -0.5, low), ("d_rm05_jhi", -0.5, high)]
-    curves = [decoherence_measure(evolver.evolve(make_named_state("r_state", r=r), times))
-              for _, r, evolver in cases]
-    return _rows(config, ["t"] + [c[0] for c in cases], [times] + curves,
+    # one evolution per exchange value, of both r-states as one batch
+    pair = TwoQubitState.stack([make_named_state("r_state", r=r) for r in (0.5, -0.5)])
+    evolvers = (SectorExactEvolver(CommonBathSystem(config.k_a, config.k_b, j, bath)) for j in (0.0, config.j))
+    low, high = (decoherence_measure(evolver.evolve(pair, times)) for evolver in evolvers)
+    return _rows(config, ["t", "d_rp05_j0", "d_rp05_jhi", "d_rm05_j0", "d_rm05_jhi"],
+                 [times, low[0], high[0], low[1], high[1]],
                  {**_base_metadata(config, bath), "j_high": format(config.j, ".12g")})
 
 
 def _run_fig6(config: ScenarioConfig, bath, state) -> RunResult:
     deltas = np.linspace(-1.0, 1.0, config.samples)
-    sep = np.array([decoherence_rate_pure(PureStateParam(gamma=0.0), d, 1.0) for d in deltas])
-    sing = np.array([decoherence_rate_pure(PureStateParam(gamma=1.0), d, 1.0) for d in deltas])
-    trip = np.array([decoherence_rate_pure(PureStateParam(gamma=-1.0), d, 1.0) for d in deltas])
-    gam = np.array([optimal_gamma(d) for d in deltas])
-    opt = np.array(
-        [decoherence_rate_pure(PureStateParam(gamma=complex(g)), d, 1.0) for g, d in zip(gam, deltas)]
-    )
+    gam = optimal_gamma(deltas)
+    sep, sing, trip, opt = (decoherence_rate_pure(PureStateParam(gamma=g), deltas, 1.0)
+                            for g in (0.0, 1.0, -1.0, gam))
     columns = ["delta", "rate_separable", "rate_singlet", "rate_triplet", "rate_optimal", "gamma_opt"]
     return _rows(config, columns, [deltas, sep, sing, trip, opt, gam],
                  {"scenario": "fig6", "spinbath_version": __version__, "rate_units": "separable-state rate"})

@@ -49,6 +49,14 @@ class DecayFactors:
     vector_b: np.ndarray
     tensor: np.ndarray
 
+    def apply(self, state: TwoQubitState) -> TwoQubitState:
+        """The initial state(s) ``state`` at the sampled times, by componentwise scaling of
+        the polarizations: the state axes of a batch come first, then the time axes."""
+        lift = state.pi.shape[:-2] + (1,) * self.tensor.ndim
+        return TwoQubitState(p_a=self.vector_a[..., None] * state.p_a.reshape(lift + (3,)),
+                             p_b=self.vector_b[..., None] * state.p_b.reshape(lift + (3,)),
+                             pi=self.tensor[..., None, None] * state.pi.reshape(lift + (3, 3)))
+
 
 def _vector_decay(k: float, bath: BathDistribution, t: np.ndarray) -> np.ndarray:
     """Bath-averaged Bloch-vector decay factor for one qubit: per sector
@@ -69,22 +77,16 @@ def decay_factors(system: SeparateBathSystem, t) -> DecayFactors:
 
 
 def evolve(system: SeparateBathSystem, state: TwoQubitState, t) -> TwoQubitState:
-    """Reduced state at time(s) t: componentwise scaling of the polarizations.
+    """Reduced state(s) at time(s) t, ``decay_factors(system, t).apply(state)``.
 
-    The batch axes of the result are those of t: a time grid gives one
-    state per sample, a scalar t an unbatched state.
+    The batch axes of the result are those of the initial states, then those
+    of t: one initial state on a time grid gives one state per sample, on a
+    scalar t an unbatched state.
     """
-    g = decay_factors(system, t)
-    return TwoQubitState(
-        p_a=g.vector_a[..., None] * state.p_a,
-        p_b=g.vector_b[..., None] * state.p_b,
-        pi=g.tensor[..., None, None] * state.pi,
-    )
+    return decay_factors(system, t).apply(state)
 
 
-def decoherence_series(
-    system: SeparateBathSystem, state: TwoQubitState, times
-) -> TimeSeries:
+def decoherence_series(system: SeparateBathSystem, state: TwoQubitState, times) -> TimeSeries:
     """Mixedness D(t) on a time grid.
 
     The closed form
@@ -96,22 +98,13 @@ def decoherence_series(
     """
     times = np.asarray(times, dtype=float)
     d = decoherence_measure(evolve(system, state, times))
-    pa2 = float(state.p_a @ state.p_a)
-    pb2 = float(state.p_b @ state.p_b)
     pure = abs(decoherence_measure(state)) <= 1e-10
-    symmetric = (
-        system.k_a == system.k_b
-        and abs(system.bath_a.casimir_moment() - system.bath_b.casimir_moment()) <= 1e-12
-    )
-    eq10 = pure and symmetric and abs(pa2 - pb2) <= 1e-12
-    return TimeSeries(
-        columns=["t", "d"],
-        data=np.column_stack([times, d]),
-        metadata={
-            "formula": "componentwise-exact",
-            "closed_form_assumptions_met": str(eq10).lower(),
-        },
-    )
+    symmetric = (system.k_a == system.k_b
+                 and abs(system.bath_a.casimir_moment() - system.bath_b.casimir_moment()) <= 1e-12)
+    eq10 = pure and symmetric and abs(float(state.p_a @ state.p_a) - float(state.p_b @ state.p_b)) <= 1e-12
+    return TimeSeries(columns=["t", "d"], data=np.column_stack([times, d]),
+                      metadata={"formula": "componentwise-exact",
+                                "closed_form_assumptions_met": str(eq10).lower()})
 
 
 def _check_symmetric(system: SeparateBathSystem) -> tuple[float, float]:

@@ -10,8 +10,10 @@ with S = sigma/2. The inverse map is p = 2 Tr[rho S] and
 pi[m,n] = 4 Tr[rho S_A^m S_B^n].
 
 A ``TwoQubitState`` holds one state or a batch of them: leading axes of
-``p_a``, ``p_b`` and ``pi`` index samples (a time grid), and the conversions
-and measures below broadcast over those axes.
+``p_a``, ``p_b`` and ``pi`` index samples, and the conversions and measures
+below broadcast over those axes. An evolver takes a batch of initial states
+(``TwoQubitState.stack``) as readily as one, and returns the state axes
+followed by the time axes: k initial states on T times give shape (k, T, ...).
 
 Concurrence: :func:`concurrence` runs Wootters' eigh/svd evaluation on any
 density matrices. :func:`concurrence_state` takes the X-state closed form for
@@ -61,7 +63,8 @@ class TwoQubitState:
 
     ``p_a`` and ``p_b`` have shape (..., 3) and ``pi`` shape (..., 3, 3); the
     leading axes, which must agree, index a batch of samples and
-    ``states[k]`` is sample k. An unbatched state has no leading axes.
+    ``states[k]`` is sample k. An unbatched state has no leading axes. The arrays
+    are read-only; a read-only float array is taken without a copy, so ``states[k]`` is a view.
     """
 
     p_a: np.ndarray
@@ -88,6 +91,11 @@ class TwoQubitState:
             raise TypeError("an unbatched TwoQubitState cannot be indexed")
         return TwoQubitState(self.p_a[k], self.p_b[k], self.pi[k])
 
+    @classmethod
+    def stack(cls, states) -> "TwoQubitState":
+        """One batch of ``states``, whose new leading axis indexes them."""
+        return cls(*(np.stack(x) for x in zip(*((s.p_a, s.p_b, s.pi) for s in states))))
+
     def polarization_norm_sq(self):
         """P_A^2 + P_B^2 + sum (pi^mn)^2; equals 3 for pure states."""
         return _out(_norm_sq(self.p_a) + _norm_sq(self.p_b) + np.sum(self.pi**2, axis=(-2, -1)))
@@ -104,7 +112,9 @@ class StateValidation:
 
 
 def _frozen(arr, shape) -> np.ndarray:
-    out = np.array(arr, dtype=float)
+    """``arr`` as a read-only float array: itself if it is one already, else a copy."""
+    shared = type(arr) is np.ndarray and arr.dtype == float and not arr.flags.writeable
+    out = arr if shared else np.array(arr, dtype=float)
     if out.shape[out.ndim - len(shape):] != shape:
         raise InvalidStateError(f"expected shape {shape} after the batch axes, got {out.shape}")
     out.setflags(write=False)

@@ -40,6 +40,7 @@ from sector_reference import (
     rank_one_terms,
     sector_spectrum,
 )
+from test_states import same_bits, same_states
 
 
 def qubit_pair_ops() -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -936,3 +937,65 @@ class TestSectorAgainstOracle:
                 b = evolve_reduced(full, s0, ("sector", i), times)
                 for x, y in ((a.p_a, b.p_a), (a.p_b, b.p_b), (a.pi, b.pi)):
                     assert np.abs(x - y).max() < 1e-10
+
+
+def six_j_loop(two_i: np.ndarray) -> np.ndarray:
+    """``common._six_j`` as one product per table entry: the byte reference of the padded pass."""
+    t = np.zeros((3, 3, 3) + two_i.shape)
+    for (k, a, b), (c, num, den) in common._SIX_J.items():
+        num, den = (np.prod(np.add.outer(np.array(o, dtype=float), two_i), axis=0) for o in (num, den))
+        sq = np.divide(abs(c) * num, den, out=np.zeros_like(two_i), where=den != 0.0)
+        t[k, a + 1, b + 1] = t[k, b + 1, a + 1] = math.copysign(1.0, c) * np.sqrt(np.maximum(sq, 0.0))
+    return t
+
+
+@pytest.mark.parametrize("bath", [unpolarized_exact(7), gaussian_approx(100, "narrow"),
+                                  gaussian_approx(10**6, "narrow")], ids=["exact-7", "n100", "n1e6"])
+def test_six_j_one_pass_matches_the_loop(bath):
+    # spin 0 and 1/2 sectors (vanishing radicands and denominators) included
+    two_i = 2.0 * np.concatenate([[0.0, 0.5, 1.0], bath.significant_sectors()[0]])
+    assert same_bits(common._six_j(two_i), six_j_loop(two_i))
+
+
+# initial states of every kind in one batch: complex and tilted, mixed, X states
+BATCH_STATES = [("general_pure", dict(gamma=0.3 + 0.4j, theta=1.1, phi=2.3)), ("werner", dict(p=0.6)),
+                ("r_state", dict(r=-0.5)), ("up_down", {}), ("bell_t1", {})]
+
+
+class TestBatchedInitialStates:
+    """One evolution of a batch of initial states: the state axes, then the time
+    axis, and sample [k] equal to the evolution of initial state k, bit for bit."""
+
+    @pytest.mark.parametrize("times", [np.linspace(0.0, 6.0, 50), np.array([0.0, 0.7, 2.9])],
+                             ids=["blocked-grid", "three-samples"])
+    @pytest.mark.parametrize("k_a, k_b", [(1.2, 0.8), (1.0, 1.0)], ids=["unequal", "equal"])
+    def test_batch_equals_per_state(self, k_a, k_b, times):
+        evolver = SectorExactEvolver(CommonBathSystem(k_a, k_b, 3.0, gaussian_approx(40, "narrow")))
+        initial = [make_named_state(name, **params) for name, params in BATCH_STATES]
+        batch = evolver.evolve(TwoQubitState.stack(initial), times)
+        assert batch.pi.shape == (len(initial), times.size, 3, 3)
+        for k, s0 in enumerate(initial):
+            assert same_states(batch[k], evolver.evolve(s0, times))
+
+    def test_nested_batch(self):
+        evolver = SectorExactEvolver(CommonBathSystem(1.1, 0.45, 0.8, unpolarized_exact(4)))
+        initial = [make_named_state(name, **params) for name, params in BATCH_STATES[:4]]
+        times = np.linspace(0.0, 3.0, 7)
+        grid = evolver.evolve(TwoQubitState.stack([TwoQubitState.stack(initial[:2]),
+                                                   TwoQubitState.stack(initial[2:])]), times)
+        assert grid.p_a.shape == (2, 2, 7, 3)
+        assert same_states(grid[1][0], evolver.evolve(initial[2], times))
+
+    def test_channel_evaluated_once_per_call(self, monkeypatch):
+        calls = []
+        functions = common._channel_functions
+
+        def counting(lines, times):
+            calls.append(np.size(times))
+            return functions(lines, times)
+
+        monkeypatch.setattr(common, "_channel_functions", counting)
+        evolver = SectorExactEvolver(CommonBathSystem(1.2, 0.8, 20.0, gaussian_approx(40, "narrow")))
+        initial = TwoQubitState.stack([make_named_state(name, **params) for name, params in BATCH_STATES])
+        evolver.evolve(initial, np.linspace(0.0, 1.0, 11))
+        assert calls == [11]

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from spinbath.optimize import (
     scan_optimal_state,
 )
 from spinbath.states import InvalidStateError, make_named_state
+
+from test_states import same_bits
 
 
 def system(k_a=1.0, k_b=0.5, j=2.0, n=4) -> CommonBathSystem:
@@ -124,6 +127,82 @@ class TestOptimalGamma:
     def test_continuity_at_half(self):
         left = optimal_gamma(0.5 - 1e-9)
         assert left == pytest.approx(1.0, abs=1e-4)
+
+
+# the branch points and the removable limit of optimal_gamma, and fig6's grid
+DELTAS = np.array([-1.0, -1e-10, 0.0, 1e-10, 1.0 / 3.0, 0.5, 1.0])
+FIG6_DELTAS = np.linspace(-1.0, 1.0, 201)
+
+
+def optimal_gamma_branches(delta: float) -> float:
+    """optimal_gamma of one overlap, branch by branch in Python floats: the byte reference."""
+    if delta >= 0.5:
+        return 1.0
+    if abs(delta) < 1e-9:
+        return delta / 2.0
+    return ((1.0 - delta) - math.sqrt(1.0 - 2.0 * delta)) / delta
+
+
+class TestArraySweeps:
+    """Array arguments give, element for element and bit for bit, the scalar calls."""
+
+    @pytest.mark.parametrize("deltas", [DELTAS, FIG6_DELTAS], ids=["branch-points", "fig6-grid"])
+    def test_optimal_gamma(self, deltas):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = optimal_gamma(deltas)
+        assert got.shape == deltas.shape
+        assert same_bits(got, np.array([optimal_gamma_branches(float(d)) for d in deltas]))
+        assert same_bits(got, np.array([optimal_gamma(float(d)) for d in deltas]))
+        assert isinstance(optimal_gamma(0.25), float)
+
+    @pytest.mark.parametrize("deltas", [DELTAS, FIG6_DELTAS], ids=["branch-points", "fig6-grid"])
+    @pytest.mark.parametrize("gamma", [0.0, 1.0, -1.0, 0.3 - 0.2j, "optimal"])
+    def test_rate_over_deltas(self, deltas, gamma):
+        gammas = optimal_gamma(deltas) if gamma == "optimal" else np.full(deltas.shape, gamma)
+        param = PureStateParam(gamma=gammas if gamma == "optimal" else gamma)  # an array or a scalar
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = decoherence_rate_pure(param, deltas, 1.0)
+        want = [decoherence_rate_pure(PureStateParam(gamma=complex(g)), float(d), 1.0)
+                for g, d in zip(gammas, deltas)]
+        assert same_bits(got, np.array(want))
+
+    @pytest.mark.parametrize("theta", [0.0, 0.7])
+    def test_rate_over_gammas(self, theta):
+        gammas = np.linspace(-2.0, 2.0, 201)  # optimize's column
+        got = decoherence_rate_pure(PureStateParam(gamma=gammas, theta=theta), 0.6, 2.5)
+        want = [decoherence_rate_pure(PureStateParam(gamma=complex(g), theta=theta), 0.6, 2.5)
+                for g in gammas]
+        assert same_bits(got, np.array(want))
+
+    def test_rate_over_thetas(self):
+        # an array theta broadcasts; array and scalar cos may round differently by an ulp
+        thetas = np.linspace(0.0, math.pi, 201)
+        got = decoherence_rate_pure(PureStateParam(gamma=0.3 - 0.2j, theta=thetas), 0.6)
+        want = [decoherence_rate_pure(PureStateParam(gamma=0.3 - 0.2j, theta=float(t)), 0.6)
+                for t in thetas]
+        assert np.allclose(got, want, rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("bad", [1.0 + 1e-12, -1.5, math.nan])
+    @pytest.mark.parametrize("where", [0, 100, 200])
+    def test_out_of_range_element_raises(self, bad, where):
+        deltas = FIG6_DELTAS.copy()
+        deltas[where] = bad
+        with pytest.raises(CouplingError, match=r"^coupling overlap must be in \[-1, 1\], got [^\n]*$"):
+            optimal_gamma(deltas)
+        with pytest.raises(CouplingError, match=f"got {bad}$"):
+            decoherence_rate_pure(PureStateParam(gamma=0.5), deltas)
+        thetas = np.linspace(0.0, math.pi, 201)
+        thetas[where] = 4.0 * bad
+        with pytest.raises(InvalidStateError, match=r"^theta must be in \[0, pi\], got [^\n]*$"):
+            PureStateParam(gamma=0.5, theta=thetas)
+
+    def test_scalar_messages(self):
+        with pytest.raises(CouplingError, match=r"got 1.2$"):
+            optimal_gamma(1.2)
+        with pytest.raises(InvalidStateError, match=r"got -0.5$"):
+            PureStateParam(gamma=0.5, theta=-0.5)
 
 
 class TestScan:

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from spinbath import scenarios, timeseries
+from spinbath import common, scenarios, separate, timeseries
 from spinbath.bath import unpolarized_exact
 from spinbath.common import CommonBathSystem, SectorExactEvolver
 from spinbath.cli import main
@@ -199,6 +199,34 @@ class TestRunners:
         opt = ts.column("rate_optimal")
         for name in ("rate_separable", "rate_singlet", "rate_triplet"):
             assert np.all(opt <= ts.column(name) + 1e-12)
+
+    def test_fig5_evaluates_the_channel_once_per_exchange(self, monkeypatch, tmp_path):
+        calls = []
+        functions = common._channel_functions
+
+        def counting(lines, times):
+            calls.append(np.size(times))
+            return functions(lines, times)
+
+        monkeypatch.setattr(common, "_channel_functions", counting)
+        run(ScenarioConfig.for_kind("fig5", samples=40, output=str(tmp_path / "fig5.csv")))
+        # j = 0 and j = j_high, each evolving the r = +-0.5 pair as one batch
+        assert calls == [40, 40]
+
+    @pytest.mark.parametrize("kind", ["fig1", "separate"])
+    def test_private_baths_decay_once(self, kind, monkeypatch, tmp_path):
+        calls = []
+        factors = separate.decay_factors
+
+        def counting(system, t):
+            calls.append(np.size(t))
+            return factors(system, t)
+
+        # the runners reach it through either module
+        monkeypatch.setattr(separate, "decay_factors", counting)
+        monkeypatch.setattr(scenarios, "decay_factors", counting)
+        run(ScenarioConfig.for_kind(kind, samples=30, output=str(tmp_path / f"{kind}.csv")))
+        assert calls == [30]
 
     def test_oracle_compare_passes(self, tmp_path):
         out = tmp_path / "oc.csv"

@@ -17,11 +17,14 @@ from spinbath.separate import (
 )
 from spinbath.states import (
     InvalidStateError,
+    TwoQubitState,
     concurrence_state,
     decoherence_measure,
     make_named_state,
     validate_state,
 )
+
+from test_states import same_states
 
 
 def symmetric_system(n: int, k: float = 1.0) -> SeparateBathSystem:
@@ -116,6 +119,19 @@ class TestEvolve:
             # array and scalar sin/cos may round differently by an ulp
             assert np.abs(s.pi - one.pi).max() < 1e-14
             assert np.abs(s.p_b - one.p_b).max() < 1e-14
+
+    @pytest.mark.parametrize("t", [np.linspace(0.0, 4.0, 30), 1.7], ids=["grid", "scalar"])
+    def test_batch_equals_per_state(self, t):
+        # a batch of initial states: the state axis, then the time axes, bit for bit
+        system = SeparateBathSystem(1.0, 0.7, gaussian_approx(60, "narrow"), unpolarized_exact(5))
+        initial = [make_named_state("general_pure", gamma=0.3 + 0.4j, theta=1.1, phi=2.3),
+                   make_named_state("werner", p=0.6), make_named_state("r_state", r=-0.5)]
+        g = decay_factors(system, t)
+        batch = g.apply(TwoQubitState.stack(initial))
+        assert batch.pi.shape == (3,) + np.shape(t) + (3, 3)
+        assert same_states(evolve(system, TwoQubitState.stack(initial), t), batch)
+        for k, s0 in enumerate(initial):
+            assert same_states(batch[k], evolve(system, s0, t))
 
     def test_product_state_stays_product(self):
         system = symmetric_system(4)

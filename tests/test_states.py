@@ -23,6 +23,16 @@ ZERO3 = np.zeros(3)
 ZERO33 = np.zeros((3, 3))
 
 
+def same_bits(x, y) -> bool:
+    """x and y agree in shape and in every bit, signed zeros included."""
+    x, y = np.ascontiguousarray(x), np.ascontiguousarray(y)
+    return x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+def same_states(a: TwoQubitState, b: TwoQubitState) -> bool:
+    return all(same_bits(getattr(a, f), getattr(b, f)) for f in ("p_a", "p_b", "pi"))
+
+
 def random_density(seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
@@ -177,6 +187,25 @@ class TestBatchedState:
             TwoQubitState(np.zeros((4, 3)), np.zeros((5, 3)), np.zeros((4, 3, 3)))
         with pytest.raises(InvalidStateError, match="expected shape"):
             TwoQubitState(np.zeros((4, 2)), np.zeros((4, 2)), np.zeros((4, 3, 3)))
+
+    def test_stack(self):
+        singles = [density_to_state(random_density(seed)) for seed in range(3)]
+        batch = TwoQubitState.stack(singles)
+        assert batch.pi.shape == (3, 3, 3) and batch.p_b.shape == (3, 3)
+        assert all(same_states(batch[k], s) for k, s in enumerate(singles))
+        nested = TwoQubitState.stack([batch, batch])
+        assert nested.pi.shape == (2, 3, 3, 3) and same_states(nested[1], batch)
+
+    def test_read_only_float_arrays_are_shared(self):
+        # a state takes a read-only float array as it is; anything else is copied
+        pi = np.zeros((5, 3, 3))
+        pi.setflags(write=False)
+        p = np.zeros((5, 3))
+        s = TwoQubitState(p, p, pi)
+        assert s.pi is pi and s.p_a is not p
+        assert p.flags.writeable and not s.p_a.flags.writeable
+        assert s[1:3].pi.base is not None and np.shares_memory(s[1:3].pi, pi)
+        assert TwoQubitState(p, p, pi.astype(np.float32)).pi.dtype == float
 
     def test_measures_match_per_sample(self):
         batch = self.batch()
