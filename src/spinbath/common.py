@@ -16,14 +16,14 @@ Eight real functions of t fix it: one for S_A . S_B, one for the rank-2 part
 of the spin correlations, and six for the vectors S_A, S_B and S_A x S_B.
 Each function is a constant plus the six level-pair lines of every kept
 sector, with amplitudes from closed-form 6j symbols (``_level_pair_amps``),
-O(1) per sector. Equal couplings K_A = K_B are a special case: every line
-then falls on one integer comb shared by all sectors, and the channel reads
-out as the paper's polarization map.
+O(1) per sector. Equal couplings K_A = K_B take the same lines (the F = I
+blocks do not mix); the channel then reads out as the paper's polarization map.
 
 Sectors below ``bath.SECTOR_WEIGHT_CUT`` are skipped (baths of 10^6 spins are
 in reach) and the lines are summed in ``evaluate_lines``, which on an affine
 grid of T samples (every scenario's) uses cos w(b+o) = cos wb cos wo - sin wb
-sin wo for ~4 sqrt(T) cos/sin calls per line, not 2 T.
+sin wo for ~4 sqrt(T) cos/sin calls per line, not 2 T, in slices of lines
+that each take every offset o in one pass.
 """
 
 from __future__ import annotations
@@ -89,7 +89,7 @@ def _sector_levels(system: CommonBathSystem, spins):
 # ---------------------------------------------------------------------------
 
 
-# a pass holds at most this many phases (lines x offsets) or folded amplitudes
+# each operand of a pass's product (offset phases, folded amplitudes) holds at most this many reals
 _PHASE_BLOCK = 1 << 18
 
 
@@ -112,24 +112,29 @@ def evaluate_lines(amp_plus, amp_minus, omega, times) -> np.ndarray:
     E = a+ + a-, F = -i (a+ - a-). With t = b_q + o_r from ``_grid_split``,
     block q's base phases fold into M_q = [E cos wb_q + F sin wb_q | F cos wb_q
     - E sin wb_q]; one real GEMM with [cos wo; sin wo] gives every sample, for
-    2 L (Q + B) cos/sin calls on L lines. Each pass holds at most ``_PHASE_BLOCK``
-    offset phases and as many M_q entries.
+    2 L (Q + B) cos/sin calls on L lines. The lines go in slices that each take
+    every offset in one pass, so each M_q is formed once. A pass's [cos wo; sin wo]
+    and its M_q each hold at most ``_PHASE_BLOCK`` reals, unless one line or one
+    base block alone needs more.
     """
     t = np.asarray(times, dtype=float).ravel()
     n_obs, n_lines = amp_plus.shape
     fold = np.vstack([amp_plus + amp_minus.conj(), -1j * (amp_plus - amp_minus.conj())])  # E + i F
     base, off = _grid_split(t)
-    out = np.empty((n_obs, base.size, off.size), dtype=complex)
-    r_step, q_step = (max(1, _PHASE_BLOCK // k) for k in (n_lines, 4 * n_obs * n_lines))
-    for r in range(0, off.size, r_step):
-        phase = np.outer(omega, off[r : r + r_step])
-        w = np.stack([np.cos(phase), np.sin(phase)], axis=1).reshape(2 * n_lines, -1)
+    out = np.zeros((n_obs, base.size, off.size), dtype=complex)
+    l_step = max(1, min(n_lines, _PHASE_BLOCK // (2 * off.size)))
+    q_step = max(1, _PHASE_BLOCK // (4 * n_obs * l_step))
+    for first in range(0, n_lines, l_step):
+        lines = slice(first, first + l_step)
+        phase = np.outer(omega[lines], off)
+        w = np.stack([np.cos(phase), np.sin(phase)], axis=1).reshape(-1, off.size)
         for q in range(0, base.size, q_step):
             # M_q = (E + i F) e^{-i w b_q}, its real and imaginary parts interleaved like w
-            z = np.multiply(fold, np.exp(-1j * np.outer(base[q : q + q_step], omega))[:, None], order="C")
-            part = (z.view(float).reshape(-1, 2 * n_lines) @ w).reshape(-1, 2 * n_obs, w.shape[1])
-            out.real[:, q : q + q_step, r : r + r_step] = part[:, :n_obs].swapaxes(0, 1)
-            out.imag[:, q : q + q_step, r : r + r_step] = part[:, n_obs:].swapaxes(0, 1)
+            z = np.multiply(fold[:, lines], np.exp(-1j * np.outer(base[q : q + q_step], omega[lines]))[:, None],
+                            order="C")
+            part = (z.view(float).reshape(-1, w.shape[0]) @ w).reshape(-1, 2 * n_obs, off.size)
+            out.real[:, q : q + q_step] += part[:, :n_obs].swapaxes(0, 1)
+            out.imag[:, q : q + q_step] += part[:, n_obs:].swapaxes(0, 1)
     return out.reshape(n_obs, base.size * off.size)[:, : t.size].reshape((n_obs,) + np.shape(times))
 
 
@@ -163,9 +168,8 @@ _SIX_J = {
 _SIX_J_K, _SIX_J_A, _SIX_J_B = (np.array(list(_SIX_J)) + [0, 1, 1]).T
 _SIX_J_C = np.array([c for c, _, _ in _SIX_J.values()])
 _SIX_J_OFF = np.array([[v[i] + (np.nan,) * (3 - len(v[i])) for v in _SIX_J.values()] for i in (1, 2)])
-# F - I of each level, and which levels the comb counts as triplets (K_A = K_B)
+# F - I of each level (``_sector_levels``)
 _F_OFFSET = np.array([1, -1, 0, 0])
-_TRIPLET = np.array([1, 1, 1, 0])
 
 
 def _six_j(two_i: np.ndarray) -> np.ndarray:
@@ -211,48 +215,23 @@ def _level_pair_amps(spins: np.ndarray, phi: np.ndarray) -> np.ndarray:
 
 
 def _channel_lines(system: CommonBathSystem):
-    """(amp_plus, amp_minus, omega, shift) of the channel's packed rows over its kept sectors.
-
-    amp_* has shape (D, 4, lines); its part d carries the phase exp(-i shift[d] t)
-    on top of its lines (``_channel_functions``). Unequal couplings: one part
-    with a constant plus six conjugate-paired lines per sector. K_A = K_B: every
-    level is J t_l + K n_l / 2 (t_l = ``_TRIPLET``, n_l integer), so the lines
-    merge into integer bins of n, one part per singlet-triplet step of J.
-    """
+    """(amp_plus, amp_minus, omega) of the channel's four packed rows over its kept
+    sectors: a constant plus the six conjugate-paired level-pair lines of each sector,
+    amp_* of shape (4, lines). K_A = K_B is no special case (phi = 0)."""
     spins, weights, _ = system.bath.significant_sectors()
     levels, phi = _sector_levels(system, spins)
     amp = _level_pair_amps(spins, phi) * weights
-    if system.k_a != system.k_b:
-        up, lo = np.triu_indices(4, 1)
-        const = np.einsum("xlls->x", amp)[:, None]
-        return (np.hstack([const, amp[:, up, lo].reshape(4, -1)])[None],
-                np.hstack([np.zeros_like(const), amp[:, lo, up].reshape(4, -1)])[None],
-                np.append(0.0, (levels[up] - levels[lo]).ravel()), np.zeros(1))
-    two_i = np.rint(2.0 * spins).astype(int)
-    n = np.array([two_i, -two_i - 2, np.full_like(two_i, -2), np.zeros_like(two_i)])
-    dn = n[:, None] - n[None, :]
-    dt = np.broadcast_to((_TRIPLET[:, None] - _TRIPLET[None, :])[..., None], dn.shape)
-    width = 2 * two_i.max() + 2
-    bins = np.zeros((3, 4, 2 * width + 1), dtype=complex)
-    np.add.at(bins, (dt + 1, slice(None), dn + width), np.moveaxis(amp, 0, -1))
-    # bin n >= 0 and its mirror -n are one conjugate pair of lines at K n / 2
-    plus, minus = bins[:, :, width:], bins[:, :, width::-1].copy()
-    minus[:, :, 0] = 0.0
-    lines = np.flatnonzero(plus.any(axis=(0, 1)) | minus.any(axis=(0, 1)))
-    return plus[..., lines], minus[..., lines], 0.5 * system.k_mean * lines, system.j * np.arange(-1.0, 2.0)
+    up, lo = np.triu_indices(4, 1)
+    const = np.einsum("xlls->x", amp)[:, None]
+    return (np.hstack([const, amp[:, up, lo].reshape(4, -1)]),
+            np.hstack([np.zeros_like(const), amp[:, lo, up].reshape(4, -1)]),
+            np.append(0.0, (levels[up] - levels[lo]).ravel()))
 
 
 def _channel_functions(lines, times) -> list[np.ndarray]:
     """The eight real functions (a, b, c, d, e, g, f0, f2) on the grid ``times``: the real
-    and imaginary views of the four packed rows, accumulated part by part in one array."""
-    times = np.asarray(times, dtype=float).ravel()
-    z = np.zeros((4, times.size), dtype=complex)
-    plus, minus, omega, shift = lines
-    for p, m, d in zip(plus, minus, shift):
-        part = evaluate_lines(p, m, omega, times)
-        part *= np.exp(-1j * d * times)
-        z += part
-        del part  # before the next part is evaluated
+    and imaginary views of the four packed rows, summed in one ``evaluate_lines`` call."""
+    z = evaluate_lines(*lines, np.asarray(times, dtype=float).ravel())
     return [f for row in z for f in (row.real, row.imag)]
 
 
@@ -311,8 +290,8 @@ class SectorExactEvolver:
 
     The set-up forms the channel's line amplitudes, O(1) per kept sector; every
     call then costs one sum of four packed rows over a constant plus six
-    lines per sector (one comb for K_A = K_B), whatever the number of initial
-    states, and the map ``_apply_channel``.
+    lines per sector, whatever the couplings and the number of initial states,
+    and the map ``_apply_channel``.
     """
 
     def __init__(self, system: CommonBathSystem):

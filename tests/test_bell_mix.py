@@ -108,10 +108,11 @@ def sector_bell_mix(system, r, times):
                      element(KET_TRIPLET0, KET_SINGLET), element(KET_T1, KET_T1), element(KET_T1, KET_T2)])
 
 
-def lines_per_pass_block(system, samples):
-    """A _PHASE_BLOCK that gives `samples` time samples per pass: the kernel
-    evaluates one constant plus six paired lines per kept sector."""
-    return samples * (6 * system.bath.significant_sectors()[0].size + 1)
+def sliced_block(system, slices):
+    """A _PHASE_BLOCK that cuts the kernel's 6 s + 1 lines (a constant plus six
+    paired lines per kept sector) into `slices` slices at the 6 offsets of the
+    41 samples, and a last slice of one line; a pass then takes one base block."""
+    return 2 * 6 * ((6 * system.bath.significant_sectors()[0].size + 1) // slices)
 
 
 def sixteen_line_bell_mix(system, r, times):
@@ -173,8 +174,8 @@ def test_matches_per_m_reference(bath, couplings, r, monkeypatch):
     c1, c2, c3, pp, pm = per_m_bell_mix(system, r, TIMES)
     expected = np.array([c1, c2, c3, 0.5 * (pp + pm), 0.5 * (pp - pm)])
     got = [sector_bell_mix(system, r, TIMES)]
-    # chunked: 3 time samples per pass over the lines
-    monkeypatch.setattr(common, "_PHASE_BLOCK", lines_per_pass_block(system, 3))
+    # sliced: three slices of 2 s lines, then one line
+    monkeypatch.setattr(common, "_PHASE_BLOCK", sliced_block(system, 3))
     got.append(sector_bell_mix(system, r, TIMES))
     for bell in got:
         assert np.abs(bell - expected).max() < 1e-12
@@ -202,8 +203,8 @@ def test_paired_lines_match_sixteen_lines(bath, couplings, r, monkeypatch):
     system = CommonBathSystem(*SIXTEEN_LINE_COUPLINGS[couplings], SIXTEEN_LINE_BATHS[bath])
     expected = sixteen_line_bell_mix(system, r, TIMES)
     got = [sector_bell_mix(system, r, TIMES)]
-    # chunked: 4 samples per pass, 11 passes over the 41 samples, the last one short
-    monkeypatch.setattr(common, "_PHASE_BLOCK", lines_per_pass_block(system, 4))
+    # sliced: two slices of 3 s lines, then one line
+    monkeypatch.setattr(common, "_PHASE_BLOCK", sliced_block(system, 2))
     got.append(sector_bell_mix(system, r, TIMES))
     for bell in got:
         assert np.abs(bell - expected).max() < 1e-12

@@ -1,4 +1,4 @@
-"""Line spectra: the one evaluator, the comb map, the closed forms moved onto
+"""Line spectra: the one evaluator, the equal-coupling map, the closed forms moved onto
 it, and the sector-weight cut, each against the per-sector path it replaced."""
 
 import numpy as np
@@ -146,12 +146,35 @@ class TestEvaluateLines:
         self.assert_matches(t, tol=4.0 * np.spacing(t.max()) * weight.max())
 
     def test_long_grid_in_small_passes(self, monkeypatch):
-        # 111 blocks of 109 offsets, the last block partial; a pass takes 40
-        # offsets of 25 lines and 3 blocks of 3 x 2 x 2 x 25 folded amplitudes
+        # 111 blocks of 109 offsets, the last block partial; the 25 lines take
+        # slices of 4 (the last of 1) at every offset, 20 blocks of them per pass
         monkeypatch.setattr(common, "_PHASE_BLOCK", 40 * 25)
         t = np.linspace(0.0, 6.0, 12000)
         assert [a.size for a in common._grid_split(t)] == [111, 109]
         self.assert_matches(t)
+
+    def test_each_base_phase_once(self, monkeypatch):
+        # 10 x 109 phases (cos and sin) per pass: the 25 lines take slices of 10,
+        # 10 and 5, each at all 109 offsets, so each line's phase at each of the
+        # 111 bases is formed once, not once per pass over a slice of the offsets
+        monkeypatch.setattr(common, "_PHASE_BLOCK", 2 * 10 * 109)
+        t = np.linspace(0.0, 6.0, 12000)
+        formed = []
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def exp(self, x):
+                if np.iscomplexobj(x):
+                    formed.append(x.size)
+                return np.exp(x)
+
+        monkeypatch.setattr(common, "np", CountingNumpy())
+        got = evaluate_lines(self.amp_plus, self.amp_minus, self.omega, t)
+        monkeypatch.undo()
+        assert sum(formed) == 25 * 111
+        assert np.abs(got - direct_line_sum(self.amp_plus, self.amp_minus, self.omega, t)).max() < 1e-12
 
     def test_any_amplitude_layout(self):
         # column-major amplitudes, as fancy indexing hands them over, and strided ones
@@ -181,10 +204,10 @@ class TestCombMap:
         k, j = SYMMETRIC[couplings]
         system = CommonBathSystem(k, k, j, BATHS[bath])
         if chunked:
-            # at most 4I + 3 comb lines, at least a quarter of them occupied:
-            # between 3 and 12 samples per pass, so the 37 samples take >= 4
-            spins = system.bath.significant_sectors()[0]
-            monkeypatch.setattr(common, "_PHASE_BLOCK", 3 * (int(4 * spins.max()) + 3))
+            # the 6 s + 1 lines of s kept sectors in slices of 2 s at the 6 offsets
+            # of the 37 samples, the last slice one line, one base block per pass
+            sectors = system.bath.significant_sectors()[0].size
+            monkeypatch.setattr(common, "_PHASE_BLOCK", 2 * 6 * 2 * sectors)
         got = comb_map(system, TIMES)
         eta, phi_q, coh = per_sector_map(system, TIMES)
         # st_coherence = (a - c) + i d, vec_direct + vec_exchange = a + c, tensor_direct
@@ -205,20 +228,6 @@ class TestCombMap:
         got, want = comb_map(system, TIMES), moment_map(system, TIMES)
         for name in MAP_FUNCTIONS:
             assert np.abs(got[name] - want[name]).max() < 1e-12, name
-
-    def test_fig2_merges_onto_its_comb(self, monkeypatch):
-        # fig2's defaults: 44 kept sectors, every line on one of 68 integer bins
-        system = CommonBathSystem(1.0, 1.0, 200.0, gaussian_approx(100, "narrow"))
-        seen = []
-
-        def spy(amp_plus, amp_minus, omega, times):
-            seen.append(omega.size)
-            return evaluate_lines(amp_plus, amp_minus, omega, times)
-
-        monkeypatch.setattr(common, "evaluate_lines", spy)
-        SectorExactEvolver(system).evolve(make_named_state("up_down"), np.linspace(0.0, 6.0, 12000))
-        assert seen == [68] * 3  # one line sum per singlet-triplet step of J
-
 
 class TestClosedFormsOnLines:
     @pytest.mark.parametrize("couplings", [(1.2, 0.8, 20.0), (1.0, 1.0, 5.0), (0.0, 0.0, 2.0),
