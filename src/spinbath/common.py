@@ -236,6 +236,7 @@ def _channel_functions(lines, times) -> list[np.ndarray]:
 
 
 _EPS = np.cross(np.eye(3)[:, None], np.eye(3))  # eps[i, j, k] = (e_i x e_j)_k
+_CHANNEL_ROWS = 4096  # times per pass of _apply_channel
 
 
 def _apply_channel(f, state: TwoQubitState) -> TwoQubitState:
@@ -265,18 +266,27 @@ def _apply_channel(f, state: TwoQubitState) -> TwoQubitState:
     -tensor_from_vec, tensor_direct = (f2 + g) / 2, tensor_transpose =
     (f2 - g) / 2 and tensor_trace = (f0 - f2) / 3.
     """
-    if state.pi.ndim > 2:
-        return TwoQubitState.stack([_apply_channel(f, s) for s in state])
-    a, b, c, d, e, g, f0, f2 = f
-    x = 0.5 * np.einsum("kmn,mn->k", _EPS, state.pi)
-    v = np.array([state.p_a, state.p_b, x])
-    p_a, p_b, x_t = (np.column_stack(row) @ v for row in ((a, c, d), (c, b, e), (-0.5 * d, -0.5 * e, g)))
-    # pi(t) from its parts: the rank-2 part, the trace, and eps . e_k for each x_k(t)
-    iso = np.trace(state.pi) / 3.0 * np.eye(3)
-    parts = np.array([0.5 * (state.pi + state.pi.T) - iso, iso, *_EPS.transpose(2, 0, 1)])
-    pi = (np.column_stack([f2, f0, x_t]) @ parts.reshape(5, 9)).reshape(-1, 3, 3)
-    for out in (p_a, p_b, pi):
-        out.setflags(write=False)  # the state takes them without a copy
+    batch, n = state.pi.shape[:-2], f[0].size
+    p_a, p_b, pi = np.empty(batch + (n, 3)), np.empty(batch + (n, 3)), np.empty(batch + (n, 3, 3))
+    # passes of _CHANNEL_ROWS times keep the temporaries small next to the output; the last
+    # pass holds two times or more (unless the grid has one), as numpy multiplies a single
+    # row by a vector kernel, which can round differently from the matrix kernel
+    edges = [*range(0, max(n - 1, 1), _CHANNEL_ROWS), n]
+    initial = zip(state.p_a.reshape(-1, 3), state.p_b.reshape(-1, 3), state.pi.reshape(-1, 3, 3))
+    outputs = zip(p_a.reshape(-1, n, 3), p_b.reshape(-1, n, 3), pi.reshape(-1, n, 3, 3))
+    for (s_a, s_b, s_pi), (out_a, out_b, out_pi) in zip(initial, outputs):
+        x = 0.5 * np.einsum("kmn,mn->k", _EPS, s_pi)
+        v = np.array([s_a, s_b, x])
+        # pi(t) from its parts: the rank-2 part, the trace, and eps . e_k for each x_k(t)
+        iso = np.trace(s_pi) / 3.0 * np.eye(3)
+        parts = np.array([0.5 * (s_pi + s_pi.T) - iso, iso, *_EPS.transpose(2, 0, 1)]).reshape(5, 9)
+        for lo, hi in zip(edges, edges[1:]):
+            a, b, c, d, e, g, f0, f2 = (fn[lo:hi] for fn in f)
+            out_a[lo:hi], out_b[lo:hi], x_t = (
+                np.column_stack(row) @ v for row in ((a, c, d), (c, b, e), (-0.5 * d, -0.5 * e, g)))
+            out_pi[lo:hi] = (np.column_stack([f2, f0, x_t]) @ parts).reshape(-1, 3, 3)
+    for arr in (p_a, p_b, pi):
+        arr.setflags(write=False)  # the state takes them without a copy
     return TwoQubitState(p_a, p_b, pi)
 
 

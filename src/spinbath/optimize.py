@@ -147,71 +147,69 @@ def optimal_gamma(delta):
     return float(gamma) if gamma.ndim == 0 else gamma
 
 
-def _golden_minimize(f, lo: float, hi: float, tol: float = 1e-12) -> float:
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = f(c), f(d)
-    while abs(b - a) > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
-def _rate_extended(re: float, im: float, theta: float, delta: float):
-    """Rate in extended precision; the minimum is quartic-flat at the branch
-    point delta = 1/2, where double precision cannot localize it to 1e-4."""
+def _rate_extended(re, im, cos_theta, delta):
+    """Rate in extended precision, elementwise over arrays, with theta entering through
+    cos(theta) (2 cos^2(theta/2) = 1 + cos(theta)); the minimum is quartic-flat at the
+    branch point delta = 1/2, where double precision cannot localize it to 1e-4."""
     ld = np.longdouble
-    re, im, theta, delta = ld(re), ld(im), ld(theta), ld(delta)
+    re, im, cos_theta, delta = ld(re), ld(im), ld(cos_theta), ld(delta)
     mod_sq = re * re + im * im
-    return (
-        ld(1.0)
-        + ld(2.0) * mod_sq * (ld(1.0) - delta * np.cos(theta)) / (ld(1.0) + mod_sq) ** 2
-        - ld(2.0) * delta * np.cos(theta / ld(2.0)) ** 2 * re / (ld(1.0) + mod_sq)
-    )
+    return 1 + (2 * (1 - delta * cos_theta) * mod_sq / (1 + mod_sq)
+                - delta * (1 + cos_theta) * re) / (1 + mod_sq)
+
+
+_ZOOM = np.linspace(0.0, 1.0, 129)  # each zoom step narrows the bracket 64-fold
+
+
+def _zoom_minimize(f, lo: float, hi: float, tol: float = 1e-12) -> float:
+    """Minimum of f on [lo, hi] by bracket zoom: evaluate f on an even grid across the
+    bracket, keep the grid minimum's two neighbours as the new bracket, and repeat
+    until the bracket is narrower than tol."""
+    last = _ZOOM.size - 1
+    while hi - lo > tol:
+        x = lo + (hi - lo) * _ZOOM
+        i = int(f(x).argmin())
+        lo, hi = float(x[max(i - 1, 0)]), float(x[min(i + 1, last)])
+    return 0.5 * (lo + hi)
 
 
 def scan_optimal_state(delta: float, coarse: int = 41, span: float = 2.0) -> ScanResult:
     """Brute-force minimum of the pure-state rate over (Re gamma, Im gamma,
-    theta), followed by golden-section refinement along each coordinate.
+    theta), followed by three sweeps of line searches along each coordinate.
 
-    Deterministic and seedless. The rate is exactly symmetric under
-    gamma -> 1/gamma (qubit exchange relabels the same state family), so the
-    minimum comes in reciprocal pairs; the result is the canonical
-    |gamma| <= 1 representative, with theta reported as 0 when gamma is so
-    small that the second-qubit axis is immaterial.
+    Each line search is a bracket zoom (:func:`_zoom_minimize`) of the
+    long-double rate from the full bracket ([-1.2, 1.2] for Re and Im gamma,
+    [0, pi] for theta) down to 1e-12; one zoom step evaluates the rate on a
+    whole grid across the bracket, and on the gamma axes cos(theta) is
+    computed once per search. Deterministic and seedless. The rate is exactly
+    symmetric under gamma -> 1/gamma (qubit exchange relabels the same state
+    family), so the minimum comes in reciprocal pairs; the result is the
+    canonical |gamma| <= 1 representative, with theta reported as 0 when
+    gamma is so small that the second-qubit axis is immaterial.
     """
+    _check_range(delta, -1.0, 1.0, CouplingError, "coupling overlap must be in [-1, 1]")
     re = np.linspace(-span, span, coarse)
     im = np.linspace(-span, span, coarse)
     th = np.linspace(0.0, math.pi, coarse)
-    grid = PureStateParam(gamma=re[:, None, None] + 1j * im[None, :, None], theta=th)
-    rate = decoherence_rate_pure(grid, delta)
-    flat = int(np.argmin(rate))
-    i, j, k = np.unravel_index(flat, rate.shape)
+    # the rate on the grid less its constant, factored as A(gamma) u(theta) - B(gamma) w(theta)
+    # so that only two products span the whole grid
+    mod_sq = re[:, None] ** 2 + im[None, :] ** 2
+    a = (2.0 * mod_sq / (1.0 + mod_sq) ** 2)[..., None]
+    b = (re[:, None] / (1.0 + mod_sq))[..., None]
+    rate = a * (1.0 - delta * np.cos(th)) - b * (2.0 * delta * np.cos(th / 2.0) ** 2)
+    i, j, k = np.unravel_index(int(np.argmin(rate)), rate.shape)
     g0 = complex(re[i], im[j])
     if abs(g0) > 1.0:  # map to the canonical member of the reciprocal pair
         g0 = 1.0 / g0
-    best = [g0.real, g0.imag, float(th[k])]
+    g_re, g_im, theta = g0.real, g0.imag, float(th[k])
 
     for _ in range(3):
-        for axis, (lo, hi) in enumerate(
-            [(-1.2, 1.2), (-1.2, 1.2), (0.0, math.pi)]
-        ):
-            def along(x, axis=axis):
-                v = list(best)
-                v[axis] = x
-                return _rate_extended(v[0], v[1], v[2], delta)
-
-            best[axis] = _golden_minimize(along, lo, hi)
-    gamma = complex(best[0], best[1])
-    theta = best[2]
+        cos_theta = np.cos(np.longdouble(theta))
+        g_re = _zoom_minimize(lambda x: _rate_extended(x, g_im, cos_theta, delta), -1.2, 1.2)
+        g_im = _zoom_minimize(lambda x: _rate_extended(g_re, x, cos_theta, delta), -1.2, 1.2)
+        theta = _zoom_minimize(
+            lambda x: _rate_extended(g_re, g_im, np.cos(x.astype(np.longdouble)), delta), 0.0, math.pi)
+    gamma = complex(g_re, g_im)
     if abs(gamma) > 1.0:
         gamma = 1.0 / gamma
     if abs(gamma) < 1e-6:

@@ -53,9 +53,12 @@ class DecayFactors:
         """The initial state(s) ``state`` at the sampled times, by componentwise scaling of
         the polarizations: the state axes of a batch come first, then the time axes."""
         lift = state.pi.shape[:-2] + (1,) * self.tensor.ndim
-        return TwoQubitState(p_a=self.vector_a[..., None] * state.p_a.reshape(lift + (3,)),
-                             p_b=self.vector_b[..., None] * state.p_b.reshape(lift + (3,)),
-                             pi=self.tensor[..., None, None] * state.pi.reshape(lift + (3, 3)))
+        fields = (self.vector_a[..., None] * state.p_a.reshape(lift + (3,)),
+                  self.vector_b[..., None] * state.p_b.reshape(lift + (3,)),
+                  self.tensor[..., None, None] * state.pi.reshape(lift + (3, 3)))
+        for x in fields:
+            x.setflags(write=False)  # fresh arrays: the state takes them without a copy
+        return TwoQubitState(*fields)
 
 
 def _vector_decay(k: float, bath: BathDistribution, t: np.ndarray) -> np.ndarray:
@@ -66,7 +69,8 @@ def _vector_decay(k: float, bath: BathDistribution, t: np.ndarray) -> np.ndarray
     b = (1.0 - 4.0 * spins * (spins + 1.0) / 3.0) / (2.0 * spins + 1.0) ** 2
     half = 0.25 * np.append((weights * (1.0 + b)).sum(), weights * (1.0 - b))
     omega = np.append(0.0, 0.5 * k * (2.0 * spins + 1.0))
-    return evaluate_lines(half[None], half[None], omega, t)[0].real
+    # a copy: a view of the real part would keep the complex line sum alive
+    return evaluate_lines(half[None], half[None], omega, t)[0].real.copy()
 
 
 def decay_factors(system: SeparateBathSystem, t) -> DecayFactors:

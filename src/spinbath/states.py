@@ -94,7 +94,10 @@ class TwoQubitState:
     @classmethod
     def stack(cls, states) -> "TwoQubitState":
         """One batch of ``states``, whose new leading axis indexes them."""
-        return cls(*(np.stack(x) for x in zip(*((s.p_a, s.p_b, s.pi) for s in states))))
+        fields = [np.stack(x) for x in zip(*((s.p_a, s.p_b, s.pi) for s in states))]
+        for x in fields:
+            x.setflags(write=False)  # fresh arrays: the state takes them without a copy
+        return cls(*fields)
 
     def polarization_norm_sq(self):
         """P_A^2 + P_B^2 + sum (pi^mn)^2; equals 3 for pure states."""
@@ -267,7 +270,18 @@ def concurrence_sz_block(state: TwoQubitState, atol: float = 1e-10):
     rho_uu,dd = 0, so this is :func:`_x_concurrence`. Raises InvalidStateError
     if any density matrix has elements between different S^z sectors beyond
     ``atol``, naming the sample and the offending block.
+
+    The five off-sector elements are sums of ten polarization combinations: p^x
+    and p^y of both qubits, pi_xz, pi_yz, pi_zx, pi_zy, pi_xx - pi_yy and
+    pi_xy + pi_yx. Where all ten are exactly zero in every sample (the evolvers
+    keep them so from an S^z-block initial state), each element is exactly zero
+    and none is formed; any other batch is checked element by element.
     """
+    pi = state.pi
+    mixing = (state.p_a[..., :2], state.p_b[..., :2], pi[..., :2, 2], pi[..., 2, :2],
+              pi[..., 0, 0] - pi[..., 1, 1], pi[..., 0, 1] + pi[..., 1, 0])
+    if not any(x.any() for x in mixing):  # NaN counts as nonzero
+        return _out(_x_concurrence(state))
     # basis {uu, ud, du, dd}: S^z sectors {uu}, {ud, du}, {dd}; rho is Hermitian, so
     # the upper triangle names the first mixing element in row-major order
     pairs = [(0, 1), (0, 2), (0, 3), (1, 3), (2, 3)]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -1004,3 +1005,33 @@ class TestBatchedInitialStates:
         initial = TwoQubitState.stack([make_named_state(name, **params) for name, params in BATCH_STATES])
         evolver.evolve(initial, np.linspace(0.0, 1.0, 11))
         assert calls == [11]
+
+    def test_passes_of_the_map_leave_the_bits_alone(self, monkeypatch):
+        # the map runs in passes of _CHANNEL_ROWS times; pass edges, a last pass of two times
+        # and a grid of one time give the bits of a single pass (full-rank states: a one-time
+        # last pass would change some of them)
+        evolver = SectorExactEvolver(CommonBathSystem(1.2, 0.8, 3.0, gaussian_approx(40, "narrow")))
+        rng = np.random.default_rng(11)
+        m = rng.normal(size=(6, 4, 4)) + 1j * rng.normal(size=(6, 4, 4))
+        rho = m @ m.conj().swapaxes(-1, -2)
+        initial = density_to_state(rho / np.trace(rho, axis1=-2, axis2=-1).real[:, None, None])
+        monkeypatch.setattr(common, "_CHANNEL_ROWS", 8)
+        grids = [np.linspace(0.0, 6.0, n) for n in (1, 2, 8, 9, 10, 17, 25, 33, 50)]
+        passes = [evolver.evolve(initial, t) for t in grids]
+        monkeypatch.setattr(common, "_CHANNEL_ROWS", 1 << 20)
+        for t, got in zip(grids, passes):
+            assert same_states(got, evolver.evolve(initial, t))
+
+    def test_batched_evolution_peaks_near_its_output(self):
+        # the map writes every state's passes into one output, which the result takes
+        # without a copy: the peak is the output plus the eight channel functions
+        evolver = SectorExactEvolver(CommonBathSystem(1.2, 0.8, 5.0, gaussian_approx(100, "narrow")))
+        initial = TwoQubitState.stack([make_named_state("r_state", r=0.4), make_named_state("singlet")])
+        times = np.linspace(0.0, 5.0, 200_000)
+        tracemalloc.start()
+        try:
+            out = evolver.evolve(initial, times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * (out.p_a.nbytes + out.p_b.nbytes + out.pi.nbytes)

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from spinbath import optimize
 from spinbath.bath import unpolarized_exact
 from spinbath.common import CommonBathSystem, decoherence_rate_sq
 from spinbath.optimize import (
@@ -206,12 +207,24 @@ class TestArraySweeps:
 
 
 class TestScan:
-    @pytest.mark.parametrize("delta", [0.3, 0.8, 0.0, -0.6])
+    # 1/2: the branch point, where the optimum is quartic-flat; 1/3: the separable crossover
+    @pytest.mark.parametrize("delta", [0.3, 0.8, 0.0, -0.6, 0.5, 1.0 / 3.0])
     def test_matches_analytic_optimum(self, delta):
         res = scan_optimal_state(delta)
         assert res.gamma.real == pytest.approx(optimal_gamma(delta), abs=1e-4)
         assert abs(res.gamma.imag) <= 1e-6
         assert abs(res.theta) <= 1e-6
+
+    @pytest.mark.parametrize("delta", [0.5, 1.0 / 3.0, 0.3, -0.6, 1.0])
+    def test_repeated_scans_are_bitwise_equal(self, delta):
+        first, again = scan_optimal_state(delta), scan_optimal_state(delta)
+        assert same_bits(np.array([first.gamma, first.theta, first.rate], dtype=complex),
+                         np.array([again.gamma, again.theta, again.rate], dtype=complex))
+
+    @pytest.mark.parametrize("lo, hi, x0", [(-1.2, 1.2, 0.3), (0.0, math.pi, 0.0), (-1.2, 1.2, 1.2)])
+    def test_zoom_brackets_the_minimum(self, lo, hi, x0):
+        # interior and end-point minima of a smooth function, to the 1e-12 bracket
+        assert abs(optimize._zoom_minimize(lambda x: (x - x0) ** 2, lo, hi) - x0) <= 1e-12
 
     def test_rate_at_minimum(self):
         res = scan_optimal_state(0.4)

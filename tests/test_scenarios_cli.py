@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
@@ -6,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from spinbath import common, scenarios, separate, timeseries
+from spinbath import cli, common, scenarios, separate, timeseries
 from spinbath.bath import unpolarized_exact
 from spinbath.common import CommonBathSystem, SectorExactEvolver
 from spinbath.cli import main
@@ -541,6 +544,40 @@ class TestCLI:
 
     def test_run_missing_file(self):
         assert main(["run", "/nonexistent/conf"]) == 1
+
+    def test_repeated_calls_in_one_process(self, tmp_path, capsys):
+        # one process, one parser: each call exits as it does in a fresh interpreter,
+        # and a run repeated after the others writes the same bytes
+        out = tmp_path / "opt.csv"
+        good = write_config(tmp_path, f"scenario = optimize\nk_a = 1.0\nk_b = 0.2679491924311227\n"
+                                      f"output = {out}\n")
+        bad = write_config(tmp_path, "scenario = separate\nj = 2.0\n", name="bad.cfg")
+        calls = [["run", str(good)], ["validate", str(good)], ["list-scenarios"], ["run", str(bad)],
+                 ["run", str(good)]]
+        script = "import sys; from spinbath.cli import main; sys.exit(main(sys.argv[1:]))"
+        alone = []
+        for argv in calls:
+            done = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
+                                  env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+            alone.append((done.returncode, out.read_bytes() if argv[0] == "run" and out.exists() else None))
+            if out.exists():
+                out.unlink()
+        assert [code for code, _ in alone] == [0, 0, 0, 1, 0]
+        cli._parser.cache_clear()
+        together = []
+        for argv in calls:
+            together.append((main(argv), out.read_bytes() if argv[0] == "run" and out.exists() else None))
+            if out.exists():
+                out.unlink()
+        capsys.readouterr()
+        assert together == alone
+        assert cli._parser.cache_info().misses == 1
+
+    def test_parser_not_built_at_import(self):
+        code = "import spinbath.cli as c; print(c._parser.cache_info().currsize)"
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                              env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert done.stdout.strip() == "0"
 
     @pytest.mark.parametrize("kind", ["separate", "common-asymmetric", "fig5"])
     def test_run_builds_the_bath_once(self, tmp_path, monkeypatch, kind):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -132,6 +133,20 @@ class TestEvolve:
         assert same_states(evolve(system, TwoQubitState.stack(initial), t), batch)
         for k, s0 in enumerate(initial):
             assert same_states(batch[k], evolve(system, s0, t))
+
+    def test_evolution_peaks_near_its_output(self):
+        # the decay factors scale fresh arrays, which the state takes without a copy
+        bath = gaussian_approx(100, "narrow")
+        system = SeparateBathSystem(1.0, 0.8, bath, bath)
+        s0 = make_named_state("r_state", r=0.4)
+        times = np.linspace(0.0, 5.0, 200_000)
+        tracemalloc.start()
+        try:
+            out = evolve(system, s0, times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * (out.p_a.nbytes + out.p_b.nbytes + out.pi.nbytes)
 
     def test_product_state_stays_product(self):
         system = symmetric_system(4)

@@ -367,6 +367,85 @@ class TestSzBlockAgainstReference:
         assert np.array_equal(concurrence_sz_block(state[:5]), sz_block_reference(state[:5]))
 
 
+class TestSzBlockFromPolarizations:
+    """concurrence_sz_block decides an exact S^z-block batch from ten polarization
+    combinations and checks any other batch element by element."""
+
+    PAIRS = [(0, 1), (0, 2), (0, 3), (1, 3), (2, 3)]
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([(), (1,), (9,), (3, 4)]))
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    def test_block_batches_match_reference(self, seed, shape):
+        state = density_to_state(random_block_batch(seed, shape))
+        got, ref = concurrence_sz_block(state), sz_block_reference(state)
+        assert type(got) is type(ref)
+        assert same_bits(got, ref)
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([(), (5,), (2, 3)]), st.integers(0, 4),
+           st.floats(0.0, 2.0 * np.pi))
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    def test_mixing_element_against_reference(self, seed, shape, pair, phase):
+        rng = np.random.default_rng(seed)
+        i, j = self.PAIRS[pair]
+        where = tuple(int(rng.integers(n)) for n in shape)
+        for size, raises in ((1e-11, False), (1e-9, True)):
+            rho = random_block_batch(seed, shape)
+            rho[where + (i, j)] = size * np.exp(1j * phase)
+            rho[where + (j, i)] = size * np.exp(-1j * phase)
+            state = density_to_state(rho)
+            if not raises:
+                assert same_bits(concurrence_sz_block(state), sz_block_reference(state))
+                continue
+            with pytest.raises(InvalidStateError) as ref:
+                sz_block_reference(state)
+            with pytest.raises(InvalidStateError) as got:
+                concurrence_sz_block(state)
+            assert str(got.value) == str(ref.value)
+            assert f"|rho[{i},{j}]|" in str(got.value)
+            assert str(got.value).startswith(f"sample {', '.join(map(str, where))}: " if shape else "state")
+
+    def test_each_combination_alone_takes_the_element_check(self, monkeypatch):
+        # one ulp in any one of the ten combinations is below atol, so the element check
+        # runs and passes; with every combination zero, no element is formed
+        base = density_to_state(random_block_batch(2, (4,)))
+        calls = []
+        elements = states._elements
+        monkeypatch.setattr(states, "_elements", lambda *a: calls.append(1) or elements(*a))
+        got = concurrence_sz_block(base)
+        assert calls == []
+        assert same_bits(got, sz_block_reference(base))
+        edits = [("p_a", (0,)), ("p_a", (1,)), ("p_b", (0,)), ("p_b", (1,)), ("pi", (0, 2)),
+                 ("pi", (1, 2)), ("pi", (2, 0)), ("pi", (2, 1)), ("pi", (0, 0)), ("pi", (0, 1))]
+        for field, index in edits:
+            arrays = {f: getattr(base, f).copy() for f in ("p_a", "p_b", "pi")}
+            arrays[field][(2,) + index] = np.nextafter(arrays[field][(2,) + index], np.inf)
+            state = TwoQubitState(**arrays)
+            del calls[:]
+            got = concurrence_sz_block(state)
+            assert calls == [1]
+            assert same_bits(got, sz_block_reference(state))
+
+    def test_nan_agrees_with_reference(self):
+        rho = random_block_batch(4, (3,))
+        state = density_to_state(rho)
+        p_a = state.p_a.copy()
+        p_a[1, 0] = np.nan
+        nan_state = TwoQubitState(p_a, state.p_b, state.pi)
+        # NaN compares false against atol, as in the reference: no error, a NaN-free
+        # closed form since p^x does not enter it
+        assert same_bits(concurrence_sz_block(nan_state), sz_block_reference(nan_state))
+
+
+class TestFreshArraysShared:
+    def test_stack_result_is_taken_without_a_copy(self, monkeypatch):
+        made = []
+        stack = np.stack
+        monkeypatch.setattr(np, "stack", lambda *a, **k: made.append(stack(*a, **k)) or made[-1])
+        batch = TwoQubitState.stack([make_named_state("singlet"), make_named_state("up_down")])
+        assert len(made) == 3 and all(x is y for x, y in zip((batch.p_a, batch.p_b, batch.pi), made))
+        assert not batch.pi.flags.writeable
+
+
 class TestBatchedValidation:
     """validate_state and concurrence_sz_block on a batched oracle trajectory."""
 
@@ -595,6 +674,15 @@ class TestXStatePremise:
         assert np.array_equal(off_x(s0), np.zeros(8))
         for traj in self.trajectories(s0):
             assert np.array_equal(off_x(traj), np.zeros((97, 8)))
+
+    @pytest.mark.parametrize("name, params", [n for n in NAMED if n[0] not in ("bell_t1", "bell_t2")])
+    def test_sz_block_states_form_no_element(self, name, params, monkeypatch):
+        # pi_xx - pi_yy and pi_xy + pi_yx stay exactly zero as well, so concurrence_sz_block
+        # decides every trajectory of an S^z-block state from the polarizations
+        trajectories = list(self.trajectories(make_named_state(name, **params)))
+        monkeypatch.setattr(states, "_elements", lambda *args: pytest.fail("density elements formed"))
+        for traj in trajectories:
+            assert concurrence_sz_block(traj).shape == (97,)
 
     def test_tilted_general_pure_is_not_x(self):
         s0 = make_named_state("general_pure", gamma=0.5, theta=0.3, phi=1.0)
