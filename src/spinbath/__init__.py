@@ -59,7 +59,6 @@ from .states import (
     TwoQubitState,
     concurrence,
     concurrence_state,
-    concurrence_sz_block,
     decoherence_measure,
     density_to_state,
     make_named_state,

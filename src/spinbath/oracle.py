@@ -23,7 +23,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .optimize import InhomogeneousCouplings
 from .states import TwoQubitState, density_to_state, state_to_density
 
 MAX_BATH_SPINS = 12
@@ -62,9 +61,7 @@ class FullSystem:
     from the pair ``terms`` (site, site, c) when read and are not kept.
     """
 
-    mode: str
     n_bath: int
-    couplings: CouplingParams | InhomogeneousCouplings
     terms: list[tuple[int, int, float]]
     _eig: list[EigenBlock] | None = field(default=None, repr=False)
 
@@ -201,7 +198,7 @@ def build(mode: str, n_bath: int, couplings) -> FullSystem:
         raise DimensionCapError(f"unknown mode {mode!r}")
     pair_terms = [(q, s + 2, k[s]) for q, k in enumerate((k_a, k_b)) for s in range(n_bath)]
     terms = [t for t in [(0, 1, j)] + pair_terms if t[2] != 0.0]
-    return FullSystem(mode, n_bath, couplings, terms)
+    return FullSystem(n_bath, terms)
 
 
 @cache

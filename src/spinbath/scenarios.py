@@ -35,7 +35,6 @@ from .states import (
     InvalidStateError,
     TwoQubitState,
     concurrence_state,
-    concurrence_sz_block,
     decoherence_measure,
     make_named_state,
 )
@@ -58,14 +57,17 @@ class Kind:
     ``exchange`` is the rule on j: "stated" (common bath: j is required),
     "zero" (separate baths: j = 0 or omitted), "mode" (the one of the two
     that ``config.mode`` names) or None (no bath, j unused). ``runner`` takes
-    the config and the bath and state that :func:`validate` built.
+    the config and the bath and state that :func:`validate` built: a kind builds
+    a bath if its ``defaults`` hold ``n_bath`` and parses ``config.state`` if they
+    hold ``state``. A shared-bath kind run by :func:`_run_trajectory` names its
+    ``columns`` (keys of :data:`_COLUMNS`) and, if it has one, its fixed initial ``state``.
     """
 
     summary: str
     runner: Callable[..., RunResult]
     defaults: dict
-    needs_bath: bool = True
-    needs_state: bool = False
+    columns: tuple[str, ...] = ()
+    state: str | None = None
     exchange: str | None = "stated"
     equal_couplings: bool = False
 
@@ -179,6 +181,7 @@ def validate(config: ScenarioConfig) -> ValidationReport:
     if kind is None:
         report.errors.append(f"scenario: unknown kind {config.kind!r}")
         return report
+    needs_bath = "n_bath" in kind.defaults
     for name in ("k_a", "k_b", "j", "t_max"):
         value = getattr(config, name)
         if value is not None and not math.isfinite(value):
@@ -189,20 +192,20 @@ def validate(config: ScenarioConfig) -> ValidationReport:
         report.errors.append("samples: need at least 2 samples")
     if config.samples > MAX_SAMPLES:
         report.errors.append(f"samples: at most {MAX_SAMPLES} samples, got {config.samples}")
-    if config.t_max <= 0 and kind.needs_bath:
+    if config.t_max <= 0 and needs_bath:
         report.errors.append("t_max: must be positive")
     # the coupling overlap 2 k_a k_b / (k_a^2 + k_b^2) drives optimize and fig6
     try:
         overlap = coupling_overlap(config.k_a, config.k_b)
     except (CouplingError, OverflowError):
         overlap = math.nan
-    if not math.isfinite(overlap) and not kind.needs_bath:
+    if not math.isfinite(overlap) and not needs_bath:
         report.errors.append("k_a, k_b: k_a^2 + k_b^2 must be nonzero and finite")
 
     couplings_finite = math.isfinite(config.k_a * config.k_a + config.k_b * config.k_b)
-    if kind.needs_bath and config.n_bath > MAX_SPINS:
+    if needs_bath and config.n_bath > MAX_SPINS:
         report.errors.append(f"n_bath: at most {MAX_SPINS} bath spins, got {config.n_bath}")
-    elif kind.needs_bath:
+    elif needs_bath:
         try:
             report.bath = bath_from_config(config.bath, config.n_bath)
         except BathSpecError as exc:
@@ -246,7 +249,7 @@ def validate(config: ScenarioConfig) -> ValidationReport:
     if exchange == "stated" and config.j is None:
         report.errors.append("j: required for common-bath scenarios")
 
-    if kind.needs_state:
+    if "state" in kind.defaults:
         try:
             report.state = parse_state_spec(config.state)
         except (ValueError, LookupError) as exc:
@@ -256,7 +259,7 @@ def validate(config: ScenarioConfig) -> ValidationReport:
     if bath is not None:
         report.derived["casimir_moment"] = format(bath.casimir_moment(), ".6g")
     # the overlap matters wherever the two qubits can share a bath
-    if math.isfinite(overlap) and kind.needs_bath and kind.exchange != "zero":
+    if math.isfinite(overlap) and needs_bath and kind.exchange != "zero":
         report.derived["coupling_overlap"] = format(overlap, ".6g")
     if (bath is not None and state is not None and couplings_finite
             and abs(decoherence_measure(state)) < 1e-10):
@@ -264,7 +267,7 @@ def validate(config: ScenarioConfig) -> ValidationReport:
         system = CommonBathSystem(config.k_a, config.k_b, config.j or 0.0, bath)
         tau = short_time_decoherence_time(state, system)
         report.derived["predicted_decoherence_time"] = format(tau, ".6g")
-    if math.isfinite(overlap) and not kind.needs_bath:
+    if math.isfinite(overlap) and not needs_bath:
         report.derived["optimal_gamma"] = format(optimal_gamma(overlap), ".6g")
     return report
 
@@ -325,26 +328,14 @@ def _run_separate(config: ScenarioConfig, bath, state) -> RunResult:
                  [times, d, c, g.vector_a, g.tensor], {**_base_metadata(config, bath), "state": config.state})
 
 
-def _run_common_symmetric(config: ScenarioConfig, bath, state) -> RunResult:
+def _run_trajectory(config: ScenarioConfig, bath, state) -> RunResult:
+    """One exact evolution of one state in the shared bath, read out as the kind's columns."""
+    kind = KINDS[config.kind]
     system = CommonBathSystem(config.k_a, config.k_b, config.j, bath)
     times = _times(config)
-    s = SectorExactEvolver(system).evolve(state, times)
-    return _rows(config, ["t", "p_z_a", "pi_xx", "pi_zz", "pi_xy", "d", "concurrence"],
-                 [times, s.p_a[:, 2], s.pi[:, 0, 0], s.pi[:, 2, 2], s.pi[:, 0, 1],
-                  decoherence_measure(s), concurrence_state(s)],
-                 {**_base_metadata(config, bath), "state": config.state})
-
-
-def _run_common_asymmetric(config: ScenarioConfig, bath, state) -> RunResult:
-    system = CommonBathSystem(config.k_a, config.k_b, config.j, bath)
-    times = _times(config)
-    states = SectorExactEvolver(system).evolve(state, times)
-    # Bell populations <B|rho|B> = (1 + sum_m <B|sigma_m sigma_m|B> pi_mm) / 4
-    pi_xx, pi_yy, pi_zz = np.moveaxis(np.diagonal(states.pi, axis1=-2, axis2=-1), -1, 0)
-    return _rows(config, ["t", "singlet_pop", "triplet0_pop", "t1t2_pop", "d", "concurrence"],
-                 [times, 0.25 * (1.0 - pi_xx - pi_yy - pi_zz), 0.25 * (1.0 + pi_xx + pi_yy - pi_zz),
-                  0.25 * (1.0 + pi_zz), decoherence_measure(states), concurrence_state(states)],
-                 {**_base_metadata(config, bath), "state": config.state})
+    s = SectorExactEvolver(system).evolve(make_named_state(kind.state) if kind.state else state, times)
+    return _rows(config, ["t", *kind.columns], [times, *(_COLUMNS[c](s) for c in kind.columns)],
+                 {**_base_metadata(config, bath), "state": kind.state or config.state})
 
 
 def _run_optimize(config: ScenarioConfig, bath, state) -> RunResult:
@@ -413,36 +404,10 @@ def _run_fig1(config: ScenarioConfig, bath, state) -> RunResult:
 
 
 def _run_fig2(config: ScenarioConfig, bath, state) -> RunResult:
-    system = CommonBathSystem(config.k_a, config.k_b, config.j, bath)
-    times = _times(config)
-    s = SectorExactEvolver(system).evolve(make_named_state("up_down"), times)
-    meta = {
-        **_base_metadata(config, bath),
-        "state": "up_down",
-        "revival_time": format(2.0 * math.pi / config.k_a, ".12g"),
-        "late_window": f"{0.33 * config.t_max:.6g}..{0.97 * config.t_max:.6g}",
-    }
-    return _rows(config, ["t", "p_z_a", "pi_xx", "pi_zz", "pi_xy", "concurrence"],
-                 [times, s.p_a[:, 2], s.pi[:, 0, 0], s.pi[:, 2, 2], s.pi[:, 0, 1], concurrence_sz_block(s)],
-                 meta)
-
-
-def _run_fig3(config: ScenarioConfig, bath, state) -> RunResult:
-    system = CommonBathSystem(config.k_a, config.k_b, config.j, bath)
-    times = _times(config)
-    s = SectorExactEvolver(system).evolve(make_named_state("up_down"), times)
-    p_a_sq = (s.p_a[:, None, :] @ s.p_a[:, :, None])[:, 0, 0]
-    return _rows(config, ["t", "d_pair", "d_single"], [times, decoherence_measure(s), 0.5 * (1.0 - p_a_sq)],
-                 {**_base_metadata(config, bath), "state": "up_down"})
-
-
-def _run_fig4(config: ScenarioConfig, bath, state) -> RunResult:
-    system = CommonBathSystem(config.k_a, config.k_b, config.j, bath)
-    times = _times(config)
-    s = SectorExactEvolver(system).evolve(make_named_state("triplet0"), times)
-    return _rows(config, ["t", "pi_xx", "pi_zz", "concurrence", "d"],
-                 [times, s.pi[:, 0, 0], s.pi[:, 2, 2], concurrence_sz_block(s), decoherence_measure(s)],
-                 {**_base_metadata(config, bath), "state": "triplet0"})
+    result = _run_trajectory(config, bath, state)
+    result.series.metadata.update(revival_time=format(2.0 * math.pi / config.k_a, ".12g"),
+                                  late_window=f"{0.33 * config.t_max:.6g}..{0.97 * config.t_max:.6g}")
+    return result
 
 
 def _run_fig5(config: ScenarioConfig, bath, state) -> RunResult:
@@ -466,6 +431,23 @@ def _run_fig6(config: ScenarioConfig, bath, state) -> RunResult:
                  {"scenario": "fig6", "spinbath_version": __version__, "rate_units": "separable-state rate"})
 
 
+# the readouts of a shared-bath trajectory; the measures go through the module names, so
+# a rebinding of those names (as a tracer makes) reaches them
+_COLUMNS: dict[str, Callable[[TwoQubitState], np.ndarray]] = {
+    "p_z_a": lambda s: s.p_a[:, 2],
+    "pi_xx": lambda s: s.pi[:, 0, 0],
+    "pi_zz": lambda s: s.pi[:, 2, 2],
+    "pi_xy": lambda s: s.pi[:, 0, 1],
+    "d": lambda s: decoherence_measure(s),
+    "d_pair": lambda s: decoherence_measure(s),
+    "d_single": lambda s: 0.5 * (1.0 - (s.p_a[:, None, :] @ s.p_a[:, :, None])[:, 0, 0]),
+    "concurrence": lambda s: concurrence_state(s),
+    # Bell populations <B|rho|B> = (1 + sum_m <B|sigma_m sigma_m|B> pi_mm) / 4
+    "singlet_pop": lambda s: 0.25 * (1.0 - s.pi[:, 0, 0] - s.pi[:, 1, 1] - s.pi[:, 2, 2]),
+    "triplet0_pop": lambda s: 0.25 * (1.0 + s.pi[:, 0, 0] + s.pi[:, 1, 1] - s.pi[:, 2, 2]),
+    "t1t2_pop": lambda s: 0.25 * (1.0 + s.pi[:, 2, 2]),
+}
+
 _BATH = dict(n_bath=100, bath="gaussian-narrow")
 
 # the exchange strength j is deliberately not defaulted for the generic
@@ -473,38 +455,41 @@ _BATH = dict(n_bath=100, bath="gaussian-narrow")
 KINDS: dict[str, Kind] = {
     "separate": Kind(
         "two qubits with private baths, no exchange: D(t), C(t), decay factors", _run_separate,
-        dict(_BATH, k_a=1.0, k_b=1.0, j=0.0, state="r_state:0.5", t_max=10.0, samples=500),
-        needs_state=True, exchange="zero"),
+        dict(_BATH, k_a=1.0, k_b=1.0, j=0.0, state="r_state:0.5", t_max=10.0, samples=500), exchange="zero"),
     "common-symmetric": Kind(
-        "shared bath, equal couplings: polarizations, D(t), C(t)", _run_common_symmetric,
+        "shared bath, equal couplings: polarizations, D(t), C(t)", _run_trajectory,
         dict(_BATH, k_a=1.0, k_b=1.0, state="up_down", t_max=10.0, samples=500),
-        needs_state=True, equal_couplings=True),
+        ("p_z_a", "pi_xx", "pi_zz", "pi_xy", "d", "concurrence"), equal_couplings=True),
     "common-asymmetric": Kind(
-        "shared bath, unequal couplings: Bell-basis populations, D(t), C(t)", _run_common_asymmetric,
-        dict(_BATH, k_a=1.2, k_b=0.8, state="r_state:0.5", t_max=10.0, samples=500), needs_state=True),
+        "shared bath, unequal couplings: Bell-basis populations, D(t), C(t)", _run_trajectory,
+        dict(_BATH, k_a=1.2, k_b=0.8, state="r_state:0.5", t_max=10.0, samples=500),
+        ("singlet_pop", "triplet0_pop", "t1t2_pop", "d", "concurrence")),
     "optimize": Kind(
         "short-time decoherence rate over the pure-state family and its optimum", _run_optimize,
-        dict(k_a=1.0, k_b=0.5, samples=201), needs_bath=False, exchange=None),
+        dict(k_a=1.0, k_b=0.5, samples=201), exchange=None),
     "oracle-compare": Kind(
         "analytic evolution vs the dense full-Hilbert oracle", _run_oracle_compare,
         dict(mode="common", n_bath=6, bath="exact", k_a=1.0, k_b=0.4, j=1.0, state="r_state:0.5",
-             t_max=5.0, samples=20), needs_state=True, exchange="mode"),
+             t_max=5.0, samples=20), exchange="mode"),
     "fig1": Kind(
         "private baths: purity loss for several initial entanglements", _run_fig1,
         dict(_BATH, k_a=1.0, k_b=1.0, j=0.0, t_max=6.0, samples=600), exchange="zero"),
     "fig2": Kind(
         "shared bath, product initial state: polarization relaxation and revival of entanglement",
-        _run_fig2, dict(_BATH, k_a=1.0, k_b=1.0, j=200.0, t_max=6.0, samples=12000), equal_couplings=True),
+        _run_fig2, dict(_BATH, k_a=1.0, k_b=1.0, j=200.0, t_max=6.0, samples=12000),
+        ("p_z_a", "pi_xx", "pi_zz", "pi_xy", "concurrence"), "up_down", equal_couplings=True),
     "fig3": Kind(
-        "shared bath: pair mixedness vs single-qubit mixedness", _run_fig3,
-        dict(_BATH, k_a=1.0, k_b=1.0, j=5.0, t_max=6.0, samples=600), equal_couplings=True),
+        "shared bath: pair mixedness vs single-qubit mixedness", _run_trajectory,
+        dict(_BATH, k_a=1.0, k_b=1.0, j=5.0, t_max=6.0, samples=600),
+        ("d_pair", "d_single"), "up_down", equal_couplings=True),
     "fig4": Kind(
-        "shared bath, triplet Bell initial state: tensor polarizations and concurrence", _run_fig4,
-        dict(_BATH, k_a=1.0, k_b=1.0, j=5.0, t_max=6.0, samples=600), equal_couplings=True),
+        "shared bath, triplet Bell initial state: tensor polarizations and concurrence", _run_trajectory,
+        dict(_BATH, k_a=1.0, k_b=1.0, j=5.0, t_max=6.0, samples=600),
+        ("pi_xx", "pi_zz", "concurrence", "d"), "triplet0", equal_couplings=True),
     "fig5": Kind(
         "shared bath, unequal couplings: exchange dependence of D(t) near singlet/triplet", _run_fig5,
         dict(_BATH, k_a=1.2, k_b=0.8, j=20.0, t_max=10.0, samples=800)),
     "fig6": Kind(
         "decoherence rate vs coupling overlap for named and optimal states", _run_fig6,
-        dict(samples=201), needs_bath=False, exchange=None),
+        dict(samples=201), exchange=None),
 }

@@ -145,16 +145,11 @@ def state_to_density(state: TwoQubitState) -> np.ndarray:
     triple; positivity is a property of the input and can be checked with
     :func:`validate_state`.
     """
-    return _elements(state, range(16)).reshape(state.pi.shape[:-2] + (4, 4))
-
-
-def _elements(state: TwoQubitState, flat) -> np.ndarray:
-    """The density-matrix elements of flat indices 4 i + j, (..., len(flat))."""
     x = (state.p_a, state.p_b) + tuple(np.moveaxis(state.pi, -1, 0))  # x[k % 5][..., k // 5]
-    out = np.empty(state.pi.shape[:-2] + (len(flat),), dtype=complex)
-    for i, e in enumerate(flat):
-        out[..., i] = sum((x[k % 5][..., k // 5] * c for k, c in _BY_ELEMENT[e]), 0.25 * (e % 5 == 0))
-    return out
+    out = np.empty(state.pi.shape[:-2] + (16,), dtype=complex)
+    for e in range(16):
+        out[..., e] = sum((x[k % 5][..., k // 5] * c for k, c in _BY_ELEMENT[e]), 0.25 * (e % 5 == 0))
+    return out.reshape(state.pi.shape[:-2] + (4, 4))
 
 
 def density_to_state(rho: np.ndarray, atol: float = 1e-10) -> TwoQubitState:
@@ -261,42 +256,6 @@ def _x_concurrence(state: TwoQubitState) -> np.ndarray:
     term4 = np.sqrt(np.maximum(0.0, (1.0 - pi[..., 2, 2]) ** 2 - (z_a - z_b) ** 2))
     # 0.0 first: a branch that is -0.0 still gives +0.0
     return np.maximum(0.0, np.maximum(0.5 * (term1 - term2), 0.5 * (term3 - term4)))
-
-
-def concurrence_sz_block(state: TwoQubitState, atol: float = 1e-10):
-    """Concurrence of states commuting with the total S^z, one per sample.
-
-    States without coherence between total-S^z sectors are X states with
-    rho_uu,dd = 0, so this is :func:`_x_concurrence`. Raises InvalidStateError
-    if any density matrix has elements between different S^z sectors beyond
-    ``atol``, naming the sample and the offending block.
-
-    The five off-sector elements are sums of ten polarization combinations: p^x
-    and p^y of both qubits, pi_xz, pi_yz, pi_zx, pi_zy, pi_xx - pi_yy and
-    pi_xy + pi_yx. Where all ten are exactly zero in every sample (the evolvers
-    keep them so from an S^z-block initial state), each element is exactly zero
-    and none is formed; any other batch is checked element by element.
-    """
-    pi = state.pi
-    mixing = (state.p_a[..., :2], state.p_b[..., :2], pi[..., :2, 2], pi[..., 2, :2],
-              pi[..., 0, 0] - pi[..., 1, 1], pi[..., 0, 1] + pi[..., 1, 0])
-    if not any(x.any() for x in mixing):  # NaN counts as nonzero
-        return _out(_x_concurrence(state))
-    # basis {uu, ud, du, dd}: S^z sectors {uu}, {ud, du}, {dd}; rho is Hermitian, so
-    # the upper triangle names the first mixing element in row-major order
-    pairs = [(0, 1), (0, 2), (0, 3), (1, 3), (2, 3)]
-    names = ["m=+1", "m=0", "m=0", "m=-1"]
-    off = _elements(state, [4 * i + j for i, j in pairs]).reshape(-1, len(pairs))
-    mixing = np.abs(off) > atol
-    if mixing.any():
-        k, p = np.argwhere(mixing)[0]
-        (i, j), sample = pairs[p], ", ".join(map(str, np.unravel_index(k, state.pi.shape[:-2])))
-        raise InvalidStateError(
-            (f"sample {sample}: " if sample else "")
-            + f"state mixes S^z sectors {names[i]} and {names[j]} "
-            f"(|rho[{i},{j}]| = {abs(off[k, p]):.2e})"
-        )
-    return _out(_x_concurrence(state))
 
 
 def state_from_vector(psi: np.ndarray) -> TwoQubitState:

@@ -111,10 +111,23 @@ def test_one_bath_build_and_state_parse_per_run(kind, monkeypatch, tmp_path):
     overrides = dict(n_bath=8, samples=20, output=str(tmp_path / "out.csv"))
     if KINDS[kind].exchange == "stated":
         overrides["j"] = 2.0
-    if not KINDS[kind].needs_bath:
+    needs_bath, needs_state = ("n_bath" in KINDS[kind].defaults), ("state" in KINDS[kind].defaults)
+    if not needs_bath:
         del overrides["n_bath"]
     run(ScenarioConfig.for_kind(kind, **overrides))
-    assert calls["bath"] == int(KINDS[kind].needs_bath)
-    assert calls["state"] == int(KINDS[kind].needs_state)
+    assert calls["bath"] == int(needs_bath)
+    assert calls["state"] == int(needs_state)
     # the common-mode oracle comparison uses the bath validate built
     assert calls["exact"] == 0
+
+
+def test_trajectory_columns_are_declared_and_written(tmp_path):
+    used = {c for kind in KINDS.values() for c in kind.columns}
+    assert used == set(scenarios._COLUMNS)
+    for name, kind in KINDS.items():
+        if not kind.columns:
+            continue
+        out = tmp_path / f"{name}.csv"
+        run(ScenarioConfig.for_kind(name, n_bath=8, j=2.0, samples=20, output=str(out)))
+        header = next(line for line in out.read_text().splitlines() if not line.startswith("#"))
+        assert header == ",".join(["t", *kind.columns])

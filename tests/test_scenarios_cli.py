@@ -29,6 +29,7 @@ from spinbath.states import (
     KET_TRIPLET0,
     InvalidStateError,
     TwoQubitState,
+    concurrence,
     concurrence_state,
     make_named_state,
     state_to_density,
@@ -283,7 +284,7 @@ class TestRunners:
         config = ScenarioConfig.for_kind("common-asymmetric", n_bath=40, j=3.0, state=state,
                                          samples=60, output=str(tmp_path / "ca.csv"))
         report = validate(config)
-        scenarios._run_common_asymmetric(config, report.bath, report.state)
+        scenarios._run_trajectory(config, report.bath, report.state)
         system = CommonBathSystem(config.k_a, config.k_b, config.j, report.bath)
         times = np.linspace(0.0, config.t_max, config.samples)
         traj = SectorExactEvolver(system).evolve(report.state, times)
@@ -326,14 +327,16 @@ class TestRunners:
         assert np.abs(got - concurrence_state(traj)).max() < 1e-12
 
     @pytest.mark.parametrize("kind", ["fig2", "fig4"])
-    def test_sz_mixing_state_raises_without_csv(self, tmp_path, kind, monkeypatch):
-        # the S^z-block concurrence must refuse a state it does not apply to
-        monkeypatch.setattr(scenarios, "make_named_state",
-                            lambda name: make_named_state("general_pure", gamma=0.5, theta=1.0))
-        out = tmp_path / "f.csv"
-        with pytest.raises(InvalidStateError, match="mixes S\\^z sectors"):
-            run(ScenarioConfig.for_kind(kind, samples=50, output=str(out)))
-        assert not out.exists()
+    def test_sz_mixing_state_takes_the_general_concurrence(self, tmp_path, kind, monkeypatch):
+        # a state that mixes S^z sectors is no X state: its concurrence is Wootters'
+        tilted = make_named_state("general_pure", gamma=0.5, theta=1.0)
+        monkeypatch.setattr(scenarios, "make_named_state", lambda name: tilted)
+        config = ScenarioConfig.for_kind(kind, samples=50, output=str(tmp_path / "f.csv"))
+        run(config)
+        system = CommonBathSystem(config.k_a, config.k_b, config.j, validate(config).bath)
+        traj = SectorExactEvolver(system).evolve(tilted, np.linspace(0.0, config.t_max, config.samples))
+        want = [float(f"{c:.12e}") for c in concurrence(state_to_density(traj))]
+        assert np.array_equal(read_csv(config.output).column("concurrence"), want)
 
     @pytest.mark.parametrize("kind", ["fig1", "fig2", "fig3", "fig4", "fig5", "fig6"])
     def test_fig_scenarios_complete_quickly_at_defaults(self, tmp_path, kind):

@@ -8,7 +8,6 @@ from spinbath.states import (
     TwoQubitState,
     concurrence,
     concurrence_state,
-    concurrence_sz_block,
     decoherence_measure,
     density_to_state,
     general_pure_vector,
@@ -40,29 +39,6 @@ def random_density(seed: int) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
-def sz_block_reference(state, atol=1e-10):
-    """concurrence_sz_block as it was, checking the sectors on the full density matrices."""
-    rho = state_to_density(state)
-    sector = np.array([1, 0, 0, -1])
-    names = {1: "m=+1", 0: "m=0", -1: "m=-1"}
-    flat = rho.reshape(-1, 4, 4)
-    mixing = (np.abs(flat) > atol) & (sector[:, None] != sector[None, :])
-    if mixing.any():
-        k, i, j = np.argwhere(mixing)[0]
-        sample = ", ".join(map(str, np.unravel_index(k, rho.shape[:-2])))
-        raise InvalidStateError(
-            (f"sample {sample}: " if sample else "")
-            + f"state mixes S^z sectors {names[sector[i]]} and {names[sector[j]]} "
-            f"(|rho[{i},{j}]| = {abs(flat[k, i, j]):.2e})"
-        )
-    pi = state.pi
-    term1 = np.hypot(pi[..., 0, 0] + pi[..., 1, 1], pi[..., 0, 1] - pi[..., 1, 0])
-    z_sum = (1.0 + pi[..., 2, 2]) ** 2 - (state.p_a[..., 2] + state.p_b[..., 2]) ** 2
-    term2 = np.sqrt(np.maximum(0.0, z_sum))
-    c = np.maximum(0.0, 0.5 * (term1 - term2))
-    return float(c) if np.ndim(c) == 0 else c
-
-
 def random_block_batch(seed: int, shape) -> np.ndarray:
     """Density matrices with no coherence between total-S^z sectors."""
     rng = np.random.default_rng(seed)
@@ -72,6 +48,27 @@ def random_block_batch(seed: int, shape) -> np.ndarray:
     rho[..., 1:3, 1:3] = middle
     rho[..., 0, 0], rho[..., 3, 3] = rng.uniform(0.0, 2.0, shape), rng.uniform(0.0, 2.0, shape)
     return rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
+
+
+def sz_block_reference(state):
+    """Yu-Eberly's |rho_ud,du| branch alone, written out from the polarizations: on an
+    S^z-block state rho_uu,dd = 0, so the other branch is never positive."""
+    pi = state.pi
+    term1 = np.hypot(pi[..., 0, 0] + pi[..., 1, 1], pi[..., 0, 1] - pi[..., 1, 0])
+    z_sum = (1.0 + pi[..., 2, 2]) ** 2 - (state.p_a[..., 2] + state.p_b[..., 2]) ** 2
+    term2 = np.sqrt(np.maximum(0.0, z_sum))
+    c = np.maximum(0.0, 0.5 * (term1 - term2))
+    return float(c) if np.ndim(c) == 0 else c
+
+
+def with_sector_mixing(rho: np.ndarray, where, i: int, j: int, weight: float, phase: float = 0.3):
+    """rho with sample ``where`` mixed with (|i> + e^{i phase} |j>)/sqrt(2) at ``weight``: still a
+    density matrix, now with a coherence of size weight/2 between basis states i and j."""
+    rho = rho.copy()
+    psi = np.zeros(4, dtype=complex)
+    psi[i], psi[j] = 1.0, np.exp(1j * phase)
+    rho[where] = (1.0 - weight) * rho[where] + weight * np.outer(psi, psi.conj()) / 2.0
+    return rho
 
 
 def random_pure(seed: int) -> np.ndarray:
@@ -289,23 +286,20 @@ class TestConcurrence:
 
 
 class TestSzBlockConcurrence:
+    """concurrence_state on states that commute with the total S^z."""
+
     def test_triplet_bell(self):
-        assert concurrence_sz_block(make_named_state("triplet0")) == pytest.approx(1.0, abs=1e-12)
+        assert concurrence_state(make_named_state("triplet0")) == pytest.approx(1.0, abs=1e-12)
 
     def test_up_down(self):
-        assert concurrence_sz_block(make_named_state("up_down")) == 0.0
+        assert concurrence_state(make_named_state("up_down")) == 0.0
 
     def test_updown_mix_half(self):
         # |ud + 0.5 du> has concurrence 2 * 1 * 0.5 / (1 + 0.25) = 0.8
         s = make_named_state("updown_mix", r=0.5)
         assert s.pi[0, 0] == pytest.approx(0.8, abs=1e-14)
         assert s.p_a[2] == pytest.approx(0.6, abs=1e-14)
-        assert concurrence_sz_block(s) == pytest.approx(0.8, abs=1e-12)
-
-    def test_rejects_sector_mixing(self):
-        s = state_from_vector(np.array([1.0, 1.0, 0.0, 0.0]))
-        with pytest.raises(InvalidStateError, match="sectors"):
-            concurrence_sz_block(s)
+        assert concurrence_state(s) == pytest.approx(0.8, abs=1e-12)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=40, derandomize=True)
@@ -322,118 +316,113 @@ class TestSzBlockConcurrence:
             + probs[2] * np.diag([0, 0, 0, 1.0])
         )
         s = density_to_state(rho)
-        assert concurrence_sz_block(s) == pytest.approx(concurrence(rho), abs=1e-10)
+        assert concurrence_state(s) == pytest.approx(concurrence(rho), abs=1e-10)
 
 
-class TestSzBlockAgainstReference:
-    """concurrence_sz_block reads five off-sector elements instead of the full matrices."""
+class TestSzBlockBatches:
+    """concurrence_state on batches that commute with the total S^z, and on such batches
+    with one sample that mixes sectors. A block state is an X state, so the closed form
+    decides it; a mixing element off the X pattern sends its sample, and only that one,
+    to Wootters' formula."""
+
+    PAIRS = [(0, 1), (0, 2), (0, 3), (1, 3), (2, 3)]
+
+    @staticmethod
+    def expected_alone(state, i, j):
+        # (0, 3) couples m = +1 to m = -1 and keeps the X pattern; every other pair breaks it
+        if (i, j) == (0, 3):
+            return states._x_concurrence(state)
+        return concurrence(state_to_density(state))
 
     @pytest.mark.parametrize("shape", [(), (1,), (300,), (7, 11)])
     def test_block_batches_match(self, shape):
         for seed in range(5):
-            state = density_to_state(random_block_batch(seed, shape))
-            got, ref = concurrence_sz_block(state), sz_block_reference(state)
+            rho = random_block_batch(seed, shape)
+            state = density_to_state(rho)
+            got, ref = concurrence_state(state), sz_block_reference(state)
             assert type(got) is type(ref)
-            assert np.array_equal(got, ref)
-
-    @pytest.mark.parametrize("i, j", [(0, 1), (0, 2), (0, 3), (1, 3), (2, 3)])
-    @pytest.mark.parametrize("shape, where", [((), ()), ((4,), (2,)), ((3, 5), (1, 4))])
-    def test_error_names_sample_and_element(self, i, j, shape, where):
-        rho = random_block_batch(7, shape)
-        flat = rho.reshape((-1, 4, 4))
-        k = np.ravel_multi_index(where, shape) if shape else 0
-        # the first pair in row-major order is named: (i, j) and every pair after it
-        pairs = [(0, 1), (0, 2), (0, 3), (1, 3), (2, 3)]
-        for n, (a, b) in enumerate(pairs[pairs.index((i, j)):]):
-            flat[k, a, b] = 0.01 * (n + 1) + 0.002j * b
-            flat[k, b, a] = np.conj(flat[k, a, b])
-        # later samples that mix other sectors do not change which one is named
-        flat[k + 1 :, 0, 3] = flat[k + 1 :, 3, 0] = 0.003
-        state = density_to_state(rho)
-        with pytest.raises(InvalidStateError) as ref:
-            sz_block_reference(state)
-        with pytest.raises(InvalidStateError) as got:
-            concurrence_sz_block(state)
-        assert str(got.value) == str(ref.value)
-        assert "mixes S^z sectors" in str(got.value) and f"|rho[{i},{j}]|" in str(got.value)
-
-    def test_threshold_unchanged(self):
-        rho = random_block_batch(3, (6,))
-        rho[4, 1, 3] = rho[4, 3, 1] = 1e-10
-        rho[5, 0, 2] = rho[5, 2, 0] = 1.1e-10
-        state = density_to_state(rho)
-        with pytest.raises(InvalidStateError, match=r"^sample 5: .*m=\+1 and m=0 "):
-            concurrence_sz_block(state)
-        assert np.array_equal(concurrence_sz_block(state[:5]), sz_block_reference(state[:5]))
-
-
-class TestSzBlockFromPolarizations:
-    """concurrence_sz_block decides an exact S^z-block batch from ten polarization
-    combinations and checks any other batch element by element."""
-
-    PAIRS = [(0, 1), (0, 2), (0, 3), (1, 3), (2, 3)]
+            assert same_bits(got, ref)
+            assert np.allclose(got, concurrence(rho), rtol=0.0, atol=1e-12)
 
     @given(st.integers(0, 2**32 - 1), st.sampled_from([(), (1,), (9,), (3, 4)]))
     @settings(max_examples=60, derandomize=True, deadline=None)
     def test_block_batches_match_reference(self, seed, shape):
         state = density_to_state(random_block_batch(seed, shape))
-        got, ref = concurrence_sz_block(state), sz_block_reference(state)
+        got, ref = concurrence_state(state), sz_block_reference(state)
         assert type(got) is type(ref)
         assert same_bits(got, ref)
 
+    def test_block_batch_builds_no_density(self, monkeypatch):
+        s = density_to_state(random_block_batch(11, (40,)))
+        calls = []
+        monkeypatch.setattr(states, "state_to_density", lambda s: calls.append(s))
+        assert np.array_equal(concurrence_state(s), states._x_concurrence(s))
+        assert calls == []
+
+    @pytest.mark.parametrize("i, j", PAIRS)
+    @pytest.mark.parametrize("shape, where", [((), ()), ((4,), (2,)), ((3, 5), (1, 4))])
+    def test_mixing_sample_takes_its_own_path(self, i, j, shape, where):
+        block = random_block_batch(7, shape)
+        rho = with_sector_mixing(block, where, i, j, 0.2)
+        state = density_to_state(rho)
+        got = np.asarray(concurrence_state(state))
+        alone = state[where] if shape else state
+        assert got[where] == self.expected_alone(alone, i, j)
+        assert got[where] == pytest.approx(concurrence(rho[where]), abs=1e-12)
+        # the block samples around it keep the closed form, bit for bit
+        others = np.ones(shape, dtype=bool)
+        others[where] = False
+        assert same_bits(got[others], np.asarray(sz_block_reference(state))[others])
+
     @given(st.integers(0, 2**32 - 1), st.sampled_from([(), (5,), (2, 3)]), st.integers(0, 4),
-           st.floats(0.0, 2.0 * np.pi))
+           st.floats(0.0, 2.0 * np.pi), st.sampled_from([2e-11, 2e-9]))
     @settings(max_examples=60, derandomize=True, deadline=None)
-    def test_mixing_element_against_reference(self, seed, shape, pair, phase):
+    def test_small_mixing_element(self, seed, shape, pair, phase, weight):
         rng = np.random.default_rng(seed)
         i, j = self.PAIRS[pair]
         where = tuple(int(rng.integers(n)) for n in shape)
-        for size, raises in ((1e-11, False), (1e-9, True)):
-            rho = random_block_batch(seed, shape)
-            rho[where + (i, j)] = size * np.exp(1j * phase)
-            rho[where + (j, i)] = size * np.exp(-1j * phase)
-            state = density_to_state(rho)
-            if not raises:
-                assert same_bits(concurrence_sz_block(state), sz_block_reference(state))
-                continue
-            with pytest.raises(InvalidStateError) as ref:
-                sz_block_reference(state)
-            with pytest.raises(InvalidStateError) as got:
-                concurrence_sz_block(state)
-            assert str(got.value) == str(ref.value)
-            assert f"|rho[{i},{j}]|" in str(got.value)
-            assert str(got.value).startswith(f"sample {', '.join(map(str, where))}: " if shape else "state")
+        rho = with_sector_mixing(random_block_batch(seed, shape), where, i, j, weight, phase)
+        state = density_to_state(rho)
+        got = np.asarray(concurrence_state(state))
+        alone = state[where] if shape else state
+        assert got[where] == concurrence_state(alone) == self.expected_alone(alone, i, j)
+        assert got[where] == pytest.approx(concurrence(rho[where]), abs=1e-12)
 
-    def test_each_combination_alone_takes_the_element_check(self, monkeypatch):
-        # one ulp in any one of the ten combinations is below atol, so the element check
-        # runs and passes; with every combination zero, no element is formed
+    def test_one_ulp_off_x_takes_the_general_path(self, monkeypatch):
+        # each of the eight off-X polarizations, moved by one ulp alone, sends its sample
+        # through state_to_density; the other samples stay on the closed form
         base = density_to_state(random_block_batch(2, (4,)))
-        calls = []
-        elements = states._elements
-        monkeypatch.setattr(states, "_elements", lambda *a: calls.append(1) or elements(*a))
-        got = concurrence_sz_block(base)
-        assert calls == []
-        assert same_bits(got, sz_block_reference(base))
+        built = []
+        to_density = states.state_to_density
+        monkeypatch.setattr(states, "state_to_density", lambda s: built.append(s.pi.shape) or to_density(s))
         edits = [("p_a", (0,)), ("p_a", (1,)), ("p_b", (0,)), ("p_b", (1,)), ("pi", (0, 2)),
-                 ("pi", (1, 2)), ("pi", (2, 0)), ("pi", (2, 1)), ("pi", (0, 0)), ("pi", (0, 1))]
+                 ("pi", (1, 2)), ("pi", (2, 0)), ("pi", (2, 1))]
         for field, index in edits:
             arrays = {f: getattr(base, f).copy() for f in ("p_a", "p_b", "pi")}
             arrays[field][(2,) + index] = np.nextafter(arrays[field][(2,) + index], np.inf)
             state = TwoQubitState(**arrays)
-            del calls[:]
-            got = concurrence_sz_block(state)
-            assert calls == [1]
-            assert same_bits(got, sz_block_reference(state))
+            del built[:]
+            got = concurrence_state(state)
+            assert built == [(1, 3, 3)]
+            assert got[2] == concurrence(to_density(state[2]))
+            assert same_bits(got[[0, 1, 3]], sz_block_reference(state[[0, 1, 3]]))
 
-    def test_nan_agrees_with_reference(self):
-        rho = random_block_batch(4, (3,))
-        state = density_to_state(rho)
-        p_a = state.p_a.copy()
-        p_a[1, 0] = np.nan
-        nan_state = TwoQubitState(p_a, state.p_b, state.pi)
-        # NaN compares false against atol, as in the reference: no error, a NaN-free
-        # closed form since p^x does not enter it
-        assert same_bits(concurrence_sz_block(nan_state), sz_block_reference(nan_state))
+    def test_one_ulp_in_the_uu_dd_coherence_stays_x(self, monkeypatch):
+        # pi_xx, pi_xy, pi_yx and pi_yy carry rho_ud,du and rho_uu,dd, both X elements: a
+        # sample moved in any of them still takes the closed form, and no density is built
+        base = density_to_state(random_block_batch(2, (4,)))
+        monkeypatch.setattr(states, "state_to_density", lambda s: pytest.fail("density built"))
+        for index in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            pi = base.pi.copy()
+            pi[(2,) + index] = np.nextafter(pi[(2,) + index], np.inf)
+            state = TwoQubitState(base.p_a, base.p_b, pi)
+            assert same_bits(concurrence_state(state), states._x_concurrence(state))
+
+    def test_sector_mixing_pure_states(self):
+        # |u>(|u> + |d>) mixes m = +1 and m = 0 and is a product; |uu> + |dd> mixes m = +1
+        # and m = -1 and is maximally entangled
+        assert concurrence_state(state_from_vector(np.array([1.0, 1.0, 0.0, 0.0]))) == pytest.approx(0.0, abs=1e-12)
+        assert concurrence_state(state_from_vector(np.array([1.0, 0.0, 0.0, 1.0]))) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestFreshArraysShared:
@@ -447,7 +436,7 @@ class TestFreshArraysShared:
 
 
 class TestBatchedValidation:
-    """validate_state and concurrence_sz_block on a batched oracle trajectory."""
+    """validate_state on a batched oracle trajectory."""
 
     @staticmethod
     def trajectory(name):
@@ -458,17 +447,20 @@ class TestBatchedValidation:
         return evolve_reduced(full, s0, "fully_mixed", np.linspace(0.0, 6.0, 25))
 
     @pytest.mark.parametrize("name", ["singlet", "r_state"])
-    def test_sz_block_concurrence_equals_wootters(self, name):
+    def test_concurrence_on_the_trajectory(self, name):
         traj = self.trajectory(name)
-        c = concurrence_sz_block(traj)
+        c = concurrence_state(traj)
         assert c.shape == (25,)
-        assert np.abs(c - concurrence_state(traj)).max() < 1e-12
-        assert isinstance(concurrence_sz_block(traj[3]), float)
+        assert np.abs(c - concurrence(state_to_density(traj))).max() < 1e-12
+        assert isinstance(concurrence_state(traj[3]), float)
 
-    def test_sz_block_names_the_mixing_sample(self):
+    def test_mixing_sample_among_mixed_states(self):
+        # three fully mixed samples and one |u>(|u> + |d>)/sqrt(2): only the last is off X
         rho = np.array([np.eye(4) / 4] * 3 + [np.outer([1, 1, 0, 0], [1, 1, 0, 0]) / 2])
-        with pytest.raises(InvalidStateError, match=r"sample 3: .*sectors m=\+1 and m=0"):
-            concurrence_sz_block(density_to_state(rho))
+        state = density_to_state(rho)
+        c = concurrence_state(state)
+        assert np.array_equal(c[:3], np.zeros(3))
+        assert c[3] == concurrence(state_to_density(state[3])) == pytest.approx(0.0, abs=1e-12)
 
     def test_worst_sample_reported(self):
         traj = self.trajectory("r_state")
@@ -643,10 +635,6 @@ class TestXStateConcurrence:
         assert np.array_equal(concurrence_state(x_batch), got[..., ::2])
         assert calls == []
 
-    def test_sz_block_shares_the_closed_form(self):
-        s = density_to_state(random_block_batch(11, (40,)))
-        assert np.array_equal(concurrence_sz_block(s), concurrence_state(s))
-
 
 class TestXStatePremise:
     """The evolvers keep every named state except a tilted general_pure an X state, exactly."""
@@ -676,13 +664,14 @@ class TestXStatePremise:
             assert np.array_equal(off_x(traj), np.zeros((97, 8)))
 
     @pytest.mark.parametrize("name, params", [n for n in NAMED if n[0] not in ("bell_t1", "bell_t2")])
-    def test_sz_block_states_form_no_element(self, name, params, monkeypatch):
-        # pi_xx - pi_yy and pi_xy + pi_yx stay exactly zero as well, so concurrence_sz_block
-        # decides every trajectory of an S^z-block state from the polarizations
-        trajectories = list(self.trajectories(make_named_state(name, **params)))
-        monkeypatch.setattr(states, "_elements", lambda *args: pytest.fail("density elements formed"))
-        for traj in trajectories:
-            assert concurrence_sz_block(traj).shape == (97,)
+    def test_sz_block_states_stay_sz_block(self, name, params):
+        # the elements between total-S^z sectors are sums of ten polarization combinations:
+        # the eight off-X ones, pi_xx - pi_yy and pi_xy + pi_yx. All stay exactly zero
+        for traj in self.trajectories(make_named_state(name, **params)):
+            pi = traj.pi
+            mixing = np.concatenate([off_x(traj), (pi[:, 0, 0] - pi[:, 1, 1])[:, None],
+                                     (pi[:, 0, 1] + pi[:, 1, 0])[:, None]], axis=1)
+            assert np.array_equal(mixing, np.zeros((97, 10)))
 
     def test_tilted_general_pure_is_not_x(self):
         s0 = make_named_state("general_pure", gamma=0.5, theta=0.3, phi=1.0)
