@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 import numpy as np
 
@@ -62,25 +61,9 @@ class BathDistribution:
         keep = self.weights >= SECTOR_WEIGHT_CUT
         return self.spins[keep], self.weights[keep], float(self.weights[~keep].sum())
 
-    def moment(self, kind: str | Callable[[np.ndarray], np.ndarray]) -> float:
-        """Weighted moment sum_I lambda_I f(I).
-
-        ``kind`` is "i_squared" (f = I^2), "casimir" (f = I(I+1)), or any
-        callable of the spin array.
-        """
-        if kind == "i_squared":
-            f = self.spins**2
-        elif kind == "casimir":
-            f = self.spins * (self.spins + 1.0)
-        elif callable(kind):
-            f = np.asarray(kind(self.spins), dtype=float)
-        else:
-            raise BathSpecError(f"unknown moment kind {kind!r}")
-        return float(np.sum(self.weights * f))
-
     def casimir_moment(self) -> float:
-        """<I(I+1)>, the moment entering every short-time decay rate."""
-        return self.moment("casimir")
+        """<I(I+1)>, the one bath moment entering every short-time decay rate."""
+        return float(np.sum(self.weights * (self.spins * (self.spins + 1.0))))
 
 
 def spin_grid(n: int) -> np.ndarray:

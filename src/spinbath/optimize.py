@@ -55,14 +55,10 @@ class PureStateParam:
 
 @dataclass(frozen=True)
 class InhomogeneousCouplings:
-    """Per-nucleus couplings of the two qubits, with order-unity scale
-    factors for non-uniform bath distributions (1 for the unpolarized bath).
-    """
+    """Per-nucleus couplings of the two qubits."""
 
     k_a_i: np.ndarray
     k_b_i: np.ndarray
-    eta1: float = 1.0
-    eta2: float = 1.0
 
     def __post_init__(self):
         ka = np.array(self.k_a_i, dtype=float)
@@ -96,19 +92,21 @@ def decoherence_rate_general(state: TwoQubitState, system: CommonBathSystem) -> 
 
 
 def coupling_overlap(k_a: float, k_b: float) -> float:
-    """delta = 2 K_A K_B / (K_A^2 + K_B^2), in [-1, 1]."""
+    """delta = 2 K_A K_B / (K_A^2 + K_B^2), in [-1, 1]; rounding can put nearly equal
+    couplings an ulp outside, so the quotient is clipped (a NaN stays NaN)."""
     denom = k_a**2 + k_b**2
     if denom == 0.0:
         raise CouplingError("at least one coupling must be nonzero")
-    return 2.0 * k_a * k_b / denom
+    return float(np.clip(2.0 * k_a * k_b / denom, -1.0, 1.0))
 
 
 def coupling_overlap_inhomogeneous(couplings: InhomogeneousCouplings) -> float:
-    """Delta = eta2 * sum 2 K_A^i K_B^i / sum (K_A^i^2 + K_B^i^2)."""
+    """Delta = sum 2 K_A^i K_B^i / sum (K_A^i^2 + K_B^i^2), clipped to [-1, 1] like
+    :func:`coupling_overlap`."""
     denom = float(np.sum(couplings.k_a_i**2 + couplings.k_b_i**2))
     if denom == 0.0:
         raise CouplingError("all couplings are zero")
-    return couplings.eta2 * 2.0 * float(np.sum(couplings.k_a_i * couplings.k_b_i)) / denom
+    return float(np.clip(2.0 * float(np.sum(couplings.k_a_i * couplings.k_b_i)) / denom, -1.0, 1.0))
 
 
 def rate_scale(system: CommonBathSystem) -> float:
@@ -173,9 +171,10 @@ def _zoom_minimize(f, lo: float, hi: float, tol: float = 1e-12) -> float:
     return 0.5 * (lo + hi)
 
 
-def scan_optimal_state(delta: float, coarse: int = 41, span: float = 2.0) -> ScanResult:
+def scan_optimal_state(delta: float) -> ScanResult:
     """Brute-force minimum of the pure-state rate over (Re gamma, Im gamma,
-    theta), followed by three sweeps of line searches along each coordinate.
+    theta) on a 41^3 grid of [-2, 2]^2 x [0, pi], followed by three sweeps of
+    line searches along each coordinate.
 
     Each line search is a bracket zoom (:func:`_zoom_minimize`) of the
     long-double rate from the full bracket ([-1.2, 1.2] for Re and Im gamma,
@@ -188,9 +187,8 @@ def scan_optimal_state(delta: float, coarse: int = 41, span: float = 2.0) -> Sca
     gamma is so small that the second-qubit axis is immaterial.
     """
     _check_range(delta, -1.0, 1.0, CouplingError, "coupling overlap must be in [-1, 1]")
-    re = np.linspace(-span, span, coarse)
-    im = np.linspace(-span, span, coarse)
-    th = np.linspace(0.0, math.pi, coarse)
+    re = im = np.linspace(-2.0, 2.0, 41)
+    th = np.linspace(0.0, math.pi, 41)
     # the rate on the grid less its constant, factored as A(gamma) u(theta) - B(gamma) w(theta)
     # so that only two products span the whole grid
     mod_sq = re[:, None] ** 2 + im[None, :] ** 2
@@ -254,22 +252,12 @@ def gaussian_dot_couplings(
 def decoherence_rate_inhomogeneous(
     param: PureStateParam, couplings: InhomogeneousCouplings, moment: float
 ) -> float:
-    """Rate for per-nucleus couplings, z-aligned family (theta = 0):
-
-        (eta1/3) <I(I+1)> (sum_i (K_A^i^2 + K_B^i^2) / N)
-        * [1 + 2|gamma|^2 (1 - Delta)/(1+|gamma|^2)^2
-             - 2 Delta Re(gamma)/(1+|gamma|^2)]
+    """Rate for per-nucleus couplings, z-aligned family (theta = 0): the
+    gamma-family rate at the overlap Delta with scale
+    (1/3) <I(I+1)> sum_i (K_A^i^2 + K_B^i^2) / N.
     """
     if param.theta != 0.0:
         raise InvalidStateError("the inhomogeneous closed form holds for theta = 0")
-    n = couplings.k_a_i.size
-    big_delta = coupling_overlap_inhomogeneous(couplings)
-    mean_sq = float(np.sum(couplings.k_a_i**2 + couplings.k_b_i**2)) / n
-    scale = couplings.eta1 * moment * mean_sq / 3.0
-    g = complex(param.gamma)
-    mod_sq = abs(g) ** 2
-    return scale * (
-        1.0
-        + 2.0 * mod_sq * (1.0 - big_delta) / (1.0 + mod_sq) ** 2
-        - 2.0 * big_delta * g.real / (1.0 + mod_sq)
-    )
+    big_delta = coupling_overlap_inhomogeneous(couplings)  # raises first if all couplings vanish
+    mean_sq = float(np.sum(couplings.k_a_i**2 + couplings.k_b_i**2)) / couplings.k_a_i.size
+    return decoherence_rate_pure(param, big_delta, moment * mean_sq / 3.0)

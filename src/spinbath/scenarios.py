@@ -31,6 +31,7 @@ from .optimize import (
 )
 from .oracle import MAX_BATH_SPINS, CouplingParams, build, eigh_cost, evolve_reduced
 from .separate import SeparateBathSystem, decay_factors, evolve as evolve_separate
+from .separate import short_time_decoherence_time as separate_decoherence_time
 from .states import (
     InvalidStateError,
     TwoQubitState,
@@ -153,24 +154,24 @@ def parse_config_file(path: str | Path) -> ScenarioConfig:
     return ScenarioConfig.for_kind(kind, **overrides)
 
 
+# the parameters of each parametrised state, the first one required
+_STATE_PARAMS = {"r_state": ("r",), "updown_mix": ("r",), "werner": ("p",),
+                 "general_pure": ("gamma", "theta", "phi")}
+
+
 def parse_state_spec(spec: str) -> TwoQubitState:
     """'singlet', 'r_state:0.5', 'werner:0.6', 'general_pure:0.5,0.3,1.0', ..."""
     name, _, args = spec.partition(":")
     values = [float(v) for v in args.split(",")] if args else []
     if not all(map(math.isfinite, values)):
         raise InvalidStateError(f"state {name!r} needs finite parameters, got {args!r}")
-    if name in ("r_state", "updown_mix"):
-        return make_named_state(name, r=values[0])
-    if name == "werner":
-        return make_named_state(name, p=values[0])
-    if name == "general_pure":
-        gamma = values[0]
-        theta = values[1] if len(values) > 1 else 0.0
-        phi = values[2] if len(values) > 2 else 0.0
-        return make_named_state(name, gamma=gamma, theta=theta, phi=phi)
-    if values:
+    params = _STATE_PARAMS.get(name, ())
+    if not params and values:
         raise InvalidStateError(f"state {name!r} takes no parameters")
-    return make_named_state(name)
+    if params and not 1 <= len(values) <= len(params):
+        usage = "[,".join(params) + "]" * (len(params) - 1)  # gamma[,theta[,phi]]
+        raise InvalidStateError(f"state {name!r} takes {name}:{usage}, got {spec!r}")
+    return make_named_state(name, **dict(zip(params, values)))
 
 
 def validate(config: ScenarioConfig) -> ValidationReport:
@@ -194,6 +195,8 @@ def validate(config: ScenarioConfig) -> ValidationReport:
         report.errors.append(f"samples: at most {MAX_SAMPLES} samples, got {config.samples}")
     if config.t_max <= 0 and needs_bath:
         report.errors.append("t_max: must be positive")
+    elif needs_bath and 2 <= config.samples <= MAX_SAMPLES and not np.all(np.diff(_times(config)) > 0):
+        report.errors.append(f"t_max: {config.t_max!r} is too small to separate {config.samples} samples")
     # the coupling overlap 2 k_a k_b / (k_a^2 + k_b^2) drives optimize and fig6
     try:
         overlap = coupling_overlap(config.k_a, config.k_b)
@@ -261,11 +264,16 @@ def validate(config: ScenarioConfig) -> ValidationReport:
     # the overlap matters wherever the two qubits can share a bath
     if math.isfinite(overlap) and needs_bath and kind.exchange != "zero":
         report.derived["coupling_overlap"] = format(overlap, ".6g")
-    if (bath is not None and state is not None and couplings_finite
+    private = kind.exchange == "zero"
+    # separate oracle baths are two halves of n_bath, not the bath built here: no prediction
+    if (bath is not None and state is not None and couplings_finite and (private or exchange != "zero")
             and abs(decoherence_measure(state)) < 1e-10):
-        # the short-time rate does not involve the exchange strength
-        system = CommonBathSystem(config.k_a, config.k_b, config.j or 0.0, bath)
-        tau = short_time_decoherence_time(state, system)
+        # the short-time rates do not involve the exchange strength
+        if private:
+            system = SeparateBathSystem(config.k_a, config.k_b, bath, bath)
+            tau = separate_decoherence_time(system, math.sqrt(float(state.p_a @ state.p_a)))
+        else:
+            tau = short_time_decoherence_time(state, CommonBathSystem(config.k_a, config.k_b, 0.0, bath))
         report.derived["predicted_decoherence_time"] = format(tau, ".6g")
     if math.isfinite(overlap) and not needs_bath:
         report.derived["optimal_gamma"] = format(optimal_gamma(overlap), ".6g")

@@ -114,23 +114,29 @@ def decoherence_series(system: SeparateBathSystem, state: TwoQubitState, times) 
 def _check_symmetric(system: SeparateBathSystem) -> tuple[float, float]:
     if system.k_a != system.k_b:
         raise AssumptionError(
-            "short-time timescales assume equal couplings "
+            "the concurrence time assumes equal couplings "
             f"(k_a={system.k_a}, k_b={system.k_b})"
         )
     m_a = system.bath_a.casimir_moment()
     m_b = system.bath_b.casimir_moment()
     if abs(m_a - m_b) > 1e-12:
         raise AssumptionError(
-            "short-time timescales assume identical bath-spin moments "
+            "the concurrence time assumes identical bath-spin moments "
             f"(<I(I+1)>_A={m_a!r}, <I(I+1)>_B={m_b!r})"
         )
     return system.k_a, m_a
 
 
 def short_time_decoherence_time(system: SeparateBathSystem, p0: float) -> float:
-    """Gaussian decoherence time: 1/tau^2 = (1/3) K^2 <I(I+1)> (3 - P0^2)."""
-    k, m2 = _check_symmetric(system)
-    rate = (k**2) * m2 * (3.0 - p0**2) / 3.0
+    """Gaussian decoherence time of a pure state whose qubits have polarization
+    magnitude P0, for any couplings and baths:
+
+        1/tau^2 = (3 - P0^2) (K_A^2 <I(I+1)>_A + K_B^2 <I(I+1)>_B) / 6,
+
+    since each Bloch vector shrinks as 1 - K^2 <I(I+1)> t^2 / 3 at short times.
+    """
+    rate = (3.0 - p0**2) * (system.k_a**2 * system.bath_a.casimir_moment()
+                            + system.k_b**2 * system.bath_b.casimir_moment()) / 6.0
     return math.inf if rate == 0.0 else 1.0 / math.sqrt(rate)
 
 

@@ -69,7 +69,8 @@ class TestGaussianApprox:
         w = grid**2 * np.exp(-2 * grid**2 / n)
         continuum = np.trapezoid(w * grid**2, grid) / np.trapezoid(w, grid)
         assert continuum == pytest.approx(3 * n / 4, rel=1e-6)
-        discrete = gaussian_approx(n, "narrow").moment("i_squared")
+        d = gaussian_approx(n, "narrow")
+        discrete = float(np.sum(d.weights * d.spins**2))
         assert discrete == pytest.approx(continuum, rel=0.02)
 
     def test_narrow_mode_location(self):
@@ -79,10 +80,8 @@ class TestGaussianApprox:
         assert abs(mode - math.sqrt(50)) <= 1.0
 
     def test_wide_is_wider(self):
-        n = 64
-        assert gaussian_approx(n, "wide").moment("i_squared") > gaussian_approx(
-            n, "narrow"
-        ).moment("i_squared")
+        wide, narrow = gaussian_approx(64, "wide"), gaussian_approx(64, "narrow")
+        assert np.sum(wide.weights * wide.spins**2) > np.sum(narrow.weights * narrow.spins**2)
 
     def test_bad_variant(self):
         with pytest.raises(BathSpecError):
@@ -92,23 +91,18 @@ class TestGaussianApprox:
 class TestMoments:
     def test_casimir_two_spins(self):
         # 0 * 1/4 + 1*2 * 3/4
-        assert unpolarized_exact(2).moment("casimir") == pytest.approx(1.5)
+        assert unpolarized_exact(2).casimir_moment() == pytest.approx(1.5)
 
     def test_delta_distribution(self):
-        d = delta_distribution(2.5)
-        assert d.moment(lambda i: np.cos(i)) == pytest.approx(math.cos(2.5))
+        assert delta_distribution(2.5).casimir_moment() == 2.5 * 3.5
         with pytest.raises(BathSpecError):
             delta_distribution(0.3)
 
     def test_narrow_100_fixture(self):
         # frozen reference values used by the timescale checks
         d = gaussian_approx(100, "narrow")
-        assert d.moment("i_squared") == pytest.approx(75.0, abs=1e-9)
+        assert np.sum(d.weights * d.spins**2) == pytest.approx(75.0, abs=1e-9)
         assert d.casimir_moment() == pytest.approx(82.97889931231069, abs=1e-9)
-
-    def test_unknown_kind(self):
-        with pytest.raises(BathSpecError):
-            unpolarized_exact(2).moment("i_cubed")
 
 
 class TestConstructionAndConfig:

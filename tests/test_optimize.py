@@ -247,6 +247,19 @@ class TestCouplingOverlap:
         c = InhomogeneousCouplings(np.ones(5), np.ones(5))
         assert coupling_overlap_inhomogeneous(c) == pytest.approx(1.0)
 
+    def test_nearly_equal_couplings_stay_in_range(self):
+        # the quotients round to 1 + 2^-52 and 1 + 2^-51 before clipping
+        k_a, k_b = -1.009618183538736, -1.0096181833275484
+        assert coupling_overlap(k_a, k_b) == 1.0
+        assert coupling_overlap(k_a, -k_b) == -1.0
+        assert math.isnan(coupling_overlap(math.inf, 1.0))
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            a = rng.normal(size=int(rng.integers(1, 50)))
+            c = InhomogeneousCouplings(a, a * (1 + 1e-9 * rng.normal(size=a.size)))
+            assert -1.0 <= coupling_overlap_inhomogeneous(c) <= 1.0
+            assert decoherence_rate_inhomogeneous(PureStateParam(gamma=1.0), c, 1.0) >= -1e-15
+
     def test_inhomogeneous_all_zero_rejected(self):
         with pytest.raises(CouplingError):
             coupling_overlap_inhomogeneous(InhomogeneousCouplings(np.zeros(3), np.zeros(3)))
@@ -274,7 +287,31 @@ class TestGaussianDotCouplings:
             gaussian_dot_couplings(4.0, 2.0, half_extent=5.0)
 
 
+def inhomogeneous_rate_reference(gamma: complex, couplings: InhomogeneousCouplings, moment: float) -> float:
+    """The inhomogeneous rate with its own copy of the gamma-family bracket, in Python scalars."""
+    k_a, k_b = couplings.k_a_i, couplings.k_b_i
+    big_delta = 2.0 * float(np.sum(k_a * k_b)) / float(np.sum(k_a**2 + k_b**2))
+    scale = moment * float(np.sum(k_a**2 + k_b**2)) / k_a.size / 3.0
+    mod_sq = abs(gamma) ** 2
+    return scale * (
+        1.0
+        + 2.0 * mod_sq * (1.0 - big_delta) / (1.0 + mod_sq) ** 2
+        - 2.0 * big_delta * gamma.real / (1.0 + mod_sq)
+    )
+
+
 class TestInhomogeneousRate:
+    def test_matches_reference_bracket(self):
+        rng = np.random.default_rng(7)
+        for _ in range(2000):
+            n = int(rng.integers(1, 9))
+            c = InhomogeneousCouplings(rng.normal(size=n), rng.normal(size=n))
+            gamma = complex(*rng.normal(size=2) * rng.choice([0.1, 1.0, 10.0]))
+            moment = rng.uniform(0.5, 100.0)
+            rate = decoherence_rate_inhomogeneous(PureStateParam(gamma=gamma), c, moment)
+            assert isinstance(rate, float)
+            assert rate == pytest.approx(inhomogeneous_rate_reference(gamma, c, moment), rel=1e-14)
+
     def test_homogeneous_reduction(self):
         c = InhomogeneousCouplings(np.full(6, 1.0), np.full(6, 0.5))
         moment = 4.5  # any bath second moment

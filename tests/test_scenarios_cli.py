@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from spinbath import cli, common, scenarios, separate, timeseries
-from spinbath.bath import unpolarized_exact
+from spinbath.bath import gaussian_approx, unpolarized_exact
 from spinbath.common import CommonBathSystem, SectorExactEvolver
 from spinbath.cli import main
 from spinbath.scenarios import (
@@ -105,6 +106,12 @@ class TestConfigParsing:
         parse_state_spec("general_pure:0.3,0.5,1.0")
         with pytest.raises(InvalidStateError):
             parse_state_spec("singlet:0.3")
+        for spec, usage in [("werner:0.5,0.2", "werner:p"), ("r_state:0.5,9", "r_state:r"),
+                            ("updown_mix:0.2,0.3", "updown_mix:r"), ("r_state", "r_state:r"),
+                            ("general_pure:0.5,0.3,1.0,7", "general_pure:gamma[,theta[,phi]]"),
+                            ("general_pure", "general_pure:gamma[,theta[,phi]]")]:
+            with pytest.raises(InvalidStateError, match=f"takes {re.escape(usage)}, got "):
+                parse_state_spec(spec)
         for spec in ("r_state:nan", "r_state:inf", "werner:-inf", "general_pure:0.5,nan"):
             with pytest.raises(InvalidStateError, match="needs finite parameters"):
                 parse_state_spec(spec)
@@ -251,6 +258,30 @@ class TestRunners:
             )
         )
         assert not result.numerical_failure
+        # the run evolves two baths of n_bath / 2 spins, not the n_bath-spin one validated
+        assert "predicted_decoherence_time" not in read_csv(out).metadata
+
+    @pytest.mark.parametrize("fields", [
+        {},
+        # the separate-n1000-unequal op of the large-bath benchmark at seed 0
+        dict(n_bath=1000, k_a=1.251591, k_b=0.726171, state="r_state:0.35535", samples=200),
+    ], ids=["defaults", "n1000-unequal"])
+    def test_separate_header_time_fits_its_csv(self, tmp_path, fields):
+        # the header holds the private-bath time, and the Gaussian fit of -log(1 - D)
+        # over its first tenth recovers it; the grid is narrowed to resolve that window
+        config = ScenarioConfig.for_kind("separate", **fields, output=str(tmp_path / "sep.csv"))
+        tau = float(validate(config).derived["predicted_decoherence_time"])
+        run(ScenarioConfig.for_kind("separate", **{**fields, "t_max": 0.1 * tau, "samples": 30},
+                                    output=config.output))
+        ts = read_csv(config.output)
+        assert float(ts.metadata["predicted_decoherence_time"]) == tau
+        bath = gaussian_approx(config.n_bath, "narrow")
+        s0 = parse_state_spec(config.state)
+        p0_sq = float(s0.p_a @ s0.p_a)
+        rate = (3 - p0_sq) * (config.k_a**2 + config.k_b**2) * bath.casimir_moment() / 6
+        assert tau == float(format(1 / math.sqrt(rate), ".6g"))
+        x, y = ts.column("t")[1:] ** 2, -np.log1p(-ts.column("d")[1:])
+        assert 1 / math.sqrt(float(x @ y) / float(x @ x)) == pytest.approx(tau, rel=0.02)
 
     def test_common_asymmetric_dense_state(self, tmp_path):
         out = tmp_path / "ca.csv"
@@ -683,6 +714,21 @@ class TestCLI:
              "state: state vector of norm 0 cannot be normalized"),
             ("scenario = separate\nstate = r_state:1e308\n",
              "state: state vector of norm inf cannot be normalized"),
+            # the wrong number of state parameters
+            ("scenario = separate\nstate = werner:0.5,0.2\n",
+             "state: state 'werner' takes werner:p, got 'werner:0.5,0.2'"),
+            ("scenario = separate\nstate = r_state\n",
+             "state: state 'r_state' takes r_state:r, got 'r_state'"),
+            ("scenario = common-asymmetric\nj = 1.0\nstate = general_pure:0.5,0.3,1.0,7\n",
+             "state: state 'general_pure' takes general_pure:gamma[,theta[,phi]], "
+             "got 'general_pure:0.5,0.3,1.0,7'"),
+            # time grids whose samples collide
+            ("scenario = separate\nt_max = 5e-324\nsamples = 3\n",
+             "t_max: 5e-324 is too small to separate 3 samples"),
+            ("scenario = common-symmetric\nj = 1.0\nt_max = 1e-323\nsamples = 4\n",
+             "t_max: 1e-323 is too small to separate 4 samples"),
+            ("scenario = oracle-compare\nn_bath = 4\nt_max = 5e-324\nsamples = 3\n",
+             "t_max: 5e-324 is too small to separate 3 samples"),
             # a bath too large to hold its sectors
             ("scenario = separate\nn_bath = 1000000000000000\n",
              "n_bath: at most 1000000 bath spins, got 1000000000000000"),

@@ -262,12 +262,30 @@ class TestShortTimeTimescales:
         with pytest.raises(InvalidStateError):
             short_time_concurrence_time(symmetric_system(4), 1.0)
 
-    def test_asymmetric_system_rejected(self):
+    @pytest.mark.parametrize("system", [
+        SeparateBathSystem(1.0, 0.5, gaussian_approx(100, "narrow"), gaussian_approx(100, "narrow")),
+        SeparateBathSystem(1.0, 1.0, unpolarized_exact(4), unpolarized_exact(6)),
+    ], ids=["unequal-couplings", "unequal-baths"])
+    @pytest.mark.parametrize("spec", [("updown_mix", dict(r=0.5)),
+                                      ("general_pure", dict(gamma=0.4, theta=1.1, phi=0.3))])
+    def test_asymmetric_system_decoherence_time(self, system, spec):
+        # 1/tau^2 = (3 - P0^2)(K_A^2 <I(I+1)>_A + K_B^2 <I(I+1)>_B) / 6 is the t^2
+        # coefficient of the exact D(t), and the Gaussian fit of -log(1 - D) recovers it
+        s0 = make_named_state(spec[0], **spec[1])
+        tau = short_time_decoherence_time(system, float(np.linalg.norm(s0.p_a)))
+        t = 1e-3 * tau
+        d = float(decoherence_measure(evolve(system, s0, t)))
+        assert d / t**2 == pytest.approx(1 / tau**2, rel=1e-5)
+        times = np.linspace(0, 0.1 * tau, 30)[1:]
+        x, y = times**2, -np.log1p(-decoherence_series(system, s0, times).column("d"))
+        assert 1 / math.sqrt(float(x @ y) / float(x @ x)) == pytest.approx(tau, rel=0.02)
+
+    def test_concurrence_time_needs_equal_couplings_and_baths(self):
         bath = unpolarized_exact(4)
         with pytest.raises(AssumptionError, match="equal couplings"):
-            short_time_decoherence_time(SeparateBathSystem(1.0, 0.5, bath, bath), 0.5)
+            short_time_concurrence_time(SeparateBathSystem(1.0, 0.5, bath, bath), 0.5)
         with pytest.raises(AssumptionError, match="moments"):
-            short_time_decoherence_time(
+            short_time_concurrence_time(
                 SeparateBathSystem(1.0, 1.0, bath, unpolarized_exact(6)), 0.5
             )
 

@@ -467,7 +467,6 @@ class TestBatchedValidation:
         report = validate_state(traj, tol=1e-10)
         assert report.physical
         assert report.min_eigenvalue >= -1e-10
-        assert isinstance(report.trace_error, float)
         # one unphysical sample among physical ones fails the whole batch
         p_a = np.zeros((5, 3))
         p_a[2, 2] = 2.0
