@@ -35,7 +35,6 @@ from .optimize import (
     ScanResult,
     coupling_overlap,
     coupling_overlap_inhomogeneous,
-    decoherence_rate_general,
     decoherence_rate_inhomogeneous,
     decoherence_rate_pure,
     gaussian_dot_couplings,
@@ -43,12 +42,11 @@ from .optimize import (
     rate_scale,
     scan_optimal_state,
 )
-from .oracle import CouplingParams, FullSystem, bath_spin_spectrum, build, evolve_reduced
+from .oracle import CouplingParams, FullSystem, build, evolve_reduced
 from .separate import (
     DecayFactors,
     SeparateBathSystem,
     decay_factors,
-    decoherence_series,
     evolve,
     short_time_concurrence_time,
     short_time_decoherence_time as separate_decoherence_time,

@@ -1,59 +1,54 @@
 """Command-line front end: run or validate scenario configs.
 
-Exit codes: 0 success, 1 config validation failure, 2 numerical assertion
-failure (an oracle comparison above tolerance).
+    spinbath list-scenarios | validate CONFIG | run CONFIG
+
+``-h`` or ``--help`` anywhere prints the usage text. Exit codes: 0 success,
+1 bad input (a malformed command line, or a config that cannot be read or is
+refused), 2 numerical assertion failure (an oracle comparison above tolerance).
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import sys
 
 from .scenarios import KINDS, ConfigError, parse_config_file, run, validate
 
+USAGE = "usage: spinbath {list-scenarios | validate CONFIG | run CONFIG}"
+HELP = f"""{USAGE}
 
-# built on the first call rather than at import, so importing the package stays cheap,
-# and then reused: one process can call main many times, and each build costs ~0.3 ms
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="spinbath",
-        description="Two-qubit spin-bath decoherence scenarios",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    p_run = sub.add_parser("run", help="validate and execute a scenario config")
-    p_run.add_argument("config", help="path to a key = value config file")
-    p_val = sub.add_parser("validate", help="check a config and report derived quantities")
-    p_val.add_argument("config", help="path to a key = value config file")
-    sub.add_parser("list-scenarios", help="list available scenario kinds")
-    return parser
+Two-qubit spin-bath decoherence scenarios.
+
+  list-scenarios   list available scenario kinds
+  validate CONFIG  check a config and report derived quantities
+  run CONFIG       validate and execute a scenario config
+
+CONFIG is the path to a key = value config file."""
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
-
-    if args.command == "list-scenarios":
-        width = max(map(len, KINDS))
-        for name, kind in KINDS.items():
-            print(f"{name:<{width}}  {kind.summary}")
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        print(HELP)
         return 0
+    match argv:
+        case ["list-scenarios"]:
+            width = max(map(len, KINDS))
+            for name, kind in KINDS.items():
+                print(f"{name:<{width}}  {kind.summary}")
+            return 0
+        case ["run" | "validate" as command, path]:
+            pass
+        case _:
+            print(f"error: {USAGE}", file=sys.stderr)
+            return 1
 
     try:
-        config = parse_config_file(args.config)
-    except (ConfigError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-    report = validate(config)
-    if args.command == "validate":
-        print(report.render())
-        return 0 if report.ok else 1
-
-    if not report.ok:
-        print(report.render(), file=sys.stderr)
-        return 1
-    try:
+        config = parse_config_file(path)
+        report = validate(config)
+        if command == "validate":
+            print(report.render())
+            return 0 if report.ok else 1
+        # a refused config raises here, its errors joined on one line
         result = run(config, report)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

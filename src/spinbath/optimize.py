@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .common import CommonBathSystem
-from .states import InvalidStateError, TwoQubitState, decoherence_measure
+from .states import InvalidStateError
 
 
 class CouplingError(ValueError):
@@ -75,20 +75,6 @@ class ScanResult(NamedTuple):
     gamma: complex
     theta: float
     rate: float
-
-
-def decoherence_rate_general(state: TwoQubitState, system: CommonBathSystem) -> float:
-    """1/tau^2 from the variance form; equals the polarization form exactly."""
-    if abs(decoherence_measure(state)) > 1e-10:
-        raise InvalidStateError("the short-time rate is defined for pure states")
-    m2 = system.bath.casimir_moment()
-    var = 0.0
-    var += system.k_a**2 * (0.75 - 0.25 * float(state.p_a @ state.p_a))
-    var += system.k_b**2 * (0.75 - 0.25 * float(state.p_b @ state.p_b))
-    var += 2.0 * system.k_a * system.k_b * 0.25 * (
-        float(np.trace(state.pi)) - float(state.p_a @ state.p_b)
-    )
-    return (2.0 / 3.0) * m2 * var
 
 
 def coupling_overlap(k_a: float, k_b: float) -> float:

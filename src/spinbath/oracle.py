@@ -250,18 +250,6 @@ def evolve_reduced(system: FullSystem, state: TwoQubitState, bath_state, times) 
     return density_to_state(red)
 
 
-def bath_spin_spectrum(n_bath: int) -> list[tuple[float, int]]:
-    """(total spin, eigenvalue count) pairs of the bath Casimir operator."""
-    vals = np.concatenate([vals for _, vals, _ in _casimir_eigen(n_bath)])
-    out: list[tuple[float, int]] = []
-    for i_val in np.arange(0.5 * (n_bath % 2), n_bath / 2.0 + 0.25, 1.0):
-        count = int(np.sum(np.abs(vals - i_val * (i_val + 1.0)) < 1e-8))
-        if count:
-            out.append((float(i_val), count))
-    assert sum(c for _, c in out) == 2**n_bath
-    return out
-
-
 # Reduced pair dynamics from eigen-blocks. A block's rows with pair index a are
 # one segment |a> (x) |environment states of group m>; two segments meet in the
 # partial trace, or through the environment state, only when their groups agree.

@@ -25,7 +25,6 @@ import numpy as np
 from .bath import BathDistribution
 from .common import AssumptionError, evaluate_lines
 from .states import InvalidStateError, TwoQubitState, decoherence_measure
-from .timeseries import TimeSeries
 
 
 @dataclass(frozen=True)
@@ -88,27 +87,6 @@ def evolve(system: SeparateBathSystem, state: TwoQubitState, t) -> TwoQubitState
     scalar t an unbatched state.
     """
     return decay_factors(system, t).apply(state)
-
-
-def decoherence_series(system: SeparateBathSystem, state: TwoQubitState, times) -> TimeSeries:
-    """Mixedness D(t) on a time grid.
-
-    The closed form
-        D = (1/4)[3(1 - g2^2) - 2(g1^2 - g2^2) P(0)^2]
-    holds for pure states with equal polarization magnitudes evolving under
-    equal couplings and baths; the series is always computed from the exact
-    componentwise decay (identical in that regime) and the metadata records
-    whether the closed-form assumptions were met.
-    """
-    times = np.asarray(times, dtype=float)
-    d = decoherence_measure(evolve(system, state, times))
-    pure = abs(decoherence_measure(state)) <= 1e-10
-    symmetric = (system.k_a == system.k_b
-                 and abs(system.bath_a.casimir_moment() - system.bath_b.casimir_moment()) <= 1e-12)
-    eq10 = pure and symmetric and abs(float(state.p_a @ state.p_a) - float(state.p_b @ state.p_b)) <= 1e-12
-    return TimeSeries(columns=["t", "d"], data=np.column_stack([times, d]),
-                      metadata={"formula": "componentwise-exact",
-                                "closed_form_assumptions_met": str(eq10).lower()})
 
 
 def _check_symmetric(system: SeparateBathSystem) -> tuple[float, float]:

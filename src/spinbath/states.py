@@ -40,8 +40,9 @@ _OPS = np.array([o for m in range(3) for o in (_S_A[m], _S_B[m], *_S_AB[m])]).re
 _TOUCH = np.array([np.flatnonzero(o) for o in _OPS])
 _WEIGHT = np.tile([0.5, 0.5, 1.0, 1.0, 1.0], 3)
 _TO_X = np.take_along_axis(_OPS, _TOUCH, axis=1).conj() * (4.0 * _WEIGHT[:, None])
-# the (k, w_k O_k[e]) that reach element e, in order of k
-_BY_ELEMENT = [[(k, _WEIGHT[k] * _OPS[k, e]) for k in np.flatnonzero(_OPS[:, e])] for e in range(16)]
+# the (k, w_k O_k[e]) that reach element e, in order of k: the tensor terms, then the vector terms
+_BY_ELEMENT = [[[(k, _WEIGHT[k] * _OPS[k, e]) for k in np.flatnonzero(_OPS[:, e])
+                 if (k % 5 > 1) == tensor] for tensor in (True, False)] for e in range(16)]
 
 # matrices per stacked eigh/svd pass of :func:`concurrence`
 _CONCURRENCE_BLOCK = 4096
@@ -141,16 +142,20 @@ def state_to_density(state: TwoQubitState) -> np.ndarray:
     """
     x = (state.p_a, state.p_b) + tuple(np.moveaxis(state.pi, -1, 0))  # x[k % 5][..., k // 5]
     out = np.empty(state.pi.shape[:-2] + (16,), dtype=complex)
-    for e in range(16):
-        out[..., e] = sum((x[k % 5][..., k // 5] * c for k, c in _BY_ELEMENT[e]), 0.25 * (e % 5 == 0))
+    for e, (tensor, vector) in enumerate(_BY_ELEMENT):
+        # 1/4 with the tensor part, then the two vector parts together: parts that cancel give 0.0
+        out[..., e] = (sum((x[k % 5][..., k // 5] * c for k, c in tensor), 0.25 * (e % 5 == 0))
+                       + sum(x[k % 5][..., k // 5] * c for k, c in vector))
     return out.reshape(state.pi.shape[:-2] + (4, 4))
 
 
 def density_to_state(rho: np.ndarray, atol: float = 1e-10) -> TwoQubitState:
     """Extract polarizations from density matrices of shape (..., 4, 4).
 
-    Exact inverse of :func:`state_to_density`. Raises InvalidStateError if
-    any matrix of the batch is not Hermitian with unit trace within ``atol``.
+    Inverse of :func:`state_to_density`. Raises InvalidStateError if any matrix
+    of the batch is not Hermitian with unit trace within ``atol``. The result is
+    the polarizations of rho / Tr rho, so a ket's zeros give polarizations whose
+    terms cancel exactly in :func:`state_to_density`.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (4, 4):
@@ -158,12 +163,14 @@ def density_to_state(rho: np.ndarray, atol: float = 1e-10) -> TwoQubitState:
     herm = float(np.abs(rho - rho.conj().swapaxes(-1, -2)).max(initial=0.0))
     if herm > atol:
         raise InvalidStateError(f"matrix not Hermitian (deviation {herm:.2e})")
-    tr_err = float(np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0).max(initial=0.0))
+    trace = np.trace(rho, axis1=-2, axis2=-1).real
+    tr_err = float(np.abs(trace - 1.0).max(initial=0.0))
     if tr_err > atol:
         raise InvalidStateError(f"trace differs from 1 by {tr_err:.2e}")
-    # Tr(rho O_k) over the four elements O_k touches, summed pairwise like np.trace
+    # Tr(rho O_k) / Tr(rho) over the four elements O_k touches, summed pairwise like np.trace
     t = (rho.reshape(rho.shape[:-2] + (16,))[..., _TOUCH] * _TO_X).real
-    x = ((t[..., 0] + t[..., 1]) + (t[..., 2] + t[..., 3])).reshape(rho.shape[:-2] + (3, 5))
+    x = ((t[..., 0] + t[..., 1]) + (t[..., 2] + t[..., 3])) / trace[..., None]
+    x = x.reshape(rho.shape[:-2] + (3, 5))
     return TwoQubitState(x[..., 0], x[..., 1], x[..., 2:])
 
 
@@ -221,15 +228,21 @@ def concurrence(rho: np.ndarray):
 def concurrence_state(state: TwoQubitState):
     """Concurrence per sample, chosen sample by sample: :func:`_x_concurrence` where the eight
     off-X polarizations (p^x, p^y of both qubits, pi_xz, pi_yz, pi_zx, pi_zy) are exactly
-    zero, ``concurrence(state_to_density(...))`` elsewhere."""
-    c = _x_concurrence(state)
-    general = (np.concatenate([state.p_a[..., :2], state.p_b[..., :2], state.pi[..., :2, 2],
-                               state.pi[..., 2, :2]], axis=-1) != 0.0).any(axis=-1)
-    if general.ndim == 0:
-        return concurrence(state_to_density(state)) if general else _out(c)
-    if general.any():
-        c[general] = concurrence(state_to_density(state[general]))
-    return _out(c)
+    zero, ``concurrence(state_to_density(...))`` elsewhere. Blocks of ``_CONCURRENCE_BLOCK``
+    samples bound the temporaries of both paths."""
+    # a flat batch, and one that fits a block, are taken as they are: no new state per call
+    flat = state if state.pi.ndim == 3 else TwoQubitState(
+        state.p_a.reshape(-1, 3), state.p_b.reshape(-1, 3), state.pi.reshape(-1, 3, 3))
+    out = np.empty(len(flat))
+    for lo in range(0, len(flat), _CONCURRENCE_BLOCK):
+        block = flat[lo : lo + _CONCURRENCE_BLOCK] if len(flat) > _CONCURRENCE_BLOCK else flat
+        c = _x_concurrence(block)
+        general = (np.concatenate([block.p_a[:, :2], block.p_b[:, :2], block.pi[:, :2, 2],
+                                   block.pi[:, 2, :2]], axis=-1) != 0.0).any(axis=-1)
+        if general.any():
+            c[general] = concurrence(state_to_density(block[general]))
+        out[lo : lo + _CONCURRENCE_BLOCK] = c
+    return _out(out.reshape(state.pi.shape[:-2]))
 
 
 def _x_concurrence(state: TwoQubitState) -> np.ndarray:

@@ -13,7 +13,6 @@ from spinbath.optimize import (
     PureStateParam,
     coupling_overlap,
     coupling_overlap_inhomogeneous,
-    decoherence_rate_general,
     decoherence_rate_inhomogeneous,
     decoherence_rate_pure,
     gaussian_dot_couplings,
@@ -21,7 +20,7 @@ from spinbath.optimize import (
     rate_scale,
     scan_optimal_state,
 )
-from spinbath.states import InvalidStateError, make_named_state
+from spinbath.states import InvalidStateError, TwoQubitState, make_named_state
 
 from test_states import same_bits
 
@@ -30,18 +29,26 @@ def system(k_a=1.0, k_b=0.5, j=2.0, n=4) -> CommonBathSystem:
     return CommonBathSystem(k_a, k_b, j, unpolarized_exact(n))
 
 
+def decoherence_rate_general(state: TwoQubitState, system: CommonBathSystem) -> float:
+    """Reference 1/tau^2 of a pure state from the variance form
+    (2/3) <I(I+1)> Var(K_A S_A + K_B S_B), against which common.decoherence_rate_sq's
+    polarization form and the closed form of the gamma family are checked."""
+    var = (system.k_a**2 * (0.75 - 0.25 * float(state.p_a @ state.p_a))
+           + system.k_b**2 * (0.75 - 0.25 * float(state.p_b @ state.p_b))
+           + 0.5 * system.k_a * system.k_b * (float(np.trace(state.pi)) - float(state.p_a @ state.p_b)))
+    return (2.0 / 3.0) * system.bath.casimir_moment() * var
+
+
 class TestVarianceForm:
     def test_singlet_symmetric_couplings(self):
-        assert decoherence_rate_general(
-            make_named_state("singlet"), system(1.0, 1.0)
-        ) == pytest.approx(0.0, abs=1e-14)
+        for rate in (decoherence_rate_general, decoherence_rate_sq):
+            assert rate(make_named_state("singlet"), system(1.0, 1.0)) == pytest.approx(0.0, abs=1e-14)
 
     def test_product_state(self):
         sys = system(1.0, 0.5)
         expected = sys.bath.casimir_moment() * (1.0 + 0.25) / 3
-        assert decoherence_rate_general(
-            make_named_state("up_down"), sys
-        ) == pytest.approx(expected, abs=1e-12)
+        for rate in (decoherence_rate_general, decoherence_rate_sq):
+            assert rate(make_named_state("up_down"), sys) == pytest.approx(expected, abs=1e-12)
 
     def test_equals_polarization_form_on_random_pure_states(self):
         rng = np.random.default_rng(5)
@@ -54,10 +61,6 @@ class TestVarianceForm:
             a = decoherence_rate_general(s0, sys)
             b = decoherence_rate_sq(s0, sys)
             assert a == pytest.approx(b, abs=1e-12 * max(1, abs(b)))
-
-    def test_rejects_mixed(self):
-        with pytest.raises(InvalidStateError):
-            decoherence_rate_general(make_named_state("werner", p=0.4), system())
 
 
 class TestClosedFormRate:

@@ -13,7 +13,6 @@ from spinbath.oracle import (
     EigenBlock,
     _casimir_eigen,
     _sector_projectors,
-    bath_spin_spectrum,
     build,
     eigh_cost,
     evolve_reduced,
@@ -103,6 +102,18 @@ def bath_spin_projector(n_bath, i):
     for idx, block in _sector_projectors(n_bath, i):
         proj[np.ix_(idx, idx)] = block
     return proj
+
+
+def bath_spin_spectrum(n_bath: int) -> list[tuple[float, int]]:
+    """(total spin, eigenvalue count) pairs of the bath Casimir operator, from the oracle's blocks."""
+    vals = np.concatenate([vals for _, vals, _ in _casimir_eigen(n_bath)])
+    out = []
+    for i_val in np.arange(0.5 * (n_bath % 2), n_bath / 2.0 + 0.25, 1.0):
+        count = int(np.sum(np.abs(vals - i_val * (i_val + 1.0)) < 1e-8))
+        if count:
+            out.append((float(i_val), count))
+    assert sum(c for _, c in out) == 2**n_bath
+    return out
 
 
 def per_block_eigensystem(full):

@@ -60,6 +60,17 @@ def write_config(tmp_path, text, name="scenario.cfg"):
     return path
 
 
+def refused_errors(command, captured):
+    """The errors of a refused config: ``validate`` lists them in its report on stdout,
+    ``run`` prints them on one ``error:`` line on stderr."""
+    if command == "validate":
+        return [line[4:] for line in captured.out.splitlines() if line.startswith("  - ")]
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ")
+    return line[len("error: "):].split("; ")
+
+
 class TestConfigParsing:
     def test_round_trip(self, tmp_path):
         path = write_config(
@@ -580,8 +591,8 @@ class TestCLI:
         assert main(["run", "/nonexistent/conf"]) == 1
 
     def test_repeated_calls_in_one_process(self, tmp_path, capsys):
-        # one process, one parser: each call exits as it does in a fresh interpreter,
-        # and a run repeated after the others writes the same bytes
+        # each call exits as it does in a fresh interpreter, and a run repeated
+        # after the others writes the same bytes
         out = tmp_path / "opt.csv"
         good = write_config(tmp_path, f"scenario = optimize\nk_a = 1.0\nk_b = 0.2679491924311227\n"
                                       f"output = {out}\n")
@@ -597,7 +608,6 @@ class TestCLI:
             if out.exists():
                 out.unlink()
         assert [code for code, _ in alone] == [0, 0, 0, 1, 0]
-        cli._parser.cache_clear()
         together = []
         for argv in calls:
             together.append((main(argv), out.read_bytes() if argv[0] == "run" and out.exists() else None))
@@ -605,13 +615,44 @@ class TestCLI:
                 out.unlink()
         capsys.readouterr()
         assert together == alone
-        assert cli._parser.cache_info().misses == 1
 
-    def test_parser_not_built_at_import(self):
-        code = "import spinbath.cli as c; print(c._parser.cache_info().currsize)"
+    def test_import_leaves_argparse_out(self):
+        code = "import sys, spinbath.cli; print(sorted({'argparse', 'gettext'} & set(sys.modules)))"
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                               env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
-        assert done.stdout.strip() == "0"
+        assert done.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("argv, code", [
+        ([], 1), (["run"], 1), (["run", "a", "b"], 1), (["bogus", "x"], 1), (["list-scenarios", "x"], 1),
+        (["--help"], 0), (["-h"], 0), (["run", "--help"], 0), (["run", "a.cfg", "-h"], 0),
+    ])
+    def test_command_line_exit_code_and_streams(self, capsys, argv, code):
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        if code:
+            assert captured.out == ""
+            assert captured.err.splitlines() == [f"error: {cli.USAGE}"]
+        else:
+            assert captured.err == ""
+            assert captured.out.startswith(cli.USAGE) and "list-scenarios" in captured.out
+
+    @pytest.mark.parametrize("body", [
+        "scenario = separate\nstate = r_state:nan\n",
+        "scenario = fig5\nj = 1e200\nt_max = 1e-200\n",
+        "scenario = oracle-compare\nmode = separate\nj = 0\nn_bath = 1\n",
+        "scenario = separate\nt_max = 5e-324\nsamples = 3\n",
+        "scenario = separate\nstate = werner:0.5,0.2\n",
+        # two errors share the one line
+        "scenario = separate\nj = 2.0\nstate = werner:0.5,0.2\n",
+    ])
+    def test_refused_run_prints_one_line(self, tmp_path, capsys, body):
+        out = tmp_path / "out.csv"
+        path = write_config(tmp_path, f"{body}output = {out}\n")
+        assert main(["run", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {'; '.join(validate(parse_config_file(path)).errors)}"]
+        assert not out.exists()
 
     @pytest.mark.parametrize("kind", ["separate", "common-asymmetric", "fig5"])
     def test_run_builds_the_bath_once(self, tmp_path, monkeypatch, kind):
@@ -667,9 +708,7 @@ class TestCLI:
         out = tmp_path / f"{kind}.csv"
         path = write_config(tmp_path, f"scenario = {kind}\nk_a = 0\nk_b = 0\noutput = {out}\n")
         assert main([command, str(path)]) == 1
-        captured = capsys.readouterr()
-        errors = [line for line in (captured.out + captured.err).splitlines() if line.startswith("  - ")]
-        assert errors == ["  - k_a, k_b: k_a^2 + k_b^2 must be nonzero and finite"]
+        assert refused_errors(command, capsys.readouterr()) == ["k_a, k_b: k_a^2 + k_b^2 must be nonzero and finite"]
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -748,9 +787,7 @@ class TestCLI:
         finally:
             tracemalloc.stop()
         assert peak < 2**20  # rejected before any time grid exists
-        captured = capsys.readouterr()
-        errors = [line for line in (captured.out + captured.err).splitlines() if line.startswith("  - ")]
-        assert errors == [f"  - {message}"]
+        assert refused_errors(command, capsys.readouterr()) == [message]
         assert not out.exists()
 
     def test_nan_oracle_deviation_exit_code(self, tmp_path, monkeypatch):

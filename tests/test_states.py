@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spinbath import states
+from spinbath import separate, states
+from spinbath.bath import gaussian_approx
 from spinbath.states import (
     InvalidStateError,
     TwoQubitState,
@@ -221,6 +224,30 @@ class TestBatchedState:
         whole = concurrence(rho.reshape(2, 5, 4, 4))
         monkeypatch.setattr(states, "_CONCURRENCE_BLOCK", 3)
         assert np.array_equal(concurrence(rho), whole.ravel())
+
+    def test_concurrence_state_blocks(self, monkeypatch):
+        # X states and general ones interleaved, on a (2, 5) batch: any block size, the same bits
+        named = [make_named_state("r_state", r=0.4), make_named_state("werner", p=0.7),
+                 make_named_state("general_pure", gamma=0.5, theta=0.3, phi=1.0)]
+        batch = TwoQubitState.stack(named + [density_to_state(random_density(s)) for s in range(7)])
+        batch = TwoQubitState(batch.p_a.reshape(2, 5, 3), batch.p_b.reshape(2, 5, 3), batch.pi.reshape(2, 5, 3, 3))
+        whole = concurrence_state(batch)
+        monkeypatch.setattr(states, "_CONCURRENCE_BLOCK", 3)
+        assert same_bits(concurrence_state(batch), whole)
+        assert [concurrence_state(batch[k // 5, k % 5]) for k in range(10)] == whole.ravel().tolist()
+
+    def test_concurrence_state_peaks_near_its_output(self):
+        # the X-state closed form runs in blocks: no T-long temporaries beside the result
+        bath = gaussian_approx(100, "narrow")
+        trajectory = separate.evolve(separate.SeparateBathSystem(1.0, 0.8, bath, bath),
+                                     make_named_state("r_state", r=0.4), np.linspace(0.0, 5.0, 200_000))
+        tracemalloc.start()
+        try:
+            out = concurrence_state(trajectory)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * out.nbytes
 
     def test_density_to_state_checks_every_matrix(self):
         rho = np.array([np.eye(4) / 4] * 3, dtype=complex)
@@ -514,6 +541,34 @@ class TestNamedStates:
     def test_unknown_name(self):
         with pytest.raises(InvalidStateError, match="unknown"):
             make_named_state("ghz")
+
+    @pytest.mark.parametrize("name, params, ket", [
+        ("singlet", {}, states.KET_SINGLET),
+        ("triplet0", {}, states.KET_TRIPLET0),
+        ("bell_t1", {}, states.KET_T1),
+        ("bell_t2", {}, states.KET_T2),
+        ("up_down", {}, [0, 1, 0, 0]),
+        ("r_state", {"r": 0.5}, [0, 1, -0.5, 0]),
+        ("r_state", {"r": 0.37}, [0, 1, -0.37, 0]),
+        ("updown_mix", {"r": 0.2}, [0, 1, 0.2, 0]),
+        ("updown_mix", {"r": -0.7}, [0, 1, -0.7, 0]),
+        ("general_pure", {"gamma": 0.5}, [0, 1, -0.5, 0]),
+        ("general_pure", {"gamma": 0.3 + 0.4j}, [0, 1, -0.3 - 0.4j, 0]),
+        ("werner", {"p": 0.3}, None),
+        ("werner", {"p": 1.0}, None),
+    ])
+    def test_density_has_the_zeros_of_its_ket(self, name, params, ket):
+        # terms that cancel exactly give 0.0: no residue where the ket or mixture has a zero,
+        # and so no negative population
+        if ket is None:
+            p = params["p"]
+            expected = p * np.outer(states.KET_SINGLET, states.KET_SINGLET) + (1 - p) * np.eye(4) / 4
+        else:
+            expected = np.outer(ket, np.conj(ket))
+        rho = state_to_density(make_named_state(name, **params))
+        np.testing.assert_array_equal(rho == 0, expected == 0)
+        assert np.all(np.diag(rho).real >= 0.0)
+        assert np.allclose(rho, expected / np.trace(expected), atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
