@@ -21,9 +21,10 @@ blocks do not mix); the channel then reads out as the paper's polarization map.
 
 Sectors below ``bath.SECTOR_WEIGHT_CUT`` are skipped (baths of 10^6 spins are
 in reach) and the lines are summed in ``evaluate_lines``, which on an affine
-grid of T samples (every scenario's) uses cos w(b+o) = cos wb cos wo - sin wb
-sin wo for ~4 sqrt(T) cos/sin calls per line, not 2 T, in slices of lines
-that each take every offset o in one pass.
+grid of T samples (every scenario's) splits t = b + o into about sqrt(T) bases
+and offsets whose phases it tabulates by doubling, ~log2 T + 1 complex
+exponentials per line, not 2 T cos/sin, and forms every sample in real matrix
+products sized to keep a CLI run's sums on the calling thread.
 """
 
 from __future__ import annotations
@@ -89,53 +90,66 @@ def _sector_levels(system: CommonBathSystem, spins):
 # ---------------------------------------------------------------------------
 
 
-# each operand of a pass's product (offset phases, folded amplitudes) holds at most this many reals
-_PHASE_BLOCK = 1 << 18
+# a sum of at most _SMALL_SUM multiply-adds runs in products of at most _SMALL_PRODUCT, which
+# OpenBLAS keeps on the calling thread (waking a second one near 2^20 can stall a product for
+# milliseconds); a larger one, on every core, in passes whose operands hold <= _PHASE_BLOCK reals
+_SMALL_SUM, _SMALL_PRODUCT, _PHASE_BLOCK = 1 << 28, 1 << 19, 1 << 18
 
 
-def _grid_split(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(base, off) with t[q B + r] ~ base[q] + off[r]: B = isqrt(T) for a grid of
-    T >= 16 samples within 4 ulp of max|t| of an affine one, else one block."""
+def _grid_split(t: np.ndarray) -> tuple[float, float | None, int]:
+    """(t0, step, B) with t[k] ~ t0 + k step and B = isqrt(T) offsets per block, for a grid of
+    T >= 16 samples within 4 ulp of max|t| of an affine one; (0, None, T) for any other grid."""
     if t.size >= 16:
-        b, step = math.isqrt(t.size), (t[-1] - t[0]) / (t.size - 1)
+        step = (t[-1] - t[0]) / (t.size - 1)
         if np.abs(t - (t[0] + np.arange(t.size) * step)).max() <= 4.0 * np.spacing(np.abs(t).max()):
-            return t[::b], t[:b] - t[0]
-    return np.zeros(1), t
+            return t[0], step, math.isqrt(t.size)
+    return 0.0, None, t.size
+
+
+def _powers(omega: np.ndarray, step: float, stride: int, n: int) -> np.ndarray:
+    """e^{-i omega k stride step} for k < n, shape (n, lines), by doubling: rows m..2m-1 are
+    rows 0..m-1 times e^{-i omega m stride step}, so ceil(log2 n) exponentials per line."""
+    out = np.empty((n, omega.size), dtype=complex)
+    out[0] = 1.0
+    for m in (1 << j for j in range((n - 1).bit_length())):
+        np.multiply(out[: min(m, n - m)], np.exp(-1j * (m * stride * step) * omega), out=out[m : 2 * m])
+    return out
 
 
 def evaluate_lines(amp_plus, amp_minus, omega, times) -> np.ndarray:
     """sum_l amp_plus[:, l] exp(-i omega_l t) + amp_minus[:, l] exp(+i omega_l t).
 
-    Each conjugate pair of lines is passed once: one omega, two amplitude
-    columns. Returns a complex array of shape (n_obs,) + times.shape, so a
-    0-d ``times`` is accepted. In real rows the sum is E cos wt + F sin wt,
-    E = a+ + a-, F = -i (a+ - a-). With t = b_q + o_r from ``_grid_split``,
-    block q's base phases fold into M_q = [E cos wb_q + F sin wb_q | F cos wb_q
-    - E sin wb_q]; one real GEMM with [cos wo; sin wo] gives every sample, for
-    2 L (Q + B) cos/sin calls on L lines. The lines go in slices that each take
-    every offset in one pass, so each M_q is formed once. A pass's [cos wo; sin wo]
-    and its M_q each hold at most ``_PHASE_BLOCK`` reals, unless one line or one
-    base block alone needs more.
+    Each conjugate pair of lines is passed once: one omega, two amplitude columns. Returns
+    a complex array of shape (n_obs,) + times.shape, so a 0-d ``times`` is accepted. In real
+    rows the sum is E cos wt + F sin wt, E = a+ + a-, F = -i (a+ - a-). On an affine grid
+    t = t0 + (q B + r) step (``_grid_split``) M_q = (E + i F) e^{-i w (t0 + q B step)} times
+    [cos wo_r; sin wo_r] in one real GEMM gives block q, from phase tables built by doubling
+    (``_powers``); any other grid takes e^{-i w t} directly. The lines go in slices that each
+    take every offset in one pass, so each M_q is formed once; pass sizes follow the work.
     """
     t = np.asarray(times, dtype=float).ravel()
     n_obs, n_lines = amp_plus.shape
+    t0, step, b = _grid_split(t)
+    rows, n_q = 2 * n_obs, -(-t.size // b)
     fold = np.vstack([amp_plus + amp_minus.conj(), -1j * (amp_plus - amp_minus.conj())])  # E + i F
-    base, off = _grid_split(t)
-    out = np.zeros((n_obs, base.size, off.size), dtype=complex)
-    l_step = max(1, min(n_lines, _PHASE_BLOCK // (2 * off.size)))
-    q_step = max(1, _PHASE_BLOCK // (4 * n_obs * l_step))
+    fold *= np.exp(-1j * t0 * omega)
+    small = 2 * rows * n_lines * n_q * b <= _SMALL_SUM
+    l_step = max(1, min(n_lines, (_SMALL_PRODUCT // rows if small else _PHASE_BLOCK) // (2 * b)))
+    q_step = max(1, (_SMALL_PRODUCT // b if small else _PHASE_BLOCK) // (2 * rows * l_step))
+    out = np.zeros((n_q, rows, b))
     for first in range(0, n_lines, l_step):
-        lines = slice(first, first + l_step)
-        phase = np.outer(omega[lines], off)
-        w = np.stack([np.cos(phase), np.sin(phase)], axis=1).reshape(-1, off.size)
-        for q in range(0, base.size, q_step):
-            # M_q = (E + i F) e^{-i w b_q}, its real and imaginary parts interleaved like w
-            z = np.multiply(fold[:, lines], np.exp(-1j * np.outer(base[q : q + q_step], omega[lines]))[:, None],
-                            order="C")
-            part = (z.view(float).reshape(-1, w.shape[0]) @ w).reshape(-1, 2 * n_obs, off.size)
-            out.real[:, q : q + q_step] += part[:, :n_obs].swapaxes(0, 1)
-            out.imag[:, q : q + q_step] += part[:, n_obs:].swapaxes(0, 1)
-    return out.reshape(n_obs, base.size * off.size)[:, : t.size].reshape((n_obs,) + np.shape(times))
+        w = omega[first : first + l_step]
+        if step is None:
+            off, base = np.exp(1j * np.outer(t, w)), np.ones((1, 1))
+        else:
+            off, base = _powers(w, -step, 1, b), _powers(w, step, b, n_q)
+        cs = off.view(float).T  # (cos wo, sin wo) of each line, interleaved like M_q's parts
+        for q in range(0, n_q, q_step):
+            z = np.multiply(fold[:, first : first + l_step], base[q : q + q_step, None], order="C")
+            out[q : q + q_step] += np.matmul(z.view(float).reshape(-1, len(cs)), cs).reshape(-1, rows, b)
+    z = np.empty((n_obs, n_q, b), dtype=complex)
+    z.real, z.imag = out[:, :n_obs].swapaxes(0, 1), out[:, n_obs:].swapaxes(0, 1)
+    return z.reshape(n_obs, n_q * b)[:, : t.size].reshape((n_obs,) + np.shape(times))
 
 
 # ---------------------------------------------------------------------------

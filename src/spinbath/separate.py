@@ -60,22 +60,28 @@ class DecayFactors:
         return TwoQubitState(*fields)
 
 
-def _vector_decay(k: float, bath: BathDistribution, t: np.ndarray) -> np.ndarray:
-    """Bath-averaged Bloch-vector decay factor for one qubit: per sector
-    g_I = 1 - (1 - b) sin^2(Lambda t), b = (1 - 4 I(I+1)/3) / (2I+1)^2,
-    one cosine line at 2 Lambda = k (2I+1) / 2."""
+def _vector_lines(k: float, bath: BathDistribution) -> tuple[np.ndarray, np.ndarray]:
+    """(half, omega) of one qubit's Bloch-vector decay factor sum_l 2 half_l cos(omega_l t): per sector
+    g_I = 1 - (1 - b) sin^2(Lambda t), b = (1 - 4 I(I+1)/3) / (2I+1)^2, a line at 2 Lambda = k (I + 1/2)."""
     spins, weights, _ = bath.significant_sectors()
     b = (1.0 - 4.0 * spins * (spins + 1.0) / 3.0) / (2.0 * spins + 1.0) ** 2
     half = 0.25 * np.append((weights * (1.0 + b)).sum(), weights * (1.0 - b))
-    omega = np.append(0.0, 0.5 * k * (2.0 * spins + 1.0))
-    # a copy: a view of the real part would keep the complex line sum alive
-    return evaluate_lines(half[None], half[None], omega, t)[0].real.copy()
+    return half, np.append(0.0, 0.5 * k * (2.0 * spins + 1.0))
 
 
 def decay_factors(system: SeparateBathSystem, t) -> DecayFactors:
-    """Decay factors at time(s) t; scalars in, 0-d arrays out."""
-    g_a = _vector_decay(system.k_a, system.bath_a, t)
-    g_b = _vector_decay(system.k_b, system.bath_b, t)
+    """Decay factors at time(s) t; scalars in, 0-d arrays out. One line sum gives g_a + i g_b
+    (qubit b's lines with imaginary amplitudes), or g_a = g_b when the couplings are equal and
+    the bath is one object; rounding above 1 is clipped."""
+    half, omega = _vector_lines(system.k_a, system.bath_a)
+    same = system.k_a == system.k_b and system.bath_a is system.bath_b
+    if not same:
+        half_b, omega_b = _vector_lines(system.k_b, system.bath_b)
+        half, omega = np.append(half, 1j * half_b), np.append(omega, omega_b)
+    z = evaluate_lines(half[None], half[None], omega, t)[0]
+    # fresh arrays: views of z would keep the complex line sum alive
+    g_a = np.minimum(z.real, 1.0, out=np.empty(z.shape))
+    g_b = g_a if same else np.minimum(z.imag, 1.0, out=np.empty(z.shape))
     return DecayFactors(vector_a=g_a, vector_b=g_b, tensor=g_a * g_b)
 
 

@@ -111,7 +111,8 @@ def sector_bell_mix(system, r, times):
 def sliced_block(system, slices):
     """A _PHASE_BLOCK that cuts the kernel's 6 s + 1 lines (a constant plus six
     paired lines per kept sector) into `slices` slices at the 6 offsets of the
-    41 samples, and a last slice of one line; a pass then takes one base block."""
+    41 samples, and a last slice of one line, in the passes of a sum above
+    _SMALL_SUM; a pass then takes one base block."""
     return 2 * 6 * ((6 * system.bath.significant_sectors()[0].size + 1) // slices)
 
 
@@ -175,6 +176,7 @@ def test_matches_per_m_reference(bath, couplings, r, monkeypatch):
     expected = np.array([c1, c2, c3, 0.5 * (pp + pm), 0.5 * (pp - pm)])
     got = [sector_bell_mix(system, r, TIMES)]
     # sliced: three slices of 2 s lines, then one line
+    monkeypatch.setattr(common, "_SMALL_SUM", 0)
     monkeypatch.setattr(common, "_PHASE_BLOCK", sliced_block(system, 3))
     got.append(sector_bell_mix(system, r, TIMES))
     for bell in got:
@@ -204,6 +206,7 @@ def test_paired_lines_match_sixteen_lines(bath, couplings, r, monkeypatch):
     expected = sixteen_line_bell_mix(system, r, TIMES)
     got = [sector_bell_mix(system, r, TIMES)]
     # sliced: two slices of 3 s lines, then one line
+    monkeypatch.setattr(common, "_SMALL_SUM", 0)
     monkeypatch.setattr(common, "_PHASE_BLOCK", sliced_block(system, 2))
     got.append(sector_bell_mix(system, r, TIMES))
     for bell in got:

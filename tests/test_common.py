@@ -633,10 +633,12 @@ class TestSectorExactAgainstDense:
     @pytest.mark.parametrize("block", [1, 8 * 9 * 7, 8 * 4000])
     def test_chunked_tables(self, block, monkeypatch):
         # one line per slice of the line sum, or all of them in one, give the same states
+        # (in the passes of a sum above _SMALL_SUM, which _PHASE_BLOCK sizes)
         sys = CommonBathSystem(1.1, 0.3, 0.8, unpolarized_exact(11))
         s0 = random_state(np.random.default_rng(5), 2)
         times = np.linspace(0.0, 3.0, 7)
         want = state_to_density(DenseSectorEvolver(sys).evolve(s0, times))
+        monkeypatch.setattr(common, "_SMALL_SUM", 0)
         monkeypatch.setattr(common, "_PHASE_BLOCK", block)
         got = state_to_density(SectorExactEvolver(sys).evolve(s0, times))
         assert np.abs(got - want).max() < 1e-12

@@ -1,11 +1,13 @@
 """Line spectra: the one evaluator, the equal-coupling map, the closed forms moved onto
 it, and the sector-weight cut, each against the per-sector path it replaced."""
 
+import math
+
 import numpy as np
 import pytest
 
 from spinbath import bath as bath_module
-from spinbath import common
+from spinbath import common, separate
 from spinbath.bath import gaussian_approx, unpolarized_exact
 from spinbath.cli import main
 from spinbath.common import CommonBathSystem, SectorExactEvolver, evaluate_lines, singlet_survival
@@ -84,6 +86,22 @@ def per_sector_vector_decay(k, bath, t):
     return out
 
 
+def spy_products(monkeypatch) -> list[int]:
+    """The multiply-adds of each product ``evaluate_lines`` forms from here on."""
+    products = []
+
+    class SpyingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def matmul(self, a, b):
+            products.append(a.shape[0] * a.shape[1] * b.shape[1])
+            return np.matmul(a, b)
+
+    monkeypatch.setattr(common, "np", SpyingNumpy())
+    return products
+
+
 def direct_line_sum(amp_plus, amp_minus, omega, times):
     phase = np.exp(-1j * np.multiply.outer(omega, times))
     return np.tensordot(amp_plus, phase, 1) + np.tensordot(amp_minus, phase.conj(), 1)
@@ -95,10 +113,16 @@ class TestEvaluateLines:
     amp_plus = rng.normal(size=(3, 25)) + 1j * rng.normal(size=(3, 25))
     amp_minus = rng.normal(size=(3, 25)) + 1j * rng.normal(size=(3, 25))
 
-    @pytest.mark.parametrize("block", [None, 1, 25, 7 * 25])
-    def test_matches_direct_sum(self, block, monkeypatch):
-        if block is not None:
-            monkeypatch.setattr(common, "_PHASE_BLOCK", block)
+    # operands of _PHASE_BLOCK reals in the regime above _SMALL_SUM, products of
+    # _SMALL_PRODUCT multiply-adds below it; a limit of 1 takes one line and one block per pass
+    @pytest.mark.parametrize("limit, value", [(None, None), ("_PHASE_BLOCK", 1), ("_PHASE_BLOCK", 25),
+                                              ("_PHASE_BLOCK", 7 * 25), ("_SMALL_PRODUCT", 1),
+                                              ("_SMALL_PRODUCT", 6 * 10 * 6 * 3)])
+    def test_matches_direct_sum(self, limit, value, monkeypatch):
+        if limit == "_PHASE_BLOCK":
+            monkeypatch.setattr(common, "_SMALL_SUM", 0)
+        if limit is not None:
+            monkeypatch.setattr(common, limit, value)
         got = evaluate_lines(self.amp_plus, self.amp_minus, self.omega, TIMES)
         want = direct_line_sum(self.amp_plus, self.amp_minus, self.omega, TIMES)
         assert got.shape == (3, TIMES.size)
@@ -123,16 +147,16 @@ class TestEvaluateLines:
     @pytest.mark.parametrize("grid", list(NON_AFFINE))
     def test_non_affine_grid_is_one_block(self, grid):
         t = self.NON_AFFINE[grid]
-        base, off = common._grid_split(t)
-        assert np.array_equal(base, [0.0]) and np.array_equal(off, t)
+        assert common._grid_split(t) == (0.0, None, t.size)
         self.assert_matches(t)
 
     # below 16 samples one block; 97 is prime, so its last block is partial
     @pytest.mark.parametrize("n, blocks", [(15, 1), (16, 4), (17, 5), (97, 11)])
     def test_affine_grid_blocks(self, n, blocks):
         t = np.linspace(0.0, 6.0, n)
-        base, off = common._grid_split(t)
-        assert base.size == blocks and base.size * off.size >= n
+        t0, step, offsets = common._grid_split(t)
+        assert (t0, step, offsets) == ((0.0, None, n) if blocks == 1 else (0.0, 6.0 / (n - 1), math.isqrt(n)))
+        assert -(-n // offsets) == blocks
         self.assert_matches(t)
         self.assert_matches(t[::-1].copy())
 
@@ -141,28 +165,41 @@ class TestEvaluateLines:
         # the direct sum itself, so the bound is the conditioning of the sum:
         # |w| times a few ulp of t, weighted by the line amplitudes
         t = np.linspace(1e4, 1e4 + 6.0, 37)
-        assert common._grid_split(t)[0].size == 7
+        assert common._grid_split(t)[::2] == (1e4, 6)
         weight = (np.abs(self.amp_plus) + np.abs(self.amp_minus)) @ np.abs(self.omega)
         self.assert_matches(t, tol=4.0 * np.spacing(t.max()) * weight.max())
 
-    def test_long_grid_in_small_passes(self, monkeypatch):
-        # 111 blocks of 109 offsets, the last block partial; the 25 lines take
-        # slices of 4 (the last of 1) at every offset, 20 blocks of them per pass
-        monkeypatch.setattr(common, "_PHASE_BLOCK", 40 * 25)
+    # 111 blocks of 109 offsets, the last block partial. A sum above _SMALL_SUM takes
+    # operands of at most _PHASE_BLOCK reals: the 25 lines in slices of 4 (the last of 1)
+    # at every offset, 20 blocks per pass. A smaller one takes products of at most
+    # _SMALL_PRODUCT multiply-adds: slices of 3 lines (the last of 1), one block per pass
+    @pytest.mark.parametrize("limit, value, product", [("_PHASE_BLOCK", 40 * 25, 20 * 6 * 8 * 109),
+                                                       ("_SMALL_PRODUCT", 6 * 6 * 109, None)])
+    def test_long_grid_in_small_passes(self, limit, value, product, monkeypatch):
+        monkeypatch.setattr(common, limit, value)
+        if limit == "_PHASE_BLOCK":
+            monkeypatch.setattr(common, "_SMALL_SUM", 0)
         t = np.linspace(0.0, 6.0, 12000)
-        assert [a.size for a in common._grid_split(t)] == [111, 109]
+        assert common._grid_split(t)[2] == 109
+        products = spy_products(monkeypatch)
         self.assert_matches(t)
+        assert max(products) == (product or value)
 
-    def test_each_base_phase_once(self, monkeypatch):
-        # 10 x 109 phases (cos and sin) per pass: the 25 lines take slices of 10,
-        # 10 and 5, each at all 109 offsets, so each line's phase at each of the
-        # 111 bases is formed once, not once per pass over a slice of the offsets
+    @pytest.mark.parametrize("small_sum", [0, 1 << 40])
+    def test_phase_tables_by_doubling(self, small_sum, monkeypatch):
+        # the 111 base and 109 offset phases of each line come from doubling tables:
+        # ceil(log2 109) + ceil(log2 111) + 1 (the start time) complex exponentials per
+        # line, in either pass regime and with the lines split over several passes, and
+        # not one cos or sin
+        monkeypatch.setattr(common, "_SMALL_SUM", small_sum)
         monkeypatch.setattr(common, "_PHASE_BLOCK", 2 * 10 * 109)
-        t = np.linspace(0.0, 6.0, 12000)
+        monkeypatch.setattr(common, "_SMALL_PRODUCT", 4 * 6 * 10 * 109)
+        t = np.linspace(0.5, 6.0, 12000)
         formed = []
 
         class CountingNumpy:
             def __getattr__(self, name):
+                assert name not in ("cos", "sin")
                 return getattr(np, name)
 
             def exp(self, x):
@@ -173,7 +210,7 @@ class TestEvaluateLines:
         monkeypatch.setattr(common, "np", CountingNumpy())
         got = evaluate_lines(self.amp_plus, self.amp_minus, self.omega, t)
         monkeypatch.undo()
-        assert sum(formed) == 25 * 111
+        assert sum(formed) == 25 * (7 + 7 + 1)
         assert np.abs(got - direct_line_sum(self.amp_plus, self.amp_minus, self.omega, t)).max() < 1e-12
 
     def test_any_amplitude_layout(self):
@@ -196,6 +233,86 @@ class TestEvaluateLines:
             self.amp_plus, self.amp_minus, self.omega, TIMES[:36])).max() == 0.0
 
 
+def long_double_line_sum(amp_plus, amp_minus, omega, times):
+    """The direct sum in long double: (real, imaginary) parts, each (n_obs, times)."""
+    phase = np.multiply.outer(omega.astype(np.longdouble), times)
+    cos, sin = np.cos(phase), np.sin(phase)
+    re = [a.real.astype(np.longdouble) for a in (amp_plus, amp_minus)]
+    im = [a.imag.astype(np.longdouble) for a in (amp_plus, amp_minus)]
+    return (re[0] @ cos + im[0] @ sin + re[1] @ cos - im[1] @ sin,
+            im[0] @ cos - re[0] @ sin + im[1] @ cos + re[1] @ sin)
+
+
+def assert_channel_accurate(system, t_max, samples, picks, tol=1e-13):
+    """The channel's eight functions on the grid of ``samples`` times over [0, t_max], at the
+    ``picks`` of them, against a long-double direct sum at the grid's exact times
+    k t_max / (samples - 1). (The float64 samples round those by up to half an ulp, which
+    alone moves a line at |w| ~ 230 by ~1e-13 at t ~ 6: the conditioning of the samples,
+    not of the sum.)"""
+    lines = common._channel_lines(system)
+    got = common._channel_functions(lines, np.linspace(0.0, t_max, samples))
+    exact = picks.astype(np.longdouble) * (np.longdouble(t_max) / (samples - 1))
+    real, imag = long_double_line_sum(*lines, exact)
+    want = [f for row in zip(real, imag) for f in row]
+    err = max(float(np.abs(f[picks].astype(np.longdouble) - w).max()) for f, w in zip(got, want))
+    assert err < tol
+
+
+class TestAccuracy:
+    # fig2 of the figures benchmark workload at seeds 0-4: (k, J) on N = 100, 12000 samples
+    # over [0, 6], so J t reaches 1400. With a base and an offset exponential per line and
+    # sample block the functions erred by up to 2.0e-13 over the grid (seed 2); with the
+    # doubling tables by at most 5.9e-14
+    FIG2 = [(1.137769, 201.127472), (0.853746, 199.543509), (1.182414, 233.549888),
+            (0.895186, 212.57203), (0.894419, 156.65151)]
+    PICKS = np.unique(np.r_[np.linspace(0, 11999, 97).astype(int), np.arange(11984, 12000)])
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_fig2_channel(self, seed):
+        k, j = self.FIG2[seed]
+        assert_channel_accurate(CommonBathSystem(k, k, j, BATHS["gaussian-narrow-100"]), 6.0, 12000,
+                                self.PICKS)
+
+    def test_million_spins(self, million):
+        # the large-work regime: 24967 lines at 12000 samples
+        assert_channel_accurate(million, 6.0, 12000, self.PICKS)
+
+
+@pytest.fixture(scope="module")
+def million():
+    return CommonBathSystem(1.2, 0.8, 20.0, gaussian_approx(10**6, "narrow"))
+
+
+class TestPassSizes:
+    """Sums up to _SMALL_SUM multiply-adds, every CLI default among them, run in products
+    that OpenBLAS keeps on the calling thread; larger ones use every core."""
+
+    # the large-bath benchmark workload's ops at seed 0, and fig2 and fig3 of figures
+    RUNS = {
+        "large-bath-common-asymmetric": "common-asymmetric\nn_bath = 200\nk_a = 1.2\nk_b = 0.7\n"
+                                        "j = 20.0\nstate = r_state:0.5\nsamples = 200",
+        "large-bath-common-symmetric": "common-symmetric\nn_bath = 200\nk_a = 1.0\nk_b = 1.0\n"
+                                       "j = 6.0\nstate = up_down\nsamples = 200",
+        "large-bath-separate": "separate\nn_bath = 1000\nk_a = 1.2\nk_b = 0.7\nj = 0.0\n"
+                               "state = r_state:0.5\nsamples = 200",
+        "fig2": "fig2\nk_a = 1.18\nk_b = 1.18\nj = 233.5\nsamples = 12000",
+        "fig3": "fig3\nk_a = 1.1\nk_b = 1.1\nj = 7.0\nsamples = 600",
+    }
+
+    @pytest.mark.parametrize("run", list(RUNS))
+    def test_cli_products_stay_small(self, run, tmp_path, monkeypatch):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"scenario = {self.RUNS[run]}\nbath = gaussian-narrow\noutput = {tmp_path / 'o.csv'}\n")
+        products = spy_products(monkeypatch)
+        assert main(["run", str(cfg)]) == 0
+        assert products and max(products) <= common._SMALL_PRODUCT == 1 << 19
+
+    def test_million_spins_use_larger_products(self, million, monkeypatch):
+        products = spy_products(monkeypatch)
+        common._channel_functions(common._channel_lines(million), np.linspace(0.0, 6.0, 12000))
+        assert max(products) > 16 * common._SMALL_PRODUCT
+
+
 class TestCombMap:
     @pytest.mark.parametrize("chunked", [False, True])
     @pytest.mark.parametrize("couplings", list(SYMMETRIC))
@@ -207,7 +324,7 @@ class TestCombMap:
             # the 6 s + 1 lines of s kept sectors in slices of 2 s at the 6 offsets
             # of the 37 samples, the last slice one line, one base block per pass
             sectors = system.bath.significant_sectors()[0].size
-            monkeypatch.setattr(common, "_PHASE_BLOCK", 2 * 6 * 2 * sectors)
+            monkeypatch.setattr(common, "_SMALL_PRODUCT", 8 * 2 * 2 * sectors * 6)
         got = comb_map(system, TIMES)
         eta, phi_q, coh = per_sector_map(system, TIMES)
         # st_coherence = (a - c) + i d, vec_direct + vec_exchange = a + c, tensor_direct
@@ -246,9 +363,31 @@ class TestClosedFormsOnLines:
         want = per_sector_vector_decay(k, b, TIMES)
         got = decay_factors(system, TIMES)
         assert np.abs(got.vector_a - want).max() < 1e-12
+        assert np.abs(got.vector_b - per_sector_vector_decay(0.5 * k, b, TIMES)).max() < 1e-12
         scalar = decay_factors(system, TIMES[5])
-        assert scalar.vector_a.shape == ()
+        assert scalar.vector_a.shape == scalar.vector_b.shape == ()
         assert abs(float(scalar.vector_a) - want[5]) < 1e-12
+
+    @pytest.mark.parametrize("k_b, bath_b", [(1.3, "same"), (0.7, "same"), (1.3, "copy"), (1.3, "other")])
+    def test_one_line_sum_per_call(self, k_b, bath_b, monkeypatch):
+        # both qubits in one evaluate_lines call, g_a + i g_b over both line sets; one line
+        # set when the couplings are equal and the bath is one object
+        b = gaussian_approx(300, "narrow")
+        other = {"same": b, "copy": gaussian_approx(300, "narrow"), "other": unpolarized_exact(9)}[bath_b]
+        system = SeparateBathSystem(1.3, k_b, b, other)
+        calls = []
+
+        def counting(amp_plus, amp_minus, omega, times):
+            calls.append(omega.size)
+            return evaluate_lines(amp_plus, amp_minus, omega, times)
+
+        monkeypatch.setattr(separate, "evaluate_lines", counting)
+        got = decay_factors(system, TIMES)
+        one = b.significant_sectors()[0].size + 1
+        assert calls == [one if k_b == 1.3 and bath_b == "same" else one + other.significant_sectors()[0].size + 1]
+        assert np.abs(got.vector_a - per_sector_vector_decay(1.3, b, TIMES)).max() < 1e-12
+        assert np.abs(got.vector_b - per_sector_vector_decay(k_b, other, TIMES)).max() < 1e-12
+        assert np.array_equal(got.tensor, got.vector_a * got.vector_b)
 
 
 class TestWeightCut:
