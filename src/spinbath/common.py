@@ -23,8 +23,9 @@ Sectors below ``bath.SECTOR_WEIGHT_CUT`` are skipped (baths of 10^6 spins are
 in reach) and the lines are summed in ``evaluate_lines``, which on an affine
 grid of T samples (every scenario's) splits t = b + o into about sqrt(T) bases
 and offsets whose phases it tabulates by doubling, ~log2 T + 1 complex
-exponentials per line, not 2 T cos/sin, and forms every sample in real matrix
-products sized to keep a CLI run's sums on the calling thread.
+exponentials per line, not 2 T cos/sin, with each doubling time carried past
+double precision, and forms every sample in real matrix products sized to keep
+a CLI run's sums on the calling thread.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -96,23 +98,29 @@ def _sector_levels(system: CommonBathSystem, spins):
 _SMALL_SUM, _SMALL_PRODUCT, _PHASE_BLOCK = 1 << 28, 1 << 19, 1 << 18
 
 
-def _grid_split(t: np.ndarray) -> tuple[float, float | None, int]:
-    """(t0, step, B) with t[k] ~ t0 + k step and B = isqrt(T) offsets per block, for a grid of
-    T >= 16 samples within 4 ulp of max|t| of an affine one; (0, None, T) for any other grid."""
+def _grid_split(t: np.ndarray) -> tuple[float, float | None, float, int]:
+    """(t0, step, lo, B) with t[k] ~ t0 + k (step + lo), step + lo = (t[-1] - t[0]) / (T - 1) to
+    twice double precision, and B = isqrt(T) offsets per block, for a grid of T >= 16 samples
+    within 4 ulp of max|t| of an affine one; (0, None, 0, T) for any other grid."""
     if t.size >= 16:
-        step = (t[-1] - t[0]) / (t.size - 1)
+        span = float(t[-1] - t[0])
+        step = span / (t.size - 1)
         if np.abs(t - (t[0] + np.arange(t.size) * step)).max() <= 4.0 * np.spacing(np.abs(t).max()):
-            return t[0], step, math.isqrt(t.size)
-    return 0.0, None, t.size
+            return t[0], step, float(Fraction(span) / (t.size - 1) - Fraction(step)), math.isqrt(t.size)
+    return 0.0, None, 0.0, t.size
 
 
-def _powers(omega: np.ndarray, step: float, stride: int, n: int) -> np.ndarray:
-    """e^{-i omega k stride step} for k < n, shape (n, lines), by doubling: rows m..2m-1 are
-    rows 0..m-1 times e^{-i omega m stride step}, so ceil(log2 n) exponentials per line."""
+def _powers(omega: np.ndarray, tau: float, r: float, n: int) -> np.ndarray:
+    """e^{-i omega k (tau + r)} for k < n, shape (n, lines), by doubling: rows m..2m-1 are rows
+    0..m-1 times e^{-i omega m (tau + r)}, so ceil(log2 n) exponentials per line. r is tau's
+    residual, which the power-of-two m scales exactly, and each factor is
+    e^{-i omega m tau} (1 - i omega m r)."""
     out = np.empty((n, omega.size), dtype=complex)
     out[0] = 1.0
     for m in (1 << j for j in range((n - 1).bit_length())):
-        np.multiply(out[: min(m, n - m)], np.exp(-1j * (m * stride * step) * omega), out=out[m : 2 * m])
+        factor = np.exp(-1j * (m * tau) * omega)
+        factor *= 1.0 - 1j * (m * r) * omega
+        np.multiply(out[: min(m, n - m)], factor, out=out[m : 2 * m])
     return out
 
 
@@ -129,7 +137,10 @@ def evaluate_lines(amp_plus, amp_minus, omega, times) -> np.ndarray:
     """
     t = np.asarray(times, dtype=float).ravel()
     n_obs, n_lines = amp_plus.shape
-    t0, step, b = _grid_split(t)
+    t0, step, lo, b = _grid_split(t)
+    if step is not None:  # the base table's step b (step + lo), as fl(b step) and its residual
+        stride = b * step
+        stride_lo = float(b * (Fraction(step) + Fraction(lo)) - Fraction(stride))
     rows, n_q = 2 * n_obs, -(-t.size // b)
     fold = np.vstack([amp_plus + amp_minus.conj(), -1j * (amp_plus - amp_minus.conj())])  # E + i F
     fold *= np.exp(-1j * t0 * omega)
@@ -142,7 +153,7 @@ def evaluate_lines(amp_plus, amp_minus, omega, times) -> np.ndarray:
         if step is None:
             off, base = np.exp(1j * np.outer(t, w)), np.ones((1, 1))
         else:
-            off, base = _powers(w, -step, 1, b), _powers(w, step, b, n_q)
+            off, base = _powers(w, -step, -lo, b), _powers(w, stride, stride_lo, n_q)
         cs = off.view(float).T  # (cos wo, sin wo) of each line, interleaved like M_q's parts
         for q in range(0, n_q, q_step):
             z = np.multiply(fold[:, first : first + l_step], base[q : q + q_step, None], order="C")

@@ -64,6 +64,8 @@ class TimeSeries:
         rint(s) is the correctly rounded mantissa (an S just below 10^12 carries
         to the same digits); +-0 are exact. The rest (NaN, +-inf, |k| > 22, s on
         a half-integer, a log10 off by one, a carry to 10^13) goes to '%.12e'.
+        The header is UTF-8 and the passes go to the file as ASCII bytes, with LF
+        line ends on every platform; `read_csv` reads it back as UTF-8.
         The file is written beside ``path`` and renamed over it when complete,
         so an error or interrupt leaves any previous file untouched.
         """
@@ -74,10 +76,10 @@ class TimeSeries:
         values = np.ascontiguousarray(self.data).reshape(-1)
         tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
         try:
-            with open(tmp, "w") as out:
-                out.write("\n".join(lines))
+            with open(tmp, "wb") as out:
+                out.write("\n".join(lines).encode("utf-8"))
                 out.writelines(_format_values(values, len(self.columns)))
-                out.write("\n")
+                out.write(b"\n")
             os.replace(tmp, path)
         except BaseException:
             tmp.unlink(missing_ok=True)
@@ -85,8 +87,8 @@ class TimeSeries:
 
 
 def _format_values(values: np.ndarray, width: int):
-    """Yield '%.12e' of each value, one pass at a time: the first value of a
-    row of ``width`` is preceded by a newline, the others by a comma."""
+    """Yield '%.12e' of each value as ASCII bytes, one pass at a time: the first
+    value of a row of ``width`` is preceded by a newline, the others by a comma."""
     size = min(values.size, _CSV_PASS)
     heads = _HEAD[(np.arange(size + width) % width == 0).view(np.int8)]
     words = np.empty((size, 5), dtype="<u4")
@@ -120,7 +122,7 @@ def _format_values(values: np.ndarray, width: int):
                 slots = np.pad(slots, ((0, 0), (0, longest - 19)))
             padded = np.array(text, dtype=f"S{slots.shape[1] - 1}")
             slots[slow, 1:] = padded.view(np.uint8).reshape(slow.size, -1)
-        yield slots.tobytes().replace(b"\0", b"").decode("ascii")
+        yield slots.tobytes().replace(b"\0", b"")
 
 
 def _reference(values: np.ndarray) -> list[bytes]:
@@ -132,7 +134,7 @@ def read_csv(path: str | Path) -> TimeSeries:
     metadata: dict[str, str] = {}
     columns: list[str] = []
     rows: list[list[float]] = []
-    for line in Path(path).read_text().splitlines():
+    for line in Path(path).read_text(encoding="utf-8").splitlines():
         if not line.strip():
             continue
         if line.startswith("#"):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from spinbath import common
-from spinbath.bath import delta_distribution, gaussian_approx, unpolarized_exact
+from spinbath.bath import MAX_SPINS, delta_distribution, gaussian_approx, unpolarized_exact
 from spinbath.common import (
     AssumptionError,
     CommonBathSystem,
@@ -33,14 +33,6 @@ from spinbath.states import (
     validate_state,
 )
 
-from sector_reference import (
-    RankOneSectorEvolver,
-    cg_tables,
-    comb_map,
-    level_pair_lines,
-    rank_one_terms,
-    sector_spectrum,
-)
 from test_states import same_bits, same_states
 
 
@@ -78,48 +70,89 @@ def sector_hamiltonian(system: CommonBathSystem, i: float) -> np.ndarray:
     return h
 
 
-class DenseSectorEvolver:
-    """Reference: dense sector-by-sector evolution, every sector of the bath.
+# ---------------------------------------------------------------------------
+# the sector reference: each bath sector as a single spin I
+# ---------------------------------------------------------------------------
 
-    One ``eigh`` per sector, whose eigenvalues must match the four levels of
-    ``sector_spectrum``, gives the level projectors P_l; the line amplitudes
-    (w/(2I+1)) Tr_bath[P_l (rho (x) 1) P_l'] are linear in rho.
-    """
+# S_z of the pair states uu, ud, du, dd (the basis of ``state_to_density``), and the F_z block
+# that holds |a, m>, counted from the block of |uu, m>
+PAIR_M = np.array([1, 0, 0, -1])
+BLOCK_OF = 1 - PAIR_M
+# [c, a, d, b]: the bath trace pairs |c, m'> with |d, m'> only, which |a, m> and |b, m> reach
+# if and only if m_c - m_d = m_a - m_b
+_PAIR_DM = np.subtract.outer(PAIR_M, PAIR_M)
+SAME_BATH_M = np.equal.outer(_PAIR_DM, _PAIR_DM).transpose(0, 2, 1, 3)
 
-    def __init__(self, system: CommonBathSystem):
-        maps, levels = [], []
-        for i, w in zip(system.bath.spins, system.bath.weights):
-            h = sector_hamiltonian(system, i)
-            assert np.abs(h - h.conj().T).max() < 1e-12
-            vals, vecs = np.linalg.eigh(h.real)
-            s = sector_spectrum(system, i)
-            # absolute energies: sector_spectrum counts from the singlet, -3j/4
-            level = np.array([s.level_f_plus, s.level_f_minus, s.level_mix_upper,
-                              s.level_mix_lower]) - 0.75 * system.j
-            label = np.abs(vals[:, None] - level).argmin(axis=1)
-            assert np.abs(vals - level[label]).max() <= 1e-9 * (1.0 + np.abs(vals).max())
-            d = vals.size // 4
-            # p[l, a, m, b, n]: P_l on |pair a> (x) |I, m>. sum_mn p[l, c, m, a, n]
-            # p[l', b, n, e, m] takes rho[a, b] to the (c, e) element of (l, l')
-            p = np.stack([v @ v.T for v in (vecs[:, label == l] for l in range(4))])
-            p = p.reshape(4, 4, d, 4, d)
-            pair = np.tensordot(p, p, axes=([2, 4], [4, 2])).transpose(1, 5, 0, 3, 2, 4)
-            maps.append(pair.reshape(4, 4, 4, 4, 16) * (float(w) / d))
-            levels.append(level)
-        self._map = np.stack(maps, axis=-2)  # (c, e, l, l', sector, (a, b))
-        self._levels = np.array(levels).T
 
-    def evolve(self, state, times):
-        amp = (self._map @ state_to_density(state).ravel()).reshape((16,) + self._map.shape[2:-1])
-        red = level_pair_lines(amp, self._levels, np.atleast_1d(times))
-        return density_to_state(red.reshape(4, 4, -1).transpose(2, 0, 1))
+def spin_i_blocks(k_a, k_b, j, spins):
+    """H = (K_A S_A + K_B S_B) . I + J S_A . S_B with each sector of ``spins`` a single spin I,
+    in its blocks of fixed F_z = M over |uu, M-1>, |ud, M>, |du, M>, |dd, M+1>, from M = I + 1
+    down to the last one, I - 1 - floor(I), that holds a state |a, m> with m >= 0:
+    (blocks, 4, 4), and the floor(I) + 3 blocks of each sector. A basis state whose bath m
+    lies outside [-I, I] meets only ladder factors that vanish, so it decouples."""
+    spins = np.asarray(spins, dtype=float)
+    sizes = np.floor(spins).astype(int) + 3
+    i = np.repeat(spins, sizes)
+    m = i + 1.0 - (np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes))
+    up = np.sqrt(np.maximum((i + m) * (i - m + 1.0), 0.0))  # <m-1| I_- |m>: uu(M-1) to ud, du(M)
+    down = np.sqrt(np.maximum((i + m + 1.0) * (i - m), 0.0))  # <m| I_- |m+1>: ud, du(M) to dd(M+1)
+    h = np.zeros((m.size, 4, 4))
+    h[:, 0, 0] = 0.5 * (k_a + k_b) * (m - 1.0) + 0.25 * j
+    h[:, 1, 1] = 0.5 * (k_a - k_b) * m - 0.25 * j
+    h[:, 2, 2] = -0.5 * (k_a - k_b) * m - 0.25 * j
+    h[:, 3, 3] = -0.5 * (k_a + k_b) * (m + 1.0) + 0.25 * j
+    h[:, 1, 2] = h[:, 2, 1] = 0.5 * j
+    h[:, 0, 1] = h[:, 1, 0] = 0.5 * k_b * up
+    h[:, 0, 2] = h[:, 2, 0] = 0.5 * k_a * up
+    h[:, 1, 3] = h[:, 3, 1] = 0.5 * k_a * down
+    h[:, 2, 3] = h[:, 3, 2] = 0.5 * k_b * down
+    return h, sizes
+
+
+def spin_i_channels(k_a, k_b, j, spins, times):
+    """The reduced map L[t, c, a, d, b] of each sector of ``spins`` in turn: the pair started in
+    rho (x) 1/(2I+1) is in sum_ab L[t, :, a, :, b] rho[a, b] at the T ``times``.
+
+    One batched ``eigh`` gives U_M(t) = exp(-i H_M t) on every block; |a, m> lies in the block
+    M = m + m_a, and the bath trace sums U_M(t)[c, a] U_M'(t)[d, b]* over m with weight
+    1/(2I+1). Flipping every spin, |a, m> -> |a reversed, -m>, leaves H as it is, so the
+    bath m < 0 add the terms of m > 0 with every pair index reversed."""
+    h, sizes = spin_i_blocks(k_a, k_b, j, spins)
+    vals, vecs = np.linalg.eigh(h)
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    for i, lo, n in zip(spins, np.cumsum(sizes) - sizes, sizes):
+        lam = []
+        # about 2^17 blocks and times at once, so that I = 10^5 takes ~180 MB, not ~500
+        for ts in np.array_split(times, min(times.size, -(-times.size * n >> 17))):
+            v, phase = vecs[lo : lo + n], np.exp(-1j * np.multiply.outer(ts, vals[lo : lo + n]))
+            u = np.einsum("bck,tbk,bak->tbca", v, phase, v, optimize=True)
+            # x[t, k, (c, a)] = U(t)[c, a] on the block of |a, I - k>, bath m = 0 at half weight
+            x = np.stack([u[:, o : o + n - 2, :, a] for a, o in enumerate(BLOCK_OF)], -1)
+            x = x.reshape(-1, n - 2, 16)
+            x[:, n - 3] *= math.sqrt(0.5) if i % 1.0 == 0.0 else 1.0
+            lam.append((x.swapaxes(1, 2) @ x.conj()).reshape(-1, 4, 4, 4, 4))
+        lam = np.concatenate(lam)
+        yield (lam + lam[:, ::-1, ::-1, ::-1, ::-1]) * SAME_BATH_M / (2.0 * i + 1.0)
+
+
+def spin_i_evolve(system: CommonBathSystem, rho, times) -> np.ndarray:
+    """The reference's reduced states (..., T, 4, 4) of the density matrices ``rho`` over the
+    kept sectors of ``system``, each with its weight."""
+    spins, weights, _ = system.bath.significant_sectors()
+    maps = spin_i_channels(system.k_a, system.k_b, system.j, spins, times)
+    return np.einsum("tcadb,...ab->...tcd", sum(w * lam for w, lam in zip(weights, maps)), rho)
+
+
+def random_density(rng, rank, count=()):
+    """Random complex density matrices of the given rank, of shape count + (4, 4)."""
+    psi = rng.normal(size=count + (rank, 4)) + 1j * rng.normal(size=count + (rank, 4))
+    rho = np.einsum("...ka,...kb->...ab", psi, psi.conj())
+    return rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
 
 
 def random_state(rng, rank):
     """A random complex density matrix of the given rank, as a state."""
-    psi = rng.normal(size=(rank, 4)) + 1j * rng.normal(size=(rank, 4))
-    rho = np.einsum("ka,kb->ab", psi, psi.conj())
-    return density_to_state(rho / np.trace(rho).real)
+    return density_to_state(random_density(rng, rank))
 
 
 def bell_elements(states):
@@ -133,62 +166,50 @@ def bell_elements(states):
             element(KET_TRIPLET0, KET_SINGLET), element(KET_T1, KET_T1).real)
 
 
-def sector_table(i):
-    """(c[f, mu, m], m) of the single sector i, m from I+1 down to -(I+1)."""
-    t = next(cg_tables([i]))
-    return t.c[:, :, 0], t.m_tot[0]
+class TestSectorLevels:
+    """``common._sector_levels``: F = I+1, F = I-1, then h + g and h - g of the F = I block,
+    whose level 3 is cos(phi) |T> + sin(phi) |S>."""
 
-
-class TestSectorSpectrum:
     def test_symmetric_mixed_levels(self):
-        spec = sector_spectrum(system(1.0, 1.0, 3.0), 1.5)
-        # ordered pair {J - K, 0} with no mixing
-        assert spec.level_mix_upper == pytest.approx(2.0)
-        assert spec.level_mix_lower == pytest.approx(0.0)
-        assert spec.mixing_sin == 0.0
+        (_, _, upper, lower), phi = common._sector_levels(system(1.0, 1.0, 3.0), 1.5)
+        # the triplet at J - K above the singlet, no mixing
+        assert upper == pytest.approx(2.0)
+        assert lower == pytest.approx(0.0)
+        assert phi == 0.0
 
     def test_symmetric_below_exchange(self):
-        spec = sector_spectrum(system(1.0, 1.0, 0.2), 1.0)
-        assert spec.level_mix_upper == pytest.approx(0.0)
-        assert spec.level_mix_lower == pytest.approx(-0.8)
+        (_, _, triplet, singlet), phi = common._sector_levels(system(1.0, 1.0, 0.2), 1.0)
+        assert triplet == pytest.approx(-0.8)
+        assert singlet == pytest.approx(0.0)
+        assert phi == 0.0
 
     def test_triplet_levels_no_exchange(self):
-        spec = sector_spectrum(system(1.0, 1.0, 0.0), 1.0)
-        assert spec.level_f_plus == pytest.approx(1.0)
-        assert spec.level_f_minus == pytest.approx(-2.0)
+        (f_plus, f_minus, _, _), _ = common._sector_levels(system(1.0, 1.0, 0.0), 1.0)
+        assert f_plus == pytest.approx(1.0)
+        assert f_minus == pytest.approx(-2.0)
 
-    def test_mixed_block_against_dense_diagonalization(self):
-        sys = system(1.0, 0.5, 2.0)
-        i = 1.0
-        spec = sector_spectrum(sys, i)
-        diag = sys.j - sys.k_mean
-        off = math.sqrt(i * (i + 1)) * (sys.k_a - sys.k_b) / 2
-        block = np.array([[diag, off], [off, 0.0]])
-        vals = np.sort(np.linalg.eigvalsh(block))
-        assert vals[0] == pytest.approx(spec.level_mix_lower, abs=1e-12)
-        assert vals[1] == pytest.approx(spec.level_mix_upper, abs=1e-12)
-
-    def test_mixing_normalization(self):
-        for i in (0.5, 1.0, 3.5):
-            spec = sector_spectrum(system(1.3, 0.2, 0.7), i)
-            assert spec.mixing_cos**2 + spec.mixing_sin**2 == pytest.approx(1.0, abs=1e-12)
+    @pytest.mark.parametrize("couplings", [(1.0, 0.5, 2.0), (1.3, 0.2, 0.7), (0.9, -0.5, 1.2), (0.7, 0.7, 0.7)])
+    @pytest.mark.parametrize("i", [0.5, 1.0, 3.5])
+    def test_mixed_block_eigenvectors(self, i, couplings):
+        # level 3 and level 4 are the eigenpairs of [[J - K, off], [off, 0]] on {|T>, |S>}
+        sys = system(*couplings)
+        (_, _, l3, l4), phi = common._sector_levels(sys, i)
+        off = -math.sqrt(i * (i + 1)) * (sys.k_a - sys.k_b) / 2
+        block = np.array([[sys.j - sys.k_mean, off], [off, 0.0]])
+        vec3, vec4 = np.array([math.cos(phi), math.sin(phi)]), np.array([-math.sin(phi), math.cos(phi)])
+        assert np.abs(block @ vec3 - l3 * vec3).max() < 1e-12
+        assert np.abs(block @ vec4 - l4 * vec4).max() < 1e-12
+        assert abs(phi) <= math.pi / 4
 
     def test_full_sector_spectrum_matches_levels(self):
         # dense sector eigenvalues (shifted to the singlet reference) are the
         # four analytic levels with the right multiplicities
         sys = system(1.0, 0.4, 1.5)
         i = 1.5
-        spec = sector_spectrum(sys, i)
+        levels, _ = common._sector_levels(sys, i)
         h = sector_hamiltonian(sys, i).real
         vals = np.linalg.eigvalsh(h) + 0.75 * sys.j
-        expect = np.concatenate(
-            [
-                np.full(int(2 * (i + 1) + 1), spec.level_f_plus),
-                np.full(int(2 * (i - 1) + 1), spec.level_f_minus),
-                np.full(int(2 * i + 1), spec.level_mix_upper),
-                np.full(int(2 * i + 1), spec.level_mix_lower),
-            ]
-        )
+        expect = np.repeat(levels, [int(2 * i + 3), int(2 * i - 1), int(2 * i + 1), int(2 * i + 1)])
         assert np.allclose(np.sort(vals), np.sort(expect), atol=1e-12)
 
 
@@ -213,22 +234,23 @@ class PropagatorCoefficients:
 
 
 def sector_a_coefficients(system: CommonBathSystem, i: float, t: float) -> PropagatorCoefficients:
-    """Propagator coefficients of one sector at time t, from sector_spectrum."""
+    """Propagator coefficients of one sector at time t, from ``common._sector_levels``."""
     if i == 0.0:
         # no triplet of total spin F = I exists: pure phases, no mixing
         return PropagatorCoefficients(1.0 + 0j, 0j, complex(np.exp(-1j * system.j * t)), 0j, 0j, 0j)
-    spec = sector_spectrum(system, i)
-    lp, lm = spec.phase_mean, spec.phase_gap
-    c, s = math.cos(lm * t), math.sin(lm * t)
-    phase = np.exp(-1j * lp * t)
-    a1 = phase * (c + 1j * spec.mixing_cos * s)
-    b_tt = phase * (c - 1j * spec.mixing_cos * s)
+    (f_plus, f_minus, l3, l4), phi = common._sector_levels(system, i)
+    # the F = I block about its mean h, levels h +- g, and cos 2 phi = h / g
+    gap = 0.5 * (l3 - l4)
+    c, s = math.cos(gap * t), math.cos(2.0 * phi) * math.sin(gap * t)
+    phase = np.exp(-0.5j * (l3 + l4) * t)
+    a1 = phase * (c + 1j * s)
+    b_tt = phase * (c - 1j * s)
     # transition coefficient: multiplies Y, whose singlet-triplet matrix
     # element is -sqrt(I(I+1)) in the ladder-consistent basis used here
-    sin_over = t * np.sinc(lm * t / np.pi)
+    sin_over = t * np.sinc(gap * t / np.pi)
     a2 = -1j * phase * system.k_half_diff * sin_over
-    u1 = np.exp(-1j * spec.level_f_plus * t)
-    u2 = np.exp(-1j * spec.level_f_minus * t)
+    u1 = np.exp(-1j * f_plus * t)
+    u2 = np.exp(-1j * f_minus * t)
     # quadratic in X through the triplet nodes X = {i, -1, -(i+1)}
     nodes = np.array([i, -1.0, -(i + 1.0)])
     vals = np.array([u1, b_tt, u2])
@@ -300,150 +322,10 @@ class TestSectorPropagatorCoefficients:
         assert abs(c.mix_from_singlet) == 0.0
 
 
-class TestCGTables:
-    @pytest.mark.parametrize("i", [0.5, 1.0, 2.5, 7.0])
-    def test_completeness(self, i):
-        c, m_tot = sector_table(i)
-        # for each (mu, m_tot) with a valid bath projection the F-sum of
-        # squared coefficients is 1
-        for mu_row, mu in enumerate((1.0, 0.0, -1.0)):
-            for k, mt in enumerate(m_tot):
-                if abs(mt - mu) <= i + 1e-9:
-                    total = float(np.sum(c[:, mu_row, k] ** 2))
-                    assert total == pytest.approx(1.0, abs=1e-10)
-
-    @pytest.mark.parametrize("i", [0.5, 1.0, 3.5])
-    def test_singlet_triplet_matrix_element(self, i):
-        # <T, F=I, m|(S_A - S_B).I|singlet, m> = -sqrt(I(I+1)) for every m in
-        # the ladder-consistent basis; the closed forms rely on it
-        ops = sector_operators(i)
-        c, _ = sector_table(i)
-        d = int(round(2 * i)) + 1
-        y_op = ops["y"]
-        for m in (i, 0.5 * (int(2 * i) % 2), -i + 1 if i >= 1 else i):
-            col = int(round(i - m))
-            singlet = np.zeros(4 * d, dtype=complex)
-            singlet[1 * d + col] = 1 / math.sqrt(2)
-            singlet[2 * d + col] = -1 / math.sqrt(2)
-            k = int(round((i + 1.0) - m))
-            triplet = np.zeros(4 * d, dtype=complex)
-            # assemble |T, F=I, m> from the mu components
-            for mu_row, mu in enumerate((1.0, 0.0, -1.0)):
-                mi = m - mu
-                if abs(mi) > i + 1e-9:
-                    continue
-                coeff = c[1, mu_row, k]
-                bcol = int(round(i - mi))
-                if mu == 1.0:
-                    triplet[0 * d + bcol] += coeff
-                elif mu == 0.0:
-                    triplet[1 * d + bcol] += coeff / math.sqrt(2)
-                    triplet[2 * d + bcol] += coeff / math.sqrt(2)
-                else:
-                    triplet[3 * d + bcol] += coeff
-            val = triplet.conj() @ (y_op @ singlet)
-            assert val.real == pytest.approx(-math.sqrt(i * (i + 1)), abs=1e-10)
-            assert abs(val.imag) < 1e-12
-
-
-def ladder_cg_tables(i):
-    """Reference (c, m_tot) in the sector_table layout: each F family climbed
-    down from its highest-weight state with the dense spin-1 x spin-I lowering
-    operator, O(I^3)."""
-    d = int(round(2 * i)) + 1
-    s1 = spin_matrices(1.0)
-    sb = spin_matrices(i)
-    jm = np.kron(s1[0] - 1j * s1[1], np.eye(d)) + np.kron(np.eye(3), sb[0] - 1j * sb[1])
-
-    def top_state(f):
-        # Condon-Shortley sign: positive coefficient on the mu = +1 component
-        v = np.zeros(3 * d, dtype=complex)
-        if f == i + 1.0:
-            v[0] = 1.0
-        elif f == i:
-            a = 1.0 / math.sqrt(1.0 + i)
-            v[0 * d + 1] = a
-            v[1 * d + 0] = -a * math.sqrt(i)
-        else:
-            g1 = 1.0 / math.sqrt(i * (2.0 * i + 1.0))
-            v[0 * d + 2] = g1
-            v[1 * d + 1] = -g1 * math.sqrt(2.0 * i - 1.0)
-            v[2 * d + 0] = g1 * math.sqrt(i * (2.0 * i - 1.0))
-        return v
-
-    fs = [i + 1.0, i] + ([i - 1.0] if i >= 1.0 else [])
-    m_tot = (i + 1.0) - np.arange(d + 2)
-    c = np.zeros((3, 3, m_tot.size))
-    for f_row, f in enumerate(fs):
-        v = top_state(f)
-        m = f
-        while True:
-            k = int(round((i + 1.0) - m))
-            for mu_row, mu in enumerate((1.0, 0.0, -1.0)):
-                m_i = m - mu
-                if abs(m_i) <= i + 1e-9:
-                    c[f_row, mu_row, k] = v[mu_row * d + int(round(i - m_i))].real
-            if m < -f + 1e-9:
-                break
-            norm = math.sqrt(f * (f + 1.0) - m * (m - 1.0))
-            if norm < 1e-12:
-                break
-            v = jm @ v / norm
-            m -= 1.0
-    return c, m_tot
-
-
-class TestCGClosedForm:
-    def test_matches_ladder(self):
-        for two_i in range(1, 41):
-            c, m_tot = ladder_cg_tables(two_i / 2)
-            got, got_m = sector_table(two_i / 2)
-            assert got.shape == c.shape
-            assert np.array_equal(got_m, m_tot)
-            assert np.abs(got - c).max() < 1e-12, two_i
-
-    @pytest.mark.parametrize("i", [0.5, 50.5, 100.0, 500.0])
-    def test_columns_orthonormal(self, i):
-        # at each m_tot the valid F rows, as vectors over mu, are orthonormal
-        c, m_tot = sector_table(i)
-        gram = np.einsum("fak,gak->kfg", c, c)
-        valid = np.abs(m_tot)[:, None] <= np.array([i + 1.0, i, i - 1.0])[None, :]
-        expect = np.einsum("kf,fg->kfg", valid.astype(float), np.eye(3))
-        assert np.abs(gram - expect).max() < 1e-14
-
-    def test_spin_zero_is_bare_triplet(self):
-        # spin 1 (x) spin 0 is F = 1 alone, |1, m> = |mu = m> (x) |0, 0>
-        c, m_tot = sector_table(0.0)
-        assert np.array_equal(m_tot, [1.0, 0.0, -1.0])
-        assert np.array_equal(c[0], np.eye(3))
-        assert not c[1:].any()
-
-    @pytest.mark.parametrize("block", [8 * 9 * 5, 8 * 9 * 40, 8 * 2000, None])
-    def test_chunks_match_single_sectors(self, block, monkeypatch):
-        # chunks cover the sectors in order within _PHASE_BLOCK // 8 entries (a
-        # lone sector may exceed it); every sector equals its own table, zero-padded
-        if block is not None:
-            monkeypatch.setattr(common, "_PHASE_BLOCK", block)
-        spins = np.concatenate([[0.0], unpolarized_exact(40).spins[1:], [57.0, 57.5]])
-        seen = []
-        for t in cg_tables(spins):
-            assert t.c.size <= common._PHASE_BLOCK // 8 or t.spins.size == 1
-            assert np.array_equal(t.spins, spins[t.lo : t.lo + t.spins.size])
-            seen.extend(t.spins)
-            for s, i in enumerate(t.spins):
-                c, m_tot = sector_table(i) if block is not None else ladder_or_zero(i)
-                width = m_tot.size
-                assert np.array_equal(t.m_tot[s, :width], m_tot)
-                assert np.abs(t.c[:, :, s, :width] - c).max() < 1e-12
-                assert not t.c[:, :, s, width:].any()
-        assert seen == list(spins)
-
-
-def ladder_or_zero(i):
-    """ladder_cg_tables, with the spin-0 sector as the bare triplet."""
-    if i == 0.0:
-        return np.concatenate([np.eye(3)[None], np.zeros((2, 3, 3))]), np.array([1.0, 0.0, -1.0])
-    return ladder_cg_tables(i)
+def channel_functions(system, times) -> dict[str, np.ndarray]:
+    """The channel's eight functions (see ``common._apply_channel``) by name."""
+    f = common._channel_functions(common._channel_lines(system), times)
+    return dict(zip(("a", "b", "c", "d", "e", "g", "f0", "f2"), f))
 
 
 class TestSymmetricEvolution:
@@ -452,7 +334,7 @@ class TestSymmetricEvolution:
     def test_map_at_time_zero(self):
         # vec_direct = a and tensor_direct = (f2 + g) / 2 are 1; vec_exchange = c,
         # vec_from_tensor = d / 2, tensor_transpose = (f2 - g) / 2, tensor_trace = (f0 - f2) / 3 are 0
-        f = comb_map(system(j=2.0, n=4), [0.0])
+        f = channel_functions(system(j=2.0, n=4), [0.0])
         for name in ("a", "g", "f0", "f2"):
             assert f[name][0] == pytest.approx(1.0, abs=1e-12)
         for name in ("c", "d"):
@@ -494,7 +376,7 @@ class TestSymmetricEvolution:
         # initial |ud>: P^z_A(t) = -P^z_B(t), pi_xy = -pi_yx = 2 * tensor_from_vec = -d
         sys = system(j=2.0, n=4)
         times = np.linspace(0.1, 3, 11)
-        f = comb_map(sys, times)
+        f = channel_functions(sys, times)
         states = SectorExactEvolver(sys).evolve(make_named_state("up_down"), times)
         for k, s in enumerate(states):
             assert s.p_a[2] == pytest.approx(f["a"][k] - f["c"][k], abs=1e-12)
@@ -570,14 +452,8 @@ class TestBellMixEvolution:
 
     @pytest.mark.parametrize("r", [1.0, 0.5, -0.5])
     @pytest.mark.parametrize("j", [0.0, 2.0])
-    def test_matches_dense_evolution(self, r, j):
-        sys = system(1.0, 0.4, j, n=4)
-        times = np.linspace(0, 3, 7)
-        s = self.evolve(sys, r, times)
-        ref = DenseSectorEvolver(sys).evolve(make_named_state("r_state", r=r), times)
-        assert np.abs(s.p_a - ref.p_a).max() < 1e-12
-        assert np.abs(s.p_b - ref.p_b).max() < 1e-12
-        assert np.abs(s.pi - ref.pi).max() < 1e-12
+    def test_matches_spin_i_reference(self, r, j):
+        assert_matches_spin_i(system(1.0, 0.4, j, n=4), make_named_state("r_state", r=r), np.linspace(0, 3, 7))
 
     def test_strong_exchange_protects_near_singlet(self):
         bath = gaussian_approx(100, "narrow")
@@ -593,134 +469,141 @@ class TestBellMixEvolution:
         assert abs(d[(-0.5, 20.0)] - d[(-0.5, 0.0)]) < 0.4 * d[(-0.5, 0.0)]
 
 
-DENSE_COUPLINGS = {
+def assert_matches_spin_i(system, initial, times):
+    """``SectorExactEvolver`` on the initial state(s) against ``spin_i_evolve``, to 1e-12."""
+    got = state_to_density(SectorExactEvolver(system).evolve(initial, times))
+    assert np.abs(got - spin_i_evolve(system, state_to_density(initial), times)).max() < 1e-12
+
+
+def assert_each_sector(couplings, spins, rng):
+    """Each sector of ``spins`` alone, a random state of rank 1 and one of rank 4, against
+    ``spin_i_channels`` to 1e-12, at four times up to the one where the widest line of the
+    widest sector, |omega| t <= (max|K| (2I + 1) + |J|) t, reaches about 10^4."""
+    k_a, k_b, j = couplings
+    times = np.linspace(0.0, 1e4 / (max(abs(k_a), abs(k_b)) * (2.0 * max(spins) + 1.0) + abs(j)), 4)
+    rho = np.stack([random_density(rng, rank, (len(spins),)) for rank in (1, 4)], axis=1)
+    initial = density_to_state(rho)
+    got = state_to_density(TwoQubitState.stack(
+        SectorExactEvolver(CommonBathSystem(k_a, k_b, j, delta_distribution(i))).evolve(initial[s], times)
+        for s, i in enumerate(spins)))
+    want = np.einsum("stcadb,skab->sktcd", np.stack(list(spin_i_channels(k_a, k_b, j, spins, times))), rho)
+    err = np.abs(got - want).max(axis=(1, 2, 3, 4))
+    assert err.max() < 1e-12, spins[err.argmax()]
+
+
+REFERENCE_COUPLINGS = {
     "unequal": (1.0, 0.4, 1.5),
     "no-exchange": (1.0, 0.4, 0.0),
     "negative-kb": (0.9, -0.5, 1.2),
     "opposite": (1.0, -1.0, 0.3),  # F = I +- 1 levels coincide
     "gap-zero": (0.7, 0.7, 0.7),  # F = I block degenerate: k_a = k_b = j
 }
+# unequal couplings under strong exchange, a negative one, equal ones, and a degenerate F = I block
+SECTOR_COUPLINGS = {"unequal": (1.2, 0.8, 20.0), "negative-kb": (0.9, -0.5, 1.2), "equal": (1.0, 1.0, 5.0),
+                    "gap-zero": (0.7, 0.7, 0.7)}
 
 
-class TestSectorExactAgainstDense:
-    """The 6j channel against one dense eigh per sector."""
+def kept_sectors(n_bath, every):
+    """Every ``every``-th kept sector of gaussian-narrow N = ``n_bath``, the lightest and the heaviest."""
+    spins, weights, _ = gaussian_approx(n_bath, "narrow").significant_sectors()
+    return np.unique(np.r_[spins[::every], spins[weights.argmin()], spins[weights.argmax()]])
 
-    @pytest.mark.parametrize("couplings", list(DENSE_COUPLINGS))
+
+class TestChannelAgainstSpinI:
+    """The 6j channel against the bath sector as a single spin I (``spin_i_channels``)."""
+
+    @pytest.mark.parametrize("couplings", list(SECTOR_COUPLINGS))
+    @pytest.mark.parametrize("n_bath, every", [(10**4, 1), (10**6, 100)], ids=["n1e4", "n1e6"])
+    def test_kept_sectors(self, n_bath, every, couplings):
+        # N = 10^4: all 430 kept sectors, I = 1 .. 430; N = 10^6: I = 1, 101, .., 4101 of the 4161
+        # kept, the heaviest (I = 707) and the lightest, which is the widest (I = 4161)
+        spins = kept_sectors(n_bath, every)
+        assert spins.size == {10**4: 430, 10**6: 44}[n_bath]
+        assert_each_sector(SECTOR_COUPLINGS[couplings], spins, np.random.default_rng(n_bath))
+
+    @pytest.mark.parametrize("couplings", list(SECTOR_COUPLINGS) + ["no-exchange"])
+    def test_half_steps(self, couplings):
+        # I = 0 to 50 in half steps, where the edge blocks are a larger share
+        assert_each_sector({**SECTOR_COUPLINGS, **REFERENCE_COUPLINGS}[couplings], np.arange(0.0, 50.25, 0.5),
+                           np.random.default_rng(len(couplings)))
+
+    @pytest.mark.parametrize("couplings", list(SECTOR_COUPLINGS))
+    def test_wide_sectors(self, couplings):
+        # up to the widest kept sector the CLI reaches: gaussian-wide at N = MAX_SPINS = 10^6, I = 8237
+        widest = gaussian_approx(MAX_SPINS, "wide").significant_sectors()[0].max()
+        assert widest == 8237.0
+        assert_each_sector(SECTOR_COUPLINGS[couplings], [333.0, 4567.5, widest], np.random.default_rng(len(couplings)))
+
+    def test_sector_beyond_the_cli(self):
+        # I = 10^5, unequal couplings under strong exchange
+        assert_each_sector(SECTOR_COUPLINGS["unequal"], [1e5], np.random.default_rng(10**5))
+
+    @pytest.mark.parametrize("couplings", list(REFERENCE_COUPLINGS))
     @pytest.mark.parametrize("n", range(1, 13))
-    def test_random_states(self, n, couplings):
+    def test_exact_baths(self, n, couplings):
         rng = np.random.default_rng(100 * n + len(couplings))
-        sys = CommonBathSystem(*DENSE_COUPLINGS[couplings], unpolarized_exact(n))
-        times = np.linspace(0.0, 5.0, 13)
-        ours, dense = SectorExactEvolver(sys), DenseSectorEvolver(sys)
-        for rank in (1, 2, 4):
-            s0 = random_state(rng, rank)
-            got = state_to_density(ours.evolve(s0, times))
-            want = state_to_density(dense.evolve(s0, times))
-            assert np.abs(got - want).max() < 1e-12
+        sys = CommonBathSystem(*REFERENCE_COUPLINGS[couplings], unpolarized_exact(n))
+        initial = TwoQubitState.stack([random_state(rng, rank) for rank in (1, 2, 4)])
+        assert_matches_spin_i(sys, initial, np.linspace(0.0, 5.0, 13))
 
-    @pytest.mark.parametrize("name, params", [
-        ("bell_t1", {}), ("up_down", {}), ("werner", dict(p=0.3)), ("singlet", {}),
-        ("general_pure", dict(gamma=0.3 + 0.4j, theta=1.1, phi=2.3)),
-    ])
-    def test_named_states(self, name, params):
-        sys = CommonBathSystem(1.2, 0.45, 2.0, unpolarized_exact(7))
-        s0 = make_named_state(name, **params)
-        times = np.linspace(0.0, 4.0, 9)
-        got = state_to_density(SectorExactEvolver(sys).evolve(s0, times))
-        want = state_to_density(DenseSectorEvolver(sys).evolve(s0, times))
-        assert np.abs(got - want).max() < 1e-12
+    def test_named_states(self):
+        initial = TwoQubitState.stack([make_named_state(name, **params) for name, params in [
+            ("bell_t1", {}), ("up_down", {}), ("werner", dict(p=0.3)), ("singlet", {}),
+            ("general_pure", dict(gamma=0.3 + 0.4j, theta=1.1, phi=2.3))]])
+        assert_matches_spin_i(CommonBathSystem(1.2, 0.45, 2.0, unpolarized_exact(7)), initial,
+                              np.linspace(0.0, 4.0, 9))
 
     @pytest.mark.parametrize("block", [1, 8 * 9 * 7, 8 * 4000])
-    def test_chunked_tables(self, block, monkeypatch):
+    def test_sliced_line_sum(self, block, monkeypatch):
         # one line per slice of the line sum, or all of them in one, give the same states
         # (in the passes of a sum above _SMALL_SUM, which _PHASE_BLOCK sizes)
-        sys = CommonBathSystem(1.1, 0.3, 0.8, unpolarized_exact(11))
-        s0 = random_state(np.random.default_rng(5), 2)
-        times = np.linspace(0.0, 3.0, 7)
-        want = state_to_density(DenseSectorEvolver(sys).evolve(s0, times))
         monkeypatch.setattr(common, "_SMALL_SUM", 0)
         monkeypatch.setattr(common, "_PHASE_BLOCK", block)
-        got = state_to_density(SectorExactEvolver(sys).evolve(s0, times))
-        assert np.abs(got - want).max() < 1e-12
+        assert_matches_spin_i(CommonBathSystem(1.1, 0.3, 0.8, unpolarized_exact(11)),
+                              random_state(np.random.default_rng(5), 2), np.linspace(0.0, 3.0, 7))
 
-
-class TestRankOneTerms:
-    @pytest.mark.parametrize("rho, count", [
-        (np.outer([0.6, 0.0, 0.0, 0.8], [0.6, 0.0, 0.0, 0.8]), 1),
-        (np.diag([0.1, 0.2, 0.3, 0.4]), 4),
-        # indefinite with a vanishing diagonal: split into element pairs
-        (np.array([[0, 1j, 0, 0], [-1j, 0, 2, 0], [0, 2, 0, 3], [0, 0, 3, 0]]), 6),
-    ])
-    def test_reconstructs(self, rho, count):
-        terms = rank_one_terms(rho)
-        assert len(terms) == count
-        back = sum(w * np.outer(v, v.conj()) for w, v in terms)
-        assert np.abs(back - rho).max() < 1e-15
-        # each vector keeps the zero rows of rho
-        for _, v in terms:
-            assert not v[~rho.any(axis=1)].any()
-
-    def test_indefinite_state_matches_dense(self):
+    def test_indefinite_state(self):
         # the evolution is linear in rho: an unphysical state evolves like the reference
         s0 = TwoQubitState(np.array([0.9, 0.0, 0.3]), np.array([0.0, 0.9, 0.0]), 0.9 * np.eye(3))
         assert validate_state(s0).min_eigenvalue < -0.1
-        sys = CommonBathSystem(1.0, 0.4, 1.5, unpolarized_exact(6))
-        times = np.linspace(0.0, 3.0, 7)
-        got = state_to_density(SectorExactEvolver(sys).evolve(s0, times))
-        want = state_to_density(DenseSectorEvolver(sys).evolve(s0, times))
-        assert np.abs(got - want).max() < 1e-12
-
-
-class TestSectorExactSymmetricLimit:
-    """k_a = k_b: the one line set of every coupling on multi-sector baths against the dense
-    sector reference."""
+        assert_matches_spin_i(CommonBathSystem(1.0, 0.4, 1.5, unpolarized_exact(6)), s0, np.linspace(0.0, 3.0, 7))
 
     @pytest.mark.parametrize("bath, k, j", [(gaussian_approx(100, "narrow"), 1.0, 200.0),
                                             (unpolarized_exact(24), -0.7, 0.0)],
                              ids=["gaussian-narrow-100", "exact-24"])
-    def test_random_states(self, bath, k, j):
-        sys = CommonBathSystem(k, k, j, bath)
-        times = np.linspace(0.0, 6.0, 600)
-        ours, dense = SectorExactEvolver(sys), DenseSectorEvolver(sys)
+    def test_equal_couplings_on_many_sectors(self, bath, k, j):
+        # k_a = k_b takes the line set of any couplings
         rng = np.random.default_rng(bath.spins.size)
-        for rank in (1, 3):
-            s0 = random_state(rng, rank)
-            got = state_to_density(ours.evolve(s0, times))
-            want = state_to_density(dense.evolve(s0, times))
-            assert np.abs(got - want).max() < 1e-12
+        initial = TwoQubitState.stack([random_state(rng, rank) for rank in (1, 3)])
+        assert_matches_spin_i(CommonBathSystem(k, k, j, bath), initial, np.linspace(0.0, 6.0, 600))
 
 
-# sectors I = 0 .. 50 in half steps, each alone
-HALF_STEPS = np.arange(0.0, 50.25, 0.5)
+# the _SIX_J entries (k, F - I, F' - I) whose sign the channel sees; it sees each of the
+# other eight (the six k = 2 entries, (1, -1, -1) and (1, 1, 1)) only squared
+SIGN_SEEN = [(0, -1, -1), (0, 0, 0), (0, 1, 1), (1, -1, 0), (1, 0, 0), (1, 0, 1)]
 
 
-class TestChannelAgainstReferences:
-    """The channel sector by sector: against the dense eigh for I <= 50, and
-    against the rank-one projector evolver up to I = 10^5."""
+def perturbed_six_j(monkeypatch, entry, factor):
+    c = common._SIX_J_C.copy()
+    c[list(common._SIX_J).index(entry)] *= factor
+    monkeypatch.setattr(common, "_SIX_J_C", c)
 
-    @pytest.mark.parametrize("couplings", ["no-exchange", "negative-kb", "gap-zero"])
-    def test_every_sector_to_fifty_against_dense(self, couplings):
-        rng = np.random.default_rng(len(couplings))
-        times = np.linspace(0.0, 5.0, 7)
-        for k, i in enumerate(HALF_STEPS):
-            sys = CommonBathSystem(*DENSE_COUPLINGS[couplings], delta_distribution(i))
-            s0 = random_state(rng, 1 + k % 4)
-            got = state_to_density(SectorExactEvolver(sys).evolve(s0, times))
-            want = state_to_density(DenseSectorEvolver(sys).evolve(s0, times))
-            assert np.abs(got - want).max() < 1e-12, i
 
-    @pytest.mark.parametrize("couplings", ["unequal", "negative-kb", "gap-zero"])
-    @pytest.mark.parametrize("i", [10.5, 333.0, 4567.5, 1e5])
-    def test_large_sectors_against_rank_one(self, i, couplings):
-        sys = CommonBathSystem(*DENSE_COUPLINGS[couplings], delta_distribution(i))
-        rng = np.random.default_rng(int(2 * i))
-        times = np.linspace(0.0, 0.05, 9)  # the lines reach |K| (2I+1) t ~ 10^4
-        ours, ref = SectorExactEvolver(sys), RankOneSectorEvolver(sys)
-        for rank in (1, 4):
-            s0 = random_state(rng, rank)
-            got = state_to_density(ours.evolve(s0, times))
-            want = state_to_density(ref.evolve(s0, times))
-            assert np.abs(got - want).max() < 1e-12
+@pytest.mark.parametrize("entry, factor", [(e, 1.01) for e in common._SIX_J] + [(e, -1.0) for e in SIGN_SEEN])
+def test_spin_i_reference_catches_a_wrong_six_j_entry(entry, factor, monkeypatch):
+    perturbed_six_j(monkeypatch, entry, factor)
+    with pytest.raises(AssertionError):
+        for couplings in SECTOR_COUPLINGS.values():
+            assert_each_sector(couplings, [0.5, 1.0, 2.5, 7.0], np.random.default_rng(3))
+
+
+@pytest.mark.parametrize("entry", sorted(set(common._SIX_J) - set(SIGN_SEEN)))
+def test_channel_sees_the_sign_of_the_other_six_j_entries_only_squared(entry, monkeypatch):
+    sys = CommonBathSystem(1.2, 0.8, 20.0, unpolarized_exact(9))
+    want = common._channel_lines(sys)
+    perturbed_six_j(monkeypatch, entry, -1.0)
+    for got, ref in zip(common._channel_lines(sys), want):
+        assert np.array_equal(got, ref)
 
 
 def channel_superoperator(evolver, times):
@@ -748,8 +631,9 @@ def random_rotation(rng):
 
 
 class TestChannelAtAMillionSpins:
-    """No reference reaches N = 10^6 (4161 kept sectors, I = 1 .. 4161): the
-    channel's own identities, each to 1e-12."""
+    """The channel's own identities at N = 10^6 (4161 kept sectors, I = 1 .. 4161), each to
+    1e-12, on all the sectors at once; ``TestChannelAgainstSpinI`` checks a spread of them
+    one by one."""
 
     TIMES = np.linspace(0.0, 10.0, 9)
 

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from spinbath import common
 from spinbath.common import CommonBathSystem
 from spinbath.bath import unpolarized_exact
 from spinbath.oracle import (
@@ -29,8 +30,6 @@ from spinbath.states import (
     make_named_state,
     state_to_density,
 )
-
-from sector_reference import sector_spectrum
 
 
 # ---------------------------------------------------------------------------
@@ -292,17 +291,9 @@ class TestBuild:
         k, j = 1.0, 1.7
         sys = build("common", 1, CouplingParams(k, k, j))
         vals = np.sort(np.linalg.eigvalsh(sys.hamiltonian))
-        spec = sector_spectrum(CommonBathSystem(k, k, j, unpolarized_exact(1)), 0.5)
-        shift = -0.75 * j  # spectrum is reported relative to the singlet level
-        expect = np.sort(
-            np.concatenate(
-                [
-                    np.full(4, spec.level_f_plus + shift),
-                    np.full(2, spec.level_mix_upper + shift),
-                    np.full(2, spec.level_mix_lower + shift),
-                ]
-            )
-        )
+        levels, _ = common._sector_levels(CommonBathSystem(k, k, j, unpolarized_exact(1)), 0.5)
+        # F = 3/2, then the F = 1/2 pair (I = 1/2 has no F = I - 1), relative to the singlet level
+        expect = np.sort(np.repeat(levels[[0, 2, 3]], [4, 2, 2]) - 0.75 * j)
         assert np.allclose(vals, expect, atol=1e-12)
 
     def test_dimension_cap(self):

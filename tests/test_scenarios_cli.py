@@ -412,6 +412,19 @@ class TestTimeSeries:
         assert back.metadata["scenario"] == "demo"
         assert np.allclose(back.data, ts.data)
 
+    def test_csv_metadata_is_utf8_in_any_locale(self, tmp_path):
+        # written and read back in an ASCII locale without UTF-8 mode, and read here
+        path, value = tmp_path / "meta.csv", "résumé ρ(t) → output/ä.csv"
+        code = ("import sys; import numpy as np; from spinbath.timeseries import TimeSeries, read_csv; "
+                f"TimeSeries(['t'], np.zeros((1, 1)), {{'note': {ascii(value)}}}).write_csv(sys.argv[1]); "
+                "print(ascii(read_csv(sys.argv[1]).metadata['note']))")
+        done = subprocess.run([sys.executable, "-c", code, str(path)], capture_output=True, text=True, check=True,
+                              env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "LC_ALL": "C",
+                                   "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"})
+        assert done.stdout.strip() == ascii(value)
+        assert f"# note = {value}\n".encode("utf-8") in path.read_bytes()
+        assert read_csv(path).metadata["note"] == value
+
     def test_csv_rows_match_per_value_format(self, tmp_path):
         rng = np.random.default_rng(3)
         data = rng.normal(size=(2000, 4)) * 10.0 ** rng.integers(-300, 300, size=(2000, 4))
