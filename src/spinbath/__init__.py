@@ -21,6 +21,7 @@ from .bath import (
 from .common import (
     CommonBathSystem,
     SectorExactEvolver,
+    apply_channel,
     decoherence_rate_sq,
     short_time_decoherence_time,
     singlet_mixedness,
@@ -44,10 +45,8 @@ from .optimize import (
 )
 from .oracle import CouplingParams, FullSystem, build, evolve_reduced
 from .separate import (
-    DecayFactors,
     SeparateBathSystem,
     decay_factors,
-    evolve,
     short_time_concurrence_time,
     short_time_decoherence_time as separate_decoherence_time,
     sudden_death_time,

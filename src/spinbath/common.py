@@ -1,4 +1,5 @@
-"""Exact reduced dynamics for two exchange-coupled qubits sharing one bath.
+"""Exact reduced dynamics for two exchange-coupled qubits sharing one bath, and the
+channel that evolves the pair in either bath topology.
 
 Hamiltonian: (K_A S_A + K_B S_B) . I + J S_A . S_B, with the bath spin I
 unpolarized sector by sector. Conserved quantities organize the solution:
@@ -10,22 +11,25 @@ which removes an unobservable global phase.
 
 The Hamiltonian is rotation invariant and every sector starts proportional to
 the identity, so the reduced map commutes with rotations of the pair; it is
-real (time-reversal invariant) too. ``SectorExactEvolver`` applies that one
-channel (``_apply_channel``) for any initial state, couplings and exchange.
-Eight real functions of t fix it: one for S_A . S_B, one for the rank-2 part
-of the spin correlations, and six for the vectors S_A, S_B and S_A x S_B.
-Each function is a constant plus the six level-pair lines of every kept
-sector, with amplitudes from closed-form 6j symbols (``_level_pair_amps``),
-O(1) per sector. Equal couplings K_A = K_B take the same lines (the F = I
-blocks do not mix); the channel then reads out as the paper's polarization map.
+real (time-reversal invariant) too. ``apply_channel`` applies that one channel
+for any initial state, couplings and exchange, and for private baths as well:
+``separate.decay_factors`` gives theirs, (a, b, c, d, e, g, f0, f2) =
+(g_a, g_b, 0, 0, 0, g_a g_b, g_a g_b, g_a g_b). ``SectorExactEvolver`` gives the
+shared bath's. Eight real functions of t fix the channel: one for S_A . S_B,
+one for the rank-2 part of the spin correlations, and six for the vectors S_A,
+S_B and S_A x S_B. In a shared bath each function is a constant plus the six
+level-pair lines of every kept sector, with amplitudes from closed-form 6j
+symbols (``_level_pair_amps``), O(1) per sector. Equal couplings K_A = K_B take
+the same lines (the F = I blocks do not mix); the channel then reads out as the
+paper's polarization map.
 
 Sectors below ``bath.SECTOR_WEIGHT_CUT`` are skipped (baths of 10^6 spins are
 in reach) and the lines are summed in ``evaluate_lines``, which on an affine
 grid of T samples (every scenario's) splits t = b + o into about sqrt(T) bases
 and offsets whose phases it tabulates by doubling, ~log2 T + 1 complex
 exponentials per line, not 2 T cos/sin, with each doubling time carried past
-double precision, and forms every sample in real matrix products sized to keep
-a CLI run's sums on the calling thread.
+double precision by a factor of unit modulus, and forms every sample in real
+matrix products sized to keep a CLI run's sums on the calling thread.
 """
 
 from __future__ import annotations
@@ -113,13 +117,16 @@ def _grid_split(t: np.ndarray) -> tuple[float, float | None, float, int]:
 def _powers(omega: np.ndarray, tau: float, r: float, n: int) -> np.ndarray:
     """e^{-i omega k (tau + r)} for k < n, shape (n, lines), by doubling: rows m..2m-1 are rows
     0..m-1 times e^{-i omega m (tau + r)}, so ceil(log2 n) exponentials per line. r is tau's
-    residual, which the power-of-two m scales exactly, and each factor is
-    e^{-i omega m tau} (1 - i omega m r)."""
+    residual, which the power-of-two m scales exactly, and each factor is e^{-i omega m tau}
+    times the Cayley factor (1 - i x/2) / (1 + i x/2), x = omega m r: e^{-i x} to third order
+    and of unit modulus for every x, so the tables stay on the unit circle however far
+    |omega| t reaches past double precision (1 - i x, first order, grows as sqrt(1 + x^2))."""
     out = np.empty((n, omega.size), dtype=complex)
     out[0] = 1.0
     for m in (1 << j for j in range((n - 1).bit_length())):
         factor = np.exp(-1j * (m * tau) * omega)
-        factor *= 1.0 - 1j * (m * r) * omega
+        half = 0.5j * (m * r) * omega
+        factor *= (1.0 - half) / (1.0 + half)
         np.multiply(out[: min(m, n - m)], factor, out=out[m : 2 * m])
     return out
 
@@ -212,7 +219,7 @@ def _six_j(two_i: np.ndarray) -> np.ndarray:
 
 def _level_pair_amps(spins: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """amp[x, l, l', sector] of the line exp(-i (E_l - E_l') t), packed two
-    functions per row x: (a + ib, c + id, e + ig, f0 + i f2), see ``_apply_channel``.
+    functions per row x: (a + ib, c + id, e + ig, f0 + i f2), see ``apply_channel``.
 
     Over the pair tensors T^k(S, S') (S, S' the pair spins, k <= 2) the (l, l')
     line maps rank k as (-1)^(S1+S3) G(S3, S4) G(S1, S2) with
@@ -261,10 +268,10 @@ def _channel_functions(lines, times) -> list[np.ndarray]:
 
 
 _EPS = np.cross(np.eye(3)[:, None], np.eye(3))  # eps[i, j, k] = (e_i x e_j)_k
-_CHANNEL_ROWS = 4096  # times per pass of _apply_channel
+_CHANNEL_ROWS = 4096  # times per pass of apply_channel
 
 
-def _apply_channel(f, state: TwoQubitState) -> TwoQubitState:
+def apply_channel(f, state: TwoQubitState) -> TwoQubitState:
     """The channel (a, b, c, d, e, g, f0, f2) = f[:, t] applied to ``state``; the batch
     axes of a batch of states come first in the result, then the time axis:
 
@@ -277,6 +284,9 @@ def _apply_channel(f, state: TwoQubitState) -> TwoQubitState:
     symmetric traceless part. Rotations act on each of the three vectors
     alike, so any channel of this form commutes with them; time reversal makes
     the vector block symmetric up to the factor -1/2 of x.
+
+    Private baths (``separate.decay_factors``) give a and b the two Bloch-vector
+    decay factors, c = d = e = 0 and g = f0 = f2 = a b.
 
     For K_A = K_B, b = a, e = -d, g = a - c (the singlet-triplet coherence is
     (a - c) + i d), and f0 is the kept weight (S_A . S_B is conserved). The
@@ -326,17 +336,21 @@ class SectorExactEvolver:
     The set-up forms the channel's line amplitudes, O(1) per kept sector; every
     call then costs one sum of four packed rows over a constant plus six
     lines per sector, whatever the couplings and the number of initial states,
-    and the map ``_apply_channel``.
+    and the map ``apply_channel``.
     """
 
     def __init__(self, system: CommonBathSystem):
         self.system = system
         self._lines = _channel_lines(system)
 
+    def functions(self, times) -> list[np.ndarray]:
+        """The channel's eight functions (a, b, c, d, e, g, f0, f2) on the grid ``times``."""
+        return _channel_functions(self._lines, times)
+
     def evolve(self, state: TwoQubitState, times) -> TwoQubitState:
         """The initial state(s) ``state`` on the T times ``times``: one initial state gives
         a batch of T states, a batch of initial states the state axes, then the time axis."""
-        return _apply_channel(_channel_functions(self._lines, times), state)
+        return apply_channel(self.functions(times), state)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from .bath import MAX_SPINS, BathDistribution, BathSpecError, bath_from_config, 
 from .common import (
     CommonBathSystem,
     SectorExactEvolver,
+    apply_channel,
     short_time_decoherence_time,
 )
 from .optimize import (
@@ -30,7 +31,7 @@ from .optimize import (
     scan_optimal_state,
 )
 from .oracle import MAX_BATH_SPINS, CouplingParams, build, eigh_cost, evolve_reduced
-from .separate import SeparateBathSystem, decay_factors, evolve as evolve_separate
+from .separate import SeparateBathSystem, decay_factors
 from .separate import short_time_decoherence_time as separate_decoherence_time
 from .states import (
     InvalidStateError,
@@ -60,8 +61,8 @@ class Kind:
     that ``config.mode`` names) or None (no bath, j unused). ``runner`` takes
     the config and the bath and state that :func:`validate` built: a kind builds
     a bath if its ``defaults`` hold ``n_bath`` and parses ``config.state`` if they
-    hold ``state``. A shared-bath kind run by :func:`_run_trajectory` names its
-    ``columns`` (keys of :data:`_COLUMNS`) and, if it has one, its fixed initial ``state``.
+    hold ``state``. A kind run by :func:`_run_trajectory` names its ``columns``
+    (keys of :data:`_COLUMNS`) and, if it has one, its fixed initial ``state``.
     """
 
     summary: str
@@ -326,23 +327,17 @@ def _rows(config: ScenarioConfig, columns: list[str], data: list, metadata: dict
     return RunResult(series, Path(config.output), {"rows": str(series.data.shape[0])})
 
 
-def _run_separate(config: ScenarioConfig, bath, state) -> RunResult:
-    system = SeparateBathSystem(config.k_a, config.k_b, bath, bath)
-    times = _times(config)
-    g = decay_factors(system, times)
-    states = g.apply(state)
-    d, c = decoherence_measure(states), concurrence_state(states)
-    return _rows(config, ["t", "d", "concurrence", "vector_decay", "tensor_decay"],
-                 [times, d, c, g.vector_a, g.tensor], {**_base_metadata(config, bath), "state": config.state})
-
-
 def _run_trajectory(config: ScenarioConfig, bath, state) -> RunResult:
-    """One exact evolution of one state in the shared bath, read out as the kind's columns."""
+    """One exact evolution of one state, in private baths (``exchange`` "zero") or the
+    shared bath, read out as the kind's columns from the state and the channel."""
     kind = KINDS[config.kind]
-    system = CommonBathSystem(config.k_a, config.k_b, config.j, bath)
     times = _times(config)
-    s = SectorExactEvolver(system).evolve(make_named_state(kind.state) if kind.state else state, times)
-    return _rows(config, ["t", *kind.columns], [times, *(_COLUMNS[c](s) for c in kind.columns)],
+    if kind.exchange == "zero":
+        f = decay_factors(SeparateBathSystem(config.k_a, config.k_b, bath, bath), times)
+    else:
+        f = SectorExactEvolver(CommonBathSystem(config.k_a, config.k_b, config.j, bath)).functions(times)
+    s = apply_channel(f, make_named_state(kind.state) if kind.state else state)
+    return _rows(config, ["t", *kind.columns], [times, *(_COLUMNS[c](s, f) for c in kind.columns)],
                  {**_base_metadata(config, bath), "state": kind.state or config.state})
 
 
@@ -368,10 +363,10 @@ def _run_oracle_compare(config: ScenarioConfig, bath, state) -> RunResult:
     if config.mode == "separate":
         n_a = config.n_bath // 2
         baths = unpolarized_exact(n_a), unpolarized_exact(config.n_bath - n_a)
-        analytic = evolve_separate(SeparateBathSystem(config.k_a, config.k_b, *baths), state, times)
+        f = decay_factors(SeparateBathSystem(config.k_a, config.k_b, *baths), times)
     else:
-        system = CommonBathSystem(config.k_a, config.k_b, config.j, bath)
-        analytic = SectorExactEvolver(system).evolve(state, times)
+        f = SectorExactEvolver(CommonBathSystem(config.k_a, config.k_b, config.j, bath)).functions(times)
+    analytic = apply_channel(f, state)
     full = build(config.mode, config.n_bath, CouplingParams(config.k_a, config.k_b, config.j))
     reference = evolve_reduced(full, state, "fully_mixed", times)
 
@@ -405,9 +400,9 @@ def _run_fig1(config: ScenarioConfig, bath, state) -> RunResult:
     # initial concurrences 0, 1/2, 1 within the S^z-eigenstate family (r = 0 is up_down), as one batch
     initial = TwoQubitState.stack([make_named_state("updown_mix", r=r)
                                    for r in (0.0, 2.0 - math.sqrt(3.0), 1.0)])
-    purity = 1.0 - decoherence_measure(g.apply(initial))
+    purity = 1.0 - decoherence_measure(apply_channel(g, initial))
     return _rows(config, ["t", "purity_c0", "purity_c05", "purity_c1", "concurrence_c1"],
-                 [times, *purity, np.maximum(0.0, (3.0 * g.tensor - 1.0) / 2.0)],
+                 [times, *purity, np.maximum(0.0, (3.0 * g[5] - 1.0) / 2.0)],
                  _base_metadata(config, bath))
 
 
@@ -439,21 +434,25 @@ def _run_fig6(config: ScenarioConfig, bath, state) -> RunResult:
                  {"scenario": "fig6", "spinbath_version": __version__, "rate_units": "separable-state rate"})
 
 
-# the readouts of a shared-bath trajectory; the measures go through the module names, so
-# a rebinding of those names (as a tracer makes) reaches them
-_COLUMNS: dict[str, Callable[[TwoQubitState], np.ndarray]] = {
-    "p_z_a": lambda s: s.p_a[:, 2],
-    "pi_xx": lambda s: s.pi[:, 0, 0],
-    "pi_zz": lambda s: s.pi[:, 2, 2],
-    "pi_xy": lambda s: s.pi[:, 0, 1],
-    "d": lambda s: decoherence_measure(s),
-    "d_pair": lambda s: decoherence_measure(s),
-    "d_single": lambda s: 0.5 * (1.0 - (s.p_a[:, None, :] @ s.p_a[:, :, None])[:, 0, 0]),
-    "concurrence": lambda s: concurrence_state(s),
+# the readouts of a trajectory s and its channel's eight functions f (see apply_channel); the
+# measures go through the module names, so a rebinding of those names (as a tracer makes)
+# reaches them
+_COLUMNS: dict[str, Callable[[TwoQubitState, list], np.ndarray]] = {
+    "p_z_a": lambda s, f: s.p_a[:, 2],
+    "pi_xx": lambda s, f: s.pi[:, 0, 0],
+    "pi_zz": lambda s, f: s.pi[:, 2, 2],
+    "pi_xy": lambda s, f: s.pi[:, 0, 1],
+    "d": lambda s, f: decoherence_measure(s),
+    "d_pair": lambda s, f: decoherence_measure(s),
+    "d_single": lambda s, f: 0.5 * (1.0 - (s.p_a[:, None, :] @ s.p_a[:, :, None])[:, 0, 0]),
+    "concurrence": lambda s, f: concurrence_state(s),
     # Bell populations <B|rho|B> = (1 + sum_m <B|sigma_m sigma_m|B> pi_mm) / 4
-    "singlet_pop": lambda s: 0.25 * (1.0 - s.pi[:, 0, 0] - s.pi[:, 1, 1] - s.pi[:, 2, 2]),
-    "triplet0_pop": lambda s: 0.25 * (1.0 + s.pi[:, 0, 0] + s.pi[:, 1, 1] - s.pi[:, 2, 2]),
-    "t1t2_pop": lambda s: 0.25 * (1.0 + s.pi[:, 2, 2]),
+    "singlet_pop": lambda s, f: 0.25 * (1.0 - s.pi[:, 0, 0] - s.pi[:, 1, 1] - s.pi[:, 2, 2]),
+    "triplet0_pop": lambda s, f: 0.25 * (1.0 + s.pi[:, 0, 0] + s.pi[:, 1, 1] - s.pi[:, 2, 2]),
+    "t1t2_pop": lambda s, f: 0.25 * (1.0 + s.pi[:, 2, 2]),
+    # private baths: qubit a's Bloch-vector decay factor and the tensor's
+    "vector_decay": lambda s, f: f[0],
+    "tensor_decay": lambda s, f: f[5],
 }
 
 _BATH = dict(n_bath=100, bath="gaussian-narrow")
@@ -462,8 +461,9 @@ _BATH = dict(n_bath=100, bath="gaussian-narrow")
 # common-bath kinds: it sets the physics and must be stated
 KINDS: dict[str, Kind] = {
     "separate": Kind(
-        "two qubits with private baths, no exchange: D(t), C(t), decay factors", _run_separate,
-        dict(_BATH, k_a=1.0, k_b=1.0, j=0.0, state="r_state:0.5", t_max=10.0, samples=500), exchange="zero"),
+        "two qubits with private baths, no exchange: D(t), C(t), decay factors", _run_trajectory,
+        dict(_BATH, k_a=1.0, k_b=1.0, j=0.0, state="r_state:0.5", t_max=10.0, samples=500),
+        ("d", "concurrence", "vector_decay", "tensor_decay"), exchange="zero"),
     "common-symmetric": Kind(
         "shared bath, equal couplings: polarizations, D(t), C(t)", _run_trajectory,
         dict(_BATH, k_a=1.0, k_b=1.0, state="up_down", t_max=10.0, samples=500),

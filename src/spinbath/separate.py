@@ -11,8 +11,11 @@ phase) with
     q = i K sin(Lambda t) / Lambda,
 
 and the Bloch vector shrinks by g_I = |p|^2 - I(I+1)|q|^2 / 12. Averaging
-over sectors gives the vector decay factors of the two qubits; the tensor
-polarization decays by their product.
+over sectors gives the vector decay factors g_a and g_b of the two qubits; the
+tensor polarization decays by their product g = g_a g_b. That is the one
+rotation-invariant channel of ``common.apply_channel``, which serves both bath
+topologies, with (a, b, c, d, e, g, f0, f2) = (g_a, g_b, 0, 0, 0, g, g, g):
+``decay_factors`` returns these eight functions.
 """
 
 from __future__ import annotations
@@ -35,31 +38,6 @@ class SeparateBathSystem:
     bath_b: BathDistribution
 
 
-@dataclass(frozen=True)
-class DecayFactors:
-    """Polarization decay factors at the sampled times.
-
-    ``vector_a`` and ``vector_b`` scale the two Bloch vectors, ``tensor``
-    scales every component of the tensor polarization. All start at 1 and
-    satisfy vector_a * vector_b = tensor.
-    """
-
-    vector_a: np.ndarray
-    vector_b: np.ndarray
-    tensor: np.ndarray
-
-    def apply(self, state: TwoQubitState) -> TwoQubitState:
-        """The initial state(s) ``state`` at the sampled times, by componentwise scaling of
-        the polarizations: the state axes of a batch come first, then the time axes."""
-        lift = state.pi.shape[:-2] + (1,) * self.tensor.ndim
-        fields = (self.vector_a[..., None] * state.p_a.reshape(lift + (3,)),
-                  self.vector_b[..., None] * state.p_b.reshape(lift + (3,)),
-                  self.tensor[..., None, None] * state.pi.reshape(lift + (3, 3)))
-        for x in fields:
-            x.setflags(write=False)  # fresh arrays: the state takes them without a copy
-        return TwoQubitState(*fields)
-
-
 def _vector_lines(k: float, bath: BathDistribution) -> tuple[np.ndarray, np.ndarray]:
     """(half, omega) of one qubit's Bloch-vector decay factor sum_l 2 half_l cos(omega_l t): per sector
     g_I = 1 - (1 - b) sin^2(Lambda t), b = (1 - 4 I(I+1)/3) / (2I+1)^2, a line at 2 Lambda = k (I + 1/2)."""
@@ -69,8 +47,9 @@ def _vector_lines(k: float, bath: BathDistribution) -> tuple[np.ndarray, np.ndar
     return half, np.append(0.0, 0.5 * k * (2.0 * spins + 1.0))
 
 
-def decay_factors(system: SeparateBathSystem, t) -> DecayFactors:
-    """Decay factors at time(s) t; scalars in, 0-d arrays out. One line sum gives g_a + i g_b
+def decay_factors(system: SeparateBathSystem, t) -> list[np.ndarray]:
+    """The channel's eight functions (a, b, c, d, e, g, f0, f2) = (g_a, g_b, 0, 0, 0, g, g, g),
+    g = g_a g_b, on the grid t flattened, for ``apply_channel``. One line sum gives g_a + i g_b
     (qubit b's lines with imaginary amplitudes), or g_a = g_b when the couplings are equal and
     the bath is one object; rounding above 1 is clipped."""
     half, omega = _vector_lines(system.k_a, system.bath_a)
@@ -78,21 +57,12 @@ def decay_factors(system: SeparateBathSystem, t) -> DecayFactors:
     if not same:
         half_b, omega_b = _vector_lines(system.k_b, system.bath_b)
         half, omega = np.append(half, 1j * half_b), np.append(omega, omega_b)
-    z = evaluate_lines(half[None], half[None], omega, t)[0]
+    z = evaluate_lines(half[None], half[None], omega, np.asarray(t, dtype=float).ravel())[0]
     # fresh arrays: views of z would keep the complex line sum alive
     g_a = np.minimum(z.real, 1.0, out=np.empty(z.shape))
     g_b = g_a if same else np.minimum(z.imag, 1.0, out=np.empty(z.shape))
-    return DecayFactors(vector_a=g_a, vector_b=g_b, tensor=g_a * g_b)
-
-
-def evolve(system: SeparateBathSystem, state: TwoQubitState, t) -> TwoQubitState:
-    """Reduced state(s) at time(s) t, ``decay_factors(system, t).apply(state)``.
-
-    The batch axes of the result are those of the initial states, then those
-    of t: one initial state on a time grid gives one state per sample, on a
-    scalar t an unbatched state.
-    """
-    return decay_factors(system, t).apply(state)
+    zero, g = np.zeros(z.shape), g_a * g_b
+    return [g_a, g_b, zero, zero, zero, g, g, g]
 
 
 def _check_symmetric(system: SeparateBathSystem) -> tuple[float, float]:
@@ -149,7 +119,7 @@ def sudden_death_time(
     if abs(decoherence_measure(state)) > 1e-10 or np.linalg.norm(state.p_a) > 1e-10:
         raise InvalidStateError("sudden-death threshold applies to maximally entangled states")
     times = np.linspace(0.0, t_max, samples)
-    g2 = decay_factors(system, times).tensor
+    g2 = decay_factors(system, times)[5]
     below = np.nonzero(g2 <= 1.0 / 3.0)[0]
     if below.size == 0:
         return None
@@ -157,7 +127,7 @@ def sudden_death_time(
     lo = times[below[0] - 1] if below[0] > 0 else 0.0
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if float(decay_factors(system, mid).tensor) <= 1.0 / 3.0:
+        if decay_factors(system, mid)[5][0] <= 1.0 / 3.0:
             hi = mid
         else:
             lo = mid

@@ -323,13 +323,13 @@ class TestSectorPropagatorCoefficients:
 
 
 def channel_functions(system, times) -> dict[str, np.ndarray]:
-    """The channel's eight functions (see ``common._apply_channel``) by name."""
+    """The channel's eight functions (see ``common.apply_channel``) by name."""
     f = common._channel_functions(common._channel_lines(system), times)
     return dict(zip(("a", "b", "c", "d", "e", "g", "f0", "f2"), f))
 
 
 class TestSymmetricEvolution:
-    """k_a = k_b: the channel, read out as the paper's map (see ``common._apply_channel``)."""
+    """k_a = k_b: the channel, read out as the paper's map (see ``common.apply_channel``)."""
 
     def test_map_at_time_zero(self):
         # vec_direct = a and tensor_direct = (f2 + g) / 2 are 1; vec_exchange = c,

@@ -13,8 +13,9 @@ from spinbath import bath as bath_module
 from spinbath import common, separate
 from spinbath.bath import gaussian_approx, unpolarized_exact
 from spinbath.cli import main
-from spinbath.common import CommonBathSystem, SectorExactEvolver, evaluate_lines, singlet_survival
-from spinbath.separate import SeparateBathSystem, decay_factors, evolve
+from spinbath.common import (CommonBathSystem, SectorExactEvolver, apply_channel, evaluate_lines,
+                             singlet_survival)
+from spinbath.separate import SeparateBathSystem, decay_factors
 from spinbath.states import density_to_state, make_named_state, state_to_density
 from spinbath.timeseries import read_csv
 
@@ -148,6 +149,12 @@ class TestEvaluateLines:
         assert abs(Fraction(step) + Fraction(lo) - Fraction(1e308) / 39) <= np.spacing(abs(lo))
         got = evaluate_lines(np.ones((1, 1)), np.ones((1, 1)), np.zeros(1), t)
         assert np.array_equal(got, np.full((1, t.size), 2.0 + 0j))
+        # lines whose phases |w| t pass 1 / eps: the residual's correction keeps the phase
+        # tables on the unit circle, so the sum stays within the sum of its amplitudes
+        amp = np.array([[0.5, 0.25]])
+        for t_max in (1e16, 1e20, 1e150, 1e300):
+            got = evaluate_lines(amp, amp, np.array([1.0, 3.7]), np.linspace(0.0, t_max, 40))
+            assert np.all(np.isfinite(got)) and np.abs(got).max() <= 1.5, t_max
 
     def test_large_start_time(self):
         # the phases w t reach 4e5 and carry rounding of ~ulp(w t) = 6e-11 in
@@ -357,12 +364,12 @@ class TestClosedFormsOnLines:
         b = BATHS.get(bath) or gaussian_approx(1000, "narrow")
         system = SeparateBathSystem(k, 0.5 * k, b, b)
         want = per_sector_vector_decay(k, b, TIMES)
-        got = decay_factors(system, TIMES)
-        assert np.abs(got.vector_a - want).max() < 1e-12
-        assert np.abs(got.vector_b - per_sector_vector_decay(0.5 * k, b, TIMES)).max() < 1e-12
+        g_a, g_b = decay_factors(system, TIMES)[:2]
+        assert np.abs(g_a - want).max() < 1e-12
+        assert np.abs(g_b - per_sector_vector_decay(0.5 * k, b, TIMES)).max() < 1e-12
         scalar = decay_factors(system, TIMES[5])
-        assert scalar.vector_a.shape == scalar.vector_b.shape == ()
-        assert abs(float(scalar.vector_a) - want[5]) < 1e-12
+        assert all(f.shape == (1,) for f in scalar)
+        assert abs(scalar[0][0] - want[5]) < 1e-12
 
     @pytest.mark.parametrize("k_b, bath_b", [(1.3, "same"), (0.7, "same"), (1.3, "copy"), (1.3, "other")])
     def test_one_line_sum_per_call(self, k_b, bath_b, monkeypatch):
@@ -378,12 +385,14 @@ class TestClosedFormsOnLines:
             return evaluate_lines(amp_plus, amp_minus, omega, times)
 
         monkeypatch.setattr(separate, "evaluate_lines", counting)
-        got = decay_factors(system, TIMES)
+        g_a, g_b, c, d, e, g, f0, f2 = decay_factors(system, TIMES)
         one = b.significant_sectors()[0].size + 1
         assert calls == [one if k_b == 1.3 and bath_b == "same" else one + other.significant_sectors()[0].size + 1]
-        assert np.abs(got.vector_a - per_sector_vector_decay(1.3, b, TIMES)).max() < 1e-12
-        assert np.abs(got.vector_b - per_sector_vector_decay(k_b, other, TIMES)).max() < 1e-12
-        assert np.array_equal(got.tensor, got.vector_a * got.vector_b)
+        assert np.abs(g_a - per_sector_vector_decay(1.3, b, TIMES)).max() < 1e-12
+        assert np.abs(g_b - per_sector_vector_decay(k_b, other, TIMES)).max() < 1e-12
+        # the channel of private baths: (g_a, g_b, 0, 0, 0, g, g, g) with g = g_a g_b
+        assert not (c.any() or d.any() or e.any())
+        assert np.array_equal(g, g_a * g_b) and np.array_equal(f0, g) and np.array_equal(f2, g)
 
 
 class TestWeightCut:
@@ -420,8 +429,9 @@ class TestWeightCut:
             out += [s.p_a.ravel(), s.p_b.ravel(), s.pi.ravel()]
         out.append(singlet_survival(CommonBathSystem(1.2, 0.8, 3.0, b), TIMES))
         sep = SeparateBathSystem(1.1, 0.6, b, b)
-        out += [decay_factors(sep, TIMES).vector_a, decay_factors(sep, TIMES).vector_b]
-        out.append(evolve(sep, make_named_state("r_state", r=0.4), TIMES).p_a.ravel())
+        f = decay_factors(sep, TIMES)
+        out += f[:2]
+        out.append(apply_channel(f, make_named_state("r_state", r=0.4)).p_a.ravel())
         return np.concatenate(out)
 
     @pytest.mark.parametrize("cut", [1e-16, 1e-8, 1e-3])
@@ -460,6 +470,20 @@ def test_ten_thousand_spins_through_cli(tmp_path, scenario, extra):
         system = CommonBathSystem(1.0, 1.0, 5.0, b)
         total = common._channel_functions(common._channel_lines(system), series.column("t"))[6]
     assert np.abs(total - 1.0).max() < 1e-12
+
+
+@pytest.mark.parametrize("t_max", [1e16, 1e20, 1e150])
+@pytest.mark.parametrize("scenario", ["fig3", "separate\nk_b = 0.7"], ids=["fig3", "separate"])
+def test_phases_past_double_precision_through_cli(tmp_path, scenario, t_max):
+    # |omega| t_max far past 1 / eps: the phases are noise, but every row is still a state
+    out = tmp_path / "out.csv"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"scenario = {scenario}\nt_max = {t_max!r}\noutput = {out}\n")
+    assert main(["run", str(cfg)]) == 0
+    series = read_csv(out)
+    assert np.all(np.isfinite(series.data))
+    d = series.column("d_pair" if scenario == "fig3" else "d")
+    assert d.min() >= -1e-12 and d.max() <= 0.75 + 1e-12
 
 
 def test_dense_and_exact_scenarios_record_no_dropped_weight(tmp_path):

@@ -128,6 +128,8 @@ def test_trajectory_columns_are_declared_and_written(tmp_path):
         if not kind.columns:
             continue
         out = tmp_path / f"{name}.csv"
-        run(ScenarioConfig.for_kind(name, n_bath=8, j=2.0, samples=20, output=str(out)))
+        # private baths (exchange "zero") refuse a nonzero j
+        j = 0.0 if kind.exchange == "zero" else 2.0
+        run(ScenarioConfig.for_kind(name, n_bath=8, j=j, samples=20, output=str(out)))
         header = next(line for line in out.read_text().splitlines() if not line.startswith("#"))
         assert header == ",".join(["t", *kind.columns])

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from spinbath.bath import delta_distribution, gaussian_approx, unpolarized_exact
+from spinbath.common import apply_channel
 from spinbath.oracle import CouplingParams, build, evolve_reduced
 from spinbath.separate import (
     AssumptionError,
     SeparateBathSystem,
     decay_factors,
-    evolve,
     short_time_concurrence_time,
     short_time_decoherence_time,
     sudden_death_time,
@@ -20,11 +20,18 @@ from spinbath.states import (
     TwoQubitState,
     concurrence_state,
     decoherence_measure,
+    density_to_state,
     make_named_state,
     validate_state,
 )
 
-from test_states import same_states
+from test_states import random_density, same_states
+
+
+def evolve(system: SeparateBathSystem, state: TwoQubitState, times) -> TwoQubitState:
+    """The initial state(s) on the grid ``times`` (a scalar is a grid of one sample), through
+    the channel of the private baths."""
+    return apply_channel(decay_factors(system, times), state)
 
 
 def decoherence_series(system: SeparateBathSystem, state: TwoQubitState, times) -> np.ndarray:
@@ -72,16 +79,16 @@ class TestSectorPropagator:
 
 class TestDecayFactors:
     def test_time_zero(self):
-        g = decay_factors(symmetric_system(4), 0.0)
-        assert (float(g.vector_a), float(g.vector_b), float(g.tensor)) == (1.0, 1.0, 1.0)
+        f = decay_factors(symmetric_system(4), 0.0)
+        assert [x.tolist() for x in f] == [[1.0]] * 2 + [[0.0]] * 3 + [[1.0]] * 3
 
     def test_decoupled_qubit(self):
         bath = unpolarized_exact(3)
         system = SeparateBathSystem(1.0, 0.0, bath, bath)
         t = np.linspace(0, 3, 7)
-        g = decay_factors(system, t)
-        assert np.allclose(g.vector_b, 1.0, atol=1e-15)
-        assert np.allclose(g.tensor, g.vector_a, atol=1e-15)
+        g_a, g_b, *_, g = decay_factors(system, t)
+        assert np.allclose(g_b, 1.0, atol=1e-15)
+        assert np.allclose(g, g_a, atol=1e-15)
 
     PURE = [("singlet", {}), ("triplet0", {}), ("bell_t1", {}), ("bell_t2", {}), ("up_down", {}),
             ("r_state", dict(r=0.5)), ("updown_mix", dict(r=0.3)),
@@ -95,8 +102,8 @@ class TestDecayFactors:
         bath = gaussian_approx(n, "narrow")
         system = SeparateBathSystem(*couplings, bath, bath)
         times = np.linspace(0.0, 10.0, 500)
-        g = decay_factors(system, times)
-        assert max(g.vector_a.max(), g.vector_b.max()) <= 1.0
+        g_a, g_b = decay_factors(system, times)[:2]
+        assert max(g_a.max(), g_b.max()) <= 1.0
         for name, params in self.PURE:
             state = make_named_state(name, **params)
             d = decoherence_measure(evolve(system, state, times))
@@ -104,8 +111,8 @@ class TestDecayFactors:
 
     def test_vector_dominates_tensor(self):
         t = np.linspace(0, 8, 400)
-        g = decay_factors(symmetric_system(6), t)
-        assert np.all(g.vector_a**2 >= g.tensor**2 - 1e-12)
+        f = decay_factors(symmetric_system(6), t)
+        assert np.all(f[0] ** 2 >= f[5] ** 2 - 1e-12)
 
     def test_short_time_richardson(self):
         # 1 - g1 = (1/3) K^2 <I(I+1)> t^2 + O(t^4): Richardson-extrapolate
@@ -114,14 +121,14 @@ class TestDecayFactors:
         h = 1e-3
 
         def ratio(t):
-            return (1.0 - float(decay_factors(system, t).vector_a)) / t**2
+            return (1.0 - decay_factors(system, t)[0][0]) / t**2
 
         extrap = (4 * ratio(h / 2) - ratio(h)) / 3
         assert extrap == pytest.approx(1.3**2 * m2 / 3, rel=1e-8)
         # tensor factor decays twice as fast at leading order
 
         def ratio2(t):
-            return (1.0 - float(decay_factors(system, t).tensor)) / t**2
+            return (1.0 - decay_factors(system, t)[5][0]) / t**2
 
         extrap2 = (4 * ratio2(h / 2) - ratio2(h)) / 3
         assert extrap2 == pytest.approx(2 * 1.3**2 * m2 / 3, rel=1e-8)
@@ -130,7 +137,7 @@ class TestDecayFactors:
 class TestEvolve:
     def test_time_zero_identity(self):
         s0 = make_named_state("r_state", r=0.5)
-        s = evolve(symmetric_system(4), s0, 0.0)
+        s = evolve(symmetric_system(4), s0, 0.0)[0]
         assert np.allclose(s.pi, s0.pi) and np.allclose(s.p_a, s0.p_a)
 
     def test_grid_is_one_batch(self):
@@ -141,26 +148,40 @@ class TestEvolve:
         assert batch.pi.shape == (9, 3, 3)
         for t, s in zip(times, batch):
             one = evolve(system, s0, t)
-            assert one.pi.shape == (3, 3)
+            assert one.pi.shape == (1, 3, 3)
             # array and scalar sin/cos may round differently by an ulp
-            assert np.abs(s.pi - one.pi).max() < 1e-14
-            assert np.abs(s.p_b - one.p_b).max() < 1e-14
+            assert np.abs(s.pi - one.pi[0]).max() < 1e-14
+            assert np.abs(s.p_b - one.p_b[0]).max() < 1e-14
 
     @pytest.mark.parametrize("t", [np.linspace(0.0, 4.0, 30), 1.7], ids=["grid", "scalar"])
     def test_batch_equals_per_state(self, t):
-        # a batch of initial states: the state axis, then the time axes, bit for bit
+        # a batch of initial states: the state axis, then the time axis, bit for bit
         system = SeparateBathSystem(1.0, 0.7, gaussian_approx(60, "narrow"), unpolarized_exact(5))
         initial = [make_named_state("general_pure", gamma=0.3 + 0.4j, theta=1.1, phi=2.3),
                    make_named_state("werner", p=0.6), make_named_state("r_state", r=-0.5)]
-        g = decay_factors(system, t)
-        batch = g.apply(TwoQubitState.stack(initial))
-        assert batch.pi.shape == (3,) + np.shape(t) + (3, 3)
-        assert same_states(evolve(system, TwoQubitState.stack(initial), t), batch)
+        batch = evolve(system, TwoQubitState.stack(initial), t)
+        assert batch.pi.shape == (3, np.size(t), 3, 3)
         for k, s0 in enumerate(initial):
             assert same_states(batch[k], evolve(system, s0, t))
 
+    def test_channel_scales_each_polarization(self):
+        # random states, most of them not X states, and a tilted pure one: the channel of
+        # the private baths is P_A -> g_a P_A, P_B -> g_b P_B, pi -> g_a g_b pi
+        system = SeparateBathSystem(1.2, 0.7, gaussian_approx(100, "narrow"), unpolarized_exact(9))
+        initial = TwoQubitState.stack([density_to_state(random_density(seed)) for seed in range(6)]
+                                      + [make_named_state("general_pure", gamma=0.5, theta=0.3, phi=1.0)])
+        times = np.linspace(0.0, 7.0, 300)
+        g_a, g_b = decay_factors(system, times)[:2]
+        got = evolve(system, initial, times)
+        want_a = g_a[:, None] * initial.p_a[:, None, :]
+        want_b = g_b[:, None] * initial.p_b[:, None, :]
+        want_pi = (g_a * g_b)[:, None, None] * initial.pi[:, None, :, :]
+        assert np.abs(got.p_a - want_a).max() <= 1e-15
+        assert np.abs(got.p_b - want_b).max() <= 1e-15
+        assert np.abs(got.pi - want_pi).max() <= 1e-15
+
     def test_evolution_peaks_near_its_output(self):
-        # the decay factors scale fresh arrays, which the state takes without a copy
+        # the channel fills fresh arrays, which the state takes without a copy
         bath = gaussian_approx(100, "narrow")
         system = SeparateBathSystem(1.0, 0.8, bath, bath)
         s0 = make_named_state("r_state", r=0.4)
@@ -176,8 +197,7 @@ class TestEvolve:
     def test_product_state_stays_product(self):
         system = symmetric_system(4)
         s0 = make_named_state("up_down")
-        for t in np.linspace(0.1, 4, 9):
-            assert concurrence_state(evolve(system, s0, t)) == 0.0
+        assert np.all(concurrence_state(evolve(system, s0, np.linspace(0.1, 4, 9))) == 0.0)
 
     def test_preserves_physicality(self):
         system = SeparateBathSystem(
@@ -185,7 +205,7 @@ class TestEvolve:
         )
         s0 = make_named_state("r_state", r=-0.4)
         for t in (0.2, 0.9, 3.3):
-            assert validate_state(evolve(system, s0, t), tol=1e-10).physical
+            assert validate_state(evolve(system, s0, t)[0], tol=1e-10).physical
 
     @pytest.mark.parametrize("state", ["singlet", "up_down", "updown_mix"])
     def test_oracle_equivalence_small(self, state):
@@ -201,7 +221,7 @@ class TestEvolve:
         times = np.linspace(0.0, 5.0, 11)
         oracle_states = evolve_reduced(full, s0, "fully_mixed", times)
         for t, ref in zip(times, oracle_states):
-            s = evolve(system, s0, t)
+            s = evolve(system, s0, t)[0]
             dev = max(
                 np.abs(s.p_a - ref.p_a).max(),
                 np.abs(s.p_b - ref.p_b).max(),
@@ -221,7 +241,7 @@ class TestDecoherenceSeries:
         system = symmetric_system(5)
         times = np.linspace(0, 3, 40)
         series = decoherence_series(system, make_named_state("singlet"), times)
-        g2 = decay_factors(system, times).tensor
+        g2 = decay_factors(system, times)[5]
         assert np.allclose(series, 0.75 * (1 - g2**2), atol=1e-13)
 
     def test_matches_pointwise_evolution(self):
@@ -231,7 +251,7 @@ class TestDecoherenceSeries:
         s0 = make_named_state("r_state", r=0.3)
         times = np.linspace(0, 4, 17)
         series = decoherence_series(system, s0, times)
-        direct = [decoherence_measure(evolve(system, s0, t)) for t in times]
+        direct = [decoherence_measure(evolve(system, s0, t)[0]) for t in times]
         assert np.allclose(series, direct, atol=1e-12)
 
     def test_entangled_states_lose_purity_faster(self):
@@ -292,7 +312,7 @@ class TestShortTimeTimescales:
         s0 = make_named_state(spec[0], **spec[1])
         tau = short_time_decoherence_time(system, float(np.linalg.norm(s0.p_a)))
         t = 1e-3 * tau
-        d = float(decoherence_measure(evolve(system, s0, t)))
+        d = float(decoherence_measure(evolve(system, s0, t)[0]))
         assert d / t**2 == pytest.approx(1 / tau**2, rel=1e-5)
         times = np.linspace(0, 0.1 * tau, 30)[1:]
         x, y = times**2, -np.log1p(-decoherence_series(system, s0, times))
@@ -338,9 +358,9 @@ class TestSuddenDeath:
         s0 = make_named_state("triplet0")
         t_star = sudden_death_time(system, s0, t_max=10.0)
         assert t_star is not None
-        assert float(decay_factors(system, t_star).tensor) == pytest.approx(1 / 3, abs=1e-9)
-        assert concurrence_state(evolve(system, s0, 0.5 * t_star)) > 0
-        assert concurrence_state(evolve(system, s0, 1.05 * t_star)) == 0.0
+        assert decay_factors(system, t_star)[5][0] == pytest.approx(1 / 3, abs=1e-9)
+        assert concurrence_state(evolve(system, s0, 0.5 * t_star)[0]) > 0
+        assert concurrence_state(evolve(system, s0, 1.05 * t_star)[0]) == 0.0
 
     def test_threshold_not_reached_within_horizon(self):
         bath = delta_distribution(0.5)

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from spinbath import separate, states
 from spinbath.bath import gaussian_approx
+from spinbath.common import apply_channel
 from spinbath.states import (
     InvalidStateError,
     TwoQubitState,
@@ -239,8 +240,9 @@ class TestBatchedState:
     def test_concurrence_state_peaks_near_its_output(self):
         # the X-state closed form runs in blocks: no T-long temporaries beside the result
         bath = gaussian_approx(100, "narrow")
-        trajectory = separate.evolve(separate.SeparateBathSystem(1.0, 0.8, bath, bath),
-                                     make_named_state("r_state", r=0.4), np.linspace(0.0, 5.0, 200_000))
+        system = separate.SeparateBathSystem(1.0, 0.8, bath, bath)
+        trajectory = apply_channel(separate.decay_factors(system, np.linspace(0.0, 5.0, 200_000)),
+                                   make_named_state("r_state", r=0.4))
         tracemalloc.start()
         try:
             out = concurrence_state(trajectory)
@@ -701,14 +703,15 @@ class TestXStatePremise:
     def trajectories(state):
         from spinbath.bath import gaussian_approx, unpolarized_exact
         from spinbath.common import CommonBathSystem, SectorExactEvolver
-        from spinbath.separate import SeparateBathSystem, evolve
+        from spinbath.separate import SeparateBathSystem
 
         times = np.linspace(0.0, 8.0, 97)
         bath = gaussian_approx(60, "narrow")
         yield SectorExactEvolver(CommonBathSystem(1.0, 1.0, 3.0, bath)).evolve(state, times)
         for k_b, j in ((0.7, 5.0), (1.0, 2.0)):
             yield SectorExactEvolver(CommonBathSystem(1.2, k_b, j, unpolarized_exact(9))).evolve(state, times)
-        yield evolve(SeparateBathSystem(1.0, 0.6, bath, unpolarized_exact(7)), state, times)
+        private = SeparateBathSystem(1.0, 0.6, bath, unpolarized_exact(7))
+        yield apply_channel(separate.decay_factors(private, times), state)
 
     @pytest.mark.parametrize("name, params", NAMED)
     def test_named_states_stay_x(self, name, params):
