@@ -14,7 +14,6 @@ from .bath import (
     bath_from_config,
     delta_distribution,
     gaussian_approx,
-    sector_multiplicity,
     spin_grid,
     unpolarized_exact,
 )

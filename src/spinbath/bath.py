@@ -7,7 +7,13 @@ completely unpolarized bath (identity/2^N) has exact sector weights
     lambda_I = d_N(I) (2I+1) / 2^N,
     d_N(I) = C(N, N/2 - I) - C(N, N/2 - I - 1),
 
-where d_N(I) counts the multiplicity of spin-I irreducible blocks. Two
+where d_N(I) counts the multiplicity of spin-I irreducible blocks. The weights
+are built from the ratio of neighbouring sectors,
+
+    lambda_{I+1} / lambda_I = (N/2 - I) / (N/2 + I + 2) * ((2I+3) / (2I+1))^2,
+
+as a cumulative sum of its logs: one path, without big integers, for every N
+up to MAX_SPINS. Two
 Gaussian surrogates lambda_I ~ I^2 exp(-c I^2) on the same discrete grid are
 provided: c = 1/(2N) ("wide") and c = 2/N ("narrow"). The narrow variant
 reproduces the exact Casimir moment <I(I+1)> = 3N/4 asymptotically.
@@ -15,9 +21,7 @@ reproduces the exact Casimir moment <I(I+1)> = 3N/4 asymptotically.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -72,26 +76,21 @@ def spin_grid(n: int) -> np.ndarray:
     return np.arange(i_min, n / 2.0 + 0.25, 1.0)
 
 
-def sector_multiplicity(n: int, i: float) -> int:
-    """Number of spin-i irreducible blocks in (1/2)^{(x)n}."""
-    k = n // 2 - int(round(i - 0.5 * (n % 2)))
-    first = math.comb(n, k) if 0 <= k <= n else 0
-    second = math.comb(n, k - 1) if 0 <= k - 1 <= n else 0
-    return first - second
-
-
 def unpolarized_exact(n: int) -> BathDistribution:
     """Exact sector weights of the fully unpolarized bath identity/2^n."""
-    if not 1 <= n <= 64:
-        raise BathSpecError(f"n must be in [1, 64], got {n}")
+    if not 1 <= n <= MAX_SPINS:
+        raise BathSpecError(f"n must be in [1, {MAX_SPINS}], got {n}")
     spins = spin_grid(n)
-    denom = 2**n
-    fracs = [
-        Fraction(sector_multiplicity(n, i) * int(round(2 * i + 1)), denom) for i in spins
-    ]
-    assert sum(fracs) == 1  # dimension count is exact in integer arithmetic
-    weights = np.array([float(f) for f in fracs])
-    return BathDistribution(spins, weights / weights.sum(), n_spins=n)
+    i, half = spins[:-1], n / 2.0
+    # log lambda_{I+1}/lambda_I; log1p keeps each factor accurate where it nears 1
+    log_ratio = np.log1p(-(2.0 * i + 2.0) / (half + i + 2.0)) + 2.0 * np.log1p(2.0 / (2.0 * i + 1.0))
+    log_w = np.concatenate(([0.0], np.cumsum(log_ratio)))
+    w = np.exp(log_w - log_w.max())
+    w /= w.sum()
+    # each weight is an integer over 2^n: snap to that lattice where a double resolves it
+    k = min(n, 1023)
+    w = np.ldexp(np.rint(np.ldexp(w, k)), -k)
+    return BathDistribution(spins, w / w.sum(), n_spins=n)
 
 
 def gaussian_approx(n: int, variant: str = "narrow") -> BathDistribution:

@@ -1,18 +1,61 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
 from spinbath.bath import (
+    MAX_SPINS,
     BathDistribution,
     BathSpecError,
     bath_from_config,
     delta_distribution,
     gaussian_approx,
-    sector_multiplicity,
     spin_grid,
     unpolarized_exact,
 )
+
+
+@functools.cache
+def primes_to(n: int) -> tuple[int, ...]:
+    sieve = np.ones(n + 1, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, math.isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = False
+    return tuple(np.flatnonzero(sieve).tolist())
+
+
+def binomial(n: int, k: int) -> int:
+    """C(n, k) as its product of prime powers (Legendre's formula).
+
+    math.comb gives the same integers, but takes seconds for each C(10^6, ~5 10^5) on CPython 3.11.
+    """
+    if not 0 <= k <= n:
+        return 0
+
+    def legendre(m: int, p: int) -> int:  # the power of p in m!
+        e = 0
+        while m:
+            m //= p
+            e += m
+        return e
+
+    powers = [p ** (legendre(n, p) - legendre(k, p) - legendre(n - k, p)) for p in primes_to(n)]
+    while len(powers) > 1:  # balanced products keep the multiplications fast
+        powers = [math.prod(powers[j:j + 2]) for j in range(0, len(powers), 2)]
+    return powers[0] if powers else 1
+
+
+def sector_multiplicity(n: int, i: float) -> int:
+    """Number of spin-i irreducible blocks in (1/2)^{(x)n}: C(n, k) - C(n, k - 1), k = n/2 - i."""
+    k = n // 2 - int(round(i - 0.5 * (n % 2)))
+    return binomial(n, k) - binomial(n, k - 1)
+
+
+def sector_dimension(n: int, i: float) -> int:
+    """d_n(i) (2i+1): the unpolarized bath's weight on sector i is this over 2^n."""
+    return sector_multiplicity(n, i) * int(round(2 * i + 1))
 
 
 class TestExactDistribution:
@@ -29,28 +72,51 @@ class TestExactDistribution:
     def test_four_spins(self):
         # multiplicities 2, 3, 1 for I = 0, 1, 2
         d = unpolarized_exact(4)
-        assert np.allclose(d.weights, [2 / 16, 9 / 16, 5 / 16])
+        assert d.weights.tolist() == [2 / 16, 9 / 16, 5 / 16]
         assert sector_multiplicity(4, 0) == 2
         assert sector_multiplicity(4, 1) == 3
         assert sector_multiplicity(4, 2) == 1
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 1000])
+    def test_binomial_matches_math_comb(self, n):
+        assert [binomial(n, k) for k in range(n + 1)] == [math.comb(n, k) for k in range(n + 1)]
+
     @pytest.mark.parametrize("n", range(1, 31))
     def test_dimension_count(self, n):
-        total = sum(
-            sector_multiplicity(n, i) * int(round(2 * i + 1)) for i in spin_grid(n)
-        )
-        assert total == 2**n
+        assert sum(sector_dimension(n, i) for i in spin_grid(n)) == 2**n
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 7, 10, 25, 64])
+    @pytest.mark.parametrize("n", range(1, 65))
+    def test_every_sector_matches_integer_weights(self, n):
+        # up to n = 53 each weight k / 2^n is a double, and the ratio recursion lands on it
+        d = unpolarized_exact(n)
+        reference = np.array([sector_dimension(n, i) / 2**n for i in spin_grid(n)])  # correctly rounded
+        if n <= 53:
+            assert d.weights.tolist() == reference.tolist()
+        else:
+            np.testing.assert_allclose(d.weights, reference, rtol=5e-15, atol=0.0)
+
+    @pytest.mark.parametrize("n", [10**4, MAX_SPINS])
+    def test_spot_sectors_match_integer_weights(self, n):
+        d = unpolarized_exact(n)
+        kept = d.significant_sectors()[0]
+        for i in {1.0, 100.0, float(d.spins[np.argmax(d.weights)]), float(kept[-1])}:
+            # weight - m / 2^n over m / 2^n, in integers: weight = num / den with den a power of 2
+            m = sector_dimension(n, i)
+            num, den = float(d.weights[np.searchsorted(d.spins, i)]).as_integer_ratio()
+            assert abs(((num << n) - m * den) / (m * den)) <= 5e-14, i
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 10, 25, 64, 10**3, 10**4, MAX_SPINS])
     def test_casimir_moment_is_three_quarters_n(self, n):
         # <(sum I_i)^2> = 3n/4 for uncorrelated maximally mixed spins
-        assert unpolarized_exact(n).casimir_moment() == pytest.approx(0.75 * n, abs=1e-10)
+        d = unpolarized_exact(n)
+        assert d.weights.sum() == pytest.approx(1.0, rel=1e-12)
+        assert d.casimir_moment() == pytest.approx(0.75 * n, rel=1e-12, abs=1e-10)
 
     def test_range_check(self):
         with pytest.raises(BathSpecError):
             unpolarized_exact(0)
         with pytest.raises(BathSpecError):
-            unpolarized_exact(65)
+            unpolarized_exact(MAX_SPINS + 1)
 
 
 class TestGaussianApprox:

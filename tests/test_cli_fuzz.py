@@ -21,6 +21,8 @@ from spinbath.timeseries import read_csv
 TOL = 1e-12
 # field values at the edges of double precision, and where |omega| t passes 1 / eps
 MAGNITUDES = [0.0, 5e-324, 1e-300, 1e-150, 1.0, 1e16, 1e20, 1e150, 1e300]
+# bath sizes past 64 spins, up to the validated cap, where the exact bath and the surrogate both run
+N_LARGE = [65, 1000, 10**4, 10**6]
 STATES = ["singlet", "triplet0", "bell_t1", "bell_t2", "up_down", "r_state:0.5", "updown_mix:-0.7",
           "werner:0.6", "general_pure:0.5,0.3,1.0"]
 
@@ -37,7 +39,7 @@ def configs(draw) -> dict:
     oracle = kind == "oracle-compare"
     fields = dict(
         scenario=kind,
-        n_bath=draw(st.integers(0, 4 if oracle else 64)),
+        n_bath=draw(st.integers(0, 4) if oracle else st.one_of(st.integers(0, 64), st.sampled_from(N_LARGE))),
         bath="exact" if oracle else draw(st.sampled_from(["exact", "gaussian-narrow"])),
         k_a=draw(field(MAGNITUDES)), k_b=draw(field(MAGNITUDES)), j=draw(field(MAGNITUDES)),
         t_max=draw(field(MAGNITUDES, (1.0,))),

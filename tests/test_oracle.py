@@ -31,6 +31,8 @@ from spinbath.states import (
     state_to_density,
 )
 
+from test_bath import sector_dimension
+
 
 # ---------------------------------------------------------------------------
 # dense Kronecker-product reference: the oracle's former builder
@@ -463,8 +465,6 @@ class TestBathSpinSpectrum:
 
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_matches_multiplicity_formula(self, n):
-        from spinbath.bath import sector_multiplicity
-
         table = dict(bath_spin_spectrum(n))
         for i, count in table.items():
-            assert count == sector_multiplicity(n, i) * int(round(2 * i + 1))
+            assert count == sector_dimension(n, i)
