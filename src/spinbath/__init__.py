@@ -42,7 +42,7 @@ from .optimize import (
     rate_scale,
     scan_optimal_state,
 )
-from .oracle import CouplingParams, FullSystem, build, evolve_reduced
+from .oracle import FullSystem, build, evolve_reduced
 from .separate import (
     SeparateBathSystem,
     decay_factors,

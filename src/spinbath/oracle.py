@@ -1,8 +1,10 @@
 """Brute-force full-Hilbert-space evolution for small baths.
 
-Ground truth for the analytic dynamics. Every mode's Hamiltonian is a sum of
-isotropic pair terms c S_i . S_j over the two qubits and the n bath spins, so
-it conserves the total F_z: it is assembled as real blocks, one per number of
+Ground truth for the analytic dynamics. The Hamiltonian is one Heisenberg
+star, sum_s (k_a[s] S_A + k_b[s] S_B) . I_s + j S_A . S_B, over per-nucleus
+couplings: a shared bath, two private baths and an inhomogeneous dot are
+choices of k_a and k_b. Being a sum of isotropic pair terms c S_i . S_j, it
+conserves the total F_z: it is assembled as real blocks, one per number of
 down spins, straight from bit operations on the (n + 2)-bit basis index (no
 Kronecker products, no complex 4 * 2^n square array). It also commutes with
 the global spin flip, which maps block k onto block n + 2 - k: one block of
@@ -18,7 +20,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -43,13 +44,6 @@ class EigenBlock(NamedTuple):
     vals: np.ndarray
     vecs: np.ndarray
     rows: tuple
-
-
-@dataclass(frozen=True)
-class CouplingParams:
-    k_a: float
-    k_b: float
-    j: float = 0.0
 
 
 @dataclass
@@ -99,13 +93,6 @@ class FullSystem:
                              for a, (lo, hi) in enumerate(zip(ends[:-1], ends[1:])))
                 self._eig.append(EigenBlock(vals, vecs, rows))
         return self._eig
-
-
-def _check_cap(n_bath: int) -> None:
-    if n_bath > MAX_BATH_SPINS:
-        raise DimensionCapError(
-            f"n_bath = {n_bath} exceeds the dense-oracle cap of {MAX_BATH_SPINS}"
-        )
 
 
 def _flipped(idx: np.ndarray, n_sites: int) -> np.ndarray:
@@ -169,83 +156,39 @@ def eigh_cost(n_bath: int) -> tuple[int, int]:
     return max(low + [middle // 2]), 8 * sum(d * d for d in low + [middle])
 
 
-def build(mode: str, n_bath: int, couplings) -> FullSystem:
-    """The system's Heisenberg pair terms, from which its blocks are built.
+def build(k_a, k_b, j: float = 0.0) -> FullSystem:
+    """The Heisenberg pair terms of sum_s (k_a[s] S_A + k_b[s] S_B) . I_s + j S_A . S_B.
 
-    ``mode`` is "separate" (bath split in half, one half per qubit, no
-    exchange), "common" (all bath spins coupled to both qubits plus
-    exchange), or "inhomogeneous" (per-nucleus couplings, no exchange:
-    ``InhomogeneousCouplings`` carries none).
-    Sites are qubit A (0), qubit B (1) and bath spin s (s + 2).
+    ``k_a`` and ``k_b`` are matching 1-d arrays of per-nucleus couplings, one
+    entry per bath spin. Sites are qubit A (0), qubit B (1) and bath spin s
+    (s + 2); the terms are the exchange, then qubit A's, then qubit B's, and
+    zero terms are dropped.
     """
-    _check_cap(n_bath)
+    k_a, k_b = np.asarray(k_a, dtype=float), np.asarray(k_b, dtype=float)
+    if k_a.ndim != 1 or k_a.shape != k_b.shape:
+        raise DimensionCapError(f"need matching 1-d coupling arrays, got shapes {k_a.shape}, {k_b.shape}")
+    n_bath = k_a.size
+    if n_bath > MAX_BATH_SPINS:
+        raise DimensionCapError(f"n_bath = {n_bath} exceeds the dense-oracle cap of {MAX_BATH_SPINS}")
     if n_bath < 1:
         raise DimensionCapError("need at least one bath spin")
-    if mode == "separate":
-        if couplings.j != 0.0:
-            raise DimensionCapError("separate baths assume zero exchange")
-        half = np.arange(n_bath) < n_bath // 2
-        k_a, k_b, j = np.where(half, couplings.k_a, 0.0), np.where(half, 0.0, couplings.k_b), 0.0
-    elif mode == "common":
-        k_a, k_b, j = [couplings.k_a] * n_bath, [couplings.k_b] * n_bath, couplings.j
-    elif mode == "inhomogeneous":
-        if couplings.k_a_i.size != n_bath:
-            raise DimensionCapError(
-                f"need {n_bath} per-nucleus couplings, got {couplings.k_a_i.size}"
-            )
-        k_a, k_b, j = couplings.k_a_i, couplings.k_b_i, 0.0
-    else:
-        raise DimensionCapError(f"unknown mode {mode!r}")
     pair_terms = [(q, s + 2, k[s]) for q, k in enumerate((k_a, k_b)) for s in range(n_bath)]
     terms = [t for t in [(0, 1, j)] + pair_terms if t[2] != 0.0]
     return FullSystem(n_bath, terms)
 
 
-@cache
-def _casimir_eigen(n_bath: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-    """Bath I^2 = 3n/4 + 2 sum_{i<j} S_i . S_j diagonalised once per ``n_bath`` and kept (14 MB
-    at n = 12): read-only (indices, eigenvalues, eigenvectors), one per down-spin count."""
-    _check_cap(n_bath)
-    pairs = [(i, j, 2.0) for i in range(n_bath) for j in range(i + 1, n_bath)]
-    out = tuple((idx, vals + 0.75 * n_bath, vecs)
-                for idx, vals, vecs in _flip_paired_eigh(n_bath, pairs))
-    for a in (a for arrays in out for a in arrays):
-        a.setflags(write=False)
-    return out
+def evolve_reduced(system: FullSystem, state: TwoQubitState, times) -> TwoQubitState:
+    """Reduced pair states at the requested times on the fully mixed bath (identity / 2^n),
+    one batch over the grid.
 
-
-def _sector_projectors(n_bath: int, i: float) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Projector onto total bath spin i, one read-only (indices, block) per down-spin count."""
-    out = []
-    for idx, vals, vecs in _casimir_eigen(n_bath):
-        v = vecs[:, np.abs(vals - i * (i + 1.0)) < 1e-8]
-        block = v @ v.T
-        block.setflags(write=False)
-        out.append((idx, block))
-    if sum(np.trace(block) for _, block in out) < 0.5:
-        raise DimensionCapError(f"no bath sector with spin {i} for {n_bath} spins")
-    return out
-
-
-def evolve_reduced(system: FullSystem, state: TwoQubitState, bath_state, times) -> TwoQubitState:
-    """Reduced pair states at the requested times, one batch over the grid.
-
-    ``bath_state`` is "fully_mixed" (identity / 2^n) or ("sector", i) for the
-    normalized projector onto the total-bath-spin-i subspace. Both commute
-    with the bath I_z, so the initial state couples block p to block q only
-    where p - q = popcount(a) - popcount(b) for some rho_ab[a, b] != 0; the
-    kernel forms just those block pairs, exactly, whatever the state.
+    The bath state commutes with the bath I_z, so the initial state couples
+    block p to block q only where p - q = popcount(a) - popcount(b) for some
+    rho_ab[a, b] != 0; the kernel forms just those block pairs, exactly,
+    whatever the state. Other bath states that commute with I_z go to
+    ``reduced_trajectory`` as its environment.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    if bath_state == "fully_mixed":
-        env = dict.fromkeys(range(system.n_bath + 1), 0.5**system.n_bath)
-    else:
-        kind, i = bath_state
-        if kind != "sector":
-            raise DimensionCapError(f"unknown bath state {bath_state!r}")
-        blocks = [block for _, block in _sector_projectors(system.n_bath, i)]
-        total = sum(np.trace(block) for block in blocks)
-        env = {m: block / total for m, block in enumerate(blocks)}
+    env = dict.fromkeys(range(system.n_bath + 1), 0.5**system.n_bath)
     red = reduced_trajectory(system.eigensystem(), state_to_density(state), env, times)
     return density_to_state(red)
 

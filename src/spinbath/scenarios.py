@@ -30,7 +30,7 @@ from .optimize import (
     optimal_gamma,
     scan_optimal_state,
 )
-from .oracle import MAX_BATH_SPINS, CouplingParams, build, eigh_cost, evolve_reduced
+from .oracle import MAX_BATH_SPINS, build, eigh_cost, evolve_reduced
 from .separate import SeparateBathSystem, decay_factors
 from .separate import short_time_decoherence_time as separate_decoherence_time
 from .states import (
@@ -359,16 +359,17 @@ def _run_optimize(config: ScenarioConfig, bath, state) -> RunResult:
 
 
 def _run_oracle_compare(config: ScenarioConfig, bath, state) -> RunResult:
-    times = _times(config)
-    if config.mode == "separate":
-        n_a = config.n_bath // 2
-        baths = unpolarized_exact(n_a), unpolarized_exact(config.n_bath - n_a)
+    times, n = _times(config), config.n_bath
+    if config.mode == "separate":  # the first n // 2 nuclei are qubit A's, the rest qubit B's
+        own = np.arange(n) < n // 2
+        baths = unpolarized_exact(n // 2), unpolarized_exact(n - n // 2)
         f = decay_factors(SeparateBathSystem(config.k_a, config.k_b, *baths), times)
+        full = build(np.where(own, config.k_a, 0.0), np.where(own, 0.0, config.k_b))
     else:
         f = SectorExactEvolver(CommonBathSystem(config.k_a, config.k_b, config.j, bath)).functions(times)
+        full = build(np.full(n, config.k_a), np.full(n, config.k_b), config.j)
     analytic = apply_channel(f, state)
-    full = build(config.mode, config.n_bath, CouplingParams(config.k_a, config.k_b, config.j))
-    reference = evolve_reduced(full, state, "fully_mixed", times)
+    reference = evolve_reduced(full, state, times)
 
     def flat(s: TwoQubitState) -> np.ndarray:
         return np.concatenate([s.p_a, s.p_b, s.pi.reshape(-1, 9)], axis=1)

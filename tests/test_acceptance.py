@@ -61,11 +61,11 @@ def common_bath_runs():
     for k_a, k_b in ((1.0, 1.0), (1.0, 0.4)):
         for j in (0.0, 1.0, 20.0):
             system = CommonBathSystem(k_a, k_b, j, bath)
-            full = sb.build("common", 6, sb.CouplingParams(k_a, k_b, j))
+            full = sb.build(np.full(6, k_a), np.full(6, k_b), j)
             evolver = SectorExactEvolver(system)
             analytic = {name: evolver.evolve(s0, times) for name, s0 in states.items()}
             reference = {
-                name: sb.evolve_reduced(full, s0, "fully_mixed", times)
+                name: sb.evolve_reduced(full, s0, times)
                 for name, s0 in states.items()
             }
             runs[(k_a, k_b, j)] = (system, analytic, reference)
@@ -77,7 +77,8 @@ def test_criterion_1_separate_bath_oracle_equivalence():
     start = time.monotonic()
     bath = sb.unpolarized_exact(4)
     system = SeparateBathSystem(1.0, 1.0, bath, bath)
-    full = sb.build("separate", 8, sb.CouplingParams(1.0, 1.0, 0.0))
+    own = np.arange(8) < 4  # two private baths of 4
+    full = sb.build(np.where(own, 1.0, 0.0), np.where(own, 0.0, 1.0))
     times = np.linspace(0.0, 5.0, 20)
     states = {
         "singlet": make_named_state("singlet"),
@@ -86,7 +87,7 @@ def test_criterion_1_separate_bath_oracle_equivalence():
     }
     worst = 0.0
     for s0 in states.values():
-        reference = sb.evolve_reduced(full, s0, "fully_mixed", times)
+        reference = sb.evolve_reduced(full, s0, times)
         worst = max(worst, max_state_dev(apply_channel(decay_factors(system, times), s0), reference))
     elapsed = time.monotonic() - start
     assert worst <= ORACLE_TOL

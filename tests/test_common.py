@@ -814,19 +814,22 @@ class TestSectorAgainstOracle:
         # a delta distribution on one sector equals the oracle started in the
         # corresponding projected bath state, for every sector of n spins
         from spinbath.bath import spin_grid
-        from spinbath.oracle import CouplingParams, build, evolve_reduced
+        from spinbath.oracle import build, reduced_trajectory
+        from test_oracle import sector_env
 
         k_a, k_b, j = ORACLE_COUPLINGS[couplings]
-        full = build("common", n, CouplingParams(k_a, k_b, j))
+        full = build(np.full(n, k_a), np.full(n, k_b), j)
         states = [make_named_state("r_state", r=0.5), make_named_state("bell_t1"),
                   make_named_state("werner", p=0.3),
                   make_named_state("general_pure", gamma=0.3 + 0.4j, theta=1.1, phi=2.3)]
-        times = [0.6, 1.9]
+        times = np.array([0.6, 1.9])
         for i in spin_grid(n):
             evolver = SectorExactEvolver(CommonBathSystem(k_a, k_b, j, delta_distribution(i)))
+            env = sector_env(n, i)
             for s0 in states:
                 a = evolver.evolve(s0, times)
-                b = evolve_reduced(full, s0, ("sector", i), times)
+                rho = reduced_trajectory(full.eigensystem(), state_to_density(s0), env, times)
+                b = density_to_state(rho)
                 for x, y in ((a.p_a, b.p_a), (a.p_b, b.p_b), (a.pi, b.pi)):
                     assert np.abs(x - y).max() < 1e-10
 

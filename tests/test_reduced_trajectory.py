@@ -10,11 +10,11 @@ import pytest
 from spinbath import common, oracle
 from spinbath.bath import unpolarized_exact
 from spinbath.common import CommonBathSystem, SectorExactEvolver
-from spinbath.oracle import CouplingParams, build, evolve_reduced
+from spinbath.oracle import build
 from spinbath.scenarios import ScenarioConfig, _run_oracle_compare, validate
 from spinbath.states import make_named_state, state_to_density
 from test_common import sector_hamiltonian
-from test_oracle import bath_spin_projector
+from test_oracle import bath_spin_projector, evolve_in
 
 TIMES = np.array([0.0, 0.35, 1.1, 2.4, 3.7, 6.2])
 
@@ -88,7 +88,7 @@ def test_evolve_reduced(bath_state, chunked, monkeypatch):
     n = 4
     if chunked:  # two samples per pass over the largest F_z block
         monkeypatch.setattr(oracle, "_PHASE_CHUNK", 2 * math.comb(n + 2, n // 2 + 1))
-    full = build("common", n, CouplingParams(1.0, 0.4, 1.5))
+    full = build(np.full(n, 1.0), np.full(n, 0.4), 1.5)
     s0 = make_named_state("r_state", r=0.3)
     if bath_state == "fully_mixed":
         rho_env = np.eye(2**n) / 2**n
@@ -98,7 +98,7 @@ def test_evolve_reduced(bath_state, chunked, monkeypatch):
     vals, vecs = np.linalg.eigh(full.hamiltonian)
     rho_eig = vecs.T @ np.kron(state_to_density(s0), rho_env) @ vecs
     expected = per_time_reduced(vals, vecs, rho_eig, TIMES, 2**n)
-    got = densities(evolve_reduced(full, s0, bath_state, TIMES))
+    got = densities(evolve_in(full, s0, bath_state, TIMES))
     assert np.abs(got - expected).max() < 1e-12
 
 

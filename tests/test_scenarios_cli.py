@@ -260,11 +260,15 @@ class TestRunners:
         assert not result.numerical_failure
         assert float(result.summary["max_abs_dev"]) < 1e-10
 
-    def test_oracle_compare_separate_mode(self, tmp_path):
+    # odd n_bath with k_a != k_b: an oracle that gave qubit A the larger half would fail
+    @pytest.mark.parametrize("fields", [
+        dict(n_bath=4), dict(n_bath=5, k_a=1.0, k_b=0.6), dict(n_bath=7, k_a=1.0, k_b=0.6),
+    ], ids=["n4", "n5", "n7"])
+    def test_oracle_compare_separate_mode(self, tmp_path, fields):
         out = tmp_path / "ocs.csv"
         result = run(
             ScenarioConfig.for_kind(
-                "oracle-compare", mode="separate", j=0.0, n_bath=4,
+                "oracle-compare", mode="separate", j=0.0, **fields,
                 samples=5, t_max=2.0, state="updown_mix:0.5", output=str(out),
             )
         )
@@ -813,7 +817,7 @@ class TestCLI:
         state = parse_state_spec(config.state)
         assert _run_oracle_compare(config, unpolarized_exact(4), state).numerical_failure
 
-        def nan_oracle(full, state, bath_state, times):
+        def nan_oracle(full, state, times):
             nan = np.full((len(times), 3), math.nan)
             return TwoQubitState(nan, nan, np.full((len(times), 3, 3), math.nan))
 

@@ -6,7 +6,7 @@ import pytest
 
 from spinbath.bath import delta_distribution, gaussian_approx, unpolarized_exact
 from spinbath.common import apply_channel
-from spinbath.oracle import CouplingParams, build, evolve_reduced
+from spinbath.oracle import build, evolve_reduced
 from spinbath.separate import (
     AssumptionError,
     SeparateBathSystem,
@@ -217,9 +217,9 @@ class TestEvolve:
         system = SeparateBathSystem(
             1.0, 1.0, unpolarized_exact(2), unpolarized_exact(2)
         )
-        full = build("separate", 4, CouplingParams(1.0, 1.0, 0.0))
+        full = build([1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0])  # two private baths of 2
         times = np.linspace(0.0, 5.0, 11)
-        oracle_states = evolve_reduced(full, s0, "fully_mixed", times)
+        oracle_states = evolve_reduced(full, s0, times)
         for t, ref in zip(times, oracle_states):
             s = evolve(system, s0, t)[0]
             dev = max(

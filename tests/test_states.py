@@ -469,11 +469,11 @@ class TestBatchedValidation:
 
     @staticmethod
     def trajectory(name):
-        from spinbath.oracle import CouplingParams, build, evolve_reduced
+        from spinbath.oracle import build, evolve_reduced
 
-        full = build("common", 4, CouplingParams(1.0, 0.4, 1.5))
+        full = build(np.full(4, 1.0), np.full(4, 0.4), 1.5)
         s0 = make_named_state(name, r=0.3)
-        return evolve_reduced(full, s0, "fully_mixed", np.linspace(0.0, 6.0, 25))
+        return evolve_reduced(full, s0, np.linspace(0.0, 6.0, 25))
 
     @pytest.mark.parametrize("name", ["singlet", "r_state"])
     def test_concurrence_on_the_trajectory(self, name):
