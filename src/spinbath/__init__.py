@@ -30,11 +30,9 @@ from .common import (
     transverse_longitudinal_rates,
 )
 from .optimize import (
-    InhomogeneousCouplings,
     PureStateParam,
     ScanResult,
     coupling_overlap,
-    coupling_overlap_inhomogeneous,
     decoherence_rate_inhomogeneous,
     decoherence_rate_pure,
     gaussian_dot_couplings,

@@ -53,46 +53,25 @@ class PureStateParam:
         _check_range(self.theta, 0.0, math.pi, InvalidStateError, "theta must be in [0, pi]")
 
 
-@dataclass(frozen=True)
-class InhomogeneousCouplings:
-    """Per-nucleus couplings of the two qubits."""
-
-    k_a_i: np.ndarray
-    k_b_i: np.ndarray
-
-    def __post_init__(self):
-        ka = np.array(self.k_a_i, dtype=float)
-        kb = np.array(self.k_b_i, dtype=float)
-        if ka.shape != kb.shape or ka.ndim != 1:
-            raise CouplingError("coupling lists must be matching 1-d arrays")
-        ka.setflags(write=False)
-        kb.setflags(write=False)
-        object.__setattr__(self, "k_a_i", ka)
-        object.__setattr__(self, "k_b_i", kb)
-
-
 class ScanResult(NamedTuple):
     gamma: complex
     theta: float
     rate: float
 
 
-def coupling_overlap(k_a: float, k_b: float) -> float:
-    """delta = 2 K_A K_B / (K_A^2 + K_B^2), in [-1, 1]; rounding can put nearly equal
-    couplings an ulp outside, so the quotient is clipped (a NaN stays NaN)."""
-    denom = k_a**2 + k_b**2
+def coupling_overlap(k_a, k_b) -> float:
+    """delta = 2 sum K_A K_B / sum (K_A^2 + K_B^2), in [-1, 1], of two couplings or of two
+    matching 1-d arrays of per-nucleus couplings. Rounding can put nearly equal couplings
+    an ulp outside, so the quotient is clipped (a NaN stays NaN); a sum that overflows
+    raises FloatingPointError."""
+    k_a, k_b = np.asarray(k_a, dtype=float), np.asarray(k_b, dtype=float)
+    if k_a.shape != k_b.shape or k_a.ndim > 1:
+        raise CouplingError(f"need matching 1-d arrays or two couplings, got {k_a.shape}, {k_b.shape}")
+    with np.errstate(over="raise"):
+        denom, cross = float(np.sum(k_a * k_a + k_b * k_b)), float(np.sum(k_a * k_b))
     if denom == 0.0:
         raise CouplingError("at least one coupling must be nonzero")
-    return float(np.clip(2.0 * k_a * k_b / denom, -1.0, 1.0))
-
-
-def coupling_overlap_inhomogeneous(couplings: InhomogeneousCouplings) -> float:
-    """Delta = sum 2 K_A^i K_B^i / sum (K_A^i^2 + K_B^i^2), clipped to [-1, 1] like
-    :func:`coupling_overlap`."""
-    denom = float(np.sum(couplings.k_a_i**2 + couplings.k_b_i**2))
-    if denom == 0.0:
-        raise CouplingError("all couplings are zero")
-    return float(np.clip(2.0 * float(np.sum(couplings.k_a_i * couplings.k_b_i)) / denom, -1.0, 1.0))
+    return float(np.clip(2.0 * cross / denom, -1.0, 1.0))
 
 
 def rate_scale(system: CommonBathSystem) -> float:
@@ -105,10 +84,7 @@ def decoherence_rate_pure(param: PureStateParam, delta, scale: float = 1.0):
     and delta broadcast: arrays in, an array out; scalars in, a float out."""
     _check_range(delta, -1.0, 1.0, CouplingError, "coupling overlap must be in [-1, 1]")
     g = np.asarray(param.gamma, dtype=complex)
-    mod_sq = np.abs(g) ** 2
-    bracket = (1.0 + 2.0 * mod_sq * (1.0 - delta * np.cos(param.theta)) / (1.0 + mod_sq) ** 2
-               - 2.0 * delta * np.cos(param.theta / 2.0) ** 2 * g.real / (1.0 + mod_sq))
-    out = scale * bracket
+    out = scale * _bracket(g.real, g.imag, np.cos(param.theta), delta)
     return float(out) if out.ndim == 0 else out
 
 
@@ -131,12 +107,10 @@ def optimal_gamma(delta):
     return float(gamma) if gamma.ndim == 0 else gamma
 
 
-def _rate_extended(re, im, cos_theta, delta):
-    """Rate in extended precision, elementwise over arrays, with theta entering through
-    cos(theta) (2 cos^2(theta/2) = 1 + cos(theta)); the minimum is quartic-flat at the
-    branch point delta = 1/2, where double precision cannot localize it to 1e-4."""
-    ld = np.longdouble
-    re, im, cos_theta, delta = ld(re), ld(im), ld(cos_theta), ld(delta)
+def _bracket(re, im, cos_theta, delta):
+    """The gamma-family rate over its scale, elementwise at the precision of its arguments, with
+    theta through cos(theta) (2 cos^2(theta/2) = 1 + cos(theta)); at the branch point delta = 1/2
+    the minimum is quartic-flat, and only long double localizes it to 1e-4."""
     mod_sq = re * re + im * im
     return 1 + (2 * (1 - delta * cos_theta) * mod_sq / (1 + mod_sq)
                 - delta * (1 + cos_theta) * re) / (1 + mod_sq)
@@ -162,37 +136,34 @@ def scan_optimal_state(delta: float) -> ScanResult:
     theta) on a 41^3 grid of [-2, 2]^2 x [0, pi], followed by three sweeps of
     line searches along each coordinate.
 
-    Each line search is a bracket zoom (:func:`_zoom_minimize`) of the
-    long-double rate from the full bracket ([-1.2, 1.2] for Re and Im gamma,
-    [0, pi] for theta) down to 1e-12; one zoom step evaluates the rate on a
-    whole grid across the bracket, and on the gamma axes cos(theta) is
-    computed once per search. Deterministic and seedless. The rate is exactly
-    symmetric under gamma -> 1/gamma (qubit exchange relabels the same state
-    family), so the minimum comes in reciprocal pairs; the result is the
-    canonical |gamma| <= 1 representative, with theta reported as 0 when
-    gamma is so small that the second-qubit axis is immaterial.
+    The grid and the line searches evaluate one rate, :func:`_bracket`: in
+    double precision on the grid, in long double in the searches. Each line
+    search is a bracket zoom (:func:`_zoom_minimize`) from the full bracket
+    ([-1.2, 1.2] for Re and Im gamma, [0, pi] for theta) down to 1e-12; one
+    zoom step evaluates the rate on a whole grid across the bracket, and on
+    the gamma axes cos(theta) is computed once per search. Deterministic and
+    seedless. The rate is exactly symmetric under gamma -> 1/gamma (qubit
+    exchange relabels the same state family), so the minimum comes in
+    reciprocal pairs; the result is the canonical |gamma| <= 1 representative,
+    with theta reported as 0 when gamma is so small that the second-qubit axis
+    is immaterial.
     """
     _check_range(delta, -1.0, 1.0, CouplingError, "coupling overlap must be in [-1, 1]")
     re = im = np.linspace(-2.0, 2.0, 41)
     th = np.linspace(0.0, math.pi, 41)
-    # the rate on the grid less its constant, factored as A(gamma) u(theta) - B(gamma) w(theta)
-    # so that only two products span the whole grid
-    mod_sq = re[:, None] ** 2 + im[None, :] ** 2
-    a = (2.0 * mod_sq / (1.0 + mod_sq) ** 2)[..., None]
-    b = (re[:, None] / (1.0 + mod_sq))[..., None]
-    rate = a * (1.0 - delta * np.cos(th)) - b * (2.0 * delta * np.cos(th / 2.0) ** 2)
+    rate = _bracket(re[:, None, None], im[None, :, None], np.cos(th), delta)
     i, j, k = np.unravel_index(int(np.argmin(rate)), rate.shape)
     g0 = complex(re[i], im[j])
     if abs(g0) > 1.0:  # map to the canonical member of the reciprocal pair
         g0 = 1.0 / g0
     g_re, g_im, theta = g0.real, g0.imag, float(th[k])
 
+    ld, d = np.longdouble, np.longdouble(delta)
     for _ in range(3):
-        cos_theta = np.cos(np.longdouble(theta))
-        g_re = _zoom_minimize(lambda x: _rate_extended(x, g_im, cos_theta, delta), -1.2, 1.2)
-        g_im = _zoom_minimize(lambda x: _rate_extended(g_re, x, cos_theta, delta), -1.2, 1.2)
-        theta = _zoom_minimize(
-            lambda x: _rate_extended(g_re, g_im, np.cos(x.astype(np.longdouble)), delta), 0.0, math.pi)
+        cos_theta = np.cos(ld(theta))
+        g_re = _zoom_minimize(lambda x: _bracket(ld(x), ld(g_im), cos_theta, d), -1.2, 1.2)
+        g_im = _zoom_minimize(lambda x: _bracket(ld(g_re), ld(x), cos_theta, d), -1.2, 1.2)
+        theta = _zoom_minimize(lambda x: _bracket(ld(g_re), ld(g_im), np.cos(ld(x)), d), 0.0, math.pi)
     gamma = complex(g_re, g_im)
     if abs(gamma) > 1.0:
         gamma = 1.0 / gamma
@@ -210,8 +181,8 @@ def gaussian_dot_couplings(
     width: float,
     half_extent: float | None = None,
     spacing: float = 1.0,
-) -> InhomogeneousCouplings:
-    """Couplings from two Gaussian ground-state densities on a square lattice.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-nucleus couplings (k_a, k_b) from two Gaussian ground-state densities on a square lattice.
 
     The qubits sit at (+-separation/2, 0) with density envelopes
     exp(-|r - r_q|^2 / width^2); couplings are proportional to the density at
@@ -232,18 +203,16 @@ def gaussian_dot_couplings(
     r_b = (xs - separation / 2.0) ** 2 + ys**2
     k_a = np.exp(-r_a / width**2).ravel()
     k_b = np.exp(-r_b / width**2).ravel()
-    return InhomogeneousCouplings(k_a_i=k_a, k_b_i=k_b)
+    return k_a, k_b
 
 
-def decoherence_rate_inhomogeneous(
-    param: PureStateParam, couplings: InhomogeneousCouplings, moment: float
-) -> float:
-    """Rate for per-nucleus couplings, z-aligned family (theta = 0): the
-    gamma-family rate at the overlap Delta with scale
+def decoherence_rate_inhomogeneous(param: PureStateParam, k_a, k_b, moment: float) -> float:
+    """Rate for per-nucleus couplings (matching 1-d arrays), z-aligned family
+    (theta = 0): the gamma-family rate at the overlap Delta with scale
     (1/3) <I(I+1)> sum_i (K_A^i^2 + K_B^i^2) / N.
     """
     if param.theta != 0.0:
         raise InvalidStateError("the inhomogeneous closed form holds for theta = 0")
-    big_delta = coupling_overlap_inhomogeneous(couplings)  # raises first if all couplings vanish
-    mean_sq = float(np.sum(couplings.k_a_i**2 + couplings.k_b_i**2)) / couplings.k_a_i.size
+    big_delta = coupling_overlap(k_a, k_b)  # raises first on mismatched or all-zero couplings
+    mean_sq = float(np.sum(np.square(k_a) + np.square(k_b))) / np.size(k_a)
     return decoherence_rate_pure(param, big_delta, moment * mean_sq / 3.0)

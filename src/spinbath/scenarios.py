@@ -201,7 +201,7 @@ def validate(config: ScenarioConfig) -> ValidationReport:
     # the coupling overlap 2 k_a k_b / (k_a^2 + k_b^2) drives optimize and fig6
     try:
         overlap = coupling_overlap(config.k_a, config.k_b)
-    except (CouplingError, OverflowError):
+    except (CouplingError, ArithmeticError):
         overlap = math.nan
     if not math.isfinite(overlap) and not needs_bath:
         report.errors.append("k_a, k_b: k_a^2 + k_b^2 must be nonzero and finite")
@@ -241,9 +241,8 @@ def validate(config: ScenarioConfig) -> ValidationReport:
             report.cost.update(oracle_largest_eigh=str(largest), oracle_eigenvector_mb=f"{nbytes / 1e6:.1f}")
         if config.bath != "exact":
             report.errors.append("bath: oracle comparisons use the exact unpolarized bath")
-    exchange = kind.exchange
-    if exchange == "mode":
-        exchange = {"common": "stated", "separate": "zero"}.get(config.mode)
+    exchange = (kind.exchange if kind.exchange != "mode"
+                else {"common": "stated", "separate": "zero"}.get(config.mode))
     if exchange == "zero" and config.j not in (None, 0.0):
         report.errors.append("j: separate baths assume zero exchange; set j = 0")
     if kind.equal_couplings and config.k_a != config.k_b:
@@ -259,15 +258,15 @@ def validate(config: ScenarioConfig) -> ValidationReport:
         except (ValueError, LookupError) as exc:
             report.errors.append(f"state: {exc}")
 
-    bath, state = report.bath, report.state
+    private = kind.exchange == "zero"
+    # separate oracle baths are two halves of n_bath, not the bath built here: no moment or prediction
+    bath, state = (report.bath if private or exchange != "zero" else None), report.state
     if bath is not None:
         report.derived["casimir_moment"] = format(bath.casimir_moment(), ".6g")
     # the overlap matters wherever the two qubits can share a bath
-    if math.isfinite(overlap) and needs_bath and kind.exchange != "zero":
+    if math.isfinite(overlap) and needs_bath and exchange != "zero":
         report.derived["coupling_overlap"] = format(overlap, ".6g")
-    private = kind.exchange == "zero"
-    # separate oracle baths are two halves of n_bath, not the bath built here: no prediction
-    if (bath is not None and state is not None and couplings_finite and (private or exchange != "zero")
+    if (bath is not None and state is not None and couplings_finite
             and abs(decoherence_measure(state)) < 1e-10):
         # the short-time rates do not involve the exchange strength
         if private:
@@ -287,7 +286,7 @@ def _base_metadata(config: ScenarioConfig, bath: BathDistribution | None) -> dic
         meta.update(
             n_bath=str(config.n_bath), bath=config.bath,
             k_a=format(config.k_a, ".12g"), k_b=format(config.k_b, ".12g"),
-            j=format(config.j, ".12g"),
+            j=format(0.0 if config.j is None else config.j, ".12g"),
         )
         meta["casimir_moment"] = format(bath.casimir_moment(), ".12g")
         meta["dropped_sector_weight"] = format(bath.significant_sectors()[2], ".3e")
@@ -378,11 +377,14 @@ def _run_oracle_compare(config: ScenarioConfig, bath, state) -> RunResult:
     max_dev = float(devs.max())
     # a NaN deviation compares false against any tolerance: it must fail
     failed = not (max_dev <= ORACLE_TOLERANCE)
+    meta = _base_metadata(config, bath)
+    if config.mode == "separate":  # the moment of the n_bath-spin bath, which no side evolves
+        del meta["casimir_moment"]
     series = TimeSeries(
         columns=["t", "max_abs_dev"],
         data=np.column_stack([times, devs]),
         metadata={
-            **_base_metadata(config, bath),
+            **meta,
             "state": config.state,
             "mode": config.mode,
             "max_abs_dev": format(max_dev, ".3e"),

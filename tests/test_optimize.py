@@ -9,10 +9,8 @@ from spinbath.bath import unpolarized_exact
 from spinbath.common import CommonBathSystem, decoherence_rate_sq
 from spinbath.optimize import (
     CouplingError,
-    InhomogeneousCouplings,
     PureStateParam,
     coupling_overlap,
-    coupling_overlap_inhomogeneous,
     decoherence_rate_inhomogeneous,
     decoherence_rate_pure,
     gaussian_dot_couplings,
@@ -247,8 +245,8 @@ class TestCouplingOverlap:
             coupling_overlap(0.0, 0.0)
 
     def test_inhomogeneous_identical_profiles(self):
-        c = InhomogeneousCouplings(np.ones(5), np.ones(5))
-        assert coupling_overlap_inhomogeneous(c) == pytest.approx(1.0)
+        c = (np.ones(5), np.ones(5))
+        assert coupling_overlap(*c) == pytest.approx(1.0)
 
     def test_nearly_equal_couplings_stay_in_range(self):
         # the quotients round to 1 + 2^-52 and 1 + 2^-51 before clipping
@@ -259,29 +257,51 @@ class TestCouplingOverlap:
         rng = np.random.default_rng(0)
         for _ in range(200):
             a = rng.normal(size=int(rng.integers(1, 50)))
-            c = InhomogeneousCouplings(a, a * (1 + 1e-9 * rng.normal(size=a.size)))
-            assert -1.0 <= coupling_overlap_inhomogeneous(c) <= 1.0
-            assert decoherence_rate_inhomogeneous(PureStateParam(gamma=1.0), c, 1.0) >= -1e-15
+            c = (a, a * (1 + 1e-9 * rng.normal(size=a.size)))
+            assert -1.0 <= coupling_overlap(*c) <= 1.0
+            assert decoherence_rate_inhomogeneous(PureStateParam(gamma=1.0), *c, 1.0) >= -1e-15
 
     def test_inhomogeneous_all_zero_rejected(self):
         with pytest.raises(CouplingError):
-            coupling_overlap_inhomogeneous(InhomogeneousCouplings(np.zeros(3), np.zeros(3)))
+            coupling_overlap(np.zeros(3), np.zeros(3))
+
+    def test_one_nucleus_arrays_match_the_scalar_call(self):
+        rng = np.random.default_rng(5)
+        scales = rng.choice([1e-150, 1e-3, 1.0, 1e3, 1e150], size=(500, 1))
+        for k_a, k_b in rng.normal(size=(500, 2)) * scales:
+            one = coupling_overlap(np.array([k_a]), np.array([k_b]))
+            assert same_bits(np.float64(one), np.float64(coupling_overlap(float(k_a), float(k_b))))
+
+    @pytest.mark.parametrize("k_a, k_b", [(np.ones(3), np.ones(4)), (np.ones(3), 1.0),
+                                          (np.ones((2, 3)), np.ones((2, 3))), (np.ones((1, 1)), 1.0)],
+                             ids=["lengths", "array-scalar", "2-d", "2-d-scalar"])
+    def test_arrays_must_match_and_be_1d(self, k_a, k_b):
+        with pytest.raises(CouplingError, match="matching 1-d arrays"):
+            coupling_overlap(k_a, k_b)
+        with pytest.raises(CouplingError, match="matching 1-d arrays"):
+            decoherence_rate_inhomogeneous(PureStateParam(gamma=0.5), k_a, k_b, 1.0)
+
+    @pytest.mark.parametrize("k_a, k_b", [(1e200, 1e200), (np.array([1.0, 1e200]), np.ones(2)),
+                                          (np.full(2, 1e154), np.full(2, 1e154))])
+    def test_overflowing_sums_raise(self, k_a, k_b):
+        with pytest.raises(FloatingPointError):
+            coupling_overlap(k_a, k_b)
 
 
 class TestGaussianDotCouplings:
     def test_coincident_dots(self):
         c = gaussian_dot_couplings(0.0, 2.0, half_extent=12.0, spacing=0.5)
-        assert coupling_overlap_inhomogeneous(c) == pytest.approx(1.0, abs=1e-12)
+        assert coupling_overlap(*c) == pytest.approx(1.0, abs=1e-12)
 
     def test_distant_dots(self):
         c = gaussian_dot_couplings(20.0, 2.0, half_extent=21.0, spacing=0.5)
-        assert coupling_overlap_inhomogeneous(c) < 1e-10
+        assert coupling_overlap(*c) < 1e-10
 
     def test_separation_equal_to_width(self):
         # frozen fixture: the lattice sum reproduces exp(-1/2) = 0.6065...,
         # inside the 0.6 +- 0.05 target window
         c = gaussian_dot_couplings(6.0, 6.0, spacing=1.0)
-        overlap = coupling_overlap_inhomogeneous(c)
+        overlap = coupling_overlap(*c)
         assert overlap == pytest.approx(0.6065306597, abs=1e-6)
         assert abs(overlap - 0.6) < 0.05
 
@@ -290,9 +310,9 @@ class TestGaussianDotCouplings:
             gaussian_dot_couplings(4.0, 2.0, half_extent=5.0)
 
 
-def inhomogeneous_rate_reference(gamma: complex, couplings: InhomogeneousCouplings, moment: float) -> float:
+def inhomogeneous_rate_reference(gamma: complex, couplings: tuple, moment: float) -> float:
     """The inhomogeneous rate with its own copy of the gamma-family bracket, in Python scalars."""
-    k_a, k_b = couplings.k_a_i, couplings.k_b_i
+    k_a, k_b = couplings
     big_delta = 2.0 * float(np.sum(k_a * k_b)) / float(np.sum(k_a**2 + k_b**2))
     scale = moment * float(np.sum(k_a**2 + k_b**2)) / k_a.size / 3.0
     mod_sq = abs(gamma) ** 2
@@ -308,42 +328,42 @@ class TestInhomogeneousRate:
         rng = np.random.default_rng(7)
         for _ in range(2000):
             n = int(rng.integers(1, 9))
-            c = InhomogeneousCouplings(rng.normal(size=n), rng.normal(size=n))
+            c = (rng.normal(size=n), rng.normal(size=n))
             gamma = complex(*rng.normal(size=2) * rng.choice([0.1, 1.0, 10.0]))
             moment = rng.uniform(0.5, 100.0)
-            rate = decoherence_rate_inhomogeneous(PureStateParam(gamma=gamma), c, moment)
+            rate = decoherence_rate_inhomogeneous(PureStateParam(gamma=gamma), *c, moment)
             assert isinstance(rate, float)
             assert rate == pytest.approx(inhomogeneous_rate_reference(gamma, c, moment), rel=1e-14)
 
     def test_homogeneous_reduction(self):
-        c = InhomogeneousCouplings(np.full(6, 1.0), np.full(6, 0.5))
+        c = (np.full(6, 1.0), np.full(6, 0.5))
         moment = 4.5  # any bath second moment
         delta = coupling_overlap(1.0, 0.5)
         for gamma in (0.0, 0.3, -0.8, 1.0):
             scale = moment * (1.0 + 0.25) / 3
             closed = decoherence_rate_pure(PureStateParam(gamma=gamma), delta, scale)
-            inhom = decoherence_rate_inhomogeneous(PureStateParam(gamma=gamma), c, moment)
+            inhom = decoherence_rate_inhomogeneous(PureStateParam(gamma=gamma), *c, moment)
             assert inhom == pytest.approx(closed, rel=1e-12)
 
     def test_optimal_gamma_minimizes(self):
         c = gaussian_dot_couplings(6.0, 6.0, spacing=1.0)
-        overlap = coupling_overlap_inhomogeneous(c)
+        overlap = coupling_overlap(*c)
         best = optimal_gamma(overlap)
-        rate_best = decoherence_rate_inhomogeneous(PureStateParam(gamma=best), c, 3.0)
+        rate_best = decoherence_rate_inhomogeneous(PureStateParam(gamma=best), *c, 3.0)
         for gamma in np.linspace(-1.5, 1.5, 61):
-            rate = decoherence_rate_inhomogeneous(PureStateParam(gamma=float(gamma)), c, 3.0)
+            rate = decoherence_rate_inhomogeneous(PureStateParam(gamma=float(gamma)), *c, 3.0)
             assert rate_best <= rate + 1e-12
 
     def test_perfect_overlap_singlet_rate_vanishes(self):
-        c = InhomogeneousCouplings(np.ones(4), np.ones(4))
+        c = (np.ones(4), np.ones(4))
         assert decoherence_rate_inhomogeneous(
-            PureStateParam(gamma=1.0), c, 5.0
+            PureStateParam(gamma=1.0), *c, 5.0
         ) == pytest.approx(0.0, abs=1e-14)
 
     def test_rejects_tilted_axis(self):
-        c = InhomogeneousCouplings(np.ones(4), np.ones(4))
+        c = (np.ones(4), np.ones(4))
         with pytest.raises(InvalidStateError):
-            decoherence_rate_inhomogeneous(PureStateParam(gamma=0.5, theta=0.3), c, 1.0)
+            decoherence_rate_inhomogeneous(PureStateParam(gamma=0.5, theta=0.3), *c, 1.0)
 
 
 class TestRateAgainstExactDynamics:

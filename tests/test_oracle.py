@@ -18,9 +18,10 @@ from spinbath.oracle import (
     reduced_trajectory,
 )
 from spinbath.optimize import (
-    InhomogeneousCouplings,
     PureStateParam,
+    coupling_overlap,
     decoherence_rate_inhomogeneous,
+    gaussian_dot_couplings,
 )
 from spinbath.states import (
     SPIN_HALF,
@@ -155,7 +156,7 @@ def per_block_eigensystem(full):
 
 def random_couplings(n, seed=7):
     rng = np.random.default_rng(seed)
-    return InhomogeneousCouplings(rng.uniform(0.2, 1.5, n), rng.uniform(-0.4, 1.2, n))
+    return rng.uniform(0.2, 1.5, n), rng.uniform(-0.4, 1.2, n)
 
 
 def star(mode, coup, n):
@@ -163,8 +164,7 @@ def star(mode, coup, n):
     private halves (the first n // 2 nuclei are qubit A's), one shared bath, or
     random per-nucleus couplings for None."""
     if coup is None:
-        rand = random_couplings(n)
-        return rand.k_a_i, rand.k_b_i, 0.0
+        return (*random_couplings(n), 0.0)
     k_a, k_b, j = coup
     if mode == "separate":
         own = np.arange(n) < n // 2
@@ -304,8 +304,7 @@ class TestBuild:
         assert np.abs(h - h.T).max() == 0.0
 
     def test_inhomogeneous_mode(self):
-        coup = InhomogeneousCouplings(np.array([1.0, 0.5, 0.2]), np.array([0.2, 0.5, 1.0]))
-        sys = build(coup.k_a_i, coup.k_b_i)
+        sys = build(np.array([1.0, 0.5, 0.2]), np.array([0.2, 0.5, 1.0]))
         assert sys.dim == 32
         # equal per-site couplings are the shared bath K_A S_A . I + K_B S_B . I,
         # I the collective bath spin
@@ -316,8 +315,8 @@ class TestBuild:
 
     def test_inhomogeneous_mode_has_no_exchange(self):
         # j defaults to zero, which adds no qubit-qubit term
-        coup = InhomogeneousCouplings(np.array([1.0, 0.5, 0.2]), np.array([0.2, 0.5, 1.0]))
-        assert all(t[:2] != (0, 1) for t in build(coup.k_a_i, coup.k_b_i).terms)
+        sys = build(np.array([1.0, 0.5, 0.2]), np.array([0.2, 0.5, 1.0]))
+        assert all(t[:2] != (0, 1) for t in sys.terms)
 
     def test_common_conserves_total_fz(self):
         sys = build(np.full(4, 1.0), np.full(4, 0.3), 1.5)
@@ -426,8 +425,7 @@ class TestRotationCovariance:
     def full(self, request):
         if request.param == "common":
             return build(np.full(8, 1.3), np.full(8, -0.45), 0.7)
-        coup = random_couplings(8, seed=3)
-        return build(coup.k_a_i, coup.k_b_i)
+        return build(*random_couplings(8, seed=3))
 
     @pytest.mark.parametrize("bath_state", ["fully_mixed", ("sector", 1.0), ("sector", 4.0)],
                              ids=["fully-mixed", "sector-1", "sector-4"])
@@ -455,13 +453,13 @@ class TestInhomogeneousRate:
     def system(self):
         n = 10
         couplings = random_couplings(n, seed=11)
-        return build(couplings.k_a_i, couplings.k_b_i), couplings
+        return build(*couplings), couplings
 
     @pytest.mark.parametrize("gamma", [0.0, 1.0, -1.0, 0.5, 0.3 + 0.4j])
     def test_gaussian_fit_matches_rate(self, system, gamma):
         full, couplings = system
         moment = unpolarized_exact(full.n_bath).casimir_moment()
-        rate = decoherence_rate_inhomogeneous(PureStateParam(gamma=gamma), couplings, moment)
+        rate = decoherence_rate_inhomogeneous(PureStateParam(gamma=gamma), *couplings, moment)
         tau = 1.0 / math.sqrt(rate)
         ts = np.linspace(0.0, 0.1 * tau, 25)[1:]
         s0 = make_named_state("general_pure", gamma=gamma)
@@ -469,6 +467,21 @@ class TestInhomogeneousRate:
         x, y = ts**2, -np.log1p(-d)
         fit = 1.0 / math.sqrt(float(x @ y) / float(x @ x))
         assert abs(fit - tau) / tau <= 0.02
+
+    def test_gaussian_dot_couplings_feed_build_and_overlap(self):
+        # a 3 x 3 lattice: the arrays go to the oracle, the overlap and the rate as they are
+        k_a, k_b = gaussian_dot_couplings(0.6, 0.5, half_extent=2.8, spacing=2.8)
+        full = build(k_a, k_b)
+        assert full.n_bath == 9
+        assert [c for _, _, c in full.terms] == [*k_a, *k_b]
+        delta = coupling_overlap(k_a, k_b)
+        assert delta == pytest.approx(2 * float(k_a @ k_b) / float(k_a @ k_a + k_b @ k_b), rel=1e-15)
+        moment = unpolarized_exact(9).casimir_moment()
+        tau = 1.0 / math.sqrt(decoherence_rate_inhomogeneous(PureStateParam(gamma=0.5), k_a, k_b, moment))
+        ts = np.linspace(0.0, 0.1 * tau, 25)[1:]
+        d = decoherence_measure(evolve_reduced(full, make_named_state("general_pure", gamma=0.5), ts))
+        x, y = ts**2, -np.log1p(-d)
+        assert abs(1.0 / math.sqrt(float(x @ y) / float(x @ x)) - tau) / tau <= 0.02
 
 
 class TestBathSpinSpectrum:

@@ -259,6 +259,8 @@ class TestRunners:
         )
         assert not result.numerical_failure
         assert float(result.summary["max_abs_dev"]) < 1e-10
+        # the common mode evolves the bath that validate built
+        assert {"casimir_moment", "coupling_overlap"} <= read_csv(out).metadata.keys()
 
     # odd n_bath with k_a != k_b: an oracle that gave qubit A the larger half would fail
     @pytest.mark.parametrize("fields", [
@@ -273,8 +275,21 @@ class TestRunners:
             )
         )
         assert not result.numerical_failure
-        # the run evolves two baths of n_bath / 2 spins, not the n_bath-spin one validated
-        assert "predicted_decoherence_time" not in read_csv(out).metadata
+        # the run evolves two baths of n_bath / 2 spins, not the n_bath-spin one validated:
+        # no moment, prediction or shared-bath overlap of that bath in the header
+        metadata = read_csv(out).metadata
+        for key in ("casimir_moment", "coupling_overlap", "predicted_decoherence_time"):
+            assert key not in metadata
+
+    @pytest.mark.parametrize("kind, fields", [("separate", {}), ("fig1", {}),
+                                              ("oracle-compare", dict(mode="separate", n_bath=4))])
+    def test_omitted_exchange_writes_j_zero(self, tmp_path, kind, fields):
+        # kinds whose rule on j is "zero" take j = 0 or no j at all, and write the same bytes
+        for j, name in ((None, "none.csv"), (0.0, "zero.csv")):
+            result = run(ScenarioConfig.for_kind(kind, j=j, samples=5, **fields, output=str(tmp_path / name)))
+            assert not result.numerical_failure
+        assert (tmp_path / "none.csv").read_bytes() == (tmp_path / "zero.csv").read_bytes()
+        assert "j" in read_csv(tmp_path / "none.csv").metadata
 
     @pytest.mark.parametrize("fields", [
         {},
