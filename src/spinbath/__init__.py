@@ -30,7 +30,6 @@ from .common import (
     transverse_longitudinal_rates,
 )
 from .optimize import (
-    PureStateParam,
     ScanResult,
     coupling_overlap,
     decoherence_rate_inhomogeneous,

@@ -19,7 +19,6 @@ theta = 0 and real gamma.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -38,19 +37,6 @@ def _check_range(x, lo: float, hi: float, error: type, message: str) -> None:
     inside = (lo <= arr) & (arr <= hi)
     if not np.all(inside):
         raise error(f"{message}, got {x if arr.ndim == 0 else arr[~inside][0]}")
-
-
-@dataclass(frozen=True)
-class PureStateParam:
-    """Parameters of the general pure state: complex gamma, axis angles of
-    the second qubit (the first is fixed to z). Each may be an array; they broadcast."""
-
-    gamma: complex
-    theta: float = 0.0
-    phi: float = 0.0
-
-    def __post_init__(self):
-        _check_range(self.theta, 0.0, math.pi, InvalidStateError, "theta must be in [0, pi]")
 
 
 class ScanResult(NamedTuple):
@@ -79,12 +65,14 @@ def rate_scale(system: CommonBathSystem) -> float:
     return system.bath.casimir_moment() * (system.k_a**2 + system.k_b**2) / 3.0
 
 
-def decoherence_rate_pure(param: PureStateParam, delta, scale: float = 1.0):
-    """Closed-form 1/tau^2 of the gamma-family; phi does not enter. The parameters
-    and delta broadcast: arrays in, an array out; scalars in, a float out."""
+def decoherence_rate_pure(gamma, delta, scale: float = 1.0, theta=0.0):
+    """Closed-form 1/tau^2 of the gamma-family at complex gamma and second-qubit polar
+    angle theta in [0, pi]; the azimuth phi does not enter. The arguments broadcast:
+    arrays in, an array out; scalars in, a float out."""
+    _check_range(theta, 0.0, math.pi, InvalidStateError, "theta must be in [0, pi]")
     _check_range(delta, -1.0, 1.0, CouplingError, "coupling overlap must be in [-1, 1]")
-    g = np.asarray(param.gamma, dtype=complex)
-    out = scale * _bracket(g.real, g.imag, np.cos(param.theta), delta)
+    g = np.asarray(gamma, dtype=complex)
+    out = scale * _bracket(g.real, g.imag, np.cos(theta), delta)
     return float(out) if out.ndim == 0 else out
 
 
@@ -172,7 +160,7 @@ def scan_optimal_state(delta: float) -> ScanResult:
     return ScanResult(
         gamma=gamma,
         theta=theta,
-        rate=decoherence_rate_pure(PureStateParam(gamma=gamma, theta=theta), delta),
+        rate=decoherence_rate_pure(gamma, delta, theta=theta),
     )
 
 
@@ -206,13 +194,11 @@ def gaussian_dot_couplings(
     return k_a, k_b
 
 
-def decoherence_rate_inhomogeneous(param: PureStateParam, k_a, k_b, moment: float) -> float:
+def decoherence_rate_inhomogeneous(gamma, k_a, k_b, moment: float) -> float:
     """Rate for per-nucleus couplings (matching 1-d arrays), z-aligned family
     (theta = 0): the gamma-family rate at the overlap Delta with scale
     (1/3) <I(I+1)> sum_i (K_A^i^2 + K_B^i^2) / N.
     """
-    if param.theta != 0.0:
-        raise InvalidStateError("the inhomogeneous closed form holds for theta = 0")
     big_delta = coupling_overlap(k_a, k_b)  # raises first on mismatched or all-zero couplings
     mean_sq = float(np.sum(np.square(k_a) + np.square(k_b))) / np.size(k_a)
-    return decoherence_rate_pure(param, big_delta, moment * mean_sq / 3.0)
+    return decoherence_rate_pure(gamma, big_delta, moment * mean_sq / 3.0)

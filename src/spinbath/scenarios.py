@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import __version__
+from . import __version__, states
 from .bath import MAX_SPINS, BathDistribution, BathSpecError, bath_from_config, unpolarized_exact
 from .common import (
     CommonBathSystem,
@@ -24,7 +24,6 @@ from .common import (
 )
 from .optimize import (
     CouplingError,
-    PureStateParam,
     coupling_overlap,
     decoherence_rate_pure,
     optimal_gamma,
@@ -34,7 +33,6 @@ from .oracle import MAX_BATH_SPINS, build, eigh_cost, evolve_reduced
 from .separate import SeparateBathSystem, decay_factors
 from .separate import short_time_decoherence_time as separate_decoherence_time
 from .states import (
-    InvalidStateError,
     TwoQubitState,
     concurrence_state,
     decoherence_measure,
@@ -58,11 +56,12 @@ class Kind:
 
     ``exchange`` is the rule on j: "stated" (common bath: j is required),
     "zero" (separate baths: j = 0 or omitted), "mode" (the one of the two
-    that ``config.mode`` names) or None (no bath, j unused). ``runner`` takes
-    the config and the bath and state that :func:`validate` built: a kind builds
-    a bath if its ``defaults`` hold ``n_bath`` and parses ``config.state`` if they
-    hold ``state``. A kind run by :func:`_run_trajectory` names its ``columns``
-    (keys of :data:`_COLUMNS`) and, if it has one, its fixed initial ``state``.
+    that ``config.mode`` names, a j in ``defaults`` being the common mode's)
+    or None (no bath, j unused). ``runner`` takes the config and the bath and
+    state that :func:`validate` built: a kind builds a bath if its ``defaults``
+    hold ``n_bath`` and parses ``config.state`` if they hold ``state``. A kind
+    run by :func:`_run_trajectory` names its ``columns`` (keys of
+    :data:`_COLUMNS`) and, if it has one, its fixed initial ``state``.
     """
 
     summary: str
@@ -93,6 +92,8 @@ class ScenarioConfig:
         if kind not in KINDS:
             raise ConfigError(f"unknown scenario {kind!r}")
         params = {**KINDS[kind].defaults, **overrides}
+        if KINDS[kind].exchange == "mode" and params["mode"] == "separate" and "j" not in overrides:
+            del params["j"]  # the default j is the common mode's: separate baths omit it
         params.setdefault("output", f"{kind}.csv")
         return cls(kind=kind, **params)
 
@@ -155,26 +156,6 @@ def parse_config_file(path: str | Path) -> ScenarioConfig:
     return ScenarioConfig.for_kind(kind, **overrides)
 
 
-# the parameters of each parametrised state, the first one required
-_STATE_PARAMS = {"r_state": ("r",), "updown_mix": ("r",), "werner": ("p",),
-                 "general_pure": ("gamma", "theta", "phi")}
-
-
-def parse_state_spec(spec: str) -> TwoQubitState:
-    """'singlet', 'r_state:0.5', 'werner:0.6', 'general_pure:0.5,0.3,1.0', ..."""
-    name, _, args = spec.partition(":")
-    values = [float(v) for v in args.split(",")] if args else []
-    if not all(map(math.isfinite, values)):
-        raise InvalidStateError(f"state {name!r} needs finite parameters, got {args!r}")
-    params = _STATE_PARAMS.get(name, ())
-    if not params and values:
-        raise InvalidStateError(f"state {name!r} takes no parameters")
-    if params and not 1 <= len(values) <= len(params):
-        usage = "[,".join(params) + "]" * (len(params) - 1)  # gamma[,theta[,phi]]
-        raise InvalidStateError(f"state {name!r} takes {name}:{usage}, got {spec!r}")
-    return make_named_state(name, **dict(zip(params, values)))
-
-
 def validate(config: ScenarioConfig) -> ValidationReport:
     """Field-level checks plus a preview of derived quantities. The report
     also holds the bath and the initial state, built once for :func:`run`."""
@@ -226,6 +207,13 @@ def validate(config: ScenarioConfig) -> ValidationReport:
             )
         elif couplings_finite and not math.isfinite(scale * scale):  # squared splittings
             report.errors.append("j: (|j| + (|k_a| + |k_b|) (n_bath + 2))^2 must be finite")
+        elif couplings_finite and config.kind == "oracle-compare" and config.n_bath <= MAX_BATH_SPINS:
+            # the oracle's phases err by up to eps ||H|| t_max, and ||S . I|| = 3/4 for each term
+            k_a, k_b, j = _oracle_couplings(config)
+            norm = 0.75 * (abs(j or 0.0) + np.abs(k_a).sum() + np.abs(k_b).sum())
+            if (error := np.finfo(float).eps * norm * config.t_max) > ORACLE_TOLERANCE:
+                report.errors.append(f"t_max: the oracle resolves its phases to eps ||H|| t_max = "
+                                     f"{error:.2g}, above the tolerance {ORACLE_TOLERANCE:g}")
 
     if config.kind == "oracle-compare":
         if config.mode not in ("separate", "common"):
@@ -254,7 +242,7 @@ def validate(config: ScenarioConfig) -> ValidationReport:
 
     if "state" in kind.defaults:
         try:
-            report.state = parse_state_spec(config.state)
+            report.state = states.parse_state_spec(config.state)
         except (ValueError, LookupError) as exc:
             report.errors.append(f"state: {exc}")
 
@@ -343,7 +331,7 @@ def _run_trajectory(config: ScenarioConfig, bath, state) -> RunResult:
 def _run_optimize(config: ScenarioConfig, bath, state) -> RunResult:
     delta = coupling_overlap(config.k_a, config.k_b)
     gammas = np.linspace(-2.0, 2.0, config.samples)
-    rates = decoherence_rate_pure(PureStateParam(gamma=gammas), delta, 1.0)
+    rates = decoherence_rate_pure(gammas, delta, 1.0)
     scanned = scan_optimal_state(delta)
     meta = {
         **_base_metadata(config, bath),
@@ -357,18 +345,25 @@ def _run_optimize(config: ScenarioConfig, bath, state) -> RunResult:
     return RunResult(series, Path(config.output), {"optimal_gamma": meta["optimal_gamma_analytic"]})
 
 
+def _oracle_couplings(config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray, float]:
+    """The per-nucleus couplings and the exchange that an oracle comparison passes to
+    :func:`build`: separate baths give the first n_bath // 2 nuclei to qubit A, the rest to B."""
+    n = config.n_bath
+    if config.mode == "separate":
+        own = np.arange(n) < n // 2
+        return np.where(own, config.k_a, 0.0), np.where(own, 0.0, config.k_b), 0.0
+    return np.full(n, config.k_a), np.full(n, config.k_b), config.j
+
+
 def _run_oracle_compare(config: ScenarioConfig, bath, state) -> RunResult:
     times, n = _times(config), config.n_bath
-    if config.mode == "separate":  # the first n // 2 nuclei are qubit A's, the rest qubit B's
-        own = np.arange(n) < n // 2
+    if config.mode == "separate":
         baths = unpolarized_exact(n // 2), unpolarized_exact(n - n // 2)
         f = decay_factors(SeparateBathSystem(config.k_a, config.k_b, *baths), times)
-        full = build(np.where(own, config.k_a, 0.0), np.where(own, 0.0, config.k_b))
     else:
         f = SectorExactEvolver(CommonBathSystem(config.k_a, config.k_b, config.j, bath)).functions(times)
-        full = build(np.full(n, config.k_a), np.full(n, config.k_b), config.j)
     analytic = apply_channel(f, state)
-    reference = evolve_reduced(full, state, times)
+    reference = evolve_reduced(build(*_oracle_couplings(config)), state, times)
 
     def flat(s: TwoQubitState) -> np.ndarray:
         return np.concatenate([s.p_a, s.p_b, s.pi.reshape(-1, 9)], axis=1)
@@ -430,8 +425,7 @@ def _run_fig5(config: ScenarioConfig, bath, state) -> RunResult:
 def _run_fig6(config: ScenarioConfig, bath, state) -> RunResult:
     deltas = np.linspace(-1.0, 1.0, config.samples)
     gam = optimal_gamma(deltas)
-    sep, sing, trip, opt = (decoherence_rate_pure(PureStateParam(gamma=g), deltas, 1.0)
-                            for g in (0.0, 1.0, -1.0, gam))
+    sep, sing, trip, opt = (decoherence_rate_pure(g, deltas, 1.0) for g in (0.0, 1.0, -1.0, gam))
     columns = ["delta", "rate_separable", "rate_singlet", "rate_triplet", "rate_optimal", "gamma_opt"]
     return _rows(config, columns, [deltas, sep, sing, trip, opt, gam],
                  {"scenario": "fig6", "spinbath_version": __version__, "rate_units": "separable-state rate"})

@@ -23,7 +23,9 @@ a tilted ``general_pure``, under every evolver) and ``concurrence`` for the rest
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -284,48 +286,63 @@ def general_pure_vector(gamma: complex, theta: float = 0.0, phi: float = 0.0) ->
         return psi / np.linalg.norm(psi)
 
 
+def _werner(p: float) -> np.ndarray:
+    if not 0.0 <= p <= 1.0:
+        raise InvalidStateError(f"werner admixture p must be in [0, 1], got {p}")
+    return p * np.outer(KET_SINGLET, KET_SINGLET.conj()) + (1.0 - p) * np.eye(4) / 4.0
+
+
+# every named state: its parameters, the first of them required (``gamma`` complex, the others
+# real), and the ket (normalized when built) or density matrix that they give
+_NAMED_STATES: dict[str, tuple[tuple[str, ...], Callable[..., np.ndarray]]] = {
+    # the Bell states |ud> - |du>, |ud> + |du>, |uu> + |dd>, |uu> - |dd>, and the product |ud>
+    "singlet": ((), lambda: KET_SINGLET),
+    "triplet0": ((), lambda: KET_TRIPLET0),
+    "bell_t1": ((), lambda: KET_T1),
+    "bell_t2": ((), lambda: KET_T2),
+    "up_down": ((), lambda: np.array([0.0, 1.0, 0.0, 0.0])),
+    # (1+r)|S0> + (1-r)|T0>, that is |ud> - r|du>: the singlet at r = 1, triplet0 at -1, |ud> at 0
+    "r_state": (("r",), lambda r: (1.0 + r) * KET_SINGLET + (1.0 - r) * KET_TRIPLET0),
+    "updown_mix": (("r",), lambda r: np.array([0.0, 1.0, r, 0.0])),  # |ud> + r|du>
+    "werner": (("p",), _werner),  # p |S0><S0| + (1-p)/4 identity, p in [0, 1]
+    # |up_z down_n> - gamma |down_z up_n>; theta and phi, the axis n of qubit B, default to 0
+    "general_pure": (("gamma", "theta", "phi"), general_pure_vector),
+}
+
+
+def _parameters(name: str) -> tuple[str, ...]:
+    if name not in _NAMED_STATES:
+        raise InvalidStateError(f"unknown state name {name!r}")
+    return _NAMED_STATES[name][0]
+
+
+def _usage_error(name: str, got) -> InvalidStateError:
+    params = _parameters(name)  # r_state:r, general_pure:gamma[,theta[,phi]]
+    usage = f"{name}:" + "[,".join(params) + "]" * (len(params) - 1) if params else "no parameters"
+    return InvalidStateError(f"state {name!r} takes {usage}, got {got!r}")
+
+
 def make_named_state(name: str, **params) -> TwoQubitState:
-    """Construct a named two-qubit state.
+    """The two-qubit state ``name`` at its parameters, as ``_NAMED_STATES`` lists them. A
+    parameter is taken through ``complex`` (gamma) or ``float`` (the others), so a number or
+    its text will do, and must be finite; those that the state does not take are ignored."""
+    names = _parameters(name)
+    if names and names[0] not in params:
+        raise _usage_error(name, params)
+    values = {k: (complex if k == "gamma" else float)(params[k]) for k in names if k in params}
+    for key, value in values.items():
+        if not cmath.isfinite(value):
+            raise InvalidStateError(f"state {name!r} needs finite parameters, got {params[key]!r}")
+    x = _NAMED_STATES[name][1](**values)
+    return state_from_vector(x) if x.ndim == 1 else density_to_state(x)
 
-    Supported names:
 
-    - ``singlet``, ``triplet0``, ``bell_t1``, ``bell_t2``: the Bell states
-      (|ud>-|du>)/sqrt2, (|ud>+|du>)/sqrt2, (|uu>+|dd>)/sqrt2, (|uu>-|dd>)/sqrt2.
-    - ``up_down``: the product state |ud>.
-    - ``r_state``: singlet/triplet mix [(1+r)|S0> + (1-r)|T0>] normalized,
-      equal to (|ud> - r|du>) normalized. r=1 is the singlet, r=-1 the
-      triplet0, r=0 the product |ud>. Parameter ``r``.
-    - ``updown_mix``: (|ud> + r|du>) normalized, the same family with the
-      opposite sign convention for the parameter. Parameter ``r``.
-    - ``werner``: p |S0><S0| + (1-p)/4 identity. Parameter ``p`` in [0, 1].
-    - ``general_pure``: see :func:`general_pure_vector`. Parameters ``gamma``
-      (complex), ``theta``, ``phi``.
-    """
-    if name == "singlet":
-        return state_from_vector(KET_SINGLET)
-    if name == "triplet0":
-        return state_from_vector(KET_TRIPLET0)
-    if name == "bell_t1":
-        return state_from_vector(KET_T1)
-    if name == "bell_t2":
-        return state_from_vector(KET_T2)
-    if name == "up_down":
-        return state_from_vector(np.array([0.0, 1.0, 0.0, 0.0]))
-    if name == "r_state":
-        r = float(params["r"])
-        return state_from_vector((1.0 + r) * KET_SINGLET + (1.0 - r) * KET_TRIPLET0)
-    if name == "updown_mix":
-        r = float(params["r"])
-        return state_from_vector(np.array([0.0, 1.0, r, 0.0]))
-    if name == "werner":
-        p = float(params["p"])
-        if not 0.0 <= p <= 1.0:
-            raise InvalidStateError(f"werner admixture p must be in [0, 1], got {p}")
-        rho = p * np.outer(KET_SINGLET, KET_SINGLET.conj()) + (1.0 - p) * np.eye(4) / 4.0
-        return density_to_state(rho)
-    if name == "general_pure":
-        gamma = complex(params["gamma"])
-        theta = float(params.get("theta", 0.0))
-        phi = float(params.get("phi", 0.0))
-        return state_from_vector(general_pure_vector(gamma, theta, phi))
-    raise InvalidStateError(f"unknown state name {name!r}")
+def parse_state_spec(spec: str) -> TwoQubitState:
+    """The state of a spec: a name of :func:`make_named_state`, then a colon and its
+    parameters in order, comma-separated ('singlet', 'r_state:0.5', 'werner:0.6',
+    'general_pure:0.3+0.4j,1.1,2.3', ...)."""
+    name, _, args = spec.partition(":")
+    names, values = _parameters(name), args.split(",") if args else []
+    if len(values) > len(names) or names and not values:
+        raise _usage_error(name, spec)
+    return make_named_state(name, **dict(zip(names, values)))

@@ -22,7 +22,6 @@ from spinbath.common import (
     transverse_longitudinal_rates,
 )
 from spinbath.optimize import (
-    PureStateParam,
     decoherence_rate_pure,
     optimal_gamma,
     scan_optimal_state,
@@ -218,10 +217,10 @@ def test_criterion_6_optimizer():
         res = scan_optimal_state(delta)
         worst_gamma = max(worst_gamma, abs(res.gamma.real - optimal_gamma(delta)))
         worst_axis = max(worst_axis, abs(res.gamma.imag), abs(res.theta))
-        sep = decoherence_rate_pure(PureStateParam(gamma=0.0), delta)
-        sing = decoherence_rate_pure(PureStateParam(gamma=1.0), delta)
-        trip = decoherence_rate_pure(PureStateParam(gamma=-1.0), delta)
-        opt = decoherence_rate_pure(PureStateParam(gamma=optimal_gamma(delta)), delta)
+        sep = decoherence_rate_pure(0.0, delta)
+        sing = decoherence_rate_pure(1.0, delta)
+        trip = decoherence_rate_pure(-1.0, delta)
+        opt = decoherence_rate_pure(optimal_gamma(delta), delta)
         assert opt <= min(sep, sing, trip) + 1e-12
         # non-strict: the triplet and separable rates tie exactly at delta = -1
         boundary_flips.append(sep <= min(sing, trip) + 1e-12)

@@ -9,7 +9,6 @@ from spinbath.bath import unpolarized_exact
 from spinbath.common import CommonBathSystem, decoherence_rate_sq
 from spinbath.optimize import (
     CouplingError,
-    PureStateParam,
     coupling_overlap,
     decoherence_rate_inhomogeneous,
     decoherence_rate_pure,
@@ -63,14 +62,14 @@ class TestVarianceForm:
 
 class TestClosedFormRate:
     def test_separable_value(self):
-        assert decoherence_rate_pure(PureStateParam(gamma=0.0), 0.7, 2.5) == pytest.approx(2.5)
+        assert decoherence_rate_pure(0.0, 0.7, 2.5) == pytest.approx(2.5)
 
     def test_singlet_symmetric(self):
-        assert decoherence_rate_pure(PureStateParam(gamma=1.0), 1.0, 1.0) == pytest.approx(0.0, abs=1e-14)
+        assert decoherence_rate_pure(1.0, 1.0, 1.0) == pytest.approx(0.0, abs=1e-14)
 
     def test_triplet_symmetric(self):
         # twice the separable rate; matches the maximally-entangled closed form
-        assert decoherence_rate_pure(PureStateParam(gamma=-1.0), 1.0, 1.0) == pytest.approx(2.0)
+        assert decoherence_rate_pure(-1.0, 1.0, 1.0) == pytest.approx(2.0)
 
     def test_matches_general_rate_on_parametrized_states(self):
         rng = np.random.default_rng(9)
@@ -82,7 +81,7 @@ class TestClosedFormRate:
             theta = rng.uniform(0, math.pi)
             phi = rng.uniform(0, 2 * math.pi)
             s0 = make_named_state("general_pure", gamma=gamma, theta=theta, phi=phi)
-            closed = decoherence_rate_pure(PureStateParam(gamma, theta, phi), delta, scale)
+            closed = decoherence_rate_pure(gamma, delta, scale, theta)
             general = decoherence_rate_general(s0, sys)
             assert closed == pytest.approx(general, rel=1e-10)
 
@@ -102,7 +101,7 @@ class TestClosedFormRate:
 
     def test_overlap_bounds(self):
         with pytest.raises(CouplingError):
-            decoherence_rate_pure(PureStateParam(gamma=0.5), 1.2)
+            decoherence_rate_pure(0.5, 1.2)
 
 
 class TestOptimalGamma:
@@ -122,8 +121,8 @@ class TestOptimalGamma:
         h = 1e-6
         for delta in np.linspace(-1.0, 0.5, 101):
             g = optimal_gamma(delta)
-            up = decoherence_rate_pure(PureStateParam(gamma=g + h), delta)
-            down = decoherence_rate_pure(PureStateParam(gamma=g - h), delta)
+            up = decoherence_rate_pure(g + h, delta)
+            down = decoherence_rate_pure(g - h, delta)
             assert abs(up - down) / (2 * h) <= 1e-8
 
     def test_continuity_at_half(self):
@@ -162,28 +161,24 @@ class TestArraySweeps:
     @pytest.mark.parametrize("gamma", [0.0, 1.0, -1.0, 0.3 - 0.2j, "optimal"])
     def test_rate_over_deltas(self, deltas, gamma):
         gammas = optimal_gamma(deltas) if gamma == "optimal" else np.full(deltas.shape, gamma)
-        param = PureStateParam(gamma=gammas if gamma == "optimal" else gamma)  # an array or a scalar
         with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = decoherence_rate_pure(param, deltas, 1.0)
-        want = [decoherence_rate_pure(PureStateParam(gamma=complex(g)), float(d), 1.0)
-                for g, d in zip(gammas, deltas)]
+            warnings.simplefilter("error")  # an array gamma or a scalar one
+            got = decoherence_rate_pure(gammas if gamma == "optimal" else gamma, deltas, 1.0)
+        want = [decoherence_rate_pure(complex(g), float(d), 1.0) for g, d in zip(gammas, deltas)]
         assert same_bits(got, np.array(want))
 
     @pytest.mark.parametrize("theta", [0.0, 0.7])
     def test_rate_over_gammas(self, theta):
         gammas = np.linspace(-2.0, 2.0, 201)  # optimize's column
-        got = decoherence_rate_pure(PureStateParam(gamma=gammas, theta=theta), 0.6, 2.5)
-        want = [decoherence_rate_pure(PureStateParam(gamma=complex(g), theta=theta), 0.6, 2.5)
-                for g in gammas]
+        got = decoherence_rate_pure(gammas, 0.6, 2.5, theta)
+        want = [decoherence_rate_pure(complex(g), 0.6, 2.5, theta) for g in gammas]
         assert same_bits(got, np.array(want))
 
     def test_rate_over_thetas(self):
         # an array theta broadcasts; array and scalar cos may round differently by an ulp
         thetas = np.linspace(0.0, math.pi, 201)
-        got = decoherence_rate_pure(PureStateParam(gamma=0.3 - 0.2j, theta=thetas), 0.6)
-        want = [decoherence_rate_pure(PureStateParam(gamma=0.3 - 0.2j, theta=float(t)), 0.6)
-                for t in thetas]
+        got = decoherence_rate_pure(0.3 - 0.2j, 0.6, theta=thetas)
+        want = [decoherence_rate_pure(0.3 - 0.2j, 0.6, theta=float(t)) for t in thetas]
         assert np.allclose(got, want, rtol=1e-15, atol=0.0)
 
     @pytest.mark.parametrize("bad", [1.0 + 1e-12, -1.5, math.nan])
@@ -194,17 +189,17 @@ class TestArraySweeps:
         with pytest.raises(CouplingError, match=r"^coupling overlap must be in \[-1, 1\], got [^\n]*$"):
             optimal_gamma(deltas)
         with pytest.raises(CouplingError, match=f"got {bad}$"):
-            decoherence_rate_pure(PureStateParam(gamma=0.5), deltas)
+            decoherence_rate_pure(0.5, deltas)
         thetas = np.linspace(0.0, math.pi, 201)
         thetas[where] = 4.0 * bad
         with pytest.raises(InvalidStateError, match=r"^theta must be in \[0, pi\], got [^\n]*$"):
-            PureStateParam(gamma=0.5, theta=thetas)
+            decoherence_rate_pure(0.5, 0.6, theta=thetas)
 
     def test_scalar_messages(self):
         with pytest.raises(CouplingError, match=r"got 1.2$"):
             optimal_gamma(1.2)
         with pytest.raises(InvalidStateError, match=r"got -0.5$"):
-            PureStateParam(gamma=0.5, theta=-0.5)
+            decoherence_rate_pure(0.5, 0.6, theta=-0.5)
 
 
 class TestScan:
@@ -229,7 +224,7 @@ class TestScan:
 
     def test_rate_at_minimum(self):
         res = scan_optimal_state(0.4)
-        direct = decoherence_rate_pure(PureStateParam(gamma=optimal_gamma(0.4)), 0.4)
+        direct = decoherence_rate_pure(optimal_gamma(0.4), 0.4)
         assert res.rate == pytest.approx(direct, abs=1e-10)
 
 
@@ -259,7 +254,7 @@ class TestCouplingOverlap:
             a = rng.normal(size=int(rng.integers(1, 50)))
             c = (a, a * (1 + 1e-9 * rng.normal(size=a.size)))
             assert -1.0 <= coupling_overlap(*c) <= 1.0
-            assert decoherence_rate_inhomogeneous(PureStateParam(gamma=1.0), *c, 1.0) >= -1e-15
+            assert decoherence_rate_inhomogeneous(1.0, *c, 1.0) >= -1e-15
 
     def test_inhomogeneous_all_zero_rejected(self):
         with pytest.raises(CouplingError):
@@ -279,7 +274,7 @@ class TestCouplingOverlap:
         with pytest.raises(CouplingError, match="matching 1-d arrays"):
             coupling_overlap(k_a, k_b)
         with pytest.raises(CouplingError, match="matching 1-d arrays"):
-            decoherence_rate_inhomogeneous(PureStateParam(gamma=0.5), k_a, k_b, 1.0)
+            decoherence_rate_inhomogeneous(0.5, k_a, k_b, 1.0)
 
     @pytest.mark.parametrize("k_a, k_b", [(1e200, 1e200), (np.array([1.0, 1e200]), np.ones(2)),
                                           (np.full(2, 1e154), np.full(2, 1e154))])
@@ -331,7 +326,7 @@ class TestInhomogeneousRate:
             c = (rng.normal(size=n), rng.normal(size=n))
             gamma = complex(*rng.normal(size=2) * rng.choice([0.1, 1.0, 10.0]))
             moment = rng.uniform(0.5, 100.0)
-            rate = decoherence_rate_inhomogeneous(PureStateParam(gamma=gamma), *c, moment)
+            rate = decoherence_rate_inhomogeneous(gamma, *c, moment)
             assert isinstance(rate, float)
             assert rate == pytest.approx(inhomogeneous_rate_reference(gamma, c, moment), rel=1e-14)
 
@@ -341,29 +336,22 @@ class TestInhomogeneousRate:
         delta = coupling_overlap(1.0, 0.5)
         for gamma in (0.0, 0.3, -0.8, 1.0):
             scale = moment * (1.0 + 0.25) / 3
-            closed = decoherence_rate_pure(PureStateParam(gamma=gamma), delta, scale)
-            inhom = decoherence_rate_inhomogeneous(PureStateParam(gamma=gamma), *c, moment)
+            closed = decoherence_rate_pure(gamma, delta, scale)
+            inhom = decoherence_rate_inhomogeneous(gamma, *c, moment)
             assert inhom == pytest.approx(closed, rel=1e-12)
 
     def test_optimal_gamma_minimizes(self):
         c = gaussian_dot_couplings(6.0, 6.0, spacing=1.0)
         overlap = coupling_overlap(*c)
         best = optimal_gamma(overlap)
-        rate_best = decoherence_rate_inhomogeneous(PureStateParam(gamma=best), *c, 3.0)
+        rate_best = decoherence_rate_inhomogeneous(best, *c, 3.0)
         for gamma in np.linspace(-1.5, 1.5, 61):
-            rate = decoherence_rate_inhomogeneous(PureStateParam(gamma=float(gamma)), *c, 3.0)
+            rate = decoherence_rate_inhomogeneous(float(gamma), *c, 3.0)
             assert rate_best <= rate + 1e-12
 
     def test_perfect_overlap_singlet_rate_vanishes(self):
         c = (np.ones(4), np.ones(4))
-        assert decoherence_rate_inhomogeneous(
-            PureStateParam(gamma=1.0), *c, 5.0
-        ) == pytest.approx(0.0, abs=1e-14)
-
-    def test_rejects_tilted_axis(self):
-        c = (np.ones(4), np.ones(4))
-        with pytest.raises(InvalidStateError):
-            decoherence_rate_inhomogeneous(PureStateParam(gamma=0.5, theta=0.3), *c, 1.0)
+        assert decoherence_rate_inhomogeneous(1.0, *c, 5.0) == pytest.approx(0.0, abs=1e-14)
 
 
 class TestRateAgainstExactDynamics:
@@ -397,10 +385,10 @@ class TestNamedCurveOrdering:
     def test_separable_beats_bells_below_one_third(self):
         deltas = np.linspace(-1, 1, 201)
         for delta in deltas:
-            sep = decoherence_rate_pure(PureStateParam(gamma=0.0), delta)
-            sing = decoherence_rate_pure(PureStateParam(gamma=1.0), delta)
-            trip = decoherence_rate_pure(PureStateParam(gamma=-1.0), delta)
-            opt = decoherence_rate_pure(PureStateParam(gamma=optimal_gamma(delta)), delta)
+            sep = decoherence_rate_pure(0.0, delta)
+            sing = decoherence_rate_pure(1.0, delta)
+            trip = decoherence_rate_pure(-1.0, delta)
+            opt = decoherence_rate_pure(optimal_gamma(delta), delta)
             assert opt <= sep + 1e-12
             assert opt <= sing + 1e-12
             assert opt <= trip + 1e-12

@@ -18,7 +18,6 @@ from spinbath.oracle import (
     reduced_trajectory,
 )
 from spinbath.optimize import (
-    PureStateParam,
     coupling_overlap,
     decoherence_rate_inhomogeneous,
     gaussian_dot_couplings,
@@ -459,7 +458,7 @@ class TestInhomogeneousRate:
     def test_gaussian_fit_matches_rate(self, system, gamma):
         full, couplings = system
         moment = unpolarized_exact(full.n_bath).casimir_moment()
-        rate = decoherence_rate_inhomogeneous(PureStateParam(gamma=gamma), *couplings, moment)
+        rate = decoherence_rate_inhomogeneous(gamma, *couplings, moment)
         tau = 1.0 / math.sqrt(rate)
         ts = np.linspace(0.0, 0.1 * tau, 25)[1:]
         s0 = make_named_state("general_pure", gamma=gamma)
@@ -477,7 +476,7 @@ class TestInhomogeneousRate:
         delta = coupling_overlap(k_a, k_b)
         assert delta == pytest.approx(2 * float(k_a @ k_b) / float(k_a @ k_a + k_b @ k_b), rel=1e-15)
         moment = unpolarized_exact(9).casimir_moment()
-        tau = 1.0 / math.sqrt(decoherence_rate_inhomogeneous(PureStateParam(gamma=0.5), k_a, k_b, moment))
+        tau = 1.0 / math.sqrt(decoherence_rate_inhomogeneous(0.5, k_a, k_b, moment))
         ts = np.linspace(0.0, 0.1 * tau, 25)[1:]
         d = decoherence_measure(evolve_reduced(full, make_named_state("general_pure", gamma=0.5), ts))
         x, y = ts**2, -np.log1p(-d)

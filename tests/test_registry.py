@@ -3,7 +3,7 @@ bath build and state parse per run."""
 
 import pytest
 
-from spinbath import scenarios
+from spinbath import scenarios, states
 from spinbath.cli import main
 from spinbath.scenarios import KINDS, ScenarioConfig, run, validate
 
@@ -106,7 +106,7 @@ def test_one_bath_build_and_state_parse_per_run(kind, monkeypatch, tmp_path):
         return wrapper
 
     monkeypatch.setattr(scenarios, "bath_from_config", counted("bath", scenarios.bath_from_config))
-    monkeypatch.setattr(scenarios, "parse_state_spec", counted("state", scenarios.parse_state_spec))
+    monkeypatch.setattr(states, "parse_state_spec", counted("state", states.parse_state_spec))
     monkeypatch.setattr(scenarios, "unpolarized_exact", counted("exact", scenarios.unpolarized_exact))
     overrides = dict(n_bath=8, samples=20, output=str(tmp_path / "out.csv"))
     if KINDS[kind].exchange == "stated":

@@ -18,7 +18,6 @@ from spinbath.scenarios import (
     ConfigError,
     ScenarioConfig,
     parse_config_file,
-    parse_state_spec,
     run,
     _run_oracle_compare,
     validate,
@@ -33,6 +32,7 @@ from spinbath.states import (
     concurrence,
     concurrence_state,
     make_named_state,
+    parse_state_spec,
     state_to_density,
 )
 from spinbath.timeseries import TimeSeries, TimeSeriesError, read_csv
@@ -150,6 +150,17 @@ class TestValidation:
         assert "casimir_moment" in report.derived
         assert "coupling_overlap" in report.derived
         assert "predicted_decoherence_time" in report.derived
+
+    # eps ||H|| t_max over the couplings that build takes: 6 (1 + 1e6) + |j| in the common mode,
+    # 3 + 3e6 in the separate one, so the bound passes 1e-10 near t_max = 0.1001 and 0.2002
+    @pytest.mark.parametrize("mode, t_max, refused", [
+        ("common", 0.1, False), ("common", 0.1002, True),
+        ("separate", 0.2, False), ("separate", 0.2004, True),
+    ])
+    def test_oracle_precision_bound(self, mode, t_max, refused):
+        config = ScenarioConfig.for_kind("oracle-compare", mode=mode, k_b=1e6, t_max=t_max)
+        errors = validate(config).errors
+        assert [e.startswith("t_max: the oracle resolves") for e in errors] == [True] * refused
 
     @pytest.mark.parametrize("n,largest,mb", [(12, "3003", "207.6"), (10, "792", "14.2"), (9, "462", "2.8")])
     def test_oracle_cost_preview(self, n, largest, mb):
@@ -290,6 +301,15 @@ class TestRunners:
             assert not result.numerical_failure
         assert (tmp_path / "none.csv").read_bytes() == (tmp_path / "zero.csv").read_bytes()
         assert "j" in read_csv(tmp_path / "none.csv").metadata
+
+    def test_separate_oracle_compare_without_j(self, tmp_path, capsys):
+        # the kind's default j = 1 is the common mode's: a separate config may leave j out
+        for mode, j in (("separate", "0"), ("common", "1")):
+            out = tmp_path / f"{mode}.csv"
+            path = write_config(tmp_path, f"scenario = oracle-compare\nmode = {mode}\nn_bath = 4\n"
+                                          f"output = {out}\n")
+            assert main(["run", str(path)]) == 0, capsys.readouterr().err
+            assert f"# j = {j}" in out.read_text().splitlines()
 
     @pytest.mark.parametrize("fields", [
         {},
@@ -761,6 +781,11 @@ class TestCLI:
              "state: state 'r_state' needs finite parameters, got 'nan'"),
             ("scenario = oracle-compare\nn_bath = 4\nstate = general_pure:nan\n",
              "state: state 'general_pure' needs finite parameters, got 'nan'"),
+            ("scenario = separate\nstate = general_pure:nan+1j\n",
+             "state: state 'general_pure' needs finite parameters, got 'nan+1j'"),
+            # a parameter that is real, given a complex value
+            ("scenario = separate\nstate = r_state:1j\n",
+             "state: could not convert string to float: '1j'"),
             # couplings whose squares, or line phases, overflow
             ("scenario = separate\nk_a = 1e200\nk_b = 1e200\n",
              "k_a, k_b: k_a^2 + k_b^2 must be finite"),
@@ -806,6 +831,13 @@ class TestCLI:
             # separate oracle baths split n_bath between the qubits
             ("scenario = oracle-compare\nmode = separate\nj = 0\nn_bath = 1\n",
              "n_bath: separate baths need one spin per qubit, got 1"),
+            # oracle phases that double precision cannot resolve to the tolerance
+            ("scenario = oracle-compare\nk_a = 1\nk_b = 1e6\nt_max = 0.5\n",
+             "t_max: the oracle resolves its phases to eps ||H|| t_max = 5e-10, above the tolerance 1e-10"),
+            ("scenario = oracle-compare\nk_a = 3\nt_max = 1e6\n",
+             "t_max: the oracle resolves its phases to eps ||H|| t_max = 3.6e-09, above the tolerance 1e-10"),
+            ("scenario = oracle-compare\nmode = separate\nn_bath = 5\nk_b = 1e7\nt_max = 1\n",
+             "t_max: the oracle resolves its phases to eps ||H|| t_max = 5e-09, above the tolerance 1e-10"),
         ],
     )
     @pytest.mark.parametrize("command", ["run", "validate"])

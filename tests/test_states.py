@@ -16,6 +16,7 @@ from spinbath.states import (
     density_to_state,
     general_pure_vector,
     make_named_state,
+    parse_state_spec,
     purity,
     state_from_vector,
     state_to_density,
@@ -571,6 +572,40 @@ class TestNamedStates:
         np.testing.assert_array_equal(rho == 0, expected == 0)
         assert np.all(np.diag(rho).real >= 0.0)
         assert np.allclose(rho, expected / np.trace(expected), atol=1e-15)
+
+
+# every named state's spec and the library call it stands for, complex gamma included
+SPECS = [
+    ("singlet", "singlet", {}), ("triplet0", "triplet0", {}), ("bell_t1", "bell_t1", {}),
+    ("bell_t2", "bell_t2", {}), ("up_down", "up_down", {}),
+    ("r_state:0.5", "r_state", {"r": 0.5}), ("r_state:-0.37", "r_state", {"r": -0.37}),
+    ("updown_mix:0.2", "updown_mix", {"r": 0.2}), ("werner:0.6", "werner", {"p": 0.6}),
+    ("general_pure:0.5", "general_pure", {"gamma": 0.5}),
+    ("general_pure:-0.0", "general_pure", {"gamma": -0.0}),
+    ("general_pure:0.5,0.3,1.0", "general_pure", {"gamma": 0.5, "theta": 0.3, "phi": 1.0}),
+    ("general_pure:0.3+0.4j,1.1,2.3", "general_pure", {"gamma": 0.3 + 0.4j, "theta": 1.1, "phi": 2.3}),
+    ("general_pure:-2j,0.7", "general_pure", {"gamma": -2j, "theta": 0.7}),
+]
+
+
+def test_specs_cover_every_named_state():
+    assert {name for _, name, _ in SPECS} == set(states._NAMED_STATES)
+
+
+@pytest.mark.parametrize("spec, name, params", SPECS, ids=[spec for spec, _, _ in SPECS])
+def test_spec_and_library_call_build_the_same_state(spec, name, params):
+    assert same_states(parse_state_spec(spec), make_named_state(name, **params))
+
+
+@pytest.mark.parametrize("name, params, match", [
+    ("r_state", {}, "takes r_state:r"),
+    ("general_pure", {"theta": 0.3}, r"takes general_pure:gamma\[,theta\[,phi\]\]"),
+    ("general_pure", {"gamma": complex(np.nan, 1.0)}, "needs finite parameters"),
+    ("updown_mix", {"r": np.inf}, "needs finite parameters"),
+])
+def test_library_call_checks_its_parameters(name, params, match):
+    with pytest.raises(InvalidStateError, match=match):
+        make_named_state(name, **params)
 
 
 # ---------------------------------------------------------------------------
