@@ -54,14 +54,14 @@ class ConfigError(ValueError):
 class Kind:
     """One scenario kind of the :data:`KINDS` registry.
 
-    ``exchange`` is the rule on j: "stated" (common bath: j is required),
-    "zero" (separate baths: j = 0 or omitted), "mode" (the one of the two
-    that ``config.mode`` names, a j in ``defaults`` being the common mode's)
-    or None (no bath, j unused). ``runner`` takes the config and the bath and
-    state that :func:`validate` built: a kind builds a bath if its ``defaults``
-    hold ``n_bath`` and parses ``config.state`` if they hold ``state``. A kind
-    run by :func:`_run_trajectory` names its ``columns`` (keys of
-    :data:`_COLUMNS`) and, if it has one, its fixed initial ``state``.
+    The kind :attr:`reads` the keys of its ``defaults``, ``scenario``, ``output`` and,
+    unless ``exchange`` is None, ``j``: the rule on j, "stated" (common bath: j is
+    required), "zero" (separate baths: j = 0 or omitted), "mode" (the one of the two that
+    ``config.mode`` names, a j in ``defaults`` being the common mode's) or None (no bath).
+    ``check`` adds the kind's own rules to the report of :func:`validate`. ``runner`` takes
+    the config and the bath and state that :func:`validate` built, if the kind reads
+    ``n_bath`` and ``state``. A kind run by :func:`_run_trajectory` names its ``columns``
+    (keys of :data:`_COLUMNS`) and, if it has one, its fixed initial ``state``.
     """
 
     summary: str
@@ -71,30 +71,40 @@ class Kind:
     state: str | None = None
     exchange: str | None = "stated"
     equal_couplings: bool = False
+    check: Callable[[ScenarioConfig, ValidationReport], None] | None = None
+
+    @property
+    def reads(self) -> set[str]:
+        return {"scenario", "output", *self.defaults} | ({"j"} if self.exchange else set())
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """One run's keys: :meth:`for_kind` fills those that the kind reads, and the rest stay None."""
+
     kind: str
-    n_bath: int = 100
-    bath: str = "exact"
-    k_a: float = 1.0
-    k_b: float = 1.0
+    n_bath: int | None = None
+    bath: str | None = None
+    k_a: float | None = None
+    k_b: float | None = None
     j: float | None = None
-    state: str = "up_down"
-    t_max: float = 10.0
-    samples: int = 500
-    mode: str = "common"
-    output: str = "out.csv"
+    state: str | None = None
+    t_max: float | None = None
+    samples: int | None = None
+    mode: str | None = None
+    output: str | None = None
 
     @classmethod
     def for_kind(cls, kind: str, **overrides) -> "ScenarioConfig":
+        """The kind's defaults under ``overrides``; an override of None counts as left out."""
         if kind not in KINDS:
             raise ConfigError(f"unknown scenario {kind!r}")
-        params = {**KINDS[kind].defaults, **overrides}
+        if unread := [f"{key}: {kind} does not read this key" for key, value in overrides.items()
+                      if value is not None and key not in KINDS[kind].reads]:
+            raise ConfigError("; ".join(unread))
+        params = {"output": f"{kind}.csv", **KINDS[kind].defaults, **overrides}
         if KINDS[kind].exchange == "mode" and params["mode"] == "separate" and "j" not in overrides:
             del params["j"]  # the default j is the common mode's: separate baths omit it
-        params.setdefault("output", f"{kind}.csv")
         return cls(kind=kind, **params)
 
 
@@ -111,29 +121,24 @@ class ValidationReport:
         return not self.errors
 
     def render(self) -> str:
-        lines = []
-        if self.errors:
-            lines.append("errors:")
-            lines.extend(f"  - {e}" for e in self.errors)
-        else:
-            lines.append("config valid")
+        lines = ["errors:", *(f"  - {e}" for e in self.errors)] if self.errors else ["config valid"]
         if self.derived or self.cost:
-            lines.append("derived quantities:")
-            lines.extend(f"  {k} = {v}" for k, v in {**self.derived, **self.cost}.items())
+            lines += ["derived quantities:", *(f"  {k} = {v}" for k, v in (self.derived | self.cost).items())]
         return "\n".join(lines)
 
 
-_FIELD_TYPES = {
-    "scenario": str, "n_bath": int, "bath": str, "k_a": float, "k_b": float,
-    "j": float, "state": str, "t_max": float, "samples": int, "mode": str,
-    "output": str,
-}
+_FIELD_TYPES = {"scenario": str, "n_bath": int, "bath": str, "k_a": float, "k_b": float, "j": float,
+                "state": str, "t_max": float, "samples": int, "mode": str, "output": str}
 
 
 def parse_config_file(path: str | Path) -> ScenarioConfig:
-    """Parse a flat key = value file; '#' starts a comment."""
-    raw: dict[str, str] = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    """Parse a flat UTF-8 key = value file; '#' starts a comment, and a key may appear once."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from exc
+    raw: dict[str, object] = {}
+    for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
@@ -143,108 +148,85 @@ def parse_config_file(path: str | Path) -> ScenarioConfig:
         key = key.strip()
         if key not in _FIELD_TYPES:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        raw[key] = value.strip()
+        if key in raw:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} given twice")
+        try:
+            raw[key] = _FIELD_TYPES[key](value.strip())
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
     if "scenario" not in raw:
         raise ConfigError(f"{path}: missing required key 'scenario'")
-    kind = raw.pop("scenario")
-    overrides = {}
-    for key, value in raw.items():
-        try:
-            overrides[key] = _FIELD_TYPES[key](value)
-        except ValueError as exc:
-            raise ConfigError(f"{path}: bad value for {key}: {exc}") from exc
-    return ScenarioConfig.for_kind(kind, **overrides)
+    return ScenarioConfig.for_kind(raw.pop("scenario"), **raw)
 
 
 def validate(config: ScenarioConfig) -> ValidationReport:
-    """Field-level checks plus a preview of derived quantities. The report
-    also holds the bath and the initial state, built once for :func:`run`."""
+    """Checks of the keys that the kind reads, its own rules, and a preview of derived
+    quantities. The report also holds the bath and the initial state, built once for :func:`run`."""
     report = ValidationReport()
     kind = KINDS.get(config.kind)
     if kind is None:
         report.errors.append(f"scenario: unknown kind {config.kind!r}")
         return report
-    needs_bath = "n_bath" in kind.defaults
-    for name in ("k_a", "k_b", "j", "t_max"):
-        value = getattr(config, name)
-        if value is not None and not math.isfinite(value):
-            report.errors.append(f"{name}: must be finite, got {value!r}")
-    if report.errors:
+    reads, errors = kind.reads, report.errors
+    needs_bath = "n_bath" in reads
+    errors += [f"{name}: must be finite, got {value!r}" for name in ("k_a", "k_b", "j", "t_max")
+               if (value := getattr(config, name)) is not None and not math.isfinite(value)]
+    if errors:
         return report
+    # every kind reads output and samples
+    if Path(config.output).name in ("", "..") or "\0" in config.output:
+        errors.append(f"output: must name a file, got {config.output!r}")
     if config.samples < 2:
-        report.errors.append("samples: need at least 2 samples")
+        errors.append("samples: need at least 2 samples")
     if config.samples > MAX_SAMPLES:
-        report.errors.append(f"samples: at most {MAX_SAMPLES} samples, got {config.samples}")
-    if config.t_max <= 0 and needs_bath:
-        report.errors.append("t_max: must be positive")
-    elif needs_bath and 2 <= config.samples <= MAX_SAMPLES and not np.all(np.diff(_times(config)) > 0):
-        report.errors.append(f"t_max: {config.t_max!r} is too small to separate {config.samples} samples")
-    # the coupling overlap 2 k_a k_b / (k_a^2 + k_b^2) drives optimize and fig6
+        errors.append(f"samples: at most {MAX_SAMPLES} samples, got {config.samples}")
+    if "t_max" in reads and config.t_max <= 0:
+        errors.append("t_max: must be positive")
+    elif "t_max" in reads and 2 <= config.samples <= MAX_SAMPLES and not np.all(np.diff(_times(config)) > 0):
+        errors.append(f"t_max: {config.t_max!r} is too small to separate {config.samples} samples")
+    # the coupling overlap 2 k_a k_b / (k_a^2 + k_b^2) drives optimize
     try:
-        overlap = coupling_overlap(config.k_a, config.k_b)
+        overlap = coupling_overlap(config.k_a, config.k_b) if "k_a" in reads else math.nan
     except (CouplingError, ArithmeticError):
         overlap = math.nan
-    if not math.isfinite(overlap) and not needs_bath:
-        report.errors.append("k_a, k_b: k_a^2 + k_b^2 must be nonzero and finite")
+    if not math.isfinite(overlap) and "k_a" in reads and not needs_bath:
+        errors.append("k_a, k_b: k_a^2 + k_b^2 must be nonzero and finite")
 
-    couplings_finite = math.isfinite(config.k_a * config.k_a + config.k_b * config.k_b)
+    couplings_finite = "k_a" in reads and math.isfinite(config.k_a * config.k_a + config.k_b * config.k_b)
     if needs_bath and config.n_bath > MAX_SPINS:
-        report.errors.append(f"n_bath: at most {MAX_SPINS} bath spins, got {config.n_bath}")
+        errors.append(f"n_bath: at most {MAX_SPINS} bath spins, got {config.n_bath}")
     elif needs_bath:
         try:
             report.bath = bath_from_config(config.bath, config.n_bath)
         except BathSpecError as exc:
-            report.errors.append(f"bath: {exc}")
+            errors.append(f"bath: {exc}")
     if report.bath is not None:
         report.cost["kept_sectors"] = str(report.bath.significant_sectors()[0].size)
         if not couplings_finite:
-            report.errors.append("k_a, k_b: k_a^2 + k_b^2 must be finite")
+            errors.append("k_a, k_b: k_a^2 + k_b^2 must be finite")
         # bounds |omega| t for every line the evolvers sum
         scale = abs(config.j or 0.0) + (abs(config.k_a) + abs(config.k_b)) * (config.n_bath + 2)
         if not math.isfinite(config.t_max * scale):
-            report.errors.append(
-                "t_max: t_max * (|j| + (|k_a| + |k_b|) (n_bath + 2)) must be finite"
-            )
+            errors.append("t_max: t_max * (|j| + (|k_a| + |k_b|) (n_bath + 2)) must be finite")
         elif couplings_finite and not math.isfinite(scale * scale):  # squared splittings
-            report.errors.append("j: (|j| + (|k_a| + |k_b|) (n_bath + 2))^2 must be finite")
-        elif couplings_finite and config.kind == "oracle-compare" and config.n_bath <= MAX_BATH_SPINS:
-            # the oracle's phases err by up to eps ||H|| t_max, and ||S . I|| = 3/4 for each term
-            k_a, k_b, j = _oracle_couplings(config)
-            norm = 0.75 * (abs(j or 0.0) + np.abs(k_a).sum() + np.abs(k_b).sum())
-            if (error := np.finfo(float).eps * norm * config.t_max) > ORACLE_TOLERANCE:
-                report.errors.append(f"t_max: the oracle resolves its phases to eps ||H|| t_max = "
-                                     f"{error:.2g}, above the tolerance {ORACLE_TOLERANCE:g}")
+            errors.append("j: (|j| + (|k_a| + |k_b|) (n_bath + 2))^2 must be finite")
 
-    if config.kind == "oracle-compare":
-        if config.mode not in ("separate", "common"):
-            report.errors.append(f"mode: must be separate|common, got {config.mode!r}")
-        if config.n_bath > MAX_BATH_SPINS:
-            report.errors.append(
-                f"n_bath: {config.n_bath} exceeds the dense-oracle cap of {MAX_BATH_SPINS}"
-            )
-        elif config.mode == "separate" and config.n_bath < 2 and report.bath is not None:
-            report.errors.append(f"n_bath: separate baths need one spin per qubit, got {config.n_bath}")
-        if 0 < config.n_bath <= MAX_BATH_SPINS:
-            largest, nbytes = eigh_cost(config.n_bath)
-            report.cost.update(oracle_largest_eigh=str(largest), oracle_eigenvector_mb=f"{nbytes / 1e6:.1f}")
-        if config.bath != "exact":
-            report.errors.append("bath: oracle comparisons use the exact unpolarized bath")
+    if kind.equal_couplings and config.k_a != config.k_b:
+        errors.append("k_b: this scenario requires equal couplings")
+    if kind.check is not None:
+        kind.check(config, report)
     exchange = (kind.exchange if kind.exchange != "mode"
                 else {"common": "stated", "separate": "zero"}.get(config.mode))
     if exchange == "zero" and config.j not in (None, 0.0):
-        report.errors.append("j: separate baths assume zero exchange; set j = 0")
-    if kind.equal_couplings and config.k_a != config.k_b:
-        report.errors.append("k_b: this scenario requires equal couplings")
-    if config.kind == "fig2" and config.k_a == 0.0:
-        report.errors.append("k_a: fig2 needs k_a != 0 for its revival time 2 pi / k_a")
+        errors.append("j: separate baths assume zero exchange; set j = 0")
     if exchange == "stated" and config.j is None:
-        report.errors.append("j: required for common-bath scenarios")
+        errors.append("j: required for common-bath scenarios")
 
-    if "state" in kind.defaults:
+    if "state" in reads:
         try:
             report.state = states.parse_state_spec(config.state)
         except (ValueError, LookupError) as exc:
-            report.errors.append(f"state: {exc}")
+            errors.append(f"state: {exc}")
 
     private = kind.exchange == "zero"
     # separate oracle baths are two halves of n_bath, not the bath built here: no moment or prediction
@@ -268,18 +250,43 @@ def validate(config: ScenarioConfig) -> ValidationReport:
     return report
 
 
+def _check_oracle(config: ScenarioConfig, report: ValidationReport) -> None:
+    """The dense oracle's rules, and the cost of its largest ``eigh``."""
+    errors, n = report.errors, config.n_bath
+    if report.ok and report.bath is not None and n <= MAX_BATH_SPINS:
+        # the oracle's phases err by up to eps ||H|| t_max, and ||S . I|| = 3/4 for each term
+        k_a, k_b, j = _oracle_couplings(config)
+        norm = 0.75 * (abs(j or 0.0) + np.abs(k_a).sum() + np.abs(k_b).sum())
+        if (error := np.finfo(float).eps * norm * config.t_max) > ORACLE_TOLERANCE:
+            errors.append(f"t_max: the oracle resolves its phases to eps ||H|| t_max = "
+                          f"{error:.2g}, above the tolerance {ORACLE_TOLERANCE:g}")
+    if config.mode not in ("separate", "common"):
+        errors.append(f"mode: must be separate|common, got {config.mode!r}")
+    if n > MAX_BATH_SPINS:
+        errors.append(f"n_bath: {n} exceeds the dense-oracle cap of {MAX_BATH_SPINS}")
+    elif config.mode == "separate" and n < 2 and report.bath is not None:
+        errors.append(f"n_bath: separate baths need one spin per qubit, got {n}")
+    if 0 < n <= MAX_BATH_SPINS:
+        largest, nbytes = eigh_cost(n)
+        report.cost.update(oracle_largest_eigh=str(largest), oracle_eigenvector_mb=f"{nbytes / 1e6:.1f}")
+    if config.bath != "exact":
+        errors.append("bath: oracle comparisons use the exact unpolarized bath")
+
+
+def _check_fig2(config: ScenarioConfig, report: ValidationReport) -> None:
+    if config.k_a == 0.0:
+        report.errors.append("k_a: fig2 needs k_a != 0 for its revival time 2 pi / k_a")
+
+
 def _base_metadata(config: ScenarioConfig, bath: BathDistribution | None) -> dict[str, str]:
     meta = {"scenario": config.kind, "spinbath_version": __version__}
     if bath is not None:
-        meta.update(
-            n_bath=str(config.n_bath), bath=config.bath,
-            k_a=format(config.k_a, ".12g"), k_b=format(config.k_b, ".12g"),
-            j=format(0.0 if config.j is None else config.j, ".12g"),
-        )
-        meta["casimir_moment"] = format(bath.casimir_moment(), ".12g")
-        meta["dropped_sector_weight"] = format(bath.significant_sectors()[2], ".3e")
-    else:
-        meta.update(k_a=format(config.k_a, ".12g"), k_b=format(config.k_b, ".12g"))
+        meta.update(n_bath=str(config.n_bath), bath=config.bath)
+    meta.update(k_a=format(config.k_a, ".12g"), k_b=format(config.k_b, ".12g"))
+    if bath is not None:
+        meta.update(j=format(0.0 if config.j is None else config.j, ".12g"),
+                    casimir_moment=format(bath.casimir_moment(), ".12g"),
+                    dropped_sector_weight=format(bath.significant_sectors()[2], ".3e"))
     return meta
 
 
@@ -308,10 +315,11 @@ def _times(config: ScenarioConfig) -> np.ndarray:
     return np.linspace(0.0, config.t_max, config.samples)
 
 
-def _rows(config: ScenarioConfig, columns: list[str], data: list, metadata: dict) -> RunResult:
-    """The run's CSV, one column per entry of ``data``, summarised by its row count."""
+def _rows(config: ScenarioConfig, columns: list[str], data: list, metadata: dict,
+          summary: dict[str, str] | None = None) -> RunResult:
+    """The run's CSV, one column per entry of ``data``, summarised by ``summary`` or its row count."""
     series = TimeSeries(columns=columns, data=np.column_stack(data), metadata=metadata)
-    return RunResult(series, Path(config.output), {"rows": str(series.data.shape[0])})
+    return RunResult(series, Path(config.output), summary or {"rows": str(series.data.shape[0])})
 
 
 def _run_trajectory(config: ScenarioConfig, bath, state) -> RunResult:
@@ -341,8 +349,8 @@ def _run_optimize(config: ScenarioConfig, bath, state) -> RunResult:
         "optimal_theta_scanned": format(scanned.theta, ".12g"),
         "rate_units": "separable-state rate",
     }
-    series = TimeSeries(columns=["gamma", "rate"], data=np.column_stack([gammas, rates]), metadata=meta)
-    return RunResult(series, Path(config.output), {"optimal_gamma": meta["optimal_gamma_analytic"]})
+    return _rows(config, ["gamma", "rate"], [gammas, rates], meta,
+                 {"optimal_gamma": meta["optimal_gamma_analytic"]})
 
 
 def _oracle_couplings(config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray, float]:
@@ -375,20 +383,11 @@ def _run_oracle_compare(config: ScenarioConfig, bath, state) -> RunResult:
     meta = _base_metadata(config, bath)
     if config.mode == "separate":  # the moment of the n_bath-spin bath, which no side evolves
         del meta["casimir_moment"]
-    series = TimeSeries(
-        columns=["t", "max_abs_dev"],
-        data=np.column_stack([times, devs]),
-        metadata={
-            **meta,
-            "state": config.state,
-            "mode": config.mode,
-            "max_abs_dev": format(max_dev, ".3e"),
-            "tolerance": format(ORACLE_TOLERANCE, ".1e"),
-            "within_tolerance": str(not failed).lower(),
-        },
-    )
-    return RunResult(series, Path(config.output), {"max_abs_dev": format(max_dev, ".3e")},
-                     numerical_failure=failed)
+    meta.update(state=config.state, mode=config.mode, max_abs_dev=format(max_dev, ".3e"),
+                tolerance=format(ORACLE_TOLERANCE, ".1e"), within_tolerance=str(not failed).lower())
+    result = _rows(config, ["t", "max_abs_dev"], [times, devs], meta, {"max_abs_dev": meta["max_abs_dev"]})
+    result.numerical_failure = failed
+    return result
 
 
 def _run_fig1(config: ScenarioConfig, bath, state) -> RunResult:
@@ -475,14 +474,15 @@ KINDS: dict[str, Kind] = {
     "oracle-compare": Kind(
         "analytic evolution vs the dense full-Hilbert oracle", _run_oracle_compare,
         dict(mode="common", n_bath=6, bath="exact", k_a=1.0, k_b=0.4, j=1.0, state="r_state:0.5",
-             t_max=5.0, samples=20), exchange="mode"),
+             t_max=5.0, samples=20), exchange="mode", check=_check_oracle),
     "fig1": Kind(
         "private baths: purity loss for several initial entanglements", _run_fig1,
         dict(_BATH, k_a=1.0, k_b=1.0, j=0.0, t_max=6.0, samples=600), exchange="zero"),
     "fig2": Kind(
         "shared bath, product initial state: polarization relaxation and revival of entanglement",
         _run_fig2, dict(_BATH, k_a=1.0, k_b=1.0, j=200.0, t_max=6.0, samples=12000),
-        ("p_z_a", "pi_xx", "pi_zz", "pi_xy", "concurrence"), "up_down", equal_couplings=True),
+        ("p_z_a", "pi_xx", "pi_zz", "pi_xy", "concurrence"), "up_down", equal_couplings=True,
+        check=_check_fig2),
     "fig3": Kind(
         "shared bath: pair mixedness vs single-qubit mixedness", _run_trajectory,
         dict(_BATH, k_a=1.0, k_b=1.0, j=5.0, t_max=6.0, samples=600),

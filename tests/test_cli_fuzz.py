@@ -1,9 +1,12 @@
 """The command-line contract under extreme field values, drawn by hypothesis.
 
-Every ``spinbath run`` ends in one of three ways: exit 0 with a finite CSV whose
+A draw sets only keys that its kind reads, at extreme values, and sometimes one
+key that the kind does not read, or an ``output`` that names no file. Every
+``spinbath run`` ends in one of three ways: exit 0 with a finite CSV whose
 mixedness lies in [0, 3/4] and whose concurrence lies in [0, 1]; exit 1 with one
-line on stderr and no CSV; or, for an oracle comparison only, exit 2. A numpy
-``RuntimeWarning`` fails the run too, as the test suite turns it into an error.
+line on stderr and no CSV, which an unread key or an unusable ``output`` always
+gives; or, for an oracle comparison only, exit 2. A numpy ``RuntimeWarning``
+fails the run too, as the test suite turns it into an error.
 """
 
 import contextlib
@@ -33,8 +36,15 @@ def field(values, signs=(1.0, -1.0)):
     return st.one_of(st.none(), value)
 
 
+# outputs at the edges: "", "." and "sub/.." name no file, a NUL byte no path, and the
+# run's directory itself is no file that a CSV can replace
+EDGE_OUTPUTS = ["", ".", "{tmp}/sub/..", "{tmp}/a\0b.csv", "{tmp}", "{tmp}/nested/deeper/out.csv"]
+
+
 @st.composite
-def configs(draw) -> dict:
+def configs(draw) -> tuple[dict, str | None, str]:
+    """The fields of one config, the key among them that its kind does not read (or
+    None), and its output, with ``{tmp}`` standing for the run's directory."""
     kind = draw(st.sampled_from(list(KINDS)))
     oracle = kind == "oracle-compare"
     fields = dict(
@@ -47,7 +57,15 @@ def configs(draw) -> dict:
         samples=draw(st.integers(2, 100)),
         mode=draw(st.sampled_from(["common", "separate"])),
     )
-    return {key: value for key, value in fields.items() if value is not None}
+    reads = KINDS[kind].reads
+    unread = [key for key, value in fields.items() if value is not None and key not in reads]
+    # some draws add an unread key, where the kind has one, or take an edge output (about one in
+    # seven each: hypothesis favours the ends of a range, so its middle value marks the rare case)
+    extra = draw(st.sampled_from(unread)) if unread and draw(st.integers(0, 4)) == 2 else None
+    output = draw(st.sampled_from(EDGE_OUTPUTS)) if draw(st.integers(0, 4)) == 2 else "{tmp}/out.csv"
+    fields = {key: value for key, value in fields.items()
+              if value is not None and (key in reads or key == extra)}
+    return fields, extra, output
 
 
 def in_range(name: str, column: np.ndarray) -> bool:
@@ -63,17 +81,22 @@ def in_range(name: str, column: np.ndarray) -> bool:
 @given(configs())
 @settings(max_examples=400, derandomize=True, database=None, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-def test_every_run_ends_in_the_contract(fields):
+def test_every_run_ends_in_the_contract(drawn):
+    fields, extra, output = drawn
     with tempfile.TemporaryDirectory() as tmp:
-        out, cfg = Path(tmp) / "out.csv", Path(tmp) / "run.cfg"
+        cfg, out = Path(tmp) / "run.cfg", output.format(tmp=tmp)
         cfg.write_text("".join(f"{k} = {v!r}\n" if isinstance(v, float) else f"{k} = {v}\n"
-                               for k, v in fields.items()) + f"output = {out}\n")
+                               for k, v in fields.items()) + f"output = {out}\n", encoding="utf-8")
         stderr = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
             code = main(["run", str(cfg)])
         if code == 1:
-            assert len(stderr.getvalue().splitlines()) == 1 and not out.exists()
+            assert len(stderr.getvalue().splitlines()) == 1
+            assert [p for p in Path(tmp).rglob("*") if p.is_file()] == [cfg]
+            if extra is not None:
+                assert stderr.getvalue() == f"error: {extra}: {fields['scenario']} does not read this key\n"
             return
+        assert extra is None and output in ("{tmp}/out.csv", "{tmp}/nested/deeper/out.csv"), stderr.getvalue()
         assert code == 0 or (code == 2 and fields["scenario"] == "oracle-compare"), stderr.getvalue()
         series = read_csv(out)
         assert np.all(np.isfinite(series.data))

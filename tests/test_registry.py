@@ -1,11 +1,11 @@
-"""The scenario registry: per-kind validation rules, the listing, and one
-bath build and state parse per run."""
+"""The scenario registry: the keys each kind reads, per-kind validation rules,
+the listing, and one bath build and state parse per run."""
 
 import pytest
 
 from spinbath import scenarios, states
 from spinbath.cli import main
-from spinbath.scenarios import KINDS, ScenarioConfig, run, validate
+from spinbath.scenarios import _FIELD_TYPES, KINDS, ConfigError, ScenarioConfig, run, validate
 
 J_REQUIRED = "j: required for common-bath scenarios"
 J_ZERO = "j: separate baths assume zero exchange; set j = 0"
@@ -39,6 +39,31 @@ ERRORS = {
     ("fig4", "k_a != k_b"): [EQUAL],
     ("fig5", "j = None"): [J_REQUIRED],
 }
+
+# the (kind, case) pairs that set a key the kind does not read: refused before validate
+REFUSED = {
+    ("optimize", "j = 0"): "j: optimize does not read this key",
+    ("optimize", "j = 1"): "j: optimize does not read this key",
+    ("fig6", "j = 0"): "j: fig6 does not read this key",
+    ("fig6", "j = 1"): "j: fig6 does not read this key",
+    ("fig6", "k_a != k_b"): "k_a: fig6 does not read this key; k_b: fig6 does not read this key",
+}
+
+# the keys each kind reads besides scenario and output
+BATH = {"n_bath", "bath", "k_a", "k_b", "j", "t_max", "samples"}
+READS = {
+    "separate": BATH | {"state"},
+    "common-symmetric": BATH | {"state"},
+    "common-asymmetric": BATH | {"state"},
+    "optimize": {"k_a", "k_b", "samples"},
+    "oracle-compare": BATH | {"state", "mode"},
+    "fig1": BATH, "fig2": BATH, "fig3": BATH, "fig4": BATH, "fig5": BATH,
+    "fig6": {"samples"},
+}
+# a value of each key that every kind that reads it accepts
+VALUES = dict(n_bath="4", bath="exact", k_a="1", k_b="1", j="0", state="singlet", t_max="1",
+              samples="3", mode="common")
+UNREAD = [(kind, key) for kind in READS for key in VALUES if key not in READS[kind]]
 
 # several errors at once keep their order
 COMBINED = [
@@ -78,8 +103,50 @@ LISTING = [
 @pytest.mark.parametrize("case", CASES)
 @pytest.mark.parametrize("kind", [name for name, _ in LISTING])
 def test_validation_rules_per_kind(kind, case):
+    if (kind, case) in REFUSED:
+        with pytest.raises(ConfigError) as refused:
+            ScenarioConfig.for_kind(kind, **CASES[case])
+        assert str(refused.value) == REFUSED[kind, case]
+        return
     report = validate(ScenarioConfig.for_kind(kind, **CASES[case]))
     assert report.errors == ERRORS.get((kind, case), [])
+
+
+def test_each_kind_reads_its_declared_keys():
+    assert set(_FIELD_TYPES) == set(VALUES) | {"scenario", "output"}
+    assert {name: kind.reads for name, kind in KINDS.items()} == {
+        name: keys | {"scenario", "output"} for name, keys in READS.items()}
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+@pytest.mark.parametrize("kind, key", UNREAD)
+def test_unread_key_refused(tmp_path, capsys, command, kind, key):
+    out = tmp_path / "out.csv"
+    path = tmp_path / "run.cfg"
+    path.write_text(f"scenario = {kind}\n{key} = {VALUES[key]}\noutput = {out}\n")
+    assert main([command, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {key}: {kind} does not read this key"]
+    assert list(tmp_path.iterdir()) == [path]
+    # set to None through the library, the key counts as left out
+    ScenarioConfig.for_kind(kind, **{key: None})
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+@pytest.mark.parametrize("body, keys", [
+    ("scenario = fig3\nmode = bogus\nstate = werner:7\n", ["mode", "state"]),
+    ("scenario = fig6\nn_bath = -5\nt_max = -1\nbath = nonsense\n", ["n_bath", "t_max", "bath"]),
+    ("scenario = optimize\nstate = nonsense\nj = 5\n", ["state", "j"]),
+])
+def test_unread_keys_share_one_line(tmp_path, capsys, command, body, keys):
+    kind = body.split("\n")[0].split(" = ")[1]
+    path = tmp_path / "run.cfg"
+    path.write_text(f"{body}output = {tmp_path / 'out.csv'}\n")
+    assert main([command, str(path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: " + "; ".join(f"{key}: {kind} does not read this key" for key in keys)]
+    assert list(tmp_path.iterdir()) == [path]
 
 
 @pytest.mark.parametrize("kind, overrides, errors", COMBINED)

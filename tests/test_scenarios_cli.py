@@ -110,6 +110,28 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="unknown scenario"):
             parse_config_file(path)
 
+    @pytest.mark.parametrize("body, message", [
+        ("scenario = separate\nk_a = 1\nk_a = 3\n", ":3: key 'k_a' given twice"),
+        # the later scenario does not replace the earlier one
+        ("scenario = separate\nj = 0\nscenario = fig3\n", ":3: key 'scenario' given twice"),
+    ], ids=["k_a", "scenario"])
+    def test_repeated_key(self, tmp_path, body, message):
+        path = write_config(tmp_path, body)
+        with pytest.raises(ConfigError) as refused:
+            parse_config_file(path)
+        assert str(refused.value) == f"{path}{message}"
+
+    def test_config_is_utf8_in_any_locale(self, tmp_path):
+        # read in an ASCII locale without UTF-8 mode, as the CSVs are
+        path, value = tmp_path / "run.cfg", "out/résumé ρ(t) → ä.csv"
+        path.write_bytes(f"# café\nscenario = fig6\noutput = {value}\n".encode("utf-8"))
+        code = ("import sys; from spinbath.scenarios import parse_config_file; "
+                "print(ascii(parse_config_file(sys.argv[1]).output))")
+        done = subprocess.run([sys.executable, "-c", code, str(path)], capture_output=True, text=True, check=True,
+                              env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "LC_ALL": "C",
+                                   "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"})
+        assert done.stdout.strip() == ascii(value)
+
     def test_state_specs(self):
         assert parse_state_spec("singlet").pi[0, 0] == pytest.approx(-1.0)
         assert parse_state_spec("r_state:0.5").p_a[2] == pytest.approx(0.6)
@@ -205,11 +227,11 @@ class TestValidation:
         report = validate(ScenarioConfig.for_kind("oracle-compare", **{key: value}))
         assert any(err.startswith(f"{key}: must be finite") for err in report.errors)
 
+    # fig6 reads no couplings: test_registry.py's test_unread_key_refused refuses them
     @pytest.mark.parametrize("couplings", [(0.0, 0.0), (1e-200, -1e-200), (1e200, 1e200)])
-    @pytest.mark.parametrize("kind", ["optimize", "fig6"])
-    def test_undefined_coupling_overlap_rejected(self, kind, couplings):
+    def test_undefined_coupling_overlap_rejected(self, couplings):
         k_a, k_b = couplings
-        report = validate(ScenarioConfig.for_kind(kind, k_a=k_a, k_b=k_b))
+        report = validate(ScenarioConfig.for_kind("optimize", k_a=k_a, k_b=k_b))
         assert report.errors == ["k_a, k_b: k_a^2 + k_b^2 must be nonzero and finite"]
         assert "optimal_gamma" not in report.derived
 
@@ -585,7 +607,8 @@ class TestCsvWriter:
 
     @pytest.mark.parametrize("kind", sorted(scenarios.KINDS))
     def test_every_scenario_at_defaults(self, tmp_path, kind):
-        overrides = {} if "j" in scenarios.KINDS[kind].defaults else {"j": 2.0}
+        kind_ = scenarios.KINDS[kind]
+        overrides = {"j": 2.0} if kind_.exchange == "stated" and "j" not in kind_.defaults else {}
         result = run(ScenarioConfig.for_kind(kind, output=str(tmp_path / "run.csv"), **overrides))
         ref = tmp_path / "ref.csv"
         ref.write_text(per_row_csv(result.series))
@@ -754,11 +777,11 @@ class TestCLI:
         assert "must be finite" in captured.out + captured.err
         assert not out.exists()
 
-    @pytest.mark.parametrize("kind", ["optimize", "fig6"])
+    # fig6 reads no couplings: test_registry.py's test_unread_key_refused refuses them
     @pytest.mark.parametrize("command", ["run", "validate"])
-    def test_zero_couplings_exit_code(self, tmp_path, capsys, command, kind):
-        out = tmp_path / f"{kind}.csv"
-        path = write_config(tmp_path, f"scenario = {kind}\nk_a = 0\nk_b = 0\noutput = {out}\n")
+    def test_zero_couplings_exit_code(self, tmp_path, capsys, command):
+        out = tmp_path / "optimize.csv"
+        path = write_config(tmp_path, f"scenario = optimize\nk_a = 0\nk_b = 0\noutput = {out}\n")
         assert main([command, str(path)]) == 1
         assert refused_errors(command, capsys.readouterr()) == ["k_a, k_b: k_a^2 + k_b^2 must be nonzero and finite"]
         assert not out.exists()
@@ -853,6 +876,30 @@ class TestCLI:
         assert peak < 2**20  # rejected before any time grid exists
         assert refused_errors(command, capsys.readouterr()) == [message]
         assert not out.exists()
+
+    @pytest.mark.parametrize("body, message", [
+        (b"scenario = separate\nk_a = 1\nk_a = 3\n", "{path}:3: key 'k_a' given twice"),
+        (b"scenario = separate\nscenario = fig3\n", "{path}:2: key 'scenario' given twice"),
+        (b"# caf\xe9\nscenario = fig6\n", "{path}: not UTF-8 text (byte 5: invalid continuation byte)"),
+        (b"scenario = fig6\noutput =\n", "output: must name a file, got ''"),
+        (b"scenario = separate\noutput = .\n", "output: must name a file, got '.'"),
+        (b"scenario = fig6\noutput = sub/..\n", "output: must name a file, got 'sub/..'"),
+        (b"scenario = fig6\noutput = a\0b.csv\n", "output: must name a file, got 'a\\x00b.csv'"),
+    ], ids=["repeated-key", "repeated-scenario", "latin-1", "empty-output", "dot-output", "dotdot-output",
+         "nul-output"])
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_unusable_config_exit_code(self, tmp_path, monkeypatch, capsys, command, body, message):
+        # a config that cannot be read as written, or whose output names no file
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "run.cfg"
+        path.write_bytes(body if b"output" in body else body + b"output = out.csv\n")
+        assert main([command, str(path)]) == 1
+        captured, message = capsys.readouterr(), message.format(path=path)
+        if command == "validate" and message.startswith("output:"):  # the report lists it
+            assert refused_errors(command, captured) == [message]
+        else:
+            assert captured.out == "" and captured.err.splitlines() == [f"error: {message}"]
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_nan_oracle_deviation_exit_code(self, tmp_path, monkeypatch):
         # validation rejects t_max = nan, so drive the runner past it: the
