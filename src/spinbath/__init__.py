@@ -19,8 +19,8 @@ from .bath import (
 )
 from .common import (
     CommonBathSystem,
-    SectorExactEvolver,
     apply_channel,
+    channel_functions,
     decoherence_rate_sq,
     short_time_decoherence_time,
     singlet_mixedness,

@@ -14,7 +14,7 @@ the identity, so the reduced map commutes with rotations of the pair; it is
 real (time-reversal invariant) too. ``apply_channel`` applies that one channel
 for any initial state, couplings and exchange, and for private baths as well:
 ``separate.decay_factors`` gives theirs, (a, b, c, d, e, g, f0, f2) =
-(g_a, g_b, 0, 0, 0, g_a g_b, g_a g_b, g_a g_b). ``SectorExactEvolver`` gives the
+(g_a, g_b, 0, 0, 0, g_a g_b, g_a g_b, g_a g_b). ``channel_functions`` gives the
 shared bath's. Eight real functions of t fix the channel: one for S_A . S_B,
 one for the rank-2 part of the spin correlations, and six for the vectors S_A,
 S_B and S_A x S_B. In a shared bath each function is a constant plus the six
@@ -260,10 +260,12 @@ def _channel_lines(system: CommonBathSystem):
             np.append(0.0, (levels[up] - levels[lo]).ravel()))
 
 
-def _channel_functions(lines, times) -> list[np.ndarray]:
-    """The eight real functions (a, b, c, d, e, g, f0, f2) on the grid ``times``: the real
-    and imaginary views of the four packed rows, summed in one ``evaluate_lines`` call."""
-    z = evaluate_lines(*lines, np.asarray(times, dtype=float).ravel())
+def channel_functions(system: CommonBathSystem, times) -> list[np.ndarray]:
+    """The shared bath's eight channel functions (a, b, c, d, e, g, f0, f2) on the grid
+    ``times`` flattened, for ``apply_channel``: the real and imaginary views of the four
+    packed rows of ``_channel_lines``, summed in one ``evaluate_lines`` call. The set-up is
+    O(1) per kept sector; the sum costs a constant plus six lines per sector and sample."""
+    z = evaluate_lines(*_channel_lines(system), np.asarray(times, dtype=float).ravel())
     return [f for row in z for f in (row.real, row.imag)]
 
 
@@ -323,34 +325,6 @@ def apply_channel(f, state: TwoQubitState) -> TwoQubitState:
     for arr in (p_a, p_b, pi):
         arr.setflags(write=False)  # the state takes them without a copy
     return TwoQubitState(p_a, p_b, pi)
-
-
-# ---------------------------------------------------------------------------
-# the evolver
-# ---------------------------------------------------------------------------
-
-
-class SectorExactEvolver:
-    """Closed-form sector-by-sector evolution; exact for any couplings, exchange and state.
-
-    The set-up forms the channel's line amplitudes, O(1) per kept sector; every
-    call then costs one sum of four packed rows over a constant plus six
-    lines per sector, whatever the couplings and the number of initial states,
-    and the map ``apply_channel``.
-    """
-
-    def __init__(self, system: CommonBathSystem):
-        self.system = system
-        self._lines = _channel_lines(system)
-
-    def functions(self, times) -> list[np.ndarray]:
-        """The channel's eight functions (a, b, c, d, e, g, f0, f2) on the grid ``times``."""
-        return _channel_functions(self._lines, times)
-
-    def evolve(self, state: TwoQubitState, times) -> TwoQubitState:
-        """The initial state(s) ``state`` on the T times ``times``: one initial state gives
-        a batch of T states, a batch of initial states the state axes, then the time axis."""
-        return apply_channel(self.functions(times), state)
 
 
 # ---------------------------------------------------------------------------

@@ -16,28 +16,12 @@ import numpy as np
 
 from . import __version__, states
 from .bath import MAX_SPINS, BathDistribution, BathSpecError, bath_from_config, unpolarized_exact
-from .common import (
-    CommonBathSystem,
-    SectorExactEvolver,
-    apply_channel,
-    short_time_decoherence_time,
-)
-from .optimize import (
-    CouplingError,
-    coupling_overlap,
-    decoherence_rate_pure,
-    optimal_gamma,
-    scan_optimal_state,
-)
+from .common import CommonBathSystem, apply_channel, channel_functions, short_time_decoherence_time
+from .optimize import CouplingError, coupling_overlap, decoherence_rate_pure, optimal_gamma, scan_optimal_state
 from .oracle import MAX_BATH_SPINS, build, eigh_cost, evolve_reduced
 from .separate import SeparateBathSystem, decay_factors
 from .separate import short_time_decoherence_time as separate_decoherence_time
-from .states import (
-    TwoQubitState,
-    concurrence_state,
-    decoherence_measure,
-    make_named_state,
-)
+from .states import TwoQubitState, concurrence_state, decoherence_measure
 from .timeseries import TimeSeries
 
 ORACLE_TOLERANCE = 1e-10
@@ -58,17 +42,19 @@ class Kind:
     unless ``exchange`` is None, ``j``: the rule on j, "stated" (common bath: j is
     required), "zero" (separate baths: j = 0 or omitted), "mode" (the one of the two that
     ``config.mode`` names, a j in ``defaults`` being the common mode's) or None (no bath).
-    ``check`` adds the kind's own rules to the report of :func:`validate`. ``runner`` takes
-    the config and the bath and state that :func:`validate` built, if the kind reads
-    ``n_bath`` and ``state``. A kind run by :func:`_run_trajectory` names its ``columns``
-    (keys of :data:`_COLUMNS`) and, if it has one, its fixed initial ``state``.
+    ``check`` adds the kind's own rules, and its own header lines as derived quantities, to
+    the report of :func:`validate`. ``runner`` takes the config and the bath and state that
+    :func:`validate` built, if the kind reads ``n_bath`` and ``state``. :func:`_run_trajectory`
+    reads the ``columns`` (keys of :data:`_COLUMNS`), the fixed initial ``states`` (specs by
+    column label; none: the config's ``state``) and the ``sweep`` of exchange values, by label.
     """
 
     summary: str
     runner: Callable[..., RunResult]
     defaults: dict
     columns: tuple[str, ...] = ()
-    state: str | None = None
+    states: dict[str, str] = field(default_factory=dict)
+    sweep: Callable[[ScenarioConfig], dict[str, float]] = lambda config: {"": config.j}
     exchange: str | None = "stated"
     equal_couplings: bool = False
     check: Callable[[ScenarioConfig, ValidationReport], None] | None = None
@@ -174,8 +160,13 @@ def validate(config: ScenarioConfig) -> ValidationReport:
     if errors:
         return report
     # every kind reads output and samples
-    if Path(config.output).name in ("", "..") or "\0" in config.output:
+    output = Path(config.output)
+    if output.name in ("", "..") or "\0" in config.output:
         errors.append(f"output: must name a file, got {config.output!r}")
+    elif output.is_dir():
+        errors.append(f"output: {config.output!r} is a directory")
+    elif not output.parent.is_dir() and (parent := next((p for p in output.parents if p.is_file()), None)):
+        errors.append(f"output: {config.output!r} lies under the file {str(parent)!r}")
     if config.samples < 2:
         errors.append("samples: need at least 2 samples")
     if config.samples > MAX_SAMPLES:
@@ -276,6 +267,14 @@ def _check_oracle(config: ScenarioConfig, report: ValidationReport) -> None:
 def _check_fig2(config: ScenarioConfig, report: ValidationReport) -> None:
     if config.k_a == 0.0:
         report.errors.append("k_a: fig2 needs k_a != 0 for its revival time 2 pi / k_a")
+    else:
+        report.derived.update(revival_time=format(2.0 * math.pi / config.k_a, ".12g"),
+                              late_window=f"{0.33 * config.t_max:.6g}..{0.97 * config.t_max:.6g}")
+
+
+def _check_fig5(config: ScenarioConfig, report: ValidationReport) -> None:
+    if config.j is not None:  # validate refuses a missing j
+        report.derived["j_high"] = format(config.j, ".12g")
 
 
 def _base_metadata(config: ScenarioConfig, bath: BathDistribution | None) -> dict[str, str]:
@@ -307,7 +306,10 @@ def run(config: ScenarioConfig, report: ValidationReport | None = None) -> RunRe
     result = KINDS[config.kind].runner(config, report.bath, report.state)
     for key, value in report.derived.items():
         result.series.metadata.setdefault(key, value)
-    result.series.write_csv(result.path)
+    try:
+        result.series.write_csv(result.path)
+    except OSError as exc:  # name the output, not the temporary file beside it
+        raise OSError(exc.errno, f"output {config.output!r}: {exc.strerror or exc}") from exc
     return result
 
 
@@ -322,18 +324,40 @@ def _rows(config: ScenarioConfig, columns: list[str], data: list, metadata: dict
     return RunResult(series, Path(config.output), summary or {"rows": str(series.data.shape[0])})
 
 
+def _channel(config: ScenarioConfig, bath, j, times) -> list[np.ndarray]:
+    """The eight channel functions on ``times`` in the config's bath topology: ``bath`` shared
+    at exchange j, or private baths, each a copy of ``bath`` or, for a separate oracle
+    comparison, one of the two halves of its n_bath spins."""
+    if config.mode != "separate" and KINDS[config.kind].exchange != "zero":
+        return channel_functions(CommonBathSystem(config.k_a, config.k_b, j, bath), times)
+    n = config.n_bath
+    baths = (unpolarized_exact(n // 2), unpolarized_exact(n - n // 2)) if config.mode else (bath, bath)
+    return decay_factors(SeparateBathSystem(config.k_a, config.k_b, *baths), times)
+
+
 def _run_trajectory(config: ScenarioConfig, bath, state) -> RunResult:
-    """One exact evolution of one state, in private baths (``exchange`` "zero") or the
-    shared bath, read out as the kind's columns from the state and the channel."""
-    kind = KINDS[config.kind]
-    times = _times(config)
-    if kind.exchange == "zero":
-        f = decay_factors(SeparateBathSystem(config.k_a, config.k_b, bath, bath), times)
-    else:
-        f = SectorExactEvolver(CommonBathSystem(config.k_a, config.k_b, config.j, bath)).functions(times)
-    s = apply_channel(f, make_named_state(kind.state) if kind.state else state)
-    return _rows(config, ["t", *kind.columns], [times, *(_COLUMNS[c](s, f) for c in kind.columns)],
-                 {**_base_metadata(config, bath), "state": kind.state or config.state})
+    """Exact evolutions of the kind's initial state, or batch of them, at each exchange value that
+    it sweeps, read out as its columns from the states and the channel. A readout of the states
+    gives a column per initial state and exchange value, suffixed by their labels (fig5's d:
+    d_rp05_j0, d_rp05_jhi, d_rm05_j0, d_rm05_jhi); one of the channel alone, one per value."""
+    kind, times = KINDS[config.kind], _times(config)
+    initial = [states.parse_state_spec(spec) for spec in kind.states.values()] or [state]
+    initial = TwoQubitState.stack(initial) if len(initial) > 1 else initial[0]
+    sweep, readouts = kind.sweep(config), []
+    for j in sweep.values():
+        f = _channel(config, bath, j, times)
+        s = apply_channel(f, initial)
+        readouts.append([_COLUMNS[c](s, f) for c in kind.columns])
+    names, data, labels = ["t"], [times], list(kind.states) or [""]
+    for c, outs in zip(kind.columns, zip(*readouts)):
+        for k, label in enumerate(labels if outs[0].ndim > 1 else [""]):
+            for j_label, out in zip(sweep, outs):
+                names.append("_".join(filter(None, (c, label, j_label))))
+                data.append(out[k] if out.ndim > 1 else out)
+    meta = _base_metadata(config, bath)
+    if len(kind.states) < 2:  # a batch of states has no one state to name
+        meta["state"] = next(iter(kind.states.values()), config.state)
+    return _rows(config, names, data, meta)
 
 
 def _run_optimize(config: ScenarioConfig, bath, state) -> RunResult:
@@ -364,13 +388,8 @@ def _oracle_couplings(config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray, f
 
 
 def _run_oracle_compare(config: ScenarioConfig, bath, state) -> RunResult:
-    times, n = _times(config), config.n_bath
-    if config.mode == "separate":
-        baths = unpolarized_exact(n // 2), unpolarized_exact(n - n // 2)
-        f = decay_factors(SeparateBathSystem(config.k_a, config.k_b, *baths), times)
-    else:
-        f = SectorExactEvolver(CommonBathSystem(config.k_a, config.k_b, config.j, bath)).functions(times)
-    analytic = apply_channel(f, state)
+    times = _times(config)
+    analytic = apply_channel(_channel(config, bath, config.j, times), state)
     reference = evolve_reduced(build(*_oracle_couplings(config)), state, times)
 
     def flat(s: TwoQubitState) -> np.ndarray:
@@ -390,37 +409,6 @@ def _run_oracle_compare(config: ScenarioConfig, bath, state) -> RunResult:
     return result
 
 
-def _run_fig1(config: ScenarioConfig, bath, state) -> RunResult:
-    system = SeparateBathSystem(config.k_a, config.k_b, bath, bath)
-    times = _times(config)
-    g = decay_factors(system, times)
-    # initial concurrences 0, 1/2, 1 within the S^z-eigenstate family (r = 0 is up_down), as one batch
-    initial = TwoQubitState.stack([make_named_state("updown_mix", r=r)
-                                   for r in (0.0, 2.0 - math.sqrt(3.0), 1.0)])
-    purity = 1.0 - decoherence_measure(apply_channel(g, initial))
-    return _rows(config, ["t", "purity_c0", "purity_c05", "purity_c1", "concurrence_c1"],
-                 [times, *purity, np.maximum(0.0, (3.0 * g[5] - 1.0) / 2.0)],
-                 _base_metadata(config, bath))
-
-
-def _run_fig2(config: ScenarioConfig, bath, state) -> RunResult:
-    result = _run_trajectory(config, bath, state)
-    result.series.metadata.update(revival_time=format(2.0 * math.pi / config.k_a, ".12g"),
-                                  late_window=f"{0.33 * config.t_max:.6g}..{0.97 * config.t_max:.6g}")
-    return result
-
-
-def _run_fig5(config: ScenarioConfig, bath, state) -> RunResult:
-    times = _times(config)
-    # one evolution per exchange value, of both r-states as one batch
-    pair = TwoQubitState.stack([make_named_state("r_state", r=r) for r in (0.5, -0.5)])
-    evolvers = (SectorExactEvolver(CommonBathSystem(config.k_a, config.k_b, j, bath)) for j in (0.0, config.j))
-    low, high = (decoherence_measure(evolver.evolve(pair, times)) for evolver in evolvers)
-    return _rows(config, ["t", "d_rp05_j0", "d_rp05_jhi", "d_rm05_j0", "d_rm05_jhi"],
-                 [times, low[0], high[0], low[1], high[1]],
-                 {**_base_metadata(config, bath), "j_high": format(config.j, ".12g")})
-
-
 def _run_fig6(config: ScenarioConfig, bath, state) -> RunResult:
     deltas = np.linspace(-1.0, 1.0, config.samples)
     gam = optimal_gamma(deltas)
@@ -430,25 +418,28 @@ def _run_fig6(config: ScenarioConfig, bath, state) -> RunResult:
                  {"scenario": "fig6", "spinbath_version": __version__, "rate_units": "separable-state rate"})
 
 
-# the readouts of a trajectory s and its channel's eight functions f (see apply_channel); the
-# measures go through the module names, so a rebinding of those names (as a tracer makes)
-# reaches them
+# the readouts of a trajectory s, or a batch of them (the state axis, then time), and their
+# channel's eight functions f (see apply_channel); the measures go through the module names,
+# so a rebinding of those names (as a tracer makes) reaches them
 _COLUMNS: dict[str, Callable[[TwoQubitState, list], np.ndarray]] = {
-    "p_z_a": lambda s, f: s.p_a[:, 2],
-    "pi_xx": lambda s, f: s.pi[:, 0, 0],
-    "pi_zz": lambda s, f: s.pi[:, 2, 2],
-    "pi_xy": lambda s, f: s.pi[:, 0, 1],
+    "p_z_a": lambda s, f: s.p_a[..., 2],
+    "pi_xx": lambda s, f: s.pi[..., 0, 0],
+    "pi_zz": lambda s, f: s.pi[..., 2, 2],
+    "pi_xy": lambda s, f: s.pi[..., 0, 1],
     "d": lambda s, f: decoherence_measure(s),
     "d_pair": lambda s, f: decoherence_measure(s),
-    "d_single": lambda s, f: 0.5 * (1.0 - (s.p_a[:, None, :] @ s.p_a[:, :, None])[:, 0, 0]),
+    "d_single": lambda s, f: 0.5 * (1.0 - (s.p_a[..., None, :] @ s.p_a[..., :, None])[..., 0, 0]),
+    "purity": lambda s, f: 1.0 - decoherence_measure(s),
     "concurrence": lambda s, f: concurrence_state(s),
     # Bell populations <B|rho|B> = (1 + sum_m <B|sigma_m sigma_m|B> pi_mm) / 4
-    "singlet_pop": lambda s, f: 0.25 * (1.0 - s.pi[:, 0, 0] - s.pi[:, 1, 1] - s.pi[:, 2, 2]),
-    "triplet0_pop": lambda s, f: 0.25 * (1.0 + s.pi[:, 0, 0] + s.pi[:, 1, 1] - s.pi[:, 2, 2]),
-    "t1t2_pop": lambda s, f: 0.25 * (1.0 + s.pi[:, 2, 2]),
-    # private baths: qubit a's Bloch-vector decay factor and the tensor's
+    "singlet_pop": lambda s, f: 0.25 * (1.0 - s.pi[..., 0, 0] - s.pi[..., 1, 1] - s.pi[..., 2, 2]),
+    "triplet0_pop": lambda s, f: 0.25 * (1.0 + s.pi[..., 0, 0] + s.pi[..., 1, 1] - s.pi[..., 2, 2]),
+    "t1t2_pop": lambda s, f: 0.25 * (1.0 + s.pi[..., 2, 2]),
+    # private baths: qubit a's Bloch-vector decay factor and the tensor's, and the Bell-state
+    # concurrence (3 g - 1) / 2 that the tensor's g leaves
     "vector_decay": lambda s, f: f[0],
     "tensor_decay": lambda s, f: f[5],
+    "concurrence_c1": lambda s, f: np.maximum(0.0, (3.0 * f[5] - 1.0) / 2.0),
 }
 
 _BATH = dict(n_bath=100, bath="gaussian-narrow")
@@ -475,25 +466,30 @@ KINDS: dict[str, Kind] = {
         "analytic evolution vs the dense full-Hilbert oracle", _run_oracle_compare,
         dict(mode="common", n_bath=6, bath="exact", k_a=1.0, k_b=0.4, j=1.0, state="r_state:0.5",
              t_max=5.0, samples=20), exchange="mode", check=_check_oracle),
+    # initial concurrences 0, 1/2, 1 within the S^z-eigenstate family (r = 0 is up_down)
     "fig1": Kind(
-        "private baths: purity loss for several initial entanglements", _run_fig1,
-        dict(_BATH, k_a=1.0, k_b=1.0, j=0.0, t_max=6.0, samples=600), exchange="zero"),
+        "private baths: purity loss for several initial entanglements", _run_trajectory,
+        dict(_BATH, k_a=1.0, k_b=1.0, j=0.0, t_max=6.0, samples=600), ("purity", "concurrence_c1"),
+        {"c0": "updown_mix:0", "c05": f"updown_mix:{2.0 - math.sqrt(3.0)!r}", "c1": "updown_mix:1"},
+        exchange="zero"),
     "fig2": Kind(
         "shared bath, product initial state: polarization relaxation and revival of entanglement",
-        _run_fig2, dict(_BATH, k_a=1.0, k_b=1.0, j=200.0, t_max=6.0, samples=12000),
-        ("p_z_a", "pi_xx", "pi_zz", "pi_xy", "concurrence"), "up_down", equal_couplings=True,
+        _run_trajectory, dict(_BATH, k_a=1.0, k_b=1.0, j=200.0, t_max=6.0, samples=12000),
+        ("p_z_a", "pi_xx", "pi_zz", "pi_xy", "concurrence"), {"": "up_down"}, equal_couplings=True,
         check=_check_fig2),
     "fig3": Kind(
         "shared bath: pair mixedness vs single-qubit mixedness", _run_trajectory,
         dict(_BATH, k_a=1.0, k_b=1.0, j=5.0, t_max=6.0, samples=600),
-        ("d_pair", "d_single"), "up_down", equal_couplings=True),
+        ("d_pair", "d_single"), {"": "up_down"}, equal_couplings=True),
     "fig4": Kind(
         "shared bath, triplet Bell initial state: tensor polarizations and concurrence", _run_trajectory,
         dict(_BATH, k_a=1.0, k_b=1.0, j=5.0, t_max=6.0, samples=600),
-        ("pi_xx", "pi_zz", "concurrence", "d"), "triplet0", equal_couplings=True),
+        ("pi_xx", "pi_zz", "concurrence", "d"), {"": "triplet0"}, equal_couplings=True),
     "fig5": Kind(
-        "shared bath, unequal couplings: exchange dependence of D(t) near singlet/triplet", _run_fig5,
-        dict(_BATH, k_a=1.2, k_b=0.8, j=20.0, t_max=10.0, samples=800)),
+        "shared bath, unequal couplings: exchange dependence of D(t) near singlet/triplet", _run_trajectory,
+        dict(_BATH, k_a=1.2, k_b=0.8, j=20.0, t_max=10.0, samples=800), ("d",),
+        {"rp05": "r_state:0.5", "rm05": "r_state:-0.5"}, lambda config: {"j0": 0.0, "jhi": config.j},
+        check=_check_fig5),
     "fig6": Kind(
         "decoherence rate vs coupling overlap for named and optimal states", _run_fig6,
         dict(samples=201), exchange=None),

@@ -13,8 +13,8 @@ import pytest
 import spinbath as sb
 from spinbath.common import (
     CommonBathSystem,
-    SectorExactEvolver,
     apply_channel,
+    channel_functions,
     decoherence_rate_sq,
     singlet_survival,
     singlet_survival_large_j,
@@ -61,8 +61,8 @@ def common_bath_runs():
         for j in (0.0, 1.0, 20.0):
             system = CommonBathSystem(k_a, k_b, j, bath)
             full = sb.build(np.full(6, k_a), np.full(6, k_b), j)
-            evolver = SectorExactEvolver(system)
-            analytic = {name: evolver.evolve(s0, times) for name, s0 in states.items()}
+            f = channel_functions(system, times)
+            analytic = {name: apply_channel(f, s0) for name, s0 in states.items()}
             reference = {
                 name: sb.evolve_reduced(full, s0, times)
                 for name, s0 in states.items()
@@ -159,19 +159,16 @@ def test_criterion_4_short_time_timescales():
             if rate < 1e-12:
                 # infinitely slow decay: the state must simply not decohere
                 for j in j_values:
-                    evolver = SectorExactEvolver(CommonBathSystem(k_a, k_b, j, bath))
-                    d_max = max(
-                        abs(sb.decoherence_measure(s))
-                        for s in evolver.evolve(s0, np.linspace(0.05, 1.0, 5))
-                    )
+                    f = channel_functions(CommonBathSystem(k_a, k_b, j, bath), np.linspace(0.05, 1.0, 5))
+                    d_max = max(abs(sb.decoherence_measure(s)) for s in apply_channel(f, s0))
                     assert d_max < 1e-12
                 continue
             tau = 1.0 / math.sqrt(rate)
             fits = []
             for j in j_values:
-                evolver = SectorExactEvolver(CommonBathSystem(k_a, k_b, j, bath))
                 ts = np.linspace(0.0, 0.1 * tau, 25)[1:]
-                d = np.array([sb.decoherence_measure(s) for s in evolver.evolve(s0, ts)])
+                f = channel_functions(CommonBathSystem(k_a, k_b, j, bath), ts)
+                d = np.array([sb.decoherence_measure(s) for s in apply_channel(f, s0)])
                 x, y = ts**2, -np.log1p(-d)
                 fits.append(1.0 / math.sqrt(float(x @ y) / float(x @ x)))
             worst_fit = max(worst_fit, max(abs(f - tau) / tau for f in fits))
@@ -260,12 +257,12 @@ def test_criterion_7_structural_invariants(common_bath_runs):
 
     # Werner and singlet invariance at equal couplings
     bath = sb.unpolarized_exact(5)
-    evolver = SectorExactEvolver(CommonBathSystem(1.0, 1.0, 3.0, bath))
+    f = channel_functions(CommonBathSystem(1.0, 1.0, 3.0, bath), [0.7, 2.4])
     werner = make_named_state("werner", p=0.6)
     singlet = make_named_state("singlet")
     worst_inv = 0.0
     for s0 in (werner, singlet):
-        for s in evolver.evolve(s0, [0.7, 2.4]):
+        for s in apply_channel(f, s0):
             worst_inv = max(worst_inv, max_state_dev(s, s0))
     assert worst_inv <= 1e-12
 
@@ -290,7 +287,7 @@ def test_criterion_7_structural_invariants(common_bath_runs):
     symmetric = CommonBathSystem(1.0, 1.0, 2.0, n4)
     rate_xx, rate_zz = transverse_longitudinal_rates(symmetric)
     ts = np.linspace(0.0, 0.02, 9)[1:]
-    evolved = SectorExactEvolver(symmetric).evolve(make_named_state("triplet0"), ts)
+    evolved = apply_channel(channel_functions(symmetric, ts), make_named_state("triplet0"))
     x = ts**2
     fit_xx = float(x @ (1 - np.array([s.pi[0, 0] for s in evolved]))) / float(x @ x)
     fit_zz = float(x @ (np.array([s.pi[2, 2] for s in evolved]) + 1)) / float(x @ x)
@@ -336,8 +333,8 @@ def test_criterion_8_polarization_relaxation_structure(tmp_path):
     # bath-induced entanglement from an unentangled start, including at J = 0
     bath = sb.gaussian_approx(100, "narrow")
     for j_check in (0.0, j):
-        evolver = SectorExactEvolver(CommonBathSystem(1.0, 1.0, j_check, bath))
-        states = evolver.evolve(make_named_state("up_down"), np.linspace(0.2, 6.0, 150))
+        f = channel_functions(CommonBathSystem(1.0, 1.0, j_check, bath), np.linspace(0.2, 6.0, 150))
+        states = apply_channel(f, make_named_state("up_down"))
         c_max = max(sb.concurrence_state(s) for s in states)
         assert c_max > 0.01
     print(

@@ -1,4 +1,4 @@
-"""Singlet/T0 mixtures (r_state) through SectorExactEvolver, in one slice of the line
+"""Singlet/T0 mixtures (r_state) through the shared-bath channel, in one slice of the line
 sum and in several, against the bath sector as a single spin I."""
 
 from functools import lru_cache
@@ -8,7 +8,7 @@ import pytest
 
 from spinbath import common
 from spinbath.bath import BathDistribution, gaussian_approx, unpolarized_exact
-from spinbath.common import CommonBathSystem, SectorExactEvolver
+from spinbath.common import CommonBathSystem, apply_channel, channel_functions
 from spinbath.states import (KET_SINGLET, KET_T1, KET_T2, KET_TRIPLET0, TwoQubitState, make_named_state,
                              state_to_density)
 
@@ -40,7 +40,7 @@ R_STATES = TwoQubitState.stack([make_named_state("r_state", r=r) for r in R_VALU
 def sector_bell_mix(system, r, times):
     """The sector evolver's r_state evolution as the Bell-basis outputs
     (singlet_pop, triplet0_pop, st_coherence, t1t2_pop, t1t2_coherence)."""
-    rho = state_to_density(SectorExactEvolver(system).evolve(make_named_state("r_state", r=r), times))
+    rho = state_to_density(apply_channel(channel_functions(system, times), make_named_state("r_state", r=r)))
 
     def element(bra, ket):
         return np.einsum("i,tij,j->t", bra.conj(), rho, ket)
@@ -84,7 +84,8 @@ def assert_matches_spin_i(bath, couplings, r, monkeypatch):
         if slices is not None:
             monkeypatch.setattr(common, "_SMALL_SUM", 0)
             monkeypatch.setattr(common, "_PHASE_BLOCK", sliced_block(system, slices))
-        got = state_to_density(SectorExactEvolver(system).evolve(make_named_state("r_state", r=r), TIMES))
+        f = channel_functions(system, TIMES)
+        got = state_to_density(apply_channel(f, make_named_state("r_state", r=r)))
         assert np.abs(got - want).max() < 1e-12, slices
 
 

@@ -36,9 +36,10 @@ def field(values, signs=(1.0, -1.0)):
     return st.one_of(st.none(), value)
 
 
-# outputs at the edges: "", "." and "sub/.." name no file, a NUL byte no path, and the
-# run's directory itself is no file that a CSV can replace
-EDGE_OUTPUTS = ["", ".", "{tmp}/sub/..", "{tmp}/a\0b.csv", "{tmp}", "{tmp}/nested/deeper/out.csv"]
+# outputs at the edges: "", "." and "sub/.." name no file, a NUL byte no path, the run's
+# directory itself is no file that a CSV can replace, and no file lies under the config file
+EDGE_OUTPUTS = ["", ".", "{tmp}/sub/..", "{tmp}/a\0b.csv", "{tmp}", "{tmp}/run.cfg/out.csv",
+                "{tmp}/nested/deeper/out.csv"]
 
 
 @st.composite

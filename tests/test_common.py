@@ -10,7 +10,8 @@ from spinbath.bath import MAX_SPINS, delta_distribution, gaussian_approx, unpola
 from spinbath.common import (
     AssumptionError,
     CommonBathSystem,
-    SectorExactEvolver,
+    apply_channel,
+    channel_functions,
     decoherence_rate_sq,
     short_time_decoherence_time,
     singlet_mixedness,
@@ -19,6 +20,7 @@ from spinbath.common import (
     tensor_invariant_r,
     transverse_longitudinal_rates,
 )
+from spinbath.separate import SeparateBathSystem, decay_factors
 from spinbath.states import (
     SPIN_HALF,
     InvalidStateError,
@@ -322,9 +324,9 @@ class TestSectorPropagatorCoefficients:
         assert abs(c.mix_from_singlet) == 0.0
 
 
-def channel_functions(system, times) -> dict[str, np.ndarray]:
+def named_functions(system, times) -> dict[str, np.ndarray]:
     """The channel's eight functions (see ``common.apply_channel``) by name."""
-    f = common._channel_functions(common._channel_lines(system), times)
+    f = channel_functions(system, times)
     return dict(zip(("a", "b", "c", "d", "e", "g", "f0", "f2"), f))
 
 
@@ -334,7 +336,7 @@ class TestSymmetricEvolution:
     def test_map_at_time_zero(self):
         # vec_direct = a and tensor_direct = (f2 + g) / 2 are 1; vec_exchange = c,
         # vec_from_tensor = d / 2, tensor_transpose = (f2 - g) / 2, tensor_trace = (f0 - f2) / 3 are 0
-        f = channel_functions(system(j=2.0, n=4), [0.0])
+        f = named_functions(system(j=2.0, n=4), [0.0])
         for name in ("a", "g", "f0", "f2"):
             assert f[name][0] == pytest.approx(1.0, abs=1e-12)
         for name in ("c", "d"):
@@ -347,7 +349,7 @@ class TestSymmetricEvolution:
     ], ids=["exact-5", "fig2", "gaussian-narrow-1e6"])
     def test_structural_relations(self, sys, times):
         # the lines are those of any couplings, so these hold by computation, not by construction
-        a, b, c, d, e, g, f0, f2 = common._channel_functions(common._channel_lines(sys), times)
+        a, b, c, d, e, g, f0, f2 = channel_functions(sys, times)
         # the singlet-triplet coherence (a - c) + i d drives vec_direct - vec_exchange and
         # tensor_direct - tensor_transpose alike; S_A . S_B is conserved, so the trace
         # identity tensor_direct + tensor_transpose + 3 tensor_trace = f0 = the kept weight holds
@@ -358,17 +360,15 @@ class TestSymmetricEvolution:
         assert np.abs(e + d).max() < 1e-12
 
     def test_singlet_is_stationary(self):
-        states = SectorExactEvolver(system(j=4.0, n=4)).evolve(
-            make_named_state("singlet"), np.linspace(0, 5, 8)
-        )
+        f = channel_functions(system(j=4.0, n=4), np.linspace(0, 5, 8))
+        states = apply_channel(f, make_named_state("singlet"))
         for s in states:
             assert np.allclose(s.pi, -np.eye(3), atol=1e-12)
             assert np.allclose(s.p_a, 0.0, atol=1e-12)
 
     def test_werner_is_stationary(self):
-        states = SectorExactEvolver(system(j=2.5, n=4)).evolve(
-            make_named_state("werner", p=0.7), np.linspace(0, 5, 6)
-        )
+        f = channel_functions(system(j=2.5, n=4), np.linspace(0, 5, 6))
+        states = apply_channel(f, make_named_state("werner", p=0.7))
         for s in states:
             assert np.allclose(s.pi, -0.7 * np.eye(3), atol=1e-12)
 
@@ -376,8 +376,8 @@ class TestSymmetricEvolution:
         # initial |ud>: P^z_A(t) = -P^z_B(t), pi_xy = -pi_yx = 2 * tensor_from_vec = -d
         sys = system(j=2.0, n=4)
         times = np.linspace(0.1, 3, 11)
-        f = channel_functions(sys, times)
-        states = SectorExactEvolver(sys).evolve(make_named_state("up_down"), times)
+        f = named_functions(sys, times)
+        states = apply_channel(list(f.values()), make_named_state("up_down"))
         for k, s in enumerate(states):
             assert s.p_a[2] == pytest.approx(f["a"][k] - f["c"][k], abs=1e-12)
             assert s.p_b[2] == pytest.approx(-s.p_a[2], abs=1e-12)
@@ -392,14 +392,13 @@ class TestSymmetricEvolution:
         times = np.linspace(0, 4, 25)
         d_curves = []
         for j in (0.0, 7.0):
-            states = SectorExactEvolver(system(j=j, n=5)).evolve(s0, times)
+            states = apply_channel(channel_functions(system(j=j, n=5), times), s0)
             d_curves.append([decoherence_measure(s) for s in states])
         assert np.allclose(d_curves[0], d_curves[1], atol=1e-12)
 
     def test_outputs_stay_physical(self):
-        states = SectorExactEvolver(system(j=3.0, n=4)).evolve(
-            make_named_state("triplet0"), np.linspace(0, 6, 13)
-        )
+        f = channel_functions(system(j=3.0, n=4), np.linspace(0, 6, 13))
+        states = apply_channel(f, make_named_state("triplet0"))
         for s in states:
             assert validate_state(s, tol=1e-10).physical
 
@@ -408,8 +407,7 @@ class TestAsymmetricEvolution:
     @pytest.mark.parametrize("name", ["singlet", "triplet0", "bell_t1", "bell_t2"])
     def test_bell_states_stay_bell_diagonal(self, name):
         sys = system(k_a=1.0, k_b=0.4, j=1.5, n=4)
-        evolver = SectorExactEvolver(sys)
-        states = evolver.evolve(make_named_state(name), [0.7, 2.1])
+        states = apply_channel(channel_functions(sys, [0.7, 2.1]), make_named_state(name))
         bells = [
             np.array([0, 1, -1, 0]) / math.sqrt(2),
             np.array([0, 1, 1, 0]) / math.sqrt(2),
@@ -425,17 +423,17 @@ class TestAsymmetricEvolution:
     def test_werner_invariant_for_equal_couplings(self):
         sys = system(k_a=0.8, k_b=0.8, j=3.0, n=3)
         s0 = make_named_state("werner", p=0.55)
-        for s in SectorExactEvolver(sys).evolve(s0, [0.9, 2.7]):
+        for s in apply_channel(channel_functions(sys, [0.9, 2.7]), s0):
             assert np.abs(s.pi - s0.pi).max() < 1e-12
             assert np.abs(s.p_a).max() < 1e-12
 
 
 class TestBellMixEvolution:
-    """Singlet/T0 mixtures [(1+r)|S0> + (1-r)|T0>] through the sector evolver."""
+    """Singlet/T0 mixtures [(1+r)|S0> + (1-r)|T0>] through the shared-bath channel."""
 
     @staticmethod
     def evolve(sys, r, times):
-        return SectorExactEvolver(sys).evolve(make_named_state("r_state", r=r), times)
+        return apply_channel(channel_functions(sys, times), make_named_state("r_state", r=r))
 
     def test_initial_coefficients(self):
         for r in (1.0, 0.5, -0.7):
@@ -470,8 +468,8 @@ class TestBellMixEvolution:
 
 
 def assert_matches_spin_i(system, initial, times):
-    """``SectorExactEvolver`` on the initial state(s) against ``spin_i_evolve``, to 1e-12."""
-    got = state_to_density(SectorExactEvolver(system).evolve(initial, times))
+    """The shared-bath channel on the initial state(s) against ``spin_i_evolve``, to 1e-12."""
+    got = state_to_density(apply_channel(channel_functions(system, times), initial))
     assert np.abs(got - spin_i_evolve(system, state_to_density(initial), times)).max() < 1e-12
 
 
@@ -484,8 +482,8 @@ def assert_each_sector(couplings, spins, rng):
     rho = np.stack([random_density(rng, rank, (len(spins),)) for rank in (1, 4)], axis=1)
     initial = density_to_state(rho)
     got = state_to_density(TwoQubitState.stack(
-        SectorExactEvolver(CommonBathSystem(k_a, k_b, j, delta_distribution(i))).evolve(initial[s], times)
-        for s, i in enumerate(spins)))
+        apply_channel(channel_functions(CommonBathSystem(k_a, k_b, j, delta_distribution(i)), times),
+                      initial[s]) for s, i in enumerate(spins)))
     want = np.einsum("stcadb,skab->sktcd", np.stack(list(spin_i_channels(k_a, k_b, j, spins, times))), rho)
     err = np.abs(got - want).max(axis=(1, 2, 3, 4))
     assert err.max() < 1e-12, spins[err.argmax()]
@@ -606,10 +604,10 @@ def test_channel_sees_the_sign_of_the_other_six_j_entries_only_squared(entry, mo
         assert np.array_equal(got, ref)
 
 
-def channel_superoperator(evolver, times):
-    """L[t, a, b, c, d] = Lambda_t(|c><d|)[a, b], from the evolution of 16
-    unit-trace states 1/4 + X - Tr(X)/4 for the Hermitian parts X of |c><d|."""
-    out = np.zeros((np.size(times), 4, 4, 4, 4), dtype=complex)
+def channel_superoperator(f):
+    """L[t, a, b, c, d] = Lambda_t(|c><d|)[a, b] of the channel functions f, from the evolution
+    of 16 unit-trace states 1/4 + X - Tr(X)/4 for the Hermitian parts X of |c><d|."""
+    out = np.zeros((f[0].size, 4, 4, 4, 4), dtype=complex)
     for c in range(4):
         for d in range(4):
             e = np.zeros((4, 4))
@@ -617,7 +615,7 @@ def channel_superoperator(evolver, times):
             for x, factor in ((0.5 * (e + e.T), 1.0), (0.5j * (e.T - e), 1j)):
                 shift = (1.0 - np.trace(x)) / 4.0
                 if np.abs(x).max() > 0.0:
-                    rho = state_to_density(evolver.evolve(density_to_state(x + shift * np.eye(4)), times))
+                    rho = state_to_density(apply_channel(f, density_to_state(x + shift * np.eye(4))))
                     out[:, :, :, c, d] += factor * (rho - shift * np.eye(4))
     return out
 
@@ -639,19 +637,23 @@ class TestChannelAtAMillionSpins:
 
     @pytest.fixture(scope="class", params=[(1.2, 0.8, 20.0), (0.9, -0.5, 1.2), (1.0, 1.0, 5.0)],
                     ids=["unequal", "negative-kb", "equal"])
-    def evolver(self, request):
-        return SectorExactEvolver(CommonBathSystem(*request.param, gaussian_approx(10**6, "narrow")))
+    def million(self, request):
+        return CommonBathSystem(*request.param, gaussian_approx(10**6, "narrow"))
 
-    def test_identity_at_time_zero(self, evolver):
-        kept = 1.0 - evolver.system.bath.significant_sectors()[2]
+    @pytest.fixture(scope="class")
+    def channel(self, million):
+        return channel_functions(million, self.TIMES)
+
+    def test_identity_at_time_zero(self, million):
+        kept = 1.0 - million.bath.significant_sectors()[2]
         s0 = random_state(np.random.default_rng(1), 3)
-        s = evolver.evolve(s0, [0.0])[0]
+        s = apply_channel(channel_functions(million, 0.0), s0)[0]
         for x, y in ((s.p_a, s0.p_a), (s.p_b, s0.p_b), (s.pi, s0.pi)):
             assert np.abs(x - kept * y).max() < 1e-12
 
     @pytest.fixture(scope="class")
-    def big(self, evolver):
-        return channel_superoperator(evolver, self.TIMES)
+    def big(self, channel):
+        return channel_superoperator(channel)
 
     def test_unital_and_trace_preserving(self, big):
         unit = np.einsum("tabcc->tab", big)  # Lambda(1)
@@ -664,13 +666,13 @@ class TestChannelAtAMillionSpins:
         assert np.abs(choi - choi.conj().swapaxes(1, 2)).max() < 1e-12
         assert np.linalg.eigvalsh(choi).min() > -1e-12
 
-    def test_rotation_covariant(self, evolver):
+    def test_rotation_covariant(self, channel):
         rng = np.random.default_rng(2)
         for rank in (1, 2, 4):
             rot = random_rotation(rng)
             rho = state_to_density(random_state(rng, rank))
-            turned = state_to_density(evolver.evolve(density_to_state(rot @ rho @ rot.conj().T), self.TIMES))
-            after = rot @ state_to_density(evolver.evolve(density_to_state(rho), self.TIMES)) @ rot.conj().T
+            turned = state_to_density(apply_channel(channel, density_to_state(rot @ rho @ rot.conj().T)))
+            after = rot @ state_to_density(apply_channel(channel, density_to_state(rho))) @ rot.conj().T
             assert np.abs(turned - after).max() < 1e-12
 
 
@@ -687,7 +689,7 @@ class TestSingletSurvival:
         sys = CommonBathSystem(1.0, 0.4, 3.0, unpolarized_exact(6))
         times = np.linspace(0, 4, 9)
         c1 = singlet_survival(sys, times)
-        dense = SectorExactEvolver(sys).evolve(make_named_state("singlet"), times)
+        dense = apply_channel(channel_functions(sys, times), make_named_state("singlet"))
         for k, s in enumerate(dense):
             rho = state_to_density(s)
             pop = (KET_SINGLET.conj() @ rho @ KET_SINGLET).real
@@ -698,7 +700,7 @@ class TestSingletSurvival:
         sys = CommonBathSystem(1.0, 0.4, 3.0, unpolarized_exact(4))
         times = np.linspace(0, 4, 9)
         c1 = singlet_survival(sys, times)
-        dense = SectorExactEvolver(sys).evolve(make_named_state("singlet"), times)
+        dense = apply_channel(channel_functions(sys, times), make_named_state("singlet"))
         d_direct = np.array([decoherence_measure(s) for s in dense])
         assert np.allclose(singlet_mixedness(c1), d_direct, atol=1e-10)
 
@@ -790,7 +792,7 @@ class TestTransverseLongitudinalRates:
         sys = system(1.0, 1.0, 2.0, n=4)
         rate_xx, rate_zz = transverse_longitudinal_rates(sys)
         times = np.linspace(0, 0.02, 9)[1:]
-        states = SectorExactEvolver(sys).evolve(make_named_state("triplet0"), times)
+        states = apply_channel(channel_functions(sys, times), make_named_state("triplet0"))
         pi_xx = np.array([s.pi[0, 0] for s in states])
         pi_zz = np.array([s.pi[2, 2] for s in states])
         x = times**2
@@ -824,10 +826,10 @@ class TestSectorAgainstOracle:
                   make_named_state("general_pure", gamma=0.3 + 0.4j, theta=1.1, phi=2.3)]
         times = np.array([0.6, 1.9])
         for i in spin_grid(n):
-            evolver = SectorExactEvolver(CommonBathSystem(k_a, k_b, j, delta_distribution(i)))
+            f = channel_functions(CommonBathSystem(k_a, k_b, j, delta_distribution(i)), times)
             env = sector_env(n, i)
             for s0 in states:
-                a = evolver.evolve(s0, times)
+                a = apply_channel(f, s0)
                 rho = reduced_trajectory(full.eigensystem(), state_to_density(s0), env, times)
                 b = density_to_state(rho)
                 for x, y in ((a.p_a, b.p_a), (a.p_b, b.p_b), (a.pi, b.pi)):
@@ -865,62 +867,83 @@ class TestBatchedInitialStates:
                              ids=["blocked-grid", "three-samples"])
     @pytest.mark.parametrize("k_a, k_b", [(1.2, 0.8), (1.0, 1.0)], ids=["unequal", "equal"])
     def test_batch_equals_per_state(self, k_a, k_b, times):
-        evolver = SectorExactEvolver(CommonBathSystem(k_a, k_b, 3.0, gaussian_approx(40, "narrow")))
+        f = channel_functions(CommonBathSystem(k_a, k_b, 3.0, gaussian_approx(40, "narrow")), times)
         initial = [make_named_state(name, **params) for name, params in BATCH_STATES]
-        batch = evolver.evolve(TwoQubitState.stack(initial), times)
+        batch = apply_channel(f, TwoQubitState.stack(initial))
         assert batch.pi.shape == (len(initial), times.size, 3, 3)
         for k, s0 in enumerate(initial):
-            assert same_states(batch[k], evolver.evolve(s0, times))
+            assert same_states(batch[k], apply_channel(f, s0))
 
     def test_nested_batch(self):
-        evolver = SectorExactEvolver(CommonBathSystem(1.1, 0.45, 0.8, unpolarized_exact(4)))
+        f = channel_functions(CommonBathSystem(1.1, 0.45, 0.8, unpolarized_exact(4)), np.linspace(0.0, 3.0, 7))
         initial = [make_named_state(name, **params) for name, params in BATCH_STATES[:4]]
-        times = np.linspace(0.0, 3.0, 7)
-        grid = evolver.evolve(TwoQubitState.stack([TwoQubitState.stack(initial[:2]),
-                                                   TwoQubitState.stack(initial[2:])]), times)
+        grid = apply_channel(f, TwoQubitState.stack([TwoQubitState.stack(initial[:2]),
+                                                     TwoQubitState.stack(initial[2:])]))
         assert grid.p_a.shape == (2, 2, 7, 3)
-        assert same_states(grid[1][0], evolver.evolve(initial[2], times))
+        assert same_states(grid[1][0], apply_channel(f, initial[2]))
 
     def test_channel_evaluated_once_per_call(self, monkeypatch):
+        # one line sum gives the channel of every state in the batch
         calls = []
-        functions = common._channel_functions
+        lines = common.evaluate_lines
 
-        def counting(lines, times):
+        def counting(amp_plus, amp_minus, omega, times):
             calls.append(np.size(times))
-            return functions(lines, times)
+            return lines(amp_plus, amp_minus, omega, times)
 
-        monkeypatch.setattr(common, "_channel_functions", counting)
-        evolver = SectorExactEvolver(CommonBathSystem(1.2, 0.8, 20.0, gaussian_approx(40, "narrow")))
+        monkeypatch.setattr(common, "evaluate_lines", counting)
+        system = CommonBathSystem(1.2, 0.8, 20.0, gaussian_approx(40, "narrow"))
         initial = TwoQubitState.stack([make_named_state(name, **params) for name, params in BATCH_STATES])
-        evolver.evolve(initial, np.linspace(0.0, 1.0, 11))
+        apply_channel(channel_functions(system, np.linspace(0.0, 1.0, 11)), initial)
         assert calls == [11]
 
     def test_passes_of_the_map_leave_the_bits_alone(self, monkeypatch):
         # the map runs in passes of _CHANNEL_ROWS times; pass edges, a last pass of two times
         # and a grid of one time give the bits of a single pass (full-rank states: a one-time
         # last pass would change some of them)
-        evolver = SectorExactEvolver(CommonBathSystem(1.2, 0.8, 3.0, gaussian_approx(40, "narrow")))
+        system = CommonBathSystem(1.2, 0.8, 3.0, gaussian_approx(40, "narrow"))
         rng = np.random.default_rng(11)
         m = rng.normal(size=(6, 4, 4)) + 1j * rng.normal(size=(6, 4, 4))
         rho = m @ m.conj().swapaxes(-1, -2)
         initial = density_to_state(rho / np.trace(rho, axis1=-2, axis2=-1).real[:, None, None])
         monkeypatch.setattr(common, "_CHANNEL_ROWS", 8)
         grids = [np.linspace(0.0, 6.0, n) for n in (1, 2, 8, 9, 10, 17, 25, 33, 50)]
-        passes = [evolver.evolve(initial, t) for t in grids]
+        channels = [channel_functions(system, t) for t in grids]
+        passes = [apply_channel(f, initial) for f in channels]
         monkeypatch.setattr(common, "_CHANNEL_ROWS", 1 << 20)
-        for t, got in zip(grids, passes):
-            assert same_states(got, evolver.evolve(initial, t))
+        for f, got in zip(channels, passes):
+            assert same_states(got, apply_channel(f, initial))
 
     def test_batched_evolution_peaks_near_its_output(self):
         # the map writes every state's passes into one output, which the result takes
         # without a copy: the peak is the output plus the eight channel functions
-        evolver = SectorExactEvolver(CommonBathSystem(1.2, 0.8, 5.0, gaussian_approx(100, "narrow")))
+        system = CommonBathSystem(1.2, 0.8, 5.0, gaussian_approx(100, "narrow"))
         initial = TwoQubitState.stack([make_named_state("r_state", r=0.4), make_named_state("singlet")])
         times = np.linspace(0.0, 5.0, 200_000)
         tracemalloc.start()
         try:
-            out = evolver.evolve(initial, times)
+            out = apply_channel(channel_functions(system, times), initial)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 1.3 * (out.p_a.nbytes + out.p_b.nbytes + out.pi.nbytes)
+
+
+# each bath topology has one channel entry, from (system, times) to the eight functions
+CHANNEL_ENTRIES = [
+    (channel_functions, CommonBathSystem(1.2, 0.8, 3.0, gaussian_approx(40, "narrow"))),
+    (decay_factors, SeparateBathSystem(1.2, 0.8, gaussian_approx(40, "narrow"), unpolarized_exact(5))),
+]
+
+
+@pytest.mark.parametrize("entry, sys", CHANNEL_ENTRIES, ids=["shared", "private"])
+@pytest.mark.parametrize("times, size", [
+    (np.linspace(0.0, 6.0, 50), 50), ([0.3, 1.1, 2.0], 3), (np.array([[0.1, 0.2], [0.3, 0.4]]), 4), (0.5, 1),
+], ids=["grid", "list", "flattened", "scalar"])
+def test_channel_entry_contract(entry, sys, times, size):
+    f = entry(sys, times)
+    assert len(f) == 8 and all(isinstance(x, np.ndarray) and x.shape == (size,) for x in f)
+    # each sample is the channel at that time alone, and the channel applies to any state
+    last = entry(sys, np.ravel(times)[-1])
+    assert all(np.abs(x[-1:] - y).max() < 1e-13 for x, y in zip(f, last))
+    assert apply_channel(f, make_named_state("bell_t1")).pi.shape == (size, 3, 3)

@@ -13,7 +13,7 @@ from spinbath import bath as bath_module
 from spinbath import common, separate
 from spinbath.bath import gaussian_approx, unpolarized_exact
 from spinbath.cli import main
-from spinbath.common import (CommonBathSystem, SectorExactEvolver, apply_channel, evaluate_lines,
+from spinbath.common import (CommonBathSystem, apply_channel, channel_functions, evaluate_lines,
                              singlet_survival)
 from spinbath.separate import SeparateBathSystem, decay_factors
 from spinbath.states import density_to_state, make_named_state, state_to_density
@@ -246,7 +246,7 @@ def channel_errors(system, t_max, samples, picks):
     alone moves a line at |w| ~ 230 by ~1e-13 at t ~ 6: the conditioning of the samples,
     not of the sum.)"""
     lines = common._channel_lines(system)
-    got = common._channel_functions(lines, np.linspace(0.0, t_max, samples))
+    got = channel_functions(system, np.linspace(0.0, t_max, samples))
     exact = picks.astype(np.longdouble) * (np.longdouble(t_max) / (samples - 1))
     real, imag = long_double_line_sum(*lines, exact)
     want = [f for row in zip(real, imag) for f in row]
@@ -316,7 +316,7 @@ class TestPassSizes:
 
     def test_million_spins_use_larger_products(self, million, monkeypatch):
         products = spy_products(monkeypatch)
-        common._channel_functions(common._channel_lines(million), np.linspace(0.0, 6.0, 12000))
+        channel_functions(million, np.linspace(0.0, 6.0, 12000))
         assert max(products) > 16 * common._SMALL_PRODUCT
 
 
@@ -345,7 +345,7 @@ class TestEqualCouplings:
         if chunked:
             sectors = system.bath.significant_sectors()[0].size
             monkeypatch.setattr(common, "_SMALL_PRODUCT", 8 * 2 * 2 * sectors * 6)
-        got = state_to_density(SectorExactEvolver(system).evolve(density_to_state(rho), TIMES))
+        got = state_to_density(apply_channel(channel_functions(system, TIMES), density_to_state(rho)))
         assert np.abs(got - want).max() < 1e-12
 
 
@@ -418,14 +418,14 @@ class TestWeightCut:
     def outputs(b):
         """Every closed form on bath b, as outputs whose per-sector terms lie in [-1, 1]."""
         out = []
-        sym = SectorExactEvolver(CommonBathSystem(0.9, 0.9, 4.0, b))
+        sym = channel_functions(CommonBathSystem(0.9, 0.9, 4.0, b), TIMES)
         for name in ("up_down", "triplet0", "bell_t1"):
-            s = sym.evolve(make_named_state(name), TIMES)
+            s = apply_channel(sym, make_named_state(name))
             out += [s.p_a.ravel(), s.p_b.ravel(), s.pi.ravel()]
+        asym = channel_functions(CommonBathSystem(1.2, 0.8, 20.0, b), TIMES)
         for name, params in (("r_state", dict(r=0.5)),
                              ("general_pure", dict(gamma=0.3 + 0.4j, theta=1.1, phi=2.3))):
-            s = SectorExactEvolver(CommonBathSystem(1.2, 0.8, 20.0, b)).evolve(
-                make_named_state(name, **params), TIMES)
+            s = apply_channel(asym, make_named_state(name, **params))
             out += [s.p_a.ravel(), s.p_b.ravel(), s.pi.ravel()]
         out.append(singlet_survival(CommonBathSystem(1.2, 0.8, 3.0, b), TIMES))
         sep = SeparateBathSystem(1.1, 0.6, b, b)
@@ -468,7 +468,7 @@ def test_ten_thousand_spins_through_cli(tmp_path, scenario, extra):
     else:
         # tensor_direct + tensor_transpose + 3 tensor_trace = f0, the kept weight
         system = CommonBathSystem(1.0, 1.0, 5.0, b)
-        total = common._channel_functions(common._channel_lines(system), series.column("t"))[6]
+        total = channel_functions(system, series.column("t"))[6]
     assert np.abs(total - 1.0).max() < 1e-12
 
 

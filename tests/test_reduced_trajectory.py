@@ -9,7 +9,7 @@ import pytest
 
 from spinbath import common, oracle
 from spinbath.bath import unpolarized_exact
-from spinbath.common import CommonBathSystem, SectorExactEvolver
+from spinbath.common import CommonBathSystem, apply_channel, channel_functions
 from spinbath.oracle import build
 from spinbath.scenarios import ScenarioConfig, _run_oracle_compare, validate
 from spinbath.states import make_named_state, state_to_density
@@ -35,7 +35,7 @@ def densities(states):
 
 
 def per_time_sectors(system, s0, times):
-    """Reference for SectorExactEvolver: every sector propagated at each time."""
+    """Reference for the shared-bath channel: every sector propagated at each time."""
     rho_ab = state_to_density(s0)
     expected = np.zeros((times.size, 4, 4), dtype=complex)
     for i, w in zip(system.bath.spins, system.bath.weights):
@@ -68,7 +68,7 @@ def test_sector_evolver(case, state):
     system = CommonBathSystem(k_a, k_b, j, unpolarized_exact(n))
     name, params = SECTOR_STATES[state]
     s0 = make_named_state(name, **params)
-    got = densities(SectorExactEvolver(system).evolve(s0, TIMES))
+    got = densities(apply_channel(channel_functions(system, TIMES), s0))
     assert np.abs(got - per_time_sectors(system, s0, TIMES)).max() < 1e-12
 
 
@@ -77,7 +77,7 @@ def test_sector_evolver_one_sample(times):
     # a single sample and a 0-d time both give a batch of one state
     system = CommonBathSystem(1.1, 0.45, 0.8, unpolarized_exact(4))
     s0 = make_named_state("general_pure", gamma=0.3 + 0.4j, theta=0.7, phi=1.3)
-    got = densities(SectorExactEvolver(system).evolve(s0, times))
+    got = densities(apply_channel(channel_functions(system, times), s0))
     assert got.shape == (1, 4, 4)
     assert np.abs(got - per_time_sectors(system, s0, np.array([2.4]))).max() < 1e-12
 

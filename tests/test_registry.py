@@ -183,9 +183,15 @@ def test_one_bath_build_and_state_parse_per_run(kind, monkeypatch, tmp_path):
         del overrides["n_bath"]
     run(ScenarioConfig.for_kind(kind, **overrides))
     assert calls["bath"] == int(needs_bath)
-    assert calls["state"] == int(needs_state)
+    # validate parses the config's state, the trajectory runner each of the kind's fixed states
+    assert calls["state"] == int(needs_state) + len(KINDS[kind].states)
     # the common-mode oracle comparison uses the bath validate built
     assert calls["exact"] == 0
+
+
+# a readout of a batch of initial states writes a column per state and exchange value
+BATCH_HEADERS = {"fig1": "t,purity_c0,purity_c05,purity_c1,concurrence_c1",
+                 "fig5": "t,d_rp05_j0,d_rp05_jhi,d_rm05_j0,d_rm05_jhi"}
 
 
 def test_trajectory_columns_are_declared_and_written(tmp_path):
@@ -199,4 +205,4 @@ def test_trajectory_columns_are_declared_and_written(tmp_path):
         j = 0.0 if kind.exchange == "zero" else 2.0
         run(ScenarioConfig.for_kind(name, n_bath=8, j=j, samples=20, output=str(out)))
         header = next(line for line in out.read_text().splitlines() if not line.startswith("#"))
-        assert header == ",".join(["t", *kind.columns])
+        assert header == BATCH_HEADERS.get(name, ",".join(["t", *kind.columns]))

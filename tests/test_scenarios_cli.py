@@ -4,15 +4,16 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from spinbath import cli, common, scenarios, separate, timeseries
+from spinbath import cli, scenarios, separate, timeseries
 from spinbath.bath import gaussian_approx, unpolarized_exact
-from spinbath.common import CommonBathSystem, SectorExactEvolver
+from spinbath.common import CommonBathSystem, apply_channel, channel_functions
 from spinbath.cli import main
 from spinbath.scenarios import (
     ConfigError,
@@ -173,6 +174,22 @@ class TestValidation:
         assert "coupling_overlap" in report.derived
         assert "predicted_decoherence_time" in report.derived
 
+    def test_figure_header_lines_are_previewed(self, capsys, tmp_path):
+        # fig2's revival time and late window and fig5's exchange come from the kinds' checks,
+        # so validate previews the header lines that run writes, in the same order
+        fig2 = validate(ScenarioConfig.for_kind("fig2", k_a=0.5, k_b=0.5, t_max=3.0)).derived
+        assert fig2["revival_time"] == format(4.0 * math.pi, ".12g")
+        assert fig2["late_window"] == "0.99..2.91"
+        assert validate(ScenarioConfig.for_kind("fig5", j=7.5)).derived["j_high"] == "7.5"
+        assert main(["validate", str(write_config(tmp_path, "scenario = fig5\nj = 7.5\n"))]) == 0
+        assert "  j_high = 7.5" in capsys.readouterr().out.splitlines()
+        for kind, keys in (("fig2", ["revival_time", "late_window"]), ("fig5", ["j_high"])):
+            out = tmp_path / f"{kind}.csv"
+            run(ScenarioConfig.for_kind(kind, samples=20, output=str(out)))
+            meta = list(read_csv(out).metadata)
+            assert meta[meta.index(keys[0]) - 1] == ("state" if kind == "fig2" else "dropped_sector_weight")
+            assert meta[meta.index(keys[0]):][: len(keys) + 1] == [*keys, "coupling_overlap"]
+
     # eps ||H|| t_max over the couplings that build takes: 6 (1 + 1e6) + |j| in the common mode,
     # 3 + 3e6 in the separate one, so the bound passes 1e-10 near t_max = 0.1001 and 0.2002
     @pytest.mark.parametrize("mode, t_max, refused", [
@@ -257,13 +274,12 @@ class TestRunners:
 
     def test_fig5_evaluates_the_channel_once_per_exchange(self, monkeypatch, tmp_path):
         calls = []
-        functions = common._channel_functions
 
-        def counting(lines, times):
+        def counting(system, times):
             calls.append(np.size(times))
-            return functions(lines, times)
+            return channel_functions(system, times)
 
-        monkeypatch.setattr(common, "_channel_functions", counting)
+        monkeypatch.setattr(scenarios, "channel_functions", counting)
         run(ScenarioConfig.for_kind("fig5", samples=40, output=str(tmp_path / "fig5.csv")))
         # j = 0 and j = j_high, each evolving the r = +-0.5 pair as one batch
         assert calls == [40, 40]
@@ -390,7 +406,7 @@ class TestRunners:
         scenarios._run_trajectory(config, report.bath, report.state)
         system = CommonBathSystem(config.k_a, config.k_b, config.j, report.bath)
         times = np.linspace(0.0, config.t_max, config.samples)
-        traj = SectorExactEvolver(system).evolve(report.state, times)
+        traj = apply_channel(channel_functions(system, times), report.state)
         rho = state_to_density(traj)
         kets = np.array([KET_SINGLET, KET_TRIPLET0, KET_T1, KET_T2])
         pops = np.einsum("bi,tij,bj->tb", kets.conj(), rho, kets).real
@@ -403,12 +419,11 @@ class TestRunners:
     def test_fig5_one_channel_per_exchange(self, tmp_path, monkeypatch):
         built = []
 
-        class Counted(SectorExactEvolver):
-            def __init__(self, system):
-                built.append(system.j)
-                super().__init__(system)
+        def counted(system, times):
+            built.append(system.j)
+            return channel_functions(system, times)
 
-        monkeypatch.setattr(scenarios, "SectorExactEvolver", Counted)
+        monkeypatch.setattr(scenarios, "channel_functions", counted)
         run(ScenarioConfig.for_kind("fig5", n_bath=20, samples=40, output=str(tmp_path / "f.csv")))
         assert built == [0.0, 20.0]
 
@@ -425,7 +440,7 @@ class TestRunners:
         times = np.linspace(0.0, config.t_max, config.samples)
         bath = validate(config).bath
         system = CommonBathSystem(config.k_a, config.k_b, config.j, bath)
-        traj = SectorExactEvolver(system).evolve(make_named_state(state), times)
+        traj = apply_channel(channel_functions(system, times), make_named_state(state))
         got = read_csv(tmp_path / "f.csv").column("concurrence")
         assert np.abs(got - concurrence_state(traj)).max() < 1e-12
 
@@ -433,11 +448,13 @@ class TestRunners:
     def test_sz_mixing_state_takes_the_general_concurrence(self, tmp_path, kind, monkeypatch):
         # a state that mixes S^z sectors is no X state: its concurrence is Wootters'
         tilted = make_named_state("general_pure", gamma=0.5, theta=1.0)
-        monkeypatch.setattr(scenarios, "make_named_state", lambda name: tilted)
+        kinds = {**scenarios.KINDS, kind: replace(scenarios.KINDS[kind], states={"": "general_pure:0.5,1.0"})}
+        monkeypatch.setattr(scenarios, "KINDS", kinds)
         config = ScenarioConfig.for_kind(kind, samples=50, output=str(tmp_path / "f.csv"))
         run(config)
         system = CommonBathSystem(config.k_a, config.k_b, config.j, validate(config).bath)
-        traj = SectorExactEvolver(system).evolve(tilted, np.linspace(0.0, config.t_max, config.samples))
+        times = np.linspace(0.0, config.t_max, config.samples)
+        traj = apply_channel(channel_functions(system, times), tilted)
         want = [float(f"{c:.12e}") for c in concurrence(state_to_density(traj))]
         assert np.array_equal(read_csv(config.output).column("concurrence"), want)
 
@@ -900,6 +917,37 @@ class TestCLI:
         else:
             assert captured.out == "" and captured.err.splitlines() == [f"error: {message}"]
         assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("output, message", [
+        ("sub", "output: 'sub' is a directory"),
+        ("sub/", "output: 'sub/' is a directory"),
+        ("run.cfg/out.csv", "output: 'run.cfg/out.csv' lies under the file 'run.cfg'"),
+        ("run.cfg/deeper/out.csv", "output: 'run.cfg/deeper/out.csv' lies under the file 'run.cfg'"),
+    ], ids=["directory", "directory-slash", "file-parent", "file-grandparent"])
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_unwritable_output_refused_before_the_run(self, tmp_path, monkeypatch, capsys, command, output,
+                                                      message):
+        # an existing directory, or a path through a file, is refused by validate: run stops
+        # before any evolution, and the directory is left as it was
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "sub" / "keep.txt").write_text("kept")
+        monkeypatch.setattr(scenarios, "channel_functions", lambda *args: pytest.fail("evolved"))
+        path = write_config(tmp_path, f"scenario = fig2\noutput = {output}\n", name="run.cfg")
+        assert main([command, str(path)]) == 1
+        assert refused_errors(command, capsys.readouterr()) == [message]
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["keep.txt", "run.cfg", "sub"]
+
+    def test_write_error_names_the_output(self, tmp_path, monkeypatch, capsys):
+        # an error that validate cannot foresee names the output, not the temporary file
+        def full(series, path):
+            raise OSError(28, "No space left on device", f".{path.name}.1.tmp")
+
+        monkeypatch.setattr(timeseries.TimeSeries, "write_csv", full)
+        path = write_config(tmp_path, f"scenario = fig6\noutput = {tmp_path / 'out.csv'}\n")
+        assert main(["run", str(path)]) == 1
+        out = str(tmp_path / "out.csv")
+        assert capsys.readouterr().err == f"error: [Errno 28] output {out!r}: No space left on device\n"
 
     def test_nan_oracle_deviation_exit_code(self, tmp_path, monkeypatch):
         # validation rejects t_max = nan, so drive the runner past it: the

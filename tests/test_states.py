@@ -737,14 +737,15 @@ class TestXStatePremise:
     @staticmethod
     def trajectories(state):
         from spinbath.bath import gaussian_approx, unpolarized_exact
-        from spinbath.common import CommonBathSystem, SectorExactEvolver
+        from spinbath.common import CommonBathSystem, channel_functions
         from spinbath.separate import SeparateBathSystem
 
         times = np.linspace(0.0, 8.0, 97)
         bath = gaussian_approx(60, "narrow")
-        yield SectorExactEvolver(CommonBathSystem(1.0, 1.0, 3.0, bath)).evolve(state, times)
+        yield apply_channel(channel_functions(CommonBathSystem(1.0, 1.0, 3.0, bath), times), state)
         for k_b, j in ((0.7, 5.0), (1.0, 2.0)):
-            yield SectorExactEvolver(CommonBathSystem(1.2, k_b, j, unpolarized_exact(9))).evolve(state, times)
+            f = channel_functions(CommonBathSystem(1.2, k_b, j, unpolarized_exact(9)), times)
+            yield apply_channel(f, state)
         private = SeparateBathSystem(1.0, 0.6, bath, unpolarized_exact(7))
         yield apply_channel(separate.decay_factors(private, times), state)
 
